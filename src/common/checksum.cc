@@ -5,26 +5,51 @@
 namespace slacker {
 namespace {
 
-std::array<uint32_t, 256> MakeCrc32cTable() {
-  std::array<uint32_t, 256> table{};
+using Crc32cTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables: tables[0] is the bytewise table, and tables[k][b]
+/// is the CRC of byte b followed by k zero bytes, so eight table lookups
+/// advance the CRC over eight input bytes at once.
+constexpr Crc32cTables MakeCrc32cTables() {
+  Crc32cTables tables{};
   constexpr uint32_t kPoly = 0x82f63b78;  // Castagnoli, reflected.
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32c(const uint8_t* data, size_t len, uint32_t seed) {
-  static const std::array<uint32_t, 256> kTable = MakeCrc32cTable();
+  const Crc32cTables& t = kCrc32cTables;
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    const uint32_t lo = LoadLe32(data) ^ crc;
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = t[0][(crc ^ *data) & 0xff] ^ (crc >> 8);
   }
   return ~crc;
 }

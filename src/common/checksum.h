@@ -7,7 +7,7 @@
 
 namespace slacker {
 
-/// CRC-32C (Castagnoli), software table implementation. Used to verify
+/// CRC-32C (Castagnoli), software slice-by-8 implementation. Used to verify
 /// that migration produces byte-identical tenant replicas and that wire
 /// messages survive framing.
 uint32_t Crc32c(const uint8_t* data, size_t len, uint32_t seed = 0);

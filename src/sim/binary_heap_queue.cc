@@ -1,7 +1,8 @@
 #include "src/sim/binary_heap_queue.h"
 
-#include <cassert>
 #include <utility>
+
+#include "src/common/invariant.h"
 
 namespace slacker::sim {
 
@@ -36,13 +37,13 @@ void BinaryHeapEventQueue::SkipCancelled() const {
 
 SimTime BinaryHeapEventQueue::NextTime() const {
   SkipCancelled();
-  assert(!heap_.empty());
+  SLACKER_DCHECK(!heap_.empty());
   return heap_.top().when;
 }
 
 SimTime BinaryHeapEventQueue::RunNext() {
   SkipCancelled();
-  assert(!heap_.empty());
+  SLACKER_DCHECK(!heap_.empty());
   // Move the event out before running: the callback may schedule or
   // cancel other events, mutating the heap.
   Event event = std::move(const_cast<Event&>(heap_.top()));

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <utility>
+
+#include "src/common/invariant.h"
 
 namespace slacker::sim {
 
@@ -180,7 +181,7 @@ void EventQueue::AdvanceWheel() {
   // *every* slot whose bound equals the cursor before any event runs,
   // so all same-tick events meet in the ready heap and are ordered by
   // their exact (when, seq) there.
-  assert(wheel_count_ > 0);
+  SLACKER_DCHECK(wheel_count_ > 0);
   int best_level = -1;
   uint64_t best_abs = 0;
   uint64_t best_bound = ~0ull;
@@ -200,7 +201,7 @@ void EventQueue::AdvanceWheel() {
       best_level = level;
     }
   }
-  assert(best_level >= 0);
+  SLACKER_DCHECK(best_level >= 0);
 
   // Detach the chosen slot's whole list.
   const uint16_t s = static_cast<uint16_t>(
@@ -278,16 +279,16 @@ void EventQueue::EnsureReady() {
 }
 
 SimTime EventQueue::NextTime() {
-  assert(!empty());
+  SLACKER_DCHECK(!empty());
   EnsureReady();
-  assert(!ready_.empty());
+  SLACKER_DCHECK(!ready_.empty());
   return ready_.front().when;
 }
 
 SimTime EventQueue::RunNext() {
-  assert(!empty());
+  SLACKER_DCHECK(!empty());
   EnsureReady();
-  assert(!ready_.empty());
+  SLACKER_DCHECK(!ready_.empty());
   const ReadyEntry top = ready_.front();
   std::pop_heap(ready_.begin(), ready_.end(), ReadyLater{});
   ready_.pop_back();

@@ -1,55 +1,117 @@
 #include "src/storage/btree.h"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
+#include <utility>
+
+#include "src/common/invariant.h"
 
 namespace slacker::storage {
 
 struct BTree::Node {
   explicit Node(bool leaf) : is_leaf(leaf) {}
   bool is_leaf;
-  InternalNode* parent = nullptr;
 };
 
+// Both node kinds hold one slot more than kFanout: an insert lands
+// first and the overfull node splits right after.
 struct BTree::LeafNode : BTree::Node {
   LeafNode() : Node(true) {}
-  std::vector<Record> records;  // Sorted by key.
+  size_t count = 0;
   LeafNode* next = nullptr;
-  LeafNode* prev = nullptr;
+  // In a union so a new leaf skips zeroing all kFanout + 1 records; only
+  // records[0, count) are ever read. Sorted by key.
+  union {
+    Record records[kFanout + 1];
+  };
 };
 
 struct BTree::InternalNode : BTree::Node {
   InternalNode() : Node(false) {}
-  // children.size() == keys.size() + 1. Subtree children[i] holds keys
-  // strictly below keys[i]; children[i+1] holds keys >= keys[i].
-  std::vector<uint64_t> keys;
-  std::vector<Node*> children;
+  // num_keys + 1 children. Subtree children[i] holds keys strictly below
+  // keys[i]; children[i+1] holds keys >= keys[i].
+  size_t num_keys = 0;
+  uint64_t keys[kFanout];
+  Node* children[kFanout + 1];
 
-  size_t ChildIndex(const Node* child) const {
-    for (size_t i = 0; i < children.size(); ++i) {
-      if (children[i] == child) return i;
-    }
-    assert(false && "child not found in parent");
-    return 0;
+  size_t num_children() const { return num_keys + 1; }
+};
+
+/// Root-to-leaf descent: the internal nodes passed through and the child
+/// index taken at each, so splits and merges walk back up without parent
+/// pointers or a search for the child's slot.
+struct BTree::Path {
+  struct Frame {
+    InternalNode* node;
+    size_t child;
+  };
+  // Non-root internals hold >= kFanout / 2 children, so 2^64 keys fit in
+  // 14 levels.
+  static constexpr size_t kMaxDepth = 16;
+  Frame frames[kMaxDepth];
+  size_t depth = 0;
+
+  void Push(InternalNode* node, size_t child) {
+    SLACKER_DCHECK(depth < kMaxDepth);
+    frames[depth++] = Frame{node, child};
   }
+  bool empty() const { return depth == 0; }
+  Frame Pop() { return frames[--depth]; }
 };
 
 namespace {
 
 constexpr size_t kMinFill = BTree::kFanout / 2;
 
-/// Index of the child subtree that may contain `key`.
-size_t DescendIndex(const std::vector<uint64_t>& keys, uint64_t key) {
-  // First separator strictly greater than key → go left of it; keys
-  // equal to a separator belong to the right subtree.
-  return std::upper_bound(keys.begin(), keys.end(), key) - keys.begin();
+// Both searches first test for a key past the node's last one: loads
+// and inserts arrive in ascending key order and append at the right
+// edge. Otherwise they halve the candidate window with a conditional
+// move rather than a branch: for a random key the comparisons are coin
+// flips, so a branchy binary search mispredicts about every other step.
+
+/// Index of the child subtree that may contain `key`: the first
+/// separator strictly greater than key (keys equal to a separator belong
+/// to the right subtree). `num_keys` is at least 1.
+size_t DescendIndex(const uint64_t* keys, size_t num_keys, uint64_t key) {
+  if (keys[num_keys - 1] <= key) return num_keys;
+  size_t base = 0;
+  for (size_t n = num_keys; n > 1; n -= n / 2) {
+    base = keys[base + n / 2] <= key ? base + n / 2 : base;
+  }
+  return base + (keys[base] <= key);
 }
 
-struct RecordKeyLess {
-  bool operator()(const Record& r, uint64_t key) const { return r.key < key; }
-  bool operator()(uint64_t key, const Record& r) const { return key < r.key; }
-};
+/// Position of the first record with key >= `key`.
+size_t LowerBound(const Record* records, size_t count, uint64_t key) {
+  if (count == 0 || records[count - 1].key < key) return count;
+  // A leaf spans up to 25 cache lines and is often cold. Requesting all
+  // of them at once makes the search wait for one round of misses rather
+  // than one per halving step.
+  const void* first = records;
+  const char* line = static_cast<const char*>(first);
+  for (const char* end = line + count * sizeof(Record); line < end;
+       line += 64) {
+    __builtin_prefetch(line);
+  }
+  size_t base = 0;
+  for (size_t n = count; n > 1; n -= n / 2) {
+    base = records[base + n / 2].key < key ? base + n / 2 : base;
+  }
+  return base + (records[base].key < key);
+}
+
+/// Opens a gap at `pos` in the first `count` elements of `array`.
+template <typename T>
+void InsertAt(T* array, size_t count, size_t pos, const T& value) {
+  std::copy_backward(array + pos, array + count, array + count + 1);
+  array[pos] = value;
+}
+
+/// Closes the gap at `pos` in the first `count` elements of `array`.
+template <typename T>
+void EraseAt(T* array, size_t count, size_t pos) {
+  std::copy(array + pos + 1, array + count, array + pos);
+}
 
 }  // namespace
 
@@ -74,16 +136,15 @@ BTree& BTree::operator=(BTree&& other) noexcept {
 }
 
 void BTree::FreeTree(Node* node) {
-  if (node == nullptr) return;
-  if (!node->is_leaf) {
-    auto* internal = static_cast<InternalNode*>(node);
-    for (Node* child : internal->children) FreeTree(child);
-  }
   if (node->is_leaf) {
     delete static_cast<LeafNode*>(node);
-  } else {
-    delete static_cast<InternalNode*>(node);
+    return;
   }
+  auto* internal = static_cast<InternalNode*>(node);
+  for (size_t i = 0; i < internal->num_children(); ++i) {
+    FreeTree(internal->children[i]);
+  }
+  delete internal;
 }
 
 void BTree::Clear() {
@@ -92,188 +153,186 @@ void BTree::Clear() {
   size_ = 0;
 }
 
-BTree::LeafNode* BTree::FindLeaf(uint64_t key) const {
+BTree::LeafNode* BTree::Descend(uint64_t key, Path* path) const {
   Node* node = root_;
   while (!node->is_leaf) {
     auto* internal = static_cast<InternalNode*>(node);
-    node = internal->children[DescendIndex(internal->keys, key)];
+    const size_t child = DescendIndex(internal->keys, internal->num_keys, key);
+    if (path != nullptr) path->Push(internal, child);
+    node = internal->children[child];
   }
   return static_cast<LeafNode*>(node);
 }
 
 const Record* BTree::Get(uint64_t key) const {
-  const LeafNode* leaf = FindLeaf(key);
-  auto it = std::lower_bound(leaf->records.begin(), leaf->records.end(), key,
-                             RecordKeyLess{});
-  if (it == leaf->records.end() || it->key != key) return nullptr;
-  return &*it;
+  const LeafNode* leaf = Descend(key, nullptr);
+  const size_t pos = LowerBound(leaf->records, leaf->count, key);
+  if (pos == leaf->count || leaf->records[pos].key != key) return nullptr;
+  return &leaf->records[pos];
 }
 
 bool BTree::Put(const Record& record) {
-  LeafNode* leaf = FindLeaf(record.key);
-  auto it = std::lower_bound(leaf->records.begin(), leaf->records.end(),
-                             record.key, RecordKeyLess{});
-  if (it != leaf->records.end() && it->key == record.key) {
-    *it = record;
+  Path path;
+  LeafNode* leaf = Descend(record.key, &path);
+  const size_t pos = LowerBound(leaf->records, leaf->count, record.key);
+  if (pos < leaf->count && leaf->records[pos].key == record.key) {
+    leaf->records[pos] = record;
     return false;
   }
-  leaf->records.insert(it, record);
+  InsertAt(leaf->records, leaf->count, pos, record);
+  ++leaf->count;
   ++size_;
 
-  if (leaf->records.size() <= kFanout) return true;
+  if (leaf->count <= kFanout) return true;
 
   // Split: the upper half moves into a new right sibling.
   auto* right = new LeafNode();
-  const size_t mid = leaf->records.size() / 2;
-  right->records.assign(leaf->records.begin() + mid, leaf->records.end());
-  leaf->records.resize(mid);
+  const size_t mid = leaf->count / 2;
+  std::copy(leaf->records + mid, leaf->records + leaf->count, right->records);
+  right->count = leaf->count - mid;
+  leaf->count = mid;
   right->next = leaf->next;
-  if (right->next != nullptr) right->next->prev = right;
-  right->prev = leaf;
   leaf->next = right;
-  InsertIntoParent(leaf, right->records.front().key, right);
+  InsertIntoParent(&path, leaf, right->records[0].key, right);
   return true;
 }
 
-void BTree::InsertIntoParent(Node* left, uint64_t sep, Node* right) {
-  if (left->parent == nullptr) {
-    auto* new_root = new InternalNode();
-    new_root->keys.push_back(sep);
-    new_root->children = {left, right};
-    left->parent = new_root;
-    right->parent = new_root;
-    root_ = new_root;
-    return;
+void BTree::InsertIntoParent(Path* path, Node* left, uint64_t sep,
+                             Node* right) {
+  while (!path->empty()) {
+    // `left` is the child the descent took, so its slot is on the path.
+    const auto [parent, pos] = path->Pop();
+    InsertAt(parent->keys, parent->num_keys, pos, sep);
+    InsertAt(parent->children, parent->num_children(), pos + 1, right);
+    ++parent->num_keys;
+
+    if (parent->num_children() <= kFanout) return;
+
+    // Split the internal node; the middle separator is pushed up, not
+    // copied (B+-tree internal split).
+    auto* new_right = new InternalNode();
+    const size_t mid = parent->num_keys / 2;
+    new_right->num_keys = parent->num_keys - mid - 1;
+    std::copy(parent->keys + mid + 1, parent->keys + parent->num_keys,
+              new_right->keys);
+    std::copy(parent->children + mid + 1,
+              parent->children + parent->num_children(), new_right->children);
+    sep = parent->keys[mid];
+    parent->num_keys = mid;
+    left = parent;
+    right = new_right;
   }
 
-  InternalNode* parent = left->parent;
-  const size_t pos = parent->ChildIndex(left);
-  parent->keys.insert(parent->keys.begin() + pos, sep);
-  parent->children.insert(parent->children.begin() + pos + 1, right);
-  right->parent = parent;
-
-  if (parent->children.size() <= kFanout) return;
-
-  // Split the internal node; the middle separator is pushed up, not
-  // copied (B+-tree internal split).
-  auto* new_right = new InternalNode();
-  const size_t mid = parent->keys.size() / 2;
-  const uint64_t push_up = parent->keys[mid];
-  new_right->keys.assign(parent->keys.begin() + mid + 1, parent->keys.end());
-  new_right->children.assign(parent->children.begin() + mid + 1,
-                             parent->children.end());
-  parent->keys.resize(mid);
-  parent->children.resize(mid + 1);
-  for (Node* child : new_right->children) child->parent = new_right;
-  InsertIntoParent(parent, push_up, new_right);
+  auto* new_root = new InternalNode();
+  new_root->num_keys = 1;
+  new_root->keys[0] = sep;
+  new_root->children[0] = left;
+  new_root->children[1] = right;
+  root_ = new_root;
 }
 
 bool BTree::Erase(uint64_t key) {
-  LeafNode* leaf = FindLeaf(key);
-  auto it = std::lower_bound(leaf->records.begin(), leaf->records.end(), key,
-                             RecordKeyLess{});
-  if (it == leaf->records.end() || it->key != key) return false;
-  leaf->records.erase(it);
+  Path path;
+  LeafNode* leaf = Descend(key, &path);
+  const size_t pos = LowerBound(leaf->records, leaf->count, key);
+  if (pos == leaf->count || leaf->records[pos].key != key) return false;
+  EraseAt(leaf->records, leaf->count, pos);
+  --leaf->count;
   --size_;
-  RebalanceAfterErase(leaf);
+  RebalanceAfterErase(&path, leaf);
   return true;
 }
 
-void BTree::RebalanceAfterErase(Node* node) {
-  // Root never underflows; an empty internal root collapses below.
-  if (node->parent == nullptr) {
-    if (!node->is_leaf) {
-      auto* internal = static_cast<InternalNode*>(node);
-      if (internal->children.size() == 1) {
-        root_ = internal->children.front();
-        root_->parent = nullptr;
-        internal->children.clear();
-        delete internal;
-      }
-    }
-    return;
-  }
+void BTree::RebalanceAfterErase(Path* path, Node* node) {
+  while (!path->empty()) {
+    const size_t fill = node->is_leaf
+                            ? static_cast<LeafNode*>(node)->count
+                            : static_cast<InternalNode*>(node)->num_children();
+    if (fill >= kMinFill) return;
 
-  const size_t fill = node->is_leaf
-                          ? static_cast<LeafNode*>(node)->records.size()
-                          : static_cast<InternalNode*>(node)->children.size();
-  if (fill >= kMinFill) return;
-
-  InternalNode* parent = node->parent;
-  const size_t idx = parent->ChildIndex(node);
-  Node* left_sib = idx > 0 ? parent->children[idx - 1] : nullptr;
-  Node* right_sib =
-      idx + 1 < parent->children.size() ? parent->children[idx + 1] : nullptr;
-
-  if (node->is_leaf) {
-    auto* leaf = static_cast<LeafNode*>(node);
-    auto* left = static_cast<LeafNode*>(left_sib);
-    auto* right = static_cast<LeafNode*>(right_sib);
-    if (left != nullptr && left->records.size() > kMinFill) {
-      // Borrow the largest record from the left sibling.
-      leaf->records.insert(leaf->records.begin(), left->records.back());
-      left->records.pop_back();
-      parent->keys[idx - 1] = leaf->records.front().key;
-      return;
-    }
-    if (right != nullptr && right->records.size() > kMinFill) {
-      leaf->records.push_back(right->records.front());
-      right->records.erase(right->records.begin());
-      parent->keys[idx] = right->records.front().key;
-      return;
-    }
+    const auto [parent, idx] = path->Pop();
+    Node* left_sib = idx > 0 ? parent->children[idx - 1] : nullptr;
+    Node* right_sib =
+        idx < parent->num_keys ? parent->children[idx + 1] : nullptr;
     // Merge with a sibling (prefer left so the survivor keeps its slot).
-    LeafNode* into = left != nullptr ? left : leaf;
-    LeafNode* from = left != nullptr ? leaf : right;
-    const size_t sep_idx = left != nullptr ? idx - 1 : idx;
-    into->records.insert(into->records.end(), from->records.begin(),
-                         from->records.end());
-    into->next = from->next;
-    if (from->next != nullptr) from->next->prev = into;
-    parent->keys.erase(parent->keys.begin() + sep_idx);
-    parent->children.erase(parent->children.begin() + sep_idx + 1);
-    delete from;
-    RebalanceAfterErase(parent);
-    return;
+    const size_t sep_idx = left_sib != nullptr ? idx - 1 : idx;
+
+    if (node->is_leaf) {
+      auto* leaf = static_cast<LeafNode*>(node);
+      auto* left = static_cast<LeafNode*>(left_sib);
+      auto* right = static_cast<LeafNode*>(right_sib);
+      if (left != nullptr && left->count > kMinFill) {
+        // Borrow the largest record from the left sibling.
+        InsertAt(leaf->records, leaf->count, 0,
+                 left->records[left->count - 1]);
+        ++leaf->count;
+        --left->count;
+        parent->keys[idx - 1] = leaf->records[0].key;
+        return;
+      }
+      if (right != nullptr && right->count > kMinFill) {
+        leaf->records[leaf->count++] = right->records[0];
+        EraseAt(right->records, right->count, 0);
+        --right->count;
+        parent->keys[idx] = right->records[0].key;
+        return;
+      }
+      LeafNode* into = left != nullptr ? left : leaf;
+      LeafNode* from = left != nullptr ? leaf : right;
+      std::copy(from->records, from->records + from->count,
+                into->records + into->count);
+      into->count += from->count;
+      into->next = from->next;
+      delete from;
+    } else {
+      auto* internal = static_cast<InternalNode*>(node);
+      auto* left = static_cast<InternalNode*>(left_sib);
+      auto* right = static_cast<InternalNode*>(right_sib);
+      if (left != nullptr && left->num_children() > kMinFill) {
+        // Rotate through the parent separator.
+        InsertAt(internal->children, internal->num_children(), 0,
+                 left->children[left->num_keys]);
+        InsertAt(internal->keys, internal->num_keys, 0, parent->keys[idx - 1]);
+        ++internal->num_keys;
+        parent->keys[idx - 1] = left->keys[left->num_keys - 1];
+        --left->num_keys;
+        return;
+      }
+      if (right != nullptr && right->num_children() > kMinFill) {
+        internal->children[internal->num_children()] = right->children[0];
+        internal->keys[internal->num_keys++] = parent->keys[idx];
+        parent->keys[idx] = right->keys[0];
+        EraseAt(right->keys, right->num_keys, 0);
+        EraseAt(right->children, right->num_children(), 0);
+        --right->num_keys;
+        return;
+      }
+      // Merge internals: the parent separator descends between them.
+      InternalNode* into = left != nullptr ? left : internal;
+      InternalNode* from = left != nullptr ? internal : right;
+      into->keys[into->num_keys] = parent->keys[sep_idx];
+      std::copy(from->keys, from->keys + from->num_keys,
+                into->keys + into->num_keys + 1);
+      std::copy(from->children, from->children + from->num_children(),
+                into->children + into->num_children());
+      into->num_keys += from->num_keys + 1;
+      delete from;
+    }
+    EraseAt(parent->keys, parent->num_keys, sep_idx);
+    EraseAt(parent->children, parent->num_children(), sep_idx + 1);
+    --parent->num_keys;
+    node = parent;
   }
 
-  auto* internal = static_cast<InternalNode*>(node);
-  auto* left = static_cast<InternalNode*>(left_sib);
-  auto* right = static_cast<InternalNode*>(right_sib);
-  if (left != nullptr && left->children.size() > kMinFill) {
-    // Rotate through the parent separator.
-    internal->children.insert(internal->children.begin(),
-                              left->children.back());
-    internal->children.front()->parent = internal;
-    internal->keys.insert(internal->keys.begin(), parent->keys[idx - 1]);
-    parent->keys[idx - 1] = left->keys.back();
-    left->keys.pop_back();
-    left->children.pop_back();
-    return;
+  // The root never underflows; an internal root left with one child
+  // collapses into it.
+  if (!node->is_leaf) {
+    auto* internal = static_cast<InternalNode*>(node);
+    if (internal->num_keys == 0) {
+      root_ = internal->children[0];
+      delete internal;
+    }
   }
-  if (right != nullptr && right->children.size() > kMinFill) {
-    internal->children.push_back(right->children.front());
-    internal->children.back()->parent = internal;
-    internal->keys.push_back(parent->keys[idx]);
-    parent->keys[idx] = right->keys.front();
-    right->keys.erase(right->keys.begin());
-    right->children.erase(right->children.begin());
-    return;
-  }
-  // Merge internals: the parent separator descends between them.
-  InternalNode* into = left != nullptr ? left : internal;
-  InternalNode* from = left != nullptr ? internal : right;
-  const size_t sep_idx = left != nullptr ? idx - 1 : idx;
-  into->keys.push_back(parent->keys[sep_idx]);
-  into->keys.insert(into->keys.end(), from->keys.begin(), from->keys.end());
-  for (Node* child : from->children) child->parent = into;
-  into->children.insert(into->children.end(), from->children.begin(),
-                        from->children.end());
-  from->children.clear();
-  parent->keys.erase(parent->keys.begin() + sep_idx);
-  parent->children.erase(parent->children.begin() + sep_idx + 1);
-  delete from;
-  RebalanceAfterErase(parent);
 }
 
 const Record& BTree::Iterator::record() const {
@@ -284,7 +343,7 @@ const Record& BTree::Iterator::record() const {
 void BTree::Iterator::Next() {
   const auto* leaf = static_cast<const LeafNode*>(leaf_);
   ++index_;
-  while (leaf != nullptr && index_ >= leaf->records.size()) {
+  while (leaf != nullptr && index_ >= leaf->count) {
     leaf = leaf->next;
     index_ = 0;
   }
@@ -292,16 +351,14 @@ void BTree::Iterator::Next() {
 }
 
 BTree::Iterator BTree::Seek(uint64_t key) const {
-  const LeafNode* leaf = FindLeaf(key);
-  const auto it = std::lower_bound(leaf->records.begin(), leaf->records.end(),
-                                   key, RecordKeyLess{});
+  const LeafNode* leaf = Descend(key, nullptr);
   Iterator iter;
   iter.leaf_ = leaf;
-  iter.index_ = static_cast<size_t>(it - leaf->records.begin());
-  if (iter.index_ >= leaf->records.size()) {
+  iter.index_ = LowerBound(leaf->records, leaf->count, key);
+  if (iter.index_ >= leaf->count) {
     // Either an empty root leaf or key beyond this leaf; walk forward.
     const LeafNode* next = leaf->next;
-    while (next != nullptr && next->records.empty()) next = next->next;
+    while (next != nullptr && next->count == 0) next = next->next;
     iter.leaf_ = next;
     iter.index_ = 0;
   }
@@ -313,11 +370,12 @@ BTree::Iterator BTree::Begin() const { return Seek(0); }
 Result<uint64_t> BTree::MaxKey() const {
   const Node* node = root_;
   while (!node->is_leaf) {
-    node = static_cast<const InternalNode*>(node)->children.back();
+    const auto* internal = static_cast<const InternalNode*>(node);
+    node = internal->children[internal->num_keys];
   }
   const auto* leaf = static_cast<const LeafNode*>(node);
-  if (leaf->records.empty()) return Status::NotFound("tree is empty");
-  return leaf->records.back().key;
+  if (leaf->count == 0) return Status::NotFound("tree is empty");
+  return leaf->records[leaf->count - 1].key;
 }
 
 std::vector<uint64_t> BTree::SubtreeSplitKeys(size_t max_splits) const {
@@ -327,7 +385,7 @@ std::vector<uint64_t> BTree::SubtreeSplitKeys(size_t max_splits) const {
     // No internal separators exist; every record boundary is trivially
     // subtree-aligned (a record is a one-row subtree).
     const auto* leaf = static_cast<const LeafNode*>(root_);
-    for (size_t i = 1; i < leaf->records.size(); ++i) {
+    for (size_t i = 1; i < leaf->count; ++i) {
       candidates.push_back(leaf->records[i].key);
     }
   } else {
@@ -339,15 +397,15 @@ std::vector<uint64_t> BTree::SubtreeSplitKeys(size_t max_splits) const {
         static_cast<const InternalNode*>(root_)};
     while (!level.empty()) {
       for (const InternalNode* node : level) {
-        candidates.insert(candidates.end(), node->keys.begin(),
-                          node->keys.end());
+        candidates.insert(candidates.end(), node->keys,
+                          node->keys + node->num_keys);
       }
       if (candidates.size() >= max_splits) break;
       std::vector<const InternalNode*> next;
       for (const InternalNode* node : level) {
-        for (const Node* child : node->children) {
-          if (!child->is_leaf) {
-            next.push_back(static_cast<const InternalNode*>(child));
+        for (size_t i = 0; i < node->num_children(); ++i) {
+          if (!node->children[i]->is_leaf) {
+            next.push_back(static_cast<const InternalNode*>(node->children[i]));
           }
         }
       }
@@ -369,11 +427,24 @@ std::vector<uint64_t> BTree::SubtreeSplitKeys(size_t max_splits) const {
   return picked;
 }
 
+std::vector<size_t> BTree::LeafSizes() const {
+  const Node* node = root_;
+  while (!node->is_leaf) {
+    node = static_cast<const InternalNode*>(node)->children[0];
+  }
+  std::vector<size_t> sizes;
+  for (const auto* leaf = static_cast<const LeafNode*>(node); leaf != nullptr;
+       leaf = leaf->next) {
+    sizes.push_back(leaf->count);
+  }
+  return sizes;
+}
+
 int BTree::LeafDepth() const {
   int depth = 0;
   const Node* node = root_;
   while (!node->is_leaf) {
-    node = static_cast<const InternalNode*>(node)->children.front();
+    node = static_cast<const InternalNode*>(node)->children[0];
     ++depth;
   }
   return depth;
@@ -390,52 +461,46 @@ Status BTree::ValidateNode(const Node* node, uint64_t lo, uint64_t hi,
       return Status::Corruption("leaves at unequal depth");
     }
     const auto* leaf = static_cast<const LeafNode*>(node);
-    if (!is_root && leaf->records.size() < kMinFill) {
+    if (!is_root && leaf->count < kMinFill) {
       return Status::Corruption("leaf underfull");
     }
-    if (leaf->records.size() > kFanout) {
+    if (leaf->count > kFanout) {
       return Status::Corruption("leaf overfull");
     }
-    uint64_t prev = 0;
-    bool first = true;
-    for (const Record& r : leaf->records) {
-      if (!first && r.key <= prev) return Status::Corruption("leaf unsorted");
-      if (has_lo && r.key < lo) return Status::Corruption("key below bound");
-      if (has_hi && r.key >= hi) return Status::Corruption("key above bound");
-      prev = r.key;
-      first = false;
+    for (size_t i = 0; i < leaf->count; ++i) {
+      const uint64_t key = leaf->records[i].key;
+      if (i > 0 && key <= leaf->records[i - 1].key) {
+        return Status::Corruption("leaf unsorted");
+      }
+      if (has_lo && key < lo) return Status::Corruption("key below bound");
+      if (has_hi && key >= hi) return Status::Corruption("key above bound");
     }
     return Status::Ok();
   }
 
   const auto* internal = static_cast<const InternalNode*>(node);
-  if (internal->children.size() != internal->keys.size() + 1) {
-    return Status::Corruption("child/key count mismatch");
+  if (internal->num_keys == 0) {
+    return Status::Corruption("internal node without a separator");
   }
-  if (!is_root && internal->children.size() < kMinFill) {
+  if (!is_root && internal->num_children() < kMinFill) {
     return Status::Corruption("internal underfull");
   }
-  if (internal->children.size() > kFanout) {
+  if (internal->num_children() > kFanout) {
     return Status::Corruption("internal overfull");
   }
-  for (size_t i = 1; i < internal->keys.size(); ++i) {
+  for (size_t i = 1; i < internal->num_keys; ++i) {
     if (internal->keys[i] <= internal->keys[i - 1]) {
       return Status::Corruption("separators unsorted");
     }
   }
-  for (size_t i = 0; i < internal->children.size(); ++i) {
-    const Node* child = internal->children[i];
-    if (child->parent != internal) {
-      return Status::Corruption("bad parent pointer");
-    }
+  for (size_t i = 0; i < internal->num_children(); ++i) {
     const bool child_has_lo = i > 0 || has_lo;
     const uint64_t child_lo = i > 0 ? internal->keys[i - 1] : lo;
-    const bool child_has_hi = i < internal->keys.size() || has_hi;
-    const uint64_t child_hi =
-        i < internal->keys.size() ? internal->keys[i] : hi;
-    SLACKER_RETURN_IF_ERROR(ValidateNode(child, child_lo, child_hi,
-                                         child_has_lo, child_has_hi, depth + 1,
-                                         expected_leaf_depth));
+    const bool child_has_hi = i < internal->num_keys || has_hi;
+    const uint64_t child_hi = i < internal->num_keys ? internal->keys[i] : hi;
+    SLACKER_RETURN_IF_ERROR(ValidateNode(internal->children[i], child_lo,
+                                         child_hi, child_has_lo, child_has_hi,
+                                         depth + 1, expected_leaf_depth));
   }
   return Status::Ok();
 }

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
@@ -16,6 +15,10 @@ namespace slacker::storage {
 /// Supports upsert, point lookup, delete with rebalancing, and ordered
 /// scans via leaf chaining — the scan is what the hot-backup streamer
 /// uses to produce a page-ordered snapshot.
+///
+/// Nodes are fixed-capacity inline arrays with no parent pointers:
+/// mutations record their root-to-leaf descent path and walk it back up
+/// to split or rebalance (DESIGN.md §15.5).
 class BTree {
  public:
   /// Maximum records per leaf / children per internal node.
@@ -77,6 +80,11 @@ class BTree {
   /// is too small to cut `max_splits` ways.
   std::vector<uint64_t> SubtreeSplitKeys(size_t max_splits) const;
 
+  /// Record counts of the leaves in chain (key) order. Together with
+  /// Height() and SubtreeSplitKeys() this fingerprints the tree's shape;
+  /// used by tests.
+  std::vector<size_t> LeafSizes() const;
+
   /// Checks structural invariants (key ordering, fill factors, leaf
   /// chain consistency, separator correctness). Used by tests.
   Status Validate() const;
@@ -88,10 +96,11 @@ class BTree {
   struct Node;
   struct LeafNode;
   struct InternalNode;
+  struct Path;
 
-  LeafNode* FindLeaf(uint64_t key) const;
-  void InsertIntoParent(Node* left, uint64_t sep, Node* right);
-  void RebalanceAfterErase(Node* node);
+  LeafNode* Descend(uint64_t key, Path* path) const;
+  void InsertIntoParent(Path* path, Node* left, uint64_t sep, Node* right);
+  void RebalanceAfterErase(Path* path, Node* node);
   Status ValidateNode(const Node* node, uint64_t lo, uint64_t hi,
                       bool has_lo, bool has_hi, int depth,
                       int expected_leaf_depth) const;

@@ -1,11 +1,43 @@
 #include "src/workload/client_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
+#include "src/common/invariant.h"
 #include "src/common/logging.h"
 
 namespace slacker::workload {
+
+void AckedWriteLedger::Record(uint64_t key, const AckedWrite& write) {
+  SLACKER_DCHECK(write.lsn != 0);
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  // Fibonacci hashing spreads the dense YCSB keys over the top bits.
+  size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift_;
+  for (;; i = (i + 1) & mask) {
+    Entry& slot = slots_[i];
+    if (slot.second.lsn == 0) {
+      slot = Entry{key, write};
+      ++size_;
+      return;
+    }
+    if (slot.first == key) {
+      if (write.lsn > slot.second.lsn) slot.second = write;
+      return;
+    }
+  }
+}
+
+void AckedWriteLedger::Grow() {
+  std::vector<Entry> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(16, 2 * old.size()), Entry{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  size_ = 0;
+  for (const Entry& entry : old) {
+    if (entry.second.lsn != 0) Record(entry.first, entry.second);
+  }
+}
 
 ClientPool::ClientPool(sim::Simulator* sim, YcsbWorkload* workload,
                        TenantResolver* resolver, LatencyObserver observer)
@@ -123,10 +155,7 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
     latencies_.Add(latency_ms);
     latency_series_.Add(result.end, latency_ms);
     for (const engine::WrittenRow& w : result.writes) {
-      AckedWrite& slot = acked_writes_[w.key];
-      if (w.lsn > slot.lsn) {
-        slot = AckedWrite{w.lsn, w.digest, w.deleted};
-      }
+      acked_writes_.Record(w.key, AckedWrite{w.lsn, w.digest, w.deleted});
     }
     if (observer_) observer_(txn.spec.tenant_id, result.end, latency_ms);
   } else {

@@ -5,7 +5,8 @@
 #include <deque>
 #include <functional>
 #include <set>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -30,6 +31,71 @@ class TenantResolver {
                                           uint64_t /*key*/) {
     return Resolve(tenant_id);
   }
+};
+
+/// The newest acknowledged write of one key.
+struct AckedWrite {
+  storage::Lsn lsn = 0;
+  uint64_t digest = 0;
+  bool deleted = false;
+};
+
+/// Most recent acknowledged write per key — key -> (lsn, digest,
+/// deleted) — for durability checks after migration. An open-addressing
+/// table (linear probing, power-of-two size, at most half full) rather
+/// than a vector indexed by key: a tenant writes only a fraction of its
+/// key space, and inserts extend it past record_count (DESIGN.md §15.5).
+/// Iterates as (key, AckedWrite) pairs in table order.
+class AckedWriteLedger {
+ public:
+  using Entry = std::pair<uint64_t, AckedWrite>;
+
+  class Iterator {
+   public:
+    const Entry& operator*() const { return *slot_; }
+    Iterator& operator++() {
+      ++slot_;
+      SkipEmpty();
+      return *this;
+    }
+    bool operator==(const Iterator& other) const {
+      return slot_ == other.slot_;
+    }
+
+   private:
+    friend class AckedWriteLedger;
+    Iterator(const Entry* slot, const Entry* end) : slot_(slot), end_(end) {
+      SkipEmpty();
+    }
+    // Every acknowledged write has an LSN >= 1, so lsn 0 marks a free
+    // slot.
+    void SkipEmpty() {
+      while (slot_ != end_ && slot_->second.lsn == 0) ++slot_;
+    }
+    const Entry* slot_;
+    const Entry* end_;
+  };
+
+  /// Keeps `write` for `key` unless the ledger holds one with a higher
+  /// LSN. `write.lsn` must be nonzero.
+  void Record(uint64_t key, const AckedWrite& write);
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  Iterator begin() const {
+    return Iterator(slots_.data(), slots_.data() + slots_.size());
+  }
+  Iterator end() const {
+    const Entry* last = slots_.data() + slots_.size();
+    return Iterator(last, last);
+  }
+
+ private:
+  void Grow();
+
+  std::vector<Entry> slots_;
+  size_t size_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size()).
 };
 
 struct ClientPoolStats {
@@ -88,16 +154,8 @@ class ClientPool {
   int busy_clients() const { return busy_clients_; }
   size_t queue_depth() const { return queue_.size(); }
 
-  /// Most recent acknowledged write per key: key -> (lsn, digest,
-  /// deleted). Used by durability checks after migration.
-  struct AckedWrite {
-    storage::Lsn lsn = 0;
-    uint64_t digest = 0;
-    bool deleted = false;
-  };
-  const std::unordered_map<uint64_t, AckedWrite>& acked_writes() const {
-    return acked_writes_;
-  }
+  /// Most recent acknowledged write per key.
+  const AckedWriteLedger& acked_writes() const { return acked_writes_; }
 
  private:
   struct PendingTxn {
@@ -133,7 +191,7 @@ class ClientPool {
   PercentileTracker latencies_;
   TimeSeries latency_series_;
   ClientPoolStats stats_;
-  std::unordered_map<uint64_t, AckedWrite> acked_writes_;
+  AckedWriteLedger acked_writes_;
 };
 
 }  // namespace slacker::workload

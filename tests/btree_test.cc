@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -227,6 +228,59 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.seed) + "_space" +
              std::to_string(info.param.key_space);
     });
+
+// ---- Differential script with a pinned shape -----------------------
+
+// Grows the tree to height 3 (splits cascading into a new root), then
+// shrinks it back to height 2 (borrows, leaf and internal merges, root
+// collapse), validating and checking against std::map after every
+// mutation. The final shape was recorded from the vector-backed tree
+// with parent pointers that the inline-node tree replaced: split points,
+// separator push-up and borrow/merge order must match it exactly, since
+// range partitions are cut at SubtreeSplitKeys().
+TEST(BTreeShapeTest, DifferentialScriptKeepsPinnedShape) {
+  Rng rng(2024);
+  BTree tree;
+  std::map<uint64_t, Record> model;
+  int max_height = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t key = rng.NextBelow(8192);
+    const double op = rng.NextDouble();
+    const double put_share = i < 6000 ? 0.8 : 0.15;
+    if (op < put_share) {
+      const Record rec{key, static_cast<Lsn>(i + 1), rng.Next()};
+      ASSERT_EQ(tree.Put(rec), model.count(key) == 0) << "op " << i;
+      model[key] = rec;
+    } else if (op < put_share + 0.75 * (1.0 - put_share)) {
+      ASSERT_EQ(tree.Erase(key), model.erase(key) > 0) << "op " << i;
+    } else {
+      const auto it = tree.Seek(key);
+      const auto expect = model.lower_bound(key);
+      ASSERT_EQ(it.Valid(), expect != model.end()) << "op " << i;
+      if (it.Valid()) {
+        ASSERT_EQ(it.record(), expect->second) << "op " << i;
+      }
+      continue;
+    }
+    ASSERT_TRUE(tree.Validate().ok()) << "op " << i << ": "
+                                      << tree.Validate().ToString();
+    ASSERT_EQ(tree.size(), model.size());
+    max_height = std::max(max_height, tree.Height());
+  }
+
+  EXPECT_EQ(max_height, 3);
+  EXPECT_EQ(tree.size(), 2042u);
+  EXPECT_EQ(tree.Height(), 2);
+  EXPECT_EQ(tree.SubtreeSplitKeys(8),
+            (std::vector<uint64_t>{814, 1840, 2801, 3848, 4589, 5448, 6319,
+                                   7266}));
+  EXPECT_EQ(tree.LeafSizes(),
+            (std::vector<size_t>{35, 34, 32, 32, 35, 33, 32, 32, 32, 64, 33,
+                                 52, 32, 43, 32, 33, 49, 34, 53, 35, 48, 58,
+                                 32, 42, 32, 33, 45, 32, 34, 33, 35, 35, 34,
+                                 56, 32, 38, 33, 39, 34, 33, 35, 38, 47, 34,
+                                 36, 41, 34, 57, 33, 38, 55, 35, 44}));
+}
 
 }  // namespace
 }  // namespace slacker::storage

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <string>
+#include <utility>
+
+#include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/data_directory.h"
@@ -104,6 +111,89 @@ TEST(BufferPoolTest, ClearEmptiesPool) {
   EXPECT_EQ(pool.resident_pages(), 0u);
   EXPECT_EQ(pool.dirty_pages(), 0u);
   EXPECT_FALSE(pool.Contains(1));
+}
+
+// Reference exact LRU on std::list: the specification the frame-array
+// pool must reproduce access for access. A capacity-0 pool keeps the
+// one page it last loaded, like capacity 1.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  PageAccess Touch(uint64_t page, bool make_dirty) {
+    PageAccess result;
+    const auto it = where_.find(page);
+    if (it != where_.end()) {
+      result.hit = true;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      it->second->second |= make_dirty;
+      return result;
+    }
+    if (!lru_.empty() && lru_.size() >= capacity_) {
+      const auto [victim, dirty] = lru_.back();
+      result.evicted_dirty = dirty;
+      if (dirty) result.evicted_page = victim;
+      where_.erase(victim);
+      lru_.pop_back();
+    }
+    lru_.emplace_front(page, make_dirty);
+    where_[page] = lru_.begin();
+    return result;
+  }
+
+  size_t resident() const { return lru_.size(); }
+  bool IsDirty(uint64_t page) const {
+    const auto it = where_.find(page);
+    return it != where_.end() && it->second->second;
+  }
+  size_t dirty() const {
+    return std::count_if(lru_.begin(), lru_.end(),
+                         [](const auto& frame) { return frame.second; });
+  }
+  size_t FlushAll() {
+    const size_t flushed = dirty();
+    for (auto& frame : lru_) frame.second = false;
+    return flushed;
+  }
+
+ private:
+  size_t capacity_;
+  std::list<std::pair<uint64_t, bool>> lru_;  // Front = most recent.
+  std::map<uint64_t, std::list<std::pair<uint64_t, bool>>::iterator> where_;
+};
+
+TEST(BufferPoolTest, MatchesReferenceLruOnSeededStreams) {
+  for (const size_t capacity : {0u, 1u, 7u, 512u}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      BufferPool pool(BufferPoolOptions{capacity});
+      ReferenceLru reference(capacity);
+      // Page ids as the engine forms them, (tenant << 40) | page, over a
+      // working set about twice the capacity with a hot quarter, so hits,
+      // clean and dirty evictions all occur.
+      const uint64_t pages = 2 * capacity + 8;
+      for (int i = 0; i < 20000; ++i) {
+        const uint64_t page = rng.Bernoulli(0.5) ? rng.NextBelow(pages / 4 + 1)
+                                                 : rng.NextBelow(pages);
+        const uint64_t page_id = (rng.NextBelow(3) << 40) | page;
+        const bool dirty = rng.Bernoulli(0.3);
+        const PageAccess got = pool.Touch(page_id, dirty);
+        const PageAccess want = reference.Touch(page_id, dirty);
+        ASSERT_EQ(got.hit, want.hit) << "touch " << i;
+        ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "touch " << i;
+        ASSERT_EQ(got.evicted_page, want.evicted_page) << "touch " << i;
+        ASSERT_EQ(pool.resident_pages(), reference.resident()) << "touch " << i;
+        ASSERT_EQ(pool.dirty_pages(), reference.dirty()) << "touch " << i;
+        ASSERT_TRUE(pool.Contains(page_id));
+        ASSERT_EQ(pool.IsDirty(page_id), reference.IsDirty(page_id));
+        if (i % 1000 == 999) {
+          ASSERT_EQ(pool.FlushAll(), reference.FlushAll()) << "touch " << i;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Tablespace

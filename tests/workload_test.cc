@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
+#include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
 #include "src/resource/cpu.h"
@@ -354,6 +356,76 @@ TEST(ClientPoolTest, AckedWritesTrackNewestLsn) {
     if (row->lsn == acked.lsn) {
       EXPECT_EQ(row->digest, acked.digest);
     }
+  }
+}
+
+TEST(ClientPoolTest, AckedWritesCoverInsertsAndDeletes) {
+  PoolRig rig;
+  YcsbConfig config = SmallYcsb();
+  config.mix.read = 0.0;
+  config.mix.update = 0.4;
+  config.mix.insert = 0.3;
+  config.mix.del = 0.3;
+  YcsbWorkload workload(config, 1, 5);
+  ClientPool pool(&rig.sim, &workload, &rig);
+  pool.Start();
+  rig.sim.RunUntil(20.0);
+  pool.Stop();
+  rig.sim.RunUntil(40.0);
+  ASSERT_EQ(pool.queue_depth(), 0u);
+  ASSERT_EQ(pool.busy_clients(), 0);
+  ASSERT_EQ(pool.stats().failed, 0u);
+
+  // Quiesced and never failed, so every applied write was acknowledged:
+  // each key's ledger entry is exactly its newest row version.
+  std::set<uint64_t> seen;
+  size_t inserted = 0, deleted = 0;
+  for (const auto& [key, acked] : pool.acked_writes()) {
+    ASSERT_TRUE(seen.insert(key).second) << "key " << key << " listed twice";
+    inserted += key >= config.record_count;
+    const storage::Record* row = rig.db.table().Get(key);
+    if (acked.deleted) {
+      ++deleted;
+      EXPECT_EQ(row, nullptr) << "key " << key;
+    } else {
+      ASSERT_NE(row, nullptr) << "key " << key;
+      EXPECT_EQ(row->lsn, acked.lsn) << "key " << key;
+      EXPECT_EQ(row->digest, acked.digest) << "key " << key;
+    }
+  }
+  EXPECT_EQ(seen.size(), pool.acked_writes().size());
+  // Inserts grow the key space past record_count, well beyond the
+  // ledger's initial table.
+  EXPECT_GT(inserted, 100u);
+  EXPECT_GT(deleted, 0u);
+}
+
+TEST(AckedWriteLedgerTest, KeepsNewestWritePerKeyThroughGrowth) {
+  Rng rng(17);
+  AckedWriteLedger ledger;
+  std::map<uint64_t, AckedWrite> model;
+  for (int i = 0; i < 20000; ++i) {
+    // Sparse keys with a dense hot prefix: repeated keys take the
+    // overwrite path, new ones force the table to grow.
+    const uint64_t key = rng.Bernoulli(0.5) ? rng.NextBelow(64)
+                                            : rng.Next() >> 20;
+    const AckedWrite write{1 + rng.NextBelow(1000), rng.Next(),
+                           rng.Bernoulli(0.2)};
+    ledger.Record(key, write);
+    AckedWrite& expect = model[key];
+    if (write.lsn > expect.lsn) expect = write;
+  }
+  ASSERT_EQ(ledger.size(), model.size());
+  std::map<uint64_t, AckedWrite> listed;
+  for (const auto& [key, acked] : ledger) {
+    ASSERT_TRUE(listed.emplace(key, acked).second) << "key " << key;
+  }
+  ASSERT_EQ(listed.size(), model.size());
+  for (const auto& [key, expect] : model) {
+    const AckedWrite& got = listed.at(key);
+    EXPECT_EQ(got.lsn, expect.lsn) << "key " << key;
+    EXPECT_EQ(got.digest, expect.digest) << "key " << key;
+    EXPECT_EQ(got.deleted, expect.deleted) << "key " << key;
   }
 }
 
