@@ -14,15 +14,9 @@
 // plus the shared bench flags (--seed, --trace, --csv, ...).
 
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "bench/harness.h"
-#include "src/obs/chrome_trace.h"
-#include "src/obs/csv_export.h"
-#include "src/slacker/rebalancer.h"
+#include "bench/fleet.h"
 #include "src/slacker/upgrade.h"
 
 namespace slacker::bench {
@@ -42,182 +36,7 @@ struct FleetParams {
   /// Latency above which a completed transaction counts as an SLA
   /// violation (the migration PID setpoint).
   double sla_ms = 1000.0;
-  bool smoke = false;
 };
-
-/// The expected disk-busy seconds one transaction costs: ops/txn x
-/// steady-state miss rate (buffer holds 1/8 of the pages) x one page
-/// read on the calibrated paper disk. Used only to size arrival rates.
-double BusySecondsPerTxn() {
-  const double page_read =
-      0.008 + 16.0 * static_cast<double>(kKiB) /
-                  (50.0 * static_cast<double>(kMiB));
-  return 10.0 * (7.0 / 8.0) * page_read;
-}
-
-/// N servers, tenants assigned round-robin; within a server the
-/// per-tenant arrival rates follow a harmonic skew (tenant k gets
-/// weight 1/(1+k)), so "which tenant" decisions matter.
-class Fleet {
- public:
-  Fleet(const ExperimentOptions& flags, const FleetParams& params)
-      : flags_(flags), params_(params) {
-    if (!flags.trace_path.empty() || !flags.csv_path.empty()) {
-      tracer_ = std::make_unique<obs::Tracer>([this] { return sim_.Now(); });
-    }
-    ClusterOptions cluster_options = PaperClusterOptions();
-    cluster_options.num_servers = params.servers;
-    cluster_ = std::make_unique<Cluster>(&sim_, cluster_options);
-    if (tracer_ != nullptr) {
-      cluster_->InstallTracer(tracer_.get());
-      cluster_->set_sla_threshold_ms(params.sla_ms);
-      collector_ = std::make_unique<MetricsCollector>(&sim_, cluster_.get(),
-                                                      /*period=*/1.0);
-      collector_->PublishTo(tracer_->registry());
-      collector_->Start();
-    }
-
-    const int per_server = params.tenants / params.servers;
-    double weight_sum = 0.0;
-    for (int k = 0; k < per_server; ++k) weight_sum += 1.0 / (1.0 + k);
-    const double server_txn_rate = params.util_target / BusySecondsPerTxn();
-
-    for (int i = 0; i < params.tenants; ++i) {
-      const uint64_t tenant_id = i + 1;
-      const uint64_t server_id = i % params.servers;
-      const int k = i / params.servers;  // Index within the server.
-      engine::TenantConfig tenant;
-      tenant.tenant_id = tenant_id;
-      tenant.layout.record_count = params.records_per_tenant;
-      tenant.buffer_pool_bytes = params.records_per_tenant * kKiB / 8;
-      tenant.cpu_per_op = 0.0003;
-      tenant.commit_latency = 0.0005;
-      auto db = cluster_->AddTenant(server_id, tenant);
-      if (!db.ok()) continue;
-      (*db)->WarmBufferPool();
-
-      const double rate =
-          server_txn_rate * (1.0 / (1.0 + k)) / weight_sum;
-      interarrival_.push_back(1.0 / rate);
-      AddPool(tenant_id, 1.0 / rate, /*seed_salt=*/tenant_id * 1000);
-    }
-  }
-
-  ~Fleet() {
-    for (auto& pool : pools_) pool->Stop();
-    if (collector_ != nullptr) collector_->Stop();
-    if (tracer_ != nullptr) {
-      if (!flags_.trace_path.empty()) {
-        const Status status =
-            obs::WriteChromeTrace(*tracer_, flags_.trace_path);
-        if (status.ok()) {
-          std::printf("  (wrote trace %s)\n", flags_.trace_path.c_str());
-        } else {
-          std::fprintf(stderr, "trace export failed: %s\n",
-                       status.ToString().c_str());
-        }
-      }
-      if (!flags_.csv_path.empty()) {
-        const Status status =
-            obs::WriteCsv(*tracer_->registry(), flags_.csv_path);
-        if (status.ok()) {
-          std::printf("  (wrote metrics %s)\n", flags_.csv_path.c_str());
-        }
-      }
-      cluster_->InstallTracer(nullptr);
-    }
-  }
-
-  /// Triples the load of every tenant living on `server_id` by starting
-  /// two extra client pools per tenant (traffic follows the tenant
-  /// through later migrations via the directory).
-  void InjectHotspot(uint64_t server_id) {
-    for (int i = 0; i < params_.tenants; ++i) {
-      if (static_cast<uint64_t>(i % params_.servers) != server_id) continue;
-      const uint64_t tenant_id = i + 1;
-      for (int extra = 0; extra < 2; ++extra) {
-        AddPool(tenant_id, interarrival_[i],
-                /*seed_salt=*/tenant_id * 1000 + 7 * (extra + 1));
-      }
-    }
-  }
-
-  /// Completed transactions in (t0, t1] whose latency breached the SLA.
-  uint64_t ViolationsBetween(SimTime t0, SimTime t1) const {
-    uint64_t count = 0;
-    for (const auto& pool : pools_) {
-      for (const auto& p : pool->latency_series().points()) {
-        if (p.t > t0 && p.t <= t1 && p.value > params_.sla_ms) ++count;
-      }
-    }
-    return count;
-  }
-
-  sim::Simulator* sim() { return &sim_; }
-  Cluster* cluster() { return cluster_.get(); }
-
- private:
-  void AddPool(uint64_t tenant_id, double interarrival, uint64_t seed_salt) {
-    workload::YcsbConfig ycsb;
-    ycsb.record_count = params_.records_per_tenant;
-    ycsb.mean_interarrival = interarrival;
-    workloads_.push_back(std::make_unique<workload::YcsbWorkload>(
-        ycsb, tenant_id, flags_.seed + seed_salt));
-    pools_.push_back(std::make_unique<workload::ClientPool>(
-        &sim_, workloads_.back().get(), cluster_.get(),
-        cluster_->MakeLatencyObserver()));
-    cluster_->AttachClientPool(tenant_id, pools_.back().get());
-    pools_.back()->Start();
-  }
-
-  ExperimentOptions flags_;
-  FleetParams params_;
-  sim::Simulator sim_;
-  std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<Cluster> cluster_;
-  std::unique_ptr<MetricsCollector> collector_;
-  std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads_;
-  std::vector<std::unique_ptr<workload::ClientPool>> pools_;
-  std::vector<double> interarrival_;
-};
-
-Status WriteJson(const std::string& path, const FleetParams& params,
-                 SimTime detect_seconds, SimTime converge_seconds,
-                 double episode_violation_ss, uint64_t before,
-                 uint64_t during, uint64_t after,
-                 const RebalancerStats& stats, bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot write " + path);
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"fig14\",\n");
-  std::fprintf(f, "  \"servers\": %d,\n  \"tenants\": %d,\n",
-               params.servers, params.tenants);
-  std::fprintf(f, "  \"sla_ms\": %.17g,\n", params.sla_ms);
-  std::fprintf(f, "  \"time_to_detect_seconds\": %.17g,\n", detect_seconds);
-  std::fprintf(f, "  \"time_to_converge_seconds\": %.17g,\n",
-               converge_seconds);
-  std::fprintf(f, "  \"episode_violation_server_seconds\": %.17g,\n",
-               episode_violation_ss);
-  std::fprintf(f, "  \"violations_before\": %llu,\n",
-               static_cast<unsigned long long>(before));
-  std::fprintf(f, "  \"violations_during\": %llu,\n",
-               static_cast<unsigned long long>(during));
-  std::fprintf(f, "  \"violations_after\": %llu,\n",
-               static_cast<unsigned long long>(after));
-  std::fprintf(f, "  \"migrations_ok\": %llu,\n",
-               static_cast<unsigned long long>(stats.migrations_ok));
-  std::fprintf(f, "  \"migrations_failed\": %llu,\n",
-               static_cast<unsigned long long>(stats.migrations_failed));
-  std::fprintf(f, "  \"deferred_budget\": %llu,\n",
-               static_cast<unsigned long long>(stats.deferred_budget));
-  std::fprintf(f, "  \"deferred_guard_band\": %llu,\n",
-               static_cast<unsigned long long>(stats.deferred_guard_band));
-  std::fprintf(f, "  \"max_inflight\": %llu,\n",
-               static_cast<unsigned long long>(stats.max_inflight_observed));
-  std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-  std::fclose(f);
-  return Status::Ok();
-}
 
 std::string FormatRate(uint64_t violations, SimTime seconds) {
   char buf[48];
@@ -228,73 +47,28 @@ std::string FormatRate(uint64_t violations, SimTime seconds) {
   return buf;
 }
 
-}  // namespace
-}  // namespace slacker::bench
-
-int main(int argc, char** argv) {
-  using namespace slacker::bench;
-  using slacker::RebalancerOptions;
-  using slacker::Rebalancer;
-  using slacker::SimTime;
-
-  FleetParams params;
-  std::string json_path = "BENCH_fig14.json";
-  std::vector<char*> pass;
-  pass.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      params.smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--servers") == 0 && i + 1 < argc) {
-      params.servers = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--fleet-tenants") == 0 && i + 1 < argc) {
-      params.tenants = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else {
-      pass.push_back(argv[i]);
-    }
-  }
-  if (params.smoke) {
-    params.servers = 4;
-    params.tenants = 16;
-    params.records_per_tenant = 8 * 1024;
-    params.settle_seconds = 20.0;
-    params.deadline_seconds = 300.0;
-  }
-  ExperimentOptions flags;
-  ApplyCommandLine(static_cast<int>(pass.size()), pass.data(), &flags);
-
-  Fleet fleet(flags, params);
-  fleet.sim()->RunUntil(flags.warmup_seconds);
+/// Warm-up, calm span, hotspot and the 1 Hz poll until convergence;
+/// prints the rows and writes the JSON. The rebalancer dies before the
+/// caller's Fleet::Finish().
+bool RunEpisode(Fleet* fleet, const ExperimentOptions& flags,
+                const FleetParams& params, const std::string& json_path) {
+  sim::Simulator* sim = fleet->sim();
+  sim->RunUntil(flags.warmup_seconds);
   // Sampled before the rebalancer starts owning the stats epochs.
   const double util_before =
-      fleet.cluster()->server(0)->disk()->Utilization();
+      fleet->cluster()->server(0)->disk()->Utilization();
 
-  RebalancerOptions rebalance;
-  rebalance.period = 10.0;
-  rebalance.migration.backup.chunk_bytes = 256 * slacker::kKiB;
-  rebalance.migration.prepare.base_seconds = 0.5;
-  rebalance.migration.pid.setpoint = params.sla_ms;
-  // Hard floor so relief migrations keep making progress even while
-  // the overloaded source pins latency above the setpoint; ceiling as
-  // in the paper's evaluation.
-  rebalance.migration.pid.output_min = 2.0;
-  rebalance.migration.pid.output_max = 30.0;
-  rebalance.migration.use_target_latency = true;
-  rebalance.supervisor.attempt_timeout = 120.0;
-  rebalance.max_concurrent_per_source = 2;
-  rebalance.max_concurrent_per_target = 1;
-  rebalance.max_concurrent_total = 4;
-  Rebalancer rebalancer(fleet.cluster(), rebalance);
+  const RebalancerOptions rebalance = FleetRebalancerOptions(params.sla_ms);
+  Rebalancer rebalancer(fleet->cluster(), rebalance);
   if (!rebalancer.Start().ok()) {
     std::fprintf(stderr, "rebalancer failed to start\n");
-    return 1;
+    return false;
   }
 
-  fleet.sim()->RunUntil(fleet.sim()->Now() + params.settle_seconds);
+  sim->RunUntil(sim->Now() + params.settle_seconds);
 
-  const SimTime inject_time = fleet.sim()->Now();
-  fleet.InjectHotspot(0);
+  const SimTime inject_time = sim->Now();
+  fleet->InjectHotspot(0);
 
   // Poll once per simulated second: detection is the first rebalancer
   // tick reporting an overloaded server; convergence is the start of a
@@ -305,35 +79,35 @@ int main(int argc, char** argv) {
   SimTime converged_at = -1.0;
   double episode_violation_ss = 0.0;
   const SimTime deadline = inject_time + params.deadline_seconds;
-  while (fleet.sim()->Now() < deadline) {
-    fleet.sim()->RunUntil(fleet.sim()->Now() + 1.0);
+  while (sim->Now() < deadline) {
+    sim->RunUntil(sim->Now() + 1.0);
     // Fleet-level SLA damage: one server-second per server whose
     // latency window is above the SLA right now (same accounting as
     // the fig17 predictive-scheduling bench).
-    episode_violation_ss += static_cast<double>(slacker::CountViolatingServers(
-        fleet.cluster(), params.sla_ms, fleet.sim()->Now()));
+    episode_violation_ss += static_cast<double>(CountViolatingServers(
+        fleet->cluster(), params.sla_ms, sim->Now()));
     const int overloaded = rebalancer.stats().last_overloaded;
     if (overloaded > 0) {
-      if (detect_time < 0.0) detect_time = fleet.sim()->Now();
+      if (detect_time < 0.0) detect_time = sim->Now();
       zero_since = -1.0;
     } else if (detect_time >= 0.0 && zero_since < 0.0) {
-      zero_since = fleet.sim()->Now();
+      zero_since = sim->Now();
     }
     if (detect_time >= 0.0 && zero_since >= 0.0 &&
-        fleet.sim()->Now() - zero_since >= 30.0) {
+        sim->Now() - zero_since >= 30.0) {
       converged_at = zero_since;
       break;
     }
   }
-  const SimTime end_time = fleet.sim()->Now();
+  const SimTime end_time = sim->Now();
   rebalancer.Stop();
 
   const auto& stats = rebalancer.stats();
-  const uint64_t before = fleet.ViolationsBetween(
+  const uint64_t before = fleet->ViolationsBetween(
       flags.warmup_seconds, inject_time);
   const SimTime during_end = converged_at >= 0.0 ? converged_at : end_time;
-  const uint64_t during = fleet.ViolationsBetween(inject_time, during_end);
-  const uint64_t after = fleet.ViolationsBetween(during_end, end_time);
+  const uint64_t during = fleet->ViolationsBetween(inject_time, during_end);
+  const uint64_t after = fleet->ViolationsBetween(during_end, end_time);
 
   PrintHeader("Figure 14",
               "fleet rebalance: hotspot relief under a migration budget");
@@ -374,15 +148,56 @@ int main(int argc, char** argv) {
                       static_cast<size_t>(rebalance.max_concurrent_total);
   PrintRow("episode resolved autonomically", "yes", ok ? "yes" : "NO");
 
-  const slacker::Status json_status = WriteJson(
-      json_path, params,
-      detect_time >= 0.0 ? detect_time - inject_time : -1.0,
-      converged_at >= 0.0 ? converged_at - inject_time : -1.0,
-      episode_violation_ss, before, during, after, stats, ok);
-  if (json_status.ok()) {
-    std::printf("  (wrote results %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "%s\n", json_status.ToString().c_str());
+  JsonWriter json;
+  json.Field("figure", "fig14")
+      .Field("servers", params.servers)
+      .Field("tenants", params.tenants)
+      .Field("sla_ms", params.sla_ms)
+      .Field("time_to_detect_seconds",
+             detect_time >= 0.0 ? detect_time - inject_time : -1.0)
+      .Field("time_to_converge_seconds",
+             converged_at >= 0.0 ? converged_at - inject_time : -1.0)
+      .Field("episode_violation_server_seconds", episode_violation_ss)
+      .Field("violations_before", before)
+      .Field("violations_during", during)
+      .Field("violations_after", after)
+      .Field("migrations_ok", stats.migrations_ok)
+      .Field("migrations_failed", stats.migrations_failed)
+      .Field("deferred_budget", stats.deferred_budget)
+      .Field("deferred_guard_band", stats.deferred_guard_band)
+      .Field("max_inflight", stats.max_inflight_observed)
+      .Field("pass", ok);
+  json.Save(json_path);
+  return ok;
+}
+
+}  // namespace
+}  // namespace slacker::bench
+
+int main(int argc, char** argv) {
+  using namespace slacker::bench;
+
+  FleetParams params;
+  FleetFlags fleet_flags("BENCH_fig14.json", params.servers, params.tenants);
+  ParseFleetFlags(argc, argv, &fleet_flags);
+  params.servers = fleet_flags.servers;
+  params.tenants = fleet_flags.tenants;
+  if (fleet_flags.smoke) {
+    params.servers = 4;
+    params.tenants = 16;
+    params.records_per_tenant = 8 * 1024;
+    params.settle_seconds = 20.0;
+    params.deadline_seconds = 300.0;
   }
-  return ok ? 0 : 1;
+  ExperimentOptions flags = fleet_flags.options;
+  flags.sla_threshold_ms = params.sla_ms;
+
+  slacker::ClusterOptions cluster_options = PaperClusterOptions();
+  cluster_options.num_servers = params.servers;
+  Fleet fleet(flags, cluster_options, /*metrics=*/true);
+  fleet.AddHarmonicTenants(params.tenants, params.records_per_tenant,
+                           params.util_target);
+  const bool ok = RunEpisode(&fleet, flags, params, fleet_flags.json_path);
+  const bool audited = fleet.Finish();
+  return ok && audited ? 0 : 1;
 }

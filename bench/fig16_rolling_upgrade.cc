@@ -21,15 +21,10 @@
 // plus the shared bench flags (--seed, --trace, --csv, ...).
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "bench/harness.h"
-#include "src/obs/chrome_trace.h"
-#include "src/obs/csv_export.h"
-#include "src/slacker/rebalancer.h"
+#include "bench/fleet.h"
 #include "src/slacker/upgrade.h"
 
 namespace slacker::bench {
@@ -48,163 +43,68 @@ struct UpgradeParams {
   uint32_t from_version = 1;
   uint32_t to_version = 2;
   SimTime deadline_seconds = 3600.0;
-  bool smoke = false;
-  bool force_abort = false;
 };
 
-double BusySecondsPerTxn() {
-  const double page_read =
-      0.008 + 16.0 * static_cast<double>(kKiB) /
-                  (50.0 * static_cast<double>(kMiB));
-  return 10.0 * (7.0 / 8.0) * page_read;
+/// The fig14 fleet shape, started at `params.from_version` so the
+/// upgrade has somewhere to go, and warmed up.
+std::unique_ptr<Fleet> WarmFleet(const ExperimentOptions& flags,
+                                 const UpgradeParams& params) {
+  ClusterOptions cluster_options = PaperClusterOptions();
+  cluster_options.num_servers = params.servers;
+  cluster_options.software_version = params.from_version;
+  auto fleet =
+      std::make_unique<Fleet>(flags, cluster_options, /*metrics=*/false);
+  fleet->AddHarmonicTenants(params.tenants, params.records_per_tenant,
+                            params.util_target);
+  fleet->sim()->RunUntil(flags.warmup_seconds);
+  return fleet;
 }
 
-/// The fig14 fleet shape — N servers, tenants round-robin with a
-/// harmonic per-server skew — started at a software version so the
-/// upgrade has somewhere to go.
-class Fleet {
- public:
-  Fleet(const ExperimentOptions& flags, const UpgradeParams& params)
-      : flags_(flags), params_(params) {
-    if (!flags.trace_path.empty() || !flags.csv_path.empty()) {
-      tracer_ = std::make_unique<obs::Tracer>([this] { return sim_.Now(); });
-    }
-    ClusterOptions cluster_options = PaperClusterOptions();
-    cluster_options.num_servers = params.servers;
-    cluster_options.software_version = params.from_version;
-    cluster_ = std::make_unique<Cluster>(&sim_, cluster_options);
-    if (tracer_ != nullptr) {
-      cluster_->InstallTracer(tracer_.get());
-      cluster_->set_sla_threshold_ms(params.sla_ms);
-    }
-
-    const int per_server = params.tenants / params.servers;
-    double weight_sum = 0.0;
-    for (int k = 0; k < per_server; ++k) weight_sum += 1.0 / (1.0 + k);
-    const double server_txn_rate = params.util_target / BusySecondsPerTxn();
-
-    for (int i = 0; i < params.tenants; ++i) {
-      const uint64_t tenant_id = i + 1;
-      const uint64_t server_id = i % params.servers;
-      const int k = i / params.servers;
-      engine::TenantConfig tenant;
-      tenant.tenant_id = tenant_id;
-      tenant.layout.record_count = params.records_per_tenant;
-      tenant.buffer_pool_bytes = params.records_per_tenant * kKiB / 8;
-      tenant.cpu_per_op = 0.0003;
-      tenant.commit_latency = 0.0005;
-      auto db = cluster_->AddTenant(server_id, tenant);
-      if (!db.ok()) continue;
-      (*db)->WarmBufferPool();
-
-      const double rate = server_txn_rate * (1.0 / (1.0 + k)) / weight_sum;
-      workload::YcsbConfig ycsb;
-      ycsb.record_count = params.records_per_tenant;
-      ycsb.mean_interarrival = 1.0 / rate;
-      workloads_.push_back(std::make_unique<workload::YcsbWorkload>(
-          ycsb, tenant_id, flags.seed + tenant_id * 1000));
-      pools_.push_back(std::make_unique<workload::ClientPool>(
-          &sim_, workloads_.back().get(), cluster_.get(),
-          cluster_->MakeLatencyObserver()));
-      cluster_->AttachClientPool(tenant_id, pools_.back().get());
-      pools_.back()->Start();
-    }
+bool AllServersAt(Cluster* cluster, uint32_t version) {
+  for (size_t id = 0; id < cluster->num_servers(); ++id) {
+    if (cluster->ServerVersion(id) != version) return false;
   }
-
-  ~Fleet() {
-    for (auto& pool : pools_) pool->Stop();
-    if (tracer_ != nullptr) {
-      if (!flags_.trace_path.empty()) {
-        const Status status =
-            obs::WriteChromeTrace(*tracer_, flags_.trace_path);
-        if (status.ok()) {
-          std::printf("  (wrote trace %s)\n", flags_.trace_path.c_str());
-        } else {
-          std::fprintf(stderr, "trace export failed: %s\n",
-                       status.ToString().c_str());
-        }
-      }
-      if (!flags_.csv_path.empty()) {
-        const Status status =
-            obs::WriteCsv(*tracer_->registry(), flags_.csv_path);
-        if (status.ok()) {
-          std::printf("  (wrote metrics %s)\n", flags_.csv_path.c_str());
-        }
-      }
-      cluster_->InstallTracer(nullptr);
-    }
-  }
-
-  bool AllTenantsReachable() {
-    for (int i = 0; i < params_.tenants; ++i) {
-      if (cluster_->Resolve(i + 1) == nullptr) return false;
-    }
-    return true;
-  }
-
-  bool AllServersAt(uint32_t version) {
-    for (int id = 0; id < params_.servers; ++id) {
-      if (cluster_->ServerVersion(id) != version) return false;
-    }
-    return true;
-  }
-
-  sim::Simulator* sim() { return &sim_; }
-  Cluster* cluster() { return cluster_.get(); }
-
- private:
-  ExperimentOptions flags_;
-  UpgradeParams params_;
-  sim::Simulator sim_;
-  std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<Cluster> cluster_;
-  std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads_;
-  std::vector<std::unique_ptr<workload::ClientPool>> pools_;
-};
+  return true;
+}
 
 RebalancerOptions UpgradeRebalancerOptions(const UpgradeParams& params) {
-  RebalancerOptions rebalance;
-  rebalance.period = 10.0;
-  rebalance.migration.backup.chunk_bytes = 256 * kKiB;
-  rebalance.migration.prepare.base_seconds = 0.5;
-  rebalance.migration.pid.setpoint = params.sla_ms;
-  rebalance.migration.pid.output_min = 2.0;
-  rebalance.migration.pid.output_max = 30.0;
-  rebalance.migration.use_target_latency = true;
+  RebalancerOptions rebalance = FleetRebalancerOptions(params.sla_ms);
   rebalance.migration.timeout_seconds = 120.0;
   rebalance.supervisor.attempt_timeout = 180.0;
-  rebalance.max_concurrent_per_source = 2;
-  rebalance.max_concurrent_per_target = 1;
-  rebalance.max_concurrent_total = 4;
   return rebalance;
 }
 
 /// The all-at-once baseline: crash + patch + reboot every server
 /// simultaneously, then sample SLA-violation server-seconds (same
 /// definition the orchestrator uses) until the fleet has been healthy
-/// for 10 consecutive seconds. Returns (duration, violation-seconds).
-std::pair<SimTime, double> RunAllAtOnceBaseline(
-    const ExperimentOptions& flags, const UpgradeParams& params) {
-  Fleet fleet(flags, params);
-  fleet.sim()->RunUntil(flags.warmup_seconds);
+/// for 10 consecutive seconds.
+struct BaselineResult {
+  SimTime seconds = 0.0;
+  double violation_seconds = 0.0;
+  bool audited = true;  // No baseline run, nothing to fail.
+};
 
-  const SimTime t0 = fleet.sim()->Now();
+BaselineResult RunAllAtOnceBaseline(const ExperimentOptions& flags,
+                                    const UpgradeParams& params) {
+  const std::unique_ptr<Fleet> fleet = WarmFleet(flags, params);
+  sim::Simulator* sim = fleet->sim();
+  const SimTime t0 = sim->Now();
   for (int id = 0; id < params.servers; ++id) {
-    fleet.cluster()->CrashServer(id);
-    (void)fleet.cluster()->SetServerVersion(id, params.to_version);
-    fleet.cluster()->RestartServer(id, params.patch_seconds);
+    fleet->cluster()->CrashServer(id);
+    (void)fleet->cluster()->SetServerVersion(id, params.to_version);
+    fleet->cluster()->RestartServer(id, params.patch_seconds);
   }
 
   const SimTime step = 0.5;
-  double violation_seconds = 0.0;
+  BaselineResult result;
   SimTime healthy_since = -1.0;
   SimTime end = t0;
-  while (fleet.sim()->Now() < t0 + params.deadline_seconds) {
-    fleet.sim()->RunUntil(fleet.sim()->Now() + step);
-    const SimTime now = fleet.sim()->Now();
+  while (sim->Now() < t0 + params.deadline_seconds) {
+    sim->RunUntil(sim->Now() + step);
+    const SimTime now = sim->Now();
     const int violating =
-        CountViolatingServers(fleet.cluster(), params.sla_ms, now);
-    violation_seconds += violating * step;
+        CountViolatingServers(fleet->cluster(), params.sla_ms, now);
+    result.violation_seconds += violating * step;
     if (violating == 0) {
       if (healthy_since < 0.0) healthy_since = now;
       if (now - healthy_since >= 10.0) {
@@ -216,128 +116,24 @@ std::pair<SimTime, double> RunAllAtOnceBaseline(
       end = now;
     }
   }
-  return {end - t0, violation_seconds};
+  result.seconds = end - t0;
+  result.audited = fleet->Finish();
+  return result;
 }
 
-}  // namespace
-}  // namespace slacker::bench
-
-int main(int argc, char** argv) {
-  using namespace slacker::bench;
-  using slacker::Rebalancer;
-  using slacker::RollingUpgradeOrchestrator;
-  using slacker::SimTime;
-  using slacker::StatusCode;
-  using slacker::UpgradeOptions;
-  using slacker::UpgradeReport;
-
-  UpgradeParams params;
-  std::vector<char*> pass;
-  pass.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      params.smoke = true;
-    } else if (std::strcmp(argv[i], "--force-abort") == 0) {
-      params.force_abort = true;
-    } else if (std::strcmp(argv[i], "--servers") == 0 && i + 1 < argc) {
-      params.servers = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--fleet-tenants") == 0 && i + 1 < argc) {
-      params.tenants = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else {
-      pass.push_back(argv[i]);
-    }
-  }
-  if (params.smoke) {
-    params.servers = 4;
-    params.tenants = 16;
-    params.records_per_tenant = 8 * 1024;
-    params.deadline_seconds = 1200.0;
-  }
-  ExperimentOptions flags;
-  ApplyCommandLine(static_cast<int>(pass.size()), pass.data(), &flags);
-
-  UpgradeOptions upgrade_options;
-  upgrade_options.target_version = params.to_version;
-  upgrade_options.wave_size = params.smoke ? 2 : 4;
-  upgrade_options.patch_seconds = params.patch_seconds;
-  upgrade_options.poll_period = 1.0;
-  upgrade_options.observe_seconds = 5.0;
-  upgrade_options.drain_timeout = 900.0;
-  upgrade_options.sla_ms = params.sla_ms;
-  upgrade_options.max_violation_seconds = 120.0;
-  upgrade_options.max_failed_migrations = 50;
-
-  // ---------------- forced-abort mode --------------------------------
-  if (params.force_abort) {
-    Fleet fleet(flags, params);
-    fleet.sim()->RunUntil(flags.warmup_seconds);
-    Rebalancer rebalancer(fleet.cluster(), UpgradeRebalancerOptions(params));
-    if (!rebalancer.Start().ok()) {
-      std::fprintf(stderr, "rebalancer failed to start\n");
-      return 1;
-    }
-    RollingUpgradeOrchestrator upgrade(fleet.cluster(), &rebalancer,
-                                       upgrade_options);
-    UpgradeReport report;
-    bool done = false;
-    if (!upgrade
-             .Start([&](const UpgradeReport& r) {
-               report = r;
-               done = true;
-             })
-             .ok()) {
-      std::fprintf(stderr, "upgrade failed to start\n");
-      return 1;
-    }
-    // Pull the plug once the canary runs the new version.
-    bool aborted = false;
-    const SimTime deadline = fleet.sim()->Now() + params.deadline_seconds;
-    while (!done && fleet.sim()->Now() < deadline) {
-      fleet.sim()->RunUntil(fleet.sim()->Now() + 1.0);
-      if (!aborted &&
-          fleet.cluster()->ServerVersion(0) == params.to_version) {
-        upgrade.Abort("forced abort (bench)");
-        aborted = true;
-      }
-    }
-    rebalancer.Stop();
-
-    PrintHeader("Figure 16 (forced abort)",
-                "rollback restores the original version map");
-    PrintRow("abort issued after canary patch", "yes", aborted ? "yes" : "NO");
-    PrintRow("run resolved", "aborted",
-             done && report.status.code() == StatusCode::kAborted
-                 ? "aborted"
-                 : "NO");
-    PrintRow("rolled back", "yes", report.rolled_back ? "yes" : "NO");
-    const bool versions_restored = fleet.AllServersAt(params.from_version);
-    PrintRow("all servers back at v" + std::to_string(params.from_version),
-             "yes", versions_restored ? "yes" : "NO");
-    PrintRow("migrations in flight at end", "0",
-             std::to_string(rebalancer.inflight()));
-    const bool reachable = fleet.AllTenantsReachable();
-    PrintRow("all tenants reachable", "yes", reachable ? "yes" : "NO");
-    const bool ok = aborted && done &&
-                    report.status.code() == StatusCode::kAborted &&
-                    report.rolled_back && versions_restored &&
-                    rebalancer.inflight() == 0 && reachable;
-    PrintRow("forced abort handled", "yes", ok ? "yes" : "NO");
-    return ok ? 0 : 1;
-  }
-
-  // ---------------- baseline: all-at-once restart --------------------
-  const auto [baseline_seconds, baseline_violation] =
-      RunAllAtOnceBaseline(flags, params);
-
-  // ---------------- rolling upgrade -----------------------------------
-  Fleet fleet(flags, params);
-  fleet.sim()->RunUntil(flags.warmup_seconds);
-  Rebalancer rebalancer(fleet.cluster(), UpgradeRebalancerOptions(params));
+/// The rolling upgrade, aborted once the canary runs the new version
+/// when `force_abort`, and its printed rows. The rebalancer and
+/// orchestrator die before the caller's Fleet::Finish().
+bool RunRolling(Fleet* fleet, const UpgradeParams& params,
+                const UpgradeOptions& upgrade_options, bool force_abort,
+                const BaselineResult& baseline) {
+  sim::Simulator* sim = fleet->sim();
+  Rebalancer rebalancer(fleet->cluster(), UpgradeRebalancerOptions(params));
   if (!rebalancer.Start().ok()) {
     std::fprintf(stderr, "rebalancer failed to start\n");
-    return 1;
+    return false;
   }
-  RollingUpgradeOrchestrator upgrade(fleet.cluster(), &rebalancer,
+  RollingUpgradeOrchestrator upgrade(fleet->cluster(), &rebalancer,
                                      upgrade_options);
   UpgradeReport report;
   bool done = false;
@@ -348,47 +144,123 @@ int main(int argc, char** argv) {
            })
            .ok()) {
     std::fprintf(stderr, "upgrade failed to start\n");
-    return 1;
+    return false;
   }
-  const SimTime deadline = fleet.sim()->Now() + params.deadline_seconds;
-  while (!done && fleet.sim()->Now() < deadline) {
-    fleet.sim()->RunUntil(fleet.sim()->Now() + 1.0);
+  bool aborted = false;
+  const SimTime deadline = sim->Now() + params.deadline_seconds;
+  while (!done && sim->Now() < deadline) {
+    sim->RunUntil(sim->Now() + 1.0);
+    if (force_abort && !aborted &&
+        fleet->cluster()->ServerVersion(0) == params.to_version) {
+      upgrade.Abort("forced abort (bench)");
+      aborted = true;
+    }
   }
   rebalancer.Stop();
+  bool reachable = true;
+  for (int i = 0; i < params.tenants; ++i) {
+    reachable = reachable && fleet->cluster()->Resolve(i + 1) != nullptr;
+  }
 
-  const bool upgraded = fleet.AllServersAt(params.to_version);
-  const bool reachable = fleet.AllTenantsReachable();
-  const double ratio =
-      baseline_violation > 0.0
-          ? report.total_violation_seconds / baseline_violation
-          : (report.total_violation_seconds > 0.0 ? 1e9 : 0.0);
+  bool ok = false;
+  if (force_abort) {
+    PrintHeader("Figure 16 (forced abort)",
+                "rollback restores the original version map");
+    PrintRow("abort issued after canary patch", "yes", aborted ? "yes" : "NO");
+    PrintRow("run resolved", "aborted",
+             done && report.status.code() == StatusCode::kAborted
+                 ? "aborted"
+                 : "NO");
+    PrintRow("rolled back", "yes", report.rolled_back ? "yes" : "NO");
+    const bool versions_restored =
+        AllServersAt(fleet->cluster(), params.from_version);
+    PrintRow("all servers back at v" + std::to_string(params.from_version),
+             "yes", versions_restored ? "yes" : "NO");
+    PrintRow("migrations in flight at end", "0",
+             std::to_string(rebalancer.inflight()));
+    PrintRow("all tenants reachable", "yes", reachable ? "yes" : "NO");
+    ok = aborted && done && report.status.code() == StatusCode::kAborted &&
+         report.rolled_back && versions_restored &&
+         rebalancer.inflight() == 0 && reachable;
+    PrintRow("forced abort handled", "yes", ok ? "yes" : "NO");
+  } else {
+    const bool upgraded = AllServersAt(fleet->cluster(), params.to_version);
+    const double ratio =
+        baseline.violation_seconds > 0.0
+            ? report.total_violation_seconds / baseline.violation_seconds
+            : (report.total_violation_seconds > 0.0 ? 1e9 : 0.0);
 
-  PrintHeader("Figure 16",
-              "rolling upgrade vs all-at-once restart under load");
-  PrintRow("fleet", "-",
-           std::to_string(params.servers) + " servers, " +
-               std::to_string(params.tenants) + " tenants, v" +
-               std::to_string(params.from_version) + " -> v" +
-               std::to_string(params.to_version));
-  PrintRow("all-at-once: duration / violation server-s", "short but dark",
-           FormatSeconds(baseline_seconds) + " / " +
-               FormatSeconds(baseline_violation));
-  PrintRow("rolling: duration / violation server-s", "longer but live",
-           (done ? FormatSeconds(report.DurationSeconds()) : "DNF") + " / " +
-               FormatSeconds(report.total_violation_seconds));
-  PrintRow("rolling waves completed", "-",
-           std::to_string(report.waves_completed));
-  PrintRow("evacuation migrations ok / failed", "all ok",
-           std::to_string(rebalancer.stats().migrations_ok) + " / " +
-               std::to_string(rebalancer.stats().migrations_failed));
-  char ratio_buf[32];
-  std::snprintf(ratio_buf, sizeof(ratio_buf), "%.0f%%", ratio * 100.0);
-  PrintRow("rolling / baseline violation ratio", "<= 25%", ratio_buf);
-  PrintRow("fleet fully upgraded", "yes", upgraded ? "yes" : "NO");
-  PrintRow("all tenants reachable", "yes", reachable ? "yes" : "NO");
+    PrintHeader("Figure 16",
+                "rolling upgrade vs all-at-once restart under load");
+    PrintRow("fleet", "-",
+             std::to_string(params.servers) + " servers, " +
+                 std::to_string(params.tenants) + " tenants, v" +
+                 std::to_string(params.from_version) + " -> v" +
+                 std::to_string(params.to_version));
+    PrintRow("all-at-once: duration / violation server-s", "short but dark",
+             FormatSeconds(baseline.seconds) + " / " +
+                 FormatSeconds(baseline.violation_seconds));
+    PrintRow("rolling: duration / violation server-s", "longer but live",
+             (done ? FormatSeconds(report.DurationSeconds()) : "DNF") +
+                 " / " + FormatSeconds(report.total_violation_seconds));
+    PrintRow("rolling waves completed", "-",
+             std::to_string(report.waves_completed));
+    PrintRow("evacuation migrations ok / failed", "all ok",
+             std::to_string(rebalancer.stats().migrations_ok) + " / " +
+                 std::to_string(rebalancer.stats().migrations_failed));
+    char ratio_buf[32];
+    std::snprintf(ratio_buf, sizeof(ratio_buf), "%.0f%%", ratio * 100.0);
+    PrintRow("rolling / baseline violation ratio", "<= 25%", ratio_buf);
+    PrintRow("fleet fully upgraded", "yes", upgraded ? "yes" : "NO");
+    PrintRow("all tenants reachable", "yes", reachable ? "yes" : "NO");
+    ok = done && report.status.ok() && upgraded && reachable &&
+         ratio <= 0.25;
+    PrintRow("rolling upgrade beats restart", "yes", ok ? "yes" : "NO");
+  }
+  return ok;
+}
 
-  const bool ok = done && report.status.ok() && upgraded && reachable &&
-                  ratio <= 0.25;
-  PrintRow("rolling upgrade beats restart", "yes", ok ? "yes" : "NO");
-  return ok ? 0 : 1;
+}  // namespace
+}  // namespace slacker::bench
+
+int main(int argc, char** argv) {
+  using namespace slacker::bench;
+  using slacker::UpgradeOptions;
+
+  UpgradeParams params;
+  FleetFlags fleet_flags("", params.servers, params.tenants);
+  bool force_abort = false;
+  ParseFleetFlags(argc, argv, &fleet_flags, {{"--force-abort", &force_abort}});
+  params.servers = fleet_flags.servers;
+  params.tenants = fleet_flags.tenants;
+  if (fleet_flags.smoke) {
+    params.servers = 4;
+    params.tenants = 16;
+    params.records_per_tenant = 8 * 1024;
+    params.deadline_seconds = 1200.0;
+  }
+  ExperimentOptions flags = fleet_flags.options;
+  flags.sla_threshold_ms = params.sla_ms;
+
+  UpgradeOptions upgrade_options;
+  upgrade_options.target_version = params.to_version;
+  upgrade_options.wave_size = fleet_flags.smoke ? 2 : 4;
+  upgrade_options.patch_seconds = params.patch_seconds;
+  upgrade_options.poll_period = 1.0;
+  upgrade_options.observe_seconds = 5.0;
+  upgrade_options.drain_timeout = 900.0;
+  upgrade_options.sla_ms = params.sla_ms;
+  upgrade_options.max_violation_seconds = 120.0;
+  upgrade_options.max_failed_migrations = 50;
+
+  // The forced-abort mode skips the baseline and pulls the plug once
+  // the canary runs the new version.
+  BaselineResult baseline;
+  if (!force_abort) baseline = RunAllAtOnceBaseline(flags, params);
+
+  const std::unique_ptr<Fleet> fleet = WarmFleet(flags, params);
+  const bool ok =
+      RunRolling(fleet.get(), params, upgrade_options, force_abort, baseline);
+  const bool audited = fleet->Finish() && baseline.audited;
+  return ok && audited ? 0 : 1;
 }

@@ -16,14 +16,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/harness.h"
-#include "src/obs/chrome_trace.h"
-#include "src/obs/csv_export.h"
+#include "bench/fleet.h"
 #include "src/slacker/fluid_migration.h"
 
 namespace slacker::bench {
@@ -45,218 +42,125 @@ struct Fig18Params {
   /// unit's write intensity, which is the effect under test.
   double interarrival = 0.001;
   SimTime warmup_seconds = 5.0;
-  bool smoke = false;
 };
 
-/// One experiment arm: a fresh fleet (same seed) whose server-0 tenants
-/// are relocated to server 1 one at a time, recording the handover
-/// freeze window of every job. `fluid` selects per-range jobs.
-class Arm {
- public:
-  Arm(const ExperimentOptions& flags, const Fig18Params& params, bool fluid)
-      : flags_(flags), params_(params), fluid_(fluid) {
-    if (!flags.trace_path.empty() || !flags.csv_path.empty()) {
-      tracer_ = std::make_unique<obs::Tracer>([this] { return sim_.Now(); });
+MigrationOptions Migration() {
+  MigrationOptions options;
+  options.throttle = ThrottleKind::kFixed;
+  options.fixed_rate_mbps = 2.0;
+  // The target replays deltas through full index maintenance at
+  // ~2 MiB/s — about the tenants' write-byte rate, so a whole-tenant
+  // round's apply window absorbs as many new writes as the round
+  // shipped and the backlog never converges. Cap the futile rounds:
+  // the forced freeze — the paper's give-up path — then ships a
+  // multi-MiB fold. Both arms run identical options; each range's
+  // 1/8-intensity backlog sits under the handover threshold by the
+  // time its copy finishes, so ranges never hit the cap.
+  options.delta_apply_seconds_per_mib = 0.5;
+  options.max_delta_rounds = 3;
+  options.prepare.base_seconds = 0.5;
+  return options;
+}
+
+/// One arm's fresh fleet (same seed for both arms) of fully cached
+/// tenants under single-op updates, warmed up. Each arm writes its own
+/// trace and CSV, suffixed .whole or .fluid.
+std::unique_ptr<Fleet> MakeArm(ExperimentOptions flags,
+                               const Fig18Params& params, bool fluid) {
+  const std::string arm = fluid ? ".fluid" : ".whole";
+  if (!flags.trace_path.empty()) flags.trace_path += arm + ".json";
+  if (!flags.csv_path.empty()) flags.csv_path += arm + ".csv";
+  ClusterOptions cluster_options = PaperClusterOptions();
+  cluster_options.num_servers = params.servers;
+  // The slow target-side delta apply lives in the *incoming* options
+  // (the target session's side of the protocol), not the per-job ones.
+  cluster_options.incoming_migration = Migration();
+  auto fleet =
+      std::make_unique<Fleet>(flags, cluster_options, /*metrics=*/false);
+  for (int i = 0; i < params.tenants; ++i) {
+    const uint64_t tenant_id = i + 1;
+    engine::TenantConfig tenant;
+    tenant.tenant_id = tenant_id;
+    tenant.layout.record_count = params.records_per_tenant;
+    // Fully cached: the freeze windows compared here must reflect the
+    // migration machinery, not read-miss queueing on the shared disk.
+    tenant.buffer_pool_bytes = params.records_per_tenant * kKiB;
+    tenant.cpu_per_op = 0.00005;
+    tenant.commit_latency = 0.0005;
+    fleet->AddTenant(i % params.servers, tenant);
+
+    workload::YcsbConfig ycsb;
+    ycsb.record_count = params.records_per_tenant;
+    // Single-op transactions route exactly by key, so mid-sequence a
+    // sharded tenant serves from both halves without cross-range txns.
+    ycsb.ops_per_txn = 1;
+    ycsb.mix.read = 0.0;
+    ycsb.mix.update = 1.0;
+    ycsb.mean_interarrival = params.interarrival;
+    fleet->AddPool(tenant_id, ycsb, /*seed_salt=*/tenant_id * 1000);
+    fleet->pools().back()->set_route_by_key(true);
+  }
+  fleet->sim()->RunUntil(params.warmup_seconds);
+  return fleet;
+}
+
+/// One experiment arm: relocates every server-0 tenant to server 1 one
+/// at a time (the admission-controlled rebalancer also serializes per
+/// source). Returns the handover freeze windows (ms), one per executed
+/// job — per tenant in whole-tenant mode, per range in fluid mode —
+/// and clears `*ok` if any migration failed.
+std::vector<double> RunArm(Fleet* fleet, const Fig18Params& params,
+                           bool fluid, bool* ok) {
+  Cluster* cluster = fleet->cluster();
+  sim::Simulator* sim = fleet->sim();
+  std::vector<double> downtimes;
+  for (int i = 0; i < params.tenants; i += params.servers) {
+    const uint64_t tenant_id = i + 1;
+    bool done = false;
+    Status status;
+    std::vector<MigrationReport> jobs;
+    std::unique_ptr<FluidMigrator> migrator;
+    Status started;
+    if (fluid) {
+      FluidMigrationOptions options;
+      options.target_ranges = params.ranges;
+      options.migration = Migration();
+      migrator = std::make_unique<FluidMigrator>(
+          cluster, tenant_id, 1, options, [&](const FluidMigrationReport& r) {
+            status = r.status;
+            jobs = r.ranges;
+            done = true;
+          });
+      started = migrator->Start();
+    } else {
+      started = cluster->StartMigration(
+          tenant_id, 1, Migration(), [&](const MigrationReport& r) {
+            status = r.status;
+            jobs = {r};
+            done = true;
+          });
     }
-    ClusterOptions cluster_options = PaperClusterOptions();
-    cluster_options.num_servers = params.servers;
-    // The slow target-side delta apply lives in the *incoming* options
-    // (the target session's side of the protocol), not the per-job ones.
-    cluster_options.incoming_migration = Migration();
-    cluster_ = std::make_unique<Cluster>(&sim_, cluster_options);
-    if (tracer_ != nullptr) cluster_->InstallTracer(tracer_.get());
-
-    for (int i = 0; i < params.tenants; ++i) {
-      const uint64_t tenant_id = i + 1;
-      const uint64_t server_id = i % params.servers;
-      engine::TenantConfig tenant;
-      tenant.tenant_id = tenant_id;
-      tenant.layout.record_count = params.records_per_tenant;
-      // Fully cached: the freeze windows compared here must reflect the
-      // migration machinery, not read-miss queueing on the shared disk.
-      tenant.buffer_pool_bytes = params.records_per_tenant * kKiB;
-      tenant.cpu_per_op = 0.00005;
-      tenant.commit_latency = 0.0005;
-      auto db = cluster_->AddTenant(server_id, tenant);
-      if (!db.ok()) continue;
-      (*db)->WarmBufferPool();
-
-      workload::YcsbConfig ycsb;
-      ycsb.record_count = params.records_per_tenant;
-      // Single-op transactions route exactly by key, so mid-sequence a
-      // sharded tenant serves from both halves without cross-range txns.
-      ycsb.ops_per_txn = 1;
-      ycsb.mix.read = 0.0;
-      ycsb.mix.update = 1.0;
-      ycsb.mean_interarrival = params.interarrival;
-      workloads_.push_back(std::make_unique<workload::YcsbWorkload>(
-          ycsb, tenant_id, flags.seed + tenant_id * 1000));
-      pools_.push_back(std::make_unique<workload::ClientPool>(
-          &sim_, workloads_.back().get(), cluster_.get(),
-          cluster_->MakeLatencyObserver()));
-      pools_.back()->set_route_by_key(true);
-      cluster_->AttachClientPool(tenant_id, pools_.back().get());
-      pools_.back()->Start();
+    if (!started.ok()) {
+      *ok = false;
+      continue;
     }
-    sim_.RunUntil(params.warmup_seconds);
-  }
-
-  ~Arm() {
-    for (auto& pool : pools_) pool->Stop();
-    if (tracer_ != nullptr) {
-      if (!flags_.trace_path.empty()) {
-        const std::string path =
-            flags_.trace_path + (fluid_ ? ".fluid.json" : ".whole.json");
-        if (obs::WriteChromeTrace(*tracer_, path).ok()) {
-          std::printf("  (wrote trace %s)\n", path.c_str());
-        }
-      }
-      if (!flags_.csv_path.empty()) {
-        const std::string path =
-            flags_.csv_path + (fluid_ ? ".fluid.csv" : ".whole.csv");
-        if (obs::WriteCsv(*tracer_->registry(), path).ok()) {
-          std::printf("  (wrote metrics %s)\n", path.c_str());
-        }
-      }
-      cluster_->InstallTracer(nullptr);
+    const SimTime deadline = sim->Now() + 600.0;
+    while (!done && sim->Now() < deadline) sim->RunUntil(sim->Now() + 0.5);
+    // A stalled job fails the arm rather than adding a zero-downtime
+    // sample.
+    *ok = done && status.ok() && *ok;
+    for (const MigrationReport& r : jobs) {
+      if (r.status.ok()) downtimes.push_back(r.downtime_ms);
     }
   }
-
-  /// Relocates every server-0 tenant to server 1, one at a time (the
-  /// admission-controlled rebalancer also serializes per source).
-  /// Returns the handover freeze windows (ms), one per executed job —
-  /// per tenant in whole-tenant mode, per range in fluid mode.
-  std::vector<double> Run() {
-    std::vector<double> downtimes;
-    bool all_ok = true;
-    for (int i = 0; i < params_.tenants; ++i) {
-      if (i % params_.servers != 0) continue;  // Server-0 tenants only.
-      const uint64_t tenant_id = i + 1;
-      bool done = false;
-      if (fluid_) {
-        FluidMigrationOptions options;
-        options.target_ranges = params_.ranges;
-        options.migration = Migration();
-        FluidMigrationReport report;
-        FluidMigrator migrator(cluster_.get(), tenant_id, 1, options,
-                               [&](const FluidMigrationReport& r) {
-                                 report = r;
-                                 done = true;
-                               });
-        if (!migrator.Start().ok()) {
-          all_ok = false;
-          continue;
-        }
-        all_ok = WaitFor(&done) && report.status.ok() && all_ok;
-        for (const MigrationReport& r : report.ranges) {
-          if (r.status.ok()) downtimes.push_back(r.downtime_ms);
-        }
-      } else {
-        MigrationReport report;
-        const Status started = cluster_->StartMigration(
-            tenant_id, 1, Migration(), [&](const MigrationReport& r) {
-              report = r;
-              done = true;
-            });
-        if (!started.ok()) {
-          all_ok = false;
-          continue;
-        }
-        const bool finished = WaitFor(&done);
-        all_ok = finished && report.status.ok() && all_ok;
-        if (finished && report.status.ok()) {
-          downtimes.push_back(report.downtime_ms);
-        }
-      }
-    }
-    ok_ = all_ok;
-    return downtimes;
-  }
-
-  bool ok() const { return ok_; }
-  uint64_t failed_txns() const {
-    uint64_t failed = 0;
-    for (const auto& pool : pools_) failed += pool->stats().failed;
-    return failed;
-  }
-
- private:
-  MigrationOptions Migration() const {
-    MigrationOptions options;
-    options.throttle = ThrottleKind::kFixed;
-    options.fixed_rate_mbps = 2.0;
-    // The target replays deltas through full index maintenance at
-    // ~2 MiB/s — about the tenants' write-byte rate, so a whole-tenant
-    // round's apply window absorbs as many new writes as the round
-    // shipped and the backlog never converges. Cap the futile rounds:
-    // the forced freeze — the paper's give-up path — then ships a
-    // multi-MiB fold. Both arms run identical options; each range's
-    // 1/8-intensity backlog sits under the handover threshold by the
-    // time its copy finishes, so ranges never hit the cap.
-    options.delta_apply_seconds_per_mib = 0.5;
-    options.max_delta_rounds = 3;
-    options.prepare.base_seconds = 0.5;
-    return options;
-  }
-
-  /// Returns false if the migration never reported back — a stalled
-  /// job must fail the arm, not contribute a zero-downtime sample.
-  bool WaitFor(bool* done) {
-    const SimTime deadline = sim_.Now() + 600.0;
-    while (!*done && sim_.Now() < deadline) {
-      sim_.RunUntil(sim_.Now() + 0.5);
-    }
-    return *done;
-  }
-
-  ExperimentOptions flags_;
-  Fig18Params params_;
-  bool fluid_;
-  bool ok_ = false;
-  sim::Simulator sim_;
-  std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<Cluster> cluster_;
-  std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads_;
-  std::vector<std::unique_ptr<workload::ClientPool>> pools_;
-};
+  return downtimes;
+}
 
 double Percentile(std::vector<double> sorted, double p) {
   if (sorted.empty()) return 0.0;
   const size_t index = static_cast<size_t>(
       std::ceil(p * static_cast<double>(sorted.size()))) - 1;
   return sorted[std::min(index, sorted.size() - 1)];
-}
-
-void PrintJsonArray(std::FILE* f, const char* name,
-                    const std::vector<double>& values) {
-  std::fprintf(f, "  \"%s\": [", name);
-  for (size_t i = 0; i < values.size(); ++i) {
-    std::fprintf(f, "%s%.17g", i == 0 ? "" : ", ", values[i]);
-  }
-  std::fprintf(f, "],\n");
-}
-
-Status WriteJson(const std::string& path, const Fig18Params& params,
-                 const std::vector<double>& whole,
-                 const std::vector<double>& fluid, double ratio_p99,
-                 bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot write " + path);
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"fig18\",\n");
-  std::fprintf(f, "  \"servers\": %d,\n  \"tenants\": %d,\n",
-               params.servers, params.tenants);
-  std::fprintf(f, "  \"ranges\": %zu,\n", params.ranges);
-  PrintJsonArray(f, "whole_tenant_downtime_ms_cdf", whole);
-  PrintJsonArray(f, "fluid_range_downtime_ms_cdf", fluid);
-  std::fprintf(f, "  \"whole_p50_ms\": %.17g,\n", Percentile(whole, 0.5));
-  std::fprintf(f, "  \"whole_p99_ms\": %.17g,\n", Percentile(whole, 0.99));
-  std::fprintf(f, "  \"fluid_p50_ms\": %.17g,\n", Percentile(fluid, 0.5));
-  std::fprintf(f, "  \"fluid_p99_ms\": %.17g,\n", Percentile(fluid, 0.99));
-  std::fprintf(f, "  \"fluid_over_whole_p99\": %.17g,\n", ratio_p99);
-  std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-  std::fclose(f);
-  return Status::Ok();
 }
 
 }  // namespace
@@ -266,49 +170,33 @@ int main(int argc, char** argv) {
   using namespace slacker::bench;
 
   Fig18Params params;
-  std::string json_path = "BENCH_fig18.json";
-  std::vector<char*> pass_through;
-  pass_through.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      params.smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--servers") == 0 && i + 1 < argc) {
-      params.servers = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--fleet-tenants") == 0 && i + 1 < argc) {
-      params.tenants = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--ranges") == 0 && i + 1 < argc) {
-      params.ranges =
-          static_cast<size_t>(std::strtol(argv[++i], nullptr, 10));
-    } else {
-      pass_through.push_back(argv[i]);
-    }
-  }
-  if (params.smoke) {
+  FleetFlags fleet_flags("BENCH_fig18.json", params.servers, params.tenants,
+                         params.ranges);
+  ParseFleetFlags(argc, argv, &fleet_flags);
+  params.servers = fleet_flags.servers;
+  params.tenants = fleet_flags.tenants;
+  params.ranges = fleet_flags.ranges;
+  if (fleet_flags.smoke) {
     params.servers = 4;
     params.tenants = 16;
   }
-  ExperimentOptions flags;
-  ApplyCommandLine(static_cast<int>(pass_through.size()),
-                   pass_through.data(), &flags);
 
-  std::vector<double> whole;
-  std::vector<double> fluid;
+  // Arm 0 moves whole tenants, arm 1 moves them range by range.
+  std::vector<double> downtimes[2];
   bool arms_ok = true;
+  bool audited = true;
   uint64_t failed_txns = 0;
-  {
-    Arm arm(flags, params, /*fluid=*/false);
-    whole = arm.Run();
-    arms_ok = arms_ok && arm.ok();
-    failed_txns += arm.failed_txns();
+  for (const bool fluid : {false, true}) {
+    const std::unique_ptr<Fleet> fleet =
+        MakeArm(fleet_flags.options, params, fluid);
+    downtimes[fluid] = RunArm(fleet.get(), params, fluid, &arms_ok);
+    for (const auto& pool : fleet->pools()) {
+      failed_txns += pool->stats().failed;
+    }
+    audited = fleet->Finish() && audited;
   }
-  {
-    Arm arm(flags, params, /*fluid=*/true);
-    fluid = arm.Run();
-    arms_ok = arms_ok && arm.ok();
-    failed_txns += arm.failed_txns();
-  }
+  std::vector<double>& whole = downtimes[0];
+  std::vector<double>& fluid = downtimes[1];
   std::sort(whole.begin(), whole.end());
   std::sort(fluid.begin(), fluid.end());
 
@@ -340,12 +228,19 @@ int main(int argc, char** argv) {
   PrintRow("client transactions failed", "0", std::to_string(failed_txns));
   PrintRow("all migrations completed", "yes", arms_ok ? "yes" : "NO");
 
-  const slacker::Status json_status =
-      WriteJson(json_path, params, whole, fluid, ratio, ok);
-  if (json_status.ok()) {
-    std::printf("  (wrote results %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "%s\n", json_status.ToString().c_str());
-  }
-  return ok ? 0 : 1;
+  JsonWriter json;
+  json.Field("figure", "fig18")
+      .Field("servers", params.servers)
+      .Field("tenants", params.tenants)
+      .Field("ranges", params.ranges)
+      .Field("whole_tenant_downtime_ms_cdf", whole)
+      .Field("fluid_range_downtime_ms_cdf", fluid)
+      .Field("whole_p50_ms", Percentile(whole, 0.5))
+      .Field("whole_p99_ms", whole_p99)
+      .Field("fluid_p50_ms", Percentile(fluid, 0.5))
+      .Field("fluid_p99_ms", fluid_p99)
+      .Field("fluid_over_whole_p99", ratio)
+      .Field("pass", ok);
+  json.Save(fleet_flags.json_path);
+  return ok && audited ? 0 : 1;
 }

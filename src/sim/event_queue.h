@@ -31,8 +31,8 @@ using EventId = uint64_t;
 ///    most kLevels times.
 ///
 /// Ordering contract (identical to the binary-heap queue this
-/// replaced, see BinaryHeapEventQueue): events run in ascending
-/// exact `when` (the full double, not the quantized tick), ties broken
+/// replaced; tests/sim_queue_property_test.cc checks it against an
+/// ordered-set oracle): events run in ascending exact `when` (the full double, not the quantized tick), ties broken
 /// by Schedule() order, so runs are bit-deterministic regardless of
 /// wheel internals. Quantization only affects *bucketing*; events that
 /// land in the same 1 ms bucket are ordered by their exact (when, seq)

@@ -1,22 +1,65 @@
-// Old-vs-new event-queue determinism: the timer-wheel EventQueue must
-// produce byte-for-byte the execution order of the binary-heap queue it
-// replaced, under randomized Schedule/Cancel interleavings including
-// re-entrant scheduling from callbacks. This is the contract that makes
-// the wheel a pure performance change — every golden figure digest
-// depends on it.
+// Event-queue determinism: the timer-wheel EventQueue must produce
+// exactly the execution order of a reference queue written from the
+// ordering contract alone, under randomized Schedule/Cancel
+// interleavings including re-entrant scheduling from callbacks. This is
+// the contract that makes the wheel a pure performance change — every
+// golden figure digest depends on it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/sim/binary_heap_queue.h"
 #include "src/sim/event_queue.h"
 
 namespace slacker::sim {
 namespace {
+
+// The oracle: events run in ascending `when`, ties in Schedule() order
+// (the sequence number), and Cancel removes a pending event — returning
+// false once the event has run or been cancelled.
+class OracleQueue {
+ public:
+  uint64_t Schedule(SimTime when, std::function<void()> fn) {
+    const uint64_t seq = next_seq_++;
+    order_.emplace(when, seq);
+    pending_.emplace(seq, Pending{when, std::move(fn)});
+    return seq;
+  }
+
+  bool Cancel(uint64_t seq) {
+    const auto it = pending_.find(seq);
+    if (it == pending_.end()) return false;
+    order_.erase({it->second.when, seq});
+    pending_.erase(it);
+    return true;
+  }
+
+  bool empty() const { return order_.empty(); }
+
+  SimTime RunNext() {
+    const auto [when, seq] = *order_.begin();
+    order_.erase(order_.begin());
+    // Detached before running: the callback may schedule more events.
+    auto node = pending_.extract(seq);
+    node.mapped().fn();
+    return when;
+  }
+
+ private:
+  struct Pending {
+    SimTime when;
+    std::function<void()> fn;
+  };
+  std::set<std::pair<SimTime, uint64_t>> order_;
+  std::map<uint64_t, Pending> pending_;
+  uint64_t next_seq_ = 1;
+};
 
 // A pre-generated script of operations, so both implementations see
 // *identical* decisions: events are referenced by issue index, never by
@@ -71,7 +114,7 @@ std::vector<Op> MakeScript(uint64_t seed, size_t num_ops) {
   int next_label = 0;
   size_t issued = 0;
   for (size_t i = 0; i < num_ops; ++i) {
-    Op op;
+    Op op{};
     const uint64_t roll = rng.NextBelow(100);
     if (roll < 60 || issued == 0) {
       op.kind = Op::kSchedule;
@@ -154,16 +197,17 @@ std::pair<std::vector<TraceEntry>, std::vector<bool>> RunScript(
 void ExpectIdenticalTraces(uint64_t seed, size_t num_ops) {
   const std::vector<Op> script = MakeScript(seed, num_ops);
   auto [wheel_trace, wheel_cancels] = RunScript<EventQueue>(script);
-  auto [heap_trace, heap_cancels] = RunScript<BinaryHeapEventQueue>(script);
+  auto [oracle_trace, oracle_cancels] = RunScript<OracleQueue>(script);
 
-  ASSERT_EQ(wheel_trace.size(), heap_trace.size()) << "seed " << seed;
+  ASSERT_EQ(wheel_trace.size(), oracle_trace.size()) << "seed " << seed;
   for (size_t i = 0; i < wheel_trace.size(); ++i) {
-    ASSERT_TRUE(wheel_trace[i] == heap_trace[i])
+    ASSERT_TRUE(wheel_trace[i] == oracle_trace[i])
         << "seed " << seed << " diverges at event " << i << ": wheel ran "
         << wheel_trace[i].label << "@" << wheel_trace[i].when
-        << ", heap ran " << heap_trace[i].label << "@" << heap_trace[i].when;
+        << ", oracle ran " << oracle_trace[i].label << "@"
+        << oracle_trace[i].when;
   }
-  ASSERT_EQ(wheel_cancels, heap_cancels) << "seed " << seed;
+  ASSERT_EQ(wheel_cancels, oracle_cancels) << "seed " << seed;
 }
 
 TEST(QueueEquivalenceTest, RandomizedInterleavingsMatchAcrossSeeds) {
@@ -180,17 +224,17 @@ TEST(QueueEquivalenceTest, ScheduleHeavyTieStorm) {
   // Dense exact ties: many events on the same coarse grid point, so
   // almost every comparison falls through to the FIFO tie-break.
   EventQueue wheel;
-  BinaryHeapEventQueue heap;
-  std::vector<int> wheel_order, heap_order;
+  OracleQueue oracle;
+  std::vector<int> wheel_order, oracle_order;
   Rng rng(7);
   for (int i = 0; i < 5000; ++i) {
     const double when = static_cast<double>(rng.NextBelow(5)) * 0.5;
     wheel.Schedule(when, [&, i] { wheel_order.push_back(i); });
-    heap.Schedule(when, [&, i] { heap_order.push_back(i); });
+    oracle.Schedule(when, [&, i] { oracle_order.push_back(i); });
   }
   while (!wheel.empty()) wheel.RunNext();
-  while (!heap.empty()) heap.RunNext();
-  ASSERT_EQ(wheel_order, heap_order);
+  while (!oracle.empty()) oracle.RunNext();
+  ASSERT_EQ(wheel_order, oracle_order);
 }
 
 }  // namespace

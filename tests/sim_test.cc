@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/sim/binary_heap_queue.h"
 #include "src/sim/callback.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
@@ -164,7 +163,7 @@ TEST(EventQueueTest, RandomizedOrderMatchesSort) {
 }
 
 TEST(EventQueueTest, CancelChurnFootprintBounded) {
-  // The defect this guards: the binary-heap queue accumulated one
+  // The defect this guards: the old binary-heap queue accumulated one
   // tombstone per cancel until the entry surfaced at the heap top, so
   // cancel-heavy churn against far-future events (PeriodicTimer
   // stop/start, supervisor quench storms) grew without bound. The
@@ -179,14 +178,6 @@ TEST(EventQueueTest, CancelChurnFootprintBounded) {
   EXPECT_TRUE(q.empty());
   EXPECT_LE(q.allocated_nodes(), 4u);
   EXPECT_EQ(q.ready_tombstones(), 0u);
-
-  // Contrast with the retired baseline, which holds every tombstone.
-  BinaryHeapEventQueue heap;
-  for (int i = 0; i < 1000; ++i) {
-    const auto id = heap.Schedule(1e6 + static_cast<double>(i), [] {});
-    heap.Cancel(id);
-  }
-  EXPECT_EQ(heap.tombstones(), 1000u);
 }
 
 TEST(EventQueueTest, CancelChurnAroundLiveEventsKeepsThem) {
