@@ -24,6 +24,20 @@ template <typename T>
 class RingDeque {
  public:
   RingDeque() = default;
+  RingDeque(const RingDeque&) = default;
+  RingDeque& operator=(const RingDeque&) = default;
+  /// A moved-from deque is empty and reusable (the implicit move would
+  /// keep size_/head_/mask_ over an emptied buffer).
+  RingDeque(RingDeque&& other) noexcept { *this = std::move(other); }
+  RingDeque& operator=(RingDeque&& other) noexcept {
+    if (this != &other) {
+      buf_ = std::exchange(other.buf_, {});
+      head_ = std::exchange(other.head_, 0);
+      size_ = std::exchange(other.size_, 0);
+      mask_ = std::exchange(other.mask_, 0);
+    }
+    return *this;
+  }
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }

@@ -1,8 +1,8 @@
 #include "src/engine/tenant_db.h"
 
 #include <algorithm>
-
 #include <utility>
+#include <vector>
 
 #include "src/common/checksum.h"
 #include "src/common/invariant.h"
@@ -46,35 +46,33 @@ void TenantDb::Load() {
 }
 
 void TenantDb::ExecuteOp(const Operation& op, OpCallback done) {
-  if (frozen_) {
-    frozen_queue_.push_back(PendingOp{op, std::move(done)});
-    return;
-  }
-  if (range_frozen_ && TouchesFrozenRange(op)) {
-    range_frozen_queue_.push_back(PendingOp{op, std::move(done)});
+  if (frozen_ && TouchesFrozenKeys(op)) {
+    queue_.push_back(PendingOp{op, std::move(done)});
     return;
   }
   StartOp(op, std::move(done));
 }
 
-bool TenantDb::TouchesFrozenRange(const Operation& op) const {
+bool TenantDb::TouchesFrozenKeys(const Operation& op) const {
   if (op.type == OpType::kInsert) {
     // Inserts land at the next insert cursor, not op.key.
-    return next_insert_key_ >= range_lo_ && next_insert_key_ < range_hi_;
+    return next_insert_key_ >= frozen_lo_ && next_insert_key_ < frozen_hi_;
   }
   if (op.type == OpType::kScan) {
     const uint64_t len = std::max<uint64_t>(op.scan_length, 1);
     const uint64_t end =
         len > UINT64_MAX - op.key ? UINT64_MAX : op.key + len;
-    return op.key < range_hi_ && end > range_lo_;
+    return op.key < frozen_hi_ && end > frozen_lo_;
   }
-  return op.key >= range_lo_ && op.key < range_hi_;
+  return op.key >= frozen_lo_ && op.key < frozen_hi_;
 }
 
 uint64_t TenantDb::RegisterOp(const Operation& op, OpCallback done) {
-  const uint64_t token = next_op_token_++;
-  pending_done_[token] = PendingDone{op, std::move(done)};
-  if (op_latency_hist_ != nullptr) op_start_[token] = sim_->Now();
+  ++in_flight_;
+  const uint64_t token = window_base_ + window_.size();
+  window_.push_back(InFlightOp{
+      op, std::move(done), op_latency_hist_ != nullptr ? sim_->Now() : -1.0,
+      /*live=*/true, /*drains=*/false});
   return token;
 }
 
@@ -82,17 +80,18 @@ void TenantDb::AttachObs(common::Histogram* op_latency_ms,
                          common::Counter* ops) {
   op_latency_hist_ = op_latency_ms;
   ops_counter_ = ops;
-  if (op_latency_hist_ == nullptr) op_start_.clear();
+  if (op_latency_hist_ != nullptr) return;
+  // Ops started while detached stay untimed even if a histogram is
+  // attached again before they finish.
+  for (size_t i = 0; i < window_.size(); ++i) window_[i].start = -1.0;
 }
 
 void TenantDb::StartOp(const Operation& op, OpCallback done) {
+  const uint64_t token = RegisterOp(op, std::move(done));
   if (op.type == OpType::kScan) {
-    ++in_flight_;
-    StartScan(op, RegisterOp(op, std::move(done)));
+    StartScan(op, token);
     return;
   }
-  ++in_flight_;
-  const uint64_t token = RegisterOp(op, std::move(done));
   // Stage 1: CPU (parse/plan/execute). Continuations are guarded by
   // alive_: a server crash destroys the instance while its work is
   // still queued on the shared disk/CPU.
@@ -110,13 +109,13 @@ void TenantDb::StartOp(const Operation& op, OpCallback done) {
                     nullptr, config_.tenant_id);
     }
     if (access.hit) {
-      FinishOp(op, token);
+      FinishOp(token);
       return;
     }
     // Stage 3: synchronous page read on miss.
     disk_->Submit(resource::IoKind::kRandomRead, config_.layout.page_bytes,
-                  [this, op, token, alive] {
-                    if (!alive.expired()) FinishOp(op, token);
+                  [this, token, alive] {
+                    if (!alive.expired()) FinishOp(token);
                   },
                   config_.tenant_id);
   });
@@ -153,7 +152,7 @@ void TenantDb::ScanNextPage(uint64_t page, uint64_t last_page, Operation op,
          it.Next()) {
       ++seen;
     }
-    FinishOp(op, token);
+    FinishOp(token);
     return;
   }
   const storage::PageAccess access =
@@ -176,20 +175,21 @@ void TenantDb::ScanNextPage(uint64_t page, uint64_t last_page, Operation op,
                 config_.tenant_id);
 }
 
-void TenantDb::FinishOp(const Operation& op, uint64_t token) {
-  auto it = pending_done_.find(token);
-  if (it == pending_done_.end()) return;  // Claimed by FailInFlight.
-  OpCallback done = std::move(it->second.done);
-  pending_done_.erase(it);
-  if (range_frozen_ && range_draining_tokens_.erase(token) > 0) {
-    MaybeNotifyRangeDrained();
+void TenantDb::FinishOp(uint64_t token) {
+  // Tokens below the window were claimed by FailInFlight.
+  if (token < window_base_) return;
+  InFlightOp& slot = window_[token - window_base_];
+  const Operation op = slot.op;
+  OpCallback done = std::move(slot.done);
+  slot.done = nullptr;
+  slot.live = false;
+  if (frozen_ && slot.drains) --draining_;
+  if (op_latency_hist_ != nullptr && slot.start >= 0.0) {
+    op_latency_hist_->Observe(MsFromSeconds(sim_->Now() - slot.start));
   }
-  if (op_latency_hist_ != nullptr) {
-    auto start = op_start_.find(token);
-    if (start != op_start_.end()) {
-      op_latency_hist_->Observe(MsFromSeconds(sim_->Now() - start->second));
-      op_start_.erase(start);
-    }
+  while (!window_.empty() && !window_.front().live) {
+    window_.pop_front();
+    ++window_base_;
   }
   if (ops_counter_ != nullptr) ops_counter_->Add();
   WrittenRow written;
@@ -269,171 +269,93 @@ void TenantDb::Commit(uint64_t txn_id, std::function<void()> done) {
   sim_->After(config_.commit_latency, std::move(done));
 }
 
-void TenantDb::Freeze(std::function<void()> drained) {
+void TenantDb::Freeze(std::function<void()> drained, uint64_t lo,
+                      uint64_t hi) {
+  SLACKER_CHECK(!frozen_, "freeze already active");
   frozen_ = true;
-  drain_waiters_.push_back(std::move(drained));
+  frozen_lo_ = lo;
+  frozen_hi_ = hi;
+  // Decide once, here, which in-flight ops the drain waits for: the set
+  // cannot drift as the insert cursor advances.
+  draining_ = 0;
+  for (size_t i = 0; i < window_.size(); ++i) {
+    InFlightOp& slot = window_[i];
+    slot.drains = slot.live && TouchesFrozenKeys(slot.op);
+    if (slot.drains) ++draining_;
+  }
+  drain_waiter_ = std::move(drained);
   MaybeNotifyDrained();
 }
 
 void TenantDb::MaybeNotifyDrained() {
-  if (!frozen_ || in_flight_ > 0 || drain_waiters_.empty()) return;
-  auto waiters = std::move(drain_waiters_);
-  drain_waiters_.clear();
-  for (auto& w : waiters) {
-    if (w) sim_->After(0.0, std::move(w));
-  }
+  if (!frozen_ || draining_ > 0 || drain_waiter_ == nullptr) return;
+  sim_->After(0.0, std::move(drain_waiter_));
+  drain_waiter_ = nullptr;
 }
 
 void TenantDb::Unfreeze() {
   frozen_ = false;
+  drain_waiter_ = nullptr;
   // Admit everything that queued behind the lock, in order.
-  auto queued = std::move(frozen_queue_);
-  frozen_queue_.clear();
-  for (auto& pending : queued) {
-    StartOp(pending.op, std::move(pending.done));
+  RingDeque<PendingOp> queued = std::move(queue_);
+  for (size_t i = 0; i < queued.size(); ++i) {
+    StartOp(queued[i].op, std::move(queued[i].done));
   }
 }
 
 void TenantDb::FailQueued() {
-  auto queued = std::move(frozen_queue_);
-  frozen_queue_.clear();
-  for (auto& pending : queued) {
-    if (pending.done) {
-      // Defer so callers see consistent reentrancy with the success path.
-      sim_->After(0.0, [done = std::move(pending.done)] {
-        done(Status::Unavailable("tenant migrated away"), WrittenRow{});
-      });
-    }
-  }
-}
-
-void TenantDb::FreezeRange(uint64_t lo, uint64_t hi,
-                           std::function<void()> drained) {
-  SLACKER_CHECK(!range_frozen_, "range freeze already active");
-  range_frozen_ = true;
-  range_lo_ = lo;
-  range_hi_ = hi;
-  // Drain exactly the in-flight ops that overlap the range — recorded
-  // as a token set so the membership decision is made once, here, and
-  // cannot drift as the insert cursor advances.
-  range_draining_tokens_.clear();
-  for (const auto& [token, pending] : pending_done_) {
-    if (TouchesFrozenRange(pending.op)) range_draining_tokens_.insert(token);
-  }
-  range_drain_waiters_.push_back(std::move(drained));
-  MaybeNotifyRangeDrained();
-}
-
-void TenantDb::MaybeNotifyRangeDrained() {
-  if (!range_frozen_ || !range_draining_tokens_.empty() ||
-      range_drain_waiters_.empty()) {
-    return;
-  }
-  auto waiters = std::move(range_drain_waiters_);
-  range_drain_waiters_.clear();
-  for (auto& w : waiters) {
-    if (w) sim_->After(0.0, std::move(w));
-  }
-}
-
-void TenantDb::UnfreezeRange() {
-  range_frozen_ = false;
-  range_draining_tokens_.clear();
-  auto queued = std::move(range_frozen_queue_);
-  range_frozen_queue_.clear();
-  for (auto& pending : queued) {
-    if (frozen_) {
-      // A whole-tenant freeze began while the range was frozen; the
-      // released ops wait behind it like everything else.
-      frozen_queue_.push_back(std::move(pending));
-    } else {
-      StartOp(pending.op, std::move(pending.done));
-    }
-  }
-}
-
-void TenantDb::FailRangeQueued() {
-  range_frozen_ = false;
-  range_draining_tokens_.clear();
-  auto queued = std::move(range_frozen_queue_);
-  range_frozen_queue_.clear();
-  for (auto& pending : queued) {
-    if (pending.done) {
-      sim_->After(0.0, [done = std::move(pending.done)] {
-        done(Status::Unavailable("range migrated away"), WrittenRow{});
-      });
-    }
-  }
+  FailQueue(Status::Unavailable("tenant migrated away"));
 }
 
 void TenantDb::FailInFlight(const Status& status) {
-  auto pending = std::move(pending_done_);
-  pending_done_.clear();
-  op_start_.clear();
+  RingDeque<InFlightOp> window = std::move(window_);
+  window_base_ += window.size();
   in_flight_ = 0;
-  range_draining_tokens_.clear();
-  for (auto& [token, p] : pending) {
-    if (!p.done) continue;
-    // Defer: callers expect completion callbacks to arrive from the
-    // event loop, never from inside the call that failed them.
-    sim_->After(0.0, [done = std::move(p.done), status] {
-      done(status, WrittenRow{});
-    });
+  draining_ = 0;
+  for (size_t i = 0; i < window.size(); ++i) {
+    if (window[i].live) FailLater(std::move(window[i].done), status);
   }
-  auto queued = std::move(frozen_queue_);
-  frozen_queue_.clear();
-  for (auto& p : queued) {
-    if (!p.done) continue;
-    sim_->After(0.0, [done = std::move(p.done), status] {
-      done(status, WrittenRow{});
-    });
-  }
-  auto range_queued = std::move(range_frozen_queue_);
-  range_frozen_queue_.clear();
-  for (auto& p : range_queued) {
-    if (!p.done) continue;
-    sim_->After(0.0, [done = std::move(p.done), status] {
-      done(status, WrittenRow{});
-    });
-  }
+  FailQueue(status);
   MaybeNotifyDrained();
-  MaybeNotifyRangeDrained();
+}
+
+void TenantDb::FailQueue(const Status& status) {
+  RingDeque<PendingOp> queued = std::move(queue_);
+  for (size_t i = 0; i < queued.size(); ++i) {
+    FailLater(std::move(queued[i].done), status);
+  }
+}
+
+void TenantDb::FailLater(OpCallback done, const Status& status) {
+  if (!done) return;
+  // Defer: callers expect completion callbacks to arrive from the event
+  // loop, never from inside the call that failed them.
+  sim_->After(0.0, [done = std::move(done), status] {
+    done(status, WrittenRow{});
+  });
+}
+
+std::function<void()> TenantDb::IfAlive(std::function<void()> done) const {
+  if (done == nullptr) return nullptr;
+  return [done = std::move(done), alive = std::weak_ptr<bool>(alive_)] {
+    if (!alive.expired()) done();
+  };
 }
 
 void TenantDb::ChargeSequentialRead(uint64_t bytes, uint64_t stream_id,
                                     std::function<void()> done) {
-  // The completion is dropped if this instance dies first (crash or
-  // delete) — the disk time was still spent, as on real hardware.
-  disk_->Submit(
-      resource::IoKind::kSequentialRead, bytes,
-      done == nullptr
-          ? std::function<void()>(nullptr)
-          : [done = std::move(done), alive = std::weak_ptr<bool>(alive_)] {
-              if (!alive.expired()) done();
-            },
-      stream_id);
+  disk_->Submit(resource::IoKind::kSequentialRead, bytes,
+                IfAlive(std::move(done)), stream_id);
 }
 
 void TenantDb::ChargeSequentialWrite(uint64_t bytes, uint64_t stream_id,
                                      std::function<void()> done) {
-  disk_->Submit(
-      resource::IoKind::kSequentialWrite, bytes,
-      done == nullptr
-          ? std::function<void()>(nullptr)
-          : [done = std::move(done), alive = std::weak_ptr<bool>(alive_)] {
-              if (!alive.expired()) done();
-            },
-      stream_id);
+  disk_->Submit(resource::IoKind::kSequentialWrite, bytes,
+                IfAlive(std::move(done)), stream_id);
 }
 
 void TenantDb::ChargeCpu(SimTime service, std::function<void()> done) {
-  cpu_->Submit(
-      service,
-      done == nullptr
-          ? std::function<void()>(nullptr)
-          : [done = std::move(done), alive = std::weak_ptr<bool>(alive_)] {
-              if (!alive.expired()) done();
-            });
+  cpu_->Submit(service, IfAlive(std::move(done)));
 }
 
 void TenantDb::RestoreBinlog(wal::Binlog log) {
@@ -480,9 +402,10 @@ void TenantDb::SyncCursorsAfterIngest(storage::Lsn source_last_lsn) {
   }
 }
 
-uint64_t TenantDb::StateDigest() const {
+uint64_t TenantDb::StateDigest(uint64_t lo, uint64_t hi) const {
   uint64_t digest = 0xcbf29ce484222325ULL;
-  for (auto it = table_.Begin(); it.Valid(); it.Next()) {
+  for (auto it = table_.Seek(lo); it.Valid() && it.record().key < hi;
+       it.Next()) {
     const storage::Record& r = it.record();
     digest = HashCombine(digest, r.key);
     digest = HashCombine(digest, r.lsn);
@@ -493,18 +416,6 @@ uint64_t TenantDb::StateDigest() const {
 
 uint64_t TenantDb::DataBytes() const {
   return config_.layout.PagesFor(table_.size()) * config_.layout.page_bytes;
-}
-
-uint64_t TenantDb::StateDigestRange(uint64_t lo, uint64_t hi) const {
-  uint64_t digest = 0xcbf29ce484222325ULL;
-  for (auto it = table_.Seek(lo); it.Valid() && it.record().key < hi;
-       it.Next()) {
-    const storage::Record& r = it.record();
-    digest = HashCombine(digest, r.key);
-    digest = HashCombine(digest, r.lsn);
-    digest = HashCombine(digest, r.digest);
-  }
-  return digest;
 }
 
 uint64_t TenantDb::RowsInRange(uint64_t lo, uint64_t hi) const {

@@ -2,14 +2,12 @@
 #define SLACKER_ENGINE_TENANT_DB_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <functional>
+#include <map>
 #include <memory>
-#include <set>
-#include <vector>
 
 #include "src/common/metric_types.h"
+#include "src/common/ring_deque.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_config.h"
@@ -85,45 +83,38 @@ class TenantDb {
   void WarmBufferPool();
 
   /// Executes one operation; `done` fires when its CPU and I/O are
-  /// complete. While frozen, operations queue and wait (global read
-  /// lock semantics).
+  /// complete. An operation touching a frozen key queues and waits
+  /// (read-lock semantics).
   void ExecuteOp(const Operation& op, OpCallback done);
 
   /// Appends the transaction commit record and charges the group-commit
   /// latency; `done` fires when the commit is durable.
   void Commit(uint64_t txn_id, std::function<void()> done);
 
-  /// Stops admitting operations; `drained` fires once in-flight work
-  /// completes (the freeze step of handover / stop-and-copy).
-  void Freeze(std::function<void()> drained);
+  /// Stops admitting operations that touch keys in [lo, hi); others
+  /// keep executing. The default interval is the whole key space: the
+  /// tenant-wide read lock of handover and stop-and-copy (§2.3). A
+  /// fluid-migration handover freezes just its range (DESIGN.md §16).
+  /// `drained` fires once every operation that was in flight and
+  /// overlapped the interval at freeze time completes. One freeze at a
+  /// time; bounds are raw integers so the engine stays below the range
+  /// module in the layer DAG.
+  void Freeze(std::function<void()> drained, uint64_t lo = 0,
+              uint64_t hi = UINT64_MAX);
+  /// Lifts the freeze and admits the queued operations, in order.
   void Unfreeze();
   /// Fails every operation queued behind the freeze with kUnavailable —
   /// used after handover when this replica stops being authoritative
-  /// (clients re-resolve and retry at the target).
+  /// for the frozen keys (clients re-resolve and retry at the target).
+  /// The freeze stays in place.
   void FailQueued();
-
-  // --- Range-scoped freeze (fluid migration, DESIGN.md §16) ---------
-  /// Stops admitting operations touching keys in [lo, hi) only; other
-  /// keys keep executing. `drained` fires once every in-flight
-  /// operation that overlaps the range completes — the per-range
-  /// freeze window, orders of magnitude shorter than a whole-tenant
-  /// freeze. One range freeze at a time; bounds are raw integers so
-  /// the engine stays below the range module in the layer DAG.
-  void FreezeRange(uint64_t lo, uint64_t hi, std::function<void()> drained);
-  /// Re-admits operations queued behind the range freeze, in order.
-  void UnfreezeRange();
-  /// Fails operations queued behind the range freeze with kUnavailable
-  /// (the range handed over; clients re-resolve to the new owner) and
-  /// lifts the freeze for future out-of-range admissions.
-  void FailRangeQueued();
-  bool range_frozen() const { return range_frozen_; }
-  /// Crash semantics: fails every *in-flight* operation (those already
-  /// inside the CPU/disk pipeline) and everything queued behind a
-  /// freeze with `status`. Late resource completions for those ops
-  /// become no-ops. Call before destroying the instance on a simulated
-  /// server crash so client callbacks fire instead of leaking.
-  void FailInFlight(const Status& status);
   bool frozen() const { return frozen_; }
+  /// Crash semantics: fails every *in-flight* operation (those already
+  /// inside the CPU/disk pipeline), oldest first, then everything queued
+  /// behind a freeze, with `status`. Late resource completions for those
+  /// ops become no-ops. Call before destroying the instance on a
+  /// simulated server crash so client callbacks fire instead of leaking.
+  void FailInFlight(const Status& status);
 
   /// Direct (non-simulated) access for backup/replication machinery.
   const storage::BTree& table() const { return table_; }
@@ -165,18 +156,16 @@ class TenantDb {
   /// the first LSN actually retained.
   storage::Lsn PurgeBinlog(storage::Lsn upto);
 
-  /// Order-sensitive digest over (key, lsn, digest) of every row; equal
-  /// digests mean byte-identical logical tables.
-  uint64_t StateDigest() const;
+  /// Order-sensitive digest over (key, lsn, digest) of every row with
+  /// key in [lo, hi); equal digests mean byte-identical logical tables
+  /// (or ranges — what source and target compare at a range handover).
+  uint64_t StateDigest(uint64_t lo = 0, uint64_t hi = UINT64_MAX) const;
 
   /// Logical bytes of table data (what a migration must copy).
   uint64_t DataBytes() const;
   /// Current data-directory inventory (table data + binlog).
   storage::DataDirectory Directory() const;
 
-  /// Order-sensitive digest over rows with key in [lo, hi) only —
-  /// what source and target compare at a per-range handover.
-  uint64_t StateDigestRange(uint64_t lo, uint64_t hi) const;
   /// Rows currently stored with key in [lo, hi).
   uint64_t RowsInRange(uint64_t lo, uint64_t hi) const;
   /// Logical bytes a migration of [lo, hi) must copy.
@@ -187,8 +176,7 @@ class TenantDb {
   uint64_t EraseRangeRows(uint64_t lo, uint64_t hi);
 
   uint64_t ops_executed() const { return ops_executed_; }
-  size_t queued_ops() const { return frozen_queue_.size(); }
-  size_t range_queued_ops() const { return range_frozen_queue_.size(); }
+  size_t queued_ops() const { return queue_.size(); }
   int in_flight() const { return in_flight_; }
 
   /// Hooks engine-level metrics into an observability registry: every
@@ -203,25 +191,36 @@ class TenantDb {
     OpCallback done;
   };
 
-  struct PendingDone {
+  /// One slot of the in-flight window, indexed by op token.
+  struct InFlightOp {
     Operation op;
     OpCallback done;
+    SimTime start = -1.0;  // Negative: not timed (no latency histogram).
+    bool live = false;     // False once finished or failed.
+    bool drains = false;   // Overlapped the freeze when it began.
   };
 
   void StartOp(const Operation& op, OpCallback done);
   void StartScan(const Operation& op, uint64_t token);
   void ScanNextPage(uint64_t page, uint64_t last_page, Operation op,
                     uint64_t token);
-  void FinishOp(const Operation& op, uint64_t token);
-  /// Registers an in-flight op's callback; FinishOp/FailInFlight claim
-  /// it exactly once by token.
+  void FinishOp(uint64_t token);
+  /// Opens an in-flight window slot for `op`; FinishOp/FailInFlight
+  /// claim it exactly once by the returned token.
   uint64_t RegisterOp(const Operation& op, OpCallback done);
   WrittenRow ApplyWrite(const Operation& op);
   void MaybeNotifyDrained();
-  void MaybeNotifyRangeDrained();
-  /// Whether `op` reads or writes a key inside the frozen range (an
+  /// Fails every queued op with `status`, in order.
+  void FailQueue(const Status& status);
+  /// Schedules `done(status)` on the event loop (no-op for null).
+  void FailLater(OpCallback done, const Status& status);
+  /// Whether `op` reads or writes a key inside the frozen interval (an
   /// insert touches it iff the next insert key would land there).
-  bool TouchesFrozenRange(const Operation& op) const;
+  bool TouchesFrozenKeys(const Operation& op) const;
+  /// Wraps a resource completion so it is dropped if this instance dies
+  /// first (crash or delete) — the resource time was still spent, as on
+  /// real hardware. Null stays null.
+  std::function<void()> IfAlive(std::function<void()> done) const;
   /// Pool-namespace id for this tenant's `page` (distinct across
   /// tenants sharing one pool).
   uint64_t PoolPageId(uint64_t page) const;
@@ -242,27 +241,24 @@ class TenantDb {
   int next_pin_token_ = 1;
 
   bool frozen_ = false;
-  std::deque<PendingOp> frozen_queue_;
+  uint64_t frozen_lo_ = 0;
+  uint64_t frozen_hi_ = 0;
+  RingDeque<PendingOp> queue_;
+  std::function<void()> drain_waiter_;
+  /// Live window slots whose `drains` bit is set.
+  int draining_ = 0;
+
+  /// In-flight ops by token: window_[i] holds token window_base_ + i.
+  /// Finished slots at the front are popped, so the window spans the
+  /// oldest in-flight op to the newest.
+  RingDeque<InFlightOp> window_;
+  uint64_t window_base_ = 1;
   int in_flight_ = 0;
-  std::vector<std::function<void()>> drain_waiters_;
   uint64_t ops_executed_ = 0;
 
-  /// Range freeze (fluid migration): only ops touching [range_lo_,
-  /// range_hi_) queue; the drain waits on exactly the in-flight tokens
-  /// that overlapped the range at freeze time.
-  bool range_frozen_ = false;
-  uint64_t range_lo_ = 0;
-  uint64_t range_hi_ = 0;
-  std::deque<PendingOp> range_frozen_queue_;
-  std::set<uint64_t> range_draining_tokens_;
-  std::vector<std::function<void()>> range_drain_waiters_;
-
-  uint64_t next_op_token_ = 1;
-  std::map<uint64_t, PendingDone> pending_done_;
   /// Observability (inert unless AttachObs was called).
   common::Histogram* op_latency_hist_ = nullptr;
   common::Counter* ops_counter_ = nullptr;
-  std::map<uint64_t, SimTime> op_start_;
   /// Expires when the instance is destroyed (server crash / tenant
   /// delete); continuations routed through the shared disk/CPU check it
   /// before touching `this`, so a crash can destroy the db while its

@@ -109,7 +109,7 @@ Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
   out->negotiation = NegotiationInfo();
   out->range_scoped = false;
   out->range_lo = 0;
-  out->range_hi = 0;
+  out->range_hi = UINT64_MAX;
   bool saw_codec_ext = false;
   bool saw_negotiation_ext = false;
   bool saw_range_ext = false;

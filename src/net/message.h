@@ -100,10 +100,11 @@ struct Message {
   /// kMigrateRequest: this migration moves only keys in
   /// [range_lo, range_hi) — one unit of a fluid, range-granular
   /// migration (DESIGN.md §16). Whole-tenant migrations leave it
-  /// false, which encodes to nothing (wire bytes stay identical).
+  /// false, which encodes to nothing (wire bytes stay identical); their
+  /// bounds keep the whole-key-space defaults.
   bool range_scoped = false;
   uint64_t range_lo = 0;
-  uint64_t range_hi = 0;
+  uint64_t range_hi = UINT64_MAX;
 
   bool operator==(const Message& other) const = default;
 

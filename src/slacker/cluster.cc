@@ -160,6 +160,13 @@ Status Cluster::StartMigration(uint64_t tenant_id, uint64_t target_server,
                                MigrationJob::DoneCallback done) {
   Result<uint64_t> host = directory_.Lookup(tenant_id);
   SLACKER_RETURN_IF_ERROR(host.status());
+  if (ranges_.IsSharded(tenant_id)) {
+    // A whole-tenant job would move only the directory host's ranges
+    // and leave the range directory naming a deleted instance.
+    return Status::FailedPrecondition(
+        "tenant " + std::to_string(tenant_id) +
+        " is sharded across servers; move its ranges instead");
+  }
   if (server(target_server) == nullptr) {
     return Status::NotFound("no such target server");
   }

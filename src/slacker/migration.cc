@@ -138,10 +138,12 @@ Status MigrationJob::Start() {
       return Status::FailedPrecondition(
           "range " + options_.range.ToString() + " not owned by source");
     }
-    if (source_db_->range_frozen()) {
-      return Status::FailedPrecondition(
-          "source already has a range freeze in progress");
-    }
+  }
+  // The engine holds one freeze at a time (crash recovery, another
+  // handover); this job's own freeze must not nest inside it.
+  if (source_db_->frozen()) {
+    return Status::FailedPrecondition(
+        "source already has a freeze in progress");
   }
 
   policy_ = MakeThrottlePolicy(options_, ctx_->MonitorOn(source_server_),
@@ -199,11 +201,9 @@ Status MigrationJob::Start() {
   request.target_server = target_server_;
   request.config = WireConfigFrom(source_db_->config());
   request.resume = options_.allow_resume;
-  if (options_.range_scoped) {
-    request.range_scoped = true;
-    request.range_lo = options_.range.lo;
-    request.range_hi = options_.range.hi;
-  }
+  request.range_scoped = options_.range_scoped;
+  request.range_lo = options_.range.lo;
+  request.range_hi = options_.range.hi;
   // Versioned sources advertise their capabilities; the target echoes
   // its own in the accept and the pair downgrades to the common
   // feature set (OnAccepted). Version-0 sources skip the extension so
@@ -259,9 +259,6 @@ void MigrationJob::ForceAbort(Status status) {
   if (source_db_ != nullptr && source_db_->frozen()) {
     source_db_->Unfreeze();
   }
-  if (source_db_ != nullptr && source_db_->range_frozen()) {
-    source_db_->UnfreezeRange();
-  }
   Finish(std::move(status));
 }
 
@@ -287,9 +284,6 @@ Status MigrationJob::Cancel(const std::string& reason) {
   // Stop-and-copy froze the tenant up front; give it back.
   if (source_db_ != nullptr && source_db_->frozen()) {
     source_db_->Unfreeze();
-  }
-  if (source_db_ != nullptr && source_db_->range_frozen()) {
-    source_db_->UnfreezeRange();
   }
   Finish(Status::Aborted("cancelled: " + reason));
   return Status::Ok();
@@ -553,15 +547,12 @@ void MigrationJob::NegotiateCapabilities(const net::Message& message) {
 
 void MigrationJob::BeginSnapshot() {
   EnterPhase(MigrationPhase::kSnapshot);
-  // A range job scans and ships only its unit; the delta filter keeps
+  // A job scans and ships only its range (the whole key space unless
+  // range-scoped; range jobs never resume); the delta filter keeps
   // other ranges' writes out of the stream (their jobs own them).
-  const uint64_t scan_from = options_.range_scoped
-                                 ? options_.range.lo
-                                 : (resuming_ ? resume_key_ : 0);
-  const uint64_t scan_to =
-      options_.range_scoped ? options_.range.hi : UINT64_MAX;
   snapshot_ = std::make_unique<backup::HotBackupStream>(
-      source_db_, options_.backup, scan_from, scan_to);
+      source_db_, options_.backup,
+      resuming_ ? resume_key_ : options_.range.lo, options_.range.hi);
   const storage::Lsn snap_lsn =
       resuming_ ? resume_lsn_ : snapshot_->start_lsn();
   shipper_ = std::make_unique<backup::DeltaShipper>(source_db_->binlog(),
@@ -1059,18 +1050,13 @@ void MigrationJob::BeginHandover() {
   }
   freeze_time_ = sim_->Now();
   freeze_span_ = obs::TraceSpan(tracer_, track_, "freeze", "handover");
-  if (options_.range_scoped) {
-    // Only the moving unit freezes; the tenant keeps serving every
-    // other range — the fluid-migration point (DESIGN.md §16).
-    source_db_->FreezeRange(options_.range.lo, options_.range.hi,
-                            [this, alive = std::weak_ptr<bool>(alive_)] {
-                              if (!alive.expired()) OnSourceDrained();
-                            });
-    return;
-  }
-  source_db_->Freeze([this, alive = std::weak_ptr<bool>(alive_)] {
-    if (!alive.expired()) OnSourceDrained();
-  });
+  // Only the moving range freezes; a range job's tenant keeps serving
+  // every other range — the fluid-migration point (DESIGN.md §16).
+  source_db_->Freeze(
+      [this, alive = std::weak_ptr<bool>(alive_)] {
+        if (!alive.expired()) OnSourceDrained();
+      },
+      options_.range.lo, options_.range.hi);
 }
 
 void MigrationJob::OnSourceDrained() {
@@ -1084,10 +1070,8 @@ void MigrationJob::OnSourceDrained() {
     }
     final_round = std::move(*round);
   }
-  source_digest_ = options_.range_scoped
-                       ? source_db_->StateDigestRange(options_.range.lo,
-                                                      options_.range.hi)
-                       : source_db_->StateDigest();
+  source_digest_ = source_db_->StateDigest(options_.range.lo,
+                                           options_.range.hi);
   report_.delta_bytes += final_round.bytes;
   // The final round always ships unencoded (handover bypasses both the
   // throttle and the codec), so wire bytes equal logical bytes.
@@ -1125,11 +1109,7 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     abort.tenant_id = tenant_id_;
     abort.error = "handover digest mismatch";
     ctx_->SendMessage(source_server_, target_server_, abort);
-    if (options_.range_scoped) {
-      source_db_->UnfreezeRange();
-    } else {
-      source_db_->Unfreeze();
-    }
+    source_db_->Unfreeze();
     Finish(Status::Corruption("handover digest mismatch"));
     return;
   }
@@ -1141,7 +1121,7 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     const Status moved =
         ranges->MoveRange(tenant_id_, options_.range, target_server_);
     if (!moved.ok()) {
-      source_db_->UnfreezeRange();
+      source_db_->Unfreeze();
       Finish(moved);
       return;
     }
@@ -1153,8 +1133,9 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     freeze_span_.AddArg("downtime_ms", report_.downtime_ms);
     freeze_span_.End();
     // Ops stranded behind the range freeze bounce; clients re-resolve
-    // by key and retry at the new owner.
-    source_db_->FailRangeQueued();
+    // by key and retry at the new owner. The other ranges keep serving.
+    source_db_->FailQueued();
+    source_db_->Unfreeze();
     // The handed-over rows now live at the target; drop the source's
     // copy of just this unit.
     source_db_->EraseRangeRows(options_.range.lo, options_.range.hi);
@@ -1683,9 +1664,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
       net::Message ack;
       ack.type = net::MessageType::kHandoverAck;
       ack.tenant_id = tenant_id_;
-      ack.digest = range_scoped_
-                       ? staging_->StateDigestRange(range_lo_, range_hi_)
-                       : staging_->StateDigest();
+      ack.digest = staging_->StateDigest(range_lo_, range_hi_);
       ctx_->SendMessage(self_server_, source_server_, ack);
       awaiting_decision_ = true;
       ArmDecisionProbe();

@@ -396,7 +396,7 @@ class TargetSession {
   /// never be deleted on abort — only the staged in-range rows are.
   bool range_scoped_ = false;
   uint64_t range_lo_ = 0;
-  uint64_t range_hi_ = 0;
+  uint64_t range_hi_ = UINT64_MAX;
   bool created_staging_ = true;
   uint64_t rows_received_ = 0;
   bool finished_ = false;

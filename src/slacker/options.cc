@@ -50,6 +50,8 @@ Status MigrationOptions::Validate() const {
     if (range.lo >= range.hi) {
       return Status::InvalidArgument("range must be non-empty");
     }
+  } else if (!range.IsFull()) {
+    return Status::InvalidArgument("a partial range needs range_scoped");
   }
   return Status::Ok();
 }

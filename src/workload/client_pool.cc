@@ -48,6 +48,10 @@ ClientPool::ClientPool(sim::Simulator* sim, YcsbWorkload* workload,
 
 void ClientPool::Start() {
   if (running_) return;
+  // A transaction routes by its first op's key; later ops on other keys
+  // would execute (and be acked) on a server that may not own them.
+  SLACKER_CHECK(!route_by_key_ || workload_->config().ops_per_txn == 1,
+                "route_by_key needs ops_per_txn == 1");
   running_ = true;
   if (workload_->config().open_loop) {
     ScheduleNextArrival();

@@ -137,10 +137,10 @@ class ClientPool {
 
   /// Route each transaction by its first operation's key through
   /// TenantResolver::ResolveForKey instead of the whole-tenant lookup
-  /// (DESIGN.md §16). For range-sharded tenants keep transactions
-  /// within one range (single-op transactions route exactly); inserts
-  /// route to the owner of the key-space tail, where new keys land.
-  /// Off by default — identical to Resolve for unsharded tenants.
+  /// (DESIGN.md §16). Requires single-op transactions (checked in
+  /// Start), which route exactly; inserts route to the owner of the
+  /// key-space tail, where new keys land. Off by default — identical to
+  /// Resolve for unsharded tenants.
   void set_route_by_key(bool route) { route_by_key_ = route; }
 
   /// Age (ms) of the oldest transaction not yet completed, or 0.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -345,6 +346,30 @@ TEST(RingDequeTest, PopReleasesSlotResources) {
   EXPECT_EQ(p.use_count(), 2);
   d.pop_front();
   EXPECT_EQ(p.use_count(), 1);  // Slot must not pin the old value.
+}
+
+TEST(RingDequeTest, MovedFromIsEmptyAndReusable) {
+  RingDeque<int> a;
+  for (int i = 0; i < 20; ++i) a.push_back(i);
+  a.pop_front();
+  RingDeque<int> b = std::move(a);
+  ASSERT_EQ(b.size(), 19u);
+  EXPECT_EQ(b.front(), 1);
+  EXPECT_EQ(b.back(), 19);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  a.clear();
+  a.push_back(7);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.front(), 7);
+
+  RingDeque<int> c;
+  c.push_back(3);
+  c = std::move(b);
+  EXPECT_EQ(c.size(), 19u);
+  EXPECT_EQ(c[18], 19);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  b.push_back(4);
+  EXPECT_EQ(b.front(), 4);
 }
 
 TEST(SlidingWindowMeanTest, EvictsOldSamples) {

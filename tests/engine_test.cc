@@ -177,6 +177,138 @@ TEST(TenantDbTest, FailQueuedRejectsWithUnavailable) {
   EXPECT_EQ(db.binlog()->record_count(), 0u);
 }
 
+TEST(TenantDbTest, RangeFreezeKeepsOutOfRangeOpsRunning) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  db.Freeze(nullptr, 0, 512);
+  bool inside_done = false, outside_done = false;
+  db.ExecuteOp(Operation{OpType::kRead, 100},
+               [&](Status, const WrittenRow&) { inside_done = true; });
+  db.ExecuteOp(Operation{OpType::kUpdate, 600},
+               [&](Status, const WrittenRow&) { outside_done = true; });
+  rig.sim.RunUntil(1.0);
+  EXPECT_TRUE(outside_done);
+  EXPECT_FALSE(inside_done);
+  EXPECT_EQ(db.queued_ops(), 1u);
+  db.Unfreeze();
+  rig.sim.RunUntil(2.0);
+  EXPECT_TRUE(inside_done);
+  EXPECT_FALSE(db.frozen());
+}
+
+TEST(TenantDbTest, RangeDrainWaitsOnlyForOverlappingOps) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  // Make key 100's page resident so its op finishes on CPU alone, while
+  // key 600 still misses and waits on the disk.
+  db.ExecuteOp(Operation{OpType::kRead, 100}, nullptr);
+  rig.sim.RunUntil(1.0);
+  bool inside_done = false, outside_done = false, drained = false;
+  db.ExecuteOp(Operation{OpType::kRead, 600},
+               [&](Status, const WrittenRow&) { outside_done = true; });
+  db.ExecuteOp(Operation{OpType::kRead, 100},
+               [&](Status, const WrittenRow&) { inside_done = true; });
+  db.Freeze(
+      [&] {
+        drained = true;
+        EXPECT_TRUE(inside_done);
+        EXPECT_FALSE(outside_done);  // Out-of-range work is not waited on.
+      },
+      0, 512);
+  EXPECT_FALSE(drained);
+  rig.sim.RunUntil(2.0);
+  EXPECT_TRUE(drained);
+  EXPECT_TRUE(outside_done);
+}
+
+TEST(TenantDbTest, InsertTouchesFrozenRangeIffCursorLandsInIt) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  // The insert cursor sits at 1024, just above every loaded key: an
+  // insert ignores op.key and is judged by where it will land.
+  db.Freeze(nullptr, 0, 1024);
+  uint64_t inserted = 0;
+  db.ExecuteOp(Operation{OpType::kInsert, 5},
+               [&](Status, const WrittenRow& w) { inserted = w.key; });
+  rig.sim.RunUntil(1.0);
+  EXPECT_EQ(inserted, 1024u);
+  db.Unfreeze();
+  db.Freeze(nullptr, 1025, 1026);
+  inserted = 0;
+  db.ExecuteOp(Operation{OpType::kInsert, 5},
+               [&](Status, const WrittenRow& w) { inserted = w.key; });
+  rig.sim.RunUntil(2.0);
+  EXPECT_EQ(inserted, 0u);
+  EXPECT_EQ(db.queued_ops(), 1u);
+  db.Unfreeze();
+  rig.sim.RunUntil(3.0);
+  EXPECT_EQ(inserted, 1025u);
+}
+
+TEST(TenantDbTest, FailQueuedKeepsFreezeUntilUnfreeze) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  db.Freeze(nullptr);
+  Status first;
+  db.ExecuteOp(Operation{OpType::kRead, 1},
+               [&](Status s, const WrittenRow&) { first = s; });
+  db.FailQueued();
+  EXPECT_TRUE(db.frozen());
+  bool second_done = false;
+  db.ExecuteOp(Operation{OpType::kRead, 2},
+               [&](Status s, const WrittenRow&) { second_done = s.ok(); });
+  rig.sim.RunUntil(1.0);
+  EXPECT_EQ(first.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(second_done);  // Still frozen: the new op queued.
+  EXPECT_EQ(db.queued_ops(), 1u);
+  db.Unfreeze();
+  rig.sim.RunUntil(2.0);
+  EXPECT_TRUE(second_done);
+}
+
+TEST(TenantDbTest, FailInFlightFailsOldestFirstThenQueue) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  std::vector<uint64_t> order;
+  auto record = [&](uint64_t key) {
+    return [&order, key](Status s, const WrittenRow&) {
+      EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+      order.push_back(key);
+    };
+  };
+  db.ExecuteOp(Operation{OpType::kRead, 10}, record(10));
+  db.ExecuteOp(Operation{OpType::kUpdate, 20}, record(20));
+  db.ExecuteOp(Operation{OpType::kRead, 30}, record(30));
+  bool drained = false;
+  db.Freeze([&] { drained = true; });
+  db.ExecuteOp(Operation{OpType::kRead, 40}, record(40));
+  db.ExecuteOp(Operation{OpType::kRead, 50}, record(50));
+  EXPECT_EQ(db.in_flight(), 3);
+  db.FailInFlight(Status::Unavailable("server crashed"));
+  EXPECT_EQ(db.in_flight(), 0);
+  EXPECT_EQ(db.queued_ops(), 0u);
+  rig.sim.RunUntil(1.0);
+  EXPECT_EQ(order, (std::vector<uint64_t>{10, 20, 30, 40, 50}));
+  EXPECT_TRUE(drained);
+  // Late disk/CPU completions of the failed ops are no-ops.
+  EXPECT_EQ(db.ops_executed(), 0u);
+  EXPECT_EQ(db.binlog()->record_count(), 0u);
+}
+
+TEST(TenantDbDeathTest, NestedFreezeIsFatal) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  db.Freeze(nullptr, 0, 100);
+  EXPECT_DEATH(db.Freeze(nullptr, 200, 300), "freeze already active");
+  EXPECT_DEATH(db.Freeze(nullptr), "freeze already active");
+}
+
 TEST(TenantDbTest, DirtyEvictionIssuesWriteback) {
   Rig rig;
   TenantConfig config = SmallConfig();

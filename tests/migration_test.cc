@@ -315,6 +315,28 @@ TEST(MigrationTest, StartRejectsBadRequests) {
       StatusCode::kFailedPrecondition);
 }
 
+TEST(MigrationTest, StopAndCopyRejectsSourceFrozenForRecovery) {
+  MigrationRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  rig.cluster.CrashServer(0);
+  rig.cluster.RestartServer(0, 1.0);
+  // The recovered instance stays frozen until its recovery read lands.
+  engine::TenantDb* db = nullptr;
+  while (db == nullptr && rig.sim.Now() < 10.0) {
+    rig.sim.RunUntil(rig.sim.Now() + 0.01);
+    db = rig.cluster.TenantOn(0, 1);
+  }
+  ASSERT_NE(db, nullptr);
+  ASSERT_TRUE(db->frozen());
+  EXPECT_EQ(rig.cluster
+                .StartMigration(1, 1, StopAndCopyOptions(16.0), rig.Done())
+                .code(),
+            StatusCode::kFailedPrecondition);
+  rig.sim.RunUntil(rig.sim.Now() + 30.0);
+  EXPECT_FALSE(db->frozen());
+  EXPECT_FALSE(rig.done);
+}
+
 TEST(MigrationTest, SecondMigrationAfterFirstWorks) {
   // Migrate 0 → 1, write some more, then 1 → 2: LSN and insert cursors
   // must survive the first handover for the second to converge.

@@ -203,7 +203,6 @@ TEST(RangeMigrationTest, MovesOnlyTheRangeAndShardsTheTenant) {
   ASSERT_NE(high, nullptr);
   EXPECT_FALSE(low->frozen());
   EXPECT_FALSE(high->frozen());
-  EXPECT_FALSE(low->range_frozen());
   // Rows moved, not copied: each instance holds exactly its half.
   EXPECT_EQ(low->table().size(), mid);
   EXPECT_EQ(high->table().size(), 64 * 1024 - mid);
@@ -259,6 +258,31 @@ TEST(RangeMigrationTest, GranularityOneFullRangeJobMatchesWholeTenant) {
   EXPECT_FALSE(rig.cluster.range_directory()->IsSharded(1));
 }
 
+TEST(RangeMigrationTest, WholeTenantMoveRejectsShardedTenant) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  const uint64_t mid = 32 * 1024;
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
+  ASSERT_TRUE(rig.cluster
+                  .StartRangeMigration(1, KeyRange{mid, kNoUpperBound}, 1,
+                                       FastLive(), rig.Done())
+                  .ok());
+  rig.sim.RunUntil(120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  ASSERT_TRUE(rig.cluster.range_directory()->IsSharded(1));
+  // A whole-tenant move would ship only server 0's half and strand the
+  // range directory's entries on a deleted instance.
+  rig.done = false;
+  EXPECT_EQ(rig.cluster.StartMigration(1, 2, FastLive(), rig.Done()).code(),
+            StatusCode::kFailedPrecondition);
+  rig.sim.RunUntil(rig.sim.Now() + 120.0);
+  EXPECT_FALSE(rig.done);
+  EXPECT_NE(rig.cluster.ResolveForKey(1, 0), nullptr);
+  EXPECT_NE(rig.cluster.ResolveForKey(1, mid), nullptr);
+  EXPECT_EQ(rig.cluster.TenantOn(2, 1), nullptr);
+}
+
 TEST(RangeMigrationTest, RejectsUnregisteredRangeAndBadModes) {
   RangeRig rig;
   ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
@@ -276,6 +300,10 @@ TEST(RangeMigrationTest, RejectsUnregisteredRangeAndBadModes) {
   // Stop-and-copy cannot be range-scoped.
   bad.range = KeyRange{0, 100};
   bad.mode = MigrationMode::kStopAndCopy;
+  EXPECT_FALSE(bad.Validate().ok());
+  // A partial range without range_scoped is not a whole-tenant job.
+  bad = FastLive();
+  bad.range = KeyRange{0, 100};
   EXPECT_FALSE(bad.Validate().ok());
 }
 
@@ -319,7 +347,9 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
     const storage::Record* row = owner_db->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked write to key " << key;
     EXPECT_GE(row->lsn, acked.lsn);
-    if (row->lsn == acked.lsn) EXPECT_EQ(row->digest, acked.digest);
+    if (row->lsn == acked.lsn) {
+      EXPECT_EQ(row->digest, acked.digest);
+    }
   }
 }
 
@@ -463,7 +493,6 @@ TEST(RangeCancelTest, CancelAtEveryPhase) {
       // source serves without any lingering range freeze.
       EXPECT_EQ(*dir->OwnerOf(1, mid), 0u);
       ASSERT_NE(rig.cluster.TenantOn(0, 1), nullptr);
-      EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->range_frozen());
       EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->frozen());
       EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
     }
@@ -557,7 +586,9 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
     const storage::Record* row = db->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked write to key " << key;
     EXPECT_GE(row->lsn, acked.lsn);
-    if (row->lsn == acked.lsn) EXPECT_EQ(row->digest, acked.digest);
+    if (row->lsn == acked.lsn) {
+      EXPECT_EQ(row->digest, acked.digest);
+    }
   }
   // Conservation: the default mix has no inserts or deletes, so after
   // quiescing every preloaded row exists exactly once fleet-wide.

@@ -223,6 +223,18 @@ TEST(ClientPoolTest, OpenLoopCompletesTransactions) {
   EXPECT_GT(pool.latencies().Mean(), 0.0);
 }
 
+TEST(ClientPoolDeathTest, KeyRoutingRequiresSingleOpTransactions) {
+  PoolRig rig;
+  YcsbConfig config = SmallYcsb();
+  config.ops_per_txn = 10;
+  YcsbWorkload workload(config, 1, 5);
+  ClientPool pool(&rig.sim, &workload, &rig);
+  pool.set_route_by_key(true);
+  // Routing by the first op's key would ack later ops on a server that
+  // may not own their keys.
+  EXPECT_DEATH(pool.Start(), "ops_per_txn");
+}
+
 TEST(ClientPoolTest, ArrivalRateMatchesPoisson) {
   PoolRig rig;
   YcsbConfig config = SmallYcsb();
