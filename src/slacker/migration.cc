@@ -1,6 +1,7 @@
 #include "src/slacker/migration.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "src/codec/delta.h"
@@ -20,6 +21,28 @@ namespace {
 constexpr uint64_t kMigrationStreamId = UINT64_MAX - 1;
 /// Target-side staging writes (chunk ingest + resume re-read).
 constexpr uint64_t kStagingStreamId = UINT64_MAX - 2;
+
+/// The frame of data that ships unencoded (never serialized).
+codec::FrameHeader RawFrame(uint64_t logical_bytes) {
+  return {.logical_bytes = logical_bytes, .encoded_bytes = logical_bytes};
+}
+
+/// Runs `send` once `source` has spent `cpu_seconds` encoding (at once
+/// when nothing was encoded), unless the job behind `alive` is gone.
+template <typename Send>
+void AfterEncodeCpu(engine::TenantDb* source, std::weak_ptr<bool> alive,
+                    double cpu_seconds, Send send) {
+  if (cpu_seconds <= 0.0) {
+    send();
+    return;
+  }
+  // Compression burns source cores; the data leaves only after the
+  // encode job finishes.
+  source->ChargeCpu(cpu_seconds, [alive = std::move(alive),
+                                  send = std::move(send)]() mutable {
+    if (!alive.expired()) send();
+  });
+}
 
 net::TenantWireConfig WireConfigFrom(const engine::TenantConfig& config) {
   net::TenantWireConfig wire;
@@ -181,8 +204,8 @@ Status MigrationJob::Start() {
           registry->FindOrCreateCounter("codec_logical_bytes", labels);
       codec_wire_bytes_counter_ =
           registry->FindOrCreateCounter("codec_wire_bytes", labels);
-      codec_cpu_ms_counter_ =
-          registry->FindOrCreateCounter("codec_cpu_ms", labels);
+      codec_cpu_us_counter_ =
+          registry->FindOrCreateCounter("codec_cpu_us", labels);
       codec_ratio_gauge_ =
           registry->FindOrCreateGauge("codec_compression_ratio", labels);
     }
@@ -536,8 +559,8 @@ void MigrationJob::NegotiateCapabilities(const net::Message& message) {
                    << target_version << ")";
   options_.codec.mode = negotiated;
   // The selector was built for the requested mode in Start(); rebuild
-  // it for the common feature set (or drop it entirely on a raw
-  // fallback, which reverts to the byte-identical raw pump).
+  // it for the common feature set, or drop it on a raw fallback, which
+  // makes the pumps stream raw.
   if (negotiated == codec::CodecMode::kRaw) {
     selector_.reset();
   } else {
@@ -585,152 +608,46 @@ void MigrationJob::BeginSnapshot() {
 
 void MigrationJob::PumpSnapshot() {
   if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
-  if (options_.codec.mode != codec::CodecMode::kRaw) {
-    PumpSnapshotEncoded();
-    return;
-  }
-  if (snapshot_->Done()) {
-    OnSnapshotDrained();
-    return;
-  }
-  if (acquiring_ || inflight_chunks_ >= options_.max_inflight_chunks) return;
-  acquiring_ = true;
-  throttle_->Acquire(options_.backup.chunk_bytes,
-                     [this, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
-    acquiring_ = false;
-    if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
-    if (snapshot_->Done()) {
-      OnSnapshotDrained();
-      return;
-    }
-    backup::HotBackupStream::Chunk chunk = snapshot_->NextChunk();
-    ++inflight_chunks_;
-    report_.snapshot_bytes += chunk.logical_bytes;
-    report_.snapshot_wire_bytes += chunk.logical_bytes;
-    ++report_.chunks_raw;
-    const uint64_t read_bytes = std::max<uint64_t>(chunk.logical_bytes, 1);
-    source_db_->ChargeSequentialRead(
-        read_bytes, kMigrationStreamId,
-        [this, alive = std::weak_ptr<bool>(alive_),
-         chunk = std::move(chunk)]() mutable {
-          if (alive.expired()) return;
-          net::Message msg;
-          msg.type = net::MessageType::kSnapshotChunk;
-          msg.tenant_id = tenant_id_;
-          msg.chunk_seq = chunk.seq;
-          msg.payload_bytes = chunk.logical_bytes;
-          msg.chunk_crc = backup::ChunkCrc(chunk.rows);
-          msg.rows = std::move(chunk.rows);
-          ctx_->SendMessage(source_server_, target_server_, msg);
-          if (auditor_ != nullptr) {
-            auditor_->OnChunkSent(tenant_id_, msg.payload_bytes,
-                                  msg.payload_bytes);
-          }
-          if (tracer_ != nullptr) {
-            if (snapshot_bytes_counter_ != nullptr) {
-              snapshot_bytes_counter_->Add(msg.payload_bytes);
-            }
-            if (chunks_sent_counter_ != nullptr) chunks_sent_counter_->Add();
-            obs::SnapshotChunkSent sent;
-            sent.tenant_id = tenant_id_;
-            sent.seq = msg.chunk_seq;
-            sent.bytes = msg.payload_bytes;
-            obs::EmitSnapshotChunkSent(tracer_, sent);
-          }
-          --inflight_chunks_;
-          PumpSnapshot();
-        });
-    // Keep acquiring tokens for the next chunk while this one is being
-    // read — the throttle, not the read completion, paces the stream.
-    PumpSnapshot();
-  });
-}
-
-void MigrationJob::ProducePendingChunk() {
-  backup::HotBackupStream::Chunk chunk = snapshot_->NextChunk();
-  codec::SelectorInputs inputs;
-  inputs.throttle_bytes_per_sec = throttle_->rate();
-  if (resource::CpuModel* cpu = ctx_->CpuOn(source_server_)) {
-    inputs.total_cores = cpu->cores();
-    inputs.busy_cores = cpu->busy_cores();
-  }
-  const auto base_it = chunk_cache_.find(chunk.seq);
-  inputs.has_delta_base = base_it != chunk_cache_.end() &&
-                          delta_blocked_.count(chunk.seq) == 0;
-  inputs.logical_bytes = chunk.logical_bytes;
-  const codec::Codec choice = selector_->Choose(inputs);
-  const std::vector<storage::Record>* base_rows =
-      inputs.has_delta_base ? &base_it->second.rows : nullptr;
-  PendingChunk pending;
-  pending.seq = chunk.seq;
-  pending.chunk_crc = backup::ChunkCrc(chunk.rows);
-  pending.enc =
-      backup::EncodeChunk(chunk, choice, options_.codec,
-                          source_db_->config().layout.record_bytes, base_rows);
-  // Remember this transmission as the delta base for a go-back-N
-  // resend: the target stages the same rows when the chunk arrives
-  // intact but out of order.
-  CachedChunk cached;
-  cached.crc = pending.chunk_crc;
-  cached.rows = std::move(chunk.rows);
-  chunk_cache_[chunk.seq] = std::move(cached);
-  while (chunk_cache_.size() >
-         static_cast<size_t>(options_.codec.max_cached_chunks)) {
-    chunk_cache_.erase(chunk_cache_.begin());
-  }
-  pending_chunk_ = std::move(pending);
-}
-
-void MigrationJob::PumpSnapshotEncoded() {
-  if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
   if (snapshot_->Done() && !pending_chunk_.has_value()) {
     OnSnapshotDrained();
     return;
   }
   if (acquiring_ || inflight_chunks_ >= options_.max_inflight_chunks) return;
-  // Encode before acquiring tokens: the throttle meters *wire* bytes,
-  // and the wire size is only known after the codec has run.
-  if (!pending_chunk_.has_value()) ProducePendingChunk();
-  const uint64_t wire_bytes =
-      std::max<uint64_t>(pending_chunk_->enc.frame.encoded_bytes, 1);
+  // The one raw-versus-codec decision is when the chunk is read. A codec
+  // meters wire bytes, which exist only once the chunk is encoded, so it
+  // reads first. A raw stream acquires the nominal chunk size and reads
+  // when the tokens arrive, so each chunk captures the rows as of its
+  // grant.
+  uint64_t tokens = options_.backup.chunk_bytes;
+  if (selector_ != nullptr) {
+    if (!pending_chunk_.has_value()) ProducePendingChunk();
+    tokens = std::max<uint64_t>(pending_chunk_->enc.frame.encoded_bytes, 1);
+  }
   acquiring_ = true;
-  throttle_->Acquire(wire_bytes, [this, alive = std::weak_ptr<bool>(alive_)] {
+  throttle_->Acquire(tokens, [this, alive = std::weak_ptr<bool>(alive_)] {
     if (alive.expired()) return;
     acquiring_ = false;
     if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
+    if (selector_ == nullptr && !snapshot_->Done()) ProducePendingChunk();
     if (!pending_chunk_.has_value()) {
-      // A NACK rewound the stream while the tokens were in flight; the
-      // grant is sunk but the pump restarts from the rewound cursor.
+      // Drained, or a NACK rewound the stream while the tokens were in
+      // flight: the grant is sunk and the pump restarts from the cursor.
       PumpSnapshot();
       return;
     }
     PendingChunk pending = std::move(*pending_chunk_);
     pending_chunk_.reset();
     ++inflight_chunks_;
-    const uint64_t logical = pending.enc.frame.logical_bytes;
-    const uint64_t wire = pending.enc.frame.encoded_bytes;
-    report_.snapshot_bytes += logical;
-    report_.snapshot_wire_bytes += wire;
-    report_.codec_cpu_seconds += pending.enc.cpu_seconds;
-    switch (pending.enc.frame.codec) {
-      case codec::Codec::kRaw:
-        ++report_.chunks_raw;
-        break;
-      case codec::Codec::kLz:
-        ++report_.chunks_lz;
-        selector_->ObserveRatio(static_cast<double>(logical) /
-                                static_cast<double>(std::max<uint64_t>(wire, 1)));
-        break;
-      case codec::Codec::kDelta:
-        ++report_.chunks_delta;
-        break;
-    }
-    const uint64_t read_bytes = std::max<uint64_t>(logical, 1);
+    const codec::FrameHeader& frame = pending.enc.frame;
+    report_.snapshot_bytes += frame.logical_bytes;
+    report_.snapshot_wire_bytes += frame.encoded_bytes;
+    CountChunk(frame, pending.enc.cpu_seconds);
+    const uint64_t read_bytes = std::max<uint64_t>(frame.logical_bytes, 1);
     source_db_->ChargeSequentialRead(
         read_bytes, kMigrationStreamId,
         [this, alive, pending = std::move(pending)]() mutable {
           if (alive.expired()) return;
+          const double cpu_seconds = pending.enc.cpu_seconds;
           auto send = [this, pending = std::move(pending)]() mutable {
             net::Message msg;
             msg.type = net::MessageType::kSnapshotChunk;
@@ -756,44 +673,112 @@ void MigrationJob::PumpSnapshotEncoded() {
               sent.seq = msg.chunk_seq;
               sent.bytes = msg.payload_bytes;
               obs::EmitSnapshotChunkSent(tracer_, sent);
-              obs::CodecChunkEncoded encoded;
-              encoded.tenant_id = tenant_id_;
-              encoded.seq = msg.chunk_seq;
-              encoded.codec = codec::CodecName(msg.frame.codec);
-              encoded.logical_bytes = msg.payload_bytes;
-              encoded.wire_bytes = msg.wire_payload_bytes();
-              encoded.cpu_ms = pending.enc.cpu_seconds * 1e3;
-              obs::EmitCodecChunkEncoded(tracer_, encoded);
-              if (codec_logical_bytes_counter_ != nullptr) {
-                codec_logical_bytes_counter_->Add(msg.payload_bytes);
-              }
-              if (codec_wire_bytes_counter_ != nullptr) {
-                codec_wire_bytes_counter_->Add(msg.wire_payload_bytes());
-              }
-              if (codec_cpu_ms_counter_ != nullptr) {
-                codec_cpu_ms_counter_->Add(pending.enc.cpu_seconds * 1e3);
-              }
-              if (codec_ratio_gauge_ != nullptr) {
-                codec_ratio_gauge_->Set(report_.CompressionRatio());
-              }
+              EmitCodecChunk(msg.chunk_seq, msg.frame,
+                             pending.enc.cpu_seconds);
             }
             --inflight_chunks_;
             PumpSnapshot();
           };
-          const double encode_cost = pending.enc.cpu_seconds;
-          if (encode_cost > 0.0) {
-            // Compression burns source cores; the chunk leaves only
-            // after the encode job finishes.
-            source_db_->ChargeCpu(encode_cost,
-                                  [alive, send = std::move(send)]() mutable {
-                                    if (!alive.expired()) send();
-                                  });
-          } else {
-            send();
-          }
+          AfterEncodeCpu(source_db_, alive, cpu_seconds, std::move(send));
         });
+    // Keep acquiring tokens for the next chunk while this one is being
+    // read — the throttle, not the read completion, paces the stream.
     PumpSnapshot();
   });
+}
+
+codec::SelectorInputs MigrationJob::SelectorInputsFor(
+    uint64_t logical_bytes) const {
+  codec::SelectorInputs inputs;
+  inputs.throttle_bytes_per_sec = throttle_->rate();
+  if (resource::CpuModel* cpu = ctx_->CpuOn(source_server_)) {
+    inputs.total_cores = cpu->cores();
+    inputs.busy_cores = cpu->busy_cores();
+  }
+  inputs.logical_bytes = logical_bytes;
+  return inputs;
+}
+
+void MigrationJob::ProducePendingChunk() {
+  backup::HotBackupStream::Chunk chunk = snapshot_->NextChunk();
+  PendingChunk pending;
+  pending.seq = chunk.seq;
+  pending.chunk_crc = backup::ChunkCrc(chunk.rows);
+  if (selector_ == nullptr) {
+    pending.enc.frame = RawFrame(chunk.logical_bytes);
+    pending.enc.rows = std::move(chunk.rows);
+  } else {
+    codec::SelectorInputs inputs = SelectorInputsFor(chunk.logical_bytes);
+    const auto base_it = chunk_cache_.find(chunk.seq);
+    inputs.has_delta_base = base_it != chunk_cache_.end() &&
+                            delta_blocked_.count(chunk.seq) == 0;
+    const codec::Codec choice = selector_->Choose(inputs);
+    const std::vector<storage::Record>* base_rows =
+        inputs.has_delta_base ? &base_it->second.rows : nullptr;
+    pending.enc = backup::EncodeChunk(chunk, choice, options_.codec,
+                                      source_db_->config().layout.record_bytes,
+                                      base_rows);
+    // Remember this transmission as the delta base for a go-back-N
+    // resend: the target stages the same rows when the chunk arrives
+    // intact but out of order.
+    CachedChunk cached;
+    cached.crc = pending.chunk_crc;
+    cached.rows = std::move(chunk.rows);
+    chunk_cache_[chunk.seq] = std::move(cached);
+    while (chunk_cache_.size() >
+           static_cast<size_t>(options_.codec.max_cached_chunks)) {
+      chunk_cache_.erase(chunk_cache_.begin());
+    }
+  }
+  pending_chunk_ = std::move(pending);
+}
+
+void MigrationJob::CountChunk(const codec::FrameHeader& frame,
+                              double cpu_seconds) {
+  report_.codec_cpu_seconds += cpu_seconds;
+  switch (frame.codec) {
+    case codec::Codec::kRaw:
+      ++report_.chunks_raw;
+      break;
+    case codec::Codec::kLz:
+      ++report_.chunks_lz;
+      selector_->ObserveRatio(
+          static_cast<double>(frame.logical_bytes) /
+          static_cast<double>(std::max<uint64_t>(frame.encoded_bytes, 1)));
+      break;
+    case codec::Codec::kDelta:
+      ++report_.chunks_delta;
+      break;
+  }
+}
+
+void MigrationJob::EmitCodecChunk(uint64_t seq,
+                                  const codec::FrameHeader& frame,
+                                  double cpu_seconds) {
+  // Raw streams emit no codec rows, so their exports carry none.
+  if (tracer_ == nullptr || selector_ == nullptr) return;
+  obs::CodecChunkEncoded encoded;
+  encoded.tenant_id = tenant_id_;
+  encoded.seq = seq;
+  encoded.codec = codec::CodecName(frame.codec);
+  encoded.logical_bytes = frame.logical_bytes;
+  encoded.wire_bytes = frame.encoded_bytes;
+  encoded.cpu_ms = cpu_seconds * 1e3;
+  obs::EmitCodecChunkEncoded(tracer_, encoded);
+  if (codec_logical_bytes_counter_ != nullptr) {
+    codec_logical_bytes_counter_->Add(frame.logical_bytes);
+  }
+  if (codec_wire_bytes_counter_ != nullptr) {
+    codec_wire_bytes_counter_->Add(frame.encoded_bytes);
+  }
+  if (codec_cpu_us_counter_ != nullptr) {
+    // Whole microseconds: a chunk's encode CPU is often under 2 ms.
+    codec_cpu_us_counter_->Add(
+        static_cast<uint64_t>(std::llround(cpu_seconds * 1e6)));
+  }
+  if (codec_ratio_gauge_ != nullptr) {
+    codec_ratio_gauge_->Set(report_.CompressionRatio());
+  }
 }
 
 void MigrationJob::OnSnapshotDrained() {
@@ -833,13 +818,11 @@ void MigrationJob::OnSnapshotNack(const net::Message& message) {
     obs::EmitSnapshotNack(tracer_, nack);
   }
   // Go-back-N: rewind the cursor to the gap and restream from there.
-  if (options_.codec.mode != codec::CodecMode::kRaw) {
-    // The NACKed seq is exactly the chunk the target holds no staged
-    // base for (later chunks were staged when they arrived intact), so
-    // only this seq must resend raw; the rest may ship as deltas.
-    delta_blocked_.insert(message.chunk_seq);
-    pending_chunk_.reset();
-  }
+  // The NACKed seq is exactly the chunk the target holds no staged base
+  // for (later chunks were staged when they arrived intact), so only
+  // this seq must resend raw; the rest may ship as deltas.
+  delta_blocked_.insert(message.chunk_seq);
+  pending_chunk_.reset();
   snapshot_->RewindTo(message.chunk_seq);
   snapshot_sent_end_ = false;
   PumpSnapshot();
@@ -868,107 +851,57 @@ void MigrationJob::BeginDeltaRounds() {
 
 void MigrationJob::ShipNextDelta() {
   if (finished_ || phase_ != MigrationPhase::kDelta) return;
-  if (options_.codec.mode != codec::CodecMode::kRaw) {
-    ShipNextDeltaEncoded();
-    return;
-  }
   const uint64_t pending = shipper_->PendingBytes();
   if (pending <= options_.delta_handover_bytes ||
       shipper_->rounds_shipped() >= options_.max_delta_rounds) {
     BeginHandover();
     return;
   }
-  throttle_->Acquire(pending, [this, alive = std::weak_ptr<bool>(alive_)] {
+  // The read-versus-tokens decision of PumpSnapshot: a codec reads and
+  // encodes the round first and meters its wire bytes; a raw stream
+  // acquires the pending bytes and reads on the grant, so writes that
+  // land during the wait join this round instead of the next.
+  uint64_t tokens = pending;
+  std::optional<PendingRound> round;
+  if (selector_ != nullptr) {
+    round = ReadDeltaRound();
+    if (!round.has_value()) return;
+    tokens = std::max<uint64_t>(round->frame.encoded_bytes, 1);
+  }
+  throttle_->Acquire(tokens, [this, alive = std::weak_ptr<bool>(alive_),
+                              round = std::move(round)]() mutable {
     if (alive.expired()) return;
     if (finished_ || phase_ != MigrationPhase::kDelta) return;
-    Result<backup::DeltaRound> round = shipper_->ReadRound();
-    if (!round.ok()) {
-      Finish(round.status());
-      return;
-    }
-    if (round->empty()) {
-      BeginHandover();
-      return;
-    }
-    report_.delta_bytes += round->bytes;
-    report_.delta_wire_bytes += round->bytes;
-    ++report_.chunks_raw;
-    ++report_.delta_rounds;
-    if (tracer_ != nullptr) {
-      if (delta_bytes_counter_ != nullptr) {
-        delta_bytes_counter_->Add(round->bytes);
-      }
-      obs::DeltaRoundShipped shipped;
-      shipped.tenant_id = tenant_id_;
-      shipped.round = report_.delta_rounds;
-      shipped.bytes = round->bytes;
-      shipped.remaining_bytes = shipper_->PendingBytes();
-      obs::EmitDeltaRoundShipped(tracer_, shipped);
-      delta_round_span_ = obs::TraceSpan(
-          tracer_, track_,
-          "delta round " + std::to_string(report_.delta_rounds), "delta");
-      delta_round_span_.AddArg("bytes", static_cast<double>(round->bytes));
-      delta_round_span_.AddArg("remaining_bytes",
-                               static_cast<double>(shipper_->PendingBytes()));
-    }
-    const uint64_t read_bytes = std::max<uint64_t>(round->bytes, 1);
-    source_db_->ChargeSequentialRead(
-        read_bytes, kMigrationStreamId,
-        [this, alive = std::weak_ptr<bool>(alive_),
-         round = std::move(*round)]() mutable {
-          if (alive.expired()) return;
-          net::Message msg;
-          msg.type = net::MessageType::kDeltaBatch;
-          msg.tenant_id = tenant_id_;
-          msg.lsn = round.to;
-          msg.payload_bytes = round.bytes;
-          msg.log_records = std::move(round.records);
-          ctx_->SendMessage(source_server_, target_server_, msg);
-        });
+    if (selector_ == nullptr) round = ReadDeltaRound();
+    if (round.has_value()) SendDeltaRound(std::move(*round));
   });
 }
 
-void MigrationJob::ShipNextDeltaEncoded() {
-  if (finished_ || phase_ != MigrationPhase::kDelta) return;
-  const uint64_t pending = shipper_->PendingBytes();
-  if (pending <= options_.delta_handover_bytes ||
-      shipper_->rounds_shipped() >= options_.max_delta_rounds) {
+std::optional<MigrationJob::PendingRound> MigrationJob::ReadDeltaRound() {
+  Result<backup::DeltaRound> read = shipper_->ReadRound();
+  if (!read.ok()) {
+    Finish(read.status());
+    return std::nullopt;
+  }
+  if (read->empty()) {
     BeginHandover();
-    return;
+    return std::nullopt;
   }
-  // Unlike the raw path, the round is read *before* token acquisition:
-  // the throttle meters wire bytes, which only exist post-encode.
-  // Writes that land during the token wait roll into the next round.
-  Result<backup::DeltaRound> round_result = shipper_->ReadRound();
-  if (!round_result.ok()) {
-    Finish(round_result.status());
-    return;
-  }
-  if (round_result->empty()) {
-    BeginHandover();
-    return;
-  }
-  backup::DeltaRound round = std::move(*round_result);
-  codec::SelectorInputs inputs;
-  inputs.throttle_bytes_per_sec = throttle_->rate();
-  if (resource::CpuModel* cpu = ctx_->CpuOn(source_server_)) {
-    inputs.total_cores = cpu->cores();
-    inputs.busy_cores = cpu->busy_cores();
-  }
-  inputs.logical_bytes = round.bytes;
-  codec::EncodedChunk enc =
-      backup::EncodeRound(round, selector_->Choose(inputs), options_.codec);
-  report_.delta_bytes += round.bytes;
-  report_.delta_wire_bytes += enc.frame.encoded_bytes;
-  report_.codec_cpu_seconds += enc.cpu_seconds;
-  if (enc.frame.codec == codec::Codec::kLz) {
-    ++report_.chunks_lz;
-    selector_->ObserveRatio(
-        static_cast<double>(round.bytes) /
-        static_cast<double>(std::max<uint64_t>(enc.frame.encoded_bytes, 1)));
+  PendingRound pending;
+  pending.round = std::move(*read);
+  const backup::DeltaRound& round = pending.round;
+  if (selector_ == nullptr) {
+    pending.frame = RawFrame(round.bytes);
   } else {
-    ++report_.chunks_raw;
+    const codec::EncodedChunk enc = backup::EncodeRound(
+        round, selector_->Choose(SelectorInputsFor(round.bytes)),
+        options_.codec);
+    pending.frame = enc.frame;
+    pending.cpu_seconds = enc.cpu_seconds;
   }
+  report_.delta_bytes += round.bytes;
+  report_.delta_wire_bytes += pending.frame.encoded_bytes;
+  CountChunk(pending.frame, pending.cpu_seconds);
   ++report_.delta_rounds;
   if (tracer_ != nullptr) {
     if (delta_bytes_counter_ != nullptr) {
@@ -986,58 +919,31 @@ void MigrationJob::ShipNextDeltaEncoded() {
     delta_round_span_.AddArg("bytes", static_cast<double>(round.bytes));
     delta_round_span_.AddArg("remaining_bytes",
                              static_cast<double>(shipper_->PendingBytes()));
-    obs::CodecChunkEncoded encoded;
-    encoded.tenant_id = tenant_id_;
-    encoded.seq = static_cast<uint64_t>(report_.delta_rounds);
-    encoded.codec = codec::CodecName(enc.frame.codec);
-    encoded.logical_bytes = round.bytes;
-    encoded.wire_bytes = enc.frame.encoded_bytes;
-    encoded.cpu_ms = enc.cpu_seconds * 1e3;
-    obs::EmitCodecChunkEncoded(tracer_, encoded);
-    if (codec_logical_bytes_counter_ != nullptr) {
-      codec_logical_bytes_counter_->Add(round.bytes);
-    }
-    if (codec_wire_bytes_counter_ != nullptr) {
-      codec_wire_bytes_counter_->Add(enc.frame.encoded_bytes);
-    }
-    if (codec_cpu_ms_counter_ != nullptr) {
-      codec_cpu_ms_counter_->Add(enc.cpu_seconds * 1e3);
-    }
-    if (codec_ratio_gauge_ != nullptr) {
-      codec_ratio_gauge_->Set(report_.CompressionRatio());
-    }
+    EmitCodecChunk(static_cast<uint64_t>(report_.delta_rounds), pending.frame,
+                   pending.cpu_seconds);
   }
-  const uint64_t wire_bytes = std::max<uint64_t>(enc.frame.encoded_bytes, 1);
-  throttle_->Acquire(
-      wire_bytes, [this, alive = std::weak_ptr<bool>(alive_),
-                   round = std::move(round), frame = enc.frame,
-                   cost = enc.cpu_seconds]() mutable {
+  return pending;
+}
+
+void MigrationJob::SendDeltaRound(PendingRound pending) {
+  const uint64_t read_bytes = std::max<uint64_t>(pending.round.bytes, 1);
+  source_db_->ChargeSequentialRead(
+      read_bytes, kMigrationStreamId,
+      [this, alive = std::weak_ptr<bool>(alive_),
+       pending = std::move(pending)]() mutable {
         if (alive.expired()) return;
-        if (finished_ || phase_ != MigrationPhase::kDelta) return;
-        const uint64_t read_bytes = std::max<uint64_t>(round.bytes, 1);
-        source_db_->ChargeSequentialRead(
-            read_bytes, kMigrationStreamId,
-            [this, alive, round = std::move(round), frame, cost]() mutable {
-              if (alive.expired()) return;
-              auto send = [this, round = std::move(round), frame]() mutable {
-                net::Message msg;
-                msg.type = net::MessageType::kDeltaBatch;
-                msg.tenant_id = tenant_id_;
-                msg.lsn = round.to;
-                msg.payload_bytes = round.bytes;
-                msg.frame = frame;
-                msg.log_records = std::move(round.records);
-                ctx_->SendMessage(source_server_, target_server_, msg);
-              };
-              if (cost > 0.0) {
-                source_db_->ChargeCpu(cost,
-                                      [alive, send = std::move(send)]() mutable {
-                                        if (!alive.expired()) send();
-                                      });
-              } else {
-                send();
-              }
-            });
+        const double cpu_seconds = pending.cpu_seconds;
+        auto send = [this, pending = std::move(pending)]() mutable {
+          net::Message msg;
+          msg.type = net::MessageType::kDeltaBatch;
+          msg.tenant_id = tenant_id_;
+          msg.lsn = pending.round.to;
+          msg.payload_bytes = pending.round.bytes;
+          msg.frame = pending.frame;
+          msg.log_records = std::move(pending.round.records);
+          ctx_->SendMessage(source_server_, target_server_, msg);
+        };
+        AfterEncodeCpu(source_db_, alive, cpu_seconds, std::move(send));
       });
 }
 

@@ -210,25 +210,38 @@ class MigrationJob {
   /// deterministically, never fail. No-op for legacy (v0) pairs.
   void NegotiateCapabilities(const net::Message& message);
   void BeginSnapshot();
+  /// Streams the snapshot through the throttle. With a codec a chunk is
+  /// read and encoded before its tokens are acquired, raw after.
   void PumpSnapshot();
-  /// Codec-enabled snapshot pump (options_.codec.mode != kRaw): picks a
-  /// per-chunk codec, encodes, then meters *wire* bytes through the
-  /// throttle while progress accounting stays logical. The raw pump
-  /// stays byte-identical for golden traces.
-  void PumpSnapshotEncoded();
-  /// Reads the next chunk and encodes it under the selector's choice;
-  /// fills pending_chunk_.
+  /// Reads the next chunk into pending_chunk_, encoded under the
+  /// selector's choice or as a raw frame when selector_ is null.
   void ProducePendingChunk();
   void OnSnapshotDrained();
   /// Target reported a gap or corrupt chunk: go-back-N to `chunk_seq`.
   void OnSnapshotNack(const net::Message& message);
   void BeginPrepare();
   void BeginDeltaRounds();
+  /// Ships one delta round, read before or after its tokens as in
+  /// PumpSnapshot.
   void ShipNextDelta();
-  /// Codec-enabled delta shipping: rounds are read first (wire size is
-  /// only known post-encode), LZ-compressed when the selector engages,
-  /// and metered through the throttle in wire bytes.
-  void ShipNextDeltaEncoded();
+  /// A delta round with its frame and modeled encode CPU.
+  struct PendingRound {
+    backup::DeltaRound round;
+    codec::FrameHeader frame;
+    double cpu_seconds = 0.0;
+  };
+  /// Reads, encodes, accounts and traces the next round; empty when the
+  /// job finished on a read error or began the handover instead.
+  std::optional<PendingRound> ReadDeltaRound();
+  /// Disk read, encode CPU, then kDeltaBatch to the target.
+  void SendDeltaRound(PendingRound pending);
+  codec::SelectorInputs SelectorInputsFor(uint64_t logical_bytes) const;
+  /// Counts one chunk or round's codec and encode CPU in the report;
+  /// LZ ratios feed the selector.
+  void CountChunk(const codec::FrameHeader& frame, double cpu_seconds);
+  /// The codec_chunk event and codec counters; no-op for raw streams.
+  void EmitCodecChunk(uint64_t seq, const codec::FrameHeader& frame,
+                      double cpu_seconds);
   void BeginHandover();
   void OnSourceDrained();
   void OnHandoverAck(const net::Message& message);
@@ -268,7 +281,7 @@ class MigrationJob {
   // and a non-raw codec are on, so default runs add no metric rows.
   obs::Counter* codec_logical_bytes_counter_ = nullptr;
   obs::Counter* codec_wire_bytes_counter_ = nullptr;
-  obs::Counter* codec_cpu_ms_counter_ = nullptr;
+  obs::Counter* codec_cpu_us_counter_ = nullptr;
   obs::Gauge* codec_ratio_gauge_ = nullptr;
 
   engine::TenantDb* source_db_ = nullptr;
@@ -296,8 +309,8 @@ class MigrationJob {
   /// Consecutive over-threshold controller ticks (overload bail-out).
   int overload_strikes_ = 0;
 
-  // --- Codec pipeline state (inert when options_.codec.mode == kRaw).
-  /// Per-chunk adaptive codec choice.
+  // --- Codec pipeline state (inert when selector_ is null).
+  /// Per-chunk adaptive codec choice; null when the stream is raw.
   std::unique_ptr<codec::CodecSelector> selector_;
   /// A transmitted chunk kept as a future delta-retransmission base,
   /// keyed by seq; mirrors what the target durably stages. Bounded by
@@ -311,7 +324,7 @@ class MigrationJob {
   /// precisely the chunk the target failed to stage, so no base exists
   /// there. Cleared per migration.
   std::set<uint64_t> delta_blocked_;
-  /// The encoded chunk currently waiting on throttle tokens.
+  /// The chunk read ahead of its throttle tokens (codec streams only).
   struct PendingChunk {
     uint64_t seq = 0;
     uint32_t chunk_crc = 0;

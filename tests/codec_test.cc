@@ -1,15 +1,18 @@
 // Tests for the src/codec subsystem: the deterministic LZ block
 // compressor, the checksummed frame header, the row-delta encoder, the
-// adaptive selector, and the end-to-end delta-retransmission path
+// adaptive selector, the end-to-end delta-retransmission path
 // (HotBackupStream::RewindTo reconciling against a mutated table, and a
-// full migration with a forced NACK shipping delta frames).
+// full migration with a forced NACK shipping delta frames), and pinned
+// fingerprints of the raw and adaptive migration streams.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/backup/delta_shipper.h"
@@ -21,14 +24,19 @@
 #include "src/codec/payload.h"
 #include "src/codec/selector.h"
 #include "src/common/bytes.h"
+#include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
 #include "src/net/channel.h"
+#include "src/obs/chrome_trace.h"
+#include "src/obs/csv_export.h"
+#include "src/obs/trace.h"
 #include "src/resource/cpu.h"
 #include "src/resource/disk.h"
 #include "src/sim/simulator.h"
 #include "src/slacker/cluster.h"
+#include "src/slacker/metrics.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
 
@@ -381,70 +389,81 @@ TEST(DeltaRetransmissionTest, RewindedChunkReconcilesAsDeltaOrRaw) {
 TEST(CodecMigrationTest, ForcedNackShipsDeltaFramesAndConverges) {
   // Drop exactly one snapshot chunk mid-stream. The gap NACKs, the
   // source rewinds, and — in adaptive mode — every re-sent chunk the
-  // target already staged ships as a delta frame. The migration must
-  // still converge with matching digests.
-  sim::Simulator sim;
-  ClusterOptions cluster_options;
-  cluster_options.num_servers = 2;
-  Cluster cluster(&sim, cluster_options);
+  // target already staged ships as a delta frame; a raw stream resends
+  // them whole. The migration must still converge with matching digests.
+  for (const CodecMode mode : {CodecMode::kAdaptive, CodecMode::kRaw}) {
+    SCOPED_TRACE(CodecModeName(mode));
+    sim::Simulator sim;
+    ClusterOptions cluster_options;
+    cluster_options.num_servers = 2;
+    Cluster cluster(&sim, cluster_options);
 
-  engine::TenantConfig tenant;
-  tenant.tenant_id = 1;
-  tenant.layout.record_count = 16 * 1024;
-  tenant.buffer_pool_bytes = 2 * kMiB;
-  ASSERT_TRUE(cluster.AddTenant(0, tenant).ok());
+    engine::TenantConfig tenant;
+    tenant.tenant_id = 1;
+    tenant.layout.record_count = 16 * 1024;
+    tenant.buffer_pool_bytes = 2 * kMiB;
+    ASSERT_TRUE(cluster.AddTenant(0, tenant).ok());
 
-  auto dropped = std::make_shared<bool>(false);
-  cluster.ChannelBetween(0, 1)->SetDeliveryFilter(
-      [dropped](net::Message* m) {
-        if (!*dropped && m->type == net::MessageType::kSnapshotChunk &&
-            m->chunk_seq == 2) {
-          *dropped = true;
-          return false;
-        }
-        return true;
-      });
+    auto dropped = std::make_shared<bool>(false);
+    cluster.ChannelBetween(0, 1)->SetDeliveryFilter(
+        [dropped](net::Message* m) {
+          if (!*dropped && m->type == net::MessageType::kSnapshotChunk &&
+              m->chunk_seq == 2) {
+            *dropped = true;
+            return false;
+          }
+          return true;
+        });
 
-  workload::YcsbConfig ycsb;
-  ycsb.record_count = tenant.layout.record_count;
-  ycsb.mean_interarrival = 0.2;
-  workload::YcsbWorkload workload(ycsb, 1, 0xc0de);
-  workload::ClientPool pool(&sim, &workload, &cluster,
-                            cluster.MakeLatencyObserver());
-  cluster.AttachClientPool(1, &pool);
-  pool.Start();
-  sim.RunUntil(2.0);
+    workload::YcsbConfig ycsb;
+    ycsb.record_count = tenant.layout.record_count;
+    ycsb.mean_interarrival = 0.2;
+    workload::YcsbWorkload workload(ycsb, 1, 0xc0de);
+    workload::ClientPool pool(&sim, &workload, &cluster,
+                              cluster.MakeLatencyObserver());
+    cluster.AttachClientPool(1, &pool);
+    pool.Start();
+    sim.RunUntil(2.0);
 
-  MigrationOptions options;
-  options.throttle = ThrottleKind::kFixed;
-  options.fixed_rate_mbps = 16.0;
-  options.prepare.base_seconds = 0.5;
-  options.codec.mode = CodecMode::kAdaptive;
-  MigrationReport report;
-  bool done = false;
-  ASSERT_TRUE(cluster
-                  .StartMigration(1, 1, options,
-                                  [&](const MigrationReport& r) {
-                                    report = r;
-                                    done = true;
-                                  })
-                  .ok());
-  sim.RunUntil(120.0);
-  pool.Stop();
-  sim.RunUntil(140.0);
+    MigrationOptions options;
+    options.throttle = ThrottleKind::kFixed;
+    options.fixed_rate_mbps = 16.0;
+    options.prepare.base_seconds = 0.5;
+    options.codec.mode = mode;
+    MigrationReport report;
+    bool done = false;
+    ASSERT_TRUE(cluster
+                    .StartMigration(1, 1, options,
+                                    [&](const MigrationReport& r) {
+                                      report = r;
+                                      done = true;
+                                    })
+                    .ok());
+    sim.RunUntil(120.0);
+    pool.Stop();
+    sim.RunUntil(140.0);
 
-  ASSERT_TRUE(done);
-  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
-  EXPECT_TRUE(report.digest_match);
-  EXPECT_TRUE(*dropped);
+    ASSERT_TRUE(done);
+    ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+    EXPECT_TRUE(report.digest_match);
+    EXPECT_TRUE(*dropped);
 
-  // The retransmitted tail shipped as deltas against staged bases.
-  EXPECT_GE(report.chunks_delta, 1u);
-  // The compressible workload plus the retransmission deltas must beat
-  // raw on the wire.
-  EXPECT_LT(report.snapshot_wire_bytes, report.snapshot_bytes);
-  EXPECT_GT(report.CompressionRatio(), 1.0);
-  EXPECT_GT(report.codec_cpu_seconds, 0.0);
+    if (mode == CodecMode::kRaw) {
+      EXPECT_GE(report.chunks_retransmitted, 1u);
+      EXPECT_EQ(report.chunks_delta, 0u);
+      EXPECT_EQ(report.snapshot_wire_bytes, report.snapshot_bytes);
+      EXPECT_EQ(report.delta_wire_bytes, report.delta_bytes);
+      EXPECT_EQ(report.codec_cpu_seconds, 0.0);
+      continue;
+    }
+    // The retransmitted tail shipped as deltas against staged bases.
+    EXPECT_GE(report.chunks_delta, 1u);
+    // The compressible workload plus the retransmission deltas must beat
+    // raw on the wire.
+    EXPECT_LT(report.snapshot_wire_bytes, report.snapshot_bytes);
+    EXPECT_GT(report.CompressionRatio(), 1.0);
+    EXPECT_GT(report.codec_cpu_seconds, 0.0);
+  }
 }
 
 TEST(CodecMigrationTest, RawAndAdaptiveConvergeToSameAuthority) {
@@ -578,6 +597,167 @@ TEST(CodecMigrationTest, MixedVersionPairDowngradesToCommonCodec) {
       EXPECT_EQ(report.snapshot_wire_bytes, report.snapshot_bytes);
       EXPECT_EQ(report.delta_wire_bytes, report.delta_bytes);
     }
+  }
+}
+
+// ------------------------------------------------ Stream fingerprints
+
+// What one small traced live migration emits: the report, the Chrome
+// trace, the metric CSV (sampled by a 1 Hz collector) and the final
+// codec_cpu_us counter.
+struct StreamRun {
+  MigrationReport report;
+  std::string trace;
+  std::string csv;
+  uint64_t codec_cpu_us = 0;
+};
+
+// A write workload runs on a 4 MiB tenant while it migrates at a fixed
+// 1 MB/s, shipping delta rounds until under 2 KiB remain; `drop_chunk`
+// loses snapshot chunk 2 once so go-back-N runs.
+StreamRun RunTracedStream(CodecMode mode, bool drop_chunk) {
+  sim::Simulator sim;
+  obs::Tracer tracer([&sim] { return sim.Now(); });
+  ClusterOptions cluster_options;
+  cluster_options.num_servers = 2;
+  Cluster cluster(&sim, cluster_options);
+  cluster.InstallTracer(&tracer);
+
+  engine::TenantConfig tenant;
+  tenant.tenant_id = 1;
+  tenant.layout.record_count = 4 * 1024;
+  tenant.buffer_pool_bytes = 2 * kMiB;
+  EXPECT_TRUE(cluster.AddTenant(0, tenant).ok());
+  if (drop_chunk) {
+    auto dropped = std::make_shared<bool>(false);
+    cluster.ChannelBetween(0, 1)->SetDeliveryFilter(
+        [dropped](net::Message* m) {
+          if (!*dropped && m->type == net::MessageType::kSnapshotChunk &&
+              m->chunk_seq == 2) {
+            *dropped = true;
+            return false;
+          }
+          return true;
+        });
+  }
+
+  workload::YcsbConfig ycsb;
+  ycsb.record_count = tenant.layout.record_count;
+  ycsb.mean_interarrival = 0.05;
+  workload::YcsbWorkload workload(ycsb, 1, 0x5eed);
+  workload::ClientPool pool(&sim, &workload, &cluster,
+                            cluster.MakeLatencyObserver());
+  cluster.AttachClientPool(1, &pool);
+  MetricsCollector collector(&sim, &cluster, /*period=*/1.0);
+  collector.PublishTo(tracer.registry());
+  collector.Start();
+  pool.Start();
+  sim.RunUntil(2.0);
+
+  MigrationOptions options;
+  options.throttle = ThrottleKind::kFixed;
+  options.fixed_rate_mbps = 1.0;
+  // The throttle's burst is one chunk: small chunks make delta rounds
+  // wait for tokens, so when a round is read relative to its grant
+  // shows in the output.
+  options.backup.chunk_bytes = 64 * kKiB;
+  options.prepare.base_seconds = 0.5;
+  // Small enough that the delta pump ships rounds before handover.
+  options.delta_handover_bytes = 2 * kKiB;
+  options.codec.mode = mode;
+  StreamRun run;
+  bool done = false;
+  EXPECT_TRUE(cluster
+                  .StartMigration(1, 1, options,
+                                  [&](const MigrationReport& r) {
+                                    run.report = r;
+                                    done = true;
+                                  })
+                  .ok());
+  while (!done && sim.Now() < 120.0) sim.RunUntil(sim.Now() + 1.0);
+  EXPECT_TRUE(done);
+  pool.Stop();
+  collector.Stop();
+  run.trace = obs::ToChromeTraceJson(tracer);
+  run.csv = obs::ToCsv(*tracer.registry());
+  run.codec_cpu_us =
+      tracer.registry()->FindOrCreateCounter("codec_cpu_us", "tenant=1")
+          ->value();
+  cluster.InstallTracer(nullptr);
+  return run;
+}
+
+uint32_t Fingerprint(const std::string& s) {
+  return Crc32c(std::vector<uint8_t>(s.begin(), s.end()));
+}
+
+std::string ReportFields(const MigrationReport& r) {
+  std::string out = r.status.ToString() + "|" + r.throttle_name + "|";
+  const double fields[] = {
+      r.start_time, r.end_time, r.negotiate_seconds, r.snapshot_seconds,
+      r.prepare_seconds, r.delta_seconds, r.handover_seconds, r.downtime_ms,
+      static_cast<double>(r.snapshot_bytes),
+      static_cast<double>(r.delta_bytes),
+      static_cast<double>(r.snapshot_wire_bytes),
+      static_cast<double>(r.delta_wire_bytes),
+      static_cast<double>(r.chunks_raw), static_cast<double>(r.chunks_lz),
+      static_cast<double>(r.chunks_delta), r.codec_cpu_seconds,
+      static_cast<double>(r.delta_rounds), r.digest_match ? 1.0 : 0.0,
+      static_cast<double>(r.chunks_retransmitted)};
+  for (const double v : fields) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g,", v);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(StreamPinTest, RawAndAdaptiveStreamsMatchPinnedFingerprints) {
+  // Pins the migration stream's observable output to committed values
+  // so a refactor of the snapshot or delta pump that moves a single
+  // byte of report, trace or metric output fails here. The CSV is
+  // pinned for raw runs only, where it also must carry no codec metric.
+  struct Pin {
+    CodecMode mode;
+    bool drop_chunk;
+    uint32_t report;
+    uint32_t trace;
+    uint32_t csv;
+  } kPins[] = {
+      {CodecMode::kRaw, false, 3358755676u, 3285460918u, 2923603391u},
+      {CodecMode::kRaw, true, 1093143698u, 1668006402u, 865639794u},
+      {CodecMode::kAdaptive, false, 656948425u, 2190124580u, 0},
+      {CodecMode::kAdaptive, true, 603440457u, 3080306821u, 0},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(std::string(CodecModeName(pin.mode)) +
+                 (pin.drop_chunk ? " with chunk 2 dropped" : ""));
+    const StreamRun run = RunTracedStream(pin.mode, pin.drop_chunk);
+    ASSERT_TRUE(run.report.status.ok()) << run.report.status.ToString();
+    EXPECT_TRUE(run.report.digest_match);
+    EXPECT_EQ(run.report.chunks_retransmitted > 0, pin.drop_chunk);
+    EXPECT_EQ(Fingerprint(ReportFields(run.report)), pin.report)
+        << ReportFields(run.report);
+    EXPECT_EQ(Fingerprint(run.trace), pin.trace);
+    if (pin.mode == CodecMode::kRaw) {
+      EXPECT_EQ(Fingerprint(run.csv), pin.csv);
+      EXPECT_EQ(run.csv.find("codec_"), std::string::npos);
+    }
+  }
+}
+
+TEST(StreamPinTest, CodecCpuCounterSumsWholeMicroseconds) {
+  // Each 64 KiB LZ chunk costs well under 1 ms of encode CPU, so a
+  // counter in whole milliseconds would round every chunk down to 0.
+  for (const bool drop_chunk : {false, true}) {
+    SCOPED_TRACE(drop_chunk ? "chunk 2 dropped" : "no loss");
+    const StreamRun run = RunTracedStream(CodecMode::kAdaptive, drop_chunk);
+    const MigrationReport& r = run.report;
+    ASSERT_GT(r.chunks_lz, 0u);
+    ASSERT_GT(r.codec_cpu_seconds, 0.0);
+    const uint64_t chunks = r.chunks_raw + r.chunks_lz + r.chunks_delta;
+    EXPECT_NEAR(static_cast<double>(run.codec_cpu_us),
+                r.codec_cpu_seconds * 1e6, static_cast<double>(chunks));
   }
 }
 
