@@ -26,6 +26,8 @@ struct SweepPoint {
   double latency;
   double stddev;
   double duration;
+  /// The migration finished OK with matching source/target digests.
+  bool ok;
 };
 
 SweepPoint RunOne(double setpoint) {
@@ -75,8 +77,9 @@ SweepPoint RunOne(double setpoint) {
       regulated.Add(p.value);
     }
   }
+  const bool ok = done && report.status.ok() && report.digest_match;
   return SweepPoint{setpoint, report.AverageRateMbps(), regulated.Mean(),
-                    regulated.Stddev(), report.DurationSeconds()};
+                    regulated.Stddev(), report.DurationSeconds(), ok};
 }
 
 }  // namespace
@@ -86,11 +89,14 @@ int main() {
   std::printf("  %10s %12s %12s %12s %10s\n", "setpoint", "avg speed",
               "latency", "stddev", "duration");
   std::vector<SweepPoint> sweep;
+  bool all_ok = true;
   for (double setpoint : {250.0, 500.0, 1000.0, 1500.0, 2000.0, 3000.0}) {
     sweep.push_back(RunOne(setpoint));
     const SweepPoint& p = sweep.back();
-    std::printf("  %7.0f ms %9.1f MB/s %9.0f ms %9.0f ms %8.0f s\n",
-                p.setpoint, p.speed, p.latency, p.stddev, p.duration);
+    std::printf("  %7.0f ms %9.1f MB/s %9.0f ms %9.0f ms %8.0f s%s\n",
+                p.setpoint, p.speed, p.latency, p.stddev, p.duration,
+                p.ok ? "" : "  MIGRATION FAILED");
+    all_ok = all_ok && p.ok;
   }
 
   // §6 guidance: find the knee — the first setpoint whose speed gain
@@ -111,5 +117,7 @@ int main() {
   std::printf("  - migrations must finish fast  -> setpoint near the knee\n");
   std::printf("  - latency stability paramount  -> conservative setpoint "
               "below the knee\n");
-  return 0;
+  // A sweep point whose migration failed or diverged is no data point:
+  // fail the run (ctest runs this example).
+  return all_ok ? 0 : 1;
 }

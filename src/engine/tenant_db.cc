@@ -93,14 +93,14 @@ void TenantDb::StartOp(const Operation& op, OpCallback done) {
     return;
   }
   // Stage 1: CPU (parse/plan/execute). Continuations are guarded by
-  // alive_: a server crash destroys the instance while its work is
+  // lifetime_: a server crash destroys the instance while its work is
   // still queued on the shared disk/CPU.
-  cpu_->Submit(config_.cpu_per_op,
-               [this, op, token, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
+  cpu_->Submit(config_.cpu_per_op, lifetime_.Guard([this, token] {
+    const Operation* op = InFlight(token);
+    if (op == nullptr) return;
     // Stage 2: page access through the buffer pool.
-    const bool is_write = op.type != OpType::kRead;
-    const uint64_t page = PoolPageId(config_.layout.PageOf(op.key));
+    const bool is_write = op->type != OpType::kRead;
+    const uint64_t page = PoolPageId(config_.layout.PageOf(op->key));
     const storage::PageAccess access = pool_->Touch(page, is_write);
     if (access.evicted_dirty) {
       // Background write-back of the victim page; nobody waits on it,
@@ -114,11 +114,13 @@ void TenantDb::StartOp(const Operation& op, OpCallback done) {
     }
     // Stage 3: synchronous page read on miss.
     disk_->Submit(resource::IoKind::kRandomRead, config_.layout.page_bytes,
-                  [this, token, alive] {
-                    if (!alive.expired()) FinishOp(token);
-                  },
+                  lifetime_.Guard([this, token] { FinishOp(token); }),
                   config_.tenant_id);
-  });
+  }));
+}
+
+const Operation* TenantDb::InFlight(uint64_t token) const {
+  return token < window_base_ ? nullptr : &window_[token - window_base_].op;
 }
 
 void TenantDb::StartScan(const Operation& op, uint64_t token) {
@@ -134,23 +136,22 @@ void TenantDb::StartScan(const Operation& op, uint64_t token) {
   // a buffer-pool touch and, on a miss, a sequential read (consecutive
   // pages of one scan keep the head position via the tenant stream id).
   cpu_->Submit(config_.cpu_per_op,
-               [this, first_page, last_page, op, token,
-                alive = std::weak_ptr<bool>(alive_)] {
-                 if (!alive.expired()) {
-                   ScanNextPage(first_page, last_page, op, token);
-                 }
-               });
+               lifetime_.Guard([this, first_page, last_page, token] {
+                 ScanNextPage(first_page, last_page, token);
+               }));
 }
 
-void TenantDb::ScanNextPage(uint64_t page, uint64_t last_page, Operation op,
+void TenantDb::ScanNextPage(uint64_t page, uint64_t last_page,
                             uint64_t token) {
   if (page > last_page) {
     // Functional read of the range (counts rows; values are digests).
-    uint64_t seen = 0;
-    for (auto it = table_.Seek(op.key);
-         it.Valid() && seen < std::max<uint64_t>(op.scan_length, 1);
-         it.Next()) {
-      ++seen;
+    if (const Operation* op = InFlight(token)) {
+      uint64_t seen = 0;
+      for (auto it = table_.Seek(op->key);
+           it.Valid() && seen < std::max<uint64_t>(op->scan_length, 1);
+           it.Next()) {
+        ++seen;
+      }
     }
     FinishOp(token);
     return;
@@ -162,16 +163,13 @@ void TenantDb::ScanNextPage(uint64_t page, uint64_t last_page, Operation op,
                   nullptr, config_.tenant_id);
   }
   if (access.hit) {
-    ScanNextPage(page + 1, last_page, op, token);
+    ScanNextPage(page + 1, last_page, token);
     return;
   }
   disk_->Submit(resource::IoKind::kSequentialRead, config_.layout.page_bytes,
-                [this, page, last_page, op, token,
-                 alive = std::weak_ptr<bool>(alive_)] {
-                  if (!alive.expired()) {
-                    ScanNextPage(page + 1, last_page, op, token);
-                  }
-                },
+                lifetime_.Guard([this, page, last_page, token] {
+                  ScanNextPage(page + 1, last_page, token);
+                }),
                 config_.tenant_id);
 }
 
@@ -181,7 +179,6 @@ void TenantDb::FinishOp(uint64_t token) {
   InFlightOp& slot = window_[token - window_base_];
   const Operation op = slot.op;
   OpCallback done = std::move(slot.done);
-  slot.done = nullptr;
   slot.live = false;
   if (frozen_ && slot.drains) --draining_;
   if (op_latency_hist_ != nullptr && slot.start >= 0.0) {
@@ -259,7 +256,7 @@ WrittenRow TenantDb::ApplyWrite(const Operation& op) {
   return written;
 }
 
-void TenantDb::Commit(uint64_t txn_id, std::function<void()> done) {
+void TenantDb::Commit(uint64_t txn_id, sim::Callback<void()> done) {
   wal::LogRecord commit;
   commit.lsn = next_lsn_++;
   commit.type = wal::LogType::kCommit;
@@ -269,7 +266,7 @@ void TenantDb::Commit(uint64_t txn_id, std::function<void()> done) {
   sim_->After(config_.commit_latency, std::move(done));
 }
 
-void TenantDb::Freeze(std::function<void()> drained, uint64_t lo,
+void TenantDb::Freeze(sim::Callback<void()> drained, uint64_t lo,
                       uint64_t hi) {
   SLACKER_CHECK(!frozen_, "freeze already active");
   frozen_ = true;
@@ -288,14 +285,13 @@ void TenantDb::Freeze(std::function<void()> drained, uint64_t lo,
 }
 
 void TenantDb::MaybeNotifyDrained() {
-  if (!frozen_ || draining_ > 0 || drain_waiter_ == nullptr) return;
+  if (!frozen_ || draining_ > 0 || !drain_waiter_) return;
   sim_->After(0.0, std::move(drain_waiter_));
-  drain_waiter_ = nullptr;
 }
 
 void TenantDb::Unfreeze() {
   frozen_ = false;
-  drain_waiter_ = nullptr;
+  drain_waiter_.Reset();
   // Admit everything that queued behind the lock, in order.
   RingDeque<PendingOp> queued = std::move(queue_);
   for (size_t i = 0; i < queued.size(); ++i) {
@@ -333,29 +329,6 @@ void TenantDb::FailLater(OpCallback done, const Status& status) {
   sim_->After(0.0, [done = std::move(done), status] {
     done(status, WrittenRow{});
   });
-}
-
-std::function<void()> TenantDb::IfAlive(std::function<void()> done) const {
-  if (done == nullptr) return nullptr;
-  return [done = std::move(done), alive = std::weak_ptr<bool>(alive_)] {
-    if (!alive.expired()) done();
-  };
-}
-
-void TenantDb::ChargeSequentialRead(uint64_t bytes, uint64_t stream_id,
-                                    std::function<void()> done) {
-  disk_->Submit(resource::IoKind::kSequentialRead, bytes,
-                IfAlive(std::move(done)), stream_id);
-}
-
-void TenantDb::ChargeSequentialWrite(uint64_t bytes, uint64_t stream_id,
-                                     std::function<void()> done) {
-  disk_->Submit(resource::IoKind::kSequentialWrite, bytes,
-                IfAlive(std::move(done)), stream_id);
-}
-
-void TenantDb::ChargeCpu(SimTime service, std::function<void()> done) {
-  cpu_->Submit(service, IfAlive(std::move(done)));
 }
 
 void TenantDb::RestoreBinlog(wal::Binlog log) {

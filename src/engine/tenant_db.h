@@ -2,9 +2,8 @@
 #define SLACKER_ENGINE_TENANT_DB_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
+#include <utility>
 
 #include "src/common/metric_types.h"
 #include "src/common/ring_deque.h"
@@ -13,6 +12,8 @@
 #include "src/engine/tenant_config.h"
 #include "src/resource/cpu.h"
 #include "src/resource/disk.h"
+#include "src/sim/callback.h"
+#include "src/sim/lifetime.h"
 #include "src/sim/simulator.h"
 #include "src/storage/btree.h"
 #include "src/storage/buffer_pool.h"
@@ -49,7 +50,7 @@ struct WrittenRow {
 /// correctness and latency behaviour are first-class.
 class TenantDb {
  public:
-  using OpCallback = std::function<void(Status, const WrittenRow&)>;
+  using OpCallback = sim::Callback<void(Status, const WrittenRow&)>;
 
   /// Process-level multitenancy (§2.1, the paper's model): this
   /// instance owns a dedicated buffer pool sized by
@@ -70,8 +71,6 @@ class TenantDb {
   TenantDb(const TenantDb&) = delete;
   TenantDb& operator=(const TenantDb&) = delete;
 
-  ~TenantDb() { *alive_ = false; }
-
   /// Pre-populates layout.record_count rows (LSN 0) and marks the
   /// buffer pool cold. Instantaneous in simulated time (the paper
   /// pre-populates before measuring, too).
@@ -89,7 +88,7 @@ class TenantDb {
 
   /// Appends the transaction commit record and charges the group-commit
   /// latency; `done` fires when the commit is durable.
-  void Commit(uint64_t txn_id, std::function<void()> done);
+  void Commit(uint64_t txn_id, sim::Callback<void()> done);
 
   /// Stops admitting operations that touch keys in [lo, hi); others
   /// keep executing. The default interval is the whole key space: the
@@ -99,7 +98,7 @@ class TenantDb {
   /// overlapped the interval at freeze time completes. One freeze at a
   /// time; bounds are raw integers so the engine stays below the range
   /// module in the layer DAG.
-  void Freeze(std::function<void()> drained, uint64_t lo = 0,
+  void Freeze(sim::Callback<void()> drained, uint64_t lo = 0,
               uint64_t hi = UINT64_MAX);
   /// Lifts the freeze and admits the queued operations, in order.
   void Unfreeze();
@@ -127,12 +126,23 @@ class TenantDb {
 
   /// Charges a bulk sequential read of `bytes` against this tenant's
   /// disk as stream `stream_id` (used by the hot-backup streamer).
-  void ChargeSequentialRead(uint64_t bytes, uint64_t stream_id,
-                            std::function<void()> done);
-  void ChargeSequentialWrite(uint64_t bytes, uint64_t stream_id,
-                             std::function<void()> done);
+  /// `done` (a lambda or nullptr) is dropped if this instance dies
+  /// first; the resource time was still spent, as on real hardware.
+  template <typename F>
+  void ChargeSequentialRead(uint64_t bytes, uint64_t stream_id, F done) {
+    disk_->Submit(resource::IoKind::kSequentialRead, bytes,
+                  lifetime_.Guard(std::move(done)), stream_id);
+  }
+  template <typename F>
+  void ChargeSequentialWrite(uint64_t bytes, uint64_t stream_id, F done) {
+    disk_->Submit(resource::IoKind::kSequentialWrite, bytes,
+                  lifetime_.Guard(std::move(done)), stream_id);
+  }
   /// Charges CPU work (backup prepare / delta apply).
-  void ChargeCpu(SimTime service, std::function<void()> done);
+  template <typename F>
+  void ChargeCpu(SimTime service, F done) {
+    cpu_->Submit(service, lifetime_.Guard(std::move(done)));
+  }
 
   const TenantConfig& config() const { return config_; }
   storage::Lsn last_lsn() const { return binlog_.last_lsn(); }
@@ -202,8 +212,9 @@ class TenantDb {
 
   void StartOp(const Operation& op, OpCallback done);
   void StartScan(const Operation& op, uint64_t token);
-  void ScanNextPage(uint64_t page, uint64_t last_page, Operation op,
-                    uint64_t token);
+  void ScanNextPage(uint64_t page, uint64_t last_page, uint64_t token);
+  /// The in-flight op behind `token`; null once FailInFlight claimed it.
+  const Operation* InFlight(uint64_t token) const;
   void FinishOp(uint64_t token);
   /// Opens an in-flight window slot for `op`; FinishOp/FailInFlight
   /// claim it exactly once by the returned token.
@@ -217,10 +228,6 @@ class TenantDb {
   /// Whether `op` reads or writes a key inside the frozen interval (an
   /// insert touches it iff the next insert key would land there).
   bool TouchesFrozenKeys(const Operation& op) const;
-  /// Wraps a resource completion so it is dropped if this instance dies
-  /// first (crash or delete) — the resource time was still spent, as on
-  /// real hardware. Null stays null.
-  std::function<void()> IfAlive(std::function<void()> done) const;
   /// Pool-namespace id for this tenant's `page` (distinct across
   /// tenants sharing one pool).
   uint64_t PoolPageId(uint64_t page) const;
@@ -244,7 +251,7 @@ class TenantDb {
   uint64_t frozen_lo_ = 0;
   uint64_t frozen_hi_ = 0;
   RingDeque<PendingOp> queue_;
-  std::function<void()> drain_waiter_;
+  sim::Callback<void()> drain_waiter_;
   /// Live window slots whose `drains` bit is set.
   int draining_ = 0;
 
@@ -259,11 +266,9 @@ class TenantDb {
   /// Observability (inert unless AttachObs was called).
   common::Histogram* op_latency_hist_ = nullptr;
   common::Counter* ops_counter_ = nullptr;
-  /// Expires when the instance is destroyed (server crash / tenant
-  /// delete); continuations routed through the shared disk/CPU check it
-  /// before touching `this`, so a crash can destroy the db while its
-  /// I/O is still queued.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Guards continuations routed through the shared disk/CPU, so a
+  /// crash can destroy the db while its I/O is still queued.
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace slacker::engine

@@ -6,6 +6,8 @@
 namespace slacker::engine {
 namespace {
 
+/// One transaction's state, owned by whichever continuation is pending
+/// (a move-only 8-byte capture, so every hop stays inline).
 struct TxnState {
   sim::Simulator* sim;
   TenantDb* db;
@@ -13,30 +15,32 @@ struct TxnState {
   TxnResult result;
   size_t next_op = 0;
   TxnCallback done;
+
+  void Complete(Status status) {
+    result.status = std::move(status);
+    result.end = sim->Now();
+    result.spec = std::move(spec);
+    if (done) done(std::move(result));
+  }
 };
 
-void RunNextOp(std::shared_ptr<TxnState> state) {
-  if (state->next_op >= state->spec.ops.size()) {
-    TxnState* raw = state.get();
+void RunNextOp(std::unique_ptr<TxnState> state) {
+  TxnState* raw = state.get();
+  if (raw->next_op >= raw->spec.ops.size()) {
     raw->db->Commit(raw->spec.txn_id, [state = std::move(state)] {
-      state->result.status = Status::Ok();
-      state->result.end = state->sim->Now();
-      if (state->done) state->done(state->result);
+      state->Complete(Status::Ok());
     });
     return;
   }
-  const Operation& op = state->spec.ops[state->next_op++];
-  TxnState* raw = state.get();
+  const Operation& op = raw->spec.ops[raw->next_op++];
   raw->db->ExecuteOp(op, [state = std::move(state)](
-                             Status status, const WrittenRow& row) {
+                             Status status, const WrittenRow& row) mutable {
     if (!status.ok()) {
-      state->result.status = status;
-      state->result.end = state->sim->Now();
-      if (state->done) state->done(state->result);
+      state->Complete(std::move(status));
       return;
     }
     if (row.lsn != 0) state->result.writes.push_back(row);
-    RunNextOp(state);
+    RunNextOp(std::move(state));
   });
 }
 
@@ -44,7 +48,7 @@ void RunNextOp(std::shared_ptr<TxnState> state) {
 
 void ExecuteTransaction(sim::Simulator* sim, TenantDb* db, TxnSpec spec,
                         SimTime start_time, TxnCallback done) {
-  auto state = std::make_shared<TxnState>();
+  auto state = std::make_unique<TxnState>();
   state->sim = sim;
   state->db = db;
   state->spec = std::move(spec);

@@ -2,12 +2,12 @@
 #define SLACKER_ENGINE_TRANSACTION_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
+#include "src/sim/callback.h"
 #include "src/sim/simulator.h"
 
 namespace slacker::engine {
@@ -28,11 +28,13 @@ struct TxnResult {
   /// Row images of every write this transaction performed, in order;
   /// lets clients verify durability end-to-end across migrations.
   std::vector<WrittenRow> writes;
+  /// The executed spec, handed back so a retry needs no copy of it.
+  TxnSpec spec;
 
   double LatencyMs() const { return MsFromSeconds(end - start); }
 };
 
-using TxnCallback = std::function<void(const TxnResult&)>;
+using TxnCallback = sim::Callback<void(TxnResult)>;
 
 /// Executes a transaction against `db`: ops run serially (each op's
 /// CPU+I/O completes before the next begins), then the commit record is
@@ -40,8 +42,9 @@ using TxnCallback = std::function<void(const TxnResult&)>;
 /// mid-transaction), the transaction aborts with that status and the
 /// client retries against the new authoritative replica. `start_time`
 /// is when the transaction arrived — queueing delay ahead of execution
-/// counts toward its latency (§5.1.2). The txn owns its state; `db`
-/// and `sim` must outlive completion.
+/// counts toward its latency (§5.1.2). The txn owns its state, and
+/// `done` gets the spec back in TxnResult::spec; `db` and `sim` must
+/// outlive completion.
 void ExecuteTransaction(sim::Simulator* sim, TenantDb* db, TxnSpec spec,
                         SimTime start_time, TxnCallback done);
 

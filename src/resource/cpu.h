@@ -2,9 +2,10 @@
 #define SLACKER_RESOURCE_CPU_H_
 
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <cstdint>
+#include <vector>
 
+#include "src/common/ring_deque.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
@@ -28,9 +29,11 @@ class CpuModel {
 
   /// Runs a job needing `service` seconds of one core; `done` fires on
   /// completion.
-  void Submit(SimTime service, std::function<void()> done);
+  void Submit(SimTime service, sim::Callback<void()> done);
 
-  int busy_cores() const { return busy_cores_; }
+  int busy_cores() const {
+    return options_.cores - static_cast<int>(idle_cores_.size());
+  }
   int cores() const { return options_.cores; }
   size_t queued() const { return queue_.size(); }
   double Utilization() const;
@@ -38,17 +41,19 @@ class CpuModel {
 
  private:
   struct Job {
-    SimTime service;
-    std::function<void()> done;
+    SimTime service = 0.0;
+    sim::Callback<void()> done;
   };
 
-  void StartJob(Job job);
-  void OnJobDone(std::function<void()> done);
+  /// The completion event captures only `core`; the job's callback
+  /// waits in running_[core] instead of inside the event.
+  void StartJob(uint32_t core, Job job);
 
   sim::Simulator* sim_;
   CpuOptions options_;
-  int busy_cores_ = 0;
-  std::deque<Job> queue_;
+  std::vector<uint32_t> idle_cores_;
+  std::vector<sim::Callback<void()>> running_;
+  RingDeque<Job> queue_;
   SimTime core_busy_time_ = 0.0;
   SimTime stats_epoch_ = 0.0;
 };

@@ -19,7 +19,7 @@ SimTime DiskModel::ServiceTime(IoKind kind, uint64_t bytes,
   return (head_in_place ? 0.0 : options_.seek_time) + transfer;
 }
 
-void DiskModel::Submit(IoKind kind, uint64_t bytes, std::function<void()> done,
+void DiskModel::Submit(IoKind kind, uint64_t bytes, sim::Callback<void()> done,
                        uint64_t stream_id) {
   queue_.push_back(Request{kind, bytes, stream_id, sim_->Now(),
                            std::move(done)});
@@ -55,7 +55,9 @@ void DiskModel::StartNext() {
   }
   wait_stats_.Add(sim_->Now() - request.submitted);
 
-  sim_->After(service, [this, done = std::move(request.done)]() mutable {
+  in_service_ = std::move(request.done);
+  sim_->After(service, [this] {
+    sim::Callback<void()> done = std::move(in_service_);
     if (done) done();
     StartNext();
   });

@@ -2,11 +2,10 @@
 #define SLACKER_RESOURCE_DISK_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "src/common/metric_types.h"
+#include "src/common/ring_deque.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
@@ -42,7 +41,7 @@ class DiskModel {
 
   /// Enqueues a request; `done` fires (via the simulator) when the
   /// request completes.
-  void Submit(IoKind kind, uint64_t bytes, std::function<void()> done,
+  void Submit(IoKind kind, uint64_t bytes, sim::Callback<void()> done,
               uint64_t stream_id = 0);
 
   /// Service time such a request would take in isolation (no queueing).
@@ -72,11 +71,11 @@ class DiskModel {
 
  private:
   struct Request {
-    IoKind kind;
-    uint64_t bytes;
-    uint64_t stream_id;
-    SimTime submitted;
-    std::function<void()> done;
+    IoKind kind = IoKind::kRandomRead;
+    uint64_t bytes = 0;
+    uint64_t stream_id = 0;
+    SimTime submitted = 0.0;
+    sim::Callback<void()> done;
   };
 
   void StartNext();
@@ -90,8 +89,10 @@ class DiskModel {
   sim::Simulator* sim_;
   DiskOptions options_;
   std::string name_;
-  std::deque<Request> queue_;
+  RingDeque<Request> queue_;
   bool busy_ = false;
+  /// Callback of the request in service (its event captures `this`).
+  sim::Callback<void()> in_service_;
   // Stream id of the last serviced request; sequential requests from
   // the same stream skip the seek (head already positioned).
   uint64_t last_stream_ = UINT64_MAX;

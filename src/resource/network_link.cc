@@ -8,7 +8,7 @@ namespace slacker::resource {
 NetworkLink::NetworkLink(sim::Simulator* sim, NetworkLinkOptions options)
     : sim_(sim), options_(options) {}
 
-void NetworkLink::Send(uint64_t bytes, std::function<void()> delivered) {
+void NetworkLink::Send(uint64_t bytes, sim::Callback<void()> delivered) {
   const SimTime transmit =
       static_cast<double>(bytes) / options_.bandwidth_bytes_per_sec;
   const SimTime start = std::max(sim_->Now(), wire_free_at_);

@@ -2,7 +2,6 @@
 #define SLACKER_RESOURCE_NETWORK_LINK_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
@@ -30,7 +29,7 @@ class NetworkLink {
 
   /// Sends `bytes`; `delivered` fires at the receiver when the last
   /// byte arrives.
-  void Send(uint64_t bytes, std::function<void()> delivered);
+  void Send(uint64_t bytes, sim::Callback<void()> delivered);
 
   uint64_t bytes_sent() const { return bytes_sent_; }
   double Utilization() const;

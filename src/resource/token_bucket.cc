@@ -28,7 +28,7 @@ void TokenBucket::Refill() {
                      static_cast<double>(options_.burst_bytes));
 }
 
-void TokenBucket::Acquire(uint64_t bytes, std::function<void()> granted) {
+void TokenBucket::Acquire(uint64_t bytes, sim::Callback<void()> granted) {
   waiters_.push_back(Waiter{static_cast<double>(bytes), std::move(granted)});
   bytes_granted_ += bytes;
   PumpWaiters();

@@ -2,9 +2,8 @@
 #define SLACKER_RESOURCE_TOKEN_BUCKET_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
+#include "src/common/ring_deque.h"
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
 
@@ -41,7 +40,7 @@ class TokenBucket {
   /// cover them. Requests are served FIFO. `bytes` may exceed
   /// burst_bytes; such a request drains the bucket across multiple
   /// refill periods.
-  void Acquire(uint64_t bytes, std::function<void()> granted);
+  void Acquire(uint64_t bytes, sim::Callback<void()> granted);
 
   /// Changes the fill rate. Rate 0 pauses the pipe (waiters stall until
   /// the rate becomes positive again).
@@ -64,10 +63,10 @@ class TokenBucket {
 
   struct Waiter {
     // Remaining bytes still to cover for this request.
-    double remaining;
-    std::function<void()> granted;
+    double remaining = 0.0;
+    sim::Callback<void()> granted;
   };
-  std::deque<Waiter> waiters_;
+  RingDeque<Waiter> waiters_;
   sim::EventId wakeup_ = 0;
   uint64_t bytes_granted_ = 0;
 };

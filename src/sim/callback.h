@@ -8,18 +8,20 @@
 
 namespace slacker::sim {
 
-/// Move-only type-erased `void()` callable with small-buffer storage.
+template <typename Signature>
+class Callback;
+
+/// Move-only type-erased callable with small-buffer storage: the
+/// project's one type for one-shot continuations (DESIGN.md §15.6).
 ///
-/// The event queue schedules millions of closures per simulated run;
 /// `std::function` heap-allocates any capture larger than its tiny
-/// internal buffer (16 bytes on common ABIs), which makes every
-/// Schedule() an allocation on the simulator hot path. Callback keeps
-/// kInlineBytes of inline storage — enough for the `[this, done]`
-/// shapes the model code actually schedules — and only falls back to
-/// the heap for oversized or over-aligned captures, so the common case
-/// never allocates. Unlike std::function it is move-only, so move-only
-/// captures are also accepted.
-class Callback {
+/// internal buffer (16 bytes on common ABIs) and rejects move-only
+/// captures. Callback stores up to kInlineBytes inline — enough for the
+/// `[this, token]` shapes the model code passes — so the common case
+/// never allocates. As with std::function, nullptr makes an empty
+/// Callback and operator() is const.
+template <typename R, typename... Args>
+class Callback<R(Args...)> {
  public:
   /// Captures up to this size (and alignof <= kInlineAlign) are stored
   /// inline; larger ones take one heap allocation. Sized so an event
@@ -28,11 +30,13 @@ class Callback {
   static constexpr size_t kInlineAlign = alignof(void*);
 
   Callback() = default;
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Callback(std::nullptr_t) {}
 
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, Callback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   // NOLINTNEXTLINE(google-explicit-constructor)
   Callback(F&& f) {
     using D = std::decay_t<F>;
@@ -70,11 +74,13 @@ class Callback {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) const {
+    return ops_->invoke(storage_, std::forward<Args>(args)...);
+  }
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args&&...);
     /// Move-constructs the callable from `src` into `dst`, then
     /// destroys the `src` copy. Used by the move constructor (and thus
     /// by event-pool growth, which relocates nodes).
@@ -84,20 +90,24 @@ class Callback {
 
   template <typename D>
   struct InlineModel {
-    static void Invoke(void* s) { (*std::launder(static_cast<D*>(s)))(); }
-    static void Relocate(void* src, void* dst) {
-      D* f = std::launder(static_cast<D*>(src));
-      ::new (dst) D(std::move(*f));
-      f->~D();
+    static D* Held(void* s) { return std::launder(static_cast<D*>(s)); }
+    static R Invoke(void* s, Args&&... args) {
+      return (*Held(s))(std::forward<Args>(args)...);
     }
-    static void Destroy(void* s) { std::launder(static_cast<D*>(s))->~D(); }
+    static void Relocate(void* src, void* dst) {
+      ::new (dst) D(std::move(*Held(src)));
+      Held(src)->~D();
+    }
+    static void Destroy(void* s) { Held(s)->~D(); }
     static constexpr Ops kOps{&Invoke, &Relocate, &Destroy};
   };
 
   template <typename D>
   struct HeapModel {
     static D* Held(void* s) { return *std::launder(static_cast<D**>(s)); }
-    static void Invoke(void* s) { (*Held(s))(); }
+    static R Invoke(void* s, Args&&... args) {
+      return (*Held(s))(std::forward<Args>(args)...);
+    }
     static void Relocate(void* src, void* dst) { ::new (dst) D*(Held(src)); }
     static void Destroy(void* s) { delete Held(s); }
     static constexpr Ops kOps{&Invoke, &Relocate, &Destroy};
@@ -112,7 +122,7 @@ class Callback {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(kInlineAlign) unsigned char storage_[kInlineBytes];
+  alignas(kInlineAlign) mutable unsigned char storage_[kInlineBytes];
 };
 
 }  // namespace slacker::sim

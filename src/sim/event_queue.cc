@@ -55,7 +55,7 @@ void EventQueue::FreeNode(uint32_t idx) {
   free_head_ = idx;
 }
 
-EventId EventQueue::Schedule(SimTime when, Callback fn) {
+EventId EventQueue::Schedule(SimTime when, Callback<void()> fn) {
   const uint32_t idx = AllocNode();
   Node& n = pool_[idx];
   n.when = when;
@@ -296,7 +296,7 @@ SimTime EventQueue::RunNext() {
   // Move the callback out and recycle the node *before* running: the
   // callback may schedule new events (reusing this very slot) or grow
   // the pool.
-  Callback fn = std::move(n.fn);
+  Callback<void()> fn = std::move(n.fn);
   FreeNode(top.node);
   --live_count_;
   fn();

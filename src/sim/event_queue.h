@@ -45,7 +45,7 @@ class EventQueue {
 
   /// Schedules `fn` at absolute time `when`. Returns an id usable with
   /// Cancel().
-  EventId Schedule(SimTime when, Callback fn);
+  EventId Schedule(SimTime when, Callback<void()> fn);
 
   /// Cancels a pending event in O(1). Cancelling an already-fired,
   /// already-cancelled, or unknown id is a no-op and returns false.
@@ -104,7 +104,7 @@ class EventQueue {
     uint32_t generation = 1;
     uint16_t slot = 0;  // Global slot index (level * 64 + slot-in-level).
     NodeState state = NodeState::kFree;
-    Callback fn;
+    Callback<void()> fn;
   };
 
   /// Heap entry for events due at or before the wheel cursor. Carries

@@ -5,11 +5,11 @@
 
 namespace slacker::sim {
 
-EventId Simulator::After(SimTime delay, Callback fn) {
+EventId Simulator::After(SimTime delay, Callback<void()> fn) {
   return At(now_ + std::max(delay, 0.0), std::move(fn));
 }
 
-EventId Simulator::At(SimTime when, Callback fn) {
+EventId Simulator::At(SimTime when, Callback<void()> fn) {
   return queue_.Schedule(std::max(when, now_), std::move(fn));
 }
 

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "src/sim/callback.h"
 #include "src/sim/event_queue.h"
@@ -26,10 +27,20 @@ class Simulator {
   /// negative delays are clamped to 0, i.e., "run next"). `fn` is any
   /// void() callable; captures up to Callback::kInlineBytes are stored
   /// without allocating.
-  EventId After(SimTime delay, Callback fn);
+  EventId After(SimTime delay, Callback<void()> fn);
 
   /// Schedules `fn` at absolute time `when` (clamped to Now()).
-  EventId At(SimTime when, Callback fn);
+  EventId At(SimTime when, Callback<void()> fn);
+
+  /// Delivers `done(value)` as an event at Now(), off the caller's
+  /// stack, so `done` may destroy the caller. No-op for an empty `done`.
+  template <typename T>
+  void Post(Callback<void(const T&)> done, T value) {
+    if (!done) return;
+    After(0.0, [done = std::move(done), value = std::move(value)] {
+      done(value);
+    });
+  }
 
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 

@@ -133,8 +133,6 @@ FaultInjector::FaultInjector(Cluster* cluster, FaultPlan plan)
       plan_(std::move(plan)),
       job_seen_(plan_.specs().size(), false) {}
 
-FaultInjector::~FaultInjector() { *alive_ = false; }
-
 void FaultInjector::Arm() {
   for (size_t i = 0; i < plan_.specs().size(); ++i) {
     const FaultSpec& spec = plan_.specs()[i];
@@ -153,46 +151,32 @@ void FaultInjector::Arm() {
 void FaultInjector::ScheduleTimed(size_t index, SimTime fire_time,
                                   int firings_left) {
   const SimTime delay = std::max(fire_time - sim_->Now(), 0.0);
-  sim_->After(delay, [this, index, fire_time, firings_left,
-                      alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
+  sim_->After(delay, lifetime_.Guard([this, index, fire_time, firings_left] {
     const FaultSpec& spec = plan_.specs()[index];
     Fire(spec);
     if (firings_left > 1 && spec.repeat_every > 0.0) {
       ScheduleTimed(index, fire_time + spec.repeat_every, firings_left - 1);
     }
-  });
+  }));
 }
 
 void FaultInjector::WatchDrain(size_t index) {
-  sim_->After(kPhasePollInterval,
-              [this, index, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
+  sim_->After(kPhasePollInterval, lifetime_.Guard([this, index] {
     const FaultSpec& spec = plan_.specs()[index];
     Server* server = cluster_->server(spec.watch_server);
     // Evacuation underway: the server is in drain mode and has at least
     // one outgoing migration job.
     if (server->up() && server->draining() &&
         server->controller()->active_jobs() > 0) {
-      if (spec.phase_delay > 0.0) {
-        sim_->After(spec.phase_delay,
-                    [this, index, alive2 = std::weak_ptr<bool>(alive_)] {
-                      if (alive2.expired()) return;
-                      Fire(plan_.specs()[index]);
-                    });
-      } else {
-        Fire(spec);
-      }
+      FireAfterPhaseDelay(index);
       return;
     }
     WatchDrain(index);
-  });
+  }));
 }
 
 void FaultInjector::WatchPhase(size_t index) {
-  sim_->After(kPhasePollInterval,
-              [this, index, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
+  sim_->After(kPhasePollInterval, lifetime_.Guard([this, index] {
     const FaultSpec& spec = plan_.specs()[index];
     MigrationJob* job = cluster_->ActiveJob(spec.watch_tenant);
     if (job == nullptr) {
@@ -208,19 +192,22 @@ void FaultInjector::WatchPhase(size_t index) {
     }
     job_seen_[index] = true;
     if (static_cast<int>(job->phase()) >= static_cast<int>(spec.at_phase)) {
-      if (spec.phase_delay > 0.0) {
-        sim_->After(spec.phase_delay,
-                    [this, index, alive2 = std::weak_ptr<bool>(alive_)] {
-                      if (alive2.expired()) return;
-                      Fire(plan_.specs()[index]);
-                    });
-      } else {
-        Fire(spec);
-      }
+      FireAfterPhaseDelay(index);
       return;
     }
     WatchPhase(index);
-  });
+  }));
+}
+
+void FaultInjector::FireAfterPhaseDelay(size_t index) {
+  const FaultSpec& spec = plan_.specs()[index];
+  if (spec.phase_delay <= 0.0) {
+    Fire(spec);
+    return;
+  }
+  sim_->After(spec.phase_delay, lifetime_.Guard([this, index] {
+    Fire(plan_.specs()[index]);
+  }));
 }
 
 void FaultInjector::Fire(const FaultSpec& spec) {

@@ -2,11 +2,11 @@
 #define SLACKER_SLACKER_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/common/units.h"
+#include "src/sim/lifetime.h"
 #include "src/sim/simulator.h"
 #include "src/slacker/cluster.h"
 #include "src/slacker/options.h"
@@ -116,7 +116,6 @@ class FaultPlan {
 class FaultInjector {
  public:
   FaultInjector(Cluster* cluster, FaultPlan plan);
-  ~FaultInjector();
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -133,6 +132,8 @@ class FaultInjector {
   /// Schedules firing `index` at `fire_time`, then re-arms it
   /// repeat_every later while firings remain.
   void ScheduleTimed(size_t index, SimTime fire_time, int firings_left);
+  /// Fires spec `index` now, or phase_delay later when that is positive.
+  void FireAfterPhaseDelay(size_t index);
 
   Cluster* cluster_;
   sim::Simulator* sim_;
@@ -140,7 +141,8 @@ class FaultInjector {
   /// Per spec: the watched job has been observed at least once.
   std::vector<bool> job_seen_;
   int faults_fired_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Guards the scheduled fault callbacks against a destroyed injector.
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace slacker

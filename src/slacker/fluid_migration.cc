@@ -32,8 +32,6 @@ FluidMigrator::FluidMigrator(Cluster* cluster, uint64_t tenant_id,
   report_.target_server = target_server;
 }
 
-FluidMigrator::~FluidMigrator() { *alive_ = false; }
-
 Status FluidMigrator::Start() {
   if (started_) return Status::FailedPrecondition("already started");
   // The per-range template must not pre-bake a range; each job gets its
@@ -89,13 +87,11 @@ void FluidMigrator::StartNextRange() {
   }
   const range::KeyRange next = pending_.front();
   pending_.erase(pending_.begin());
-  std::weak_ptr<bool> alive = alive_;
   const Status launched = cluster_->StartRangeMigration(
       tenant_id_, next, target_server_, options_.migration,
-      [this, alive](const MigrationReport& range_report) {
-        if (alive.expired()) return;
+      lifetime_.Guard([this](const MigrationReport& range_report) {
         OnRangeDone(range_report);
-      });
+      }));
   if (!launched.ok()) Finish(launched);
 }
 
@@ -132,15 +128,8 @@ void FluidMigrator::Finish(Status status) {
   finished_ = true;
   report_.status = std::move(status);
   report_.end_time = cluster_->simulator()->Now();
-  if (done_) {
-    // Deliver on a fresh stack; the callback may destroy this migrator.
-    DoneCallback done = std::move(done_);
-    FluidMigrationReport report = report_;
-    cluster_->simulator()->After(
-        0.0, [done = std::move(done), report = std::move(report)] {
-          done(report);
-        });
-  }
+  // Deferred: the callback may destroy this migrator.
+  cluster_->simulator()->Post(std::move(done_), report_);
 }
 
 }  // namespace slacker

@@ -2,13 +2,13 @@
 #define SLACKER_SLACKER_FLUID_MIGRATION_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/range/key_range.h"
+#include "src/sim/callback.h"
+#include "src/sim/lifetime.h"
 #include "src/slacker/cluster.h"
 #include "src/slacker/migration.h"
 
@@ -66,12 +66,11 @@ struct [[nodiscard]] FluidMigrationReport {
 /// caller may retry the remainder.
 class FluidMigrator {
  public:
-  using DoneCallback = std::function<void(const FluidMigrationReport&)>;
+  using DoneCallback = sim::Callback<void(const FluidMigrationReport&)>;
 
   /// `cluster` must outlive the migrator.
   FluidMigrator(Cluster* cluster, uint64_t tenant_id, uint64_t target_server,
                 FluidMigrationOptions options, DoneCallback done);
-  ~FluidMigrator();
 
   FluidMigrator(const FluidMigrator&) = delete;
   FluidMigrator& operator=(const FluidMigrator&) = delete;
@@ -100,8 +99,8 @@ class FluidMigrator {
   FluidMigrationReport report_;
   bool started_ = false;
   bool finished_ = false;
-  /// See MigrationJob::alive_.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// See MigrationJob::lifetime_.
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace slacker

@@ -28,9 +28,9 @@ codec::FrameHeader RawFrame(uint64_t logical_bytes) {
 }
 
 /// Runs `send` once `source` has spent `cpu_seconds` encoding (at once
-/// when nothing was encoded), unless the job behind `alive` is gone.
+/// when nothing was encoded), unless `owner` (the job) is gone.
 template <typename Send>
-void AfterEncodeCpu(engine::TenantDb* source, std::weak_ptr<bool> alive,
+void AfterEncodeCpu(engine::TenantDb* source, const sim::Lifetime& owner,
                     double cpu_seconds, Send send) {
   if (cpu_seconds <= 0.0) {
     send();
@@ -38,10 +38,7 @@ void AfterEncodeCpu(engine::TenantDb* source, std::weak_ptr<bool> alive,
   }
   // Compression burns source cores; the data leaves only after the
   // encode job finishes.
-  source->ChargeCpu(cpu_seconds, [alive = std::move(alive),
-                                  send = std::move(send)]() mutable {
-    if (!alive.expired()) send();
-  });
+  source->ChargeCpu(cpu_seconds, owner.Guard(std::move(send)));
 }
 
 net::TenantWireConfig WireConfigFrom(const engine::TenantConfig& config) {
@@ -123,12 +120,6 @@ MigrationJob::MigrationJob(MigrationContext* ctx, uint64_t tenant_id,
   report_.mode = options.mode;
   report_.range_scoped = options_.range_scoped;
   report_.range = options_.range;
-}
-
-MigrationJob::~MigrationJob() {
-  // Signal in-flight async callbacks (disk completions, bucket grants,
-  // freeze waiters) that the job is gone.
-  *alive_ = false;
 }
 
 Status MigrationJob::Start() {
@@ -249,8 +240,7 @@ Status MigrationJob::Start() {
 }
 
 void MigrationJob::ArmWatchdog(SimTime delay) {
-  sim_->After(delay, [this, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
+  sim_->After(delay, lifetime_.Guard([this] {
     if (finished_) return;
     if (phase_ == MigrationPhase::kHandover &&
         ++handover_grace_checks_ < 15) {
@@ -266,7 +256,7 @@ void MigrationJob::ArmWatchdog(SimTime delay) {
     } else {
       (void)Cancel("watchdog timeout");
     }
-  });
+  }));
 }
 
 void MigrationJob::ForceAbort(Status status) {
@@ -462,9 +452,7 @@ void MigrationJob::HandleMessage(const net::Message& message) {
               ctx_->TenantOn(target_server_, tenant_id_);
           if (staging != nullptr) staging->ChargeCpu(import, nullptr);
           EnterPhase(MigrationPhase::kPrepare);
-          sim_->After(import, [this, alive = std::weak_ptr<bool>(alive_)] {
-            if (!alive.expired()) BeginHandover();
-          });
+          sim_->After(import, lifetime_.Guard([this] { BeginHandover(); }));
         } else {
           BeginHandover();
         }
@@ -523,10 +511,7 @@ void MigrationJob::OnAccepted(bool resume_offer, const net::Message& message) {
     // Stop-and-copy freezes the tenant for the entire copy (§2.3.1).
     freeze_time_ = sim_->Now();
     freeze_span_ = obs::TraceSpan(tracer_, track_, "freeze", "handover");
-    source_db_->Freeze([this, alive = std::weak_ptr<bool>(alive_)] {
-      if (alive.expired()) return;
-      BeginSnapshot();
-    });
+    source_db_->Freeze(lifetime_.Guard([this] { BeginSnapshot(); }));
   } else {
     BeginSnapshot();
   }
@@ -624,8 +609,7 @@ void MigrationJob::PumpSnapshot() {
     tokens = std::max<uint64_t>(pending_chunk_->enc.frame.encoded_bytes, 1);
   }
   acquiring_ = true;
-  throttle_->Acquire(tokens, [this, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
+  throttle_->Acquire(tokens, lifetime_.Guard([this] {
     acquiring_ = false;
     if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
     if (selector_ == nullptr && !snapshot_->Done()) ProducePendingChunk();
@@ -645,8 +629,7 @@ void MigrationJob::PumpSnapshot() {
     const uint64_t read_bytes = std::max<uint64_t>(frame.logical_bytes, 1);
     source_db_->ChargeSequentialRead(
         read_bytes, kMigrationStreamId,
-        [this, alive, pending = std::move(pending)]() mutable {
-          if (alive.expired()) return;
+        lifetime_.Guard([this, pending = std::move(pending)]() mutable {
           const double cpu_seconds = pending.enc.cpu_seconds;
           auto send = [this, pending = std::move(pending)]() mutable {
             net::Message msg;
@@ -679,12 +662,12 @@ void MigrationJob::PumpSnapshot() {
             --inflight_chunks_;
             PumpSnapshot();
           };
-          AfterEncodeCpu(source_db_, alive, cpu_seconds, std::move(send));
-        });
+          AfterEncodeCpu(source_db_, lifetime_, cpu_seconds, std::move(send));
+        }));
     // Keep acquiring tokens for the next chunk while this one is being
     // read — the throttle, not the read completion, paces the stream.
     PumpSnapshot();
-  });
+  }));
 }
 
 codec::SelectorInputs MigrationJob::SelectorInputsFor(
@@ -822,7 +805,12 @@ void MigrationJob::OnSnapshotNack(const net::Message& message) {
   // for (later chunks were staged when they arrived intact), so only
   // this seq must resend raw; the rest may ship as deltas.
   delta_blocked_.insert(message.chunk_seq);
-  pending_chunk_.reset();
+  // A chunk read ahead of its tokens was never sent: its rows must not
+  // stay cached as a delta base the target never staged.
+  if (pending_chunk_.has_value()) {
+    chunk_cache_.erase(pending_chunk_->seq);
+    pending_chunk_.reset();
+  }
   snapshot_->RewindTo(message.chunk_seq);
   snapshot_sent_end_ = false;
   PumpSnapshot();
@@ -839,9 +827,7 @@ void MigrationJob::BeginPrepare() {
     staging->ChargeCpu(options_.prepare.base_seconds, nullptr);
   }
   sim_->After(options_.prepare.base_seconds,
-              [this, alive = std::weak_ptr<bool>(alive_)] {
-                if (!alive.expired()) BeginDeltaRounds();
-              });
+              lifetime_.Guard([this] { BeginDeltaRounds(); }));
 }
 
 void MigrationJob::BeginDeltaRounds() {
@@ -868,13 +854,12 @@ void MigrationJob::ShipNextDelta() {
     if (!round.has_value()) return;
     tokens = std::max<uint64_t>(round->frame.encoded_bytes, 1);
   }
-  throttle_->Acquire(tokens, [this, alive = std::weak_ptr<bool>(alive_),
-                              round = std::move(round)]() mutable {
-    if (alive.expired()) return;
+  auto on_grant = [this, round = std::move(round)]() mutable {
     if (finished_ || phase_ != MigrationPhase::kDelta) return;
     if (selector_ == nullptr) round = ReadDeltaRound();
     if (round.has_value()) SendDeltaRound(std::move(*round));
-  });
+  };
+  throttle_->Acquire(tokens, lifetime_.Guard(std::move(on_grant)));
 }
 
 std::optional<MigrationJob::PendingRound> MigrationJob::ReadDeltaRound() {
@@ -929,9 +914,7 @@ void MigrationJob::SendDeltaRound(PendingRound pending) {
   const uint64_t read_bytes = std::max<uint64_t>(pending.round.bytes, 1);
   source_db_->ChargeSequentialRead(
       read_bytes, kMigrationStreamId,
-      [this, alive = std::weak_ptr<bool>(alive_),
-       pending = std::move(pending)]() mutable {
-        if (alive.expired()) return;
+      lifetime_.Guard([this, pending = std::move(pending)]() mutable {
         const double cpu_seconds = pending.cpu_seconds;
         auto send = [this, pending = std::move(pending)]() mutable {
           net::Message msg;
@@ -943,8 +926,8 @@ void MigrationJob::SendDeltaRound(PendingRound pending) {
           msg.log_records = std::move(pending.round.records);
           ctx_->SendMessage(source_server_, target_server_, msg);
         };
-        AfterEncodeCpu(source_db_, alive, cpu_seconds, std::move(send));
-      });
+        AfterEncodeCpu(source_db_, lifetime_, cpu_seconds, std::move(send));
+      }));
 }
 
 void MigrationJob::BeginHandover() {
@@ -958,11 +941,8 @@ void MigrationJob::BeginHandover() {
   freeze_span_ = obs::TraceSpan(tracer_, track_, "freeze", "handover");
   // Only the moving range freezes; a range job's tenant keeps serving
   // every other range — the fluid-migration point (DESIGN.md §16).
-  source_db_->Freeze(
-      [this, alive = std::weak_ptr<bool>(alive_)] {
-        if (!alive.expired()) OnSourceDrained();
-      },
-      options_.range.lo, options_.range.hi);
+  source_db_->Freeze(lifetime_.Guard([this] { OnSourceDrained(); }),
+                     options_.range.lo, options_.range.hi);
 }
 
 void MigrationJob::OnSourceDrained() {
@@ -988,9 +968,7 @@ void MigrationJob::OnSourceDrained() {
   // speed, bypassing the throttle (the freeze window must stay short).
   source_db_->ChargeSequentialRead(
       read_bytes, kMigrationStreamId,
-      [this, alive = std::weak_ptr<bool>(alive_),
-       final_round = std::move(final_round)]() mutable {
-        if (alive.expired()) return;
+      lifetime_.Guard([this, final_round = std::move(final_round)]() mutable {
         net::Message msg;
         msg.type = net::MessageType::kHandoverRequest;
         msg.tenant_id = tenant_id_;
@@ -999,7 +977,7 @@ void MigrationJob::OnSourceDrained() {
         msg.payload_bytes = final_round.bytes;
         msg.log_records = std::move(final_round.records);
         ctx_->SendMessage(source_server_, target_server_, msg);
-      });
+      }));
 }
 
 void MigrationJob::OnHandoverAck(const net::Message& message) {
@@ -1129,13 +1107,9 @@ void MigrationJob::Finish(Status status) {
   SLACKER_LOG_INFO << "migration of tenant " << tenant_id_ << " finished: "
                    << status.ToString() << " in "
                    << report_.DurationSeconds() << "s";
-  if (done_) {
-    // Defer so the owning controller can safely erase this job from
-    // inside the callback.
-    sim_->After(0.0, [done = std::move(done_), report = report_] {
-      done(report);
-    });
-  }
+  // Deferred, so the owning controller can erase this job from inside
+  // the callback.
+  sim_->Post(std::move(done_), report_);
 }
 
 double MigrationJob::current_rate_mbps() const {
@@ -1310,8 +1284,7 @@ void TargetSession::ArmIdleTimer() {
   const uint64_t generation = ++idle_generation_;
   ctx_->simulator()->After(
       options_.session_idle_timeout,
-      [this, generation, alive = std::weak_ptr<bool>(alive_)] {
-        if (alive.expired()) return;
+      lifetime_.Guard([this, generation] {
         if (finished_ || awaiting_decision_) return;
         if (generation != idle_generation_) return;  // Re-armed since.
         SLACKER_LOG_WARN << "migration session for tenant " << tenant_id_
@@ -1322,13 +1295,11 @@ void TargetSession::ArmIdleTimer() {
         // Staged chunks stay in the durable store: a retried migration
         // resumes from them.
         MarkFinished();
-      });
+      }));
 }
 
 void TargetSession::ArmDecisionProbe() {
-  ctx_->simulator()->After(1.0, [this,
-                                 alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
+  ctx_->simulator()->After(1.0, lifetime_.Guard([this] {
     if (finished_ || !awaiting_decision_) return;
     // The decision record a range session polls is the range entry —
     // the source flips it (not the tenant directory) before commit.
@@ -1364,7 +1335,7 @@ void TargetSession::ArmDecisionProbe() {
       return;
     }
     ArmDecisionProbe();
-  });
+  }));
 }
 
 void TargetSession::HandleMessage(const net::Message& message) {
@@ -1470,10 +1441,8 @@ void TargetSession::HandleMessage(const net::Message& message) {
       const uint64_t payload = std::max<uint64_t>(message.payload_bytes, 1);
       staging_->ChargeSequentialWrite(
           payload, kStagingStreamId,
-          [this, alive = std::weak_ptr<bool>(alive_),
-           rows = std::move(rows),
-           payload = message.payload_bytes]() {
-            if (alive.expired()) return;
+          lifetime_.Guard([this, rows = std::move(rows),
+                           payload = message.payload_bytes] {
             if (store_ == nullptr || rows.empty()) return;
             // Durable only once the staging write hits disk: chunks
             // still in the write queue at a crash are lost, and a
@@ -1482,7 +1451,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
                                  snap_start_lsn_);
             store_->AppendStagedRows(tenant_id_, rows,
                                      rows.back().key + 1, payload);
-          });
+          }));
       if (end_seen_ && expected_seq_ >= total_chunks_) SendSnapshotAck();
       return;
     }
@@ -1524,21 +1493,21 @@ void TargetSession::HandleMessage(const net::Message& message) {
           codec::DecodeCpuSeconds(message.frame, options_.codec);
       auto records = message.log_records;
       const storage::Lsn to = message.lsn;
-      staging_->ChargeCpu(apply_cost,
-                          [this, alive = std::weak_ptr<bool>(alive_),
-                           records = std::move(records), to]() {
-        if (alive.expired()) return;
-        if (finished_ || staging_ == nullptr) return;
-        // Records arrived through a CRC-checked frame decode; a replay
-        // failure here means in-memory corruption, not a lost message.
-        const Status replayed = wal::Replay(records, staging_->mutable_table());
-        SLACKER_CHECK(replayed.ok(), replayed.ToString());
-        net::Message ack;
-        ack.type = net::MessageType::kDeltaAck;
-        ack.tenant_id = tenant_id_;
-        ack.lsn = to;
-        ctx_->SendMessage(self_server_, source_server_, ack);
-      });
+      staging_->ChargeCpu(
+          apply_cost,
+          lifetime_.Guard([this, records = std::move(records), to] {
+            if (finished_ || staging_ == nullptr) return;
+            // Records arrived through a CRC-checked frame decode; a replay
+            // failure here means in-memory corruption, not a lost message.
+            const Status replayed =
+                wal::Replay(records, staging_->mutable_table());
+            SLACKER_CHECK(replayed.ok(), replayed.ToString());
+            net::Message ack;
+            ack.type = net::MessageType::kDeltaAck;
+            ack.tenant_id = tenant_id_;
+            ack.lsn = to;
+            ctx_->SendMessage(self_server_, source_server_, ack);
+          }));
       return;
     }
     case net::MessageType::kMigrateAbort: {

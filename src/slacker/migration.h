@@ -2,7 +2,6 @@
 #define SLACKER_SLACKER_MIGRATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -23,6 +22,8 @@
 #include "src/range/range_directory.h"
 #include "src/resource/cpu.h"
 #include "src/resource/token_bucket.h"
+#include "src/sim/callback.h"
+#include "src/sim/lifetime.h"
 #include "src/sim/simulator.h"
 #include "src/slacker/durable_store.h"
 #include "src/slacker/options.h"
@@ -169,12 +170,11 @@ struct [[nodiscard]] MigrationReport {
 /// handover. Owns the pv token bucket and the 1 Hz controller tick.
 class MigrationJob {
  public:
-  using DoneCallback = std::function<void(const MigrationReport&)>;
+  using DoneCallback = sim::Callback<void(const MigrationReport&)>;
 
   MigrationJob(MigrationContext* ctx, uint64_t tenant_id,
                uint64_t source_server, uint64_t target_server,
                const MigrationOptions& options, DoneCallback done);
-  ~MigrationJob();
 
   MigrationJob(const MigrationJob&) = delete;
   MigrationJob& operator=(const MigrationJob&) = delete;
@@ -332,11 +332,11 @@ class MigrationJob {
   };
   std::optional<PendingChunk> pending_chunk_;
 
-  // Expires when the job is destroyed; async callbacks routed through
-  // external resources (disk queues, CPU queues, freeze waiters) check
-  // it before touching the job, so cancellation can free the job while
-  // its I/O is still in flight.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  // Ends when the job is destroyed; async callbacks routed through
+  // external resources (disk queues, CPU queues, freeze waiters) are
+  // guarded by it, so cancellation can free the job while its I/O is
+  // still in flight.
+  sim::Lifetime lifetime_;
 
   MigrationReport report_;
 };
@@ -367,7 +367,7 @@ class TargetSession {
   /// Fires whenever the session finishes outside a HandleMessage call
   /// (idle timeout, decision probe) so the owning controller can reap
   /// it. May fire more than once; reaping must be idempotent.
-  void set_on_finished(std::function<void()> cb) {
+  void set_on_finished(sim::Callback<void()> cb) {
     on_finished_ = std::move(cb);
   }
 
@@ -416,7 +416,7 @@ class TargetSession {
   bool awaiting_decision_ = false;
   int decision_probes_ = 0;
   Status status_;
-  std::function<void()> on_finished_;
+  sim::Callback<void()> on_finished_;
 
   /// Reassembly state: chunks must arrive in seq order with a valid
   /// CRC; anything else is NACKed and the source goes back to the gap.
@@ -430,8 +430,8 @@ class TargetSession {
   int chunks_since_nack_ = 0;
   uint64_t chunks_nacked_ = 0;
   uint64_t idle_generation_ = 0;
-  /// See MigrationJob::alive_.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// See MigrationJob::lifetime_.
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace slacker

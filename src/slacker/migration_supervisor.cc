@@ -54,8 +54,6 @@ MigrationSupervisor::MigrationSupervisor(Cluster* cluster, uint64_t tenant_id,
   report_.mode = migration_.mode;
 }
 
-MigrationSupervisor::~MigrationSupervisor() { *alive_ = false; }
-
 Status MigrationSupervisor::Start() {
   SLACKER_RETURN_IF_ERROR(options_.Validate());
   SLACKER_RETURN_IF_ERROR(migration_.Validate());
@@ -132,11 +130,9 @@ void MigrationSupervisor::LaunchAttempt() {
                    << options_.max_attempts << " for tenant " << tenant_id_;
   const Status started = cluster_->StartMigration(
       tenant_id_, target_server_, attempt_options,
-      [this, generation, alive = std::weak_ptr<bool>(alive_)](
-          const MigrationReport& job_report) {
-        if (alive.expired()) return;
+      lifetime_.Guard([this, generation](const MigrationReport& job_report) {
         OnAttemptDone(generation, job_report);
-      });
+      }));
   if (!started.ok()) {
     // Synchronous refusal (source/target down, tenant unknown...):
     // resolve the attempt immediately with an empty job report.
@@ -155,8 +151,7 @@ void MigrationSupervisor::ArmAttemptTimeout() {
   if (options_.attempt_timeout <= 0.0) return;
   const uint64_t generation = attempt_generation_;
   sim_->After(options_.attempt_timeout,
-              [this, generation, alive = std::weak_ptr<bool>(alive_)] {
-                if (alive.expired()) return;
+              lifetime_.Guard([this, generation] {
                 if (finished_ || !attempt_inflight_) return;
                 if (generation != attempt_generation_) return;
                 // The job never reported back — its server probably died
@@ -173,7 +168,7 @@ void MigrationSupervisor::ArmAttemptTimeout() {
                 synthesized.tenant_id = tenant_id_;
                 synthesized.target_server = target_server_;
                 OnAttemptDone(generation, synthesized);
-              });
+              }));
 }
 
 void MigrationSupervisor::OnAttemptDone(uint64_t generation,
@@ -266,10 +261,7 @@ void MigrationSupervisor::ScheduleRetry(const Status& status) {
     retry.status = status.ToString();
     obs::EmitSupervisorRetry(tracer_, retry);
   }
-  sim_->After(backoff, [this, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
-    LaunchAttempt();
-  });
+  sim_->After(backoff, lifetime_.Guard([this] { LaunchAttempt(); }));
 }
 
 void MigrationSupervisor::FinishWith(Status status) {
@@ -279,11 +271,7 @@ void MigrationSupervisor::FinishWith(Status status) {
   report_.status = std::move(status);
   report_.end_time = sim_->Now();
   report_.attempt_count = std::max(attempts_made_, 1);
-  if (done_) {
-    sim_->After(0.0, [done = std::move(done_), report = report_] {
-      done(report);
-    });
-  }
+  sim_->Post(std::move(done_), report_);
 }
 
 }  // namespace slacker

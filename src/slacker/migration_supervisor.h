@@ -2,13 +2,13 @@
 #define SLACKER_SLACKER_MIGRATION_SUPERVISOR_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
+#include "src/sim/callback.h"
+#include "src/sim/lifetime.h"
 #include "src/slacker/cluster.h"
 #include "src/slacker/migration.h"
 #include "src/slacker/options.h"
@@ -45,12 +45,11 @@ struct SupervisorOptions {
 /// chunks durably staged by a failed attempt are not re-streamed.
 class MigrationSupervisor {
  public:
-  using DoneCallback = std::function<void(const MigrationReport&)>;
+  using DoneCallback = sim::Callback<void(const MigrationReport&)>;
 
   MigrationSupervisor(Cluster* cluster, uint64_t tenant_id,
                       uint64_t target_server, MigrationOptions migration,
                       SupervisorOptions options, DoneCallback done);
-  ~MigrationSupervisor();
 
   MigrationSupervisor(const MigrationSupervisor&) = delete;
   MigrationSupervisor& operator=(const MigrationSupervisor&) = delete;
@@ -114,8 +113,8 @@ class MigrationSupervisor {
   bool finished_ = false;
 
   MigrationReport report_;
-  /// See MigrationJob::alive_.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// See MigrationJob::lifetime_.
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace slacker

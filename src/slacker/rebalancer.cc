@@ -60,7 +60,7 @@ Rebalancer::Rebalancer(Cluster* cluster, RebalancerOptions options)
       options_(std::move(options)),
       advisor_(options_.placement) {}
 
-Rebalancer::~Rebalancer() { *alive_ = false; }
+Rebalancer::~Rebalancer() = default;
 
 Status Rebalancer::Start() {
   SLACKER_RETURN_IF_ERROR(options_.Validate());
@@ -194,9 +194,8 @@ void Rebalancer::Launch(const MigrationPlan& plan, const char* kind,
     fluid_options.migration = options_.migration;
     entry.fluid = std::make_unique<FluidMigrator>(
         cluster_, plan.tenant_id, plan.target_server, fluid_options,
-        [this, tenant = plan.tenant_id, alive = std::weak_ptr<bool>(alive_)](
-            const FluidMigrationReport& fluid_report) {
-          if (alive.expired()) return;
+        lifetime_.Guard([this, tenant = plan.tenant_id](
+                            const FluidMigrationReport& fluid_report) {
           // Fold into the whole-tenant vocabulary the loop accounts
           // in; downtime is the worst single-range freeze window.
           MigrationReport report;
@@ -207,17 +206,16 @@ void Rebalancer::Launch(const MigrationPlan& plan, const char* kind,
           report.start_time = fluid_report.start_time;
           report.end_time = fluid_report.end_time;
           OnMigrationDone(tenant, report);
-        });
+        }));
     started = entry.fluid->Start();
   } else {
     entry.supervisor = std::make_unique<MigrationSupervisor>(
         cluster_, plan.tenant_id, plan.target_server, options_.migration,
         options_.supervisor,
-        [this, tenant = plan.tenant_id, alive = std::weak_ptr<bool>(alive_)](
-            const MigrationReport& report) {
-          if (alive.expired()) return;
+        lifetime_.Guard([this, tenant = plan.tenant_id](
+                            const MigrationReport& report) {
           OnMigrationDone(tenant, report);
-        });
+        }));
     started = entry.supervisor->Start();
   }
   if (!started.ok()) {
@@ -258,11 +256,9 @@ void Rebalancer::OnMigrationDone(uint64_t tenant_id,
   // promptly rather than waiting out the period, after a short settle
   // delay so the new placement registers some utilization.
   if (!running_) return;
-  sim_->After(options_.replan_delay,
-              [this, alive = std::weak_ptr<bool>(alive_)] {
-                if (alive.expired() || !running_) return;
-                Tick(sim_->Now());
-              });
+  sim_->After(options_.replan_delay, lifetime_.Guard([this] {
+                if (running_) Tick(sim_->Now());
+              }));
 }
 
 void Rebalancer::Tick(SimTime now) {

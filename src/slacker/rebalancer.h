@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/sim/lifetime.h"
 #include "src/slacker/cluster.h"
 #include "src/slacker/migration_supervisor.h"
 #include "src/slacker/placement.h"
@@ -128,7 +129,7 @@ struct RebalancerStats {
 class Rebalancer {
  public:
   Rebalancer(Cluster* cluster, RebalancerOptions options);
-  ~Rebalancer();
+  ~Rebalancer();  // Out of line: FluidMigrator is incomplete here.
 
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
@@ -195,7 +196,7 @@ class Rebalancer {
   RebalancerStats stats_;
   bool running_ = false;
   /// Guards sim callbacks against a destroyed rebalancer.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace slacker

@@ -58,8 +58,6 @@ RollingUpgradeOrchestrator::RollingUpgradeOrchestrator(
       sim_(cluster->simulator()),
       options_(std::move(options)) {}
 
-RollingUpgradeOrchestrator::~RollingUpgradeOrchestrator() { *alive_ = false; }
-
 UpgradeWaveReport& RollingUpgradeOrchestrator::wave_report() {
   return report_.waves.back();
 }
@@ -372,15 +370,9 @@ void RollingUpgradeOrchestrator::Finish(Status status, SimTime now) {
                    << report_.status.ToString() << " ("
                    << report_.DurationSeconds() << "s, "
                    << report_.total_violation_seconds << " violation-s)";
-  if (done_) {
-    sim_->After(0.0, [done = std::move(done_), report = report_,
-                      alive = std::weak_ptr<bool>(alive_)] {
-      // The report is copied into the closure; deliver even if the
-      // orchestrator itself was destroyed meanwhile.
-      (void)alive;
-      done(report);
-    });
-  }
+  // The report travels by copy: it arrives even if the orchestrator
+  // was destroyed meanwhile.
+  sim_->Post(std::move(done_), report_);
 }
 
 void RollingUpgradeOrchestrator::EmitWave(const char* action,

@@ -2,13 +2,13 @@
 #define SLACKER_SLACKER_UPGRADE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/sim/callback.h"
 #include "src/sim/simulator.h"
 #include "src/slacker/cluster.h"
 #include "src/slacker/rebalancer.h"
@@ -107,11 +107,10 @@ int CountViolatingServers(Cluster* cluster, double sla_ms, SimTime now);
 /// back to their original version through the same wave machinery.
 class RollingUpgradeOrchestrator {
  public:
-  using DoneCallback = std::function<void(const UpgradeReport&)>;
+  using DoneCallback = sim::Callback<void(const UpgradeReport&)>;
 
   RollingUpgradeOrchestrator(Cluster* cluster, Rebalancer* rebalancer,
                              UpgradeOptions options);
-  ~RollingUpgradeOrchestrator();
 
   RollingUpgradeOrchestrator(const RollingUpgradeOrchestrator&) = delete;
   RollingUpgradeOrchestrator& operator=(const RollingUpgradeOrchestrator&) =
@@ -174,7 +173,6 @@ class RollingUpgradeOrchestrator {
   uint64_t failed_baseline_ = 0;
 
   UpgradeReport report_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace slacker

@@ -128,12 +128,14 @@ void ClientPool::Dispatch(PendingTxn txn) {
     });
     return;
   }
-  engine::TxnSpec spec = txn.spec;
-  const SimTime arrival = txn.arrival;
+  // The spec travels with the transaction and comes back in the
+  // result, so the continuation captures 24 bytes and stays inline.
   engine::ExecuteTransaction(
-      sim_, db, std::move(spec), arrival,
-      [this, txn = std::move(txn)](const engine::TxnResult& result) mutable {
-        OnTxnDone(std::move(txn), result);
+      sim_, db, std::move(txn.spec), txn.arrival,
+      [this, arrival = txn.arrival,
+       attempts = txn.attempts](engine::TxnResult result) {
+        OnTxnDone(PendingTxn{std::move(result.spec), arrival, attempts},
+                  result);
       });
 }
 

@@ -142,12 +142,11 @@ void TraceReplayer::Dispatch(Pending txn) {
     });
     return;
   }
-  engine::TxnSpec spec = txn.spec;
-  const SimTime arrival = txn.arrival;
   engine::ExecuteTransaction(
-      sim_, db, std::move(spec), arrival,
-      [this, txn = std::move(txn)](const engine::TxnResult& result) mutable {
-        OnDone(std::move(txn), result);
+      sim_, db, std::move(txn.spec), txn.arrival,
+      [this, arrival = txn.arrival,
+       attempts = txn.attempts](engine::TxnResult result) {
+        OnDone(Pending{std::move(result.spec), arrival, attempts}, result);
       });
 }
 

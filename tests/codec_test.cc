@@ -727,7 +727,7 @@ TEST(StreamPinTest, RawAndAdaptiveStreamsMatchPinnedFingerprints) {
       {CodecMode::kRaw, false, 3358755676u, 3285460918u, 2923603391u},
       {CodecMode::kRaw, true, 1093143698u, 1668006402u, 865639794u},
       {CodecMode::kAdaptive, false, 656948425u, 2190124580u, 0},
-      {CodecMode::kAdaptive, true, 603440457u, 3080306821u, 0},
+      {CodecMode::kAdaptive, true, 1374820930u, 947450680u, 0},
   };
   for (const Pin& pin : kPins) {
     SCOPED_TRACE(std::string(CodecModeName(pin.mode)) +
@@ -743,6 +743,30 @@ TEST(StreamPinTest, RawAndAdaptiveStreamsMatchPinnedFingerprints) {
       EXPECT_EQ(Fingerprint(run.csv), pin.csv);
       EXPECT_EQ(run.csv.find("codec_"), std::string::npos);
     }
+  }
+}
+
+TEST(StreamPinTest, OneLostChunkCostsOneNackRoundInEveryCodecMode) {
+  // Go-back-N rewinds once to the gap. A codec stream reads its next
+  // chunk ahead of the tokens; the rewind discards that chunk, and its
+  // rows must not linger as a delta base the target never staged, or
+  // the resent seq fails to decode and NACKs again, round after round.
+  for (const CodecMode mode : {CodecMode::kRaw, CodecMode::kLz,
+                               CodecMode::kDelta, CodecMode::kAdaptive}) {
+    SCOPED_TRACE(CodecModeName(mode));
+    const StreamRun run = RunTracedStream(mode, /*drop_chunk=*/true);
+    ASSERT_TRUE(run.report.status.ok()) << run.report.status.ToString();
+    EXPECT_TRUE(run.report.digest_match);
+    size_t nack_rounds = 0;
+    for (size_t at = run.trace.find("\"snapshot_nack\"");
+         at != std::string::npos;
+         at = run.trace.find("\"snapshot_nack\"", at + 1)) {
+      ++nack_rounds;
+    }
+    EXPECT_EQ(nack_rounds, 1u);
+    // The gap plus the chunks already in flight behind it.
+    EXPECT_GE(run.report.chunks_retransmitted, 1u);
+    EXPECT_LE(run.report.chunks_retransmitted, 3u);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/common/random.h"
@@ -300,6 +301,32 @@ TEST(TenantDbTest, FailInFlightFailsOldestFirstThenQueue) {
   EXPECT_EQ(db.binlog()->record_count(), 0u);
 }
 
+TEST(TenantDbTest, DestroyedDbRunsNoPendingContinuation) {
+  // A crash deletes the db with work still queued on the shared disk
+  // and CPU and a drain waiter armed: none of it may run afterwards.
+  Rig rig;
+  auto db =
+      std::make_unique<TenantDb>(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db->Load();  // Cold pool: every read misses.
+  int runs = 0;
+  db->ExecuteOp(Operation{OpType::kRead, 5},
+                [&runs](Status, const WrittenRow&) { ++runs; });
+  rig.sim.RunUntil(SmallConfig().cpu_per_op * 1.5);
+  ASSERT_EQ(rig.disk.QueueDepth(), 1u);  // The miss is on the disk.
+  // Busy every core, then queue one more charge behind them.
+  for (int i = 0; i <= rig.cpu.cores(); ++i) {
+    db->ChargeCpu(1.0, [&runs] { ++runs; });
+  }
+  ASSERT_EQ(rig.cpu.queued(), 1u);
+  db->Freeze([&runs] { ++runs; });  // Waits on the in-flight read.
+  db.reset();
+  rig.sim.RunAll();
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(rig.cpu.busy_cores(), 0);
+  EXPECT_EQ(rig.cpu.queued(), 0u);
+  EXPECT_EQ(rig.disk.QueueDepth(), 0u);
+}
+
 TEST(TenantDbDeathTest, NestedFreezeIsFatal) {
   Rig rig;
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
@@ -442,6 +469,9 @@ TEST(TransactionTest, SerialOpsThenCommit) {
   EXPECT_EQ(result.txn_id, 42u);
   EXPECT_EQ(result.writes.size(), 5u);
   EXPECT_GT(result.LatencyMs(), 0.0);
+  // The spec comes back for a retry.
+  EXPECT_EQ(result.spec.txn_id, 42u);
+  EXPECT_EQ(result.spec.ops.size(), 10u);
   // 5 writes + 1 commit record.
   EXPECT_EQ(db.binlog()->record_count(), 6u);
 }

@@ -1,17 +1,19 @@
 // Unit tests for the discrete-event simulator: event ordering,
 // cancellation, deterministic tie-breaking, periodic timers, the
-// timer-wheel internals (bucketing, cascades, cancel recycling), and
-// the small-buffer Callback type.
+// timer-wheel internals (bucketing, cascades, cancel recycling), the
+// small-buffer Callback type and the Lifetime owner guard.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/sim/callback.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/lifetime.h"
 #include "src/sim/simulator.h"
 
 namespace slacker::sim {
@@ -231,7 +233,7 @@ TEST(EventQueueTest, CancelDueEventBeforeRunIsHonored) {
 
 TEST(CallbackTest, InlineCaptureRuns) {
   int x = 0;
-  Callback cb([&x] { x = 7; });
+  Callback<void()> cb([&x] { x = 7; });
   EXPECT_TRUE(static_cast<bool>(cb));
   cb();
   EXPECT_EQ(x, 7);
@@ -246,7 +248,7 @@ TEST(CallbackTest, OversizedCaptureFallsBackToHeap) {
   Big big{};
   big.pad[15] = 42.0;
   double seen = 0.0;
-  Callback cb([big, &seen] { seen = big.pad[15]; });
+  Callback<void()> cb([big, &seen] { seen = big.pad[15]; });
   cb();
   EXPECT_DOUBLE_EQ(seen, 42.0);
 }
@@ -256,18 +258,110 @@ TEST(CallbackTest, MoveOnlyCaptureAccepted) {
   // so completions can own their payloads.
   auto owned = std::make_unique<int>(5);
   int seen = 0;
-  Callback cb([owned = std::move(owned), &seen] { seen = *owned; });
+  Callback<void()> cb([owned = std::move(owned), &seen] { seen = *owned; });
   cb();
   EXPECT_EQ(seen, 5);
 }
 
 TEST(CallbackTest, MoveTransfersOwnership) {
   int runs = 0;
-  Callback a([&runs] { ++runs; });
-  Callback b = std::move(a);
+  Callback<void()> a([&runs] { ++runs; });
+  Callback<void()> b = std::move(a);
   EXPECT_FALSE(static_cast<bool>(a));
   b();
   EXPECT_EQ(runs, 1);
+}
+
+TEST(CallbackTest, ForwardsArgumentsOfItsSignature) {
+  auto owned = std::make_unique<int>(3);
+  int sum = 0;
+  Callback<void(std::unique_ptr<int>, const int&)> cb(
+      [&sum](std::unique_ptr<int> p, const int& x) { sum = *p + x; });
+  cb(std::move(owned), 4);
+  EXPECT_EQ(sum, 7);
+}
+
+TEST(CallbackTest, NullptrMakesAnEmptyCallback) {
+  EXPECT_FALSE(static_cast<bool>(Callback<void()>(nullptr)));
+  EXPECT_TRUE(static_cast<bool>(Callback<void()>([] {})));
+}
+
+TEST(LifetimeTest, GuardedCallbackRunsOnlyWhileOwnerLives) {
+  int runs = 0;
+  Callback<void()> before;
+  Callback<void()> after;
+  {
+    Lifetime owner;
+    before = owner.Guard([&runs] { ++runs; });
+    after = owner.Guard([&runs] { ++runs; });
+    before();
+  }
+  EXPECT_EQ(runs, 1);
+  after();  // Owner destroyed: dropped.
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(LifetimeTest, GuardForwardsArgumentsAndAddsEightBytes) {
+  Lifetime owner;
+  int seen = 0;
+  int* target = &seen;
+  auto guarded = owner.Guard([target](int v) { *target = v; });
+  static_assert(sizeof(guarded) == sizeof(void*) + sizeof(uint64_t));
+  Callback<void(int)> cb = std::move(guarded);
+  cb(9);
+  EXPECT_EQ(seen, 9);
+}
+
+TEST(LifetimeTest, EmptyCallbackStaysEmptyWhenGuarded) {
+  Lifetime owner;
+  EXPECT_FALSE(static_cast<bool>(owner.Guard(Callback<void()>())));
+  EXPECT_FALSE(static_cast<bool>(Callback<void()>(owner.Guard(nullptr))));
+  int runs = 0;
+  Callback<void()> guarded = owner.Guard(Callback<void()>([&runs] { ++runs; }));
+  ASSERT_TRUE(static_cast<bool>(guarded));
+  guarded();
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(LifetimeTest, SlotsAreReusedWithNewGeneration) {
+  int stale_runs = 0;
+  int fresh_runs = 0;
+  Callback<void()> stale;
+  uint64_t stale_tag = 0;
+  {
+    Lifetime first;
+    stale_tag = first.tag();
+    stale = first.Guard([&stale_runs] { ++stale_runs; });
+  }
+  Lifetime second;
+  // The freed slot is handed out again, under a new generation.
+  EXPECT_EQ(second.tag() >> 32, stale_tag >> 32);
+  EXPECT_NE(second.tag(), stale_tag);
+  Callback<void()> fresh = second.Guard([&fresh_runs] { ++fresh_runs; });
+  stale();
+  fresh();
+  EXPECT_EQ(stale_runs, 0);
+  EXPECT_EQ(fresh_runs, 1);
+}
+
+TEST(LifetimeTest, OwnerAndSimulatorMayDieInEitherOrder) {
+  int runs = 0;
+  {
+    // Owner first: the pending event runs as a no-op.
+    Simulator sim;
+    auto owner = std::make_unique<Lifetime>();
+    sim.After(1.0, owner->Guard([&runs] { ++runs; }));
+    owner.reset();
+    sim.RunAll();
+  }
+  {
+    // Simulator first: the pending guarded event is destroyed unrun.
+    Lifetime owner;
+    auto sim = std::make_unique<Simulator>();
+    sim->After(1.0, owner.Guard([&runs] { ++runs; }));
+    sim.reset();
+  }
+  EXPECT_EQ(runs, 0);
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {

@@ -84,6 +84,13 @@ const std::regex& WireDecodeRe() {
   return re;
 }
 
+/// A heap-allocated bool used as an owner-liveness flag.
+const std::regex& OwnerFlagRe() {
+  static const std::regex re(
+      R"(\b(shared_ptr|weak_ptr|make_shared)\s*<\s*(const\s+)?bool\s*>)");
+  return re;
+}
+
 const std::regex& FloatEqRe() {
   static const std::regex re(
       R"([=!]=\s*[0-9]+\.[0-9]*(e-?[0-9]+)?f?\b|[0-9]+\.[0-9]*(e-?[0-9]+)?f?\s*[=!]=)");
@@ -365,6 +372,8 @@ void Linter::LintFile(const FileEntry& file, std::vector<Finding>* out) {
   const bool in_byte_layer = PathContains(file.path, "src/codec") ||
                              PathContains(file.path, "src/net") ||
                              PathContains(file.path, "src/common");
+  const bool in_src =
+      file.path.rfind("src/", 0) == 0 || PathContains(file.path, "/src/");
 
   // Names of std::unordered_* members/locals declared in this file, for
   // the src/obs iteration rule.
@@ -404,6 +413,13 @@ void Linter::LintFile(const FileEntry& file, std::vector<Finding>* out) {
            "raw byte reinterpretation outside the frame layer; decode "
            "wire data through src/codec / src/net (CRC-checked) "
            "instead",
+           out);
+    }
+
+    if (in_src && std::regex_search(line, OwnerFlagRe())) {
+      Emit(file, static_cast<int>(i), "slacker-owner-flag",
+           "shared_ptr<bool> liveness flag; guard continuations with a "
+           "sim::Lifetime member (src/sim/lifetime.h) instead",
            out);
     }
 

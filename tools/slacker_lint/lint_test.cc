@@ -40,6 +40,7 @@ TEST(SlackerLintTest, ViolationsFixtureProducesExactFindings) {
       {37, "slacker-dropped-status"}, {38, "slacker-dropped-status"},
       {41, "slacker-dropped-status"},  // flow: local never consumed.
       {46, "slacker-wire-decode"},    {47, "slacker-wire-decode"},
+      {52, "slacker-owner-flag"},     {53, "slacker-owner-flag"},
   };
   ASSERT_EQ(findings.size(), expected.size())
       << FindingsToText(findings);
@@ -99,6 +100,26 @@ TEST(SlackerLintTest, WireDecodeOnlyFlaggedOutsideFrameLayer) {
   ASSERT_EQ(findings.size(), 2u) << FindingsToText(findings);
   EXPECT_EQ(findings[0].rule, "slacker-wire-decode");
   EXPECT_EQ(findings[1].rule, "slacker-wire-decode");
+}
+
+TEST(SlackerLintTest, OwnerFlagOnlyFlaggedUnderSrc) {
+  const std::string code =
+      "std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);\n"
+      "std::weak_ptr< const bool > seen;\n"
+      "std::shared_ptr<bool_vector> fine;\n";
+  for (const char* outside : {"tests/migration_test.cc", "bench/fleet.cc"}) {
+    Linter linter;
+    linter.AddFile(outside, code);
+    EXPECT_TRUE(linter.Run().empty()) << outside;
+  }
+  Linter inside;
+  inside.AddFile("src/slacker/rebalancer.h", code);
+  const auto findings = inside.Run();
+  ASSERT_EQ(findings.size(), 2u) << FindingsToText(findings);
+  EXPECT_EQ(findings[0].rule, "slacker-owner-flag");
+  EXPECT_EQ(findings[0].line, 1);
+  EXPECT_EQ(findings[1].rule, "slacker-owner-flag");
+  EXPECT_EQ(findings[1].line, 2);
 }
 
 TEST(SlackerLintTest, AmbiguousNamesAreNotFlagged) {
