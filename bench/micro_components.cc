@@ -1,11 +1,16 @@
 // Microbenchmarks (google-benchmark) for the hot components under the
 // experiments: B+-tree ops, buffer pool touches, PID updates, wire
-// codec, binlog append/scan, event queue churn, and token bucket
-// grants. These bound the simulator's own overhead and document the
+// codec, binlog append/scan, event queue churn, token bucket grants,
+// and the bulk stream's three codec kernels. These bound the simulator's own overhead and document the
 // costs of the core data structures.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "src/codec/lz.h"
+#include "src/codec/payload.h"
 #include "src/common/random.h"
 #include "src/control/pid.h"
 #include "src/net/message.h"
@@ -196,6 +201,56 @@ void BM_TokenBucketGrants(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_TokenBucketGrants);
+
+// The bulk stream's kernels on the fig15 chunk shape (256 rows of
+// 1 KiB at redundancy 0.5), each in payload bytes per second: the LZ
+// size pass, the payload writer, and the closed-form payload CRC.
+constexpr uint64_t kChunkRows = 256;
+constexpr uint64_t kRowBytes = 1024;
+constexpr double kRedundancy = 0.5;
+
+std::vector<storage::Record> ChunkRows() {
+  Rng rng(0xb1c);
+  std::vector<storage::Record> rows;
+  for (uint64_t i = 0; i < kChunkRows; ++i) {
+    rows.push_back(storage::Record{i, 1, rng.Next()});
+  }
+  return rows;
+}
+
+void BM_LzCompressedSize(benchmark::State& state) {
+  const std::vector<uint8_t> payload =
+      codec::MaterializeChunkPayload(ChunkRows(), kRowBytes, kRedundancy);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        codec::LzCompressedSize(payload.data(), payload.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_LzCompressedSize);
+
+void BM_MaterializeChunkPayload(benchmark::State& state) {
+  const std::vector<storage::Record> rows = ChunkRows();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        codec::MaterializeChunkPayload(rows, kRowBytes, kRedundancy));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(kChunkRows * kRowBytes));
+}
+BENCHMARK(BM_MaterializeChunkPayload);
+
+void BM_ChunkPayloadCrc(benchmark::State& state) {
+  const std::vector<storage::Record> rows = ChunkRows();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        codec::ChunkPayloadCrc(rows, kRowBytes, kRedundancy));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(kChunkRows * kRowBytes));
+}
+BENCHMARK(BM_ChunkPayloadCrc);
 
 }  // namespace
 }  // namespace slacker

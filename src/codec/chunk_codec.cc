@@ -5,7 +5,6 @@
 #include "src/codec/delta.h"
 #include "src/codec/lz.h"
 #include "src/codec/payload.h"
-#include "src/common/checksum.h"
 
 namespace slacker::codec {
 namespace {
@@ -22,19 +21,6 @@ EncodedChunk RawChunk(const std::vector<storage::Record>& rows,
 
 }  // namespace
 
-std::vector<uint8_t> MaterializeChunkPayload(
-    const std::vector<storage::Record>& rows, uint64_t record_bytes,
-    double redundancy) {
-  std::vector<uint8_t> payload;
-  payload.reserve(rows.size() * record_bytes);
-  for (const storage::Record& row : rows) {
-    const std::vector<uint8_t> bytes =
-        MaterializeCompressiblePayload(row, record_bytes, redundancy);
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
-  }
-  return payload;
-}
-
 EncodedChunk EncodeSnapshotChunk(
     const std::vector<storage::Record>& rows, uint64_t logical_bytes,
     Codec requested, const CodecConfig& config, uint64_t record_bytes,
@@ -45,16 +31,17 @@ EncodedChunk EncodeSnapshotChunk(
     case Codec::kLz: {
       const std::vector<uint8_t> payload = MaterializeChunkPayload(
           rows, record_bytes, config.payload_redundancy);
-      const std::vector<uint8_t> compressed = LzCompress(payload);
-      if (compressed.size() >= payload.size() ||
-          compressed.size() >= logical_bytes) {
+      const size_t compressed =
+          LzCompressedSize(payload.data(), payload.size());
+      if (compressed >= payload.size() || compressed >= logical_bytes) {
         return RawChunk(rows, logical_bytes);
       }
       EncodedChunk out;
       out.frame.codec = Codec::kLz;
       out.frame.logical_bytes = logical_bytes;
-      out.frame.encoded_bytes = compressed.size();
-      out.frame.payload_crc = Crc32c(payload);
+      out.frame.encoded_bytes = compressed;
+      out.frame.payload_crc =
+          ChunkPayloadCrc(rows, record_bytes, config.payload_redundancy);
       out.frame.payload_redundancy = config.payload_redundancy;
       out.rows = rows;
       out.cpu_seconds = static_cast<double>(payload.size()) /
@@ -89,9 +76,8 @@ bool VerifyPayloadCrc(const FrameHeader& frame,
                       const std::vector<storage::Record>& rows,
                       uint64_t record_bytes) {
   if (frame.codec != Codec::kLz) return true;
-  const std::vector<uint8_t> payload =
-      MaterializeChunkPayload(rows, record_bytes, frame.payload_redundancy);
-  return Crc32c(payload) == frame.payload_crc;
+  return ChunkPayloadCrc(rows, record_bytes, frame.payload_redundancy) ==
+         frame.payload_crc;
 }
 
 double DecodeCpuSeconds(const FrameHeader& frame, const CodecConfig& config) {

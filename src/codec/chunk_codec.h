@@ -21,20 +21,13 @@ struct EncodedChunk {
   double cpu_seconds = 0.0;
 };
 
-/// Concatenated materialized payload of a chunk: `record_bytes` bytes
-/// per row via MaterializeCompressiblePayload. Source and target derive
-/// identical bytes from identical rows, which is what lets payload CRCs
-/// verify end to end without payload bytes crossing the link.
-std::vector<uint8_t> MaterializeChunkPayload(
-    const std::vector<storage::Record>& rows, uint64_t record_bytes,
-    double redundancy);
-
 /// Encodes one chunk with `requested` codec. Falls back to kRaw when
 /// the encoding does not pay (LZ output >= input; delta >= full chunk)
 /// or when kDelta was requested without a base. For kLz the real block
-/// compressor runs over the materialized payload to measure
-/// encoded_bytes and payload_crc; for kDelta the wire size is modeled
-/// as changed rows plus 8 bytes per removed key.
+/// compressor's matcher runs over the materialized payload to measure
+/// encoded_bytes, and payload_crc is ChunkPayloadCrc of the rows; for
+/// kDelta the wire size is modeled as changed rows plus 8 bytes per
+/// removed key.
 EncodedChunk EncodeSnapshotChunk(const std::vector<storage::Record>& rows,
                                  uint64_t logical_bytes, Codec requested,
                                  const CodecConfig& config,
@@ -42,7 +35,9 @@ EncodedChunk EncodeSnapshotChunk(const std::vector<storage::Record>& rows,
                                  const std::vector<storage::Record>* base_rows);
 
 /// Target-side check that an LZ frame's payload CRC matches the payload
-/// re-materialized from the received rows. True for non-LZ frames.
+/// of the received rows, through ChunkPayloadCrc: the same value as
+/// re-materializing the payload and taking its CRC-32C, without doing
+/// so. True for non-LZ frames.
 bool VerifyPayloadCrc(const FrameHeader& frame,
                       const std::vector<storage::Record>& rows,
                       uint64_t record_bytes);

@@ -1,8 +1,14 @@
 #include "src/codec/lz.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <string>
+
+#include "src/common/invariant.h"
 
 namespace slacker::codec {
 namespace {
@@ -13,14 +19,37 @@ constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 131;  // kMinMatch + 127.
 constexpr size_t kMaxLiteralRun = 128;
 
-/// Fibonacci hash of a 4-byte little-endian prefix; determinism needs
-/// only that this is a pure function of the bytes.
-uint32_t HashPrefix(const uint8_t* p) {
-  const uint32_t word = static_cast<uint32_t>(p[0]) |
-                        (static_cast<uint32_t>(p[1]) << 8) |
-                        (static_cast<uint32_t>(p[2]) << 16) |
-                        (static_cast<uint32_t>(p[3]) << 24);
-  return (word * 2654435761u) >> (32 - kHashBits);
+/// Little-endian loads, so that hashes do not depend on the host and
+/// the lowest set bit of an XOR of two loads is in the first differing
+/// byte.
+uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t word;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap32(word);
+  }
+  return word;
+}
+
+uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+/// Fibonacci hash of a 4-byte prefix; determinism needs only that this
+/// is a pure function of the bytes.
+uint32_t HashPrefix(uint32_t prefix) {
+  return (prefix * 2654435761u) >> (32 - kHashBits);
+}
+
+size_t VarintLength(uint64_t value) {
+  size_t length = 1;
+  for (; value >= 0x80; value >>= 7) ++length;
+  return length;
 }
 
 void PutVarint(std::vector<uint8_t>* out, uint64_t value) {
@@ -46,52 +75,129 @@ bool GetVarint(const std::vector<uint8_t>& in, size_t* pos, uint64_t* value) {
   return false;
 }
 
-void FlushLiterals(const std::vector<uint8_t>& input, size_t from, size_t to,
-                   std::vector<uint8_t>* out) {
-  while (from < to) {
-    const size_t run = std::min(kMaxLiteralRun, to - from);
-    out->push_back(static_cast<uint8_t>(run - 1));
-    out->insert(out->end(), input.begin() + static_cast<ptrdiff_t>(from),
-                input.begin() + static_cast<ptrdiff_t>(from + run));
-    from += run;
+/// Length of the common prefix of `a` and `b`, which share their first
+/// kMinMatch bytes, capped at `limit`; compares 8 bytes at a time.
+size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t length = kMinMatch;
+  for (; length + 8 <= limit; length += 8) {
+    const uint64_t diff = LoadLe64(a + length) ^ LoadLe64(b + length);
+    if (diff != 0) {
+      return length + static_cast<size_t>(std::countr_zero(diff)) / 8;
+    }
   }
+  while (length < limit && a[length] == b[length]) ++length;
+  return length;
 }
 
-}  // namespace
+/// Hash table of candidate positions, reused across calls on a thread.
+/// A slot holds base + position; each call takes a fresh base past
+/// every stamp an earlier call wrote, so slots below base are stale
+/// and read as empty. The slots are cleared only when base would wrap.
+struct MatchTable {
+  uint32_t slot[kHashSize];
+  uint32_t next_base = 1;
 
-std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& input) {
-  std::vector<uint8_t> out;
-  const size_t n = input.size();
-  if (n == 0) return out;
-  out.reserve(n / 2 + 16);
+  /// Claims the stamps [base, base + n) for an n-byte input; returns
+  /// base. Zero is never a valid stamp, so a cleared table is empty.
+  uint32_t Claim(size_t n) {
+    SLACKER_CHECK(n < UINT32_MAX - 1, "lz input of " + std::to_string(n) +
+                                          " bytes exceeds 32-bit positions");
+    if (n + 1 > UINT32_MAX - next_base) {
+      std::fill(std::begin(slot), std::end(slot), 0u);
+      next_base = 1;
+    }
+    const uint32_t base = next_base;
+    next_base = base + static_cast<uint32_t>(n) + 1;
+    return base;
+  }
+};
 
-  std::vector<size_t> table(kHashSize, SIZE_MAX);
+MatchTable& ThreadMatchTable() {
+  // On the heap so a thread does not carry a 128 KiB TLS block; never
+  // freed, as it holds nothing but memory. Value-initialised: all
+  // slots start empty.
+  thread_local MatchTable* table = new MatchTable();
+  return *table;
+}
+
+/// The greedy single-candidate matcher shared by LzCompress and
+/// LzCompressedSize. It reports the token stream to `sink` as
+/// Literals(from, to) and Match(length, distance) calls, in order.
+template <typename Sink>
+void RunMatcher(const uint8_t* input, size_t n, Sink& sink) {
+  if (n == 0) return;
+  MatchTable& table = ThreadMatchTable();
+  const uint32_t base = table.Claim(n);
   size_t literal_start = 0;
   size_t i = 0;
   while (i + kMinMatch <= n) {
-    const uint32_t h = HashPrefix(&input[i]);
-    const size_t candidate = table[h];
-    table[h] = i;
-    if (candidate != SIZE_MAX && candidate < i &&
-        input[candidate] == input[i] && input[candidate + 1] == input[i + 1] &&
-        input[candidate + 2] == input[i + 2] &&
-        input[candidate + 3] == input[i + 3]) {
-      size_t length = kMinMatch;
-      const size_t limit = std::min(kMaxMatch, n - i);
-      while (length < limit && input[candidate + length] == input[i + length]) {
-        ++length;
-      }
-      FlushLiterals(input, literal_start, i, &out);
-      out.push_back(static_cast<uint8_t>(0x80 | (length - kMinMatch)));
-      PutVarint(&out, i - candidate);
+    const uint32_t prefix = LoadLe32(input + i);
+    uint32_t& slot = table.slot[HashPrefix(prefix)];
+    const uint32_t stamp = slot;
+    slot = base + static_cast<uint32_t>(i);
+    // A live stamp is always for an earlier position of this input.
+    if (stamp >= base && LoadLe32(input + (stamp - base)) == prefix) {
+      const size_t candidate = stamp - base;
+      const size_t length = MatchLength(input + candidate, input + i,
+                                        std::min(kMaxMatch, n - i));
+      sink.Literals(literal_start, i);
+      sink.Match(length, i - candidate);
       i += length;
       literal_start = i;
     } else {
       ++i;
     }
   }
-  FlushLiterals(input, literal_start, n, &out);
+  sink.Literals(literal_start, n);
+}
+
+/// Writes the token stream.
+struct TokenSink {
+  const uint8_t* input;
+  std::vector<uint8_t>* out;
+
+  void Literals(size_t from, size_t to) {
+    while (from < to) {
+      const size_t run = std::min(kMaxLiteralRun, to - from);
+      out->push_back(static_cast<uint8_t>(run - 1));
+      out->insert(out->end(), input + from, input + from + run);
+      from += run;
+    }
+  }
+  void Match(size_t length, size_t distance) {
+    out->push_back(static_cast<uint8_t>(0x80 | (length - kMinMatch)));
+    PutVarint(out, distance);
+  }
+};
+
+/// Counts the token stream's bytes without writing it.
+struct SizeSink {
+  size_t size = 0;
+
+  void Literals(size_t from, size_t to) {
+    const size_t run = to - from;
+    size += run + (run + kMaxLiteralRun - 1) / kMaxLiteralRun;
+  }
+  void Match(size_t /*length*/, size_t distance) {
+    size += 1 + VarintLength(distance);
+  }
+};
+
+}  // namespace
+
+std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& input) {
+  std::vector<uint8_t> out;
+  if (input.empty()) return out;
+  out.reserve(input.size() / 2 + 16);
+  TokenSink sink{input.data(), &out};
+  RunMatcher(input.data(), input.size(), sink);
   return out;
+}
+
+size_t LzCompressedSize(const uint8_t* input, size_t n) {
+  SizeSink sink;
+  RunMatcher(input, n, sink);
+  return sink.size;
 }
 
 Status LzDecompress(const std::vector<uint8_t>& compressed,

@@ -1,6 +1,7 @@
 #ifndef SLACKER_CODEC_LZ_H_
 #define SLACKER_CODEC_LZ_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,11 @@ namespace slacker::codec {
 /// ceil(n / 128) op bytes of overhead. Callers compare the result size
 /// against the input and ship raw when compression does not pay.
 std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& input);
+
+/// LzCompress(input).size() for the n bytes at `input`, computed by
+/// the same matcher without writing the token stream. The migration
+/// path ships a modeled frame, so it needs only this size.
+size_t LzCompressedSize(const uint8_t* input, size_t n);
 
 /// Decompresses `compressed` into `out` (cleared first). Fails with
 /// Corruption if the token stream is malformed or does not decode to

@@ -1,31 +1,184 @@
 #include "src/codec/payload.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <memory>
+
+#include "src/common/checksum.h"
 
 namespace slacker::codec {
+namespace {
 
-std::vector<uint8_t> MaterializeCompressiblePayload(
-    const storage::Record& record, size_t logical_size, double redundancy) {
-  std::vector<uint8_t> out(logical_size);
+// The filler prefix of a payload row. Its length is a function of the
+// row shape only, its byte a function of the key only; the writer and
+// the CRC tables both take them from here.
+size_t FillerLength(size_t logical_size, double redundancy) {
   const double clamped = std::clamp(redundancy, 0.0, 1.0);
-  const size_t filler_bytes = std::min(
-      logical_size,
-      static_cast<size_t>(
-          std::llround(clamped * static_cast<double>(logical_size))));
-  const uint8_t filler = static_cast<uint8_t>(record.key * 0x9E3779B9u >> 24);
-  std::fill(out.begin(), out.begin() + static_cast<ptrdiff_t>(filler_bytes),
-            filler);
-  // The incompressible tail is the same xorshift64 stream as
-  // storage::MaterializePayload, advanced past the filler prefix.
-  uint64_t state = record.digest ^ record.key;
-  for (size_t i = filler_bytes; i < logical_size; ++i) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    out[i] = static_cast<uint8_t>(state);
+  return std::min(logical_size,
+                  static_cast<size_t>(std::llround(
+                      clamped * static_cast<double>(logical_size))));
+}
+
+uint8_t FillerByte(uint64_t key) {
+  return static_cast<uint8_t>(key * 0x9E3779B9u >> 24);
+}
+
+/// One step of storage::MaterializePayload's xorshift64 stream.
+uint64_t Xorshift(uint64_t state) {
+  state ^= state << 13;
+  state ^= state >> 7;
+  state ^= state << 17;
+  return state;
+}
+
+void StoreLe64(uint8_t* p, uint64_t word) {
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
   }
-  return out;
+  std::memcpy(p, &word, sizeof(word));
+}
+
+/// Writes K consecutive payload rows of `logical_size` bytes each at
+/// `out`. The rows' xorshift64 chains are independent, so stepping them
+/// in lockstep gives the core K chains to overlap instead of one serial
+/// chain; each chain still yields 8 bytes per 64-bit store.
+template <size_t K>
+void WriteRows(const storage::Record* rows, size_t logical_size,
+               size_t filler_bytes, uint8_t* out) {
+  uint64_t state[K];
+  for (size_t k = 0; k < K; ++k) {
+    std::memset(out + k * logical_size, FillerByte(rows[k].key),
+                filler_bytes);
+    state[k] = rows[k].digest ^ rows[k].key;
+  }
+  const size_t noise_bytes = logical_size - filler_bytes;
+  uint8_t* noise = out + filler_bytes;
+  size_t i = 0;
+  for (; i + 8 <= noise_bytes; i += 8) {
+    uint64_t word[K] = {};
+    for (size_t b = 0; b < 8; ++b) {
+      for (size_t k = 0; k < K; ++k) {
+        state[k] = Xorshift(state[k]);
+        word[k] |= (state[k] & 0xff) << (8 * b);
+      }
+    }
+    for (size_t k = 0; k < K; ++k) {
+      StoreLe64(noise + k * logical_size + i, word[k]);
+    }
+  }
+  for (; i < noise_bytes; ++i) {
+    for (size_t k = 0; k < K; ++k) {
+      state[k] = Xorshift(state[k]);
+      noise[k * logical_size + i] = static_cast<uint8_t>(state[k]);
+    }
+  }
+}
+
+/// The raw CRC-32C register after `len` bytes from register `reg`:
+/// Crc32c without its pre- and post-inversion.
+uint32_t RawCrc(uint32_t reg, const uint8_t* data, size_t len) {
+  return ~Crc32c(data, len, ~reg);
+}
+
+/// Byte table of a GF(2)-linear map, from its images of the eight
+/// single-bit bytes.
+void ExpandByteTable(const uint32_t* basis, uint32_t* table) {
+  table[0] = 0;
+  for (uint32_t b = 1; b < 256; ++b) {
+    table[b] = table[b & (b - 1)] ^ basis[std::countr_zero(b)];
+  }
+}
+
+/// The raw CRC-32C register update over one payload row of a fixed
+/// (logical_size, filler_bytes) shape, split by linearity:
+///   reg' = shift(reg) ^ fill[filler byte] ^ noise(digest ^ key),
+/// each term a XOR of byte-table lookups (DESIGN §11.1).
+struct RowCrcTables {
+  size_t logical_size;
+  size_t filler_bytes;
+  uint32_t shift[4][256];  // Register byte k through the row's length.
+  uint32_t fill[256];      // Filler prefix of this byte, then zeros.
+  uint32_t noise[8][256];  // Noise from xorshift state byte k.
+
+  RowCrcTables(size_t size, size_t filler)
+      : logical_size(size), filler_bytes(filler) {
+    std::vector<uint8_t> row(logical_size, 0);
+    uint32_t basis[64];
+    for (size_t j = 0; j < 32; ++j) {
+      basis[j] = RawCrc(uint32_t{1} << j, row.data(), row.size());
+    }
+    for (size_t k = 0; k < 4; ++k) ExpandByteTable(basis + 8 * k, shift[k]);
+    for (size_t j = 0; j < 8; ++j) {
+      std::memset(row.data(), 1 << j, filler_bytes);
+      basis[j] = RawCrc(0, row.data(), row.size());
+    }
+    ExpandByteTable(basis, fill);
+    // Key 0 has filler byte 0, so this row is the noise alone.
+    for (size_t j = 0; j < 64; ++j) {
+      const storage::Record unit{0, 0, uint64_t{1} << j};
+      WriteRows<1>(&unit, logical_size, filler_bytes, row.data());
+      basis[j] = RawCrc(0, row.data(), row.size());
+    }
+    for (size_t k = 0; k < 8; ++k) ExpandByteTable(basis + 8 * k, noise[k]);
+  }
+};
+
+/// This thread's tables for a shape, built on first use. A run sees a
+/// handful of shapes; past kMaxShapes the oldest is dropped.
+const RowCrcTables& TablesFor(size_t logical_size, size_t filler_bytes) {
+  constexpr size_t kMaxShapes = 8;
+  thread_local std::vector<std::unique_ptr<RowCrcTables>> cache;
+  for (const auto& tables : cache) {
+    if (tables->logical_size == logical_size &&
+        tables->filler_bytes == filler_bytes) {
+      return *tables;
+    }
+  }
+  if (cache.size() == kMaxShapes) cache.erase(cache.begin());
+  cache.push_back(std::make_unique<RowCrcTables>(logical_size, filler_bytes));
+  return *cache.back();
+}
+
+}  // namespace
+
+std::vector<uint8_t> MaterializeChunkPayload(
+    const std::vector<storage::Record>& rows, uint64_t record_bytes,
+    double redundancy) {
+  std::vector<uint8_t> payload(rows.size() * record_bytes);
+  if (payload.empty()) return payload;
+  const size_t filler_bytes = FillerLength(record_bytes, redundancy);
+  size_t r = 0;
+  for (; r + 4 <= rows.size(); r += 4) {
+    WriteRows<4>(&rows[r], record_bytes, filler_bytes,
+                 &payload[r * record_bytes]);
+  }
+  for (; r < rows.size(); ++r) {
+    WriteRows<1>(&rows[r], record_bytes, filler_bytes,
+                 &payload[r * record_bytes]);
+  }
+  return payload;
+}
+
+uint32_t ChunkPayloadCrc(const std::vector<storage::Record>& rows,
+                         uint64_t record_bytes, double redundancy) {
+  // An empty payload's CRC-32C is 0.
+  if (rows.empty() || record_bytes == 0) return 0;
+  const RowCrcTables& t =
+      TablesFor(record_bytes, FillerLength(record_bytes, redundancy));
+  uint32_t reg = 0xFFFFFFFFu;
+  for (const storage::Record& row : rows) {
+    const uint64_t s = row.digest ^ row.key;
+    reg = t.shift[0][reg & 0xff] ^ t.shift[1][(reg >> 8) & 0xff] ^
+          t.shift[2][(reg >> 16) & 0xff] ^ t.shift[3][reg >> 24] ^
+          t.fill[FillerByte(row.key)] ^ t.noise[0][s & 0xff] ^
+          t.noise[1][(s >> 8) & 0xff] ^ t.noise[2][(s >> 16) & 0xff] ^
+          t.noise[3][(s >> 24) & 0xff] ^ t.noise[4][(s >> 32) & 0xff] ^
+          t.noise[5][(s >> 40) & 0xff] ^ t.noise[6][(s >> 48) & 0xff] ^
+          t.noise[7][s >> 56];
+  }
+  return ~reg;
 }
 
 }  // namespace slacker::codec

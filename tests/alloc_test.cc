@@ -1,14 +1,19 @@
 // Allocation-regression tests for the continuation path: once the
 // event pool, the resource queues and the engine's in-flight window are
 // warm, a cached point read and a CPU charge must not touch the heap.
-// A counting global operator new (this binary only) measures it.
+// Nor may the target's payload-CRC check of an LZ frame, once its
+// shape's CRC tables are built. A counting global operator new (this
+// binary only) measures it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "src/codec/chunk_codec.h"
+#include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
 #include "src/resource/cpu.h"
@@ -103,6 +108,29 @@ TEST(AllocTest, ChargeCpuAllocatesNothing) {
     t.sim.RunAll();
   });
   EXPECT_EQ(charged, static_cast<uint64_t>(kWarmup + kMeasured));
+  EXPECT_EQ(per_call, 0.0);
+}
+
+// A 256-row 1 KiB LZ frame: the fig15 chunk shape.
+TEST(CodecAllocTest, VerifyPayloadCrcAllocatesNothing) {
+  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+  Rng rng(0xa110c);
+  std::vector<storage::Record> rows;
+  for (uint64_t i = 0; i < 256; ++i) {
+    rows.push_back(storage::Record{i, 1, rng.Next()});
+  }
+  codec::CodecConfig config;
+  config.mode = codec::CodecMode::kLz;
+  config.payload_redundancy = 0.5;
+  const codec::EncodedChunk enc =
+      codec::EncodeSnapshotChunk(rows, rows.size() * kKiB, codec::Codec::kLz,
+                                 config, kKiB, nullptr);
+  ASSERT_EQ(enc.frame.codec, codec::Codec::kLz);
+  uint64_t verified = 0;
+  const double per_call = AllocationsPerCall([&](int) {
+    if (codec::VerifyPayloadCrc(enc.frame, rows, kKiB)) ++verified;
+  });
+  EXPECT_EQ(verified, static_cast<uint64_t>(kWarmup + kMeasured));
   EXPECT_EQ(per_call, 0.0);
 }
 

@@ -1,5 +1,7 @@
 // Tests for the src/codec subsystem: the deterministic LZ block
-// compressor, the checksummed frame header, the row-delta encoder, the
+// compressor and its size-only pass, the payload writer and its
+// closed-form CRC (each held to the byte-at-a-time reference kernels
+// below), the checksummed frame header, the row-delta encoder, the
 // adaptive selector, the end-to-end delta-retransmission path
 // (HotBackupStream::RewindTo reconciling against a mutated table, and a
 // full migration with a forced NACK shipping delta frames), and pinned
@@ -8,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -28,6 +32,7 @@
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
+#include "src/storage/record.h"
 #include "src/net/channel.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/csv_export.h"
@@ -42,6 +47,128 @@
 
 namespace slacker::codec {
 namespace {
+
+// ----------------------------------------------------- Reference kernels
+//
+// The straightforward byte-at-a-time LZ compressor and payload writer
+// the optimised kernels must reproduce exactly: a fresh hash table per
+// call, bytewise match extension, one vector per row.
+
+std::vector<uint8_t> ReferenceLzCompress(const std::vector<uint8_t>& input) {
+  constexpr size_t kHashBits = 15;
+  constexpr size_t kMinMatch = 4;
+  constexpr size_t kMaxMatch = 131;
+  constexpr size_t kMaxLiteralRun = 128;
+  std::vector<uint8_t> out;
+  const size_t n = input.size();
+  if (n == 0) return out;
+  const auto hash = [&](size_t i) {
+    const uint32_t word = static_cast<uint32_t>(input[i]) |
+                          (static_cast<uint32_t>(input[i + 1]) << 8) |
+                          (static_cast<uint32_t>(input[i + 2]) << 16) |
+                          (static_cast<uint32_t>(input[i + 3]) << 24);
+    return (word * 2654435761u) >> (32 - kHashBits);
+  };
+  const auto flush = [&](size_t from, size_t to) {
+    while (from < to) {
+      const size_t run = std::min(kMaxLiteralRun, to - from);
+      out.push_back(static_cast<uint8_t>(run - 1));
+      out.insert(out.end(), input.begin() + static_cast<ptrdiff_t>(from),
+                 input.begin() + static_cast<ptrdiff_t>(from + run));
+      from += run;
+    }
+  };
+  std::vector<size_t> table(size_t{1} << kHashBits, SIZE_MAX);
+  size_t literal_start = 0;
+  size_t i = 0;
+  while (i + kMinMatch <= n) {
+    const uint32_t h = hash(i);
+    const size_t candidate = table[h];
+    table[h] = i;
+    if (candidate != SIZE_MAX && candidate < i &&
+        input[candidate] == input[i] && input[candidate + 1] == input[i + 1] &&
+        input[candidate + 2] == input[i + 2] &&
+        input[candidate + 3] == input[i + 3]) {
+      size_t length = kMinMatch;
+      const size_t limit = std::min(kMaxMatch, n - i);
+      while (length < limit && input[candidate + length] == input[i + length]) {
+        ++length;
+      }
+      flush(literal_start, i);
+      out.push_back(static_cast<uint8_t>(0x80 | (length - kMinMatch)));
+      for (uint64_t d = i - candidate;; d >>= 7) {
+        if (d < 0x80) {
+          out.push_back(static_cast<uint8_t>(d));
+          break;
+        }
+        out.push_back(static_cast<uint8_t>(d) | 0x80);
+      }
+      i += length;
+      literal_start = i;
+    } else {
+      ++i;
+    }
+  }
+  flush(literal_start, n);
+  return out;
+}
+
+std::vector<uint8_t> ReferenceRowPayload(const storage::Record& record,
+                                         size_t logical_size,
+                                         double redundancy) {
+  std::vector<uint8_t> out(logical_size);
+  const double clamped = std::clamp(redundancy, 0.0, 1.0);
+  const size_t filler_bytes = std::min(
+      logical_size,
+      static_cast<size_t>(
+          std::llround(clamped * static_cast<double>(logical_size))));
+  const uint8_t filler = static_cast<uint8_t>(record.key * 0x9E3779B9u >> 24);
+  std::fill(out.begin(), out.begin() + static_cast<ptrdiff_t>(filler_bytes),
+            filler);
+  uint64_t state = record.digest ^ record.key;
+  for (size_t i = filler_bytes; i < logical_size; ++i) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    out[i] = static_cast<uint8_t>(state);
+  }
+  return out;
+}
+
+std::vector<uint8_t> ReferenceChunkPayload(
+    const std::vector<storage::Record>& rows, uint64_t record_bytes,
+    double redundancy) {
+  std::vector<uint8_t> payload;
+  for (const storage::Record& row : rows) {
+    const std::vector<uint8_t> bytes =
+        ReferenceRowPayload(row, record_bytes, redundancy);
+    payload.insert(payload.end(), bytes.begin(), bytes.end());
+  }
+  return payload;
+}
+
+std::vector<storage::Record> UnsortedRows(Rng* rng, size_t n) {
+  std::vector<storage::Record> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(storage::Record{rng->Next(), rng->Next(), rng->Next()});
+  }
+  return rows;
+}
+
+std::vector<uint8_t> RowPayload(const storage::Record& record,
+                                size_t logical_size, double redundancy) {
+  return MaterializeChunkPayload({record}, logical_size, redundancy);
+}
+
+// The fig15 chunk shape: 256 rows of 1 KiB at redundancy 0.5.
+std::vector<storage::Record> Fig15ShapeRows() {
+  Rng rng(0xf15);
+  std::vector<storage::Record> rows;
+  for (uint64_t i = 0; i < 256; ++i) {
+    rows.push_back(storage::Record{1000 + 3 * i, i + 1, rng.Next()});
+  }
+  return rows;
+}
 
 // ---------------------------------------------------------------- LZ
 
@@ -100,19 +227,133 @@ TEST(LzTest, DeterministicOutput) {
   EXPECT_EQ(LzCompress(input), LzCompress(input));
 }
 
+// Every case runs the size-only pass and the compressor back to back
+// on one thread's reused table, so stale stamps from the previous call
+// (often of the same bytes) are in the table each time.
+TEST(LzTest, SizeOnlyMatchesCompress) {
+  Rng rng(0x17d);
+  std::vector<std::vector<uint8_t>> inputs;
+  for (size_t n = 0; n <= 8; ++n) {
+    inputs.push_back(RandomBytes(&rng, n));
+    inputs.push_back(std::vector<uint8_t>(n, 0x41));
+  }
+  // Literal runs around the 128-byte op limit.
+  for (const size_t n : {127, 128, 129, 256}) {
+    inputs.push_back(RandomBytes(&rng, n));
+  }
+  // RLE runs past the 131-byte match limit, between random bytes.
+  for (const size_t run : {131, 132, 135, 139, 262, 263, 1000}) {
+    std::vector<uint8_t> input = RandomBytes(&rng, 5);
+    input.insert(input.end(), run, 0x7e);
+    const auto tail = RandomBytes(&rng, 9);
+    input.insert(input.end(), tail.begin(), tail.end());
+    inputs.push_back(input);
+  }
+  // A 64-byte block repeated at varint-boundary distances.
+  for (const size_t distance : {127, 128, 16383, 16384}) {
+    std::vector<uint8_t> input = RandomBytes(&rng, distance + 64);
+    std::copy(input.begin(), input.begin() + 64,
+              input.begin() + static_cast<ptrdiff_t>(distance));
+    inputs.push_back(input);
+  }
+  for (int trial = 0; trial < 50; ++trial) {
+    inputs.push_back(RandomBytes(&rng, rng.NextBelow(5000)));
+  }
+  const auto rows = UnsortedRows(&rng, 37);
+  for (const double r : {0.0, 0.5, 0.75, 1.0}) {
+    inputs.push_back(MaterializeChunkPayload(rows, kKiB, r));
+  }
+  for (size_t c = 0; c < inputs.size(); ++c) {
+    const std::vector<uint8_t>& input = inputs[c];
+    const std::vector<uint8_t> reference = ReferenceLzCompress(input);
+    EXPECT_EQ(LzCompressedSize(input.data(), input.size()), reference.size())
+        << "case " << c;
+    EXPECT_EQ(LzCompress(input), reference) << "case " << c;
+    EXPECT_EQ(LzCompressedSize(input.data(), input.size()), reference.size())
+        << "case " << c << " again";
+  }
+}
+
 // ------------------------------------------------------------- Payload
 
 TEST(PayloadTest, DeterministicAndRedundancyControlsRatio) {
   const storage::Record rec{42, 7, 0xabc};
-  const auto a = MaterializeCompressiblePayload(rec, 1024, 0.75);
-  const auto b = MaterializeCompressiblePayload(rec, 1024, 0.75);
+  const auto a = RowPayload(rec, 1024, 0.75);
+  const auto b = RowPayload(rec, 1024, 0.75);
   EXPECT_EQ(a, b);
 
-  const auto noise = MaterializeCompressiblePayload(rec, 16 * 1024, 0.0);
-  const auto redundant = MaterializeCompressiblePayload(rec, 16 * 1024, 0.75);
+  const auto noise = RowPayload(rec, 16 * 1024, 0.0);
+  const auto redundant = RowPayload(rec, 16 * 1024, 0.75);
   EXPECT_GT(LzCompress(noise).size(), LzCompress(redundant).size());
   // ~1/(1 - r) ratio on the redundant payload.
   EXPECT_LT(LzCompress(redundant).size(), redundant.size() / 2);
+}
+
+TEST(PayloadTest, NoiseTailIsStoragePayloadPrefix) {
+  const storage::Record rec{0x5151, 9, 0xfeedface};
+  for (const size_t size : {1, 7, 100, 1024, 3001}) {
+    for (const double r : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+      const auto payload = RowPayload(rec, size, r);
+      const auto filler = static_cast<size_t>(
+          std::llround(r * static_cast<double>(size)));
+      const std::vector<uint8_t> tail(
+          payload.begin() + static_cast<ptrdiff_t>(filler), payload.end());
+      EXPECT_EQ(tail, storage::MaterializePayload(rec, size - filler))
+          << size << " bytes at r = " << r;
+    }
+  }
+}
+
+TEST(PayloadTest, InterleavedWriterMatchesPerRowWriter) {
+  Rng rng(0x9a1);
+  for (size_t n = 0; n <= 9; ++n) {
+    const auto rows = UnsortedRows(&rng, n);
+    for (const uint64_t size : {1, 5, 8, 9, 1024, 1031}) {
+      for (const double r : {0.0, 0.3, 0.5, 1.0}) {
+        const auto chunk = MaterializeChunkPayload(rows, size, r);
+        EXPECT_EQ(chunk, ReferenceChunkPayload(rows, size, r))
+            << n << " rows of " << size << " bytes at r = " << r;
+        // Row by row, every row takes the one-lane path.
+        std::vector<uint8_t> per_row;
+        for (const storage::Record& row : rows) {
+          const auto bytes = RowPayload(row, size, r);
+          per_row.insert(per_row.end(), bytes.begin(), bytes.end());
+        }
+        EXPECT_EQ(chunk, per_row);
+      }
+    }
+  }
+}
+
+TEST(PayloadTest, ChunkPayloadCrcMatchesMaterializedBytes) {
+  Rng rng(0x9a2);
+  for (int trial = 0; trial < 320; ++trial) {
+    const size_t n = trial == 0 ? 0 : rng.NextBelow(23);
+    const auto rows = UnsortedRows(&rng, n);
+    const uint64_t size = 1 + rng.NextBelow(3000);
+    const double r = trial % 3 == 0   ? 0.0
+                     : trial % 3 == 1 ? 1.0
+                                      : rng.NextDouble();
+    EXPECT_EQ(ChunkPayloadCrc(rows, size, r),
+              Crc32c(ReferenceChunkPayload(rows, size, r)))
+        << "trial " << trial << ": " << n << " rows of " << size
+        << " bytes at r = " << r;
+  }
+}
+
+// Computed by materializing the chunk and taking its CRC-32C, as the
+// stream did before the closed form.
+TEST(PayloadTest, ChunkPayloadCrcPinnedOnFig15Shape) {
+  const auto rows = Fig15ShapeRows();
+  EXPECT_EQ(ChunkPayloadCrc(rows, kKiB, 0.5), 0x06f1c5ebu);
+  CodecConfig config;
+  config.mode = CodecMode::kLz;
+  config.payload_redundancy = 0.5;
+  const EncodedChunk enc = EncodeSnapshotChunk(
+      rows, rows.size() * kKiB, Codec::kLz, config, kKiB, nullptr);
+  ASSERT_EQ(enc.frame.codec, Codec::kLz);
+  EXPECT_EQ(enc.frame.payload_crc, 0x06f1c5ebu);
+  EXPECT_EQ(enc.frame.encoded_bytes, 135418u);
 }
 
 // --------------------------------------------------------------- Frame
