@@ -176,10 +176,11 @@ Fleet::Fleet(const ExperimentOptions& flags,
     cluster_->InstallTracer(tracer_.get());
     cluster_->set_sla_threshold_ms(flags.sla_threshold_ms);
     if (metrics) {
-      collector_ = std::make_unique<MetricsCollector>(&sim_, cluster_.get(),
-                                                      /*period=*/1.0);
-      collector_->PublishTo(tracer_->registry());
-      collector_->Start();
+      sampler_ = std::make_unique<sim::PeriodicTimer>(
+          &sim_, /*period=*/1.0, [this](SimTime) {
+            PublishMetrics(cluster_.get(), tracer_->registry());
+          });
+      sampler_->Start();
     }
   }
 }
@@ -270,7 +271,7 @@ uint64_t Fleet::ViolationsBetween(SimTime t0, SimTime t1) const {
 bool Fleet::Finish() {
   for (auto& driver : drivers_) driver->Stop();
   for (auto& pool : pools_) pool->Stop();
-  if (collector_ != nullptr) collector_->Stop();
+  if (sampler_ != nullptr) sampler_->Stop();
   auto report = [](const Status& status, const char* what,
                    const std::string& path) {
     if (status.ok()) {

@@ -110,13 +110,13 @@ struct FleetAudit {
 ///
 /// Event ties break FIFO, so construction order is output: the tracer,
 /// the cluster, the tracer's installation, the SLA threshold
-/// (`flags.sla_threshold_ms`) and the 1 Hz collector all come before
+/// (`flags.sla_threshold_ms`) and the 1 Hz sampler all come before
 /// the bench's own AddTenant/AddPool calls.
 class Fleet {
  public:
   /// `cluster_options` is PaperClusterOptions() with the bench's
   /// changes. A tracer exists only when `flags` asks for a trace or
-  /// CSV; with `metrics`, a 1 Hz MetricsCollector then publishes to it.
+  /// CSV; with `metrics`, a 1 Hz timer then runs PublishMetrics into it.
   Fleet(const ExperimentOptions& flags, const ClusterOptions& cluster_options,
         bool metrics);
   // The tracer, cluster and pools hold the simulator's address.
@@ -155,7 +155,7 @@ class Fleet {
   /// Completed transactions in (t0, t1] slower than the SLA threshold.
   uint64_t ViolationsBetween(SimTime t0, SimTime t1) const;
 
-  /// Ends the run: stops drivers, pools and collector, writes the
+  /// Ends the run: stops drivers, pools and sampler, writes the
   /// trace and CSV, detaches the tracer, then audits (below) and
   /// prints the verdict. Returns false if the audit failed.
   bool Finish();
@@ -188,7 +188,8 @@ class Fleet {
   sim::Simulator sim_;
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<Cluster> cluster_;
-  std::unique_ptr<MetricsCollector> collector_;
+  /// 1 Hz PublishMetrics into the tracer's registry (with `metrics`).
+  std::unique_ptr<sim::PeriodicTimer> sampler_;
   std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads_;
   std::vector<std::unique_ptr<workload::ClientPool>> pools_;
   std::vector<std::unique_ptr<workload::DiurnalPattern>> patterns_;

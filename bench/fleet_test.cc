@@ -1,12 +1,14 @@
 // Tests for the fleet bench harness: the JSON writer's exact bytes, the
-// end-of-run audit (passing and catching a corrupted row), and the
-// rejection of malformed fleet flags.
+// end-of-run audit (passing and catching a corrupted row), the testbed's
+// teardown with a migration still in flight, and the rejection of
+// malformed fleet flags.
 
 #include "bench/fleet.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -112,6 +114,22 @@ FleetFlags Parse(std::vector<std::string> args) {
   FleetFlags flags("out.json", 16, 128, 8);
   ParseFleetFlags(static_cast<int>(argv.size()), argv.data(), &flags);
   return flags;
+}
+
+// A traced migration that does not finish in time still holds its
+// spans when the testbed goes: the tracer must outlive the cluster.
+TEST(TestbedTest, UnfinishedTracedMigrationTearsDownCleanly) {
+  ExperimentOptions options;
+  options.trace_path = testing::TempDir() + "unfinished_trace.json";
+  options.size_scale = 0.05;
+  options.warmup_seconds = 2.0;
+  {
+    Testbed testbed(options);
+    MigrationReport report;
+    EXPECT_FALSE(testbed.RunMigration(testbed.BaseMigration(), &report, 0,
+                                      /*max_seconds=*/1.0, /*drain=*/0.0));
+  }
+  std::remove(options.trace_path.c_str());
 }
 
 TEST(ParseFleetFlagsTest, AcceptsFleetFlagsAndPassesTheRestOn) {

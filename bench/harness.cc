@@ -117,10 +117,11 @@ Testbed::Testbed(const ExperimentOptions& options) : options_(options) {
     // Before tenants exist, so their op metrics attach on creation.
     cluster_->InstallTracer(tracer_.get());
     cluster_->set_sla_threshold_ms(options.sla_threshold_ms);
-    collector_ = std::make_unique<MetricsCollector>(&sim_, cluster_.get(),
-                                                    /*period=*/1.0);
-    collector_->PublishTo(tracer_->registry());
-    collector_->Start();
+    sampler_ = std::make_unique<sim::PeriodicTimer>(
+        &sim_, /*period=*/1.0, [this](SimTime) {
+          PublishMetrics(cluster_.get(), tracer_->registry());
+        });
+    sampler_->Start();
   }
   for (int i = 0; i < options.tenants; ++i) {
     const uint64_t id = i + 1;
@@ -174,8 +175,10 @@ void Testbed::StopAll() {
 }
 
 void Testbed::FinishObservability() {
-  if (tracer_ == nullptr) return;
-  if (collector_ != nullptr) collector_->Stop();
+  // The sampler lives from construction to the first call here, so the
+  // outputs are written once.
+  if (sampler_ == nullptr) return;
+  sampler_.reset();
   if (!options_.trace_path.empty()) {
     const Status status =
         obs::WriteChromeTrace(*tracer_, options_.trace_path);
@@ -198,8 +201,9 @@ void Testbed::FinishObservability() {
                    status.ToString().c_str());
     }
   }
+  // The tracer itself lives until the cluster is gone: an unfinished
+  // migration job still ends its spans in it when destroyed.
   cluster_->InstallTracer(nullptr);
-  tracer_.reset();
 }
 
 MigrationOptions Testbed::BaseMigration() const {

@@ -50,8 +50,9 @@ struct ExperimentOptions {
   /// When non-empty, the testbed installs a tracer and writes a Chrome
   /// trace-event JSON (chrome://tracing / Perfetto) here at teardown.
   std::string trace_path;
-  /// When non-empty, a 1 Hz MetricsCollector publishes per-tick series
-  /// (latency window, throttle rate, disk utilization...) to this CSV.
+  /// When non-empty, PublishMetrics samples the cluster at 1 Hz into
+  /// the tracer's registry (latency window, disk and CPU utilization,
+  /// disk queue depth, migrations in flight), written to this CSV.
   std::string csv_path;
   /// Latency above which completed transactions emit SlaViolation
   /// events (0 disables; only meaningful with a tracer installed).
@@ -118,8 +119,8 @@ class Testbed {
   void StopAll();
 
   /// Writes the trace/CSV outputs requested in the options (printing
-  /// the paths) and detaches the tracer. Called by the destructor;
-  /// call earlier to export before further simulation.
+  /// the paths) and detaches the tracer, once. Called by the
+  /// destructor; call earlier to export before further simulation.
   void FinishObservability();
 
  private:
@@ -129,7 +130,9 @@ class Testbed {
   std::unique_ptr<Cluster> cluster_;
   std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads_;
   std::vector<std::unique_ptr<workload::ClientPool>> pools_;
-  std::unique_ptr<MetricsCollector> collector_;
+  /// 1 Hz PublishMetrics into the tracer's registry; present from
+  /// construction until FinishObservability when a tracer exists.
+  std::unique_ptr<sim::PeriodicTimer> sampler_;
 };
 
 /// Disk/CPU/link settings shared by both paper configs.

@@ -1,5 +1,7 @@
 #include "src/obs/metric_registry.h"
 
+#include "src/common/invariant.h"
+
 namespace slacker::obs {
 
 std::string MetricRegistry::FullName(const std::string& name,
@@ -7,11 +9,22 @@ std::string MetricRegistry::FullName(const std::string& name,
   return labels.empty() ? name : name + "{" + labels + "}";
 }
 
+const MetricRegistry::Slot* MetricRegistry::Find(Kind kind,
+                                                const std::string& full) const {
+  auto it = by_name_.find(full);
+  if (it == by_name_.end()) return nullptr;
+  const Slot& slot = order_[it->second];
+  SLACKER_CHECK(slot.kind == kind,
+                "metric " + full + " is already registered as another kind");
+  return &slot;
+}
+
 Counter* MetricRegistry::FindOrCreateCounter(const std::string& name,
                                              const std::string& labels) {
   const std::string full = FullName(name, labels);
-  auto it = by_name_.find(full);
-  if (it != by_name_.end()) return &counters_[order_[it->second].index];
+  if (const Slot* slot = Find(Kind::kCounter, full)) {
+    return &counters_[slot->index];
+  }
   counters_.emplace_back();
   counter_series_.emplace_back();
   by_name_[full] = order_.size();
@@ -22,8 +35,9 @@ Counter* MetricRegistry::FindOrCreateCounter(const std::string& name,
 Gauge* MetricRegistry::FindOrCreateGauge(const std::string& name,
                                          const std::string& labels) {
   const std::string full = FullName(name, labels);
-  auto it = by_name_.find(full);
-  if (it != by_name_.end()) return &gauges_[order_[it->second].index];
+  if (const Slot* slot = Find(Kind::kGauge, full)) {
+    return &gauges_[slot->index];
+  }
   gauges_.emplace_back();
   gauge_series_.emplace_back();
   by_name_[full] = order_.size();
@@ -34,8 +48,9 @@ Gauge* MetricRegistry::FindOrCreateGauge(const std::string& name,
 Histogram* MetricRegistry::FindOrCreateHistogram(const std::string& name,
                                                  const std::string& labels) {
   const std::string full = FullName(name, labels);
-  auto it = by_name_.find(full);
-  if (it != by_name_.end()) return &histograms_[order_[it->second].index];
+  if (const Slot* slot = Find(Kind::kHistogram, full)) {
+    return &histograms_[slot->index];
+  }
   histograms_.emplace_back();
   by_name_[full] = order_.size();
   order_.push_back(Slot{Kind::kHistogram, full, histograms_.size() - 1});

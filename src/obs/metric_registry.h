@@ -32,7 +32,8 @@ class MetricRegistry {
  public:
   enum class Kind { kCounter, kGauge, kHistogram };
 
-  /// A full name is "name" or "name{labels}".
+  /// A full name is "name" or "name{labels}". Asking for a name that
+  /// is registered as another kind is fatal.
   Counter* FindOrCreateCounter(const std::string& name,
                                const std::string& labels = "");
   Gauge* FindOrCreateGauge(const std::string& name,
@@ -41,7 +42,7 @@ class MetricRegistry {
                                    const std::string& labels = "");
 
   /// Appends (now, current value) to every counter's and gauge's series
-  /// — the periodic sampler (MetricsCollector) drives this once per
+  /// — the one sampler, slacker::PublishMetrics, calls this once per
   /// tick so CSV export sees a regular time series.
   void SampleSeries(SimTime now);
 
@@ -67,6 +68,8 @@ class MetricRegistry {
 
   static std::string FullName(const std::string& name,
                               const std::string& labels);
+  /// The slot named `full`, or nullptr; checks that it is a `kind`.
+  const Slot* Find(Kind kind, const std::string& full) const;
 
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;

@@ -23,16 +23,10 @@ void DiskModel::Submit(IoKind kind, uint64_t bytes, sim::Callback<void()> done,
                        uint64_t stream_id) {
   queue_.push_back(Request{kind, bytes, stream_id, sim_->Now(),
                            std::move(done)});
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->Set(static_cast<double>(QueueDepth()));
-  }
   if (!busy_) StartNext();
 }
 
 void DiskModel::StartNext() {
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->Set(static_cast<double>(QueueDepth()));
-  }
   if (queue_.empty()) {
     busy_ = false;
     return;

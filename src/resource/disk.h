@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/common/metric_types.h"
 #include "src/common/ring_deque.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -60,15 +59,6 @@ class DiskModel {
 
   const DiskOptions& options() const { return options_; }
 
-  /// Mirrors QueueDepth into `queue_depth` on every submit/complete.
-  /// Pass nullptr to detach; off by default.
-  void AttachObs(common::Gauge* queue_depth) {
-    queue_depth_gauge_ = queue_depth;
-    if (queue_depth_gauge_ != nullptr) {
-      queue_depth_gauge_->Set(static_cast<double>(QueueDepth()));
-    }
-  }
-
  private:
   struct Request {
     IoKind kind = IoKind::kRandomRead;
@@ -97,8 +87,6 @@ class DiskModel {
   // the same stream skip the seek (head already positioned).
   uint64_t last_stream_ = UINT64_MAX;
   bool last_was_sequential_ = false;
-
-  common::Gauge* queue_depth_gauge_ = nullptr;
 
   SimTime busy_time_ = 0.0;
   SimTime stats_epoch_ = 0.0;

@@ -80,7 +80,6 @@ void Cluster::InstallTracer(obs::Tracer* tracer) {
     txn_latency_hist_ = nullptr;
     sla_violations_counter_ = nullptr;
     for (auto& server : servers_) {
-      server->disk()->AttachObs(nullptr);
       for (uint64_t tenant_id : server->tenants()->TenantIds()) {
         engine::TenantDb* db = server->tenants()->Get(tenant_id);
         if (db != nullptr) db->AttachObs(nullptr, nullptr);
@@ -92,9 +91,10 @@ void Cluster::InstallTracer(obs::Tracer* tracer) {
   txn_latency_hist_ = registry->FindOrCreateHistogram("txn_latency_ms");
   sla_violations_counter_ = registry->FindOrCreateCounter("sla_violations");
   for (auto& server : servers_) {
-    const std::string labels = "server=" + std::to_string(server->id());
-    server->disk()->AttachObs(
-        registry->FindOrCreateGauge("disk_queue_depth", labels));
+    // PublishMetrics sets it; registered here so it leads each server's
+    // rows in the metrics CSV.
+    registry->FindOrCreateGauge("disk_queue_depth",
+                                "server=" + std::to_string(server->id()));
     for (uint64_t tenant_id : server->tenants()->TenantIds()) {
       AttachTenantObs(server->tenants()->Get(tenant_id));
     }

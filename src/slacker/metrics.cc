@@ -85,66 +85,20 @@ std::string ClusterMetrics::ToString() const {
   return out.str();
 }
 
-MetricsCollector::MetricsCollector(sim::Simulator* sim, Cluster* cluster,
-                                   SimTime period, Sink sink, size_t history)
-    : cluster_(cluster),
-      sink_(std::move(sink)),
-      max_history_(history),
-      timer_(sim, period, [this](SimTime now) { Sample(now); }) {}
-
-void MetricsCollector::Start() { timer_.Start(); }
-void MetricsCollector::Stop() { timer_.Stop(); }
-
-void MetricsCollector::PublishTo(obs::MetricRegistry* registry) {
-  registry_ = registry;
-  // Handles belong to the old registry; re-resolve lazily in Sample.
-  server_gauges_.clear();
-  active_migrations_gauge_ = nullptr;
-}
-
-void MetricsCollector::Sample(SimTime /*now*/) {
-  ClusterMetrics metrics = CollectMetrics(cluster_);
-  if (registry_ != nullptr) {
-    for (const ServerMetrics& s : metrics.servers) {
-      if (s.server_id >= server_gauges_.size()) {
-        server_gauges_.resize(s.server_id + 1);
-      }
-      ServerGauges& g = server_gauges_[s.server_id];
-      if (g.disk_util == nullptr) {
-        const std::string labels =
-            "server=" + std::to_string(s.server_id);
-        g.disk_util = registry_->FindOrCreateGauge("disk_util", labels);
-        g.cpu_util = registry_->FindOrCreateGauge("cpu_util", labels);
-        g.disk_queue_depth =
-            registry_->FindOrCreateGauge("disk_queue_depth", labels);
-        g.window_latency_ms =
-            registry_->FindOrCreateGauge("window_latency_ms", labels);
-      }
-      g.disk_util->Set(s.disk_utilization);
-      g.cpu_util->Set(s.cpu_utilization);
-      g.disk_queue_depth->Set(static_cast<double>(s.disk_queue_depth));
-      g.window_latency_ms->Set(s.window_latency_ms);
-    }
-    if (active_migrations_gauge_ == nullptr) {
-      active_migrations_gauge_ =
-          registry_->FindOrCreateGauge("active_migrations");
-    }
-    active_migrations_gauge_->Set(
-        static_cast<double>(metrics.active_migrations));
-    registry_->SampleSeries(metrics.time);
+void PublishMetrics(Cluster* cluster, obs::MetricRegistry* registry) {
+  const ClusterMetrics metrics = CollectMetrics(cluster);
+  for (const ServerMetrics& s : metrics.servers) {
+    const std::string labels = "server=" + std::to_string(s.server_id);
+    registry->FindOrCreateGauge("disk_util", labels)->Set(s.disk_utilization);
+    registry->FindOrCreateGauge("cpu_util", labels)->Set(s.cpu_utilization);
+    registry->FindOrCreateGauge("disk_queue_depth", labels)
+        ->Set(static_cast<double>(s.disk_queue_depth));
+    registry->FindOrCreateGauge("window_latency_ms", labels)
+        ->Set(s.window_latency_ms);
   }
-  if (sink_) sink_(metrics);
-  history_.push_back(std::move(metrics));
-  if (history_.size() > max_history_) {
-    history_.erase(history_.begin(),
-                   history_.begin() +
-                       static_cast<long>(history_.size() - max_history_));
-  }
-}
-
-ClusterMetrics MetricsCollector::Latest() {
-  if (history_.empty()) return CollectMetrics(cluster_);
-  return history_.back();
+  registry->FindOrCreateGauge("active_migrations")
+      ->Set(static_cast<double>(metrics.active_migrations));
+  registry->SampleSeries(metrics.time);
 }
 
 }  // namespace slacker

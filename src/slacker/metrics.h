@@ -2,8 +2,6 @@
 #define SLACKER_SLACKER_METRICS_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,52 +52,14 @@ struct ClusterMetrics {
 /// Samples a snapshot now.
 ClusterMetrics CollectMetrics(Cluster* cluster);
 
-/// Periodic sampler: collects a snapshot every `period` seconds and
-/// hands it to `sink`; keeps the last `history` snapshots queryable.
-class MetricsCollector {
- public:
-  using Sink = std::function<void(const ClusterMetrics&)>;
-
-  MetricsCollector(sim::Simulator* sim, Cluster* cluster, SimTime period,
-                   Sink sink = nullptr, size_t history = 128);
-
-  void Start();
-  void Stop();
-
-  const std::vector<ClusterMetrics>& history() const { return history_; }
-  /// Latest snapshot; collects one on demand if none sampled yet.
-  ClusterMetrics Latest();
-
-  /// Publishes every sample into `registry` as per-server gauges
-  /// (disk_util, cpu_util, disk_queue_depth, window_latency_ms) plus
-  /// active_migrations, and drives registry->SampleSeries so the CSV
-  /// exporter sees one row set per collector tick. Pass nullptr to
-  /// detach.
-  void PublishTo(obs::MetricRegistry* registry);
-
- private:
-  void Sample(SimTime now);
-
-  /// Cached handles for one server's published gauges. Registry handles
-  /// are stable for the registry's lifetime, so the name+label lookup
-  /// (string build + hash) runs once per server at attach, not once per
-  /// server per tick.
-  struct ServerGauges {
-    obs::Gauge* disk_util = nullptr;
-    obs::Gauge* cpu_util = nullptr;
-    obs::Gauge* disk_queue_depth = nullptr;
-    obs::Gauge* window_latency_ms = nullptr;
-  };
-
-  Cluster* cluster_;
-  Sink sink_;
-  size_t max_history_;
-  std::vector<ClusterMetrics> history_;
-  sim::PeriodicTimer timer_;
-  obs::MetricRegistry* registry_ = nullptr;
-  std::vector<ServerGauges> server_gauges_;
-  obs::Gauge* active_migrations_gauge_ = nullptr;
-};
+/// The one metrics sampler: takes one CollectMetrics snapshot and
+/// publishes it into `registry` as per-server gauges (disk_util,
+/// cpu_util, disk_queue_depth, window_latency_ms) plus
+/// active_migrations, then appends a row set with SampleSeries at the
+/// snapshot's time. The first call creates the gauges in that order.
+/// Drive it from a PeriodicTimer; each call reads every server's
+/// WindowAverageMs once, which refreshes the monitor's last average.
+void PublishMetrics(Cluster* cluster, obs::MetricRegistry* registry);
 
 }  // namespace slacker
 

@@ -844,8 +844,8 @@ TEST(CodecMigrationTest, MixedVersionPairDowngradesToCommonCodec) {
 // ------------------------------------------------ Stream fingerprints
 
 // What one small traced live migration emits: the report, the Chrome
-// trace, the metric CSV (sampled by a 1 Hz collector) and the final
-// codec_cpu_us counter.
+// trace, the metric CSV (sampled by PublishMetrics at 1 Hz) and the
+// final codec_cpu_us counter.
 struct StreamRun {
   MigrationReport report;
   std::string trace;
@@ -889,9 +889,10 @@ StreamRun RunTracedStream(CodecMode mode, bool drop_chunk) {
   workload::ClientPool pool(&sim, &workload, &cluster,
                             cluster.MakeLatencyObserver());
   cluster.AttachClientPool(1, &pool);
-  MetricsCollector collector(&sim, &cluster, /*period=*/1.0);
-  collector.PublishTo(tracer.registry());
-  collector.Start();
+  sim::PeriodicTimer sampler(&sim, /*period=*/1.0, [&](SimTime) {
+    PublishMetrics(&cluster, tracer.registry());
+  });
+  sampler.Start();
   pool.Start();
   sim.RunUntil(2.0);
 
@@ -918,7 +919,7 @@ StreamRun RunTracedStream(CodecMode mode, bool drop_chunk) {
   while (!done && sim.Now() < 120.0) sim.RunUntil(sim.Now() + 1.0);
   EXPECT_TRUE(done);
   pool.Stop();
-  collector.Stop();
+  sampler.Stop();
   run.trace = obs::ToChromeTraceJson(tracer);
   run.csv = obs::ToCsv(*tracer.registry());
   run.codec_cpu_us =

@@ -12,7 +12,6 @@
 #include "src/common/bytes.h"
 #include "src/common/checksum.h"
 #include "src/common/ring_deque.h"
-#include "src/common/histogram.h"
 #include "src/common/random.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
@@ -403,59 +402,6 @@ TEST(PercentileTrackerTest, EmptyReturnsZero) {
   PercentileTracker p;
   EXPECT_EQ(p.Percentile(99), 0.0);
   EXPECT_EQ(p.Mean(), 0.0);
-}
-
-// ---------------------------------------------------------------- Histogram
-
-TEST(HistogramTest, MeanAndCount) {
-  Histogram h;
-  for (int i = 0; i < 1000; ++i) h.Add(10.0);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_DOUBLE_EQ(h.mean(), 10.0);
-}
-
-TEST(HistogramTest, PercentileApproximation) {
-  Histogram h;
-  Rng rng(37);
-  PercentileTracker exact;
-  for (int i = 0; i < 100000; ++i) {
-    const double v = rng.Exponential(100.0);
-    h.Add(v);
-    exact.Add(v);
-  }
-  // Log-bucketed percentiles should be within ~12% of exact.
-  for (double p : {50.0, 90.0, 99.0}) {
-    EXPECT_NEAR(h.Percentile(p), exact.Percentile(p),
-                exact.Percentile(p) * 0.12)
-        << "p" << p;
-  }
-}
-
-TEST(HistogramTest, MinMaxBracketsPercentiles) {
-  Histogram h;
-  h.Add(5.0);
-  h.Add(500.0);
-  EXPECT_EQ(h.Percentile(0), 5.0);
-  EXPECT_EQ(h.Percentile(100), 500.0);
-  EXPECT_LE(h.Percentile(50), 500.0);
-  EXPECT_GE(h.Percentile(50), 5.0);
-}
-
-TEST(HistogramTest, MergeAddsCounts) {
-  Histogram a, b;
-  a.Add(10);
-  b.Add(20);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 15.0);
-}
-
-TEST(HistogramTest, OutOfRangeValuesClampToEdgeBuckets) {
-  Histogram h(1.0, 1000.0, 10);
-  h.Add(0.001);
-  h.Add(1e9);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.max(), 1e9);
 }
 
 // ---------------------------------------------------------------- Checksum

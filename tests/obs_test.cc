@@ -235,6 +235,18 @@ TEST(MetricRegistryTest, FindOrCreateDedupesByFullName) {
   EXPECT_EQ(registry.size(), 2u);
 }
 
+TEST(MetricRegistryDeathTest, NameRegisteredAsAnotherKindIsFatal) {
+  obs::MetricRegistry registry;
+  registry.FindOrCreateGauge("x");
+  registry.FindOrCreateCounter("ops", "tenant=1");
+  EXPECT_DEATH(registry.FindOrCreateCounter("x"), "x is already registered");
+  EXPECT_DEATH(registry.FindOrCreateHistogram("x"),
+               "x is already registered");
+  EXPECT_DEATH(registry.FindOrCreateGauge("ops", "tenant=1"),
+               "ops\\{tenant=1\\} is already registered");
+  EXPECT_EQ(registry.FindOrCreateGauge("x"), registry.FindOrCreateGauge("x"));
+}
+
 TEST(MetricRegistryTest, SampleSeriesAppendsCountersAndGauges) {
   obs::MetricRegistry registry;
   obs::Counter* counter = registry.FindOrCreateCounter("bytes");
@@ -387,9 +399,10 @@ TEST(MigrationTracingTest, PidMigrationEmitsPhaseSpansAndThrottleInstants) {
 
 TEST(MigrationTracingTest, CollectorPublishesSeriesAndToStringShowsPhase) {
   TracedRig rig(/*seed=*/9);
-  MetricsCollector collector(&rig.sim, rig.cluster.get(), /*period=*/1.0);
-  collector.PublishTo(rig.tracer->registry());
-  collector.Start();
+  sim::PeriodicTimer sampler(&rig.sim, /*period=*/1.0, [&](SimTime) {
+    PublishMetrics(rig.cluster.get(), rig.tracer->registry());
+  });
+  sampler.Start();
 
   // Catch the migration mid-flight to see the phase in the top view.
   MigrationOptions migration;
@@ -407,7 +420,7 @@ TEST(MigrationTracingTest, CollectorPublishesSeriesAndToStringShowsPhase) {
   EXPECT_NE(top.find("MB/s"), std::string::npos) << top;
   while (!done && rig.sim.Now() < 300.0) rig.sim.RunUntil(rig.sim.Now() + 1.0);
   ASSERT_TRUE(done);
-  collector.Stop();
+  sampler.Stop();
 
   const std::string csv = obs::ToCsv(*rig.tracer->registry());
   EXPECT_NE(csv.find("time_s,metric,value"), std::string::npos);
@@ -477,12 +490,13 @@ TEST(SupervisorTracingTest, CrashDuringSnapshotEmitsAttemptSpansAndFaults) {
 
 std::string RunGoldenScenario(std::string* csv_out) {
   TracedRig rig(/*seed=*/13);
-  MetricsCollector collector(&rig.sim, rig.cluster.get(), /*period=*/1.0);
-  collector.PublishTo(rig.tracer->registry());
-  collector.Start();
+  sim::PeriodicTimer sampler(&rig.sim, /*period=*/1.0, [&](SimTime) {
+    PublishMetrics(rig.cluster.get(), rig.tracer->registry());
+  });
+  sampler.Start();
   const MigrationReport report = rig.MigratePid();
   EXPECT_TRUE(report.status.ok()) << report.status.ToString();
-  collector.Stop();
+  sampler.Stop();
   if (csv_out != nullptr) *csv_out = obs::ToCsv(*rig.tracer->registry());
   return obs::ToChromeTraceJson(*rig.tracer);
 }

@@ -197,12 +197,13 @@ TEST(TimeSeriesTest, CsvFormat) {
 
 struct PoolRig : public TenantResolver {
   sim::Simulator sim;
-  resource::DiskModel disk{&sim, resource::DiskOptions{}};
+  resource::DiskModel disk;
   resource::CpuModel cpu{&sim, resource::CpuOptions{}};
   engine::TenantDb db;
 
-  explicit PoolRig(engine::TenantConfig config = SmallConfig())
-      : db(&sim, &disk, &cpu, config) {
+  explicit PoolRig(engine::TenantConfig config = SmallConfig(),
+                   resource::DiskOptions disk_options = {})
+      : disk(&sim, disk_options), db(&sim, &disk, &cpu, config) {
     db.Load();
   }
   engine::TenantDb* Resolve(uint64_t) override { return &db; }
@@ -245,6 +246,49 @@ TEST(ClientPoolTest, ArrivalRateMatchesPoisson) {
   rig.sim.RunUntil(100.0);
   pool.Stop();
   EXPECT_NEAR(pool.stats().arrivals / 100.0, 50.0, 3.0);
+}
+
+// Arrivals and their specs are drawn alternately from the workload's
+// own rng, never from server state, and a retry reuses its drawn spec.
+// So one seed gives one arrival stream however fast the server is, and
+// runs that differ only in how they migrate see the same arrivals.
+TEST(ClientPoolTest, ArrivalStreamIsIndependentOfServiceSpeed) {
+  engine::TenantConfig config = SmallConfig();
+  config.buffer_pool_bytes = 8 * 16 * kKiB;  // Misses reach the disk.
+  resource::DiskOptions slow_disk;
+  slow_disk.seek_time *= 4.0;
+  slow_disk.transfer_bytes_per_sec /= 4.0;
+  PoolRig fast_rig(config);
+  PoolRig slow_rig(config, slow_disk);
+  YcsbWorkload fast_workload(SmallYcsb(), 1, 11);
+  YcsbWorkload slow_workload(SmallYcsb(), 1, 11);
+  ClientPool fast(&fast_rig.sim, &fast_workload, &fast_rig);
+  ClientPool slow(&slow_rig.sim, &slow_workload, &slow_rig);
+  fast.Start();
+  slow.Start();
+  fast_rig.sim.RunUntil(30.0);
+  slow_rig.sim.RunUntil(30.0);
+
+  // The servers really differ...
+  EXPECT_GT(slow.latencies().Mean(), 2.0 * fast.latencies().Mean());
+  EXPECT_NE(fast.stats().completed, slow.stats().completed);
+  // ...and the arrival streams do not.
+  EXPECT_GT(fast.stats().arrivals, 400u);
+  EXPECT_EQ(fast.stats().arrivals, slow.stats().arrivals);
+  EXPECT_EQ(fast_workload.txns_generated(), slow_workload.txns_generated());
+  EXPECT_EQ(fast_workload.NextInterarrival(),
+            slow_workload.NextInterarrival());
+  const engine::TxnSpec a = fast_workload.NextTxn();
+  const engine::TxnSpec b = slow_workload.NextTxn();
+  EXPECT_EQ(a.txn_id, b.txn_id);
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (size_t i = 0; i < a.ops.size(); ++i) {
+    EXPECT_EQ(a.ops[i].type, b.ops[i].type);
+    EXPECT_EQ(a.ops[i].key, b.ops[i].key);
+    EXPECT_EQ(a.ops[i].scan_length, b.ops[i].scan_length);
+  }
+  fast.Stop();
+  slow.Stop();
 }
 
 TEST(ClientPoolTest, MplBoundsConcurrency) {
