@@ -10,6 +10,7 @@
 #include "src/common/invariant.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/csv_export.h"
+#include "src/range/range_directory.h"
 
 namespace slacker::bench {
 
@@ -346,8 +347,16 @@ FleetAudit Fleet::Audit() {
                           : row != nullptr && row->digest == acked.digest;
       if (!ok) ++audit.mismatches;
     }
-    if (!cluster_->range_directory()->ValidateCoverage(tenant_id).ok()) {
+    if (!cluster_->directory()->ValidateCoverage(tenant_id).ok()) {
       ++audit.coverage_errors;
+    }
+    // An orphaned range routes its keys to nowhere.
+    for (const range::OwnedRange& owned :
+         cluster_->directory()->RangesOf(tenant_id)) {
+      if (!cluster_->ServerUp(owned.server) ||
+          cluster_->TenantOn(owned.server, tenant_id) == nullptr) {
+        ++audit.coverage_errors;
+      }
     }
   }
   return audit;

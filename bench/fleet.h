@@ -164,7 +164,8 @@ class Fleet {
   /// pool is idle and no migration job is in flight, then checks every
   /// tenant: each acked write of its pools (merged by LSN, newest wins)
   /// is present with its digest at the ResolveForKey owner, or absent
-  /// if deleted, and its range table passes ValidateCoverage. Finish()
+  /// if deleted, its range table passes ValidateCoverage, and every
+  /// range's owner is up and holds an instance of the tenant. Finish()
   /// calls it; calling it again re-checks without re-draining.
   FleetAudit Audit();
 

@@ -104,6 +104,33 @@ TEST_F(SmallFleet, AuditPassesThenCatchesOneCorruptedRow) {
   EXPECT_EQ(corrupted.jobs_in_flight, 0u);
 }
 
+// A whole-tenant move takes every range with it: no range may stay
+// behind on a server that no longer holds the tenant.
+TEST_F(SmallFleet, AuditPassesAfterWholeTenantMove) {
+  MigrationOptions options;
+  options.throttle = ThrottleKind::kFixed;
+  options.fixed_rate_mbps = 64.0;
+  bool done = false;
+  MigrationReport report;
+  ASSERT_TRUE(fleet_.cluster()
+                  ->StartMigration(1, 1, options,
+                                   [&](const MigrationReport& r) {
+                                     report = r;
+                                     done = true;
+                                   })
+                  .ok());
+  while (!done && fleet_.sim()->Now() < 300.0) {
+    fleet_.sim()->RunUntil(fleet_.sim()->Now() + 1.0);
+  }
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_EQ(fleet_.cluster()->TenantOn(0, 1), nullptr);
+  ASSERT_TRUE(fleet_.Finish());
+  const FleetAudit audit = fleet_.Audit();
+  EXPECT_TRUE(audit.ok());
+  EXPECT_EQ(audit.coverage_errors, 0u);
+}
+
 /// Parses `args` (after a program name) as a bench that takes every
 /// fleet flag.
 FleetFlags Parse(std::vector<std::string> args) {

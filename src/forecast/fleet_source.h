@@ -28,8 +28,8 @@ class FleetOpsSource {
   /// Servers are ids [0, num_servers()).
   virtual size_t num_servers() const = 0;
 
-  /// Tenant ids currently placed on `server_id`, in a deterministic
-  /// order (the sampler walks them to aggregate per-server load).
+  /// Tenant ids currently placed on `server_id`, in tenant-id order
+  /// (the sampler walks them to aggregate per-server load).
   virtual std::vector<uint64_t> SampledTenantsOn(uint64_t server_id) = 0;
 
   /// Cumulative executed-op counter of a tenant's live instance on

@@ -10,30 +10,56 @@ std::string TenantTag(uint64_t tenant_id) {
   return "tenant " + std::to_string(tenant_id);
 }
 
+Status NotRegistered(uint64_t tenant_id) {
+  return Status::NotFound(TenantTag(tenant_id) + " not range-registered");
+}
+
 }  // namespace
 
+const RangeDirectory::Tenant* RangeDirectory::Find(uint64_t tenant_id) const {
+  const auto it = tenants_.find(tenant_id);
+  return it == tenants_.end() ? nullptr : &it->second;
+}
+
+RangeDirectory::Tenant* RangeDirectory::Find(uint64_t tenant_id) {
+  const auto it = tenants_.find(tenant_id);
+  return it == tenants_.end() ? nullptr : &it->second;
+}
+
 Status RangeDirectory::RegisterTenant(uint64_t tenant_id, uint64_t server_id) {
-  auto [it, inserted] =
-      tenants_.try_emplace(tenant_id, std::map<uint64_t, Entry>{});
+  auto [it, inserted] = tenants_.try_emplace(tenant_id);
   if (!inserted) {
     return Status::AlreadyExists(TenantTag(tenant_id) +
                                  " already range-registered");
   }
-  it->second[0] = Entry{kNoUpperBound, server_id};
+  it->second.home = server_id;
+  it->second.ranges[0] = Entry{kNoUpperBound, server_id};
   ++version_;
   return Status::Ok();
 }
 
 Status RangeDirectory::RemoveTenant(uint64_t tenant_id) {
-  if (tenants_.erase(tenant_id) == 0) {
-    return Status::NotFound(TenantTag(tenant_id) + " not range-registered");
-  }
+  if (tenants_.erase(tenant_id) == 0) return NotRegistered(tenant_id);
   ++version_;
   return Status::Ok();
 }
 
 bool RangeDirectory::HasTenant(uint64_t tenant_id) const {
   return tenants_.count(tenant_id) != 0;
+}
+
+Result<uint64_t> RangeDirectory::Lookup(uint64_t tenant_id) const {
+  const Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return NotRegistered(tenant_id);
+  return tenant->home;
+}
+
+std::vector<uint64_t> RangeDirectory::TenantsOn(uint64_t server_id) const {
+  std::vector<uint64_t> out;
+  for (const auto& [tenant_id, tenant] : tenants_) {
+    if (tenant.home == server_id) out.push_back(tenant_id);
+  }
+  return out;
 }
 
 Result<uint64_t> RangeDirectory::OwnerOf(uint64_t tenant_id,
@@ -45,14 +71,11 @@ Result<uint64_t> RangeDirectory::OwnerOf(uint64_t tenant_id,
 
 Result<OwnedRange> RangeDirectory::RangeContaining(uint64_t tenant_id,
                                                    uint64_t key) const {
-  const auto tenant_it = tenants_.find(tenant_id);
-  if (tenant_it == tenants_.end()) {
-    return Status::NotFound(TenantTag(tenant_id) + " not range-registered");
-  }
-  const auto& ranges = tenant_it->second;
+  const Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return NotRegistered(tenant_id);
   // The greatest lo <= key; coverage guarantees it exists and contains
   // the key.
-  auto it = ranges.upper_bound(key);
+  auto it = tenant->ranges.upper_bound(key);
   --it;
   OwnedRange owned;
   owned.range = KeyRange{it->first, it->second.hi};
@@ -61,14 +84,12 @@ Result<OwnedRange> RangeDirectory::RangeContaining(uint64_t tenant_id,
 }
 
 Status RangeDirectory::Split(uint64_t tenant_id, uint64_t split_key) {
-  const auto tenant_it = tenants_.find(tenant_id);
-  if (tenant_it == tenants_.end()) {
-    return Status::NotFound(TenantTag(tenant_id) + " not range-registered");
-  }
+  Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return NotRegistered(tenant_id);
   if (split_key == 0 || split_key == kNoUpperBound) {
     return Status::InvalidArgument("split key must be interior");
   }
-  auto& ranges = tenant_it->second;
+  auto& ranges = tenant->ranges;
   if (ranges.count(split_key) != 0) {
     return Status::InvalidArgument("split key " + std::to_string(split_key) +
                                    " is already a range boundary");
@@ -85,27 +106,32 @@ Status RangeDirectory::Split(uint64_t tenant_id, uint64_t split_key) {
 
 Status RangeDirectory::MoveRange(uint64_t tenant_id, const KeyRange& exact,
                                  uint64_t server_id) {
-  const auto tenant_it = tenants_.find(tenant_id);
-  if (tenant_it == tenants_.end()) {
-    return Status::NotFound(TenantTag(tenant_id) + " not range-registered");
-  }
-  auto& ranges = tenant_it->second;
-  const auto it = ranges.find(exact.lo);
-  if (it == ranges.end() || it->second.hi != exact.hi) {
+  Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return NotRegistered(tenant_id);
+  const auto it = tenant->ranges.find(exact.lo);
+  if (it == tenant->ranges.end() || it->second.hi != exact.hi) {
     return Status::NotFound(TenantTag(tenant_id) + " has no range " +
                             exact.ToString());
   }
   it->second.server = server_id;
+  if (!IsSharded(tenant_id)) tenant->home = server_id;
+  ++version_;
+  return Status::Ok();
+}
+
+Status RangeDirectory::MoveTenant(uint64_t tenant_id, uint64_t server_id) {
+  Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return NotRegistered(tenant_id);
+  for (auto& [lo, entry] : tenant->ranges) entry.server = server_id;
+  tenant->home = server_id;
   ++version_;
   return Status::Ok();
 }
 
 Status RangeDirectory::MergeAt(uint64_t tenant_id, uint64_t key) {
-  const auto tenant_it = tenants_.find(tenant_id);
-  if (tenant_it == tenants_.end()) {
-    return Status::NotFound(TenantTag(tenant_id) + " not range-registered");
-  }
-  auto& ranges = tenant_it->second;
+  Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return NotRegistered(tenant_id);
+  auto& ranges = tenant->ranges;
   auto it = ranges.upper_bound(key);
   --it;
   if (it->second.hi == kNoUpperBound) {
@@ -128,10 +154,10 @@ Status RangeDirectory::MergeAt(uint64_t tenant_id, uint64_t key) {
 
 std::vector<OwnedRange> RangeDirectory::RangesOf(uint64_t tenant_id) const {
   std::vector<OwnedRange> out;
-  const auto tenant_it = tenants_.find(tenant_id);
-  if (tenant_it == tenants_.end()) return out;
-  out.reserve(tenant_it->second.size());
-  for (const auto& [lo, entry] : tenant_it->second) {
+  const Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return out;
+  out.reserve(tenant->ranges.size());
+  for (const auto& [lo, entry] : tenant->ranges) {
     OwnedRange owned;
     owned.range = KeyRange{lo, entry.hi};
     owned.server = entry.server;
@@ -142,9 +168,9 @@ std::vector<OwnedRange> RangeDirectory::RangesOf(uint64_t tenant_id) const {
 
 std::vector<uint64_t> RangeDirectory::ServersOf(uint64_t tenant_id) const {
   std::vector<uint64_t> out;
-  const auto tenant_it = tenants_.find(tenant_id);
-  if (tenant_it == tenants_.end()) return out;
-  for (const auto& [lo, entry] : tenant_it->second) {
+  const Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return out;
+  for (const auto& [lo, entry] : tenant->ranges) {
     out.push_back(entry.server);
   }
   std::sort(out.begin(), out.end());
@@ -153,28 +179,24 @@ std::vector<uint64_t> RangeDirectory::ServersOf(uint64_t tenant_id) const {
 }
 
 bool RangeDirectory::IsSharded(uint64_t tenant_id) const {
-  const auto tenant_it = tenants_.find(tenant_id);
-  if (tenant_it == tenants_.end()) return false;
-  const auto& ranges = tenant_it->second;
-  if (ranges.size() <= 1) return false;
-  const uint64_t first = ranges.begin()->second.server;
-  for (const auto& [lo, entry] : ranges) {
+  const Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return false;
+  const uint64_t first = tenant->ranges.begin()->second.server;
+  for (const auto& [lo, entry] : tenant->ranges) {
     if (entry.server != first) return true;
   }
   return false;
 }
 
 size_t RangeDirectory::RangeCount(uint64_t tenant_id) const {
-  const auto tenant_it = tenants_.find(tenant_id);
-  return tenant_it == tenants_.end() ? 0 : tenant_it->second.size();
+  const Tenant* tenant = Find(tenant_id);
+  return tenant == nullptr ? 0 : tenant->ranges.size();
 }
 
 Status RangeDirectory::ValidateCoverage(uint64_t tenant_id) const {
-  const auto tenant_it = tenants_.find(tenant_id);
-  if (tenant_it == tenants_.end()) {
-    return Status::NotFound(TenantTag(tenant_id) + " not range-registered");
-  }
-  const auto& ranges = tenant_it->second;
+  const Tenant* tenant = Find(tenant_id);
+  if (tenant == nullptr) return NotRegistered(tenant_id);
+  const auto& ranges = tenant->ranges;
   if (ranges.empty() || ranges.begin()->first != 0) {
     return Status::Internal(TenantTag(tenant_id) +
                             " range table does not start at 0");

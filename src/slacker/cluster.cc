@@ -60,7 +60,7 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterOptions& options)
     Server* raw = server.get();
     raw->monitor()->SetOutstandingProbe([this, raw](SimTime now) {
       double worst = 0.0;
-      for (uint64_t tenant : directory_.TenantsOn(raw->id())) {
+      for (uint64_t tenant : ranges_.TenantsOn(raw->id())) {
         auto it = pools_by_tenant_.find(tenant);
         if (it == pools_by_tenant_.end()) continue;
         for (workload::ClientPool* pool : it->second) {
@@ -127,7 +127,6 @@ Result<engine::TenantDb*> Cluster::AddTenant(
   if (!db.ok()) return db;
   auditor_.OnTenantPlaced(server_id, config.tenant_id, host->draining());
   AttachTenantObs(*db);
-  SLACKER_RETURN_IF_ERROR(directory_.Register(config.tenant_id, server_id));
   SLACKER_RETURN_IF_ERROR(ranges_.RegisterTenant(config.tenant_id, server_id));
   auditor_.OnRangeCoverage(config.tenant_id,
                            ranges_.ValidateCoverage(config.tenant_id));
@@ -135,21 +134,13 @@ Result<engine::TenantDb*> Cluster::AddTenant(
 }
 
 Status Cluster::RemoveTenant(uint64_t tenant_id) {
-  Result<uint64_t> host = directory_.Lookup(tenant_id);
-  SLACKER_RETURN_IF_ERROR(host.status());
-  SLACKER_RETURN_IF_ERROR(directory_.Remove(tenant_id));
-  // A sharded tenant may hold instances on several servers; drop all.
-  std::vector<uint64_t> owners = ranges_.ServersOf(tenant_id);
-  (void)ranges_.RemoveTenant(tenant_id);
+  // An instance exists exactly where a range is owned; a sharded
+  // tenant holds several, so drop all.
+  const std::vector<uint64_t> owners = ranges_.ServersOf(tenant_id);
+  SLACKER_RETURN_IF_ERROR(ranges_.RemoveTenant(tenant_id));
   Status result = Status::Ok();
-  bool deleted_on_host = false;
   for (uint64_t owner : owners) {
-    if (owner == *host) deleted_on_host = true;
     const Status deleted = DeleteTenantOn(owner, tenant_id);
-    if (!deleted.ok() && result.ok()) result = deleted;
-  }
-  if (!deleted_on_host) {
-    const Status deleted = DeleteTenantOn(*host, tenant_id);
     if (!deleted.ok() && result.ok()) result = deleted;
   }
   return result;
@@ -158,11 +149,11 @@ Status Cluster::RemoveTenant(uint64_t tenant_id) {
 Status Cluster::StartMigration(uint64_t tenant_id, uint64_t target_server,
                                const MigrationOptions& options,
                                MigrationJob::DoneCallback done) {
-  Result<uint64_t> host = directory_.Lookup(tenant_id);
+  Result<uint64_t> host = ranges_.Lookup(tenant_id);
   SLACKER_RETURN_IF_ERROR(host.status());
   if (ranges_.IsSharded(tenant_id)) {
-    // A whole-tenant job would move only the directory host's ranges
-    // and leave the range directory naming a deleted instance.
+    // A whole-tenant job would move only the home's ranges and leave
+    // the directory naming a deleted instance.
     return Status::FailedPrecondition(
         "tenant " + std::to_string(tenant_id) +
         " is sharded across servers; move its ranges instead");
@@ -229,7 +220,7 @@ Status Cluster::MergeTenantRange(uint64_t tenant_id, uint64_t key) {
 }
 
 MigrationJob* Cluster::ActiveJob(uint64_t tenant_id) {
-  const Result<uint64_t> host = directory_.Lookup(tenant_id);
+  const Result<uint64_t> host = ranges_.Lookup(tenant_id);
   if (!host.ok()) return nullptr;
   Server* source = server(*host);
   if (source == nullptr || source->controller() == nullptr) return nullptr;
@@ -238,7 +229,7 @@ MigrationJob* Cluster::ActiveJob(uint64_t tenant_id) {
 
 Status Cluster::CancelMigration(uint64_t tenant_id,
                                 const std::string& reason) {
-  const Result<uint64_t> host = directory_.Lookup(tenant_id);
+  const Result<uint64_t> host = ranges_.Lookup(tenant_id);
   SLACKER_RETURN_IF_ERROR(host.status());
   if (server(*host)->controller() == nullptr) {
     return Status::Unavailable("source server is down");
@@ -247,13 +238,12 @@ Status Cluster::CancelMigration(uint64_t tenant_id,
 }
 
 engine::TenantDb* Cluster::Resolve(uint64_t tenant_id) {
-  const Result<uint64_t> host = directory_.Lookup(tenant_id);
+  const Result<uint64_t> host = ranges_.Lookup(tenant_id);
   if (!host.ok()) return nullptr;
   return server(*host)->tenants()->Get(tenant_id);
 }
 
 engine::TenantDb* Cluster::ResolveForKey(uint64_t tenant_id, uint64_t key) {
-  if (!ranges_.IsSharded(tenant_id)) return Resolve(tenant_id);
   const Result<uint64_t> owner = ranges_.OwnerOf(tenant_id, key);
   if (!owner.ok()) return nullptr;
   auditor_.OnOpRouted(tenant_id, key, *owner, *owner);
@@ -264,7 +254,7 @@ engine::TenantDb* Cluster::ResolveForKey(uint64_t tenant_id, uint64_t key) {
 
 workload::ClientPool::LatencyObserver Cluster::MakeLatencyObserver() {
   return [this](uint64_t tenant_id, SimTime now, double latency_ms) {
-    const Result<uint64_t> host = directory_.Lookup(tenant_id);
+    const Result<uint64_t> host = ranges_.Lookup(tenant_id);
     if (!host.ok()) return;
     server(*host)->monitor()->Record(now, latency_ms);
     if (tracer_ != nullptr) {
@@ -292,7 +282,7 @@ engine::TenantDb* Cluster::TenantOn(uint64_t server_id, uint64_t tenant_id) {
 }
 
 std::vector<uint64_t> Cluster::SampledTenantsOn(uint64_t server_id) {
-  return directory_.TenantsOn(server_id);
+  return ranges_.TenantsOn(server_id);
 }
 
 bool Cluster::TenantOpsExecuted(uint64_t server_id, uint64_t tenant_id,
@@ -349,7 +339,7 @@ void Cluster::CrashServer(uint64_t server_id) {
   DurableStore* durable = host->durable();
   for (uint64_t tenant_id : host->tenants()->TenantIds()) {
     engine::TenantDb* db = host->tenants()->Get(tenant_id);
-    const Result<uint64_t> authority = directory_.Lookup(tenant_id);
+    const Result<uint64_t> authority = ranges_.Lookup(tenant_id);
     if (authority.ok() && *authority == server_id) {
       // The binlog is the WAL — it was written synchronously to disk
       // and survives. The in-memory table does not.
@@ -386,7 +376,7 @@ void Cluster::RecoverServer(uint64_t server_id) {
   DurableStore* durable = host->durable();
   for (uint64_t tenant_id : durable->CrashedTenants()) {
     const DurableTenantState* state = durable->CrashState(tenant_id);
-    const Result<uint64_t> authority = directory_.Lookup(tenant_id);
+    const Result<uint64_t> authority = ranges_.Lookup(tenant_id);
     if (!authority.ok() || *authority != server_id) {
       // Ownership moved while this server was down.
       durable->EraseCrashState(tenant_id);
@@ -432,7 +422,6 @@ void Cluster::RecoverServer(uint64_t server_id) {
                              "no valid checkpoint); dropping";
         (void)host->tenants()->DeleteTenant(tenant_id);
         durable->EraseCrashState(tenant_id);
-        (void)directory_.Remove(tenant_id);
         (void)ranges_.RemoveTenant(tenant_id);
         continue;
       }
@@ -543,7 +532,7 @@ bool Cluster::IsPartitioned(uint64_t a, uint64_t b) const {
 }
 
 Status Cluster::CheckpointTenant(uint64_t tenant_id) {
-  const Result<uint64_t> host_id = directory_.Lookup(tenant_id);
+  const Result<uint64_t> host_id = ranges_.Lookup(tenant_id);
   SLACKER_RETURN_IF_ERROR(host_id.status());
   Server* host = server(*host_id);
   if (host == nullptr || !host->up()) {

@@ -21,7 +21,6 @@
 #include "src/slacker/invariant_auditor.h"
 #include "src/slacker/migration.h"
 #include "src/slacker/migration_controller.h"
-#include "src/slacker/tenant_directory.h"
 #include "src/slacker/tenant_manager.h"
 #include "src/workload/client_pool.h"
 
@@ -114,7 +113,7 @@ class Server {
 
 /// The whole testbed in one object (the Figure 4 / Figure 10 setup):
 /// N servers, a full mesh of gigabit links with a message channel per
-/// ordered pair, the frontend tenant directory, and the plumbing that
+/// ordered pair, the frontend routing table, and the plumbing that
 /// routes client latencies to the hosting server's monitor. Implements
 /// MigrationContext for the jobs, TenantResolver for the benchmark
 /// clients, and FleetOpsSource for the forecast sampler.
@@ -131,7 +130,11 @@ class Cluster : public MigrationContext,
   /// Ids of the servers currently up — the fleet the rebalancer plans
   /// over (a crashed server is neither a migration source nor target).
   std::vector<uint64_t> UpServerIds() const;
-  TenantDirectory* directory() override { return &directory_; }
+  /// The routing table (DESIGN.md §16): every tenant is registered
+  /// with a single full-keyspace range at AddTenant time.
+  range::RangeDirectory* directory() override { return &ranges_; }
+  /// Alias of directory(); the benchmark scenario still calls it.
+  range::RangeDirectory* range_directory() { return &ranges_; }
   /// The directional channel carrying from→to traffic (created on first
   /// use). Exposed so chaos tests can inject faults into it.
   net::Channel* ChannelBetween(uint64_t from, uint64_t to);
@@ -141,7 +144,7 @@ class Cluster : public MigrationContext,
   Result<engine::TenantDb*> AddTenant(uint64_t server_id,
                                       const engine::TenantConfig& config,
                                       bool load = true);
-  /// Removes a tenant everywhere (directory + server).
+  /// Removes a tenant everywhere (directory + every owning server).
   Status RemoveTenant(uint64_t tenant_id);
 
   // --- Migration --------------------------------------------------
@@ -152,8 +155,8 @@ class Cluster : public MigrationContext,
   /// Migrates one registered range of `tenant_id` (DESIGN.md §16). The
   /// range must match a current RangeDirectory unit exactly — call
   /// SplitTenantRange first to carve units. The job runs on the range's
-  /// owning server (which may differ from the tenant directory entry
-  /// once the tenant is sharded).
+  /// owning server (which may differ from the tenant's home once the
+  /// tenant is sharded).
   Status StartRangeMigration(uint64_t tenant_id,
                              const range::KeyRange& key_range,
                              uint64_t target_server,
@@ -214,11 +217,10 @@ class Cluster : public MigrationContext,
   Status CheckpointTenant(uint64_t tenant_id);
 
   // --- Client plumbing --------------------------------------------
-  /// TenantResolver: current authoritative instance for the tenant.
+  /// TenantResolver: the instance on the tenant's home server.
   engine::TenantDb* Resolve(uint64_t tenant_id) override;
-  /// Per-key routing for sharded tenants: the instance on the server
-  /// owning `key` per the RangeDirectory. Falls back to Resolve for
-  /// unsharded tenants (the common fast path — one map lookup).
+  /// Per-key routing: the instance on the server owning `key` per the
+  /// directory.
   engine::TenantDb* ResolveForKey(uint64_t tenant_id, uint64_t key) override;
   /// Observer for ClientPool that feeds the hosting server's monitor.
   workload::ClientPool::LatencyObserver MakeLatencyObserver();
@@ -255,9 +257,6 @@ class Cluster : public MigrationContext,
   obs::Tracer* tracer() override { return tracer_; }
   /// Always on: every Cluster audits its migrations (DESIGN.md §9).
   InvariantAuditor* auditor() override { return &auditor_; }
-  /// The range-ownership router (DESIGN.md §16). Every tenant is
-  /// registered with a single full-keyspace range at AddTenant time.
-  range::RangeDirectory* range_directory() override { return &ranges_; }
 
   // --- FleetOpsSource ---------------------------------------------
   // (simulator(), tracer() and num_servers() above also satisfy it.)
@@ -273,7 +272,6 @@ class Cluster : public MigrationContext,
   sim::Simulator* sim_;
   ClusterOptions options_;
   std::vector<std::unique_ptr<Server>> servers_;
-  TenantDirectory directory_;
   range::RangeDirectory ranges_;
   // One link + channel per ordered server pair, created lazily.
   std::map<std::pair<uint64_t, uint64_t>,

@@ -44,7 +44,7 @@ Status FluidMigrator::Start() {
   started_ = true;
   report_.start_time = cluster_->simulator()->Now();
 
-  range::RangeDirectory* router = cluster_->range_directory();
+  range::RangeDirectory* router = cluster_->directory();
   if (!router->HasTenant(tenant_id_)) {
     return Status::NotFound("tenant not registered in the range directory");
   }
@@ -114,8 +114,7 @@ void FluidMigrator::OnRangeDone(const MigrationReport& range_report) {
 }
 
 void FluidMigrator::MergeConverged() {
-  if (!options_.merge_after) return;
-  range::RangeDirectory* router = cluster_->range_directory();
+  range::RangeDirectory* router = cluster_->directory();
   const std::vector<uint64_t> owners = router->ServersOf(tenant_id_);
   if (owners.size() != 1) return;  // Still sharded; keep the table.
   while (router->RangeCount(tenant_id_) > 1) {

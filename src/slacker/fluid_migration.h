@@ -24,10 +24,6 @@ struct FluidMigrationOptions {
   /// Template for every per-range job (throttle, chunking, codec).
   /// mode must be kLive; range_scoped/range are filled per job.
   MigrationOptions migration;
-  /// Merge the tenant's ranges back into one after all of them land on
-  /// the target (keeps the router table small once sharding is no
-  /// longer needed). Skipped when the tenant ends up still sharded.
-  bool merge_after = true;
 
   Status Validate() const;
 };
@@ -84,6 +80,9 @@ class FluidMigrator {
  private:
   void StartNextRange();
   void OnRangeDone(const MigrationReport& range_report);
+  /// Merges the tenant's ranges back into one once all of them land on
+  /// the target (keeps the router table small once sharding is no
+  /// longer needed). Skipped when the tenant ends up still sharded.
   void MergeConverged();
   void Finish(Status status);
 

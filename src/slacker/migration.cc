@@ -133,15 +133,10 @@ Status MigrationJob::Start() {
                             " not on source server");
   }
   if (options_.range_scoped) {
-    range::RangeDirectory* ranges = ctx_->range_directory();
-    if (ranges == nullptr) {
-      return Status::FailedPrecondition(
-          "range-scoped migration needs a range directory");
-    }
     // The moved unit must be an exact directory entry owned by the
     // source — the handover flips precisely this entry.
     const Result<range::OwnedRange> owned =
-        ranges->RangeContaining(tenant_id_, options_.range.lo);
+        ctx_->directory()->RangeContaining(tenant_id_, options_.range.lo);
     if (!owned.ok()) return owned.status();
     if (!(owned->range == options_.range)) {
       return Status::FailedPrecondition(
@@ -998,10 +993,9 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     return;
   }
   if (options_.range_scoped) {
-    // The decision record for a range job is the RANGE directory entry
-    // (flipped strictly before the commit message, mirroring the
-    // whole-tenant discipline with the tenant directory).
-    range::RangeDirectory* ranges = ctx_->range_directory();
+    // The decision record for a range job is its range entry (flipped
+    // strictly before the commit message, like the whole-tenant move).
+    range::RangeDirectory* ranges = ctx_->directory();
     const Status moved =
         ranges->MoveRange(tenant_id_, options_.range, target_server_);
     if (!moved.ok()) {
@@ -1036,22 +1030,12 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
       }
       source_db_ = nullptr;
     }
-    if (owners.size() == 1) {
-      // The tenant converged onto a single server: keep the
-      // whole-tenant directory (the coarse view every non-range
-      // consumer reads) in agreement with range ownership.
-      const Status dir_status = ctx_->directory()->Update(tenant_id_,
-                                                          owners.front());
-      if (!dir_status.ok()) {
-        SLACKER_LOG_WARN << "tenant directory sync for tenant " << tenant_id_
-                         << " failed: " << dir_status.ToString();
-      }
-    }
     Finish(Status::Ok());
     return;
   }
+  // A split but unsharded tenant moves whole: every range goes along.
   const Status dir_status =
-      ctx_->directory()->Update(tenant_id_, target_server_);
+      ctx_->directory()->MoveTenant(tenant_id_, target_server_);
   if (!dir_status.ok()) {
     Finish(dir_status);
     return;
@@ -1301,17 +1285,10 @@ void TargetSession::ArmIdleTimer() {
 void TargetSession::ArmDecisionProbe() {
   ctx_->simulator()->After(1.0, lifetime_.Guard([this] {
     if (finished_ || !awaiting_decision_) return;
-    // The decision record a range session polls is the range entry —
-    // the source flips it (not the tenant directory) before commit.
-    Result<uint64_t> authority = Status::NotFound("no range directory");
-    if (range_scoped_) {
-      range::RangeDirectory* ranges = ctx_->range_directory();
-      if (ranges != nullptr) {
-        authority = ranges->OwnerOf(tenant_id_, range_lo_);
-      }
-    } else {
-      authority = ctx_->directory()->Lookup(tenant_id_);
-    }
+    // The decision record is the entry of the session's range (0 for
+    // a whole job) — the source flips it before commit.
+    const Result<uint64_t> authority =
+        ctx_->directory()->OwnerOf(tenant_id_, range_lo_);
     if (authority.ok() && *authority == self_server_) {
       // The source committed (directory switches strictly before the
       // commit message is sent); the message was merely lost.

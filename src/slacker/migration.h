@@ -27,7 +27,6 @@
 #include "src/sim/simulator.h"
 #include "src/slacker/durable_store.h"
 #include "src/slacker/options.h"
-#include "src/slacker/tenant_directory.h"
 #include "src/slacker/throttle_policy.h"
 #include "src/workload/trace.h"
 
@@ -37,7 +36,7 @@ class InvariantAuditor;
 
 /// The slice of the cluster a migration needs: tenant placement/
 /// lifecycle, peer messaging, latency monitors, and the frontend
-/// directory. Implemented by Cluster; mocked in unit tests.
+/// directory. Implemented by Cluster.
 class MigrationContext {
  public:
   virtual ~MigrationContext() = default;
@@ -54,7 +53,10 @@ class MigrationContext {
   virtual void SendMessage(uint64_t from_server, uint64_t to_server,
                            const net::Message& message) = 0;
   virtual control::LatencyMonitor* MonitorOn(uint64_t server_id) = 0;
-  virtual TenantDirectory* directory() = 0;
+  /// The frontend routing table (DESIGN.md §16): every handover flips
+  /// its decision record here strictly before the commit is sent — a
+  /// whole job moves the tenant, a range job moves one range.
+  virtual range::RangeDirectory* directory() = 0;
   /// The crash-surviving store of `server_id`, or nullptr when the
   /// context has no durability model (snapshot staging then can't
   /// resume across restarts, only within one incarnation).
@@ -77,10 +79,6 @@ class MigrationContext {
   /// negotiation disabled" (net/negotiation.h) — the default so mock
   /// contexts and pre-versioning setups keep the legacy wire format.
   virtual uint32_t SoftwareVersionOn(uint64_t /*server_id*/) { return 0; }
-  /// Per-range ownership map (DESIGN.md §16), or nullptr when the
-  /// context routes whole tenants only. Range-scoped jobs require it:
-  /// the handover flips a range entry here, not the tenant directory.
-  virtual range::RangeDirectory* range_directory() { return nullptr; }
 };
 
 /// One try of a supervised migration (MigrationSupervisor fills these).

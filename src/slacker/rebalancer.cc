@@ -7,7 +7,6 @@
 #include "src/common/logging.h"
 #include "src/forecast/trough_scheduler.h"
 #include "src/obs/events.h"
-#include "src/slacker/fluid_migration.h"
 
 namespace slacker {
 namespace {
@@ -41,13 +40,6 @@ Status RebalancerOptions::Validate() const {
   if (guard_band_fraction < 0.0 || guard_band_fraction >= 1.0) {
     return Status::InvalidArgument("guard_band_fraction must be in [0, 1)");
   }
-  if (fluid_ranges == 0) {
-    return Status::InvalidArgument("fluid_ranges must be >= 1");
-  }
-  if (fluid_ranges > 1 && migration.mode != MigrationMode::kLive) {
-    return Status::InvalidArgument(
-        "fluid relief requires MigrationMode::kLive");
-  }
   SLACKER_RETURN_IF_ERROR(placement.Validate());
   SLACKER_RETURN_IF_ERROR(migration.Validate());
   SLACKER_RETURN_IF_ERROR(supervisor.Validate());
@@ -59,8 +51,6 @@ Rebalancer::Rebalancer(Cluster* cluster, RebalancerOptions options)
       sim_(cluster->simulator()),
       options_(std::move(options)),
       advisor_(options_.placement) {}
-
-Rebalancer::~Rebalancer() = default;
 
 Status Rebalancer::Start() {
   SLACKER_RETURN_IF_ERROR(options_.Validate());
@@ -184,40 +174,14 @@ void Rebalancer::Launch(const MigrationPlan& plan, const char* kind,
   entry.source_server = plan.source_server;
   entry.target_server = plan.target_server;
   entry.drain = drain;
-  Status started;
-  if (options_.fluid_ranges > 1 && std::strcmp(kind, "relief") == 0) {
-    // Fluid relief: hand the hotspot over range by range, each with
-    // its own sub-range freeze window. Mid-sequence the tenant is
-    // split across source and target — exactly the relief gradient.
-    FluidMigrationOptions fluid_options;
-    fluid_options.target_ranges = options_.fluid_ranges;
-    fluid_options.migration = options_.migration;
-    entry.fluid = std::make_unique<FluidMigrator>(
-        cluster_, plan.tenant_id, plan.target_server, fluid_options,
-        lifetime_.Guard([this, tenant = plan.tenant_id](
-                            const FluidMigrationReport& fluid_report) {
-          // Fold into the whole-tenant vocabulary the loop accounts
-          // in; downtime is the worst single-range freeze window.
-          MigrationReport report;
-          report.status = fluid_report.status;
-          report.tenant_id = fluid_report.tenant_id;
-          report.target_server = fluid_report.target_server;
-          report.downtime_ms = fluid_report.max_downtime_ms;
-          report.start_time = fluid_report.start_time;
-          report.end_time = fluid_report.end_time;
-          OnMigrationDone(tenant, report);
-        }));
-    started = entry.fluid->Start();
-  } else {
-    entry.supervisor = std::make_unique<MigrationSupervisor>(
-        cluster_, plan.tenant_id, plan.target_server, options_.migration,
-        options_.supervisor,
-        lifetime_.Guard([this, tenant = plan.tenant_id](
-                            const MigrationReport& report) {
-          OnMigrationDone(tenant, report);
-        }));
-    started = entry.supervisor->Start();
-  }
+  entry.supervisor = std::make_unique<MigrationSupervisor>(
+      cluster_, plan.tenant_id, plan.target_server, options_.migration,
+      options_.supervisor,
+      lifetime_.Guard([this, tenant = plan.tenant_id](
+                          const MigrationReport& report) {
+        OnMigrationDone(tenant, report);
+      }));
+  const Status started = entry.supervisor->Start();
   if (!started.ok()) {
     SLACKER_LOG_WARN << "rebalancer could not start migration of tenant "
                      << plan.tenant_id << ": " << started.ToString();

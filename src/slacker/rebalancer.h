@@ -19,9 +19,6 @@ namespace forecast {
 class TroughScheduler;
 }  // namespace forecast
 
-class FluidMigrator;
-struct FluidMigrationReport;
-
 /// Policy knobs for the autonomic control loop.
 struct RebalancerOptions {
   /// Control-loop sampling period (simulated seconds). Each tick
@@ -62,17 +59,6 @@ struct RebalancerOptions {
   /// Also plan consolidation (emptying near-idle servers) when the
   /// fleet is calm: no hotspots and no migrations in flight.
   bool consolidate = true;
-
-  /// Range-granular relief (DESIGN.md §16): when > 1, relief plans
-  /// move the hot tenant fluidly — a FluidMigrator carves it into up
-  /// to this many B+-tree-aligned ranges and hands them over one at a
-  /// time, so each freeze window scales with the unit rather than the
-  /// tenant, and the tenant is split across source and target while
-  /// the sequence runs. 1 keeps the whole-tenant supervisor path bit
-  /// for bit (the golden-trace default). Drain evacuations and
-  /// consolidation always move whole tenants: they are non-urgent and
-  /// want the supervisor's retry machinery.
-  size_t fluid_ranges = 1;
 
   /// Optional trough scheduler (DESIGN.md §13). When set, non-urgent
   /// plans (consolidation, drain evacuation) are first offered to the
@@ -129,7 +115,6 @@ struct RebalancerStats {
 class Rebalancer {
  public:
   Rebalancer(Cluster* cluster, RebalancerOptions options);
-  ~Rebalancer();  // Out of line: FluidMigrator is incomplete here.
 
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
@@ -163,10 +148,7 @@ class Rebalancer {
     uint64_t target_server = 0;
     /// Launched as a drain evacuation (QuenchDrainEvacuations' scope).
     bool drain = false;
-    /// Exactly one of these is set: whole-tenant plans run under a
-    /// retrying supervisor, fluid relief under a range migrator.
     std::unique_ptr<MigrationSupervisor> supervisor;
-    std::unique_ptr<FluidMigrator> fluid;
   };
 
   void Tick(SimTime now);

@@ -88,6 +88,56 @@ TEST(RangeDirectoryTest, VersionBumpsOnEveryMutation) {
   EXPECT_GE(dir.version(), v0 + 3);
 }
 
+TEST(RangeDirectoryTest, RegisterLookupMoveTenantRemove) {
+  RangeDirectory dir;
+  ASSERT_TRUE(dir.RegisterTenant(5, 0).ok());
+  EXPECT_EQ(*dir.Lookup(5), 0u);
+  ASSERT_TRUE(dir.Split(5, 100).ok());
+  ASSERT_TRUE(dir.MoveTenant(5, 2).ok());
+  EXPECT_EQ(*dir.Lookup(5), 2u);
+  EXPECT_EQ(dir.ServersOf(5), (std::vector<uint64_t>{2}));
+  EXPECT_EQ(dir.RangeCount(5), 2u);  // Moved, not merged.
+  ASSERT_TRUE(dir.RemoveTenant(5).ok());
+  EXPECT_FALSE(dir.Lookup(5).ok());
+}
+
+TEST(RangeDirectoryTest, DuplicateRegisterRejected) {
+  RangeDirectory dir;
+  ASSERT_TRUE(dir.RegisterTenant(5, 0).ok());
+  EXPECT_EQ(dir.RegisterTenant(5, 1).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(*dir.Lookup(5), 0u);
+}
+
+TEST(RangeDirectoryTest, UnknownTenantRejected) {
+  RangeDirectory dir;
+  EXPECT_EQ(dir.Lookup(9).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dir.MoveTenant(9, 1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(dir.RemoveTenant(9).code(), StatusCode::kNotFound);
+}
+
+TEST(RangeDirectoryTest, TenantsOnListsHomedTenantsInIdOrder) {
+  RangeDirectory dir;
+  ASSERT_TRUE(dir.RegisterTenant(3, 0).ok());
+  ASSERT_TRUE(dir.RegisterTenant(1, 0).ok());
+  ASSERT_TRUE(dir.RegisterTenant(2, 1).ok());
+  EXPECT_EQ(dir.TenantsOn(0), (std::vector<uint64_t>{1, 3}));
+  EXPECT_EQ(dir.TenantsOn(1), (std::vector<uint64_t>{2}));
+  EXPECT_TRUE(dir.TenantsOn(7).empty());
+}
+
+TEST(RangeDirectoryTest, HomeMovesOnlyWhenMoveRangeConverges) {
+  RangeDirectory dir;
+  ASSERT_TRUE(dir.RegisterTenant(1, 0).ok());
+  ASSERT_TRUE(dir.Split(1, 1000).ok());
+  ASSERT_TRUE(dir.MoveRange(1, KeyRange{1000, kNoUpperBound}, 2).ok());
+  EXPECT_EQ(*dir.Lookup(1), 0u);  // Sharded: the home stays put.
+  EXPECT_TRUE(dir.TenantsOn(2).empty());
+  ASSERT_TRUE(dir.MoveRange(1, KeyRange{0, 1000}, 2).ok());
+  EXPECT_EQ(*dir.Lookup(1), 2u);  // Every range on 2: the home follows.
+  EXPECT_EQ(dir.TenantsOn(2), (std::vector<uint64_t>{1}));
+  EXPECT_TRUE(dir.TenantsOn(0).empty());
+}
+
 // --- Partitioner ---------------------------------------------------
 
 TEST(PartitionerTest, RangesCoverKeySpaceAlongSubtreeBoundaries) {
@@ -169,7 +219,7 @@ struct RangeRig {
 TEST(RangeMigrationTest, TenantRegisteredWithFullRange) {
   RangeRig rig;
   ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
-  RangeDirectory* dir = rig.cluster.range_directory();
+  RangeDirectory* dir = rig.cluster.directory();
   ASSERT_TRUE(dir->HasTenant(1));
   EXPECT_EQ(dir->RangeCount(1), 1u);
   EXPECT_EQ(*dir->OwnerOf(1, 12345), 0u);
@@ -193,7 +243,7 @@ TEST(RangeMigrationTest, MovesOnlyTheRangeAndShardsTheTenant) {
   EXPECT_TRUE(rig.report.digest_match);
 
   // Sharded at rest: low half on server 0, high half on server 1.
-  RangeDirectory* dir = rig.cluster.range_directory();
+  RangeDirectory* dir = rig.cluster.directory();
   EXPECT_TRUE(dir->IsSharded(1));
   EXPECT_EQ(*dir->OwnerOf(1, mid - 1), 0u);
   EXPECT_EQ(*dir->OwnerOf(1, mid), 1u);
@@ -209,9 +259,9 @@ TEST(RangeMigrationTest, MovesOnlyTheRangeAndShardsTheTenant) {
   // Per-key routing agrees with the split.
   EXPECT_EQ(rig.cluster.ResolveForKey(1, 0), low);
   EXPECT_EQ(rig.cluster.ResolveForKey(1, mid), high);
-  // The whole-tenant directory still answers (coarse view unchanged
-  // while the tenant spans servers).
-  EXPECT_TRUE(rig.cluster.directory()->Lookup(1).ok());
+  // The home (the whole-tenant view) stays put while the tenant spans
+  // servers.
+  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);  // Home stays put.
 }
 
 TEST(RangeMigrationTest, MovingAllRangesConvergesAndRetiresSource) {
@@ -229,14 +279,14 @@ TEST(RangeMigrationTest, MovingAllRangesConvergesAndRetiresSource) {
     ASSERT_TRUE(rig.done);
     ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
   }
-  // Converged: source instance retired, directory synced to the target.
+  // Converged: source instance retired, home moved to the target.
   EXPECT_EQ(rig.cluster.TenantOn(0, 1), nullptr);
   ASSERT_NE(rig.cluster.TenantOn(1, 1), nullptr);
   EXPECT_EQ(rig.cluster.TenantOn(1, 1)->table().size(), 64u * 1024);
   EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
-  EXPECT_EQ(rig.cluster.range_directory()->ServersOf(1),
+  EXPECT_EQ(rig.cluster.directory()->ServersOf(1),
             (std::vector<uint64_t>{1}));
-  EXPECT_TRUE(rig.cluster.range_directory()->ValidateCoverage(1).ok());
+  EXPECT_TRUE(rig.cluster.directory()->ValidateCoverage(1).ok());
 }
 
 TEST(RangeMigrationTest, GranularityOneFullRangeJobMatchesWholeTenant) {
@@ -255,7 +305,7 @@ TEST(RangeMigrationTest, GranularityOneFullRangeJobMatchesWholeTenant) {
   EXPECT_EQ(rig.cluster.TenantOn(0, 1), nullptr);
   ASSERT_NE(rig.cluster.TenantOn(1, 1), nullptr);
   EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
-  EXPECT_FALSE(rig.cluster.range_directory()->IsSharded(1));
+  EXPECT_FALSE(rig.cluster.directory()->IsSharded(1));
 }
 
 TEST(RangeMigrationTest, WholeTenantMoveRejectsShardedTenant) {
@@ -270,7 +320,7 @@ TEST(RangeMigrationTest, WholeTenantMoveRejectsShardedTenant) {
   rig.sim.RunUntil(120.0);
   ASSERT_TRUE(rig.done);
   ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
-  ASSERT_TRUE(rig.cluster.range_directory()->IsSharded(1));
+  ASSERT_TRUE(rig.cluster.directory()->IsSharded(1));
   // A whole-tenant move would ship only server 0's half and strand the
   // range directory's entries on a deleted instance.
   rig.done = false;
@@ -281,6 +331,60 @@ TEST(RangeMigrationTest, WholeTenantMoveRejectsShardedTenant) {
   EXPECT_NE(rig.cluster.ResolveForKey(1, 0), nullptr);
   EXPECT_NE(rig.cluster.ResolveForKey(1, mid), nullptr);
   EXPECT_EQ(rig.cluster.TenantOn(2, 1), nullptr);
+}
+
+// A whole-tenant move flips every range with the home, so range-level
+// operations after it start from the tenant's real location.
+TEST(RangeMigrationTest, WholeMoveMovesEveryRangeAndHome) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  ASSERT_TRUE(rig.cluster.StartMigration(1, 1, FastLive(), rig.Done()).ok());
+  rig.sim.RunUntil(120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  EXPECT_EQ(*rig.cluster.directory()->OwnerOf(1, 0), 1u);
+  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+
+  // A fluid move back plans from server 1 and lands on server 0.
+  FluidMigrationOptions options;
+  options.target_ranges = 4;
+  options.migration = FastLive();
+  FluidMigrationReport report;
+  bool done = false;
+  FluidMigrator migrator(&rig.cluster, 1, 0, options,
+                         [&](const FluidMigrationReport& r) {
+                           report = r;
+                           done = true;
+                         });
+  ASSERT_TRUE(migrator.Start().ok());
+  rig.sim.RunUntil(rig.sim.Now() + 300.0);
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_GE(report.ranges_moved, 1u);
+  EXPECT_NE(rig.cluster.TenantOn(0, 1), nullptr);
+  EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
+  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);
+  EXPECT_TRUE(rig.cluster.RemoveTenant(1).ok());
+}
+
+TEST(RangeMigrationTest, SplitUnshardedTenantMovesWhole) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, 16 * 1024).ok());
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, 48 * 1024).ok());
+  ASSERT_FALSE(rig.cluster.directory()->IsSharded(1));
+  ASSERT_TRUE(rig.cluster.StartMigration(1, 2, FastLive(), rig.Done()).ok());
+  rig.sim.RunUntil(120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  const std::vector<OwnedRange> ranges = rig.cluster.directory()->RangesOf(1);
+  ASSERT_EQ(ranges.size(), 3u);
+  for (const OwnedRange& owned : ranges) {
+    EXPECT_EQ(owned.server, 2u) << owned.range.ToString();
+  }
+  EXPECT_EQ(rig.cluster.TenantOn(0, 1), nullptr);
+  ASSERT_NE(rig.cluster.TenantOn(2, 1), nullptr);
+  EXPECT_EQ(rig.cluster.ResolveForKey(1, 0), rig.cluster.TenantOn(2, 1));
 }
 
 TEST(RangeMigrationTest, RejectsUnregisteredRangeAndBadModes) {
@@ -338,7 +442,7 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
   // Every acknowledged write is present (or superseded) on the range's
   // current owner.
   ASSERT_FALSE(pool.acked_writes().empty());
-  RangeDirectory* dir = rig.cluster.range_directory();
+  RangeDirectory* dir = rig.cluster.directory();
   for (const auto& [key, acked] : pool.acked_writes()) {
     if (acked.deleted) continue;
     engine::TenantDb* owner_db =
@@ -382,8 +486,8 @@ TEST(FluidMigrationTest, MovesWholeTenantRangeByRange) {
   ASSERT_NE(rig.cluster.TenantOn(1, 1), nullptr);
   EXPECT_EQ(rig.cluster.TenantOn(1, 1)->table().size(), 64u * 1024);
   EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
-  EXPECT_EQ(rig.cluster.range_directory()->RangeCount(1), 1u);
-  EXPECT_TRUE(rig.cluster.range_directory()->ValidateCoverage(1).ok());
+  EXPECT_EQ(rig.cluster.directory()->RangeCount(1), 1u);
+  EXPECT_TRUE(rig.cluster.directory()->ValidateCoverage(1).ok());
 }
 
 TEST(FluidMigrationTest, GranularityOneIsWholeTenantCompatibilityMode) {
@@ -405,7 +509,7 @@ TEST(FluidMigrationTest, GranularityOneIsWholeTenantCompatibilityMode) {
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_EQ(report.ranges_planned, 1u);
   EXPECT_EQ(report.ranges_moved, 1u);
-  EXPECT_EQ(rig.cluster.range_directory()->RangeCount(1), 1u);
+  EXPECT_EQ(rig.cluster.directory()->RangeCount(1), 1u);
   EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
 }
 
@@ -479,7 +583,7 @@ TEST(RangeCancelTest, CancelAtEveryPhase) {
     rig.sim.RunUntil(rig.sim.Now() + 60.0);
     pool.Stop();
     ASSERT_TRUE(rig.done);
-    RangeDirectory* dir = rig.cluster.range_directory();
+    RangeDirectory* dir = rig.cluster.directory();
     EXPECT_TRUE(dir->ValidateCoverage(1).ok());
     if (phase == MigrationPhase::kHandover) {
       ASSERT_TRUE(too_late);
@@ -501,8 +605,9 @@ TEST(RangeCancelTest, CancelAtEveryPhase) {
 
 // --- Router under churn (property test) ----------------------------
 
-// Randomized split / migrate / merge interleavings with live per-key
-// routed reads and writes: no row is ever lost or double-applied. The
+// Randomized split / range migrate / merge / whole migrate interleavings
+// with live per-key routed reads and writes: no row is ever lost or
+// double-applied, and the router names every key's real owner. The
 // RNG is seeded, so a failure replays deterministically.
 TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
   constexpr uint64_t kRecords = 16 * 1024;
@@ -526,12 +631,13 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
   pool.Start();
 
   Rng rng(0xC0FFEE);
-  RangeDirectory* dir = rig.cluster.range_directory();
+  RangeDirectory* dir = rig.cluster.directory();
   int migrations_launched = 0;
+  int whole_launched = 0;
   for (int action = 0; action < kActions; ++action) {
     rig.sim.RunUntil(rig.sim.Now() + 1.5);
     const uint64_t key = rng.NextBelow(kRecords - 2) + 1;
-    switch (rng.NextBelow(3)) {
+    switch (rng.NextBelow(4)) {
       case 0:
         // Ignore failures: the key may already be a boundary.
         (void)rig.cluster.SplitTenantRange(1, key);
@@ -551,10 +657,22 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
       case 2:
         (void)rig.cluster.MergeTenantRange(1, key);
         break;
+      case 3: {
+        // Whole-tenant move, the other job shape; only an unsharded
+        // tenant may take it.
+        if (dir->IsSharded(1)) break;
+        const uint64_t target = rng.NextBelow(kServers);
+        if (target == *dir->Lookup(1)) break;
+        const Status started = rig.cluster.StartMigration(
+            1, target, FastLive(128.0), [](const MigrationReport&) {});
+        if (started.ok()) ++whole_launched;
+        break;
+      }
     }
     EXPECT_TRUE(dir->ValidateCoverage(1).ok());
   }
   ASSERT_GT(migrations_launched, 3);
+  ASSERT_GT(whole_launched, 0);
   // Quiesce: let the last migration and every in-flight op drain.
   rig.sim.RunUntil(rig.sim.Now() + 120.0);
   pool.Stop();

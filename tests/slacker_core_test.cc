@@ -1,10 +1,8 @@
 // Tests for the Slacker middleware pieces below the migration job:
-// tenant directory (frontend), tenant manager, throttle policies,
-// options validation, and stop-and-copy estimates.
+// tenant manager, throttle policies, options validation, and
+// stop-and-copy estimates.
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "src/common/units.h"
 #include "src/resource/cpu.h"
@@ -12,67 +10,11 @@
 #include "src/sim/simulator.h"
 #include "src/slacker/options.h"
 #include "src/slacker/stop_and_copy.h"
-#include "src/slacker/tenant_directory.h"
 #include "src/slacker/tenant_manager.h"
 #include "src/slacker/throttle_policy.h"
 
 namespace slacker {
 namespace {
-
-// ---------------------------------------------------------------- Directory
-
-TEST(TenantDirectoryTest, RegisterLookupUpdateRemove) {
-  TenantDirectory dir;
-  ASSERT_TRUE(dir.Register(5, 0).ok());
-  EXPECT_EQ(*dir.Lookup(5), 0u);
-  ASSERT_TRUE(dir.Update(5, 2).ok());
-  EXPECT_EQ(*dir.Lookup(5), 2u);
-  EXPECT_EQ(dir.updates(), 1u);
-  ASSERT_TRUE(dir.Remove(5).ok());
-  EXPECT_FALSE(dir.Lookup(5).ok());
-}
-
-TEST(TenantDirectoryTest, DuplicateRegisterRejected) {
-  TenantDirectory dir;
-  ASSERT_TRUE(dir.Register(5, 0).ok());
-  EXPECT_EQ(dir.Register(5, 1).code(), StatusCode::kAlreadyExists);
-}
-
-TEST(TenantDirectoryTest, UpdateUnknownRejected) {
-  TenantDirectory dir;
-  EXPECT_EQ(dir.Update(9, 1).code(), StatusCode::kNotFound);
-  EXPECT_EQ(dir.Remove(9).code(), StatusCode::kNotFound);
-}
-
-TEST(TenantDirectoryTest, TenantsOnFiltersByServer) {
-  TenantDirectory dir;
-  ASSERT_TRUE(dir.Register(1, 0).ok());
-  ASSERT_TRUE(dir.Register(2, 0).ok());
-  ASSERT_TRUE(dir.Register(3, 1).ok());
-  const auto on_zero = dir.TenantsOn(0);
-  EXPECT_EQ(on_zero.size(), 2u);
-  EXPECT_EQ(dir.TenantsOn(1).size(), 1u);
-  EXPECT_TRUE(dir.TenantsOn(7).empty());
-}
-
-TEST(TenantDirectoryTest, ListenersNotifiedOnMove) {
-  TenantDirectory dir;
-  ASSERT_TRUE(dir.Register(1, 0).ok());
-  std::vector<uint64_t> moves;
-  const int token = dir.AddListener(
-      [&](uint64_t tenant, uint64_t from, uint64_t to) {
-        if (from != to) {
-          moves.push_back(tenant);
-          EXPECT_EQ(from, 0u);
-          EXPECT_EQ(to, 3u);
-        }
-      });
-  ASSERT_TRUE(dir.Update(1, 3).ok());
-  EXPECT_EQ(moves.size(), 1u);
-  dir.RemoveListener(token);
-  ASSERT_TRUE(dir.Update(1, 0).ok());
-  EXPECT_EQ(moves.size(), 1u);  // Listener removed; no second event.
-}
 
 // ---------------------------------------------------------------- Manager
 
