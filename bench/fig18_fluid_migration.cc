@@ -44,6 +44,8 @@ struct Fig18Params {
   SimTime warmup_seconds = 5.0;
 };
 
+/// One preset for both ends: the cluster's incoming_migration (the
+/// target side) and every job's options (the source side).
 MigrationOptions Migration() {
   MigrationOptions options;
   options.throttle = ThrottleKind::kFixed;
@@ -51,11 +53,13 @@ MigrationOptions Migration() {
   // The target replays deltas through full index maintenance at
   // ~2 MiB/s — about the tenants' write-byte rate, so a whole-tenant
   // round's apply window absorbs as many new writes as the round
-  // shipped and the backlog never converges. Cap the futile rounds:
-  // the forced freeze — the paper's give-up path — then ships a
-  // multi-MiB fold. Both arms run identical options; each range's
-  // 1/8-intensity backlog sits under the handover threshold by the
-  // time its copy finishes, so ranges never hit the cap.
+  // shipped and the backlog never converges. Only the target reads the
+  // apply cost, from incoming_migration; the jobs' copy is ignored.
+  // Cap the futile rounds: the forced freeze — the paper's give-up
+  // path — then ships a multi-MiB fold. Both arms run identical
+  // options; each range's 1/8-intensity backlog sits under the
+  // handover threshold by the time its copy finishes, so ranges never
+  // hit the cap.
   options.delta_apply_seconds_per_mib = 0.5;
   options.max_delta_rounds = 3;
   options.prepare.base_seconds = 0.5;

@@ -44,8 +44,8 @@ EncodedChunk EncodeSnapshotChunk(
           ChunkPayloadCrc(rows, record_bytes, config.payload_redundancy);
       out.frame.payload_redundancy = config.payload_redundancy;
       out.rows = rows;
-      out.cpu_seconds = static_cast<double>(payload.size()) /
-                        config.compress_bytes_per_sec;
+      out.cpu_seconds =
+          static_cast<double>(payload.size()) / kCompressBytesPerSec;
       return out;
     }
     case Codec::kDelta: {
@@ -65,7 +65,7 @@ EncodedChunk EncodeSnapshotChunk(
       out.rows = std::move(delta.changed);
       out.removed_keys = std::move(delta.removed_keys);
       out.cpu_seconds =
-          static_cast<double>(logical_bytes) / config.delta_bytes_per_sec;
+          static_cast<double>(logical_bytes) / kDeltaBytesPerSec;
       return out;
     }
   }
@@ -80,16 +80,14 @@ bool VerifyPayloadCrc(const FrameHeader& frame,
          frame.payload_crc;
 }
 
-double DecodeCpuSeconds(const FrameHeader& frame, const CodecConfig& config) {
+double DecodeCpuSeconds(const FrameHeader& frame) {
   switch (frame.codec) {
     case Codec::kRaw:
       return 0.0;
     case Codec::kLz:
-      return static_cast<double>(frame.logical_bytes) /
-             config.decompress_bytes_per_sec;
+      return static_cast<double>(frame.logical_bytes) / kDecompressBytesPerSec;
     case Codec::kDelta:
-      return static_cast<double>(frame.logical_bytes) /
-             config.delta_bytes_per_sec;
+      return static_cast<double>(frame.logical_bytes) / kDeltaBytesPerSec;
   }
   return 0.0;
 }

@@ -43,7 +43,7 @@ bool VerifyPayloadCrc(const FrameHeader& frame,
                       uint64_t record_bytes);
 
 /// Modeled target-side CPU seconds to decode/verify a frame.
-double DecodeCpuSeconds(const FrameHeader& frame, const CodecConfig& config);
+double DecodeCpuSeconds(const FrameHeader& frame);
 
 }  // namespace slacker::codec
 

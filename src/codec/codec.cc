@@ -49,21 +49,6 @@ Status CodecConfig::Validate() const {
     return Status::InvalidArgument(
         "codec.payload_redundancy must be in [0, 1)");
   }
-  if (compress_bytes_per_sec <= 0.0 || decompress_bytes_per_sec <= 0.0 ||
-      delta_bytes_per_sec <= 0.0) {
-    return Status::InvalidArgument("codec throughput rates must be positive");
-  }
-  if (engage_headroom < 1.0) {
-    return Status::InvalidArgument(
-        "codec.engage_headroom must be >= 1 (compression may not be "
-        "allowed to become the bottleneck)");
-  }
-  if (ratio_ewma_alpha <= 0.0 || ratio_ewma_alpha > 1.0) {
-    return Status::InvalidArgument("codec.ratio_ewma_alpha must be in (0, 1]");
-  }
-  if (max_cached_chunks < 1) {
-    return Status::InvalidArgument("codec.max_cached_chunks must be >= 1");
-  }
   return Status::Ok();
 }
 

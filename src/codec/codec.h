@@ -34,9 +34,34 @@ const char* CodecModeName(CodecMode mode);
 /// Parses "raw" | "lz" | "delta" | "adaptive" (the --codec flag values).
 Status ParseCodecMode(const std::string& text, CodecMode* out);
 
-/// Codec policy + cost model for one migration. The rates are *modeled*
-/// sim-time costs (bytes of input processed per core-second), not host
-/// wall-clock — everything stays deterministic.
+// Modeled codec costs: bytes of input one core processes per second
+// of sim time, not host wall-clock, so everything stays deterministic.
+// Both endpoints price their work from these same constants.
+
+/// LZ compression (source side).
+inline constexpr double kCompressBytesPerSec =
+    150.0 * static_cast<double>(kMiB);
+/// Decompression/verify (target side).
+inline constexpr double kDecompressBytesPerSec =
+    600.0 * static_cast<double>(kMiB);
+/// Delta encode/apply (both sides).
+inline constexpr double kDeltaBytesPerSec = 400.0 * static_cast<double>(kMiB);
+
+/// The adaptive selector engages LZ only when spare CPU can compress
+/// at least this many times faster than the throttle drains wire bytes
+/// — compression must never become the new bottleneck.
+inline constexpr double kEngageHeadroom = 1.25;
+
+/// EWMA smoothing for the observed compression ratio fed back into the
+/// selector.
+inline constexpr double kRatioEwmaAlpha = 0.2;
+
+/// Source-side cache of transmitted chunks (delta bases); bounded so a
+/// huge snapshot cannot hold every chunk in memory. The target bounds
+/// its staged delta bases the same way.
+inline constexpr int kMaxCachedChunks = 256;
+
+/// Codec policy for one migration.
 struct CodecConfig {
   CodecMode mode = CodecMode::kRaw;
 
@@ -44,26 +69,6 @@ struct CodecConfig {
   /// filler) in the compressible workload model; the rest is
   /// incompressible seeded noise. Achievable LZ ratio ~= 1/(1 - r).
   double payload_redundancy = 0.5;
-
-  /// Modeled single-core LZ compression throughput (source side).
-  double compress_bytes_per_sec = 150.0 * static_cast<double>(kMiB);
-  /// Modeled single-core decompression/verify throughput (target side).
-  double decompress_bytes_per_sec = 600.0 * static_cast<double>(kMiB);
-  /// Modeled single-core delta encode/apply throughput (both sides).
-  double delta_bytes_per_sec = 400.0 * static_cast<double>(kMiB);
-
-  /// Adaptive selector engages LZ only when spare CPU can compress at
-  /// least `engage_headroom` times faster than the throttle drains wire
-  /// bytes — compression must never become the new bottleneck.
-  double engage_headroom = 1.25;
-
-  /// EWMA smoothing for the observed compression ratio fed back into
-  /// the selector.
-  double ratio_ewma_alpha = 0.2;
-
-  /// Source-side cache of transmitted chunks (delta bases); bounded so
-  /// a huge snapshot cannot hold every chunk in memory.
-  int max_cached_chunks = 256;
 
   Status Validate() const;
 };

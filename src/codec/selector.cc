@@ -27,7 +27,7 @@ Codec CodecSelector::Choose(const SelectorInputs& inputs) const {
   }
   // Engage LZ only when the network, not CPU, is the bottleneck: spare
   // cores must be able to compress logical bytes at least
-  // engage_headroom times faster than the throttle drains the
+  // kEngageHeadroom times faster than the throttle drains the
   // resulting wire bytes (wire rate * expected ratio, in logical
   // bytes/sec). Otherwise compression would stall the stream.
   const double free_cores =
@@ -35,10 +35,10 @@ Codec CodecSelector::Choose(const SelectorInputs& inputs) const {
           ? 1.0
           : std::max(0.0, static_cast<double>(inputs.total_cores) -
                               inputs.busy_cores);
-  const double compress_rate = config_.compress_bytes_per_sec * free_cores;
+  const double compress_rate = kCompressBytesPerSec * free_cores;
   const double drain_rate_logical =
       inputs.throttle_bytes_per_sec * expected_ratio_;
-  if (compress_rate >= drain_rate_logical * config_.engage_headroom) {
+  if (compress_rate >= drain_rate_logical * kEngageHeadroom) {
     return Codec::kLz;
   }
   return Codec::kRaw;
@@ -46,8 +46,8 @@ Codec CodecSelector::Choose(const SelectorInputs& inputs) const {
 
 void CodecSelector::ObserveRatio(double ratio) {
   if (ratio <= 0.0) return;
-  expected_ratio_ = (1.0 - config_.ratio_ewma_alpha) * expected_ratio_ +
-                    config_.ratio_ewma_alpha * ratio;
+  expected_ratio_ =
+      (1.0 - kRatioEwmaAlpha) * expected_ratio_ + kRatioEwmaAlpha * ratio;
 }
 
 }  // namespace slacker::codec

@@ -24,8 +24,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Corruption";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kTargetOverloaded:
-      return "TargetOverloaded";
     case StatusCode::kTooLateToCancel:
       return "TooLateToCancel";
   }

@@ -21,10 +21,6 @@ enum class StatusCode {
   kUnavailable,
   kCorruption,
   kInternal,
-  /// The migration target is too loaded to absorb the stream without
-  /// violating its SLA; retryable after backing off (graceful
-  /// degradation instead of grinding at the throttle floor).
-  kTargetOverloaded,
   /// A cancel request lost the race to handover: ownership has already
   /// (or is about to be) transferred, so the target stays
   /// authoritative. Not an error in the migration itself — the caller
@@ -73,9 +69,6 @@ class [[nodiscard]] Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status TargetOverloaded(std::string msg) {
-    return Status(StatusCode::kTargetOverloaded, std::move(msg));
   }
   static Status TooLateToCancel(std::string msg) {
     return Status(StatusCode::kTooLateToCancel, std::move(msg));

@@ -10,12 +10,6 @@ Status AdaptivePidOptions::Validate() const {
   if (reference_gain <= 0) {
     return Status::InvalidArgument("reference_gain must be positive");
   }
-  if (forgetting <= 0 || forgetting > 1) {
-    return Status::InvalidArgument("forgetting must be in (0, 1]");
-  }
-  if (min_scale <= 0 || min_scale >= max_scale) {
-    return Status::InvalidArgument("need 0 < min_scale < max_scale");
-  }
   return Status::Ok();
 }
 
@@ -56,12 +50,12 @@ void AdaptivePidController::Identify(double pv) {
   // Only learn when the actuator actually moved — otherwise b is
   // unidentifiable and forgetting would just inflate the covariance.
   const double du = pid_.output() - prev_output_;
-  if (std::abs(du) < options_.min_excitation) return;
+  if (std::abs(du) < kMinExcitation) return;
   const double y_ref = options_.base.setpoint;
   const double u_ref = options_.base.output_max;
   const double yn = pv / y_ref;
   const double phi[3] = {prev_pv_ / y_ref, prev_output_ / u_ref, 1.0};
-  const double lambda = options_.forgetting;
+  const double lambda = kForgetting;
 
   // k = P*phi / (lambda + phi' * P * phi)
   double p_phi[3] = {0, 0, 0};
@@ -117,8 +111,7 @@ void AdaptivePidController::Rescale() {
   if (samples_ >= kWarmupSamples) {
     identifier_scale = options_.reference_gain / gain_estimate_;
   }
-  scale_ = std::clamp(identifier_scale * damping_, options_.min_scale,
-                      options_.max_scale);
+  scale_ = std::clamp(identifier_scale * damping_, kMinScale, kMaxScale);
 }
 
 void AdaptivePidController::UpdateOscillationGuard(double pv) {

@@ -15,15 +15,6 @@ struct AdaptivePidOptions {
   /// gains by reference_gain / estimated_gain, so a twice-as-sensitive
   /// server gets half the controller gain.
   double reference_gain = 40.0;
-  /// Exponential forgetting factor of the recursive estimator (closer
-  /// to 1 = slower adaptation, more smoothing).
-  double forgetting = 0.98;
-  /// Clamp on the gain rescale factor.
-  double min_scale = 0.2;
-  double max_scale = 5.0;
-  /// Ignore ticks whose rate change is below this (MB/s) — too little
-  /// excitation to identify the plant.
-  double min_excitation = 0.5;
 
   Status Validate() const;
 };
@@ -68,6 +59,15 @@ class AdaptivePidController {
 
   static constexpr int kWarmupSamples = 10;
   static constexpr int kOscillationWindow = 8;
+  /// Exponential forgetting factor of the recursive estimator (closer
+  /// to 1 = slower adaptation, more smoothing).
+  static constexpr double kForgetting = 0.98;
+  /// Clamp on the gain rescale factor.
+  static constexpr double kMinScale = 0.2;
+  static constexpr double kMaxScale = 5.0;
+  /// Ignore ticks whose rate change is below this (MB/s) — too little
+  /// excitation to identify the plant.
+  static constexpr double kMinExcitation = 0.5;
 
   AdaptivePidOptions options_;
   PidController pid_;

@@ -1,26 +1,14 @@
 #include "src/control/latency_monitor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
-#include <vector>
 
 namespace slacker::control {
 
 LatencyMonitor::LatencyMonitor(SimTime window) : window_(window) {}
 
-void LatencyMonitor::PruneExpired(SimTime now) {
-  // Same half-open (now - window, now] convention as
-  // SlidingWindowMean::Evict: a sample exactly `window` old is out.
-  while (!samples_.empty() && samples_.front().time <= now - window()) {
-    samples_.pop_front();
-  }
-}
-
 void LatencyMonitor::Record(SimTime now, double latency_ms) {
   window_.Add(now, latency_ms);
-  samples_.push_back({now, latency_ms});
-  PruneExpired(now);
   ++total_recorded_;
   // Keep the "last known average" fresh even if nobody polls between
   // recordings, so a later empty-window read reports recent reality.
@@ -57,34 +45,6 @@ bool LatencyMonitor::WithinGuardBand(SimTime now, double setpoint_ms,
                                      double band_fraction) {
   if (setpoint_ms <= 0.0) return false;
   return WindowAverageMs(now) >= setpoint_ms * (1.0 - band_fraction);
-}
-
-double LatencyMonitor::WindowPercentileMs(SimTime now, double percentile) {
-  PruneExpired(now);
-  if (samples_.empty()) return WindowAverageMs(now);
-  // Reuse the scratch buffer across ticks; clear() keeps capacity.
-  std::vector<double>& values = percentile_scratch_;
-  values.clear();
-  values.reserve(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    values.push_back(samples_[i].latency_ms);
-  }
-  if (percentile <= 0.0) {
-    return *std::min_element(values.begin(), values.end());
-  }
-  if (percentile >= 100.0) {
-    return *std::max_element(values.begin(), values.end());
-  }
-  // Nearest-rank percentile via selection, not a full sort — this runs
-  // once per controller tick per monitor, and the window can hold
-  // thousands of completions on a busy server.
-  const auto rank = static_cast<size_t>(
-      std::ceil(percentile / 100.0 * static_cast<double>(values.size())));
-  const size_t index = rank == 0 ? 0 : rank - 1;
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<std::ptrdiff_t>(index),
-                   values.end());
-  return values[index];
 }
 
 }  // namespace slacker::control

@@ -2,9 +2,7 @@
 #define SLACKER_CONTROL_LATENCY_MONITOR_H_
 
 #include <functional>
-#include <vector>
 
-#include "src/common/ring_deque.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 
@@ -31,11 +29,6 @@ class LatencyMonitor {
   /// Smoothed latency signal at time `now` (ms).
   double WindowAverageMs(SimTime now);
 
-  /// Percentile of the completions inside the window (p in [0,100]) —
-  /// feedback for percentile SLAs (§3: "certain percentile latencies").
-  /// Falls back like WindowAverageMs when the window is empty.
-  double WindowPercentileMs(SimTime now, double percentile);
-
   /// Completions currently inside the window.
   size_t WindowCount(SimTime now);
 
@@ -51,27 +44,7 @@ class LatencyMonitor {
   SimTime window() const { return window_.window(); }
 
  private:
-  /// Evicts percentile samples that have left the window. Mirrors
-  /// SlidingWindowMean's convention exactly — the window is
-  /// (now - window, now], so a sample exactly `window` old is evicted
-  /// by both the mean and the percentile paths.
-  void PruneExpired(SimTime now);
-
-  struct Sample {
-    SimTime time;
-    double latency_ms;
-  };
-
   SlidingWindowMean window_;
-  // Parallel record of (time, latency) for percentile queries, kept in
-  // a flat ring so the per-completion eviction scan stays in one cache
-  // run and never allocates.
-  RingDeque<Sample> samples_;
-  // Persistent scratch for WindowPercentileMs: the selection needs a
-  // mutable copy of the window's values, and reallocating it every
-  // controller tick (once per server per second at fig14 scale) was
-  // pure churn. Grows to the window high-water mark once.
-  std::vector<double> percentile_scratch_;
   std::function<double(SimTime)> probe_;
   double last_average_ = 0.0;
   uint64_t total_recorded_ = 0;

@@ -6,6 +6,13 @@
 namespace slacker::control {
 namespace {
 
+/// Gain sweep: kp takes values kKpStart * kKpGrowth^i.
+constexpr double kKpStart = 0.001;
+constexpr double kKpGrowth = 1.3;
+/// Oscillation is "sustained" when the later peaks retain at least this
+/// fraction of the earlier peaks' amplitude.
+constexpr double kSustainRatio = 0.85;
+
 PidConfig BaseConfig(double setpoint, double output_min, double output_max) {
   PidConfig config;
   config.setpoint = setpoint;
@@ -80,7 +87,7 @@ TrialOutcome RunTrial(Plant* plant, double kp, const TuneOptions& options) {
   const double early = (peaks[0].second + peaks[1].second) / 2.0;
   const double late = (peaks[peaks.size() - 1].second +
                        peaks[peaks.size() - 2].second) / 2.0;
-  if (early <= 0.0 || late / early < options.sustain_ratio) return outcome;
+  if (early <= 0.0 || late / early < kSustainRatio) return outcome;
 
   // Period: average spacing of same-sign |error| peaks is half the
   // oscillation period (error alternates sign each half-cycle).
@@ -99,7 +106,7 @@ TrialOutcome RunTrial(Plant* plant, double kp, const TuneOptions& options) {
 
 Result<UltimateGain> FindUltimateGain(Plant* plant,
                                       const TuneOptions& options) {
-  double kp = options.kp_start;
+  double kp = kKpStart;
   for (int step = 0; step < options.max_gain_steps; ++step) {
     const TrialOutcome outcome = RunTrial(plant, kp, options);
     if (outcome.sustained) {
@@ -108,7 +115,7 @@ Result<UltimateGain> FindUltimateGain(Plant* plant,
       ug.tu = outcome.period;
       return ug;
     }
-    kp *= options.kp_growth;
+    kp *= kKpGrowth;
   }
   return Status::FailedPrecondition(
       "no sustained oscillation found in gain sweep");

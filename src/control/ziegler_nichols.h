@@ -40,15 +40,10 @@ PidConfig ZieglerNicholsP(const UltimateGain& ug, double setpoint,
 struct TuneOptions {
   double setpoint = 1.0;
   double dt = 1.0;
-  /// Gain sweep: kp takes values kp_start * kp_growth^i.
-  double kp_start = 0.001;
-  double kp_growth = 1.3;
+  /// Gain sweep: kp takes values 0.001 * 1.3^i for i < max_gain_steps.
   int max_gain_steps = 60;
   /// Closed-loop steps simulated per candidate gain.
   int steps_per_trial = 400;
-  /// Oscillation is "sustained" when the later peaks retain at least
-  /// this fraction of the earlier peaks' amplitude.
-  double sustain_ratio = 0.85;
 };
 
 /// Finds the ultimate gain by running P-only closed loops with

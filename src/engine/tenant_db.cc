@@ -400,11 +400,6 @@ uint64_t TenantDb::RowsInRange(uint64_t lo, uint64_t hi) const {
   return rows;
 }
 
-uint64_t TenantDb::DataBytesRange(uint64_t lo, uint64_t hi) const {
-  return config_.layout.PagesFor(RowsInRange(lo, hi)) *
-         config_.layout.page_bytes;
-}
-
 uint64_t TenantDb::EraseRangeRows(uint64_t lo, uint64_t hi) {
   std::vector<uint64_t> keys;
   for (auto it = table_.Seek(lo); it.Valid() && it.record().key < hi;

@@ -3,6 +3,12 @@
 #include "src/common/invariant.h"
 
 namespace slacker::forecast {
+namespace {
+
+/// Evaluation step when integrating predicted load over the window.
+constexpr SimTime kIntegrationStep = 5.0;
+
+}  // namespace
 
 Status CostModelOptions::Validate() const {
   if (violation_knee <= 0.0 || violation_knee > 1.0) {
@@ -15,9 +21,6 @@ Status CostModelOptions::Validate() const {
   if (throttle_floor_mbps <= 0.0 ||
       throttle_ceiling_mbps < throttle_floor_mbps) {
     return Status::InvalidArgument("bad throttle floor/ceiling");
-  }
-  if (integration_step <= 0.0) {
-    return Status::InvalidArgument("integration_step must be positive");
   }
   return Status::Ok();
 }
@@ -83,7 +86,7 @@ MigrationCostEstimate MigrationCostModel::PriceServers(
   // predicted window: each step where (predicted + interference)
   // clears the knee contributes its excess (in knee units) x step x
   // servers-in-violation seconds.
-  const SimTime step = options_.integration_step;
+  const SimTime step = kIntegrationStep;
   double violation = 0.0;
   const int steps =
       estimate.duration_seconds <= 0.0

@@ -37,8 +37,6 @@ struct CostModelOptions {
   /// predicted load approaches the knee.
   double throttle_floor_mbps = 2.0;
   double throttle_ceiling_mbps = 30.0;
-  /// Evaluation step when integrating predicted load over the window.
-  SimTime integration_step = 5.0;
   /// Price with the upper confidence band instead of the point
   /// forecast (risk-averse planning).
   bool use_upper_band = true;

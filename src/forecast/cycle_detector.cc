@@ -4,6 +4,13 @@
 #include <vector>
 
 namespace slacker::forecast {
+namespace {
+
+/// A candidate within this fraction of the best correlation is a tie;
+/// the smallest such lag wins (harmonic rejection).
+constexpr double kTieFraction = 0.05;
+
+}  // namespace
 
 Status CycleDetector::Options::Validate() const {
   if (min_period_buckets < 2) {
@@ -15,9 +22,6 @@ Status CycleDetector::Options::Validate() const {
   }
   if (min_confidence <= 0.0 || min_confidence >= 1.0) {
     return Status::InvalidArgument("min_confidence must be in (0, 1)");
-  }
-  if (tie_fraction < 0.0 || tie_fraction >= 1.0) {
-    return Status::InvalidArgument("tie_fraction must be in [0, 1)");
   }
   return Status::Ok();
 }
@@ -80,7 +84,7 @@ CycleEstimate CycleDetector::Detect(const SampleRing& ring) const {
   if (best_lag == 0 || best_r < options_.min_confidence) return estimate;
 
   // Harmonic rejection: when the best lag is a multiple of a smaller
-  // lag whose correlation ties it (within tie_fraction), the smaller
+  // lag whose correlation ties it (within kTieFraction), the smaller
   // lag is the fundamental period. Only near-exact divisors qualify —
   // for a smooth cycle the correlation at best_lag +/- 1 also "ties",
   // but those neighbors are phase drift, not harmonics.
@@ -91,7 +95,7 @@ CycleEstimate CycleDetector::Detect(const SampleRing& ring) const {
     const int remainder = best_lag - multiple * lag;
     if (remainder > 1 || remainder < -1) continue;
     const double r = correlations[lag - options_.min_period_buckets];
-    if (r >= best_r * (1.0 - options_.tie_fraction)) {
+    if (r >= best_r * (1.0 - kTieFraction)) {
       chosen = lag;
       break;
     }

@@ -36,9 +36,6 @@ class CycleDetector {
     int max_period_buckets = 256;
     /// Autocorrelation below this is noise, not a cycle.
     double min_confidence = 0.4;
-    /// A candidate within this fraction of the best correlation is a
-    /// tie; the smallest such lag wins (harmonic rejection).
-    double tie_fraction = 0.05;
 
     Status Validate() const;
   };

@@ -3,19 +3,21 @@
 #include <cmath>
 
 namespace slacker::forecast {
+namespace {
+
+/// Trend smoothing.
+constexpr double kBeta = 0.02;
+/// EWMA weight of the one-step absolute-error tracker.
+constexpr double kErrorEwma = 0.10;
+
+}  // namespace
 
 Status HoltWintersForecaster::Options::Validate() const {
   if (alpha <= 0.0 || alpha >= 1.0) {
     return Status::InvalidArgument("alpha must be in (0, 1)");
   }
-  if (beta < 0.0 || beta >= 1.0) {
-    return Status::InvalidArgument("beta must be in [0, 1)");
-  }
   if (gamma < 0.0 || gamma >= 1.0) {
     return Status::InvalidArgument("gamma must be in [0, 1)");
-  }
-  if (error_ewma <= 0.0 || error_ewma >= 1.0) {
-    return Status::InvalidArgument("error_ewma must be in (0, 1)");
   }
   return Status::Ok();
 }
@@ -78,14 +80,13 @@ void HoltWintersForecaster::Observe(double value) {
   if (observed_ == 0) {
     mae_ = abs_err;
   } else {
-    mae_ = mae_ + options_.error_ewma * (abs_err - mae_);
+    mae_ = mae_ + kErrorEwma * (abs_err - mae_);
   }
 
   const double prev_level = level_;
   level_ = options_.alpha * (value - season_[bin]) +
            (1.0 - options_.alpha) * (level_ + trend_);
-  trend_ = options_.beta * (level_ - prev_level) +
-           (1.0 - options_.beta) * trend_;
+  trend_ = kBeta * (level_ - prev_level) + (1.0 - kBeta) * trend_;
   season_[bin] = options_.gamma * (value - level_) +
                  (1.0 - options_.gamma) * season_[bin];
 

@@ -23,12 +23,8 @@ class HoltWintersForecaster {
   struct Options {
     /// Level smoothing in (0, 1).
     double alpha = 0.25;
-    /// Trend smoothing in [0, 1).
-    double beta = 0.02;
     /// Seasonal smoothing in [0, 1).
     double gamma = 0.15;
-    /// EWMA weight of the one-step absolute-error tracker.
-    double error_ewma = 0.10;
 
     Status Validate() const;
   };

@@ -6,6 +6,12 @@
 #include "src/obs/events.h"
 
 namespace slacker::forecast {
+namespace {
+
+/// Confidence-band width (z * mae * sqrt(h)) for PredictLoadUpper.
+constexpr double kBandZ = 2.0;
+
+}  // namespace
 
 Status ForecastOptions::Validate() const {
   if (bucket_seconds <= 0.0) {
@@ -19,9 +25,6 @@ Status ForecastOptions::Validate() const {
   }
   if (redetect_buckets < 1) {
     return Status::InvalidArgument("redetect_buckets must be >= 1");
-  }
-  if (band_z < 0.0) {
-    return Status::InvalidArgument("band_z must be >= 0");
   }
   if (history_buckets <
       static_cast<size_t>(2 * cycle.max_period_buckets)) {
@@ -174,7 +177,7 @@ double FleetLoadSampler::PredictLoadUpper(uint64_t server_id,
       static_cast<int64_t>(state.model.next_bucket()) - 1;
   int64_t h = BucketIndexAt(t) - last;
   if (h < 1) h = 1;
-  return state.model.ForecastBand(static_cast<int>(h), options_.band_z).hi;
+  return state.model.ForecastBand(static_cast<int>(h), kBandZ).hi;
 }
 
 const CycleEstimate& FleetLoadSampler::cycle(uint64_t server_id) const {

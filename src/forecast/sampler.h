@@ -31,8 +31,6 @@ struct ForecastOptions {
   double seconds_per_op = 0.007;
   /// Re-run cycle detection every this many buckets.
   int redetect_buckets = 16;
-  /// Confidence-band width (z * mae * sqrt(h)) for PredictLoadUpper.
-  double band_z = 2.0;
 
   CycleDetector::Options cycle;
   HoltWintersForecaster::Options holt_winters;

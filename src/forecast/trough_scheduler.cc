@@ -6,6 +6,14 @@
 #include "src/obs/events.h"
 
 namespace slacker::forecast {
+namespace {
+
+/// Defer only when the best candidate saves at least this many
+/// predicted violation server-seconds over starting now — a marginal
+/// saving is not worth sitting on work.
+constexpr double kMinSavingSeconds = 1.0;
+
+}  // namespace
 
 Status TroughSchedulerOptions::Validate() const {
   if (horizon_seconds <= 0.0) {
@@ -17,9 +25,6 @@ Status TroughSchedulerOptions::Validate() const {
   }
   if (fallback_deadline <= 0.0) {
     return Status::InvalidArgument("fallback_deadline must be positive");
-  }
-  if (min_saving_seconds < 0.0) {
-    return Status::InvalidArgument("min_saving_seconds must be >= 0");
   }
   return Status::Ok();
 }
@@ -110,7 +115,7 @@ ScheduleDecision TroughScheduler::Decide(const WorkRequest& work,
 
   const double saving = now_cost.violation_seconds - best.violation_seconds;
   if (!have_best || best.start <= now + 1e-9 ||
-      saving < options_.min_saving_seconds) {
+      saving < kMinSavingSeconds) {
     ++stats_.decided_now;
     decision.reason = "no-better-trough";
     return decision;

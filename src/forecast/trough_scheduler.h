@@ -22,10 +22,6 @@ struct TroughSchedulerOptions {
   /// Hard bound on deferral: work submitted at t is forced runnable by
   /// t + fallback_deadline even if no trough ever arrives.
   SimTime fallback_deadline = 900.0;
-  /// Defer only when the best candidate saves at least this many
-  /// predicted violation server-seconds over starting now — a marginal
-  /// saving is not worth sitting on work.
-  double min_saving_seconds = 1.0;
 
   Status Validate() const;
 };

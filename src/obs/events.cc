@@ -30,10 +30,6 @@ std::string SupervisorTrack(uint64_t tenant_id) {
   return "tenant " + std::to_string(tenant_id) + " supervisor";
 }
 
-std::string ServerTrack(uint64_t server_id) {
-  return "server " + std::to_string(server_id);
-}
-
 void EmitPhaseTransition(Tracer* tracer, const PhaseTransition& e) {
   if (Off(tracer)) return;
   Event event = MakeInstant(tracer, MigrationTrack(e.tenant_id),

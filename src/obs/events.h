@@ -16,7 +16,6 @@ namespace slacker::obs {
 /// Track naming shared by emitters and instrumented classes.
 std::string MigrationTrack(uint64_t tenant_id);
 std::string SupervisorTrack(uint64_t tenant_id);
-std::string ServerTrack(uint64_t server_id);
 inline const char* FaultTrack() { return "faults"; }
 inline const char* SlaTrack() { return "sla"; }
 inline const char* RebalancerTrack() { return "rebalancer"; }

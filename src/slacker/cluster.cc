@@ -29,7 +29,6 @@ Server::Server(sim::Simulator* sim, uint64_t id, const ClusterOptions& options,
                                  options.shared_buffer_bytes / (16 * kKiB)})
                        : nullptr),
       tenants_(sim, &disk_, &cpu_, shared_pool_.get()),
-      monitor_(options.monitor_window),
       controller_(std::make_unique<MigrationController>(ctx, id)),
       software_version_(options.software_version) {
   controller_->set_incoming_options(options.incoming_migration);
@@ -134,6 +133,14 @@ Result<engine::TenantDb*> Cluster::AddTenant(
 }
 
 Status Cluster::RemoveTenant(uint64_t tenant_id) {
+  // A job in flight still reads the source instance.
+  for (const auto& server : servers_) {
+    MigrationController* controller = server->controller();
+    if (controller != nullptr && controller->ActiveJob(tenant_id) != nullptr) {
+      return Status::FailedPrecondition(
+          "tenant " + std::to_string(tenant_id) + " is migrating");
+    }
+  }
   // An instance exists exactly where a range is owned; a sharded
   // tenant holds several, so drop all.
   const std::vector<uint64_t> owners = ranges_.ServersOf(tenant_id);

@@ -41,8 +41,6 @@ struct ClusterOptions {
   resource::DiskOptions disk;
   resource::CpuOptions cpu;
   resource::NetworkLinkOptions link;
-  /// Latency monitor sliding window (the paper's 3 s).
-  SimTime monitor_window = 3.0;
   /// Target-side options for incoming migrations on every server.
   MigrationOptions incoming_migration;
 
@@ -145,6 +143,7 @@ class Cluster : public MigrationContext,
                                       const engine::TenantConfig& config,
                                       bool load = true);
   /// Removes a tenant everywhere (directory + every owning server).
+  /// FailedPrecondition while any of its migrations is in flight.
   Status RemoveTenant(uint64_t tenant_id);
 
   // --- Migration --------------------------------------------------

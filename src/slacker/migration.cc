@@ -21,6 +21,9 @@ namespace {
 constexpr uint64_t kMigrationStreamId = UINT64_MAX - 1;
 /// Target-side staging writes (chunk ingest + resume re-read).
 constexpr uint64_t kStagingStreamId = UINT64_MAX - 2;
+/// Cap on snapshot chunks in flight inside the source disk queue
+/// (readahead depth). The throttle, not this, is the intended limiter.
+constexpr int kMaxInflightChunks = 32;
 
 /// The frame of data that ships unencoded (never serialized).
 codec::FrameHeader RawFrame(uint64_t logical_bytes) {
@@ -352,29 +355,6 @@ void MigrationJob::StartController() {
 
 void MigrationJob::OnTick(SimTime now) {
   if (finished_) return;
-  if (options_.overload_abort_ms > 0.0 &&
-      phase_ == MigrationPhase::kSnapshot) {
-    // Graceful degradation: a target that cannot absorb the stream
-    // without sustained SLA violation gets the migration taken off its
-    // back — the supervisor retries later instead of grinding at the
-    // throttle floor.
-    control::LatencyMonitor* target_monitor = ctx_->MonitorOn(target_server_);
-    const double target_ms =
-        target_monitor == nullptr ? 0.0 : target_monitor->WindowAverageMs(now);
-    if (target_ms > options_.overload_abort_ms) {
-      if (++overload_strikes_ >= options_.overload_abort_ticks) {
-        SLACKER_LOG_WARN << "migration of tenant " << tenant_id_
-                         << " aborting: target latency " << target_ms
-                         << " ms above " << options_.overload_abort_ms
-                         << " ms for " << overload_strikes_ << " ticks";
-        ForceAbort(Status::TargetOverloaded(
-            "target latency over SLA during snapshot"));
-        return;
-      }
-    } else {
-      overload_strikes_ = 0;
-    }
-  }
   const double rate_mbps = policy_->OnTick(now, options_.controller_tick);
   if (auditor_ != nullptr) {
     auditor_->OnClockSample(now);
@@ -441,7 +421,7 @@ void MigrationJob::HandleMessage(const net::Message& message) {
           // it can serve (§2.3.1 — "very slow ... due to the overhead
           // of reimporting the data").
           const SimTime import =
-              options_.import_seconds_per_mib *
+              kImportSecondsPerMib *
               (static_cast<double>(report_.snapshot_bytes) / kMiB);
           engine::TenantDb* staging =
               ctx_->TenantOn(target_server_, tenant_id_);
@@ -592,7 +572,7 @@ void MigrationJob::PumpSnapshot() {
     OnSnapshotDrained();
     return;
   }
-  if (acquiring_ || inflight_chunks_ >= options_.max_inflight_chunks) return;
+  if (acquiring_ || inflight_chunks_ >= kMaxInflightChunks) return;
   // The one raw-versus-codec decision is when the chunk is read. A codec
   // meters wire bytes, which exist only once the chunk is encoded, so it
   // reads first. A raw stream acquires the nominal chunk size and reads
@@ -704,7 +684,7 @@ void MigrationJob::ProducePendingChunk() {
     cached.rows = std::move(chunk.rows);
     chunk_cache_[chunk.seq] = std::move(cached);
     while (chunk_cache_.size() >
-           static_cast<size_t>(options_.codec.max_cached_chunks)) {
+           static_cast<size_t>(codec::kMaxCachedChunks)) {
       chunk_cache_.erase(chunk_cache_.begin());
     }
   }
@@ -1158,7 +1138,7 @@ TargetSession::TargetSession(MigrationContext* ctx, uint64_t self_server,
     return;
   }
   staging_ = *staging;
-  if (options_.allow_resume && request.resume && store_ != nullptr) {
+  if (request.resume && store_ != nullptr) {
     const StagedSnapshot* staged = store_->Staged(tenant_id_);
     if (staged != nullptr && staged->config == wire_config_ &&
         !staged->rows.empty()) {
@@ -1390,7 +1370,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
           // seq may then ship as a delta against them.
           store_->StageChunkBase(
               tenant_id_, message.chunk_seq, message.chunk_crc, rows,
-              static_cast<size_t>(options_.codec.max_cached_chunks));
+              static_cast<size_t>(codec::kMaxCachedChunks));
         }
         // Gap or corruption: ask the source to go back to the first
         // chunk we cannot accept.
@@ -1410,8 +1390,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
                                  wire_payload);
       }
       // Decompression / delta reconstruction busies a target core.
-      const double decode_cost =
-          codec::DecodeCpuSeconds(message.frame, options_.codec);
+      const double decode_cost = codec::DecodeCpuSeconds(message.frame);
       if (decode_cost > 0.0) staging_->ChargeCpu(decode_cost, nullptr);
       ApplyRows(rows, staging_->mutable_table());
       rows_received_ += rows.size();
@@ -1467,7 +1446,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
       const SimTime apply_cost =
           options_.delta_apply_seconds_per_mib *
               (static_cast<double>(message.payload_bytes) / kMiB) +
-          codec::DecodeCpuSeconds(message.frame, options_.codec);
+          codec::DecodeCpuSeconds(message.frame);
       auto records = message.log_records;
       const storage::Lsn to = message.lsn;
       staging_->ChargeCpu(

@@ -246,8 +246,8 @@ class MigrationJob {
   void Finish(Status status);
   void ArmWatchdog(SimTime delay);
   /// Abort without the Cancel() phase guard (watchdog escalation on a
-  /// stuck handover, overload bail-out). Safe because no commit
-  /// decision has been made while the job is unfinished.
+  /// stuck handover). Safe because no commit decision has been made
+  /// while the job is unfinished.
   void ForceAbort(Status status);
 
   /// The controller's actuator clamp for this job's throttle kind, fed
@@ -304,15 +304,13 @@ class MigrationJob {
   storage::Lsn resume_lsn_ = 0;
   uint64_t resume_key_ = 0;
   int retransmit_rounds_ = 0;
-  /// Consecutive over-threshold controller ticks (overload bail-out).
-  int overload_strikes_ = 0;
 
   // --- Codec pipeline state (inert when selector_ is null).
   /// Per-chunk adaptive codec choice; null when the stream is raw.
   std::unique_ptr<codec::CodecSelector> selector_;
   /// A transmitted chunk kept as a future delta-retransmission base,
   /// keyed by seq; mirrors what the target durably stages. Bounded by
-  /// codec.max_cached_chunks (lowest seq evicted first).
+  /// codec::kMaxCachedChunks (lowest seq evicted first).
   struct CachedChunk {
     uint32_t crc = 0;
     std::vector<storage::Record> rows;

@@ -7,6 +7,15 @@
 #include "src/obs/events.h"
 
 namespace slacker {
+namespace {
+
+/// Retry backoff shape (SupervisorOptions): each attempt doubles the
+/// wait, capped at 30 s, scaled by a factor drawn from [0.8, 1.2].
+constexpr double kBackoffMultiplier = 2.0;
+constexpr SimTime kMaxBackoff = 30.0;
+constexpr double kJitter = 0.2;
+
+}  // namespace
 
 Status SupervisorOptions::Validate() const {
   if (max_attempts <= 0) {
@@ -15,14 +24,8 @@ Status SupervisorOptions::Validate() const {
   if (initial_backoff < 0.0) {
     return Status::InvalidArgument("initial_backoff must be >= 0");
   }
-  if (backoff_multiplier < 1.0) {
-    return Status::InvalidArgument("backoff_multiplier must be >= 1");
-  }
-  if (max_backoff < initial_backoff) {
-    return Status::InvalidArgument("max_backoff must be >= initial_backoff");
-  }
-  if (jitter < 0.0 || jitter >= 1.0) {
-    return Status::InvalidArgument("jitter must be in [0, 1)");
+  if (initial_backoff > kMaxBackoff) {
+    return Status::InvalidArgument("initial_backoff must be <= 30 s");
   }
   if (attempt_timeout < 0.0) {
     return Status::InvalidArgument("attempt_timeout must be >= 0");
@@ -68,7 +71,6 @@ bool MigrationSupervisor::IsTransient(const Status& status) {
     case StatusCode::kUnavailable:       // Crashed server (may restart).
     case StatusCode::kCorruption:        // Digest mismatch / NACK budget —
                                          // retry streams from scratch.
-    case StatusCode::kTargetOverloaded:  // Backs off, load may drain.
     case StatusCode::kFailedPrecondition:  // e.g. tenant already migrating.
       return true;
     case StatusCode::kOk:
@@ -244,12 +246,10 @@ void MigrationSupervisor::RecordAttempt(const Status& status,
 void MigrationSupervisor::ScheduleRetry(const Status& status) {
   double backoff = options_.initial_backoff;
   for (int i = 1; i < attempts_made_; ++i) {
-    backoff *= options_.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
   }
-  backoff = std::min(backoff, options_.max_backoff);
-  if (options_.jitter > 0.0) {
-    backoff *= rng_.Uniform(1.0 - options_.jitter, 1.0 + options_.jitter);
-  }
+  backoff = std::min(backoff, kMaxBackoff);
+  backoff *= rng_.Uniform(1.0 - kJitter, 1.0 + kJitter);
   SLACKER_LOG_INFO << "tenant " << tenant_id_ << " attempt " << attempts_made_
                    << " failed (" << status.ToString() << "); retrying in "
                    << backoff << "s";

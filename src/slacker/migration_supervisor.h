@@ -19,13 +19,10 @@ namespace slacker {
 struct SupervisorOptions {
   /// Attempts before giving up (first try included).
   int max_attempts = 5;
-  /// Backoff before attempt n+1 is initial * multiplier^(n-1), capped
-  /// at max_backoff, with +-jitter applied multiplicatively so a fleet
-  /// of supervisors retrying the same dead target doesn't thunder.
+  /// Backoff before attempt n+1 is initial * 2^(n-1), capped at 30 s,
+  /// with +-20% jitter applied multiplicatively so a fleet of
+  /// supervisors retrying the same dead target doesn't thunder.
   SimTime initial_backoff = 1.0;
-  double backoff_multiplier = 2.0;
-  SimTime max_backoff = 30.0;
-  double jitter = 0.2;
   uint64_t seed = 0x5e9e5eedULL;
   /// Hard ceiling per attempt. A source crash destroys the job without
   /// its done callback ever firing; after this long the supervisor
@@ -37,7 +34,7 @@ struct SupervisorOptions {
 };
 
 /// Drives one migration to completion across failures: classifies each
-/// attempt's outcome as transient (crashes, timeouts, overload — retry
+/// attempt's outcome as transient (crashes, timeouts, corruption — retry
 /// with exponential backoff) or permanent (bad arguments, missing
 /// tenant — fail fast), re-launches until the tenant lands on the
 /// target or the attempt budget runs out, and folds every attempt into
@@ -70,9 +67,9 @@ class MigrationSupervisor {
   const MigrationReport& report() const { return report_; }
 
   /// True for failures worth retrying: the cluster may heal (crashed
-  /// peer restarts, overload drains, watchdog-aborted attempt finds a
-  /// faster path next time). Permanent failures (missing tenant, bad
-  /// arguments) repeat identically on every retry.
+  /// peer restarts, watchdog-aborted attempt finds a faster path next
+  /// time). Permanent failures (missing tenant, bad arguments) repeat
+  /// identically on every retry.
   static bool IsTransient(const Status& status);
 
  private:

@@ -16,10 +16,6 @@ Status MigrationOptions::Validate() const {
   if (controller_tick <= 0.0) {
     return Status::InvalidArgument("controller_tick must be positive");
   }
-  if (feedback_percentile < 0.0 || feedback_percentile > 100.0) {
-    return Status::InvalidArgument(
-        "feedback_percentile must be in [0, 100]");
-  }
   if (backup.chunk_bytes == 0) {
     return Status::InvalidArgument("chunk_bytes must be positive");
   }
@@ -27,17 +23,8 @@ Status MigrationOptions::Validate() const {
   if (max_delta_rounds <= 0) {
     return Status::InvalidArgument("max_delta_rounds must be positive");
   }
-  if (max_inflight_chunks <= 0) {
-    return Status::InvalidArgument("max_inflight_chunks must be positive");
-  }
   if (max_chunk_retransmits < 0) {
     return Status::InvalidArgument("max_chunk_retransmits must be >= 0");
-  }
-  if (overload_abort_ms < 0.0) {
-    return Status::InvalidArgument("overload_abort_ms must be >= 0");
-  }
-  if (overload_abort_ticks <= 0) {
-    return Status::InvalidArgument("overload_abort_ticks must be positive");
   }
   if (session_idle_timeout < 0.0) {
     return Status::InvalidArgument("session_idle_timeout must be >= 0");

@@ -34,6 +34,10 @@ enum class MigrationMode {
   kStopAndCopy,
 };
 
+/// Import cost of a mysqldump-style stop-and-copy (file_level_copy
+/// false), seconds per MiB reimported at the target.
+inline constexpr SimTime kImportSecondsPerMib = 0.08;
+
 /// Everything that parameterizes one migration. Defaults reproduce the
 /// paper's evaluation settings.
 struct MigrationOptions {
@@ -52,17 +56,13 @@ struct MigrationOptions {
   bool use_target_latency = false;
   /// Controller timestep; the paper ticks once per second.
   SimTime controller_tick = 1.0;
-  /// kPid: 0 regulates the windowed *mean* latency (the paper's
-  /// choice); e.g., 95 regulates the window's 95th percentile against
-  /// the setpoint, matching percentile SLAs directly (§3).
-  double feedback_percentile = 0.0;
 
   backup::HotBackupOptions backup;
   backup::PrepareOptions prepare;
 
   /// Stream codec policy (kRaw keeps the pre-codec wire format and
-  /// byte-identical goldens). Both endpoints must agree on the rates;
-  /// the target uses its own copy to price decode CPU.
+  /// byte-identical goldens). The codec cost rates are constants in
+  /// codec.h, so both endpoints price the same work the same way.
   codec::CodecConfig codec;
 
   /// Handover begins once the pending delta shrinks below this.
@@ -70,19 +70,15 @@ struct MigrationOptions {
   /// Hard cap on delta rounds (workloads with extreme write turnover
   /// never converge; give up and force the freeze, as in [12]).
   int max_delta_rounds = 50;
-  /// Target-side CPU cost per MiB of applied delta.
+  /// Target-side CPU cost per MiB of applied delta. The target reads
+  /// it from ClusterOptions::incoming_migration; a job's own copy is
+  /// ignored.
   SimTime delta_apply_seconds_per_mib = 0.01;
 
   /// kStopAndCopy: file-level copy (true, §2.3.1's fast path) or
   /// mysqldump-style export/import (false), which pays an additional
-  /// re-import cost at the target.
+  /// re-import cost at the target (kImportSecondsPerMib).
   bool file_level_copy = true;
-  /// Import cost for the mysqldump variant, seconds per MiB reimported.
-  SimTime import_seconds_per_mib = 0.08;
-
-  /// Cap on snapshot chunks in flight inside the source disk queue
-  /// (readahead depth). The throttle, not this, is the intended limiter.
-  int max_inflight_chunks = 32;
 
   /// Watchdog: abort the migration if it has not completed within this
   /// many simulated seconds (0 disables). Protects against lost peers —
@@ -90,26 +86,20 @@ struct MigrationOptions {
   /// slot forever.
   SimTime timeout_seconds = 0.0;
 
-  /// Offer/accept kSnapshotResume: a retried migration to the same
-  /// target continues from the last durably staged chunk instead of
-  /// re-streaming the whole tenant.
+  /// Ask for kSnapshotResume: a retried migration to the same target
+  /// continues from the last durably staged chunk instead of
+  /// re-streaming the whole tenant. The target resumes whenever the
+  /// request asks and it holds staged chunks.
   bool allow_resume = true;
   /// Source-side cap on NACK-triggered chunk retransmissions before the
   /// job gives up (a persistently corrupting path never converges).
   int max_chunk_retransmits = 64;
 
-  /// Graceful degradation (source side): if the target's windowed
-  /// latency stays above this for `overload_abort_ticks` consecutive
-  /// controller ticks during the snapshot, abort with the retryable
-  /// kTargetOverloaded instead of grinding at the throttle floor.
-  /// 0 disables.
-  double overload_abort_ms = 0.0;
-  int overload_abort_ticks = 3;
-
   /// Target side: a staging session that hears nothing from the source
   /// for this long self-destructs (the source crashed mid-stream and
   /// its job died with it). Staged chunks stay on disk for resume.
-  /// 0 disables.
+  /// 0 disables. The target reads it from
+  /// ClusterOptions::incoming_migration; a job's own copy is ignored.
   SimTime session_idle_timeout = 45.0;
 
   /// Range-granular migration (DESIGN.md §16): move only the keys in

@@ -4,13 +4,18 @@
 #include <sstream>
 
 namespace slacker {
+namespace {
+
+/// Plans must leave the target below the overload threshold by this
+/// margin.
+constexpr double kTargetHeadroom = 0.10;
+
+}  // namespace
 
 Status PlacementOptions::Validate() const {
-  if (overload_threshold <= 0 || overload_threshold > 1) {
-    return Status::InvalidArgument("overload_threshold must be in (0, 1]");
-  }
-  if (target_headroom < 0 || target_headroom >= overload_threshold) {
-    return Status::InvalidArgument("bad target_headroom");
+  if (overload_threshold <= kTargetHeadroom || overload_threshold > 1) {
+    return Status::InvalidArgument(
+        "overload_threshold must be in (0.1, 1]");
   }
   if (consolidation_threshold < 0 ||
       consolidation_threshold >= overload_threshold) {
@@ -33,7 +38,7 @@ int PlacementAdvisor::PickTarget(const std::vector<ServerLoadStat>& servers,
     // paths would refuse anyway; don't plan doomed moves).
     if (servers[i].draining) continue;
     const double after = projected[i] + demand;
-    if (after > options_.overload_threshold - options_.target_headroom) {
+    if (after > options_.overload_threshold - kTargetHeadroom) {
       continue;
     }
     if (projected[i] < best_util) {
@@ -57,7 +62,7 @@ int PlacementAdvisor::PickConsolidationTarget(
     // to be emptied itself, and refilling it defeats the shutdown.
     if (servers[i].utilization <= options_.consolidation_threshold) continue;
     const double after = projected[i] + demand;
-    if (after > options_.overload_threshold - options_.target_headroom) {
+    if (after > options_.overload_threshold - kTargetHeadroom) {
       continue;
     }
     if (projected[i] > best_util) {

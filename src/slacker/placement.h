@@ -33,8 +33,6 @@ struct PlacementOptions {
   /// A server above this utilization is a hotspot (Equation 1's R0 —
   /// the level above which SLA violations begin).
   double overload_threshold = 0.70;
-  /// Plans must leave the target below threshold by this margin.
-  double target_headroom = 0.10;
   /// Consolidation: a server below this is a candidate to be emptied
   /// so it can be shut down (§1.3).
   double consolidation_threshold = 0.15;

@@ -11,8 +11,8 @@ StopAndCopyEstimate EstimateStopAndCopy(uint64_t data_bytes,
         static_cast<double>(data_bytes) / rate_bytes_per_sec;
   }
   if (!options.file_level_copy) {
-    estimate.import_seconds = options.import_seconds_per_mib *
-                              (static_cast<double>(data_bytes) / kMiB);
+    estimate.import_seconds =
+        kImportSecondsPerMib * (static_cast<double>(data_bytes) / kMiB);
   }
   return estimate;
 }

@@ -13,12 +13,10 @@ double FixedThrottlePolicy::OnTick(SimTime /*now*/, SimTime /*dt*/) {
 
 PidThrottlePolicy::PidThrottlePolicy(const control::PidConfig& config,
                                      control::LatencyMonitor* source_monitor,
-                                     control::LatencyMonitor* target_monitor,
-                                     double feedback_percentile)
+                                     control::LatencyMonitor* target_monitor)
     : pid_(config, control::PidForm::kVelocity),
       source_monitor_(source_monitor),
-      target_monitor_(target_monitor),
-      feedback_percentile_(feedback_percentile) {}
+      target_monitor_(target_monitor) {}
 
 double PidThrottlePolicy::InitialRateMbps() {
   // The controller ramps from the clamp floor: it will "ramp up the
@@ -29,14 +27,9 @@ double PidThrottlePolicy::InitialRateMbps() {
 }
 
 double PidThrottlePolicy::OnTick(SimTime now, SimTime dt) {
-  auto read = [&](control::LatencyMonitor* monitor) {
-    return feedback_percentile_ > 0.0
-               ? monitor->WindowPercentileMs(now, feedback_percentile_)
-               : monitor->WindowAverageMs(now);
-  };
-  double latency = read(source_monitor_);
+  double latency = source_monitor_->WindowAverageMs(now);
   if (target_monitor_ != nullptr) {
-    latency = std::max(latency, read(target_monitor_));
+    latency = std::max(latency, target_monitor_->WindowAverageMs(now));
   }
   last_latency_ms_ = latency;
   return pid_.Update(latency, dt);
@@ -99,8 +92,7 @@ std::unique_ptr<ThrottlePolicy> MakeThrottlePolicy(
     case ThrottleKind::kPid:
       return std::make_unique<PidThrottlePolicy>(
           options.pid, source_monitor,
-          options.use_target_latency ? target_monitor : nullptr,
-          options.feedback_percentile);
+          options.use_target_latency ? target_monitor : nullptr);
     case ThrottleKind::kAdaptivePid: {
       control::AdaptivePidOptions adaptive = options.adaptive;
       adaptive.base = options.pid;

@@ -59,13 +59,9 @@ class FixedThrottlePolicy : public ThrottlePolicy {
 /// where whichever server has least slack governs the rate.
 class PidThrottlePolicy : public ThrottlePolicy {
  public:
-  /// `feedback_percentile` selects the process variable: 0 = the
-  /// paper's windowed mean; e.g., 95 regulates the window's p95
-  /// directly against the setpoint (matching a percentile SLA, §3).
   PidThrottlePolicy(const control::PidConfig& config,
                     control::LatencyMonitor* source_monitor,
-                    control::LatencyMonitor* target_monitor = nullptr,
-                    double feedback_percentile = 0.0);
+                    control::LatencyMonitor* target_monitor = nullptr);
 
   double InitialRateMbps() override;
   double OnTick(SimTime now, SimTime dt) override;
@@ -80,7 +76,6 @@ class PidThrottlePolicy : public ThrottlePolicy {
   control::PidController pid_;
   control::LatencyMonitor* source_monitor_;
   control::LatencyMonitor* target_monitor_;
-  double feedback_percentile_;
   double last_latency_ms_ = 0.0;
 };
 

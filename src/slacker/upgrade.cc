@@ -86,7 +86,7 @@ Status RollingUpgradeOrchestrator::Start(DoneCallback done) {
   // Carve the fleet into waves in id order, a single canary first.
   waves_.clear();
   size_t i = 0;
-  if (options_.canary && up.size() > 1) {
+  if (up.size() > 1) {
     waves_.push_back({up[0]});
     i = 1;
   }

@@ -21,11 +21,10 @@ struct UpgradeOptions {
   /// version of every server in the fleet at Start().
   uint32_t target_version = 0;
 
-  /// Servers patched per wave (after the canary wave, if any).
+  /// Servers patched per wave after the canary wave. The first wave is
+  /// always a single canary server, so a bad build trips the health
+  /// gate while only one server runs it.
   int wave_size = 4;
-  /// Upgrade a single canary server first, so a bad build trips the
-  /// health gate while only one server runs it.
-  bool canary = true;
 
   /// Server downtime while the binary is swapped (crash → patch →
   /// restart).

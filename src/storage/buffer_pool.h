@@ -10,8 +10,8 @@ namespace slacker::storage {
 struct BufferPoolOptions {
   /// Number of page frames. The paper sets the InnoDB buffer to 128 MB
   /// against a 1 GB tenant precisely to force disk activity; with 16 KiB
-  /// pages that is 8192 frames.
-  size_t capacity_pages = 8192;
+  /// pages that is 8192 frames. Callers set it by aggregate init.
+  size_t capacity_pages = 8192;  // NOLINT(slacker-unset-option)
 };
 
 /// Result of touching a page in the pool.

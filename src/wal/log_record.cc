@@ -35,29 +35,4 @@ Status LogRecord::DecodeFrom(ByteReader* reader, LogRecord* out) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> EncodeLogBatch(const std::vector<LogRecord>& records) {
-  ByteWriter writer;
-  writer.PutVarint64(records.size());
-  for (const LogRecord& r : records) r.EncodeTo(&writer);
-  return writer.Release();
-}
-
-Status DecodeLogBatch(const std::vector<uint8_t>& data,
-                      std::vector<LogRecord>* out) {
-  ByteReader reader(data);
-  uint64_t count;
-  SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&count));
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    LogRecord record;
-    SLACKER_RETURN_IF_ERROR(LogRecord::DecodeFrom(&reader, &record));
-    out->push_back(record);
-  }
-  if (!reader.exhausted()) {
-    return Status::Corruption("trailing bytes after log batch");
-  }
-  return Status::Ok();
-}
-
 }  // namespace slacker::wal

@@ -2,7 +2,6 @@
 #define SLACKER_WAL_LOG_RECORD_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
@@ -37,11 +36,6 @@ struct LogRecord {
   void EncodeTo(ByteWriter* writer) const;
   static Status DecodeFrom(ByteReader* reader, LogRecord* out);
 };
-
-/// Encodes a batch with a count prefix (a "delta" payload).
-std::vector<uint8_t> EncodeLogBatch(const std::vector<LogRecord>& records);
-Status DecodeLogBatch(const std::vector<uint8_t>& data,
-                      std::vector<LogRecord>* out);
 
 }  // namespace slacker::wal
 

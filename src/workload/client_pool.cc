@@ -53,11 +53,7 @@ void ClientPool::Start() {
   SLACKER_CHECK(!route_by_key_ || workload_->config().ops_per_txn == 1,
                 "route_by_key needs ops_per_txn == 1");
   running_ = true;
-  if (workload_->config().open_loop) {
-    ScheduleNextArrival();
-  } else {
-    StartClosedClients();
-  }
+  ScheduleNextArrival();
 }
 
 void ClientPool::Stop() {
@@ -84,7 +80,7 @@ void ClientPool::OnArrival() {
   ++stats_.arrivals;
   outstanding_arrivals_.insert(txn.arrival);
 
-  if (busy_clients_ < workload_->config().mpl) {
+  if (busy_clients_ < kMpl) {
     Dispatch(std::move(txn));
   } else {
     queue_.push_back(std::move(txn));
@@ -172,31 +168,11 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
   }
 
   // Hand the freed client to the queue head.
-  if (!queue_.empty() && busy_clients_ < workload_->config().mpl) {
+  if (!queue_.empty() && busy_clients_ < kMpl) {
     PendingTxn next = std::move(queue_.front());
     queue_.pop_front();
     Dispatch(std::move(next));
   }
-
-  // Closed loop: this client generates its next transaction.
-  if (!workload_->config().open_loop && running_) {
-    sim_->After(workload_->config().think_time, [this] {
-      if (running_) ClosedClientLoop();
-    });
-  }
-}
-
-void ClientPool::StartClosedClients() {
-  for (int i = 0; i < workload_->config().mpl; ++i) ClosedClientLoop();
-}
-
-void ClientPool::ClosedClientLoop() {
-  PendingTxn txn;
-  txn.spec = workload_->NextTxn();
-  txn.arrival = sim_->Now();
-  ++stats_.arrivals;
-  outstanding_arrivals_.insert(txn.arrival);
-  Dispatch(std::move(txn));
 }
 
 double ClientPool::OldestOutstandingAgeMs(SimTime now) const {

@@ -116,6 +116,11 @@ struct ClientPoolStats {
 /// latency, exactly as a real redirected client would experience).
 class ClientPool {
  public:
+  /// Client threads: "we fix the workload multiprogramming level (MPL)
+  /// at 10 and queue requests that arrive but cannot be immediately
+  /// serviced".
+  static constexpr int kMpl = 10;
+
   /// Observer invoked on every completed transaction (the server-side
   /// latency monitor feed).
   using LatencyObserver =
@@ -168,8 +173,6 @@ class ClientPool {
   void OnArrival();
   void Dispatch(PendingTxn txn);
   void OnTxnDone(PendingTxn txn, const engine::TxnResult& result);
-  void StartClosedClients();
-  void ClosedClientLoop();
 
   /// With the exponential resolve backoff (10 ms doubling, capped at
   /// 1 s) this rides out ~10 s of a tenant having no authoritative

@@ -23,10 +23,9 @@ Status YcsbConfig::Validate() const {
   if (record_count == 0) {
     return Status::InvalidArgument("record_count must be positive");
   }
-  if (open_loop && mean_interarrival <= 0) {
+  if (mean_interarrival <= 0) {
     return Status::InvalidArgument("mean_interarrival must be positive");
   }
-  if (mpl <= 0) return Status::InvalidArgument("mpl must be positive");
   return Status::Ok();
 }
 
@@ -35,8 +34,7 @@ YcsbWorkload::YcsbWorkload(const YcsbConfig& config, uint64_t tenant_id,
     : config_(config),
       tenant_id_(tenant_id),
       rng_(seed),
-      chooser_(KeyChooser::Create(config.distribution, config.record_count,
-                                  config.zipf_theta)),
+      chooser_(KeyChooser::Create(config.distribution, config.record_count)),
       mean_interarrival_(config.mean_interarrival),
       live_keys_(config.record_count) {}
 

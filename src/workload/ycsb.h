@@ -29,7 +29,6 @@ struct OperationMix {
 struct YcsbConfig {
   OperationMix mix;
   KeyDistribution distribution = KeyDistribution::kUniform;
-  double zipf_theta = 0.99;
   /// Basic operations per transaction ("10-operation transactions").
   int ops_per_txn = 10;
   /// kScan length is uniform in [1, max_scan_length].
@@ -41,14 +40,6 @@ struct YcsbConfig {
   /// The paper replaces YCSB's closed generator with this open one
   /// [Schroeder et al.].
   double mean_interarrival = 0.1;
-  /// Client threads: "we fix the workload multiprogramming level (MPL)
-  /// at 10 and queue requests that arrive but cannot be immediately
-  /// serviced".
-  int mpl = 10;
-  /// false = YCSB's original closed loop (kept for the open-vs-closed
-  /// comparison tests); each client thinks `think_time` between txns.
-  bool open_loop = true;
-  double think_time = 0.0;
 
   Status Validate() const;
 };

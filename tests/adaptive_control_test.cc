@@ -27,12 +27,6 @@ TEST(AdaptivePidOptionsTest, Validation) {
   AdaptivePidOptions bad = TestOptions();
   bad.reference_gain = 0;
   EXPECT_FALSE(bad.Validate().ok());
-  bad = TestOptions();
-  bad.forgetting = 1.5;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = TestOptions();
-  bad.min_scale = bad.max_scale;
-  EXPECT_FALSE(bad.Validate().ok());
 }
 
 // First-order plant with configurable sensitivity.

@@ -554,7 +554,7 @@ TEST(ChunkCodecTest, LzFrameVerifiesPayloadCrcEndToEnd) {
   ASSERT_EQ(enc.frame.codec, Codec::kLz);
   EXPECT_LT(enc.frame.encoded_bytes, enc.frame.logical_bytes);
   EXPECT_GT(enc.cpu_seconds, 0.0);
-  EXPECT_GT(DecodeCpuSeconds(enc.frame, config), 0.0);
+  EXPECT_GT(DecodeCpuSeconds(enc.frame), 0.0);
 
   // The target re-materializes the payload from the received rows.
   EXPECT_TRUE(VerifyPayloadCrc(enc.frame, rows, kKiB));

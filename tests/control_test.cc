@@ -228,61 +228,21 @@ TEST(LatencyMonitorTest, ProbeReportsStalledServer) {
   EXPECT_DOUBLE_EQ(monitor.WindowAverageMs(10.0), 9000.0);
 }
 
-TEST(LatencyMonitorTest, WindowPercentile) {
-  LatencyMonitor monitor(3.0);
-  for (int i = 1; i <= 100; ++i) monitor.Record(1.0, i * 10.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(1.0, 50.0), 500.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(1.0, 95.0), 950.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(1.0, 100.0), 1000.0);
-  // After the window expires, falls back like the mean does.
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(10.0, 95.0),
-                   monitor.WindowAverageMs(10.0));
-}
-
-TEST(LatencyMonitorTest, PercentileTracksWindowNotHistory) {
-  LatencyMonitor monitor(3.0);
-  monitor.Record(0.5, 10000.0);  // Ancient outlier.
-  for (int i = 0; i < 20; ++i) monitor.Record(5.0, 100.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(5.0, 99.0), 100.0);
-}
-
 TEST(LatencyMonitorTest, MeanAndPercentileShareEvictionBoundary) {
   LatencyMonitor monitor(3.0);
   // One sample that will be *exactly* `window` old at t=4.0, and one
-  // comfortably inside. The window is (now - 3, now]: both the mean and
-  // the percentile path must evict the boundary sample together — a
-  // split convention would make the p100 disagree with the mean about
-  // which samples exist.
+  // comfortably inside. The window is (now - 3, now]: the mean and the
+  // count must both evict the boundary sample.
   monitor.Record(1.0, 1000.0);
   monitor.Record(3.5, 100.0);
   EXPECT_DOUBLE_EQ(monitor.WindowAverageMs(4.0), 100.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(4.0, 100.0), 100.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(4.0, 0.0), 100.0);
   EXPECT_EQ(monitor.WindowCount(4.0), 1u);
-  // One tick earlier both paths still include it.
+  // One tick earlier it is still inside.
   LatencyMonitor earlier(3.0);
   earlier.Record(1.0, 1000.0);
   earlier.Record(3.5, 100.0);
   EXPECT_DOUBLE_EQ(earlier.WindowAverageMs(3.9), 550.0);
-  EXPECT_DOUBLE_EQ(earlier.WindowPercentileMs(3.9, 100.0), 1000.0);
-}
-
-TEST(LatencyMonitorTest, PercentileSelectionHandlesUnsortedArrivals) {
-  LatencyMonitor monitor(30.0);
-  // Completion order is not value order; the nth_element selection must
-  // still return exact nearest-rank percentiles.
-  const double values[] = {70.0, 10.0, 90.0, 30.0, 50.0,
-                           20.0, 100.0, 60.0, 40.0, 80.0};
-  double t = 1.0;
-  for (double v : values) monitor.Record(t += 0.1, v);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(t, 10.0), 10.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(t, 50.0), 50.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(t, 90.0), 90.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(t, 95.0), 100.0);
-  // Selection must not have corrupted later queries (nth_element
-  // permutes its scratch copy, never the live deque).
-  EXPECT_DOUBLE_EQ(monitor.WindowPercentileMs(t, 50.0), 50.0);
-  EXPECT_DOUBLE_EQ(monitor.WindowAverageMs(t), 55.0);
+  EXPECT_EQ(earlier.WindowCount(3.9), 2u);
 }
 
 TEST(LatencyMonitorTest, WithinGuardBand) {

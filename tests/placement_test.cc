@@ -29,8 +29,8 @@ TEST(PlacementOptionsTest, Validation) {
   PlacementOptions bad;
   bad.overload_threshold = 0;
   EXPECT_FALSE(bad.Validate().ok());
-  bad = PlacementOptions();
-  bad.target_headroom = bad.overload_threshold;
+  // No room left under the threshold for the target headroom.
+  bad.overload_threshold = 0.10;
   EXPECT_FALSE(bad.Validate().ok());
 }
 

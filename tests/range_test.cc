@@ -367,6 +367,27 @@ TEST(RangeMigrationTest, WholeMoveMovesEveryRangeAndHome) {
   EXPECT_TRUE(rig.cluster.RemoveTenant(1).ok());
 }
 
+// The source instance stays live until handover: removing the tenant
+// mid-move would free it under the job's snapshot stream.
+TEST(RangeMigrationTest, RemoveTenantWaitsForInFlightMove) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  ASSERT_TRUE(
+      rig.cluster.StartMigration(1, 1, FastLive(/*mbps=*/1.0), rig.Done())
+          .ok());
+  rig.sim.RunUntil(2.0);
+  ASSERT_FALSE(rig.done);
+  EXPECT_EQ(rig.cluster.RemoveTenant(1).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(rig.cluster.directory()->HasTenant(1));
+  rig.sim.RunUntil(600.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_TRUE(rig.cluster.RemoveTenant(1).ok());
+  EXPECT_FALSE(rig.cluster.directory()->HasTenant(1));
+}
+
 TEST(RangeMigrationTest, SplitUnshardedTenantMovesWhole) {
   RangeRig rig;
   ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());

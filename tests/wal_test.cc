@@ -85,22 +85,6 @@ TEST(LogRecordTest, BadTypeRejected) {
             StatusCode::kCorruption);
 }
 
-TEST(LogBatchTest, RoundTrip) {
-  std::vector<LogRecord> batch = {Update(1, 2, 3), Delete(2, 4), Commit(3, 1)};
-  const auto encoded = EncodeLogBatch(batch);
-  std::vector<LogRecord> decoded;
-  ASSERT_TRUE(DecodeLogBatch(encoded, &decoded).ok());
-  EXPECT_EQ(decoded, batch);
-}
-
-TEST(LogBatchTest, TrailingGarbageRejected) {
-  auto encoded = EncodeLogBatch({Update(1, 2, 3)});
-  encoded.push_back(0xff);
-  std::vector<LogRecord> decoded;
-  EXPECT_EQ(DecodeLogBatch(encoded, &decoded).code(),
-            StatusCode::kCorruption);
-}
-
 // ---------------------------------------------------------------- Binlog
 
 TEST(BinlogTest, AppendAssignsRangeBookkeeping) {

@@ -52,9 +52,6 @@ TEST(YcsbConfigTest, RejectsBadMixAndParams) {
   config = YcsbConfig();
   config.mean_interarrival = 0;
   EXPECT_FALSE(config.Validate().ok());
-  config = YcsbConfig();
-  config.mpl = 0;
-  EXPECT_FALSE(config.Validate().ok());
 }
 
 // ---------------------------------------------------------------- Chooser
@@ -295,14 +292,13 @@ TEST(ClientPoolTest, MplBoundsConcurrency) {
   PoolRig rig;
   YcsbConfig config = SmallYcsb();
   config.mean_interarrival = 0.001;  // Overload: 1000 txn/s.
-  config.mpl = 10;
   YcsbWorkload workload(config, 1, 5);
   ClientPool pool(&rig.sim, &workload, &rig);
   pool.Start();
   bool saw_queue = false;
   for (int i = 0; i < 100; ++i) {
     rig.sim.RunUntil(rig.sim.Now() + 0.05);
-    EXPECT_LE(pool.busy_clients(), 10);
+    EXPECT_LE(pool.busy_clients(), ClientPool::kMpl);
     saw_queue = saw_queue || pool.queue_depth() > 0;
   }
   pool.Stop();
@@ -374,22 +370,6 @@ TEST(ClientPoolTest, RetriesOnUnavailableAndSucceeds) {
   rig.sim.RunUntil(30.0);
   EXPECT_GT(pool.stats().retries, 0u);
   EXPECT_EQ(pool.stats().failed, 0u);
-}
-
-TEST(ClientPoolTest, ClosedLoopKeepsMplBusy) {
-  PoolRig rig;
-  YcsbConfig config = SmallYcsb();
-  config.open_loop = false;
-  config.mpl = 5;
-  config.think_time = 0.0;
-  YcsbWorkload workload(config, 1, 5);
-  ClientPool pool(&rig.sim, &workload, &rig);
-  pool.Start();
-  rig.sim.RunUntil(1.0);
-  EXPECT_EQ(pool.busy_clients(), 5);
-  pool.Stop();
-  rig.sim.RunUntil(10.0);
-  EXPECT_GT(pool.stats().completed, 0u);
 }
 
 TEST(ClientPoolTest, AckedWritesTrackNewestLsn) {

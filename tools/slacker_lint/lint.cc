@@ -148,6 +148,62 @@ const std::regex& ReassignRe() {
   return re;
 }
 
+/// A `struct *Options` / `struct *Config` header line (not a forward
+/// declaration); nested `struct Options` included.
+const std::regex& OptionStructRe() {
+  static const std::regex re(
+      R"(^\s*struct\s+(\w*(?:Options|Config))\b[^;]*$)");
+  return re;
+}
+
+/// A scalar data member with a default initializer (`= v` or `{v}`).
+const std::regex& ScalarMemberRe() {
+  static const std::regex re(
+      R"(^\s*(?:const\s+)?(?:std::)?(?:bool|char|short|int|long|unsigned|float|double|size_t|u?int(?:8|16|32|64)_t|SimTime)\s+(\w+)\s*(?:=(?!=)|\{))");
+  return re;
+}
+
+/// Member names that `masked` assigns: `.name =` or `->name =` (not
+/// `==`), with whitespace and line breaks allowed around the name.
+std::vector<std::string> AssignedMemberNames(
+    const std::vector<std::string>& masked) {
+  std::string text;
+  for (const std::string& line : masked) {
+    text += line;
+    text += '\n';
+  }
+  const auto skip_space = [&](size_t i) {
+    while (i < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[i])) != 0) {
+      ++i;
+    }
+    return i;
+  };
+  std::vector<std::string> names;
+  for (size_t i = 0; i < text.size(); ++i) {
+    size_t after = 0;
+    if (text[i] == '.') {
+      after = i + 1;
+    } else if (text[i] == '-' && i + 1 < text.size() && text[i + 1] == '>') {
+      after = i + 2;
+    } else {
+      continue;
+    }
+    const size_t begin = skip_space(after);
+    size_t end = begin;
+    while (end < text.size() && IsWordChar(text[end])) ++end;
+    if (end == begin || std::isdigit(static_cast<unsigned char>(text[begin]))) {
+      continue;
+    }
+    const size_t eq = skip_space(end);
+    if (eq < text.size() && text[eq] == '=' &&
+        (eq + 1 == text.size() || text[eq + 1] != '=')) {
+      names.push_back(text.substr(begin, end - begin));
+    }
+  }
+  return names;
+}
+
 /// A NOLINT marker at the start of a comment (distinguishes real
 /// markers from prose that merely mentions NOLINT).
 const std::regex& NolintMarkerRe() {
@@ -333,10 +389,18 @@ std::vector<Finding> Linter::Run() {
   enum_names_.erase(std::unique(enum_names_.begin(), enum_names_.end()),
                     enum_names_.end());
 
+  assigned_in_.clear();
+  for (const FileEntry& file : files_) {
+    for (const std::string& name : AssignedMemberNames(file.masked)) {
+      assigned_in_[name].insert(file.path);
+    }
+  }
+
   std::vector<Finding> findings;
   for (const FileEntry& file : files_) {
     LintFile(file, &findings);
     LintFlow(file, &findings);
+    LintUnsetOptions(file, &findings);
   }
   // After every suppression has been exercised (or not): stale-marker
   // detection.
@@ -473,6 +537,56 @@ void Linter::LintFile(const FileEntry& file, std::vector<Finding>* out) {
                    "comment explaining why ignoring is safe",
                out);
         }
+      }
+    }
+  }
+}
+
+void Linter::LintUnsetOptions(const FileEntry& file,
+                              std::vector<Finding>* out) {
+  const bool in_src =
+      file.path.rfind("src/", 0) == 0 || PathContains(file.path, "/src/");
+  const bool header = file.path.size() > 2 &&
+                      file.path.compare(file.path.size() - 2, 2, ".h") == 0;
+  if (!in_src || !header) return;
+
+  struct OpenStruct {
+    std::string name;
+    int depth = 0;  // Brace depth of the struct's members.
+  };
+  std::vector<OpenStruct> open;
+  std::string pending;  // An option struct whose `{` is still to come.
+  int depth = 0;
+  std::smatch m;
+  for (size_t i = 0; i < file.masked.size(); ++i) {
+    const std::string& line = file.masked[i];
+    if (!open.empty() && depth == open.back().depth &&
+        std::regex_search(line, m, ScalarMemberRe())) {
+      const std::string name = m[1].str();
+      const auto it = assigned_in_.find(name);
+      const bool assigned_elsewhere =
+          it != assigned_in_.end() &&
+          (it->second.size() > 1 || it->second.count(file.path) == 0);
+      if (!assigned_elsewhere) {
+        Emit(file, static_cast<int>(i), "slacker-unset-option",
+             "'" + open.back().name + "::" + name +
+                 "' is assigned by no scanned file but its header, so "
+                 "only its default ever runs; make it a named constant "
+                 "where it is read, or give it a caller",
+             out);
+      }
+    }
+    if (std::regex_search(line, m, OptionStructRe())) pending = m[1].str();
+    for (const char c : line) {
+      if (c == '{') {
+        ++depth;
+        if (!pending.empty()) {
+          open.push_back({pending, depth});
+          pending.clear();
+        }
+      } else if (c == '}') {
+        if (!open.empty() && open.back().depth == depth) open.pop_back();
+        --depth;
       }
     }
   }

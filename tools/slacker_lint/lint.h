@@ -1,6 +1,7 @@
 #ifndef SLACKER_TOOLS_SLACKER_LINT_LINT_H_
 #define SLACKER_TOOLS_SLACKER_LINT_LINT_H_
 
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -52,6 +53,18 @@ struct Finding {
 ///                           enum — it would silently swallow a new
 ///                           enumerator; enumerate the cases instead so
 ///                           -Wswitch (CI: -Werror) flags additions.
+///   slacker-owner-flag      a shared_ptr/weak_ptr<bool> liveness flag
+///                           under src/ — continuations are guarded by
+///                           a sim::Lifetime member instead.
+///   slacker-unset-option    a scalar member with a default initializer
+///                           in a `struct *Options` / `*Config` (or a
+///                           nested `struct Options`) under src/ that
+///                           no scanned file other than its own header
+///                           assigns (`.x =` or `->x =`, whitespace and
+///                           line breaks allowed around the name). Only
+///                           its default ever runs, so it is a constant
+///                           posing as a knob: make it a named constant
+///                           where it is read, or give it a caller.
 ///   slacker-unused-nolint   a NOLINT marker that no longer suppresses
 ///                           any finding — stale markers hide future
 ///                           regressions and must be deleted.
@@ -103,6 +116,9 @@ class Linter {
 
   void CollectDeclarations(const FileEntry& file);
   void LintFile(const FileEntry& file, std::vector<Finding>* out);
+  /// slacker-unset-option over one src/ header, against
+  /// `assigned_in_`.
+  void LintUnsetOptions(const FileEntry& file, std::vector<Finding>* out);
   /// Intra-function passes: dropped Status/Result locals and
   /// default-swallowed enum switches (scope-tracking scan).
   void LintFlow(const FileEntry& file, std::vector<Finding>* out);
@@ -124,6 +140,9 @@ class Linter {
   std::vector<std::string> other_names_;
   // Named enums declared anywhere in the scanned set ("project enums").
   std::vector<std::string> enum_names_;
+  // Member name -> files that assign it (`.name =` / `->name =`),
+  // built at the start of Run().
+  std::map<std::string, std::set<std::string>> assigned_in_;
   // (path, 1-based line) pairs where a NOLINT marker suppressed a
   // finding during this run (or an external pass, via
   // NoteSuppressionUsed).

@@ -122,6 +122,43 @@ TEST(SlackerLintTest, OwnerFlagOnlyFlaggedUnderSrc) {
   EXPECT_EQ(findings[1].line, 2);
 }
 
+TEST(SlackerLintTest, UnsetOptionFieldsAreFlagged) {
+  Linter linter;
+  linter.AddFile("src/x/knobs.h",
+                 "struct KnobOptions {\n"
+                 "  int set_by_test = 1;\n"
+                 "  double set_only_here = 2.0;\n"
+                 "  bool never_set{false};\n"
+                 "  size_t positional = 3;  // NOLINT(slacker-unset-option)\n"
+                 "  Status Validate() const;\n"
+                 "  struct Inner {\n"
+                 "    int nested = 4;\n"
+                 "  };\n"
+                 "};\n"
+                 "inline void Reset(KnobOptions* o) { o->set_only_here = 0; }\n"
+                 "struct Plain {\n"
+                 "  int not_an_option = 5;\n"
+                 "};\n");
+  // Assignment across a line break still counts; `==` does not.
+  linter.AddFile("tests/knobs_test.cc",
+                 "void F(KnobOptions o) {\n"
+                 "  o.\n"
+                 "      set_by_test =\n"
+                 "      7;\n"
+                 "  if (o.never_set == true) return;\n"
+                 "}\n");
+  // Option structs outside src/ are not knobs of the library.
+  linter.AddFile("bench/knobs.h", "struct BenchConfig {\n  int x = 1;\n};\n");
+  const auto findings = linter.Run();
+  ASSERT_EQ(findings.size(), 2u) << FindingsToText(findings);
+  EXPECT_EQ(findings[0].rule, "slacker-unset-option");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("KnobOptions::set_only_here"),
+            std::string::npos);
+  EXPECT_EQ(findings[1].rule, "slacker-unset-option");
+  EXPECT_EQ(findings[1].line, 4);
+}
+
 TEST(SlackerLintTest, AmbiguousNamesAreNotFlagged) {
   // `Start` returns Status in one class and void in another: the
   // statement-position rule must stay quiet about it.
