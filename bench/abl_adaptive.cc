@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 namespace slacker::bench {
 namespace {
@@ -16,13 +16,15 @@ struct AblResult {
   double stddev = 0.0;
   double speed = 0.0;
   bool finished = false;
+  bool audited = false;
 };
 
 // disk_scale < 1 = slower disk (more sensitive plant).
-AblResult Run(ThrottleKind kind, double disk_scale) {
-  ExperimentOptions options = FlagOptions();
+AblResult Run(const ExperimentOptions& flags, ThrottleKind kind,
+              double disk_scale) {
+  ExperimentOptions options = flags;
   options.config = PaperConfig::kEvaluation;
-  Testbed bed(options);
+  Fleet bed(options);
   // Throttle the server's disk to emulate a different hardware class.
   // (Rebuilding the cluster with scaled DiskOptions would discard the
   // warmed tenants; scaling the arrival instead changes the workload.
@@ -38,13 +40,14 @@ AblResult Run(ThrottleKind kind, double disk_scale) {
   MigrationReport report;
   const SimTime start = bed.sim()->Now();
   AblResult result;
-  result.finished = bed.RunMigration(migration, &report, 0, 3000.0, 0.0);
+  result.finished = bed.RunMigration(migration, &report, 3000.0);
   const SimTime end = bed.sim()->Now();
   const PercentileTracker lat =
       bed.LatenciesBetween(start + (end - start) * 0.25, end);
   result.err_pct = (lat.Mean() - 1000.0) / 1000.0 * 100.0;
   result.stddev = lat.Stddev();
   result.speed = report.AverageRateMbps();
+  result.audited = bed.Finish();
   return result;
 }
 
@@ -52,10 +55,11 @@ AblResult Run(ThrottleKind kind, double disk_scale) {
 }  // namespace slacker::bench
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
+  bool audited = true;
 
   PrintHeader("Ablation", "fixed paper gains vs adaptive PID across "
               "hardware sensitivity (setpoint 1000 ms)");
@@ -64,7 +68,8 @@ int main(int argc, char** argv) {
   double fixed_sd_sensitive = 0.0, adaptive_sd_sensitive = 0.0;
   for (double disk_scale : {1.0, 0.5}) {
     for (ThrottleKind kind : {ThrottleKind::kPid, ThrottleKind::kAdaptivePid}) {
-      const AblResult r = Run(kind, disk_scale);
+      const AblResult r = Run(flags.options, kind, disk_scale);
+      audited = r.audited && audited;
       const char* kind_name =
           kind == ThrottleKind::kPid ? "fixed-gain" : "adaptive";
       std::printf("  %-10s disk x%.1f  %+12.1f %% %11.0f ms %9.1f MB/s %6s\n",
@@ -82,5 +87,5 @@ int main(int argc, char** argv) {
            adaptive_sd_sensitive <= fixed_sd_sensitive * 1.15
                ? "yes (sd within 15% or better)"
                : "NO");
-  return 0;
+  return audited ? 0 : 1;
 }

@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 namespace slacker::bench {
 namespace {
@@ -18,12 +18,14 @@ struct GainResult {
   double stddev_ms = 0.0;
   double avg_speed = 0.0;
   bool finished = false;
+  bool audited = false;
 };
 
-GainResult Run(double kp, double ki, double kd) {
-  ExperimentOptions options = FlagOptions();
+GainResult Run(const ExperimentOptions& flags, double kp, double ki,
+               double kd) {
+  ExperimentOptions options = flags;
   options.config = PaperConfig::kEvaluation;
-  Testbed bed(options);
+  Fleet bed(options);
   MigrationOptions migration = bed.BaseMigration();
   migration.pid.kp = kp;
   migration.pid.ki = ki;
@@ -32,7 +34,7 @@ GainResult Run(double kp, double ki, double kd) {
   MigrationReport report;
   const SimTime start = bed.sim()->Now();
   GainResult result;
-  result.finished = bed.RunMigration(migration, &report, 0, 3000.0, 0.0);
+  result.finished = bed.RunMigration(migration, &report, 3000.0);
   const SimTime end = bed.sim()->Now();
   const PercentileTracker lat =
       bed.LatenciesBetween(start + (end - start) * 0.25, end);
@@ -40,6 +42,7 @@ GainResult Run(double kp, double ki, double kd) {
       std::abs(lat.Mean() - 1000.0) / 1000.0 * 100.0;
   result.stddev_ms = lat.Stddev();
   result.avg_speed = report.AverageRateMbps();
+  result.audited = bed.Finish();
   return result;
 }
 
@@ -47,9 +50,10 @@ GainResult Run(double kp, double ki, double kd) {
 }  // namespace slacker::bench
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
+  bool audited = true;
 
   struct GainSet {
     const char* name;
@@ -71,7 +75,8 @@ int main(int argc, char** argv) {
               "latency sd", "avg speed", "done");
   double paper_sd = 0.0, large_ki_sd = 0.0, no_kd_sd = 0.0;
   for (const GainSet& g : sets) {
-    const GainResult r = Run(g.kp, g.ki, g.kd);
+    const GainResult r = Run(flags.options, g.kp, g.ki, g.kd);
+    audited = r.audited && audited;
     std::printf("  %-28s %8.1f %% %9.0f ms %9.1f MB/s %6s\n", g.name,
                 r.mean_error_pct, r.stddev_ms, r.avg_speed,
                 r.finished ? "yes" : "NO");
@@ -85,5 +90,5 @@ int main(int argc, char** argv) {
   PrintRow("derivative damps oscillation", "larger Kd -> fewer swings",
            paper_sd <= no_kd_sd * 1.05 ? "yes (paper sd <= PI sd)"
                                        : "mixed (see table)");
-  return 0;
+  return audited ? 0 : 1;
 }

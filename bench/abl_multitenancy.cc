@@ -88,10 +88,11 @@ IsolationResult Run(MultitenancyModel model) {
 }  // namespace slacker::bench
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  // Flags are checked but unused: the scenario pins its own seeds.
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
   const IsolationResult isolated = Run(MultitenancyModel::kProcessLevel);
   const IsolationResult shared = Run(MultitenancyModel::kSharedProcess);

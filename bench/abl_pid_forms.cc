@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 #include "src/common/invariant.h"
 
 namespace slacker::bench {
@@ -19,20 +19,22 @@ struct SurgeResult {
   double surge_p99 = 0.0;
   double surge_mean = 0.0;
   double avg_speed = 0.0;
+  bool audited = false;
 };
 
-SurgeResult RunVelocityEndToEnd() {
-  ExperimentOptions options = FlagOptions();
+SurgeResult RunVelocityEndToEnd(const ExperimentOptions& flags) {
+  ExperimentOptions options = flags;
   options.config = PaperConfig::kEvaluation;
   options.arrival_scale = 0.4;  // Quiet at first: controller saturates.
-  Testbed bed(options);
+  Fleet bed(options);
 
   MigrationOptions migration = bed.BaseMigration();
   migration.pid.setpoint = 800.0;
   MigrationReport report;
   bool done = false;
   const Status started = bed.cluster()->StartMigration(
-      bed.tenant_id(), 1, migration, [&](const MigrationReport& r) {
+      /*tenant_id=*/1, /*target_server=*/1, migration,
+      [&](const MigrationReport& r) {
         report = r;
         done = true;
       });
@@ -41,7 +43,7 @@ SurgeResult RunVelocityEndToEnd() {
 
   const SimTime start = bed.sim()->Now();
   bed.sim()->RunUntil(start + 40.0);       // Quiet phase: saturation.
-  bed.workload()->ScaleArrivalRate(3.2);   // Surge.
+  bed.workload(0)->ScaleArrivalRate(3.2);  // Surge.
   bed.sim()->RunUntil(start + 100.0);
   SurgeResult result;
   const PercentileTracker surge =
@@ -53,6 +55,7 @@ SurgeResult RunVelocityEndToEnd() {
     bed.sim()->RunUntil(bed.sim()->Now() + 5.0);
   }
   result.avg_speed = report.AverageRateMbps();
+  result.audited = bed.Finish();
   return result;
 }
 
@@ -60,10 +63,10 @@ SurgeResult RunVelocityEndToEnd() {
 }  // namespace slacker::bench
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
   // Controller-level ablation on a saturating step (deterministic).
   control::PidConfig config;
@@ -110,11 +113,11 @@ int main(int argc, char** argv) {
                : "NO");
 
   // End-to-end sanity: the velocity-form migration under a surge.
-  SurgeResult vel = RunVelocityEndToEnd();
+  SurgeResult vel = RunVelocityEndToEnd(flags.options);
   PrintRow("end-to-end (velocity): surge-phase latency",
            "recovers toward setpoint",
            FormatMs(vel.surge_mean) + " mean, p99 " +
                FormatMs(vel.surge_p99));
   PrintRow("end-to-end (velocity): avg speed", "-", FormatMbps(vel.avg_speed));
-  return 0;
+  return vel.audited ? 0 : 1;
 }

@@ -79,10 +79,11 @@ DistResult Run(workload::KeyDistribution dist) {
 }  // namespace slacker::bench
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  // Flags are checked but unused: the scenario pins its own seeds.
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
   PrintHeader("Ablation", "request distribution vs migration slack "
               "(same txn rate, 20 MB/s migration)");

@@ -8,8 +8,9 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <tuple>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 #include "src/common/random.h"
 #include "src/engine/transaction.h"
 #include "src/slacker/fault_injector.h"
@@ -25,14 +26,16 @@ struct CrashRunResult {
   double streamed_mb = 0.0;
   double resumed_mb = 0.0;
   double downtime_ms = 0.0;
+  bool audited = false;
 };
 
-CrashRunResult RunSupervised(bool inject_crash, bool allow_resume) {
-  ExperimentOptions options = FlagOptions();
+CrashRunResult RunSupervised(const ExperimentOptions& flags,
+                             bool inject_crash, bool allow_resume) {
+  ExperimentOptions options = flags;
   options.config = PaperConfig::kEvaluation;
   options.size_scale = 0.25;  // 256 MB tenant: minutes, not hours.
   options.warmup_seconds = 10.0;
-  Testbed bed(options);
+  Fleet bed(options);
 
   FaultPlan plan;
   if (inject_crash) {
@@ -42,9 +45,6 @@ CrashRunResult RunSupervised(bool inject_crash, bool allow_resume) {
                       MigrationPhase::kSnapshot, /*restart_after=*/5.0,
                       /*phase_delay=*/8.0);
   }
-  FaultInjector injector(bed.cluster(), plan);
-  injector.Arm();
-
   MigrationOptions migration = bed.BaseMigration();
   migration.throttle = ThrottleKind::kFixed;
   migration.fixed_rate_mbps = 16.0;
@@ -56,17 +56,24 @@ CrashRunResult RunSupervised(bool inject_crash, bool allow_resume) {
   sup.initial_backoff = 1.0;
   MigrationReport report;
   bool done = false;
-  MigrationSupervisor supervisor(bed.cluster(), 1, 1, migration, sup,
-                                 [&](const MigrationReport& r) {
-                                   report = r;
-                                   done = true;
-                                 });
-  const SimTime start = bed.sim()->Now();
+  {
+    // The injector and supervisor die before Finish() drains the fleet.
+    FaultInjector injector(bed.cluster(), plan);
+    injector.Arm();
+    MigrationSupervisor supervisor(bed.cluster(), 1, 1, migration, sup,
+                                   [&](const MigrationReport& r) {
+                                     report = r;
+                                     done = true;
+                                   });
+    const SimTime start = bed.sim()->Now();
+    if (supervisor.Start().ok()) {
+      bed.sim()->RunUntil(start + 3000.0);
+      for (const auto& pool : bed.pools()) pool->Stop();
+      bed.sim()->RunUntil(bed.sim()->Now() + 10.0);
+    }
+  }
   CrashRunResult result;
-  if (!supervisor.Start().ok()) return result;
-  bed.sim()->RunUntil(start + 3000.0);
-  bed.StopAll();
-  bed.sim()->RunUntil(bed.sim()->Now() + 10.0);
+  result.audited = bed.Finish();
   if (!done) return result;
 
   result.ok = report.status.ok();
@@ -144,16 +151,22 @@ double MeasureRecovery(bool with_checkpoint) {
 }  // namespace slacker::bench
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
   PrintHeader("ext-crash-recovery (1/2)",
               "supervised migration vs a target crash mid-snapshot "
               "(256 MB tenant, 16 MB/s throttle, restart after 5 s)");
-  PrintCrashRow("no fault", RunSupervised(false, true));
-  PrintCrashRow("crash, resume on", RunSupervised(true, true));
-  PrintCrashRow("crash, resume off", RunSupervised(true, false));
+  bool audited = true;
+  for (const auto& [name, crash, resume] :
+       {std::tuple{"no fault", false, true},
+        std::tuple{"crash, resume on", true, true},
+        std::tuple{"crash, resume off", true, false}}) {
+    const CrashRunResult result = RunSupervised(flags.options, crash, resume);
+    PrintCrashRow(name, result);
+    audited = result.audited && audited;
+  }
 
   PrintHeader("ext-crash-recovery (2/2)",
               "server restart after a 64 MB WAL burst on a 16 MB "
@@ -163,5 +176,5 @@ int main(int argc, char** argv) {
   PrintRow("full WAL replay", "-", buf);
   std::snprintf(buf, sizeof(buf), "%.2f s", MeasureRecovery(true));
   PrintRow("checkpoint + suffix", "-", buf);
-  return 0;
+  return audited ? 0 : 1;
 }

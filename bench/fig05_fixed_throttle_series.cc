@@ -11,15 +11,15 @@
 
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 namespace slacker::bench {
 namespace {
 
-void RunBaselineCase() {
-  ExperimentOptions options = FlagOptions();
+bool RunBaselineCase(const ExperimentOptions& flags) {
+  ExperimentOptions options = flags;
   options.config = PaperConfig::kCaseStudy;
-  Testbed bed(options);
+  Fleet bed(options);
   const SimTime start = bed.sim()->Now();
   const PercentileTracker latencies = bed.RunBaseline(180.0);
   PrintHeader("Figure 5a", "baseline, no migration (180 s)");
@@ -31,20 +31,22 @@ void RunBaselineCase() {
   PrintSeries("latency time series (3 s smoothed, ms)", series, 20.0);
   MaybeWriteCsv("fig05a_baseline_latency", bed.MergedLatencySeries(),
                 "latency_ms");
+  return bed.Finish();
 }
 
-void RunThrottledCase(double mbps, const char* figure, const char* paper_avg,
+bool RunThrottledCase(const ExperimentOptions& flags, double mbps,
+                      const char* figure, const char* paper_avg,
                       const char* paper_duration) {
-  ExperimentOptions options = FlagOptions();
+  ExperimentOptions options = flags;
   options.config = PaperConfig::kCaseStudy;
-  Testbed bed(options);
+  Fleet bed(options);
   MigrationOptions migration = bed.BaseMigration();
   migration.throttle = ThrottleKind::kFixed;
   migration.fixed_rate_mbps = mbps;
 
   MigrationReport report;
   const SimTime start = bed.sim()->Now();
-  const bool done = bed.RunMigration(migration, &report, 0, 1200.0, 0.0);
+  const bool done = bed.RunMigration(migration, &report, 1200.0);
   const PercentileTracker latencies =
       bed.LatenciesBetween(start, bed.sim()->Now());
 
@@ -66,19 +68,26 @@ void RunThrottledCase(double mbps, const char* figure, const char* paper_avg,
   char csv_name[64];
   std::snprintf(csv_name, sizeof(csv_name), "fig05_%.0fmbps_latency", mbps);
   MaybeWriteCsv(csv_name, bed.MergedLatencySeries(), "latency_ms");
+  return bed.Finish();
 }
 
 }  // namespace
 }  // namespace slacker::bench
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
-  RunBaselineCase();
-  RunThrottledCase(4.0, "Figure 5b", "153 ms", "281 s total (256 s copy)");
-  RunThrottledCase(8.0, "Figure 5c", "410 ms", "164 s total (128 s copy)");
-  RunThrottledCase(12.0, "Figure 5d", "720 ms (200-1500 swings)",
-                   "130 s total (85 s copy)");
-  return 0;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
+  bool audited = RunBaselineCase(flags.options);
+  audited = RunThrottledCase(flags.options, 4.0, "Figure 5b", "153 ms",
+                             "281 s total (256 s copy)") &&
+            audited;
+  audited = RunThrottledCase(flags.options, 8.0, "Figure 5c", "410 ms",
+                             "164 s total (128 s copy)") &&
+            audited;
+  audited = RunThrottledCase(flags.options, 12.0, "Figure 5d",
+                             "720 ms (200-1500 swings)",
+                             "130 s total (85 s copy)") &&
+            audited;
+  return audited ? 0 : 1;
 }

@@ -8,24 +8,24 @@
 
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
-  ExperimentOptions options = FlagOptions();
+  ExperimentOptions options = flags.options;
   options.config = PaperConfig::kCaseStudy;
-  Testbed bed(options);
+  Fleet bed(options);
   MigrationOptions migration = bed.BaseMigration();
   migration.throttle = ThrottleKind::kFixed;
   migration.fixed_rate_mbps = 16.0;
 
   MigrationReport report;
   const SimTime start = bed.sim()->Now();
-  const bool done = bed.RunMigration(migration, &report, 0, 1200.0, 0.0);
+  const bool done = bed.RunMigration(migration, &report, 1200.0);
   const SimTime end = bed.sim()->Now();
   const PercentileTracker latencies = bed.LatenciesBetween(start, end);
 
@@ -50,5 +50,7 @@ int main(int argc, char** argv) {
   PrintSeries("latency time series (3 s smoothed, ms)", series, 10.0);
   MaybeWriteCsv("fig06_overload_latency", bed.MergedLatencySeries(),
                 "latency_ms");
-  return 0;
+  const bool gated =
+      Gate("fig06 late/early latency > 2", late.Mean() > 2.0 * early.Mean());
+  return bed.Finish() && gated ? 0 : 1;
 }

@@ -14,13 +14,14 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
+  bool audited = true;
 
   PrintHeader("Figure 11a (fixed)",
               "latency vs fixed throttling rate, 5-30 MB/s");
@@ -28,20 +29,21 @@ int main(int argc, char** argv) {
               "duration");
   double last_low_rate_latency = 0.0, top_rate_latency = 0.0;
   for (double rate : {5.0, 10.0, 15.0, 20.0, 25.0, 30.0}) {
-    ExperimentOptions options = FlagOptions();
+    ExperimentOptions options = flags.options;
     options.config = PaperConfig::kEvaluation;
-    Testbed bed(options);
+    Fleet bed(options);
     MigrationOptions migration = bed.BaseMigration();
     migration.throttle = ThrottleKind::kFixed;
     migration.fixed_rate_mbps = rate;
     MigrationReport report;
     const SimTime start = bed.sim()->Now();
-    bed.RunMigration(migration, &report, 0, 1200.0, 0.0);
+    bed.RunMigration(migration, &report, 1200.0);
     const PercentileTracker lat = bed.LatenciesBetween(start, bed.sim()->Now());
     std::printf("  %6.0f MB/s %9.0f ms %9.0f ms %9.0f s\n", rate, lat.Mean(),
                 lat.Stddev(), report.DurationSeconds());
     if (rate == 5.0) last_low_rate_latency = lat.Mean();  // NOLINT(slacker-float-eq)
     if (rate == 30.0) top_rate_latency = lat.Mean();  // NOLINT(slacker-float-eq)
+    audited = bed.Finish() && audited;
   }
   PrintRow("low-speed latency", "low, stable (~100-300 ms)",
            FormatMs(last_low_rate_latency));
@@ -54,21 +56,22 @@ int main(int argc, char** argv) {
               "avg latency", "duration");
   std::vector<double> speeds;
   for (double setpoint = 500.0; setpoint <= 5000.0; setpoint += 500.0) {
-    ExperimentOptions options = FlagOptions();
+    ExperimentOptions options = flags.options;
     options.config = PaperConfig::kEvaluation;
-    Testbed bed(options);
+    Fleet bed(options);
     MigrationOptions migration = bed.BaseMigration();
     migration.throttle = ThrottleKind::kPid;
     migration.pid.setpoint = setpoint;
     MigrationReport report;
     const SimTime start = bed.sim()->Now();
-    const bool done = bed.RunMigration(migration, &report, 0, 3000.0, 0.0);
+    const bool done = bed.RunMigration(migration, &report, 3000.0);
     const PercentileTracker lat = bed.LatenciesBetween(start, bed.sim()->Now());
     const double speed = report.AverageRateMbps();
     speeds.push_back(speed);
     std::printf("  %7.0f ms %10.1f MB/s %10.0f ms %9.0f s%s\n", setpoint,
                 speed, lat.Mean(), report.DurationSeconds(),
                 done ? "" : "  (DID NOT FINISH)");
+    audited = bed.Finish() && audited;
   }
   // Shape checks: speed grows quickly at first, then plateaus.
   const double early_gain = speeds[1] - speeds[0];   // 500 -> 1000 ms.
@@ -81,5 +84,5 @@ int main(int argc, char** argv) {
                FormatMbps(speeds.back()));
   PrintRow("early gain >> late gain", "yes",
            early_gain > 2.0 * late_gain ? "yes" : "NO");
-  return 0;
+  return audited ? 0 : 1;
 }

@@ -11,13 +11,14 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
+  bool audited = true;
 
   PrintHeader("Figure 11b", "setpoint vs achieved latency, + variance vs "
               "equivalent fixed throttle");
@@ -30,14 +31,14 @@ int main(int argc, char** argv) {
     // --- Slacker run.
     double achieved = 0.0, slacker_sd = 0.0, speed = 0.0;
     {
-      ExperimentOptions options = FlagOptions();
+      ExperimentOptions options = flags.options;
       options.config = PaperConfig::kEvaluation;
-      Testbed bed(options);
+      Fleet bed(options);
       MigrationOptions migration = bed.BaseMigration();
       migration.pid.setpoint = setpoint;
       MigrationReport report;
       const SimTime start = bed.sim()->Now();
-      bed.RunMigration(migration, &report, 0, 3000.0, 0.0);
+      bed.RunMigration(migration, &report, 3000.0);
       // Judge tracking once the controller has converged: skip the
       // ramp-up (first 25% of the run), as the paper's averages also
       // reflect the steady regulated phase.
@@ -47,24 +48,26 @@ int main(int argc, char** argv) {
       achieved = lat.Mean();
       slacker_sd = lat.Stddev();
       speed = report.AverageRateMbps();
+      audited = bed.Finish() && audited;
     }
     // --- Fixed throttle at the speed Slacker achieved.
     double fixed_sd = 0.0, fixed_mean = 0.0;
     {
-      ExperimentOptions options = FlagOptions();
+      ExperimentOptions options = flags.options;
       options.config = PaperConfig::kEvaluation;
-      Testbed bed(options);
+      Fleet bed(options);
       MigrationOptions migration = bed.BaseMigration();
       migration.throttle = ThrottleKind::kFixed;
       migration.fixed_rate_mbps = speed;
       MigrationReport report;
       const SimTime start = bed.sim()->Now();
-      bed.RunMigration(migration, &report, 0, 3000.0, 0.0);
+      bed.RunMigration(migration, &report, 3000.0);
       const SimTime end = bed.sim()->Now();
       const SimTime converged = start + (end - start) * 0.25;
       const PercentileTracker lat = bed.LatenciesBetween(converged, end);
       fixed_sd = lat.Stddev();
       fixed_mean = lat.Mean();
+      audited = bed.Finish() && audited;
     }
 
     const double error = std::abs(achieved - setpoint) / setpoint;
@@ -86,5 +89,10 @@ int main(int argc, char** argv) {
            std::to_string(variance_wins) + "/" + std::to_string(compared));
   PrintRow("mean: slacker <= fixed@same speed", "always",
            std::to_string(mean_wins) + "/" + std::to_string(compared));
-  return 0;
+  bool gated = Gate("fig11b slacker sd <= fixed sd at 5/5 setpoints",
+                    variance_wins == 5);
+  gated = Gate("fig11b slacker mean <= fixed mean at 5/5 setpoints",
+               mean_wins == 5) &&
+          gated;
+  return audited && gated ? 0 : 1;
 }

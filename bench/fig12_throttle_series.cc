@@ -9,23 +9,23 @@
 
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
-  ExperimentOptions options = FlagOptions();
+  ExperimentOptions options = flags.options;
   options.config = PaperConfig::kEvaluation;
-  Testbed bed(options);
+  Fleet bed(options);
   MigrationOptions migration = bed.BaseMigration();
   migration.pid.setpoint = 1000.0;
 
   MigrationReport report;
   const SimTime start = bed.sim()->Now();
-  const bool done = bed.RunMigration(migration, &report, 0, 3000.0, 0.0);
+  const bool done = bed.RunMigration(migration, &report, 3000.0);
   const SimTime end = bed.sim()->Now();
 
   PrintHeader("Figure 12",
@@ -66,5 +66,5 @@ int main(int argc, char** argv) {
     std::printf("    t=%6.0f  %8.1f MB/s  %10.0f ms\n", rates[i].t,
                 rates[i].value, pv);
   }
-  return 0;
+  return bed.Finish() ? 0 : 1;
 }

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 namespace slacker::bench {
 namespace {
@@ -18,13 +18,15 @@ struct MultiResult {
   double avg_speed = 0.0;
   bool finished = false;
   uint64_t failed = 0;
+  bool audited = false;
 };
 
-MultiResult Run(bool use_pid, double fixed_rate, double setpoint) {
-  ExperimentOptions options = FlagOptions();
+MultiResult Run(const ExperimentOptions& flags, bool use_pid,
+                double fixed_rate, double setpoint) {
+  ExperimentOptions options = flags;
   options.config = PaperConfig::kEvaluation;
   options.tenants = 5;
-  Testbed bed(options);
+  Fleet bed(options);
   MigrationOptions migration = bed.BaseMigration();
   if (use_pid) {
     migration.pid.setpoint = setpoint;
@@ -35,19 +37,20 @@ MultiResult Run(bool use_pid, double fixed_rate, double setpoint) {
   MigrationReport report;
   const SimTime start = bed.sim()->Now();
   MultiResult result;
-  result.finished = bed.RunMigration(migration, &report, /*index=*/2,
-                                     3000.0, 0.0);
+  result.finished =
+      bed.RunMigration(migration, &report, 3000.0, /*tenant_id=*/3);
   const SimTime end = bed.sim()->Now();
   result.avg_speed = report.AverageRateMbps();
   result.all_tenants = bed.LatenciesBetween(start + (end - start) * 0.25, end);
-  for (int i = 0; i < bed.tenant_count(); ++i) {
+  for (size_t i = 0; i < bed.pools().size(); ++i) {
     if (i == 2) continue;
-    const auto& points = bed.pool(i)->latency_series().points();
-    for (const auto& p : points) {
+    const workload::ClientPool& pool = *bed.pools()[i];
+    for (const auto& p : pool.latency_series().points()) {
       if (p.t >= start && p.t <= end) result.neighbors_only.Add(p.value);
     }
-    result.failed += bed.pool(i)->stats().failed;
+    result.failed += pool.stats().failed;
   }
+  result.audited = bed.Finish();
   return result;
 }
 
@@ -55,15 +58,15 @@ MultiResult Run(bool use_pid, double fixed_rate, double setpoint) {
 }  // namespace slacker::bench
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
   const double setpoint = 1000.0;
-  MultiResult slacker = Run(/*use_pid=*/true, 0.0, setpoint);
+  MultiResult slacker = Run(flags.options, /*use_pid=*/true, 0.0, setpoint);
   // "The equivalent fixed throttle": the speed Slacker averaged.
   MultiResult fixed =
-      Run(/*use_pid=*/false, slacker.avg_speed, setpoint);
+      Run(flags.options, /*use_pid=*/false, slacker.avg_speed, setpoint);
 
   PrintHeader("Figure 13b", "5 tenants, migrate one, per-server latency");
   PrintRow("slacker avg latency (all tenants)",
@@ -79,5 +82,12 @@ int main(int argc, char** argv) {
                std::to_string(slacker.failed) + " failures");
   PrintRow("slacker avg speed", "-", FormatMbps(slacker.avg_speed));
   PrintRow("migration completed", "yes", slacker.finished ? "yes" : "NO");
-  return 0;
+  // "Slacker below fixed" stays ungated: a documented deviation
+  // (EXPERIMENTS.md).
+  bool gated = Gate("fig13b slacker below the 1000 ms setpoint",
+                    slacker.all_tenants.Mean() < setpoint);
+  gated = Gate("fig13b neighbours have 0 failed transactions",
+               slacker.failed == 0) &&
+          gated;
+  return slacker.audited && fixed.audited && gated ? 0 : 1;
 }

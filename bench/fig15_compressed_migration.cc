@@ -16,11 +16,10 @@
 // plus the shared bench flags (--seed, --trace, --csv, ...).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 namespace slacker::bench {
 namespace {
@@ -34,6 +33,7 @@ struct SweepResult {
   double ratio = 1.0;
   uint64_t chunks_lz = 0;
   uint64_t chunks_delta = 0;
+  bool audited = false;
 };
 
 SweepResult RunOne(const ExperimentOptions& base, double output_max,
@@ -41,7 +41,7 @@ SweepResult RunOne(const ExperimentOptions& base, double output_max,
   ExperimentOptions options = base;
   options.config = PaperConfig::kEvaluation;
   options.codec_mode = mode;
-  Testbed bed(options);
+  Fleet bed(options);
   MigrationOptions migration = bed.BaseMigration();
   migration.pid.setpoint = 1000.0;
   migration.pid.output_max = output_max;
@@ -55,7 +55,7 @@ SweepResult RunOne(const ExperimentOptions& base, double output_max,
   SweepResult result;
   result.mode = mode;
   result.output_max = output_max;
-  result.done = bed.RunMigration(migration, &report, 0, 4000.0, 0.0);
+  result.done = bed.RunMigration(migration, &report, 4000.0);
   const SimTime end = bed.sim()->Now();
   if (bed.cluster()->auditor()->checks_passed() <= checks_before) {
     std::fprintf(stderr, "conservation audit did not run\n");
@@ -66,6 +66,7 @@ SweepResult RunOne(const ExperimentOptions& base, double output_max,
   result.ratio = report.CompressionRatio();
   result.chunks_lz = report.chunks_lz;
   result.chunks_delta = report.chunks_delta;
+  result.audited = bed.Finish();
   return result;
 }
 
@@ -82,20 +83,10 @@ int main(int argc, char** argv) {
   using namespace slacker::bench;
   using namespace slacker;
 
-  bool smoke = false;
-  std::vector<char*> pass;
-  pass.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      pass.push_back(argv[i]);
-    }
-  }
-  ExperimentOptions flags;
-  ApplyCommandLine(static_cast<int>(pass.size()), pass.data(), &flags);
-  ExperimentOptions base = FlagOptions();
-  if (smoke) {
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
+  ExperimentOptions base = flags.options;
+  if (flags.smoke) {
     base.size_scale = 0.5;
     base.warmup_seconds = 10.0;
   }
@@ -132,9 +123,11 @@ int main(int argc, char** argv) {
   const SweepResult& net_adaptive = results[2];
   const SweepResult& disk_raw = results[3];
   const SweepResult& disk_adaptive = results[5];
-  const bool all_done = net_raw.done && results[1].done &&
-                        net_adaptive.done && disk_raw.done &&
-                        results[4].done && disk_adaptive.done;
+  bool all_done = true, audited = true;
+  for (const SweepResult& r : results) {
+    all_done = all_done && r.done;
+    audited = audited && r.audited;
+  }
   const double net_speedup =
       net_raw.seconds > 0.0 ? net_adaptive.seconds / net_raw.seconds : 1.0;
   const double disk_speedup =
@@ -151,5 +144,5 @@ int main(int argc, char** argv) {
                   net_speedup <= 0.7;
   PrintRow("acceptance", "adaptive <= 0.7x raw when network-bound",
            ok ? "met" : "NOT MET");
-  return ok ? 0 : 1;
+  return ok && audited ? 0 : 1;
 }

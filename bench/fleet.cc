@@ -1,77 +1,17 @@
 #include "bench/fleet.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 
 #include "src/common/invariant.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/csv_export.h"
 #include "src/range/range_directory.h"
+#include "src/slacker/metrics.h"
 
 namespace slacker::bench {
-
-void ParseFleetFlags(
-    int argc, char** argv, FleetFlags* flags,
-    std::initializer_list<std::pair<const char*, bool*>> switches) {
-  const bool takes_fleet_size = flags->servers > 0;
-  const bool takes_ranges = flags->ranges > 0;
-  const bool takes_json = !flags->json_path.empty();
-  auto usage = [&](const std::string& problem) {
-    std::fprintf(stderr,
-                 "%s: %s\nusage: %s [--smoke] [fleet flags: --json PATH, "
-                 "--servers N, --fleet-tenants T, --ranges R] [shared bench "
-                 "flags]\n",
-                 argv[0], problem.c_str(), argv[0]);
-    std::exit(2);
-  };
-  // The value after argv[*i]: a whole base-10 integer >= 1.
-  auto positive = [&](int* i) {
-    const std::string name = argv[*i];
-    if (*i + 1 >= argc) usage(name + " needs a value");
-    const char* text = argv[++*i];
-    const char* end = text + std::strlen(text);
-    int value = 0;
-    const auto [last, error] = std::from_chars(text, end, value);
-    if (error != std::errc() || last != end || value < 1) {
-      usage(name + " must be a positive integer, not '" + text + "'");
-    }
-    return value;
-  };
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    bool matched = false;
-    for (const auto& [name, flag] : switches) {
-      if (std::strcmp(arg, name) == 0) *flag = matched = true;
-    }
-    if (matched) continue;
-    if (std::strcmp(arg, "--smoke") == 0) {
-      flags->smoke = true;
-    } else if (takes_json && std::strcmp(arg, "--json") == 0 &&
-               i + 1 < argc) {
-      flags->json_path = argv[++i];
-    } else if (takes_fleet_size && std::strcmp(arg, "--servers") == 0) {
-      flags->servers = positive(&i);
-    } else if (takes_fleet_size && std::strcmp(arg, "--fleet-tenants") == 0) {
-      flags->tenants = positive(&i);
-    } else if (takes_ranges && std::strcmp(arg, "--ranges") == 0) {
-      flags->ranges = static_cast<size_t>(positive(&i));
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  if (takes_fleet_size && flags->tenants % flags->servers != 0) {
-    usage("--fleet-tenants " + std::to_string(flags->tenants) +
-          " is not a multiple of --servers " +
-          std::to_string(flags->servers));
-  }
-  ApplyCommandLine(static_cast<int>(rest.size()), rest.data(),
-                   &flags->options);
-}
 
 double FleetBusySecondsPerTxn() {
   const double page_read =
@@ -186,6 +126,39 @@ Fleet::Fleet(const ExperimentOptions& flags,
   }
 }
 
+Fleet::Fleet(const ExperimentOptions& flags)
+    : Fleet(flags, PaperClusterOptions(), /*metrics=*/true) {
+  for (int i = 0; i < flags.tenants; ++i) {
+    const uint64_t id = i + 1;
+    engine::TenantConfig tenant =
+        PaperTenantConfig(flags.config, id, flags.size_scale);
+    // Each tenant keeps its full database, but the server's memory is
+    // split between them (no overprovisioning, §2.1).
+    tenant.buffer_pool_bytes /= flags.tenants;
+    // AddTenant warms the buffer pool: the paper measures the steady
+    // state, not a cold cache.
+    AddTenant(0, tenant);
+
+    // Splitting the buffer raises each tenant's miss ratio; scale the
+    // arrival rate so total *disk demand* (not txn rate) is preserved.
+    const double pages = static_cast<double>(tenant.layout.TotalPages());
+    const double miss_single =
+        1.0 - static_cast<double>(tenant.BufferPoolPages()) * flags.tenants /
+                  pages;
+    const double miss_multi =
+        1.0 - static_cast<double>(tenant.BufferPoolPages()) / pages;
+    const double miss_correction =
+        miss_single > 0.0 ? miss_multi / miss_single : 1.0;
+
+    workload::YcsbConfig ycsb;
+    ycsb.record_count = tenant.layout.record_count;
+    ycsb.mean_interarrival = PaperInterarrival(flags.config) * flags.tenants *
+                             miss_correction / flags.arrival_scale;
+    AddPool(id, ycsb, /*seed_salt=*/id * 1000);
+  }
+  sim_.RunUntil(flags.warmup_seconds);
+}
+
 void Fleet::AddTenant(uint64_t server_id,
                       const engine::TenantConfig& tenant) {
   auto db = cluster_->AddTenant(server_id, tenant);
@@ -267,6 +240,77 @@ uint64_t Fleet::ViolationsBetween(SimTime t0, SimTime t1) const {
     }
   }
   return count;
+}
+
+MigrationOptions Fleet::BaseMigration() const {
+  MigrationOptions options;
+  options.backup.chunk_bytes = 256 * kKiB;
+  options.prepare.base_seconds = 2.0;
+  options.controller_tick = 1.0;
+  // Paper gains (§5.3 footnote).
+  options.pid.kp = 0.025;
+  options.pid.ki = 0.005;
+  options.pid.kd = 0.015;
+  options.pid.output_min = 0.0;
+  // Max throttle just above the fixed sweep's top: the controller's
+  // output is a percentage of this (§4.2.3).
+  options.pid.output_max = 30.0;
+  options.codec.mode = flags_.codec_mode;
+  return options;
+}
+
+PercentileTracker Fleet::RunBaseline(SimTime seconds) {
+  const SimTime start = sim_.Now();
+  sim_.RunUntil(start + seconds);
+  return LatenciesBetween(start, sim_.Now());
+}
+
+bool Fleet::RunMigration(const MigrationOptions& options,
+                         MigrationReport* report, SimTime max_seconds,
+                         uint64_t tenant_id) {
+  // Shared with the callback: a migration that outlives this call may
+  // still finish while Finish() drains the fleet.
+  auto finished = std::make_shared<std::optional<MigrationReport>>();
+  const Status status = cluster_->StartMigration(
+      tenant_id, 1, options,
+      [finished](const MigrationReport& r) { *finished = r; });
+  if (!status.ok()) {
+    std::fprintf(stderr, "StartMigration failed: %s\n",
+                 status.ToString().c_str());
+    return false;
+  }
+  const SimTime deadline = sim_.Now() + max_seconds;
+  while (!finished->has_value() && sim_.Now() < deadline) {
+    sim_.RunUntil(std::min(sim_.Now() + 5.0, deadline));
+  }
+  if (!finished->has_value()) return false;
+  *report = **finished;
+  return true;
+}
+
+PercentileTracker Fleet::LatenciesBetween(SimTime t0, SimTime t1) const {
+  PercentileTracker out;
+  for (const auto& pool : pools_) {
+    for (const auto& p : pool->latency_series().points()) {
+      if (p.t >= t0 && p.t <= t1) out.Add(p.value);
+    }
+  }
+  return out;
+}
+
+workload::TimeSeries Fleet::MergedLatencySeries() const {
+  std::vector<workload::TracePoint> all;
+  for (const auto& pool : pools_) {
+    const auto& points = pool->latency_series().points();
+    all.insert(all.end(), points.begin(), points.end());
+  }
+  std::sort(all.begin(), all.end(),
+            [](const workload::TracePoint& a, const workload::TracePoint& b) {
+              return a.t < b.t;
+            });
+  workload::TimeSeries merged;
+  for (const auto& p : all) merged.Add(p.t, p.value);
+  return merged;
 }
 
 bool Fleet::Finish() {

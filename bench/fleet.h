@@ -3,47 +3,20 @@
 
 #include <concepts>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/common/stats.h"
+#include "src/obs/trace.h"
 #include "src/slacker/rebalancer.h"
+#include "src/workload/client_pool.h"
 #include "src/workload/patterns.h"
+#include "src/workload/ycsb.h"
 
 namespace slacker::bench {
-
-/// The command line of a fleet bench. A bench takes a fleet flag only
-/// if it gives it a default: an empty `json_path` means no --json, a
-/// zero `servers` means no --servers / --fleet-tenants, and a zero
-/// `ranges` means no --ranges.
-struct FleetFlags {
-  explicit FleetFlags(std::string json = "", int servers_default = 0,
-                      int tenants_default = 0, size_t ranges_default = 0)
-      : json_path(std::move(json)),
-        servers(servers_default),
-        tenants(tenants_default),
-        ranges(ranges_default) {}
-
-  bool smoke = false;
-  std::string json_path;
-  int servers;
-  int tenants;
-  size_t ranges;
-  /// Everything else: the shared bench flags (see ApplyCommandLine).
-  ExperimentOptions options;
-};
-
-/// Parses --smoke, --json, --servers, --fleet-tenants and --ranges into
-/// `flags`, sets each `switches` entry whose flag is present, and hands
-/// the rest to ApplyCommandLine. Prints usage and exits with code 2 on
-/// a malformed value, --servers below 1, a --fleet-tenants that is not
-/// a positive multiple of --servers, or --ranges below 1.
-void ParseFleetFlags(
-    int argc, char** argv, FleetFlags* flags,
-    std::initializer_list<std::pair<const char*, bool*>> switches = {});
 
 /// The expected disk-busy seconds one transaction costs: ops/txn x
 /// steady-state miss rate (buffer holds 1/8 of the pages) x one page
@@ -105,8 +78,8 @@ struct FleetAudit {
   }
 };
 
-/// A fleet bench's simulator, cluster, tenants and load, with the
-/// observability and end-of-run audit every fleet bench shares.
+/// A bench's simulator, cluster, tenants and load, with the
+/// observability and end-of-run audit every bench shares.
 ///
 /// Event ties break FIFO, so construction order is output: the tracer,
 /// the cluster, the tracer's installation, the SLA threshold
@@ -119,6 +92,14 @@ class Fleet {
   /// CSV; with `metrics`, a 1 Hz timer then runs PublishMetrics into it.
   Fleet(const ExperimentOptions& flags, const ClusterOptions& cluster_options,
         bool metrics);
+
+  /// The paper testbed (§3, §5): PaperClusterOptions() with metrics,
+  /// and `flags.tenants` paper tenants (ids 1..n) on server 0, one pool
+  /// each salted tenant_id * 1000, run through the warm-up. With
+  /// several tenants the server's buffer memory is split between them
+  /// (Fig. 13b) and the arrival rate is divided and miss-corrected so
+  /// the server's disk demand matches the single-tenant runs.
+  explicit Fleet(const ExperimentOptions& flags);
   // The tracer, cluster and pools hold the simulator's address.
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
@@ -155,6 +136,25 @@ class Fleet {
   /// Completed transactions in (t0, t1] slower than the SLA threshold.
   uint64_t ViolationsBetween(SimTime t0, SimTime t1) const;
 
+  /// The paper's migration preset: chunked hot backup, 1 s controller
+  /// tick, paper PID gains, and the flags' codec.
+  MigrationOptions BaseMigration() const;
+
+  /// Runs the load with no migration for `seconds`; returns the
+  /// latency samples from that span.
+  PercentileTracker RunBaseline(SimTime seconds);
+
+  /// Migrates `tenant_id` to server 1 and runs until it finishes.
+  /// Returns false, leaving `report` alone, if it did not start or did
+  /// not finish within `max_seconds`.
+  bool RunMigration(const MigrationOptions& options, MigrationReport* report,
+                    SimTime max_seconds, uint64_t tenant_id = 1);
+
+  /// Latency samples completed in [t0, t1] across all pools (ms).
+  PercentileTracker LatenciesBetween(SimTime t0, SimTime t1) const;
+  /// Every pool's (completion time, latency) samples, by time.
+  workload::TimeSeries MergedLatencySeries() const;
+
   /// Ends the run: stops drivers, pools and sampler, writes the
   /// trace and CSV, detaches the tracer, then audits (below) and
   /// prints the verdict. Returns false if the audit failed.
@@ -174,6 +174,8 @@ class Fleet {
   const std::vector<std::unique_ptr<workload::ClientPool>>& pools() const {
     return pools_;
   }
+  /// The workload of the `i`-th AddPool.
+  workload::YcsbWorkload* workload(size_t i) { return workloads_[i].get(); }
 
  private:
   struct PoolSpec {

@@ -1,7 +1,7 @@
-// Tests for the fleet bench harness: the JSON writer's exact bytes, the
-// end-of-run audit (passing and catching a corrupted row), the testbed's
-// teardown with a migration still in flight, and the rejection of
-// malformed fleet flags.
+// Tests for the bench harness: the JSON writer's exact bytes, the
+// end-of-run audit (passing, catching a corrupted row, and after a paper
+// testbed migration), the paper testbed's teardown with a migration
+// still in flight, and the rejection of malformed flags.
 
 #include "bench/fleet.h"
 
@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "src/range/range_directory.h"
 
 namespace slacker::bench {
 namespace {
@@ -143,20 +145,44 @@ FleetFlags Parse(std::vector<std::string> args) {
   return flags;
 }
 
-// A traced migration that does not finish in time still holds its
-// spans when the testbed goes: the tracer must outlive the cluster.
-TEST(TestbedTest, UnfinishedTracedMigrationTearsDownCleanly) {
+/// The paper testbed shrunk to a 51 MB tenant with a short warm-up.
+ExperimentOptions SmallPaperTestbed() {
   ExperimentOptions options;
-  options.trace_path = testing::TempDir() + "unfinished_trace.json";
   options.size_scale = 0.05;
   options.warmup_seconds = 2.0;
+  return options;
+}
+
+// A traced migration that does not finish in time still holds its
+// spans when the fleet goes unfinished: the tracer must outlive the
+// cluster.
+TEST(PaperFleetTest, UnfinishedTracedMigrationTearsDownCleanly) {
+  ExperimentOptions options = SmallPaperTestbed();
+  options.trace_path = testing::TempDir() + "unfinished_trace.json";
   {
-    Testbed testbed(options);
+    Fleet fleet(options);
     MigrationReport report;
-    EXPECT_FALSE(testbed.RunMigration(testbed.BaseMigration(), &report, 0,
-                                      /*max_seconds=*/1.0, /*drain=*/0.0));
+    EXPECT_FALSE(fleet.RunMigration(fleet.BaseMigration(), &report,
+                                    /*max_seconds=*/1.0));
   }
   std::remove(options.trace_path.c_str());
+}
+
+TEST(PaperFleetTest, AuditPassesAfterOneMigration) {
+  Fleet fleet(SmallPaperTestbed());
+  MigrationReport report;
+  ASSERT_TRUE(fleet.RunMigration(fleet.BaseMigration(), &report, 600.0));
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  ASSERT_TRUE(fleet.Finish());
+  const FleetAudit audit = fleet.Audit();
+  EXPECT_EQ(audit.tenants, 1u);
+  EXPECT_GT(audit.acked_keys, 0u);
+  EXPECT_EQ(fleet.cluster()->TenantOn(0, 1), nullptr);
+  EXPECT_NE(fleet.cluster()->TenantOn(1, 1), nullptr);
+  for (const range::OwnedRange& owned :
+       fleet.cluster()->directory()->RangesOf(1)) {
+    EXPECT_EQ(owned.server, 1u);
+  }
 }
 
 TEST(ParseFleetFlagsTest, AcceptsFleetFlagsAndPassesTheRestOn) {
@@ -169,6 +195,59 @@ TEST(ParseFleetFlagsTest, AcceptsFleetFlagsAndPassesTheRestOn) {
   EXPECT_EQ(flags.ranges, 4u);
   EXPECT_EQ(flags.json_path, "x.json");
   EXPECT_EQ(flags.options.seed, 7u);
+}
+
+TEST(ParseFleetFlagsTest, ParsesSharedFlags) {
+  const FleetFlags flags =
+      Parse({"--trace", "t.json", "--csv", "m.csv", "--tenants", "5",
+             "--size-scale", "0.25", "--arrival-scale", "1.3", "--warmup",
+             "10", "--sla-ms", "500", "--codec", "adaptive"});
+  EXPECT_EQ(flags.options.trace_path, "t.json");
+  EXPECT_EQ(flags.options.csv_path, "m.csv");
+  EXPECT_EQ(flags.options.tenants, 5);
+  EXPECT_DOUBLE_EQ(flags.options.size_scale, 0.25);
+  EXPECT_DOUBLE_EQ(flags.options.arrival_scale, 1.3);
+  EXPECT_DOUBLE_EQ(flags.options.warmup_seconds, 10.0);
+  EXPECT_DOUBLE_EQ(flags.options.sla_threshold_ms, 500.0);
+  EXPECT_EQ(flags.options.codec_mode, codec::CodecMode::kAdaptive);
+}
+
+TEST(ParseFleetFlagsDeathTest, RejectsUnknownFlags) {
+  EXPECT_EXIT(Parse({"--size-scal", "0.25"}), ::testing::ExitedWithCode(2),
+              "unknown flag --size-scal\nusage");
+  // A bench without a JSON default takes no --json.
+  std::string program = "bench", flag = "--json", path = "x.json";
+  char* argv[] = {program.data(), flag.data(), path.data()};
+  FleetFlags flags;
+  EXPECT_EXIT(ParseFleetFlags(3, argv, &flags), ::testing::ExitedWithCode(2),
+              "unknown flag --json");
+}
+
+TEST(ParseFleetFlagsDeathTest, RejectsMissingValues) {
+  for (const char* flag : {"--trace", "--seed", "--size-scale", "--codec",
+                           "--json", "--servers"}) {
+    EXPECT_EXIT(Parse({flag}), ::testing::ExitedWithCode(2),
+                std::string(flag) + " needs a value\nusage");
+  }
+}
+
+TEST(ParseFleetFlagsDeathTest, RejectsMalformedNumbers) {
+  const std::vector<std::vector<std::string>> bad = {
+      {"--seed", "-1"},          {"--seed", "7x"},
+      {"--tenants", "0"},        {"--tenants", "2.5"},
+      {"--size-scale", "0"},     {"--size-scale", "abc"},
+      {"--size-scale", "nan"},   {"--arrival-scale", "-1"},
+      {"--warmup", "-5"},        {"--sla-ms", "1e999"},
+  };
+  for (const auto& args : bad) {
+    EXPECT_EXIT(Parse(args), ::testing::ExitedWithCode(2),
+                "bad value '" + args[1] + "' for " + args[0] + "\nusage");
+  }
+}
+
+TEST(ParseFleetFlagsDeathTest, RejectsUnknownCodec) {
+  EXPECT_EXIT(Parse({"--codec", "zstd"}), ::testing::ExitedWithCode(2),
+              "bad --codec");
 }
 
 TEST(ParseFleetFlagsDeathTest, RejectsBadFleetShapes) {

@@ -1,71 +1,101 @@
 #include "bench/harness.h"
 
-#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "src/obs/chrome_trace.h"
-#include "src/obs/csv_export.h"
-
 namespace slacker::bench {
 
-namespace {
-ExperimentOptions* GlobalFlagOptions() {
-  static ExperimentOptions options;
-  return &options;
-}
-}  // namespace
-
-ExperimentOptions FlagOptions() { return *GlobalFlagOptions(); }
-
-void ApplyCommandLine(int argc, char** argv, ExperimentOptions* options) {
-  auto value = [&](int* i) -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s (ignored)\n", argv[*i]);
-      return nullptr;
+void ParseFleetFlags(
+    int argc, char** argv, FleetFlags* flags,
+    std::initializer_list<std::pair<const char*, bool*>> switches) {
+  const bool takes_fleet_size = flags->servers > 0;
+  const bool takes_ranges = flags->ranges > 0;
+  const bool takes_json = !flags->json_path.empty();
+  ExperimentOptions* options = &flags->options;
+  auto usage = [&](const std::string& problem) {
+    std::string own;
+    for (const auto& [name, flag] : switches) {
+      own += std::string(" [") + name + "]";
     }
+    if (takes_json) own += " [--json PATH]";
+    if (takes_fleet_size) own += " [--servers N] [--fleet-tenants T]";
+    if (takes_ranges) own += " [--ranges R]";
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--smoke] [--trace PATH] [--csv PATH] "
+                 "[--seed N] [--tenants N] [--size-scale X] "
+                 "[--arrival-scale X] [--warmup S] [--sla-ms MS] "
+                 "[--codec raw|lz|delta|adaptive]%s\n",
+                 argv[0], problem.c_str(), argv[0], own.c_str());
+    std::exit(2);
+  };
+  auto value = [&](int* i) {
+    if (*i + 1 >= argc) usage(std::string(argv[*i]) + " needs a value");
     return argv[++*i];
+  };
+  // The value after argv[*i] as a whole base-10 T of at least `min`;
+  // with `above_min`, strictly greater.
+  auto number = [&]<typename T>(int* i, T min, bool above_min = false) {
+    const std::string name = argv[*i];
+    const char* text = value(i);
+    const char* end = text + std::strlen(text);
+    T parsed{};
+    const auto [last, error] = std::from_chars(text, end, parsed);
+    if (error != std::errc() || last != end ||
+        !std::isfinite(static_cast<double>(parsed)) || parsed < min ||
+        (above_min && parsed == min)) {
+      usage("bad value '" + std::string(text) + "' for " + name);
+    }
+    return parsed;
   };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    const char* v = nullptr;
-    if (std::strcmp(arg, "--trace") == 0) {
-      if ((v = value(&i)) != nullptr) options->trace_path = v;
+    bool matched = false;
+    for (const auto& [name, flag] : switches) {
+      if (std::strcmp(arg, name) == 0) *flag = matched = true;
+    }
+    if (matched) continue;
+    if (std::strcmp(arg, "--smoke") == 0) {
+      flags->smoke = true;
+    } else if (takes_json && std::strcmp(arg, "--json") == 0) {
+      flags->json_path = value(&i);
+    } else if (takes_fleet_size && std::strcmp(arg, "--servers") == 0) {
+      flags->servers = number(&i, 1);
+    } else if (takes_fleet_size && std::strcmp(arg, "--fleet-tenants") == 0) {
+      flags->tenants = number(&i, 1);
+    } else if (takes_ranges && std::strcmp(arg, "--ranges") == 0) {
+      flags->ranges = static_cast<size_t>(number(&i, 1));
+    } else if (std::strcmp(arg, "--trace") == 0) {
+      options->trace_path = value(&i);
     } else if (std::strcmp(arg, "--csv") == 0) {
-      if ((v = value(&i)) != nullptr) options->csv_path = v;
+      options->csv_path = value(&i);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      if ((v = value(&i)) != nullptr)
-        options->seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
+      options->seed = number(&i, uint64_t{0});
     } else if (std::strcmp(arg, "--tenants") == 0) {
-      if ((v = value(&i)) != nullptr)
-        options->tenants = static_cast<int>(std::strtol(v, nullptr, 10));
+      options->tenants = number(&i, 1);
     } else if (std::strcmp(arg, "--size-scale") == 0) {
-      if ((v = value(&i)) != nullptr)
-        options->size_scale = std::strtod(v, nullptr);
+      options->size_scale = number(&i, 0.0, /*above_min=*/true);
     } else if (std::strcmp(arg, "--arrival-scale") == 0) {
-      if ((v = value(&i)) != nullptr)
-        options->arrival_scale = std::strtod(v, nullptr);
+      options->arrival_scale = number(&i, 0.0, /*above_min=*/true);
     } else if (std::strcmp(arg, "--warmup") == 0) {
-      if ((v = value(&i)) != nullptr)
-        options->warmup_seconds = std::strtod(v, nullptr);
+      options->warmup_seconds = number(&i, 0.0);
     } else if (std::strcmp(arg, "--sla-ms") == 0) {
-      if ((v = value(&i)) != nullptr)
-        options->sla_threshold_ms = std::strtod(v, nullptr);
+      options->sla_threshold_ms = number(&i, 0.0);
     } else if (std::strcmp(arg, "--codec") == 0) {
-      if ((v = value(&i)) != nullptr) {
-        const Status parsed = codec::ParseCodecMode(v, &options->codec_mode);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "bad --codec value %s (ignored): %s\n", v,
-                       parsed.ToString().c_str());
-        }
-      }
+      const char* text = value(&i);
+      const Status parsed = codec::ParseCodecMode(text, &options->codec_mode);
+      if (!parsed.ok()) usage("bad --codec: " + parsed.ToString());
     } else {
-      std::fprintf(stderr, "unknown flag %s (ignored)\n", arg);
+      usage(std::string("unknown flag ") + arg);
     }
   }
-  *GlobalFlagOptions() = *options;
+  if (takes_fleet_size && flags->tenants % flags->servers != 0) {
+    usage("--fleet-tenants " + std::to_string(flags->tenants) +
+          " is not a multiple of --servers " +
+          std::to_string(flags->servers));
+  }
 }
 
 ClusterOptions PaperClusterOptions() {
@@ -105,178 +135,6 @@ double PaperInterarrival(PaperConfig config) {
   // baseline ≈ 100 ms, ~30% disk utilization, latency rising through
   // the 5-20 MB/s sweep with the slack knee near 23-25 MB/s (Fig. 11).
   return config == PaperConfig::kCaseStudy ? 0.163 : 0.25;
-}
-
-Testbed::Testbed(const ExperimentOptions& options) : options_(options) {
-  if (!options.trace_path.empty() || !options.csv_path.empty()) {
-    tracer_ =
-        std::make_unique<obs::Tracer>([this] { return sim_.Now(); });
-  }
-  cluster_ = std::make_unique<Cluster>(&sim_, PaperClusterOptions());
-  if (tracer_ != nullptr) {
-    // Before tenants exist, so their op metrics attach on creation.
-    cluster_->InstallTracer(tracer_.get());
-    cluster_->set_sla_threshold_ms(options.sla_threshold_ms);
-    sampler_ = std::make_unique<sim::PeriodicTimer>(
-        &sim_, /*period=*/1.0, [this](SimTime) {
-          PublishMetrics(cluster_.get(), tracer_->registry());
-        });
-    sampler_->Start();
-  }
-  for (int i = 0; i < options.tenants; ++i) {
-    const uint64_t id = i + 1;
-    engine::TenantConfig tenant =
-        PaperTenantConfig(options.config, id, options.size_scale);
-    // Fig. 13b: each tenant keeps its full database, but the server's
-    // memory is split between them (no overprovisioning, §2.1) and the
-    // total arrival rate is divided so the aggregate server workload
-    // matches the single-tenant runs.
-    tenant.buffer_pool_bytes /= options.tenants;
-    auto db = cluster_->AddTenant(0, tenant);
-    if (!db.ok()) continue;
-    // Measure the steady state the paper measures, not a cold cache.
-    (*db)->WarmBufferPool();
-
-    // Splitting the buffer raises each tenant's miss ratio; scale the
-    // arrival rate so total *disk demand* (not txn rate) is preserved.
-    const double pages =
-        static_cast<double>(tenant.layout.TotalPages());
-    const double miss_single =
-        1.0 - static_cast<double>(tenant.BufferPoolPages()) *
-                  options.tenants / pages;
-    const double miss_multi =
-        1.0 - static_cast<double>(tenant.BufferPoolPages()) / pages;
-    const double miss_correction =
-        miss_single > 0.0 ? miss_multi / miss_single : 1.0;
-
-    workload::YcsbConfig ycsb;
-    ycsb.record_count = tenant.layout.record_count;
-    ycsb.mean_interarrival = PaperInterarrival(options.config) *
-                             options.tenants * miss_correction /
-                             options.arrival_scale;
-    workloads_.push_back(std::make_unique<workload::YcsbWorkload>(
-        ycsb, id, options.seed + id * 1000));
-    pools_.push_back(std::make_unique<workload::ClientPool>(
-        &sim_, workloads_.back().get(), cluster_.get(),
-        cluster_->MakeLatencyObserver()));
-    cluster_->AttachClientPool(id, pools_.back().get());
-    pools_.back()->Start();
-  }
-  sim_.RunUntil(options.warmup_seconds);
-}
-
-Testbed::~Testbed() {
-  StopAll();
-  FinishObservability();
-}
-
-void Testbed::StopAll() {
-  for (auto& pool : pools_) pool->Stop();
-}
-
-void Testbed::FinishObservability() {
-  // The sampler lives from construction to the first call here, so the
-  // outputs are written once.
-  if (sampler_ == nullptr) return;
-  sampler_.reset();
-  if (!options_.trace_path.empty()) {
-    const Status status =
-        obs::WriteChromeTrace(*tracer_, options_.trace_path);
-    if (status.ok()) {
-      std::printf("  (wrote trace %s — open in chrome://tracing or "
-                  "https://ui.perfetto.dev)\n",
-                  options_.trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "trace export failed: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-  if (!options_.csv_path.empty()) {
-    const Status status =
-        obs::WriteCsv(*tracer_->registry(), options_.csv_path);
-    if (status.ok()) {
-      std::printf("  (wrote metrics %s)\n", options_.csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "csv export failed: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-  // The tracer itself lives until the cluster is gone: an unfinished
-  // migration job still ends its spans in it when destroyed.
-  cluster_->InstallTracer(nullptr);
-}
-
-MigrationOptions Testbed::BaseMigration() const {
-  MigrationOptions options;
-  options.backup.chunk_bytes = 256 * kKiB;
-  options.prepare.base_seconds = 2.0;
-  options.controller_tick = 1.0;
-  // Paper gains (§5.3 footnote).
-  options.pid.kp = 0.025;
-  options.pid.ki = 0.005;
-  options.pid.kd = 0.015;
-  options.pid.output_min = 0.0;
-  // Max throttle just above the fixed sweep's top: the controller's
-  // output is a percentage of this (§4.2.3).
-  options.pid.output_max = 30.0;
-  options.codec.mode = options_.codec_mode;
-  return options;
-}
-
-PercentileTracker Testbed::RunBaseline(SimTime seconds) {
-  const SimTime start = sim_.Now();
-  sim_.RunUntil(start + seconds);
-  return LatenciesBetween(start, sim_.Now());
-}
-
-bool Testbed::RunMigration(const MigrationOptions& options,
-                           MigrationReport* report, int index,
-                           SimTime max_seconds, SimTime drain) {
-  bool done = false;
-  const Status status = cluster_->StartMigration(
-      tenant_id(index), 1, options, [&](const MigrationReport& r) {
-        *report = r;
-        done = true;
-      });
-  if (!status.ok()) {
-    std::fprintf(stderr, "StartMigration failed: %s\n",
-                 status.ToString().c_str());
-    return false;
-  }
-  const SimTime deadline = sim_.Now() + max_seconds;
-  while (!done && sim_.Now() < deadline) {
-    sim_.RunUntil(std::min(sim_.Now() + 5.0, deadline));
-  }
-  if (done && drain > 0.0) sim_.RunUntil(sim_.Now() + drain);
-  return done;
-}
-
-PercentileTracker Testbed::LatenciesBetween(SimTime t0, SimTime t1) const {
-  PercentileTracker out;
-  for (const auto& pool : pools_) {
-    const auto& points = pool->latency_series().points();
-    for (const auto& p : points) {
-      if (p.t >= t0 && p.t <= t1) out.Add(p.value);
-    }
-  }
-  return out;
-}
-
-workload::TimeSeries Testbed::MergedLatencySeries() const {
-  // Collect and re-sort by completion time (pools are individually
-  // sorted already).
-  std::vector<workload::TracePoint> all;
-  for (const auto& pool : pools_) {
-    const auto& points = pool->latency_series().points();
-    all.insert(all.end(), points.begin(), points.end());
-  }
-  std::sort(all.begin(), all.end(),
-            [](const workload::TracePoint& a, const workload::TracePoint& b) {
-              return a.t < b.t;
-            });
-  workload::TimeSeries merged;
-  for (const auto& p : all) merged.Add(p.t, p.value);
-  return merged;
 }
 
 void PrintHeader(const std::string& id, const std::string& description) {
@@ -324,6 +182,11 @@ std::string FormatSeconds(double s) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.0f s", s);
   return buf;
+}
+
+bool Gate(const std::string& name, bool pass) {
+  std::printf("  (gate %s: %s)\n", pass ? "ok" : "FAILED", name.c_str());
+  return pass;
 }
 
 void MaybeWriteCsv(const std::string& name,

@@ -1,20 +1,15 @@
 #ifndef SLACKER_BENCH_HARNESS_H_
 #define SLACKER_BENCH_HARNESS_H_
 
-#include <memory>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/codec/codec.h"
-#include "src/common/stats.h"
 #include "src/common/units.h"
-#include "src/obs/trace.h"
-#include "src/sla/sla.h"
 #include "src/slacker/cluster.h"
-#include "src/slacker/metrics.h"
-#include "src/workload/client_pool.h"
 #include "src/workload/trace.h"
-#include "src/workload/ycsb.h"
 
 namespace slacker::bench {
 
@@ -47,8 +42,8 @@ struct ExperimentOptions {
   SimTime warmup_seconds = 30.0;
   /// Shrink the tenant for quick smoke runs (1.0 = full 1 GB).
   double size_scale = 1.0;
-  /// When non-empty, the testbed installs a tracer and writes a Chrome
-  /// trace-event JSON (chrome://tracing / Perfetto) here at teardown.
+  /// When non-empty, the fleet installs a tracer and writes a Chrome
+  /// trace-event JSON (chrome://tracing / Perfetto) here at Finish().
   std::string trace_path;
   /// When non-empty, PublishMetrics samples the cluster at 1 Hz into
   /// the tracer's registry (latency window, disk and CPU utilization,
@@ -62,78 +57,37 @@ struct ExperimentOptions {
   codec::CodecMode codec_mode = codec::CodecMode::kRaw;
 };
 
-/// Parses the shared bench flags into `options`:
-///   --trace <path>  --csv <path>  --seed <n>  --tenants <n>
-///   --size-scale <x>  --arrival-scale <x>  --warmup <s>  --sla-ms <ms>
-///   --codec <raw|lz|delta|adaptive>
-/// Unknown flags warn and are ignored, so individual benches can keep
-/// their own defaults without argument-order coupling. The result is
-/// also remembered process-wide (see FlagOptions) for sweep benches
-/// that construct scenarios inside helper functions. When a sweep
-/// builds several testbeds with the same --trace/--csv paths, the last
-/// run's files win.
-void ApplyCommandLine(int argc, char** argv, ExperimentOptions* options);
+/// The command line every bench shares. A bench takes a fleet flag only
+/// if it gives it a default: an empty `json_path` means no --json, a
+/// zero `servers` means no --servers / --fleet-tenants, and a zero
+/// `ranges` means no --ranges.
+struct FleetFlags {
+  explicit FleetFlags(std::string json = "", int servers_default = 0,
+                      int tenants_default = 0, size_t ranges_default = 0)
+      : json_path(std::move(json)),
+        servers(servers_default),
+        tenants(tenants_default),
+        ranges(ranges_default) {}
 
-/// A copy of the options most recently parsed by ApplyCommandLine
-/// (plain defaults if it has not run yet).
-ExperimentOptions FlagOptions();
-
-/// A running testbed: cluster, tenants on server 0, and one client
-/// pool per tenant. Construction populates the tenants and runs the
-/// warm-up.
-class Testbed {
- public:
-  explicit Testbed(const ExperimentOptions& options);
-  ~Testbed();
-
-  sim::Simulator* sim() { return &sim_; }
-  Cluster* cluster() { return cluster_.get(); }
-  workload::ClientPool* pool(int i = 0) { return pools_[i].get(); }
-  workload::YcsbWorkload* workload(int i = 0) { return workloads_[i].get(); }
-  int tenant_count() const { return static_cast<int>(pools_.size()); }
-  uint64_t tenant_id(int i = 0) const { return i + 1; }
-  const ExperimentOptions& options() const { return options_; }
-  /// Non-null when the options requested a trace or CSV.
-  obs::Tracer* tracer() { return tracer_.get(); }
-
-  /// MigrationOptions preset matching the paper: chunked hot backup,
-  /// 1 s controller tick, paper PID gains.
-  MigrationOptions BaseMigration() const;
-
-  /// Runs the workload with no migration for `seconds`; returns the
-  /// latency samples from that span.
-  PercentileTracker RunBaseline(SimTime seconds);
-
-  /// Starts migrating tenant `index`+1 to server 1 and runs until it
-  /// finishes (plus `drain` seconds). Returns false if it did not
-  /// finish within `max_seconds`.
-  bool RunMigration(const MigrationOptions& options, MigrationReport* report,
-                    int index = 0, SimTime max_seconds = 4000.0,
-                    SimTime drain = 5.0);
-
-  /// Latency samples recorded in [t0, t1] across all pools (ms).
-  PercentileTracker LatenciesBetween(SimTime t0, SimTime t1) const;
-  /// Merged (completion time, latency) series across pools.
-  workload::TimeSeries MergedLatencySeries() const;
-
-  void StopAll();
-
-  /// Writes the trace/CSV outputs requested in the options (printing
-  /// the paths) and detaches the tracer, once. Called by the
-  /// destructor; call earlier to export before further simulation.
-  void FinishObservability();
-
- private:
-  ExperimentOptions options_;
-  sim::Simulator sim_;
-  std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<Cluster> cluster_;
-  std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads_;
-  std::vector<std::unique_ptr<workload::ClientPool>> pools_;
-  /// 1 Hz PublishMetrics into the tracer's registry; present from
-  /// construction until FinishObservability when a tracer exists.
-  std::unique_ptr<sim::PeriodicTimer> sampler_;
+  bool smoke = false;
+  std::string json_path;
+  int servers;
+  int tenants;
+  size_t ranges;
+  /// --trace <path>  --csv <path>  --seed <n>  --tenants <n>
+  /// --size-scale <x>  --arrival-scale <x>  --warmup <s>  --sla-ms <ms>
+  /// --codec <raw|lz|delta|adaptive>
+  ExperimentOptions options;
 };
+
+/// Parses argv into `flags` and sets each `switches` entry whose flag is
+/// present. Prints usage and exits with code 2 on an unknown flag, a
+/// flag without its value, a malformed number or --codec, a count below
+/// 1, a negative time, a scale that is not positive, or a
+/// --fleet-tenants that is not a multiple of --servers.
+void ParseFleetFlags(
+    int argc, char** argv, FleetFlags* flags,
+    std::initializer_list<std::pair<const char*, bool*>> switches = {});
 
 /// Disk/CPU/link settings shared by both paper configs.
 ClusterOptions PaperClusterOptions();
@@ -158,6 +112,10 @@ void PrintSeries(const std::string& name,
 std::string FormatMs(double ms);
 std::string FormatMbps(double mbps);
 std::string FormatSeconds(double s);
+
+/// Prints one "(gate ok: <name>)" or "(gate FAILED: <name>)" line and
+/// returns `pass`. A bench exits non-zero if any of its gates failed.
+bool Gate(const std::string& name, bool pass);
 
 /// If the SLACKER_BENCH_CSV_DIR environment variable is set, writes the
 /// raw series to <dir>/<name>.csv (for external plotting) and prints

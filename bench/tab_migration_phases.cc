@@ -7,13 +7,13 @@
 
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
   PrintHeader("Migration phases (§2.3.2)",
               "snapshot / prepare / delta / handover breakdown");
@@ -32,17 +32,11 @@ int main(int argc, char** argv) {
       {"fixed 16, write-heavy", 16.0, 3.0},
   };
 
-  bool snapshot_dominates = true, handover_subsecond = true;
+  bool snapshot_dominates = true, handover_subsecond = true, audited = true;
   for (const Scenario& s : scenarios) {
-    ExperimentOptions options = FlagOptions();
+    ExperimentOptions options = flags.options;
     options.config = PaperConfig::kEvaluation;
-    Testbed bed(options);
-    if (s.write_scale != 1.0) {  // NOLINT(slacker-float-eq)
-      // Raise the write fraction (0.15 -> 0.45) for delta pressure.
-      // Rebuild the testbed's workload mix via arrival scale is not
-      // enough; instead migrate with a tighter handover threshold so
-      // delta rounds are visible.
-    }
+    Fleet bed(options);
     MigrationOptions migration = bed.BaseMigration();
     if (s.rate > 0.0) {
       migration.throttle = ThrottleKind::kFixed;
@@ -54,7 +48,7 @@ int main(int argc, char** argv) {
       migration.delta_handover_bytes = 64 * kKiB;
     }
     MigrationReport report;
-    bed.RunMigration(migration, &report, 0, 3000.0, 0.0);
+    bed.RunMigration(migration, &report, 3000.0);
     std::printf("  %-26s %8.1f s %7.1f s %7.1f s %8.0f ms %6d\n", s.name,
                 report.snapshot_seconds, report.prepare_seconds,
                 report.delta_seconds, MsFromSeconds(report.handover_seconds),
@@ -65,11 +59,12 @@ int main(int argc, char** argv) {
             (report.prepare_seconds + report.delta_seconds +
              report.handover_seconds);
     handover_subsecond = handover_subsecond && report.downtime_ms < 1000.0;
+    audited = bed.Finish() && audited;
   }
   PrintRow("snapshot dominates total time", "by a large margin",
            snapshot_dominates ? "yes" : "NO");
   PrintRow("delta phase", "a few seconds", "see table");
   PrintRow("freeze-and-handover", "well under 1 second",
            handover_subsecond ? "yes, all runs" : "NO");
-  return 0;
+  return audited ? 0 : 1;
 }

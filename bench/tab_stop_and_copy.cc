@@ -6,30 +6,30 @@
 
 #include <cstdio>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 #include "src/slacker/stop_and_copy.h"
 
 int main(int argc, char** argv) {
-  slacker::bench::ExperimentOptions flags;
-  slacker::bench::ApplyCommandLine(argc, argv, &flags);
   using namespace slacker::bench;
   using namespace slacker;
+  FleetFlags flags;
+  ParseFleetFlags(argc, argv, &flags);
 
   PrintHeader("Stop-and-copy (§2.3.1)",
               "downtime vs database size vs mechanism");
   std::printf("  %-10s %16s %16s %16s\n", "size", "file-level", "dump+import",
               "live (freeze)");
 
-  bool proportional = true;
+  bool proportional = true, freeze_tiny = true, audited = true;
   double prev_downtime = 0.0, prev_size = 0.0;
   for (double gig : {0.125, 0.25, 0.5}) {
     double file_ms = 0.0, dump_ms = 0.0, live_ms = 0.0;
     for (int mode = 0; mode < 3; ++mode) {
-      ExperimentOptions options = FlagOptions();
+      ExperimentOptions options = flags.options;
       options.config = PaperConfig::kEvaluation;
       options.size_scale = gig;
       options.warmup_seconds = 10.0;
-      Testbed bed(options);
+      Fleet bed(options);
       MigrationOptions migration = bed.BaseMigration();
       if (mode == 2) {
         migration.pid.setpoint = 1000.0;
@@ -40,11 +40,13 @@ int main(int argc, char** argv) {
         migration.file_level_copy = mode == 0;
       }
       MigrationReport report;
-      bed.RunMigration(migration, &report, 0, 3000.0, 0.0);
+      bed.RunMigration(migration, &report, 3000.0);
       if (mode == 0) file_ms = report.downtime_ms;
       if (mode == 1) dump_ms = report.downtime_ms;
       if (mode == 2) live_ms = report.downtime_ms;
+      audited = bed.Finish() && audited;
     }
+    freeze_tiny = freeze_tiny && live_ms < 0.01 * file_ms;
     std::printf("  %6.0f MB %13.1f s %13.1f s %13.0f ms\n", gig * 1024.0,
                 file_ms / 1000.0, dump_ms / 1000.0, live_ms);
     if (prev_size > 0.0) {
@@ -59,5 +61,11 @@ int main(int argc, char** argv) {
   PrintRow("downtime proportional to size", "yes", proportional ? "yes" : "NO");
   PrintRow("dump slower than file-level", "much slower (re-import)", "see table");
   PrintRow("live migration downtime", "well under 1 second", "see table");
-  return 0;
+  bool gated =
+      Gate("tab_stop_and_copy file-level downtime proportional to size",
+           proportional);
+  gated = Gate("tab_stop_and_copy live freeze < 1% of file-level downtime",
+               freeze_tiny) &&
+          gated;
+  return audited && gated ? 0 : 1;
 }
