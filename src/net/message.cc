@@ -49,7 +49,7 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
   if (message.negotiation.software_version != 0) {
     message.negotiation.EncodeTo(&writer);
   }
-  if (message.range_scoped) {
+  if (message.partial_range()) {
     writer.PutU8(kRangeScopeMagic);
     writer.PutVarint64(message.range_lo);
     writer.PutVarint64(message.range_hi);
@@ -107,7 +107,6 @@ Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
   out->frame = codec::FrameHeader();
   out->removed_keys.clear();
   out->negotiation = NegotiationInfo();
-  out->range_scoped = false;
   out->range_lo = 0;
   out->range_hi = UINT64_MAX;
   bool saw_codec_ext = false;
@@ -151,9 +150,13 @@ Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
       saw_range_ext = true;
       uint8_t consumed;
       SLACKER_RETURN_IF_ERROR(reader.GetU8(&consumed));
-      out->range_scoped = true;
       SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&out->range_lo));
       SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&out->range_hi));
+      if (!out->partial_range() || out->range_lo >= out->range_hi) {
+        // The full range is never encoded and an empty one is never
+        // migrated; either means corruption.
+        return Status::Corruption("bad range-scope extension");
+      }
     } else {
       return Status::Corruption("trailing bytes in message");
     }

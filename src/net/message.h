@@ -97,16 +97,19 @@ struct Message {
   /// A default (version 0) negotiation encodes to nothing, keeping the
   /// legacy wire bytes identical.
   NegotiationInfo negotiation;
-  /// kMigrateRequest: this migration moves only keys in
-  /// [range_lo, range_hi) — one unit of a fluid, range-granular
-  /// migration (DESIGN.md §16). Whole-tenant migrations leave it
-  /// false, which encodes to nothing (wire bytes stay identical); their
-  /// bounds keep the whole-key-space defaults.
-  bool range_scoped = false;
+  /// kMigrateRequest: the migration moves the keys in
+  /// [range_lo, range_hi) (DESIGN.md §16). The default, the whole key
+  /// space, is a whole-tenant migration and encodes to nothing (wire
+  /// bytes stay identical); only a partial range appends an extension.
   uint64_t range_lo = 0;
   uint64_t range_hi = UINT64_MAX;
 
   bool operator==(const Message& other) const = default;
+
+  /// A partial-range migration: [range_lo, range_hi) is not everything.
+  bool partial_range() const {
+    return range_lo != 0 || range_hi != UINT64_MAX;
+  }
 
   /// Bytes this message occupies on the wire at the payload level: the
   /// encoded size for compressed/delta frames, the logical size

@@ -134,12 +134,9 @@ Result<engine::TenantDb*> Cluster::AddTenant(
 
 Status Cluster::RemoveTenant(uint64_t tenant_id) {
   // A job in flight still reads the source instance.
-  for (const auto& server : servers_) {
-    MigrationController* controller = server->controller();
-    if (controller != nullptr && controller->ActiveJob(tenant_id) != nullptr) {
-      return Status::FailedPrecondition(
-          "tenant " + std::to_string(tenant_id) + " is migrating");
-    }
+  if (ControllerWithJob(tenant_id) != nullptr) {
+    return Status::FailedPrecondition(
+        "tenant " + std::to_string(tenant_id) + " is migrating");
   }
   // An instance exists exactly where a range is owned; a sharded
   // tenant holds several, so drop all.
@@ -156,40 +153,20 @@ Status Cluster::RemoveTenant(uint64_t tenant_id) {
 Status Cluster::StartMigration(uint64_t tenant_id, uint64_t target_server,
                                const MigrationOptions& options,
                                MigrationJob::DoneCallback done) {
-  Result<uint64_t> host = ranges_.Lookup(tenant_id);
-  SLACKER_RETURN_IF_ERROR(host.status());
-  if (ranges_.IsSharded(tenant_id)) {
-    // A whole-tenant job would move only the home's ranges and leave
-    // the directory naming a deleted instance.
-    return Status::FailedPrecondition(
-        "tenant " + std::to_string(tenant_id) +
-        " is sharded across servers; move its ranges instead");
-  }
-  if (server(target_server) == nullptr) {
-    return Status::NotFound("no such target server");
-  }
-  if (!server(*host)->up()) {
-    return Status::Unavailable("source server is down");
-  }
-  if (!server(target_server)->up()) {
-    return Status::Unavailable("target server is down");
-  }
-  if (server(target_server)->draining()) {
-    return Status::FailedPrecondition("target server is draining");
-  }
-  return server(*host)->controller()->StartMigration(tenant_id, target_server,
-                                                     options, std::move(done));
-}
-
-Status Cluster::StartRangeMigration(uint64_t tenant_id,
-                                    const range::KeyRange& key_range,
-                                    uint64_t target_server,
-                                    const MigrationOptions& options,
-                                    MigrationJob::DoneCallback done) {
+  // The job runs on the owner of what it moves.
+  const range::KeyRange& key_range = options.range;
   Result<range::OwnedRange> owned =
       ranges_.RangeContaining(tenant_id, key_range.lo);
   SLACKER_RETURN_IF_ERROR(owned.status());
-  if (!(owned->range == key_range)) {
+  if (key_range.IsFull()) {
+    if (ranges_.IsSharded(tenant_id)) {
+      // A whole-tenant job would move only one owner's ranges and leave
+      // the directory naming a deleted instance.
+      return Status::FailedPrecondition(
+          "tenant " + std::to_string(tenant_id) +
+          " is sharded across servers; move its ranges instead");
+    }
+  } else if (!(owned->range == key_range)) {
     return Status::InvalidArgument(
         "range is not a registered unit (SplitTenantRange first): " +
         key_range.ToString() + " vs " + owned->range.ToString());
@@ -207,11 +184,14 @@ Status Cluster::StartRangeMigration(uint64_t tenant_id,
   if (server(target_server)->draining()) {
     return Status::FailedPrecondition("target server is draining");
   }
-  MigrationOptions range_options = options;
-  range_options.range_scoped = true;
-  range_options.range = key_range;
+  // One job per tenant at a time: a target holds one staging session
+  // per tenant and would drop a second job's request.
+  if (ControllerWithJob(tenant_id) != nullptr) {
+    return Status::FailedPrecondition("tenant " + std::to_string(tenant_id) +
+                                      " is already migrating");
+  }
   return server(source)->controller()->StartMigration(
-      tenant_id, target_server, range_options, std::move(done));
+      tenant_id, target_server, options, std::move(done));
 }
 
 Status Cluster::SplitTenantRange(uint64_t tenant_id, uint64_t split_key) {
@@ -226,22 +206,30 @@ Status Cluster::MergeTenantRange(uint64_t tenant_id, uint64_t key) {
   return Status::Ok();
 }
 
+MigrationController* Cluster::ControllerWithJob(uint64_t tenant_id) {
+  // A job runs on the owner of its range, which need not be the home.
+  for (uint64_t owner : ranges_.ServersOf(tenant_id)) {
+    MigrationController* controller = server(owner)->controller();
+    if (controller != nullptr && controller->ActiveJob(tenant_id) != nullptr) {
+      return controller;
+    }
+  }
+  return nullptr;
+}
+
 MigrationJob* Cluster::ActiveJob(uint64_t tenant_id) {
-  const Result<uint64_t> host = ranges_.Lookup(tenant_id);
-  if (!host.ok()) return nullptr;
-  Server* source = server(*host);
-  if (source == nullptr || source->controller() == nullptr) return nullptr;
-  return source->controller()->ActiveJob(tenant_id);
+  MigrationController* controller = ControllerWithJob(tenant_id);
+  return controller == nullptr ? nullptr : controller->ActiveJob(tenant_id);
 }
 
 Status Cluster::CancelMigration(uint64_t tenant_id,
                                 const std::string& reason) {
-  const Result<uint64_t> host = ranges_.Lookup(tenant_id);
-  SLACKER_RETURN_IF_ERROR(host.status());
-  if (server(*host)->controller() == nullptr) {
-    return Status::Unavailable("source server is down");
+  MigrationController* controller = ControllerWithJob(tenant_id);
+  if (controller == nullptr) {
+    return Status::NotFound("no active migration for tenant " +
+                            std::to_string(tenant_id));
   }
-  return server(*host)->controller()->CancelMigration(tenant_id, reason);
+  return controller->CancelMigration(tenant_id, reason);
 }
 
 engine::TenantDb* Cluster::Resolve(uint64_t tenant_id) {

@@ -147,20 +147,15 @@ class Cluster : public MigrationContext,
   Status RemoveTenant(uint64_t tenant_id);
 
   // --- Migration --------------------------------------------------
-  /// Migrates `tenant_id` from wherever it lives to `target_server`.
+  /// Migrates `options.range` of `tenant_id` to `target_server` on the
+  /// range's owner (DESIGN.md §16). The full range, the default, is the
+  /// whole tenant and needs it unsharded (else FailedPrecondition); a
+  /// partial range must be a RangeDirectory unit (SplitTenantRange
+  /// first; else InvalidArgument). FailedPrecondition while another
+  /// job of the tenant is in flight.
   Status StartMigration(uint64_t tenant_id, uint64_t target_server,
                         const MigrationOptions& options,
                         MigrationJob::DoneCallback done);
-  /// Migrates one registered range of `tenant_id` (DESIGN.md §16). The
-  /// range must match a current RangeDirectory unit exactly — call
-  /// SplitTenantRange first to carve units. The job runs on the range's
-  /// owning server (which may differ from the tenant's home once the
-  /// tenant is sharded).
-  Status StartRangeMigration(uint64_t tenant_id,
-                             const range::KeyRange& key_range,
-                             uint64_t target_server,
-                             const MigrationOptions& options,
-                             MigrationJob::DoneCallback done);
   /// Splits the range containing `split_key` in the router, making
   /// [lo, split_key) and [split_key, hi) independently migratable.
   /// Pure metadata: no data moves and no tenant instance is touched.
@@ -265,6 +260,9 @@ class Cluster : public MigrationContext,
 
  private:
   void RecoverServer(uint64_t server_id);
+  /// The controller of whichever owner of `tenant_id` runs a job for
+  /// it, or nullptr.
+  MigrationController* ControllerWithJob(uint64_t tenant_id);
   /// Hooks a tenant instance into the installed tracer's registry.
   void AttachTenantObs(engine::TenantDb* db);
 

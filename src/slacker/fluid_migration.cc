@@ -34,12 +34,6 @@ FluidMigrator::FluidMigrator(Cluster* cluster, uint64_t tenant_id,
 
 Status FluidMigrator::Start() {
   if (started_) return Status::FailedPrecondition("already started");
-  // The per-range template must not pre-bake a range; each job gets its
-  // own. Validate the caller's intent before mutating the router.
-  if (options_.migration.range_scoped) {
-    return Status::InvalidArgument(
-        "leave migration.range_scoped unset; FluidMigrator fills it");
-  }
   SLACKER_RETURN_IF_ERROR(options_.Validate());
   started_ = true;
   report_.start_time = cluster_->simulator()->Now();
@@ -85,10 +79,11 @@ void FluidMigrator::StartNextRange() {
     Finish(Status::Ok());
     return;
   }
-  const range::KeyRange next = pending_.front();
+  MigrationOptions job = options_.migration;
+  job.range = pending_.front();
   pending_.erase(pending_.begin());
-  const Status launched = cluster_->StartRangeMigration(
-      tenant_id_, next, target_server_, options_.migration,
+  const Status launched = cluster_->StartMigration(
+      tenant_id_, target_server_, job,
       lifetime_.Guard([this](const MigrationReport& range_report) {
         OnRangeDone(range_report);
       }));

@@ -18,11 +18,11 @@ namespace slacker {
 struct FluidMigrationOptions {
   /// Units to carve the tenant into. The partitioner aligns cuts to
   /// B+-tree subtree separators, so the actual count may be lower for
-  /// small tables. 1 is whole-tenant compatibility mode: no splits, a
-  /// single range job moving [0, kNoUpperBound).
+  /// small tables. 1 cuts nothing: an unsplit tenant then moves as one
+  /// full-range job, which is the whole-tenant job.
   size_t target_ranges = 8;
   /// Template for every per-range job (throttle, chunking, codec).
-  /// mode must be kLive; range_scoped/range are filled per job.
+  /// mode must be kLive; `range` is filled per job.
   MigrationOptions migration;
 
   Status Validate() const;

@@ -113,12 +113,10 @@ class InvariantAuditor {
   /// away returns stale rows.
   void OnOpRouted(uint64_t tenant_id, uint64_t key, uint64_t routed_server,
                   uint64_t owner_server);
-  /// Note on per-range chunk conservation: range jobs reuse the
-  /// per-tenant ledger above. Each job opens its own ledger epoch
-  /// (BeginMigration zeroes it) and range jobs are serialized per
-  /// tenant by the controller, so CheckChunkConservation at a range
-  /// handover is exactly the per-range sent = applied + discarded +
-  /// dropped check.
+  /// Per-range chunk conservation reuses the per-tenant ledger: each
+  /// job opens its own epoch (BeginMigration zeroes it) and
+  /// Cluster::StartMigration runs one job per tenant at a time, so
+  /// CheckChunkConservation at a handover is exactly the job's check.
 
   /// The tenant's ledger, or nullptr when none is open (tests and
   /// diagnostics; the auditor's own checks use CheckChunkConservation).

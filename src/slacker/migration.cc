@@ -114,14 +114,15 @@ MigrationJob::MigrationJob(MigrationContext* ctx, uint64_t tenant_id,
   } else {
     tracer_ = nullptr;
   }
-  // Range jobs never resume: staged-chunk bookkeeping is per-tenant
-  // and a resumed range could interleave with another range's staging.
-  if (options_.range_scoped) options_.allow_resume = false;
+  // Partial-range jobs never resume: staged-chunk bookkeeping is
+  // per-tenant and a resumed range could interleave with another
+  // range's staging.
+  if (!options_.range.IsFull()) options_.allow_resume = false;
   report_.tenant_id = tenant_id;
   report_.source_server = source_server;
   report_.target_server = target_server;
   report_.mode = options.mode;
-  report_.range_scoped = options_.range_scoped;
+  report_.range_scoped = !options_.range.IsFull();
   report_.range = options_.range;
 }
 
@@ -134,22 +135,6 @@ Status MigrationJob::Start() {
   if (source_db_ == nullptr) {
     return Status::NotFound("tenant " + std::to_string(tenant_id_) +
                             " not on source server");
-  }
-  if (options_.range_scoped) {
-    // The moved unit must be an exact directory entry owned by the
-    // source — the handover flips precisely this entry.
-    const Result<range::OwnedRange> owned =
-        ctx_->directory()->RangeContaining(tenant_id_, options_.range.lo);
-    if (!owned.ok()) return owned.status();
-    if (!(owned->range == options_.range)) {
-      return Status::FailedPrecondition(
-          "range " + options_.range.ToString() +
-          " is not a directory unit (found " + owned->range.ToString() + ")");
-    }
-    if (owned->server != source_server_) {
-      return Status::FailedPrecondition(
-          "range " + options_.range.ToString() + " not owned by source");
-    }
   }
   // The engine holds one freeze at a time (crash recovery, another
   // handover); this job's own freeze must not nest inside it.
@@ -213,7 +198,6 @@ Status MigrationJob::Start() {
   request.target_server = target_server_;
   request.config = WireConfigFrom(source_db_->config());
   request.resume = options_.allow_resume;
-  request.range_scoped = options_.range_scoped;
   request.range_lo = options_.range.lo;
   request.range_hi = options_.range.hi;
   // Versioned sources advertise their capabilities; the target echoes
@@ -250,23 +234,25 @@ void MigrationJob::ArmWatchdog(SimTime delay) {
     SLACKER_LOG_WARN << "migration of tenant " << tenant_id_
                      << " timed out; aborting";
     if (phase_ == MigrationPhase::kHandover) {
-      ForceAbort(Status::Aborted("watchdog timeout during handover"));
+      const Status timeout =
+          Status::Aborted("watchdog timeout during handover");
+      Abort(timeout.ToString(), timeout);
     } else {
       (void)Cancel("watchdog timeout");
     }
   }));
 }
 
-void MigrationJob::ForceAbort(Status status) {
-  if (finished_) return;
+void MigrationJob::Abort(const std::string& error, Status status) {
   // No commit decision exists while the job is unfinished (OnHandoverAck
-  // decides and finishes atomically in the event loop), so reverting to
-  // the source is safe: the directory was never switched.
+  // flips the directory and finishes atomically in the event loop), so
+  // reverting to the source is safe.
   net::Message abort;
   abort.type = net::MessageType::kMigrateAbort;
   abort.tenant_id = tenant_id_;
-  abort.error = status.ToString();
+  abort.error = error;
   ctx_->SendMessage(source_server_, target_server_, abort);
+  // Stop-and-copy froze the tenant up front, a handover its range.
   if (source_db_ != nullptr && source_db_->frozen()) {
     source_db_->Unfreeze();
   }
@@ -287,16 +273,7 @@ Status MigrationJob::Cancel(const std::string& reason) {
     return Status::TooLateToCancel(
         "handover in progress; target will become authoritative");
   }
-  net::Message abort;
-  abort.type = net::MessageType::kMigrateAbort;
-  abort.tenant_id = tenant_id_;
-  abort.error = reason;
-  ctx_->SendMessage(source_server_, target_server_, abort);
-  // Stop-and-copy froze the tenant up front; give it back.
-  if (source_db_ != nullptr && source_db_->frozen()) {
-    source_db_->Unfreeze();
-  }
-  Finish(Status::Aborted("cancelled: " + reason));
+  Abort(reason, Status::Aborted("cancelled: " + reason));
   return Status::Ok();
 }
 
@@ -530,9 +507,9 @@ void MigrationJob::NegotiateCapabilities(const net::Message& message) {
 
 void MigrationJob::BeginSnapshot() {
   EnterPhase(MigrationPhase::kSnapshot);
-  // A job scans and ships only its range (the whole key space unless
-  // range-scoped; range jobs never resume); the delta filter keeps
-  // other ranges' writes out of the stream (their jobs own them).
+  // A job scans and ships only its range (partial ranges never resume);
+  // only a partial range filters the delta log, keeping other ranges'
+  // writes (their jobs own them) out of the stream.
   snapshot_ = std::make_unique<backup::HotBackupStream>(
       source_db_, options_.backup,
       resuming_ ? resume_key_ : options_.range.lo, options_.range.hi);
@@ -540,7 +517,7 @@ void MigrationJob::BeginSnapshot() {
       resuming_ ? resume_lsn_ : snapshot_->start_lsn();
   shipper_ = std::make_unique<backup::DeltaShipper>(source_db_->binlog(),
                                                     snap_lsn);
-  if (options_.range_scoped) {
+  if (!options_.range.IsFull()) {
     shipper_->RestrictToKeys(options_.range.lo, options_.range.hi);
   }
   if (tracer_ != nullptr) {
@@ -760,8 +737,9 @@ void MigrationJob::OnSnapshotNack(const net::Message& message) {
   if (++retransmit_rounds_ > options_.max_chunk_retransmits) {
     // A path that keeps corrupting or dropping chunks never converges;
     // surface it as corruption so the supervisor retries from scratch.
-    ForceAbort(
-        Status::Corruption("snapshot chunk retransmit budget exhausted"));
+    const Status exhausted =
+        Status::Corruption("snapshot chunk retransmit budget exhausted");
+    Abort(exhausted.ToString(), exhausted);
     return;
   }
   SLACKER_LOG_WARN << "tenant " << tenant_id_ << " snapshot NACK at chunk "
@@ -963,61 +941,21 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     // resume service at the source, and fail the migration loudly.
     SLACKER_LOG_ERROR << "handover digest mismatch for tenant " << tenant_id_
                       << "; aborting handover";
-    net::Message abort;
-    abort.type = net::MessageType::kMigrateAbort;
-    abort.tenant_id = tenant_id_;
-    abort.error = "handover digest mismatch";
-    ctx_->SendMessage(source_server_, target_server_, abort);
-    source_db_->Unfreeze();
-    Finish(Status::Corruption("handover digest mismatch"));
+    Abort("handover digest mismatch",
+          Status::Corruption("handover digest mismatch"));
     return;
   }
-  if (options_.range_scoped) {
-    // The decision record for a range job is its range entry (flipped
-    // strictly before the commit message, like the whole-tenant move).
-    range::RangeDirectory* ranges = ctx_->directory();
-    const Status moved =
-        ranges->MoveRange(tenant_id_, options_.range, target_server_);
-    if (!moved.ok()) {
-      source_db_->Unfreeze();
-      Finish(moved);
-      return;
-    }
-    net::Message commit;
-    commit.type = net::MessageType::kHandoverCommit;
-    commit.tenant_id = tenant_id_;
-    ctx_->SendMessage(source_server_, target_server_, commit);
-    report_.downtime_ms = MsFromSeconds(sim_->Now() - freeze_time_);
-    freeze_span_.AddArg("downtime_ms", report_.downtime_ms);
-    freeze_span_.End();
-    // Ops stranded behind the range freeze bounce; clients re-resolve
-    // by key and retry at the new owner. The other ranges keep serving.
-    source_db_->FailQueued();
-    source_db_->Unfreeze();
-    // The handed-over rows now live at the target; drop the source's
-    // copy of just this unit.
-    source_db_->EraseRangeRows(options_.range.lo, options_.range.hi);
-    const std::vector<uint64_t> owners = ranges->ServersOf(tenant_id_);
-    const bool source_still_owns =
-        std::find(owners.begin(), owners.end(), source_server_) !=
-        owners.end();
-    if (!source_still_owns) {
-      // Last range left this server: retire the now-empty instance.
-      const Status deleted = ctx_->DeleteTenantOn(source_server_, tenant_id_);
-      if (!deleted.ok()) {
-        SLACKER_LOG_WARN << "delete of drained source copy for tenant "
-                         << tenant_id_ << " failed: " << deleted.ToString();
-      }
-      source_db_ = nullptr;
-    }
-    Finish(Status::Ok());
-    return;
-  }
-  // A split but unsharded tenant moves whole: every range goes along.
-  const Status dir_status =
-      ctx_->directory()->MoveTenant(tenant_id_, target_server_);
-  if (!dir_status.ok()) {
-    Finish(dir_status);
+  // The directory entry is the decision record: flip it strictly before
+  // the commit message. The full range moves the whole tenant (a split
+  // but unsharded tenant moves every range); a partial range moves its
+  // unit.
+  range::RangeDirectory* ranges = ctx_->directory();
+  const Status moved =
+      options_.range.IsFull()
+          ? ranges->MoveTenant(tenant_id_, target_server_)
+          : ranges->MoveRange(tenant_id_, options_.range, target_server_);
+  if (!moved.ok()) {
+    Abort(moved.ToString(), moved);
     return;
   }
   // Digests agree: commit — the target unfreezes and serves.
@@ -1028,17 +966,27 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
   report_.downtime_ms = MsFromSeconds(sim_->Now() - freeze_time_);
   freeze_span_.AddArg("downtime_ms", report_.downtime_ms);
   freeze_span_.End();
-  // Queries stranded behind the source's read lock bounce to the new
-  // authoritative replica (clients re-resolve and retry).
+  // Ops stranded behind the freeze bounce; clients re-resolve and retry
+  // at the new owner.
   source_db_->FailQueued();
-  const Status deleted = ctx_->DeleteTenantOn(source_server_, tenant_id_);
-  if (!deleted.ok()) {
-    // Authority already moved to the target; a stale source copy is
-    // garbage, not a correctness problem, but worth surfacing.
-    SLACKER_LOG_WARN << "delete of migrated source copy for tenant "
-                     << tenant_id_ << " failed: " << deleted.ToString();
+  const std::vector<uint64_t> owners = ranges->ServersOf(tenant_id_);
+  if (std::find(owners.begin(), owners.end(), source_server_) !=
+      owners.end()) {
+    // Other ranges still live here: serve them again and drop only the
+    // handed-over rows.
+    source_db_->Unfreeze();
+    source_db_->EraseRangeRows(options_.range.lo, options_.range.hi);
+  } else {
+    // Nothing of the tenant is left here: retire the instance.
+    const Status deleted = ctx_->DeleteTenantOn(source_server_, tenant_id_);
+    if (!deleted.ok()) {
+      // Authority already moved to the target; a stale source copy is
+      // garbage, not a correctness problem, but worth surfacing.
+      SLACKER_LOG_WARN << "delete of migrated source copy for tenant "
+                       << tenant_id_ << " failed: " << deleted.ToString();
+    }
+    source_db_ = nullptr;
   }
-  source_db_ = nullptr;
   Finish(Status::Ok());
 }
 
@@ -1110,10 +1058,9 @@ TargetSession::TargetSession(MigrationContext* ctx, uint64_t self_server,
       options_(options),
       wire_config_(request.config),
       store_(ctx->DurableStoreOn(self_server)),
-      range_scoped_(request.range_scoped),
       range_lo_(request.range_lo),
       range_hi_(request.range_hi) {
-  if (range_scoped_) {
+  if (request.partial_range()) {
     // Range sessions never stage durably (resume is per-tenant, and a
     // partially merged instance must not become a crash checkpoint).
     store_ = nullptr;
@@ -1190,32 +1137,42 @@ void TargetSession::ReplyToRequest() {
   ctx_->SendMessage(self_server_, source_server_, accept);
 }
 
-void TargetSession::DiscardStaging() {
-  if (staging_ == nullptr) return;
-  if (range_scoped_ && !created_staging_) {
+void TargetSession::Discard(Status status) {
+  if (staging_ != nullptr && !created_staging_) {
     // The instance serves other ranges this server owns — keep it and
     // shed only the rows this aborted range staged into it.
     staging_->EraseRangeRows(range_lo_, range_hi_);
-  } else {
+  } else if (staging_ != nullptr) {
     // Best-effort cleanup of a never-authoritative staging instance;
     // it may already be gone after a crash-restart, so NotFound is fine.
     (void)ctx_->DeleteTenantOn(self_server_, tenant_id_);
   }
   staging_ = nullptr;
+  Finish(std::move(status));
 }
 
 void TargetSession::Abort(const Status& status) {
-  status_ = status;
-  DiscardStaging();
   net::Message abort;
   abort.type = net::MessageType::kMigrateAbort;
   abort.tenant_id = tenant_id_;
   abort.error = status.ToString();
   ctx_->SendMessage(self_server_, source_server_, abort);
-  MarkFinished();
+  Discard(status);
 }
 
-void TargetSession::MarkFinished() {
+void TargetSession::Commit() {
+  awaiting_decision_ = false;
+  // A reused live instance was never frozen — it kept serving its
+  // other ranges throughout; only a first-range staging unfreezes.
+  if (created_staging_) staging_->Unfreeze();
+  // This replica is authoritative now; the staged-chunk record has
+  // served its purpose.
+  if (store_ != nullptr) store_->EraseStaged(tenant_id_);
+  Finish(Status::Ok());
+}
+
+void TargetSession::Finish(Status status) {
+  status_ = std::move(status);
   finished_ = true;
   if (on_finished_) on_finished_();
 }
@@ -1254,11 +1211,9 @@ void TargetSession::ArmIdleTimer() {
         SLACKER_LOG_WARN << "migration session for tenant " << tenant_id_
                          << " idle for " << options_.session_idle_timeout
                          << "s; discarding staging instance";
-        status_ = Status::Aborted("migration source went silent");
-        DiscardStaging();
         // Staged chunks stay in the durable store: a retried migration
         // resumes from them.
-        MarkFinished();
+        Discard(Status::Aborted("migration source went silent"));
       }));
 }
 
@@ -1274,11 +1229,7 @@ void TargetSession::ArmDecisionProbe() {
       // commit message is sent); the message was merely lost.
       SLACKER_LOG_WARN << "handover commit for tenant " << tenant_id_
                        << " inferred from directory";
-      awaiting_decision_ = false;
-      if (created_staging_) staging_->Unfreeze();
-      status_ = Status::Ok();
-      if (store_ != nullptr) store_->EraseStaged(tenant_id_);
-      MarkFinished();
+      Commit();
       return;
     }
     if (++decision_probes_ >= 30) {
@@ -1286,9 +1237,7 @@ void TargetSession::ArmDecisionProbe() {
       SLACKER_LOG_WARN << "handover for tenant " << tenant_id_
                        << " abandoned; discarding staging replica";
       awaiting_decision_ = false;
-      status_ = Status::Aborted("handover abandoned");
-      DiscardStaging();
-      MarkFinished();
+      Discard(Status::Aborted("handover abandoned"));
       return;
     }
     ArmDecisionProbe();
@@ -1470,9 +1419,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
       // Source cancelled: discard the staging instance quietly (no
       // echo — the source job has already finished). The durably
       // staged chunks are kept for a future resume.
-      status_ = Status::Aborted(message.error);
-      DiscardStaging();
-      MarkFinished();
+      Discard(Status::Aborted(message.error));
       return;
     }
     case net::MessageType::kHandoverRequest: {
@@ -1501,18 +1448,9 @@ void TargetSession::HandleMessage(const net::Message& message) {
       ArmDecisionProbe();
       return;
     }
-    case net::MessageType::kHandoverCommit: {
-      awaiting_decision_ = false;
-      // A reused live instance was never frozen — it kept serving its
-      // other ranges throughout; only a first-range staging unfreezes.
-      if (created_staging_) staging_->Unfreeze();
-      status_ = Status::Ok();
-      // This replica is authoritative now; the staged-chunk record has
-      // served its purpose.
-      if (store_ != nullptr) store_->EraseStaged(tenant_id_);
-      MarkFinished();
+    case net::MessageType::kHandoverCommit:
+      Commit();
       return;
-    }
     case net::MessageType::kMigrateRequest:
     case net::MessageType::kMigrateAccept:
     case net::MessageType::kSnapshotAck:

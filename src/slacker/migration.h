@@ -102,7 +102,8 @@ struct [[nodiscard]] MigrationReport {
   uint64_t source_server = 0;
   uint64_t target_server = 0;
   MigrationMode mode = MigrationMode::kLive;
-  /// Range-granular job: only `range` moved (DESIGN.md §16).
+  /// Derived from `range`: true exactly when a partial range moved
+  /// (DESIGN.md §16).
   bool range_scoped = false;
   range::KeyRange range;
   std::string throttle_name;
@@ -245,10 +246,10 @@ class MigrationJob {
   void OnHandoverAck(const net::Message& message);
   void Finish(Status status);
   void ArmWatchdog(SimTime delay);
-  /// Abort without the Cancel() phase guard (watchdog escalation on a
-  /// stuck handover). Safe because no commit decision has been made
-  /// while the job is unfinished.
-  void ForceAbort(Status status);
+  /// Sends the target a kMigrateAbort carrying `error`, unfreezes the
+  /// source and finishes with `status`. No phase guard (Cancel() adds
+  /// one), so the watchdog also escalates a stuck handover with it.
+  void Abort(const std::string& error, Status status);
 
   /// The controller's actuator clamp for this job's throttle kind, fed
   /// to the invariant auditor each tick.
@@ -368,13 +369,15 @@ class TargetSession {
   }
 
  private:
+  /// Tells the source `status`, then Discard(status).
   void Abort(const Status& status);
-  void MarkFinished();
-  /// Abort-path cleanup: deletes a staging instance this session
-  /// created, but a *reused* live instance (range session of a tenant
-  /// already serving other ranges here) only loses the staged in-range
-  /// rows — it stays up for the ranges it owns.
-  void DiscardStaging();
+  /// The source flipped the directory: serve, and finish Ok.
+  void Commit();
+  void Finish(Status status);
+  /// Deletes a staging instance this session created, but a *reused*
+  /// live instance only loses the staged in-range rows (it serves the
+  /// ranges it owns); then Finish(status).
+  void Discard(Status status);
   /// NACK the first missing/corrupt seq, rate-limited so a burst of
   /// out-of-order chunks doesn't trigger a NACK storm.
   void MaybeNack();
@@ -399,11 +402,9 @@ class TargetSession {
   net::TenantWireConfig wire_config_;
   DurableStore* store_ = nullptr;
   engine::TenantDb* staging_ = nullptr;
-  /// Range-scoped session (DESIGN.md §16): only [range_lo_, range_hi_)
-  /// is arriving. When the tenant already serves other ranges here the
-  /// live instance is *reused* (created_staging_ == false) and must
-  /// never be deleted on abort — only the staged in-range rows are.
-  bool range_scoped_ = false;
+  /// The keys arriving (DESIGN.md §16). A partial range arriving where
+  /// the tenant already serves other ranges *reuses* the live instance
+  /// (created_staging_ == false), which an abort must never delete.
   uint64_t range_lo_ = 0;
   uint64_t range_hi_ = UINT64_MAX;
   bool created_staging_ = true;

@@ -15,10 +15,6 @@ Status MigrationController::StartMigration(uint64_t tenant_id,
                                            uint64_t target_server,
                                            const MigrationOptions& options,
                                            MigrationJob::DoneCallback done) {
-  if (jobs_.count(tenant_id) > 0) {
-    return Status::FailedPrecondition("tenant " + std::to_string(tenant_id) +
-                                      " is already migrating");
-  }
   auto job = std::make_unique<MigrationJob>(
       ctx_, tenant_id, server_id_, target_server, options,
       [this, tenant_id, done = std::move(done)](const MigrationReport& report) {

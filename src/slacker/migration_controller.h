@@ -22,8 +22,8 @@ class MigrationController {
   MigrationController& operator=(const MigrationController&) = delete;
 
   /// Starts migrating a locally hosted tenant to `target_server`.
-  /// `done` fires with the final report. One migration per tenant at a
-  /// time.
+  /// `done` fires with the final report. The caller admits one job per
+  /// tenant (Cluster::StartMigration checks every owner).
   Status StartMigration(uint64_t tenant_id, uint64_t target_server,
                         const MigrationOptions& options,
                         MigrationJob::DoneCallback done);

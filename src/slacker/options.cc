@@ -29,16 +29,14 @@ Status MigrationOptions::Validate() const {
   if (session_idle_timeout < 0.0) {
     return Status::InvalidArgument("session_idle_timeout must be >= 0");
   }
-  if (range_scoped) {
+  if (!range.IsFull()) {
     if (mode != MigrationMode::kLive) {
       return Status::InvalidArgument(
-          "range_scoped requires MigrationMode::kLive");
+          "a partial range requires MigrationMode::kLive");
     }
     if (range.lo >= range.hi) {
       return Status::InvalidArgument("range must be non-empty");
     }
-  } else if (!range.IsFull()) {
-    return Status::InvalidArgument("a partial range needs range_scoped");
   }
   return Status::Ok();
 }

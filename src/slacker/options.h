@@ -102,12 +102,12 @@ struct MigrationOptions {
   /// ClusterOptions::incoming_migration; a job's own copy is ignored.
   SimTime session_idle_timeout = 45.0;
 
-  /// Range-granular migration (DESIGN.md §16): move only the keys in
-  /// `range` instead of the whole tenant. The job snapshots, ships
-  /// deltas, and freezes just that unit; ownership flips in the
-  /// cluster's RangeDirectory at handover. Range jobs never resume
-  /// (staged-chunk bookkeeping is per-tenant) and require kLive mode.
-  bool range_scoped = false;
+  /// What the job moves (DESIGN.md §16). The full range, the default,
+  /// is the whole tenant. A partial range must be one directory unit:
+  /// the job snapshots, ships deltas and freezes just that unit, and
+  /// its owner flips in the cluster's RangeDirectory at handover.
+  /// Partial jobs never resume (staged-chunk bookkeeping is per-tenant)
+  /// and require kLive mode.
   range::KeyRange range;
 
   Status Validate() const;

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/random.h"
 #include "src/net/channel.h"
 #include "src/net/message.h"
@@ -214,6 +216,80 @@ TEST(MessageTest, RandomizedCodecRoundTripProperty) {
         static_cast<uint8_t>(1u << rng.NextBelow(8));
     Message flipped_out;
     EXPECT_FALSE(DecodeMessage(flipped, &flipped_out).ok()) << trial;
+  }
+}
+
+// ------------------------------------------------ Range extension
+
+Message RangeRequest(uint64_t lo, uint64_t hi) {
+  Message m;
+  m.type = MessageType::kMigrateRequest;
+  m.tenant_id = 4;
+  m.range_lo = lo;
+  m.range_hi = hi;
+  return m;
+}
+
+// `m`'s frame with `range_lo`/`range_hi` appended as one more range
+// extension, reframed so the CRC still holds.
+std::vector<uint8_t> WithRangeExtension(const Message& m, uint64_t range_lo,
+                                        uint64_t range_hi) {
+  std::vector<uint8_t> payload;
+  EXPECT_TRUE(DecodeFrame(EncodeMessage(m), &payload).ok());
+  ByteWriter writer;
+  writer.PutU8(kRangeScopeMagic);
+  writer.PutVarint64(range_lo);
+  writer.PutVarint64(range_hi);
+  payload.insert(payload.end(), writer.data().begin(), writer.data().end());
+  return EncodeFrame(payload);
+}
+
+TEST(RangeExtensionTest, PartialRangeRoundTrips) {
+  const std::pair<uint64_t, uint64_t> kRanges[] = {
+      {0, 100}, {32768, UINT64_MAX}, {7, 8}};
+  for (const auto& [lo, hi] : kRanges) {
+    const Message m = RangeRequest(lo, hi);
+    ASSERT_TRUE(m.partial_range());
+    Message out;
+    ASSERT_TRUE(DecodeMessage(EncodeMessage(m), &out).ok());
+    EXPECT_EQ(out, m);
+  }
+}
+
+TEST(RangeExtensionTest, FullRangeEncodesNothing) {
+  // A whole-tenant request must encode to the bytes of a message that
+  // never set a range; the golden traces depend on it.
+  Message unset;
+  unset.type = MessageType::kMigrateRequest;
+  unset.tenant_id = 4;
+  const Message full = RangeRequest(0, UINT64_MAX);
+  EXPECT_FALSE(full.partial_range());
+  EXPECT_EQ(EncodeMessage(full), EncodeMessage(unset));
+  EXPECT_LT(EncodeMessage(unset).size(),
+            EncodeMessage(RangeRequest(0, 100)).size());
+}
+
+TEST(RangeExtensionTest, DuplicateExtensionRejected) {
+  Message out;
+  ASSERT_TRUE(
+      DecodeMessage(WithRangeExtension(RangeRequest(0, UINT64_MAX), 0, 100),
+                    &out)
+          .ok());
+  EXPECT_EQ(DecodeMessage(WithRangeExtension(RangeRequest(0, 100), 0, 100),
+                          &out)
+                .code(),
+            StatusCode::kCorruption);
+}
+
+TEST(RangeExtensionTest, FullOrEmptyRangeExtensionRejected) {
+  const Message unset = RangeRequest(0, UINT64_MAX);
+  Message out;
+  const std::pair<uint64_t, uint64_t> kBad[] = {
+      {0, UINT64_MAX}, {100, 100}, {9, 3}};
+  for (const auto& [lo, hi] : kBad) {
+    EXPECT_EQ(DecodeMessage(WithRangeExtension(unset, lo, hi), &out).code(),
+              StatusCode::kCorruption)
+        << lo << ", " << hi;
   }
 }
 

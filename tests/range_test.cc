@@ -194,6 +194,13 @@ MigrationOptions FastLive(double mbps = 64.0) {
   return options;
 }
 
+// `options` scoped to `key_range`.
+MigrationOptions InRange(const KeyRange& key_range,
+                         MigrationOptions options = FastLive()) {
+  options.range = key_range;
+  return options;
+}
+
 struct RangeRig {
   sim::Simulator sim;
   Cluster cluster;
@@ -233,8 +240,8 @@ TEST(RangeMigrationTest, MovesOnlyTheRangeAndShardsTheTenant) {
   const uint64_t mid = 32 * 1024;
   ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
   ASSERT_TRUE(rig.cluster
-                  .StartRangeMigration(1, KeyRange{mid, kNoUpperBound}, 1,
-                                       FastLive(), rig.Done())
+                  .StartMigration(1, 1, InRange(KeyRange{mid, kNoUpperBound}),
+                                  rig.Done())
                   .ok());
   rig.sim.RunUntil(120.0);
   ASSERT_TRUE(rig.done);
@@ -273,7 +280,7 @@ TEST(RangeMigrationTest, MovingAllRangesConvergesAndRetiresSource) {
        {KeyRange{mid, kNoUpperBound}, KeyRange{0, mid}}) {
     rig.done = false;
     ASSERT_TRUE(
-        rig.cluster.StartRangeMigration(1, r, 1, FastLive(), rig.Done())
+        rig.cluster.StartMigration(1, 1, InRange(r), rig.Done())
             .ok());
     rig.sim.RunUntil(rig.sim.Now() + 120.0);
     ASSERT_TRUE(rig.done);
@@ -295,8 +302,8 @@ TEST(RangeMigrationTest, GranularityOneFullRangeJobMatchesWholeTenant) {
   RangeRig rig;
   ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
   ASSERT_TRUE(rig.cluster
-                  .StartRangeMigration(1, KeyRange{0, kNoUpperBound}, 1,
-                                       FastLive(), rig.Done())
+                  .StartMigration(1, 1, InRange(KeyRange{0, kNoUpperBound}),
+                                  rig.Done())
                   .ok());
   rig.sim.RunUntil(120.0);
   ASSERT_TRUE(rig.done);
@@ -314,8 +321,8 @@ TEST(RangeMigrationTest, WholeTenantMoveRejectsShardedTenant) {
   const uint64_t mid = 32 * 1024;
   ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
   ASSERT_TRUE(rig.cluster
-                  .StartRangeMigration(1, KeyRange{mid, kNoUpperBound}, 1,
-                                       FastLive(), rig.Done())
+                  .StartMigration(1, 1, InRange(KeyRange{mid, kNoUpperBound}),
+                                  rig.Done())
                   .ok());
   rig.sim.RunUntil(120.0);
   ASSERT_TRUE(rig.done);
@@ -413,22 +420,16 @@ TEST(RangeMigrationTest, RejectsUnregisteredRangeAndBadModes) {
   ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
   // Not a registered unit.
   EXPECT_EQ(rig.cluster
-                .StartRangeMigration(1, KeyRange{0, 100}, 1, FastLive(),
-                                     rig.Done())
+                .StartMigration(1, 1, InRange(KeyRange{0, 100}), rig.Done())
                 .code(),
             StatusCode::kInvalidArgument);
   // Empty range fails validation.
   MigrationOptions bad = FastLive();
-  bad.range_scoped = true;
   bad.range = KeyRange{100, 100};
   EXPECT_FALSE(bad.Validate().ok());
   // Stop-and-copy cannot be range-scoped.
   bad.range = KeyRange{0, 100};
   bad.mode = MigrationMode::kStopAndCopy;
-  EXPECT_FALSE(bad.Validate().ok());
-  // A partial range without range_scoped is not a whole-tenant job.
-  bad = FastLive();
-  bad.range = KeyRange{0, 100};
   EXPECT_FALSE(bad.Validate().ok());
 }
 
@@ -450,8 +451,10 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
   const uint64_t mid = 32 * 1024;
   ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
   ASSERT_TRUE(rig.cluster
-                  .StartRangeMigration(1, KeyRange{mid, kNoUpperBound}, 1,
-                                       FastLive(32.0), rig.Done())
+                  .StartMigration(1, 1,
+                                  InRange(KeyRange{mid, kNoUpperBound},
+                                          FastLive(32.0)),
+                                  rig.Done())
                   .ok());
   rig.sim.RunUntil(150.0);
   ASSERT_TRUE(rig.done);
@@ -476,6 +479,45 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
       EXPECT_EQ(row->digest, acked.digest);
     }
   }
+}
+
+TEST(RangeMigrationTest, SecondConcurrentJobOfATenantIsRefused) {
+  // Sharded: [0, mid) on server 0, [mid, inf) on server 1.
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  const uint64_t mid = 32 * 1024;
+  const KeyRange high{mid, kNoUpperBound};
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
+  ASSERT_TRUE(rig.cluster.StartMigration(1, 1, InRange(high), rig.Done()).ok());
+  rig.sim.RunUntil(120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+
+  // Both owners could start a job, but the target holds one staging
+  // session per tenant: the second job must be refused, not left to
+  // wait in negotiate forever.
+  rig.done = false;
+  ASSERT_TRUE(rig.cluster
+                  .StartMigration(1, 2, InRange(KeyRange{0, mid}), rig.Done())
+                  .ok());
+  EXPECT_EQ(rig.cluster
+                .StartMigration(1, 2, InRange(high),
+                                [](const MigrationReport&) {})
+                .code(),
+            StatusCode::kFailedPrecondition);
+  rig.sim.RunUntil(rig.sim.Now() + 120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+
+  // Once the first job is done the refused range moves too.
+  rig.done = false;
+  ASSERT_TRUE(rig.cluster.StartMigration(1, 2, InRange(high), rig.Done()).ok());
+  rig.sim.RunUntil(rig.sim.Now() + 120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  EXPECT_EQ(rig.cluster.directory()->ServersOf(1),
+            (std::vector<uint64_t>{2}));
+  EXPECT_EQ(rig.cluster.TenantOn(2, 1)->table().size(), 64u * 1024);
 }
 
 // --- FluidMigrator --------------------------------------------------
@@ -580,10 +622,8 @@ TEST(RangeCancelTest, CancelAtEveryPhase) {
     MigrationOptions options = FastLive(16.0);
     options.prepare.base_seconds = 0.5;
     options.delta_handover_bytes = 0;
-    ASSERT_TRUE(rig.cluster
-                    .StartRangeMigration(1, KeyRange{mid, kNoUpperBound}, 1,
-                                         options, rig.Done())
-                    .ok());
+    options.range = KeyRange{mid, kNoUpperBound};
+    ASSERT_TRUE(rig.cluster.StartMigration(1, 1, options, rig.Done()).ok());
     bool cancelled = false;
     bool too_late = false;
     while (!rig.done && rig.sim.Now() < 120.0) {
@@ -622,6 +662,36 @@ TEST(RangeCancelTest, CancelAtEveryPhase) {
       EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
     }
   }
+}
+
+// A job runs on its range's owner, which need not be the tenant's
+// home; the cluster must still find it to report and cancel it.
+TEST(RangeCancelTest, CancelsJobOnNonHomeOwner) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  const uint64_t mid = 32 * 1024;
+  const KeyRange high{mid, kNoUpperBound};
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
+  ASSERT_TRUE(rig.cluster.StartMigration(1, 1, InRange(high), rig.Done()).ok());
+  rig.sim.RunUntil(120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  ASSERT_EQ(*rig.cluster.directory()->Lookup(1), 0u);  // Home stays put.
+
+  rig.done = false;
+  ASSERT_TRUE(rig.cluster.StartMigration(1, 2, InRange(high), rig.Done()).ok());
+  MigrationJob* job = rig.cluster.ActiveJob(1);
+  ASSERT_NE(job, nullptr);
+  EXPECT_EQ(job, rig.cluster.server(1)->controller()->ActiveJob(1));
+  EXPECT_TRUE(rig.cluster.CancelMigration(1, "non-home owner").ok());
+  rig.sim.RunUntil(rig.sim.Now() + 60.0);
+  ASSERT_TRUE(rig.done);
+  EXPECT_EQ(rig.report.status.code(), StatusCode::kAborted);
+  EXPECT_EQ(rig.cluster.ActiveJob(1), nullptr);
+  // Server 1 keeps the range; nothing is left staged on server 2.
+  EXPECT_EQ(*rig.cluster.directory()->OwnerOf(1, mid), 1u);
+  EXPECT_EQ(rig.cluster.TenantOn(2, 1), nullptr);
+  EXPECT_TRUE(rig.cluster.directory()->ValidateCoverage(1).ok());
 }
 
 // --- Router under churn (property test) ----------------------------
@@ -669,8 +739,8 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
         const uint64_t target = rng.NextBelow(kServers);
         if (target == owned->server) break;
         // Busy tenants reject a second concurrent job; that is fine.
-        const Status started = rig.cluster.StartRangeMigration(
-            1, owned->range, target, FastLive(128.0),
+        const Status started = rig.cluster.StartMigration(
+            1, target, InRange(owned->range, FastLive(128.0)),
             [](const MigrationReport&) {});
         if (started.ok()) ++migrations_launched;
         break;
