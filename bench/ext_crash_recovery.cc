@@ -114,6 +114,7 @@ double MeasureRecovery(bool with_checkpoint) {
   constexpr int kTxns = 64 * 1024;
   int issued = 0;
   Rng rng(7);
+  engine::TxnFrames frames;
   std::function<void()> next = [&] {
     if (issued >= kTxns) return;
     engine::TxnSpec spec;
@@ -121,7 +122,7 @@ double MeasureRecovery(bool with_checkpoint) {
     spec.txn_id = ++issued;
     spec.ops.push_back({engine::OpType::kUpdate,
                         rng.NextBelow(tenant.layout.record_count), 0});
-    engine::ExecuteTransaction(&sim, db, std::move(spec), sim.Now(),
+    engine::ExecuteTransaction(&sim, db, std::move(spec), sim.Now(), &frames,
                                [&](const engine::TxnResult&) { next(); });
   };
   next();

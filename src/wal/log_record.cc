@@ -12,10 +12,26 @@ void LogRecord::EncodeTo(ByteWriter* writer) const {
   }
 }
 
+namespace {
+
+/// Bytes PutVarint64 writes for `v`: one per started 7-bit group.
+size_t VarintLength(uint64_t v) {
+  size_t len = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++len;
+  }
+  return len;
+}
+
+}  // namespace
+
 size_t LogRecord::EncodedSize() const {
-  ByteWriter writer;
-  EncodeTo(&writer);
-  return writer.size();
+  // Counted, not encoded: Binlog::Append sizes every record, and
+  // encoding into a scratch buffer would allocate on every write.
+  const bool has_digest = type == LogType::kInsert || type == LogType::kUpdate;
+  return 1 + VarintLength(lsn) + VarintLength(txn_id) + VarintLength(key) +
+         (has_digest ? 8 : 0);
 }
 
 Status LogRecord::DecodeFrom(ByteReader* reader, LogRecord* out) {

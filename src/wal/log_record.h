@@ -30,7 +30,8 @@ struct LogRecord {
   bool operator==(const LogRecord& other) const = default;
 
   /// Serialized size in bytes (the on-wire/on-disk footprint charged to
-  /// the binlog file and to delta transfers).
+  /// the binlog file and to delta transfers): exactly what EncodeTo
+  /// writes, counted in closed form without encoding.
   size_t EncodedSize() const;
 
   void EncodeTo(ByteWriter* writer) const;

@@ -75,10 +75,15 @@ void ClientPool::ScheduleNextArrival() {
 
 void ClientPool::OnArrival() {
   PendingTxn txn;
-  txn.spec = workload_->NextTxn();
+  if (!spare_specs_.empty()) {
+    txn.spec = std::move(spare_specs_.back());
+    spare_specs_.pop_back();
+  }
+  workload_->NextTxn(&txn.spec);
   txn.arrival = sim_->Now();
+  txn.seq = outstanding_base_ + outstanding_.size();
   ++stats_.arrivals;
-  outstanding_arrivals_.insert(txn.arrival);
+  outstanding_.push_back(Outstanding{txn.arrival, false});
 
   if (busy_clients_ < kMpl) {
     Dispatch(std::move(txn));
@@ -125,13 +130,15 @@ void ClientPool::Dispatch(PendingTxn txn) {
     return;
   }
   // The spec travels with the transaction and comes back in the
-  // result, so the continuation captures 24 bytes and stays inline.
+  // result (as does the arrival, its start), so the continuation
+  // captures 24 bytes and stays inline.
   engine::ExecuteTransaction(
-      sim_, db, std::move(txn.spec), txn.arrival,
-      [this, arrival = txn.arrival,
-       attempts = txn.attempts](engine::TxnResult result) {
-        OnTxnDone(PendingTxn{std::move(result.spec), arrival, attempts},
-                  result);
+      sim_, db, std::move(txn.spec), txn.arrival, &frames_,
+      [this, attempts = txn.attempts,
+       seq = txn.seq](engine::TxnResult& result) {
+        OnTxnDone(
+            PendingTxn{std::move(result.spec), result.start, attempts, seq},
+            result);
       });
 }
 
@@ -148,8 +155,13 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
     return;
   }
 
-  auto it = outstanding_arrivals_.find(txn.arrival);
-  if (it != outstanding_arrivals_.end()) outstanding_arrivals_.erase(it);
+  SLACKER_DCHECK(txn.seq - outstanding_base_ < outstanding_.size(),
+                 "retiring a transaction that is not outstanding");
+  outstanding_[txn.seq - outstanding_base_].done = true;
+  while (!outstanding_.empty() && outstanding_.front().done) {
+    outstanding_.pop_front();
+    ++outstanding_base_;
+  }
 
   if (result.status.ok()) {
     ++stats_.completed;
@@ -166,6 +178,10 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
                      << txn.attempts
                      << " attempts: " << result.status.ToString();
   }
+  // Without a backlog at most kMpl transactions are outstanding, so
+  // kMpl spares serve every arrival; a draining backlog's extra specs
+  // are freed rather than held for the rest of the run.
+  if (spare_specs_.size() < kMpl) spare_specs_.push_back(std::move(txn.spec));
 
   // Hand the freed client to the queue head.
   if (!queue_.empty() && busy_clients_ < kMpl) {
@@ -176,8 +192,8 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
 }
 
 double ClientPool::OldestOutstandingAgeMs(SimTime now) const {
-  if (outstanding_arrivals_.empty()) return 0.0;
-  return MsFromSeconds(now - *outstanding_arrivals_.begin());
+  if (outstanding_.empty()) return 0.0;
+  return MsFromSeconds(now - outstanding_.front().arrival);
 }
 
 }  // namespace slacker::workload

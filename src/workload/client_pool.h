@@ -2,12 +2,11 @@
 #define SLACKER_WORKLOAD_CLIENT_POOL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "src/common/ring_deque.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/engine/transaction.h"
@@ -167,6 +166,15 @@ class ClientPool {
     engine::TxnSpec spec;
     SimTime arrival = 0.0;
     int attempts = 0;
+    /// Arrival sequence number: the transaction's slot in outstanding_,
+    /// kept across retries.
+    uint64_t seq = 0;
+  };
+
+  /// One arrival in outstanding_; `done` once its transaction retired.
+  struct Outstanding {
+    SimTime arrival = 0.0;
+    bool done = false;
   };
 
   void ScheduleNextArrival();
@@ -188,8 +196,20 @@ class ClientPool {
   bool route_by_key_ = false;
   sim::EventId arrival_event_ = 0;
   int busy_clients_ = 0;
-  std::deque<PendingTxn> queue_;
-  std::multiset<double> outstanding_arrivals_;
+  RingDeque<PendingTxn> queue_;
+  /// Every arrival not yet popped, in arrival (hence simulated-time)
+  /// order: outstanding_[i] holds sequence number outstanding_base_ + i.
+  /// Retired slots are popped once they reach the front, so the front
+  /// is the oldest outstanding arrival.
+  RingDeque<Outstanding> outstanding_;
+  uint64_t outstanding_base_ = 0;
+  /// Specs of retired transactions (at most kMpl), refilled in place
+  /// by the next arrivals so their ops vectors keep their capacity.
+  std::vector<engine::TxnSpec> spare_specs_;
+  /// Frames of the transactions in flight; they stop growing at the
+  /// peak in-flight count plus one (kMpl + 1 unless backed-off retries
+  /// overshoot the MPL).
+  engine::TxnFrames frames_;
 
   PercentileTracker latencies_;
   TimeSeries latency_series_;

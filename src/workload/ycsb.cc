@@ -50,11 +50,11 @@ engine::OpType YcsbWorkload::DrawOpType() {
   return engine::OpType::kScan;
 }
 
-engine::TxnSpec YcsbWorkload::NextTxn() {
-  engine::TxnSpec spec;
-  spec.txn_id = next_txn_id_++;
-  spec.tenant_id = tenant_id_;
-  spec.ops.reserve(config_.ops_per_txn);
+void YcsbWorkload::NextTxn(engine::TxnSpec* spec) {
+  spec->txn_id = next_txn_id_++;
+  spec->tenant_id = tenant_id_;
+  spec->ops.clear();
+  spec->ops.reserve(config_.ops_per_txn);
   for (int i = 0; i < config_.ops_per_txn; ++i) {
     engine::Operation op;
     op.type = DrawOpType();
@@ -69,9 +69,8 @@ engine::TxnSpec YcsbWorkload::NextTxn() {
         op.scan_length = 1 + rng_.NextBelow(config_.max_scan_length);
       }
     }
-    spec.ops.push_back(op);
+    spec->ops.push_back(op);
   }
-  return spec;
 }
 
 double YcsbWorkload::NextInterarrival() {

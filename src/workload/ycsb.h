@@ -50,7 +50,9 @@ class YcsbWorkload {
   /// `seed` fully determines the generated stream.
   YcsbWorkload(const YcsbConfig& config, uint64_t tenant_id, uint64_t seed);
 
-  engine::TxnSpec NextTxn();
+  /// Overwrites `spec` with the next transaction. Its ops vector is
+  /// refilled in place, so a recycled spec keeps its capacity.
+  void NextTxn(engine::TxnSpec* spec);
 
   /// Next Poisson inter-arrival draw (open loop).
   double NextInterarrival();

@@ -37,7 +37,8 @@ TEST(CrashRestartTest, CrashFailsInFlightOperations) {
 
   Status observed;
   bool done = false;
-  engine::ExecuteTransaction(&sim, db, UpdateTxn(1, 42), sim.Now(),
+  engine::TxnFrames frames;
+  engine::ExecuteTransaction(&sim, db, UpdateTxn(1, 42), sim.Now(), &frames,
                              [&](const engine::TxnResult& r) {
                                observed = r.status;
                                done = true;

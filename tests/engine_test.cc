@@ -462,7 +462,8 @@ TEST(TransactionTest, SerialOpsThenCommit) {
     spec.ops.push_back(Operation{k % 2 ? OpType::kUpdate : OpType::kRead, k});
   }
   TxnResult result;
-  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(),
+  TxnFrames frames;
+  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(), &frames,
                      [&](const TxnResult& r) { result = r; });
   rig.sim.RunUntil(5.0);
   ASSERT_TRUE(result.status.ok());
@@ -484,8 +485,9 @@ TEST(TransactionTest, LatencyIncludesQueueTime) {
   TxnSpec spec;
   spec.ops.push_back(Operation{OpType::kRead, 1});
   TxnResult result;
+  TxnFrames frames;
   // Arrived 2 s ago (was queued).
-  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now() - 2.0,
+  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now() - 2.0, &frames,
                      [&](const TxnResult& r) { result = r; });
   rig.sim.RunUntil(20.0);
   EXPECT_GE(result.LatencyMs(), 2000.0);
@@ -498,7 +500,8 @@ TEST(TransactionTest, AbortsOnUnavailableMidTxn) {
   TxnSpec spec;
   for (int i = 0; i < 5; ++i) spec.ops.push_back(Operation{OpType::kRead, 1});
   TxnResult result;
-  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(),
+  TxnFrames frames;
+  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(), &frames,
                      [&](const TxnResult& r) { result = r; });
   // Freeze while the txn is mid-flight, then fail the queued op.
   rig.sim.After(0.001, [&] {
@@ -514,6 +517,7 @@ TEST(TransactionTest, ConcurrentTxnsInterleaveButAllComplete) {
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
   db.Load();
   int completed = 0;
+  TxnFrames frames;
   for (int t = 0; t < 10; ++t) {
     TxnSpec spec;
     spec.txn_id = t;
@@ -521,7 +525,7 @@ TEST(TransactionTest, ConcurrentTxnsInterleaveButAllComplete) {
       spec.ops.push_back(
           Operation{OpType::kUpdate, (t * 100 + k) % 1024});
     }
-    ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(),
+    ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(), &frames,
                        [&](const TxnResult& r) {
                          EXPECT_TRUE(r.status.ok());
                          ++completed;

@@ -125,7 +125,8 @@ TEST(ScanTest, TransactionMixesScansAndPointOps) {
   spec.ops.push_back(Operation{OpType::kScan, 100, 40});
   spec.ops.push_back(Operation{OpType::kUpdate, 7, 0});
   TxnResult result;
-  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(),
+  TxnFrames frames;
+  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(), &frames,
                      [&](const TxnResult& r) { result = r; });
   rig.sim.RunUntil(10.0);
   ASSERT_TRUE(result.status.ok());
@@ -141,8 +142,10 @@ TEST(ScanWorkloadTest, MixGeneratesScansWithBoundedLength) {
   ASSERT_TRUE(config.Validate().ok());
   workload::YcsbWorkload workload(config, 1, 9);
   int scans = 0, total = 0;
+  TxnSpec spec;
   for (int t = 0; t < 500; ++t) {
-    for (const auto& op : workload.NextTxn().ops) {
+    workload.NextTxn(&spec);
+    for (const auto& op : spec.ops) {
       ++total;
       if (op.type == OpType::kScan) {
         ++scans;

@@ -71,6 +71,38 @@ TEST(LogRecordTest, EncodedSizeMatchesEncoding) {
   EXPECT_EQ(r.EncodedSize(), w.size());
 }
 
+// The closed-form count must agree with the encoder for every type and
+// every varint length of each field: 0, 127/128 (one byte to two), each
+// 2^(7k) - 1 / 2^(7k) step up to 2^63 (ten bytes), and UINT64_MAX.
+TEST(LogRecordTest, EncodedSizeMatchesEncodingAtVarintBoundaries) {
+  std::vector<uint64_t> values = {0};
+  for (int bits = 7; bits <= 63; bits += 7) {
+    values.push_back((uint64_t{1} << bits) - 1);
+    values.push_back(uint64_t{1} << bits);
+  }
+  values.push_back(UINT64_MAX);
+  for (LogType type : {LogType::kInsert, LogType::kUpdate, LogType::kDelete,
+                       LogType::kCommit}) {
+    for (uint64_t lsn : values) {
+      for (uint64_t txn_id : values) {
+        for (uint64_t key : values) {
+          LogRecord r;
+          r.type = type;
+          r.lsn = lsn;
+          r.txn_id = txn_id;
+          r.key = key;
+          r.digest = key;
+          ByteWriter w;
+          r.EncodeTo(&w);
+          ASSERT_EQ(r.EncodedSize(), w.size())
+              << "type " << static_cast<int>(type) << " lsn " << lsn
+              << " txn " << txn_id << " key " << key;
+        }
+      }
+    }
+  }
+}
+
 TEST(LogRecordTest, DeleteOmitsDigest) {
   // A delete should encode smaller than an update (no 8-byte image).
   EXPECT_LT(Delete(1, 42).EncodedSize(), Update(1, 42, 7).EncodedSize());

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/common/units.h"
@@ -102,8 +104,9 @@ TEST(YcsbWorkloadTest, OpMixMatchesConfiguration) {
   YcsbConfig config = SmallYcsb();
   YcsbWorkload workload(config, 1, 42);
   int reads = 0, updates = 0, total = 0;
+  engine::TxnSpec spec;
   for (int t = 0; t < 2000; ++t) {
-    const auto spec = workload.NextTxn();
+    workload.NextTxn(&spec);  // Refilled in place, not appended to.
     EXPECT_EQ(spec.ops.size(), 10u);
     for (const auto& op : spec.ops) {
       reads += op.type == engine::OpType::kRead;
@@ -118,8 +121,9 @@ TEST(YcsbWorkloadTest, OpMixMatchesConfiguration) {
 TEST(YcsbWorkloadTest, TxnIdsMonotone) {
   YcsbWorkload workload(SmallYcsb(), 1, 42);
   uint64_t prev = 0;
+  engine::TxnSpec spec;
   for (int i = 0; i < 100; ++i) {
-    const auto spec = workload.NextTxn();
+    workload.NextTxn(&spec);
     EXPECT_GT(spec.txn_id, prev);
     prev = spec.txn_id;
     EXPECT_EQ(spec.tenant_id, 1u);
@@ -128,8 +132,12 @@ TEST(YcsbWorkloadTest, TxnIdsMonotone) {
 
 TEST(YcsbWorkloadTest, DeterministicForSeed) {
   YcsbWorkload a(SmallYcsb(), 1, 7), b(SmallYcsb(), 1, 7);
+  // A recycled spec and a fresh one get the same transaction.
+  engine::TxnSpec sa;
   for (int i = 0; i < 50; ++i) {
-    const auto sa = a.NextTxn(), sb = b.NextTxn();
+    engine::TxnSpec sb;
+    a.NextTxn(&sa);
+    b.NextTxn(&sb);
     ASSERT_EQ(sa.ops.size(), sb.ops.size());
     for (size_t j = 0; j < sa.ops.size(); ++j) {
       EXPECT_EQ(sa.ops[j].key, sb.ops[j].key);
@@ -275,8 +283,9 @@ TEST(ClientPoolTest, ArrivalStreamIsIndependentOfServiceSpeed) {
   EXPECT_EQ(fast_workload.txns_generated(), slow_workload.txns_generated());
   EXPECT_EQ(fast_workload.NextInterarrival(),
             slow_workload.NextInterarrival());
-  const engine::TxnSpec a = fast_workload.NextTxn();
-  const engine::TxnSpec b = slow_workload.NextTxn();
+  engine::TxnSpec a, b;
+  fast_workload.NextTxn(&a);
+  slow_workload.NextTxn(&b);
   EXPECT_EQ(a.txn_id, b.txn_id);
   ASSERT_EQ(a.ops.size(), b.ops.size());
   for (size_t i = 0; i < a.ops.size(); ++i) {
@@ -349,6 +358,73 @@ TEST(ClientPoolTest, OldestOutstandingAge) {
   rig.db.Unfreeze();
   rig.sim.RunUntil(20.0);
   pool.Stop();
+}
+
+// A rig whose resolver can be switched off: while it is, transactions
+// back off and retry (keeping their arrival time).
+struct GatedPoolRig : PoolRig {
+  bool available = true;
+  engine::TenantDb* Resolve(uint64_t) override {
+    return available ? &db : nullptr;
+  }
+};
+
+TEST(ClientPoolTest, OldestOutstandingAgeSurvivesOutOfOrderCompletion) {
+  YcsbConfig config = SmallYcsb();
+  config.ops_per_txn = 1;  // One key per transaction.
+  // A twin stream replays the pool's draws: an interarrival, then the
+  // transaction, per arrival. The pool schedules each arrival at
+  // Now() + draw, so the sums below are its arrival times exactly.
+  YcsbWorkload twin(config, 1, 5);
+  std::vector<SimTime> arrivals;
+  std::vector<uint64_t> keys;
+  engine::TxnSpec spec;
+  for (SimTime t = 0.0; t < 10.0;) {
+    t += twin.NextInterarrival();
+    twin.NextTxn(&spec);
+    arrivals.push_back(t);
+    keys.push_back(spec.ops[0].key);
+  }
+  const auto first_arrival_after = [&](SimTime t) {
+    return *std::upper_bound(arrivals.begin(), arrivals.end(), t);
+  };
+
+  GatedPoolRig rig;
+  YcsbWorkload workload(config, 1, 5);
+  ClientPool pool(&rig.sim, &workload, &rig);
+  // Only the oldest transaction's key is frozen, so later ones finish
+  // first; the age still counts from the oldest arrival.
+  rig.db.Freeze(nullptr, keys[0], keys[0] + 1);
+  pool.Start();
+  rig.sim.RunUntil(2.0);
+  EXPECT_GT(pool.stats().completed, 10u);
+  EXPECT_DOUBLE_EQ(pool.OldestOutstandingAgeMs(rig.sim.Now()),
+                   MsFromSeconds(rig.sim.Now() - arrivals[0]));
+
+  // New arrivals now find no replica and retry with backoff.
+  rig.available = false;
+  rig.sim.RunUntil(2.3);
+  EXPECT_DOUBLE_EQ(pool.OldestOutstandingAgeMs(rig.sim.Now()),
+                   MsFromSeconds(rig.sim.Now() - arrivals[0]));
+
+  // Once the oldest completes, the age falls to the next outstanding
+  // arrival: the first one after the resolver went away, retried
+  // several times since but still aged from when it arrived.
+  rig.db.Unfreeze();
+  rig.sim.RunUntil(2.5);
+  EXPECT_GT(pool.stats().retries, 5u);
+  EXPECT_DOUBLE_EQ(pool.OldestOutstandingAgeMs(rig.sim.Now()),
+                   MsFromSeconds(rig.sim.Now() - first_arrival_after(2.0)));
+
+  // A drained pool has nothing outstanding.
+  rig.available = true;
+  pool.Stop();
+  rig.sim.RunUntil(20.0);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.busy_clients(), 0);
+  EXPECT_EQ(pool.stats().failed, 0u);
+  EXPECT_EQ(pool.stats().completed, pool.stats().arrivals);
+  EXPECT_DOUBLE_EQ(pool.OldestOutstandingAgeMs(rig.sim.Now()), 0.0);
 }
 
 TEST(ClientPoolTest, RetriesOnUnavailableAndSucceeds) {
