@@ -204,7 +204,9 @@ BENCHMARK(BM_TokenBucketGrants);
 
 // The bulk stream's kernels on the fig15 chunk shape (256 rows of
 // 1 KiB at redundancy 0.5), each in payload bytes per second: the LZ
-// size pass, the payload writer, and the closed-form payload CRC.
+// size pass, the payload writer, and the closed-form payload CRC. The
+// LZ size pass also runs on the same rows at redundancy 0, its worst
+// case: pure noise, so every position probes the table.
 constexpr uint64_t kChunkRows = 256;
 constexpr uint64_t kRowBytes = 1024;
 constexpr double kRedundancy = 0.5;
@@ -218,9 +220,9 @@ std::vector<storage::Record> ChunkRows() {
   return rows;
 }
 
-void BM_LzCompressedSize(benchmark::State& state) {
+void LzCompressedSizeAt(benchmark::State& state, double redundancy) {
   const std::vector<uint8_t> payload =
-      codec::MaterializeChunkPayload(ChunkRows(), kRowBytes, kRedundancy);
+      codec::MaterializeChunkPayload(ChunkRows(), kRowBytes, redundancy);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         codec::LzCompressedSize(payload.data(), payload.size()));
@@ -228,7 +230,16 @@ void BM_LzCompressedSize(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(payload.size()));
 }
+
+void BM_LzCompressedSize(benchmark::State& state) {
+  LzCompressedSizeAt(state, kRedundancy);
+}
 BENCHMARK(BM_LzCompressedSize);
+
+void BM_LzCompressedSizeNoise(benchmark::State& state) {
+  LzCompressedSizeAt(state, 0.0);
+}
+BENCHMARK(BM_LzCompressedSizeNoise);
 
 void BM_MaterializeChunkPayload(benchmark::State& state) {
   const std::vector<storage::Record> rows = ChunkRows();

@@ -22,11 +22,17 @@ void EncodeBody(const FrameHeader& frame, ByteWriter* writer) {
 }  // namespace
 
 void FrameHeader::EncodeTo(ByteWriter* writer) const {
-  ByteWriter body;
-  EncodeBody(*this, &body);
-  const uint32_t header_crc = Crc32c(body.data());
-  writer->PutBytes(body.data().data(), body.size());
-  writer->PutFixed32(header_crc);
+  const size_t start = writer->size();
+  EncodeBody(*this, writer);
+  writer->PutFixed32(
+      Crc32c(writer->data().data() + start, writer->size() - start));
+}
+
+size_t FrameHeader::EncodedSize() const {
+  // magic, version, codec; two varints; two CRCs, the redundancy and
+  // the header CRC.
+  return 3 + VarintLength(logical_bytes) + VarintLength(encoded_bytes) + 4 +
+         4 + 8 + 4;
 }
 
 Status FrameHeader::DecodeFrom(ByteReader* reader) {

@@ -54,6 +54,8 @@ struct FrameHeader {
   bool operator==(const FrameHeader& other) const = default;
 
   void EncodeTo(ByteWriter* writer) const;
+  /// Bytes EncodeTo writes, counted without encoding.
+  size_t EncodedSize() const;
   Status DecodeFrom(ByteReader* reader);
 };
 

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <string>
 
+#include "src/common/bytes.h"
 #include "src/common/invariant.h"
 
 namespace slacker::codec {
@@ -44,12 +45,6 @@ uint64_t LoadLe64(const uint8_t* p) {
 /// is a pure function of the bytes.
 uint32_t HashPrefix(uint32_t prefix) {
   return (prefix * 2654435761u) >> (32 - kHashBits);
-}
-
-size_t VarintLength(uint64_t value) {
-  size_t length = 1;
-  for (; value >= 0x80; value >>= 7) ++length;
-  return length;
 }
 
 void PutVarint(std::vector<uint8_t>* out, uint64_t value) {
@@ -90,11 +85,13 @@ size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
 }
 
 /// Hash table of candidate positions, reused across calls on a thread.
-/// A slot holds base + position; each call takes a fresh base past
-/// every stamp an earlier call wrote, so slots below base are stale
-/// and read as empty. The slots are cleared only when base would wrap.
+/// A slot holds (prefix << 32) | (base + position): the 4-byte prefix
+/// at the position, and a stamp. Each call takes a fresh base past
+/// every stamp an earlier call wrote, so slots stamped below base are
+/// stale and read as empty. The slots are cleared only when base would
+/// wrap.
 struct MatchTable {
-  uint32_t slot[kHashSize];
+  uint64_t slot[kHashSize];
   uint32_t next_base = 1;
 
   /// Claims the stamps [base, base + n) for an n-byte input; returns
@@ -103,7 +100,7 @@ struct MatchTable {
     SLACKER_CHECK(n < UINT32_MAX - 1, "lz input of " + std::to_string(n) +
                                           " bytes exceeds 32-bit positions");
     if (n + 1 > UINT32_MAX - next_base) {
-      std::fill(std::begin(slot), std::end(slot), 0u);
+      std::fill(std::begin(slot), std::end(slot), uint64_t{0});
       next_base = 1;
     }
     const uint32_t base = next_base;
@@ -113,7 +110,7 @@ struct MatchTable {
 };
 
 MatchTable& ThreadMatchTable() {
-  // On the heap so a thread does not carry a 128 KiB TLS block; never
+  // On the heap so a thread does not carry a 256 KiB TLS block; never
   // freed, as it holds nothing but memory. Value-initialised: all
   // slots start empty.
   thread_local MatchTable* table = new MatchTable();
@@ -123,6 +120,12 @@ MatchTable& ThreadMatchTable() {
 /// The greedy single-candidate matcher shared by LzCompress and
 /// LzCompressedSize. It reports the token stream to `sink` as
 /// Literals(from, to) and Match(length, distance) calls, in order.
+///
+/// A hit is decided from the slot alone. A live stamp (>= base) was
+/// written by this call at the earlier position stamp - base, and the
+/// input is const, so the slot's tag is exactly the prefix the input
+/// holds there; comparing tags is comparing prefixes, without loading
+/// the candidate's bytes.
 template <typename Sink>
 void RunMatcher(const uint8_t* input, size_t n, Sink& sink) {
   if (n == 0) return;
@@ -132,11 +135,13 @@ void RunMatcher(const uint8_t* input, size_t n, Sink& sink) {
   size_t i = 0;
   while (i + kMinMatch <= n) {
     const uint32_t prefix = LoadLe32(input + i);
-    uint32_t& slot = table.slot[HashPrefix(prefix)];
-    const uint32_t stamp = slot;
-    slot = base + static_cast<uint32_t>(i);
-    // A live stamp is always for an earlier position of this input.
-    if (stamp >= base && LoadLe32(input + (stamp - base)) == prefix) {
+    uint64_t& slot = table.slot[HashPrefix(prefix)];
+    const uint64_t entry = slot;
+    slot = (uint64_t{prefix} << 32) | (base + static_cast<uint32_t>(i));
+    const uint32_t stamp = static_cast<uint32_t>(entry);
+    const bool hit = (stamp >= base) &
+                     (static_cast<uint32_t>(entry >> 32) == prefix);
+    if (hit) {
       const size_t candidate = stamp - base;
       const size_t length = MatchLength(input + candidate, input + i,
                                         std::min(kMaxMatch, n - i));

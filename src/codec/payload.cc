@@ -150,6 +150,10 @@ std::vector<uint8_t> MaterializeChunkPayload(
   if (payload.empty()) return payload;
   const size_t filler_bytes = FillerLength(record_bytes, redundancy);
   size_t r = 0;
+  for (; r + 8 <= rows.size(); r += 8) {
+    WriteRows<8>(&rows[r], record_bytes, filler_bytes,
+                 &payload[r * record_bytes]);
+  }
   for (; r + 4 <= rows.size(); r += 4) {
     WriteRows<4>(&rows[r], record_bytes, filler_bytes,
                  &payload[r * record_bytes]);

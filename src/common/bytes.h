@@ -9,12 +9,22 @@
 
 namespace slacker {
 
+/// Bytes PutVarint64 writes for `v`: one per started 7-bit group.
+inline size_t VarintLength(uint64_t v) {
+  size_t len = 1;
+  for (; v >= 0x80; v >>= 7) ++len;
+  return len;
+}
+
 /// Append-only binary encoder: little-endian fixed ints, LEB128
 /// varints, and length-prefixed strings. The wal and net modules build
 /// their record/message codecs on these primitives (the stand-in for
 /// the paper's protocol buffers).
 class ByteWriter {
  public:
+  /// Capacity for `n` bytes in all, so an encoder that knows its
+  /// size up front grows the buffer once.
+  void Reserve(size_t n) { buf_.reserve(n); }
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutFixed32(uint32_t v);
   void PutFixed64(uint64_t v);

@@ -1,12 +1,61 @@
 #include "src/net/message.h"
 
 #include "src/common/bytes.h"
+#include "src/common/invariant.h"
 #include "src/net/wire.h"
 
 namespace slacker::net {
 
+namespace {
+
+/// Bytes of EncodeMessage's payload, counted without encoding, so the
+/// frame is reserved once.
+size_t EncodedPayloadSize(const Message& message) {
+  const TenantWireConfig& config = message.config;
+  size_t size = 1 + VarintLength(message.tenant_id) +
+                VarintLength(message.target_server) +
+                VarintLength(message.lsn) + VarintLength(message.chunk_seq) +
+                VarintLength(message.payload_bytes) + 8 + 4 + 1 +
+                VarintLength(message.resume_key) +
+                VarintLength(message.error.size()) + message.error.size() +
+                VarintLength(config.page_bytes) +
+                VarintLength(config.record_bytes) +
+                VarintLength(config.record_count) +
+                VarintLength(config.buffer_pool_bytes) +
+                VarintLength(config.value_seed) + 8 + 8;
+  size += VarintLength(message.rows.size());
+  for (const storage::Record& r : message.rows) {
+    size += VarintLength(r.key) + VarintLength(r.lsn) + 8;
+  }
+  size += VarintLength(message.log_records.size());
+  for (const wal::LogRecord& r : message.log_records) {
+    size += r.EncodedSize();
+  }
+  if (message.frame.codec != codec::Codec::kRaw) {
+    size += message.frame.EncodedSize() +
+            VarintLength(message.removed_keys.size());
+    for (uint64_t key : message.removed_keys) size += VarintLength(key);
+  }
+  if (message.negotiation.software_version != 0) {
+    size += message.negotiation.EncodedSize();
+  }
+  if (message.partial_range()) {
+    size += 1 + VarintLength(message.range_lo) +
+            VarintLength(message.range_hi);
+  }
+  return size;
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeMessage(const Message& message) {
+  // One buffer: the payload is written after room for the frame
+  // header, which SealFrame fills in place.
+  const size_t frame_bytes = kFrameHeaderBytes + EncodedPayloadSize(message);
   ByteWriter writer;
+  writer.Reserve(frame_bytes);
+  const uint8_t header_room[kFrameHeaderBytes] = {};
+  writer.PutBytes(header_room, kFrameHeaderBytes);
   writer.PutU8(static_cast<uint8_t>(message.type));
   writer.PutVarint64(message.tenant_id);
   writer.PutVarint64(message.target_server);
@@ -54,7 +103,11 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
     writer.PutVarint64(message.range_lo);
     writer.PutVarint64(message.range_hi);
   }
-  return EncodeFrame(writer.Release());
+  std::vector<uint8_t> frame = writer.Release();
+  SLACKER_DCHECK(frame.size() == frame_bytes,
+                 "EncodedPayloadSize disagrees with the encoding");
+  SealFrame(&frame);
+  return frame;
 }
 
 Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {

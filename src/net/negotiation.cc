@@ -36,13 +36,16 @@ codec::CodecMode NegotiatedCodecMode(codec::CodecMode requested,
 }
 
 void NegotiationInfo::EncodeTo(ByteWriter* writer) const {
-  ByteWriter body;
-  body.PutU8(kNegotiationMagic);
-  body.PutVarint64(software_version);
-  body.PutVarint64(feature_mask);
-  const uint32_t crc = Crc32c(body.data());
-  writer->PutBytes(body.data().data(), body.size());
-  writer->PutFixed32(crc);
+  const size_t start = writer->size();
+  writer->PutU8(kNegotiationMagic);
+  writer->PutVarint64(software_version);
+  writer->PutVarint64(feature_mask);
+  writer->PutFixed32(
+      Crc32c(writer->data().data() + start, writer->size() - start));
+}
+
+size_t NegotiationInfo::EncodedSize() const {
+  return 1 + VarintLength(software_version) + VarintLength(feature_mask) + 4;
 }
 
 Status NegotiationInfo::DecodeFrom(ByteReader* reader) {

@@ -65,6 +65,8 @@ struct NegotiationInfo {
   bool operator==(const NegotiationInfo& other) const = default;
 
   void EncodeTo(ByteWriter* writer) const;
+  /// Bytes EncodeTo writes, counted without encoding.
+  size_t EncodedSize() const;
   /// Consumes the extension including its magic byte. Corruption on a
   /// bad magic, truncated field, or CRC mismatch.
   Status DecodeFrom(ByteReader* reader);

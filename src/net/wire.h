@@ -17,6 +17,11 @@ constexpr size_t kFrameHeaderBytes = 12;
 /// Wraps a payload in a checksummed frame.
 std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload);
 
+/// Turns `frame`, kFrameHeaderBytes of room followed by the payload,
+/// into a frame in place: fills the header from the payload's length
+/// and CRC. Lets an encoder write a payload straight into its frame.
+void SealFrame(std::vector<uint8_t>* frame);
+
 /// Unwraps one frame from `data` (which must contain exactly one
 /// frame); on success stores the payload in `out`.
 Status DecodeFrame(const std::vector<uint8_t>& data,

@@ -3,8 +3,9 @@
 // warm, a cached point read and a CPU charge must not touch the heap.
 // Nor may a warm transaction, alone or fed by a client pool, beyond the
 // binlog's amortized deque blocks. Nor may the target's payload-CRC
-// check of an LZ frame, once its shape's CRC tables are built. A
-// counting global operator new (this binary only) measures it.
+// check of an LZ frame, once its shape's CRC tables are built; and a
+// migration message encodes into its one frame buffer. A counting
+// global operator new (this binary only) measures it.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
 #include "src/engine/transaction.h"
+#include "src/net/message.h"
 #include "src/resource/cpu.h"
 #include "src/resource/disk.h"
 #include "src/sim/simulator.h"
@@ -201,6 +203,33 @@ TEST(CodecAllocTest, VerifyPayloadCrcAllocatesNothing) {
   });
   EXPECT_EQ(verified, static_cast<uint64_t>(kWarmup + kMeasured));
   EXPECT_EQ(per_call, 0.0);
+}
+
+// A fig15-shaped LZ snapshot chunk with every extension: the frame is
+// the only allocation, sized once from the message's closed-form size.
+TEST(MessageAllocTest, EncodeMessageAllocatesOnlyItsFrame) {
+  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+  Rng rng(0xa110d);
+  net::Message m;
+  m.type = net::MessageType::kSnapshotChunk;
+  m.tenant_id = 3;
+  m.chunk_seq = 41;
+  m.payload_bytes = 256 * kKiB;
+  for (uint64_t i = 0; i < 256; ++i) {
+    m.rows.push_back(storage::Record{rng.Next(), i + 1, rng.Next()});
+  }
+  m.frame.codec = codec::Codec::kLz;
+  m.frame.logical_bytes = 256 * kKiB;
+  m.frame.encoded_bytes = 131000;
+  m.negotiation.software_version = 3;
+  m.negotiation.feature_mask = 3;
+  m.range_lo = 1000;
+  m.range_hi = 2000;
+  size_t bytes = 0;
+  const double per_call = AllocationsPerCall(
+      [&](int) { bytes += net::EncodeMessage(m).size(); });
+  EXPECT_GT(bytes, 0u);
+  EXPECT_EQ(per_call, 1.0);
 }
 
 }  // namespace

@@ -274,6 +274,104 @@ TEST(LzTest, SizeOnlyMatchesCompress) {
   }
 }
 
+// LzCompressedSize and LzCompress against the reference, for `input`.
+void ExpectMatchesReference(const std::vector<uint8_t>& input,
+                            const std::string& label) {
+  const std::vector<uint8_t> reference = ReferenceLzCompress(input);
+  EXPECT_EQ(LzCompressedSize(input.data(), input.size()), reference.size())
+      << label;
+  EXPECT_EQ(LzCompress(input), reference) << label;
+}
+
+// The matcher's 15-bit slot index of a 4-byte little-endian prefix.
+uint32_t PrefixSlot(uint32_t prefix) {
+  return (prefix * 2654435761u) >> (32 - 15);
+}
+
+void AppendLe32(std::vector<uint8_t>* out, uint32_t word) {
+  for (int b = 0; b < 4; ++b) {
+    out->push_back(static_cast<uint8_t>(word >> (8 * b)));
+  }
+}
+
+// Four distinct prefixes that share one slot, interleaved at random,
+// so that most probes of that slot find another prefix's entry: only
+// an equal prefix may make a match, never a shared slot.
+TEST(LzTest, HashCollidingPrefixesNeverMatch) {
+  // The multiplier is odd, so prefix -> prefix * multiplier is a
+  // bijection; every product with the same top 15 bits shares a slot.
+  uint32_t inverse = 2654435761u;
+  for (int step = 0; step < 5; ++step) inverse *= 2 - 2654435761u * inverse;
+  ASSERT_EQ(inverse * 2654435761u, 1u);
+  constexpr uint32_t kSlot = 0x2b3c;
+  std::vector<uint32_t> prefixes;
+  for (uint32_t low : {0x1u, 0x4d2u, 0x9e37u, 0x1ffffu}) {
+    prefixes.push_back(((kSlot << 17) | low) * inverse);
+  }
+  for (size_t a = 0; a < prefixes.size(); ++a) {
+    ASSERT_EQ(PrefixSlot(prefixes[a]), kSlot);
+    for (size_t b = 0; b < a; ++b) ASSERT_NE(prefixes[a], prefixes[b]);
+  }
+  Rng rng(0xc011);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<uint8_t> input;
+    for (int w = 0; w < 2048; ++w) {
+      AppendLe32(&input, prefixes[rng.NextBelow(prefixes.size())]);
+      // A random byte now and then shifts the alignment.
+      if (rng.NextBelow(8) == 0) {
+        input.push_back(static_cast<uint8_t>(rng.Next()));
+      }
+    }
+    ExpectMatchesReference(input, "trial " + std::to_string(trial));
+  }
+}
+
+// 256 KiB chunks, eight times the table's slots, so every slot is
+// overwritten within a call: pure noise (every position probes the
+// table) and the fig15 chunk.
+TEST(LzTest, FullChunksMatchReference) {
+  const auto rows = Fig15ShapeRows();
+  for (const double r : {0.0, 0.5}) {
+    const auto chunk = MaterializeChunkPayload(rows, kKiB, r);
+    ASSERT_EQ(chunk.size(), 256 * kKiB);
+    ExpectMatchesReference(chunk, "r = " + std::to_string(r));
+  }
+}
+
+// Call A leaves the last slot it writes tagged with prefix P; call B
+// then probes that slot with P at its first position and again later.
+// A's entry is stale, so B's first P is literal and its second matches
+// B's own first, never A's.
+TEST(LzTest, StaleSlotWithEqualPrefixIsEmpty) {
+  Rng rng(0x57a1e);
+  const uint32_t prefix = 0x50505050u;
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<uint8_t> a = RandomBytes(&rng, 12);
+    AppendLe32(&a, prefix);
+    std::vector<uint8_t> b;
+    AppendLe32(&b, prefix);
+    const auto middle = RandomBytes(&rng, 20 + trial);
+    b.insert(b.end(), middle.begin(), middle.end());
+    AppendLe32(&b, prefix);
+    const auto tail = RandomBytes(&rng, 9);
+    b.insert(b.end(), tail.begin(), tail.end());
+    const std::vector<uint8_t> reference_a = ReferenceLzCompress(a);
+    const std::vector<uint8_t> reference_b = ReferenceLzCompress(b);
+    // Size pass then compressor, each after its own call A.
+    EXPECT_EQ(LzCompressedSize(a.data(), a.size()), reference_a.size());
+    EXPECT_EQ(LzCompressedSize(b.data(), b.size()), reference_b.size())
+        << trial;
+    EXPECT_EQ(LzCompress(a), reference_a);
+    const std::vector<uint8_t> tokens = LzCompress(b);
+    EXPECT_EQ(tokens, reference_b) << trial;
+    // B's first token is a literal run starting with P.
+    ASSERT_GE(tokens.size(), 5u);
+    EXPECT_LT(tokens[0], 0x80);
+    EXPECT_EQ(std::vector<uint8_t>(tokens.begin() + 1, tokens.begin() + 5),
+              std::vector<uint8_t>(b.begin(), b.begin() + 4));
+  }
+}
+
 // ------------------------------------------------------------- Payload
 
 TEST(PayloadTest, DeterministicAndRedundancyControlsRatio) {
@@ -306,7 +404,9 @@ TEST(PayloadTest, NoiseTailIsStoragePayloadPrefix) {
 
 TEST(PayloadTest, InterleavedWriterMatchesPerRowWriter) {
   Rng rng(0x9a1);
-  for (size_t n = 0; n <= 9; ++n) {
+  // Up to 17 rows: two 8-row lanes, an 8-row lane with a 4-row and a
+  // 1-row tail, and everything below.
+  for (size_t n = 0; n <= 17; ++n) {
     const auto rows = UnsortedRows(&rng, n);
     for (const uint64_t size : {1, 5, 8, 9, 1024, 1031}) {
       for (const double r : {0.0, 0.3, 0.5, 1.0}) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -290,6 +291,52 @@ TEST(RangeExtensionTest, FullOrEmptyRangeExtensionRejected) {
     EXPECT_EQ(DecodeMessage(WithRangeExtension(unset, lo, hi), &out).code(),
               StatusCode::kCorruption)
         << lo << ", " << hi;
+  }
+}
+
+// EncodeMessage writes the payload straight into its frame, reserved
+// once from a closed-form size; the bytes must be those of framing the
+// payload in a second step.
+TEST(MessageTest, EncodeMessageEqualsTwoStepFraming) {
+  std::vector<Message> messages = {Message(), FullMessage(),
+                                   CodecMessage(codec::Codec::kLz),
+                                   CodecMessage(codec::Codec::kDelta),
+                                   RangeRequest(7, 8)};
+  // Every extension at once, with fields at multi-byte varint widths
+  // and an error string whose length takes two varint bytes.
+  Message wide = CodecMessage(codec::Codec::kDelta);
+  wide.type = MessageType::kMigrateAbort;
+  wide.tenant_id = UINT64_MAX;
+  wide.target_server = 128;
+  wide.lsn = uint64_t{1} << 35;
+  wide.resume = true;
+  wide.resume_key = 16383;
+  wide.error = std::string(300, 'e');
+  wide.frame.logical_bytes = UINT64_MAX;
+  wide.frame.encoded_bytes = 16384;
+  wide.removed_keys.push_back(UINT64_MAX);
+  wide.negotiation.software_version = UINT32_MAX;
+  wide.negotiation.feature_mask = FeatureMaskForVersion(3);
+  wide.range_lo = 1;
+  wide.range_hi = UINT64_MAX - 1;
+  wal::LogRecord erase;
+  erase.type = wal::LogType::kDelete;
+  erase.lsn = UINT64_MAX;
+  erase.txn_id = 200;
+  erase.key = 1u << 21;
+  wide.log_records.push_back(erase);
+  messages.push_back(wide);
+  for (size_t c = 0; c < messages.size(); ++c) {
+    const std::vector<uint8_t> frame = EncodeMessage(messages[c]);
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(DecodeFrame(frame, &payload).ok()) << c;
+    EXPECT_EQ(frame, EncodeFrame(payload)) << c;
+    Message out;
+    ASSERT_TRUE(DecodeMessage(frame, &out).ok()) << c;
+    EXPECT_EQ(out, messages[c]) << c;
+    // An exact reserve leaves no spare capacity; a short one would
+    // have regrown the buffer past its size.
+    EXPECT_EQ(frame.capacity(), frame.size()) << c;
   }
 }
 
