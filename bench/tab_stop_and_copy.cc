@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench/fleet.h"
-#include "src/slacker/stop_and_copy.h"
 
 int main(int argc, char** argv) {
   using namespace slacker::bench;

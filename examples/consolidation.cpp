@@ -25,7 +25,7 @@ int main() {
   ClusterOptions cluster_options;
   cluster_options.num_servers = 3;
   Cluster cluster(&sim, cluster_options);
-  const sla::SlaSpec sla{95.0, 1500.0, 1.0};
+  const sla::SlaSpec sla{95.0, 1500.0};
 
   std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads;
   std::vector<std::unique_ptr<workload::ClientPool>> pools;

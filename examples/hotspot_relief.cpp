@@ -48,7 +48,7 @@ int main() {
   cluster_options.num_servers = 2;
   cluster_options.disk.seek_time = 0.008;
   Cluster cluster(&sim, cluster_options);
-  const sla::SlaSpec sla{95.0, 1000.0, 1.0};
+  const sla::SlaSpec sla{95.0, 1000.0};
 
   // Two 256 MiB tenants, 32 MiB buffers, on server 0.
   std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads;

@@ -22,12 +22,8 @@ uint64_t DeltaShipper::PendingBytes() const {
   // range's migration from converging.
   std::vector<wal::LogRecord> records;
   std::vector<uint64_t> record_bytes;
-  const Status read = source_log_->ReadRange(
-      applied_lsn_ + 1, source_log_->last_lsn(), &records, &record_bytes);
-  if (!read.ok()) {
-    return source_log_->BytesInRange(applied_lsn_ + 1,
-                                     source_log_->last_lsn());
-  }
+  source_log_->ReadRange(applied_lsn_ + 1, source_log_->last_lsn(), &records,
+                         &record_bytes);
   uint64_t pending = 0;
   for (size_t i = 0; i < records.size(); ++i) {
     const wal::LogRecord& r = records[i];
@@ -39,7 +35,7 @@ uint64_t DeltaShipper::PendingBytes() const {
   return pending;
 }
 
-Result<DeltaRound> DeltaShipper::ReadRound() {
+DeltaRound DeltaShipper::ReadRound() {
   DeltaRound round;
   round.from = applied_lsn_ + 1;
   round.to = source_log_->last_lsn();
@@ -50,8 +46,7 @@ Result<DeltaRound> DeltaShipper::ReadRound() {
   if (key_filtered_) {
     std::vector<wal::LogRecord> records;
     std::vector<uint64_t> record_bytes;
-    SLACKER_RETURN_IF_ERROR(source_log_->ReadRange(round.from, round.to,
-                                                   &records, &record_bytes));
+    source_log_->ReadRange(round.from, round.to, &records, &record_bytes);
     for (size_t i = 0; i < records.size(); ++i) {
       const wal::LogRecord& r = records[i];
       const bool keep = r.type == wal::LogType::kCommit ||
@@ -61,8 +56,7 @@ Result<DeltaRound> DeltaShipper::ReadRound() {
       round.bytes += record_bytes[i];
     }
   } else {
-    SLACKER_RETURN_IF_ERROR(
-        source_log_->ReadRange(round.from, round.to, &round.records));
+    source_log_->ReadRange(round.from, round.to, &round.records);
     round.bytes = source_log_->BytesInRange(round.from, round.to);
   }
   ++rounds_shipped_;

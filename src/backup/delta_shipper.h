@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/codec/chunk_codec.h"
-#include "src/common/status.h"
 #include "src/engine/tenant_db.h"
 #include "src/obs/metric_registry.h"
 #include "src/wal/binlog.h"
@@ -46,7 +45,7 @@ class DeltaShipper {
 
   /// Reads everything committed since the last round. An empty result
   /// means the target is fully caught up.
-  Result<DeltaRound> ReadRound();
+  DeltaRound ReadRound();
 
   /// Marks a round durable at the target; the next round starts after
   /// `to`.

@@ -77,9 +77,4 @@ codec::EncodedChunk EncodeChunk(const HotBackupStream::Chunk& chunk,
                                     config, record_bytes, base_rows);
 }
 
-SimTime PrepareCost(uint64_t redo_bytes, const PrepareOptions& options) {
-  return options.base_seconds +
-         static_cast<double>(redo_bytes) / options.apply_bytes_per_sec;
-}
-
 }  // namespace slacker::backup

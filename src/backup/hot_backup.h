@@ -100,15 +100,7 @@ struct PrepareOptions {
   /// Fixed cost of readying the copied tablespace (file fixups, buffer
   /// warmup) — XtraBackup --prepare always takes a couple of seconds.
   SimTime base_seconds = 2.0;
-  /// Redo application throughput while replaying the backup's log
-  /// window.
-  double apply_bytes_per_sec = 50.0 * static_cast<double>(kMiB);
 };
-
-/// Simulated-time cost of XtraBackup's --prepare (crash recovery
-/// against the copied data) given how much redo accumulated during the
-/// snapshot.
-SimTime PrepareCost(uint64_t redo_bytes, const PrepareOptions& options);
 
 }  // namespace slacker::backup
 

@@ -65,16 +65,6 @@ RunningStats TimeSeries::StatsAll() const {
   return stats;
 }
 
-double TimeSeries::PercentileBetween(double t0, double t1, double p) const {
-  PercentileTracker tracker;
-  auto first = std::lower_bound(points_.begin(), points_.end(), t0,
-                                PointTimeLess{});
-  auto last = std::upper_bound(points_.begin(), points_.end(), t1,
-                               PointTimeLess{});
-  for (auto it = first; it != last; ++it) tracker.Add(it->value);
-  return tracker.Percentile(p);
-}
-
 std::string TimeSeries::ToCsv(const std::string& value_name) const {
   std::ostringstream out;
   out << "t," << value_name << "\n";

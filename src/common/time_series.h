@@ -39,9 +39,6 @@ class TimeSeries {
   RunningStats StatsBetween(double t0, double t1) const;
   RunningStats StatsAll() const;
 
-  /// Nearest-rank percentile of raw values with t in [t0, t1].
-  double PercentileBetween(double t0, double t1, double p) const;
-
   /// "t,value\n" rows with a header line.
   std::string ToCsv(const std::string& value_name = "value") const;
 

@@ -40,8 +40,7 @@ Status ValidateCheckpoint(const CheckpointImage& image);
 
 /// Rebuilds `db`'s table from `image` plus the binlog suffix
 /// (lsn > image.lsn) read from `log`. Returns the LSN recovered up to.
-/// Fails if the log no longer retains the needed suffix (purged past
-/// the checkpoint) or the image is corrupt.
+/// Fails if the image is corrupt or belongs to another tenant.
 Result<storage::Lsn> RecoverFromCheckpoint(const CheckpointImage& image,
                                            const wal::Binlog& log,
                                            TenantDb* db);

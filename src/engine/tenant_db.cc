@@ -350,23 +350,6 @@ void TenantDb::WarmBufferPool() {
   pool_->ResetStats();
 }
 
-int TenantDb::PinBinlog(storage::Lsn from_lsn) {
-  const int token = next_pin_token_++;
-  binlog_pins_[token] = from_lsn;
-  return token;
-}
-
-void TenantDb::UnpinBinlog(int token) { binlog_pins_.erase(token); }
-
-storage::Lsn TenantDb::PurgeBinlog(storage::Lsn upto) {
-  storage::Lsn limit = upto;
-  for (const auto& [token, lsn] : binlog_pins_) {
-    limit = std::min(limit, lsn);
-  }
-  binlog_.Truncate(limit);
-  return binlog_.first_lsn();
-}
-
 void TenantDb::SyncCursorsAfterIngest(storage::Lsn source_last_lsn) {
   if (source_last_lsn + 1 > next_lsn_) next_lsn_ = source_last_lsn + 1;
   const Result<uint64_t> max_key = table_.MaxKey();

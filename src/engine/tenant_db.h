@@ -2,7 +2,6 @@
 #define SLACKER_ENGINE_TENANT_DB_H_
 
 #include <cstdint>
-#include <map>
 #include <utility>
 
 #include "src/common/metric_types.h"
@@ -157,15 +156,6 @@ class TenantDb {
   /// source's sequences instead of colliding with them.
   void SyncCursorsAfterIngest(storage::Lsn source_last_lsn);
 
-  /// Binlog retention. A migration pins the log at its snapshot-start
-  /// LSN so delta rounds can always read their range; purges only
-  /// discard entries below every pin. Returns a token for UnpinBinlog.
-  int PinBinlog(storage::Lsn from_lsn);
-  void UnpinBinlog(int token);
-  /// Discards binlog entries with lsn < min(upto, lowest pin). Returns
-  /// the first LSN actually retained.
-  storage::Lsn PurgeBinlog(storage::Lsn upto);
-
   /// Order-sensitive digest over (key, lsn, digest) of every row with
   /// key in [lo, hi); equal digests mean byte-identical logical tables
   /// (or ranges — what source and target compare at a range handover).
@@ -241,9 +231,6 @@ class TenantDb {
   wal::Binlog binlog_;
   storage::Lsn next_lsn_ = 1;
   uint64_t next_insert_key_;
-
-  std::map<int, storage::Lsn> binlog_pins_;
-  int next_pin_token_ = 1;
 
   bool frozen_ = false;
   uint64_t frozen_lo_ = 0;

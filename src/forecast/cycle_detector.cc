@@ -9,6 +9,8 @@ namespace {
 /// A candidate within this fraction of the best correlation is a tie;
 /// the smallest such lag wins (harmonic rejection).
 constexpr double kTieFraction = 0.05;
+/// Autocorrelation below this is noise, not a cycle.
+constexpr double kMinConfidence = 0.4;
 
 }  // namespace
 
@@ -19,9 +21,6 @@ Status CycleDetector::Options::Validate() const {
   if (max_period_buckets < min_period_buckets) {
     return Status::InvalidArgument(
         "max_period_buckets must be >= min_period_buckets");
-  }
-  if (min_confidence <= 0.0 || min_confidence >= 1.0) {
-    return Status::InvalidArgument("min_confidence must be in (0, 1)");
   }
   return Status::Ok();
 }
@@ -81,7 +80,7 @@ CycleEstimate CycleDetector::Detect(const SampleRing& ring) const {
       best_lag = lag;
     }
   }
-  if (best_lag == 0 || best_r < options_.min_confidence) return estimate;
+  if (best_lag == 0 || best_r < kMinConfidence) return estimate;
 
   // Harmonic rejection: when the best lag is a multiple of a smaller
   // lag whose correlation ties it (within kTieFraction), the smaller

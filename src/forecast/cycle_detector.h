@@ -10,7 +10,8 @@ namespace slacker::forecast {
 
 /// What the detector discovered about a load series.
 struct CycleEstimate {
-  /// A period was found with confidence >= min_confidence.
+  /// A period was found with confidence at or above the detector's
+  /// noise floor.
   bool periodic = false;
   /// Discovered period, in buckets.
   int period_buckets = 0;
@@ -34,8 +35,6 @@ class CycleDetector {
     /// least 2x max_period_buckets samples before detection fires.
     int min_period_buckets = 8;
     int max_period_buckets = 256;
-    /// Autocorrelation below this is noise, not a cycle.
-    double min_confidence = 0.4;
 
     Status Validate() const;
   };

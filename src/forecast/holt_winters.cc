@@ -5,32 +5,19 @@
 namespace slacker::forecast {
 namespace {
 
+/// Level smoothing in (0, 1).
+constexpr double kAlpha = 0.25;
 /// Trend smoothing.
 constexpr double kBeta = 0.02;
+/// Seasonal smoothing in [0, 1).
+constexpr double kGamma = 0.15;
 /// EWMA weight of the one-step absolute-error tracker.
 constexpr double kErrorEwma = 0.10;
 
 }  // namespace
 
-Status HoltWintersForecaster::Options::Validate() const {
-  if (alpha <= 0.0 || alpha >= 1.0) {
-    return Status::InvalidArgument("alpha must be in (0, 1)");
-  }
-  if (gamma < 0.0 || gamma >= 1.0) {
-    return Status::InvalidArgument("gamma must be in [0, 1)");
-  }
-  return Status::Ok();
-}
-
-HoltWintersForecaster::HoltWintersForecaster()
-    : HoltWintersForecaster(Options()) {}
-
-HoltWintersForecaster::HoltWintersForecaster(Options options)
-    : options_(options) {}
-
 Status HoltWintersForecaster::Seed(int season_buckets,
                                    const SampleRing& ring) {
-  SLACKER_RETURN_IF_ERROR(options_.Validate());
   if (season_buckets < 2) {
     return Status::InvalidArgument("season must be >= 2 buckets");
   }
@@ -84,11 +71,11 @@ void HoltWintersForecaster::Observe(double value) {
   }
 
   const double prev_level = level_;
-  level_ = options_.alpha * (value - season_[bin]) +
-           (1.0 - options_.alpha) * (level_ + trend_);
+  level_ = kAlpha * (value - season_[bin]) +
+           (1.0 - kAlpha) * (level_ + trend_);
   trend_ = kBeta * (level_ - prev_level) + (1.0 - kBeta) * trend_;
-  season_[bin] = options_.gamma * (value - level_) +
-                 (1.0 - options_.gamma) * season_[bin];
+  season_[bin] = kGamma * (value - level_) +
+                 (1.0 - kGamma) * season_[bin];
 
   ++next_bucket_;
   ++observed_;

@@ -20,18 +20,6 @@ namespace slacker::forecast {
 /// each statement is a single rounding site).
 class HoltWintersForecaster {
  public:
-  struct Options {
-    /// Level smoothing in (0, 1).
-    double alpha = 0.25;
-    /// Seasonal smoothing in [0, 1).
-    double gamma = 0.15;
-
-    Status Validate() const;
-  };
-
-  HoltWintersForecaster();
-  explicit HoltWintersForecaster(Options options);
-
   /// (Re)seeds the model with season length `season_buckets` from the
   /// ring's history, then replays the remainder through Observe. The
   /// ring must hold at least one full season; returns InvalidArgument
@@ -68,7 +56,6 @@ class HoltWintersForecaster {
   double trend() const { return trend_; }
 
  private:
-  Options options_;
   int season_len_ = 0;
   double level_ = 0.0;
   double trend_ = 0.0;

@@ -32,7 +32,6 @@ Status ForecastOptions::Validate() const {
         "history_buckets must cover 2x the max candidate period");
   }
   SLACKER_RETURN_IF_ERROR(cycle.Validate());
-  SLACKER_RETURN_IF_ERROR(holt_winters.Validate());
   return Status::Ok();
 }
 

@@ -33,7 +33,6 @@ struct ForecastOptions {
   int redetect_buckets = 16;
 
   CycleDetector::Options cycle;
-  HoltWintersForecaster::Options holt_winters;
 
   Status Validate() const;
 };
@@ -90,7 +89,7 @@ class FleetLoadSampler : public LoadPredictor {
     HoltWintersForecaster model;
     CycleEstimate cycle;
     explicit ServerState(const ForecastOptions& options)
-        : ring(options.history_buckets), model(options.holt_winters) {}
+        : ring(options.history_buckets) {}
   };
 
   void OnBucket(SimTime now);

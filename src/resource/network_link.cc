@@ -15,7 +15,7 @@ void NetworkLink::Send(uint64_t bytes, sim::Callback<void()> delivered) {
   wire_free_at_ = start + transmit;
   busy_time_ += transmit;
   bytes_sent_ += bytes;
-  const SimTime arrival = wire_free_at_ + options_.latency;
+  const SimTime arrival = wire_free_at_ + kLinkLatency;
   sim_->At(arrival, std::move(delivered));
 }
 

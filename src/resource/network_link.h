@@ -8,11 +8,12 @@
 
 namespace slacker::resource {
 
+/// One-way propagation + stack latency per message.
+inline constexpr SimTime kLinkLatency = 0.0002;
+
 struct NetworkLinkOptions {
   /// Gigabit Ethernet, as in the paper's testbed.
   double bandwidth_bytes_per_sec = 125.0 * static_cast<double>(kMiB);
-  /// One-way propagation + stack latency per message.
-  SimTime latency = 0.0002;
 };
 
 /// Point-to-point link modeled as a FIFO pipe: transmissions serialize

@@ -1,6 +1,5 @@
 #include "src/sla/sla.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace slacker::sla {
@@ -15,27 +14,6 @@ std::string SlaSpec::ToString() const {
 bool Satisfies(const SlaSpec& spec, const PercentileTracker& latencies) {
   if (latencies.count() == 0) return true;
   return latencies.Percentile(spec.percentile) <= spec.max_latency_ms;
-}
-
-SlaEvaluation EvaluateWindowed(const SlaSpec& spec,
-                               const common::TimeSeries& latency_series,
-                               double window_seconds) {
-  SlaEvaluation eval;
-  if (latency_series.empty() || window_seconds <= 0.0) return eval;
-  const double begin = latency_series.points().front().t;
-  const double end = latency_series.points().back().t;
-  for (double t = begin; t < end; t += window_seconds) {
-    const double hi = std::min(t + window_seconds, end);
-    const double window_latency =
-        latency_series.PercentileBetween(t, hi, spec.percentile);
-    ++eval.windows;
-    eval.worst_window_ms = std::max(eval.worst_window_ms, window_latency);
-    if (window_latency > spec.max_latency_ms) {
-      ++eval.violations;
-      eval.penalty += spec.penalty_per_violation;
-    }
-  }
-  return eval;
 }
 
 }  // namespace slacker::sla

@@ -2,10 +2,8 @@
 #define SLACKER_SLA_SLA_H_
 
 #include <string>
-#include <vector>
 
 #include "src/common/stats.h"
-#include "src/common/time_series.h"
 
 namespace slacker::sla {
 
@@ -14,34 +12,12 @@ namespace slacker::sla {
 struct SlaSpec {
   double percentile = 99.0;
   double max_latency_ms = 500.0;
-  /// Monetary penalty per violation window (used by cost accounting).
-  double penalty_per_violation = 1.0;
 
   std::string ToString() const;
 };
 
 /// Whether a complete run's latency sample satisfies the SLA.
 bool Satisfies(const SlaSpec& spec, const PercentileTracker& latencies);
-
-/// Windowed evaluation over a latency time series: the run is divided
-/// into `window_seconds` windows and each window's percentile is tested
-/// independently (how providers actually bill SLAs).
-struct SlaEvaluation {
-  int windows = 0;
-  int violations = 0;
-  double penalty = 0.0;
-  /// Worst window percentile-latency observed.
-  double worst_window_ms = 0.0;
-
-  double ViolationRate() const {
-    return windows == 0 ? 0.0
-                        : static_cast<double>(violations) / windows;
-  }
-};
-
-SlaEvaluation EvaluateWindowed(const SlaSpec& spec,
-                               const common::TimeSeries& latency_series,
-                               double window_seconds);
 
 }  // namespace slacker::sla
 

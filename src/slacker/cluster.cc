@@ -408,18 +408,6 @@ void Cluster::RecoverServer(uint64_t server_id) {
       }
     }
     if (!recovered) {
-      if (state->log.first_lsn() > 1) {
-        // The log was purged past the initial load and no checkpoint
-        // bridges the gap: the prefix is unrecoverable. Never serve a
-        // divergent table — declare the data lost.
-        SLACKER_LOG_ERROR << "tenant " << tenant_id
-                          << " unrecoverable after crash (binlog purged, "
-                             "no valid checkpoint); dropping";
-        (void)host->tenants()->DeleteTenant(tenant_id);
-        durable->EraseCrashState(tenant_id);
-        (void)ranges_.RemoveTenant(tenant_id);
-        continue;
-      }
       // Implicit LSN-0 checkpoint: the initial Load() image plus a full
       // log replay.
       db->Load();

@@ -342,27 +342,17 @@ void MigrationJob::OnTick(SimTime now) {
   }
   throttle_->SetRate(BytesPerSecFromMBps(rate_mbps));
   report_.throttle_series.Add(now, rate_mbps);
-  double latency_ms = 0.0;
-  bool have_latency = false;
-  if (auto* pid = dynamic_cast<PidThrottlePolicy*>(policy_.get())) {
-    latency_ms = pid->last_latency_ms();
-    have_latency = true;
-  } else if (auto* adaptive =
-                 dynamic_cast<AdaptivePidThrottlePolicy*>(policy_.get())) {
-    latency_ms = adaptive->last_latency_ms();
-    have_latency = true;
-  }
-  if (have_latency) {
-    report_.controller_latency_series.Add(now, latency_ms);
+  const ThrottlePolicy::PidTerms terms = policy_->last_terms();
+  if (terms.valid) {
+    report_.controller_latency_series.Add(now, terms.latency_ms);
   }
   if (tracer_ != nullptr) {
     if (rate_gauge_ != nullptr) rate_gauge_->Set(rate_mbps);
-    const ThrottlePolicy::PidTerms terms = policy_->last_terms();
     obs::ThrottleUpdate update;
     update.tenant_id = tenant_id_;
     update.policy = policy_->name();
     update.rate_mbps = rate_mbps;
-    update.latency_ms = latency_ms;
+    update.latency_ms = terms.latency_ms;
     update.has_pid_terms = terms.valid;
     update.setpoint_ms = terms.setpoint_ms;
     update.error_ms = terms.error_ms;
@@ -444,13 +434,13 @@ void MigrationJob::HandleMessage(const net::Message& message) {
 void MigrationJob::OnAccepted(bool resume_offer, const net::Message& message) {
   NegotiateCapabilities(message);
   if (resume_offer && options_.allow_resume &&
-      options_.mode == MigrationMode::kLive &&
-      source_db_->binlog()->first_lsn() <= message.lsn + 1) {
+      options_.mode == MigrationMode::kLive) {
     // The target still holds durably staged chunks from an earlier
-    // attempt, and our binlog still covers that attempt's snapshot LSN:
-    // skip the staged key range and ship deltas from the old LSN. The
-    // fuzzy-snapshot invariant is unchanged — staged rows are old, but
-    // the delta rounds replay everything since resume_lsn_ on top.
+    // attempt, and our never-purged binlog covers that attempt's
+    // snapshot LSN: skip the staged key range and ship deltas from the
+    // old LSN. The fuzzy-snapshot invariant is unchanged — staged rows
+    // are old, but the delta rounds replay everything since resume_lsn_
+    // on top.
     resuming_ = true;
     resume_lsn_ = message.lsn;
     resume_key_ = message.resume_key;
@@ -527,9 +517,6 @@ void MigrationJob::BeginSnapshot() {
                                                  labels),
         tracer_->registry()->FindOrCreateCounter("delta_log_bytes", labels));
   }
-  // Keep the delta range readable even if a retention policy purges the
-  // source binlog mid-migration.
-  binlog_pin_ = source_db_->PinBinlog(snap_lsn + 1);
   StartController();
 
   net::Message begin;
@@ -734,7 +721,7 @@ void MigrationJob::OnSnapshotNack(const net::Message& message) {
     return;
   }
   if (message.chunk_seq >= snapshot_->next_seq()) return;
-  if (++retransmit_rounds_ > options_.max_chunk_retransmits) {
+  if (++retransmit_rounds_ > kMaxChunkRetransmits) {
     // A path that keeps corrupting or dropping chunks never converges;
     // surface it as corruption so the supervisor retries from scratch.
     const Status exhausted =
@@ -816,17 +803,12 @@ void MigrationJob::ShipNextDelta() {
 }
 
 std::optional<MigrationJob::PendingRound> MigrationJob::ReadDeltaRound() {
-  Result<backup::DeltaRound> read = shipper_->ReadRound();
-  if (!read.ok()) {
-    Finish(read.status());
-    return std::nullopt;
-  }
-  if (read->empty()) {
+  PendingRound pending;
+  pending.round = shipper_->ReadRound();
+  if (pending.round.empty()) {
     BeginHandover();
     return std::nullopt;
   }
-  PendingRound pending;
-  pending.round = std::move(*read);
   const backup::DeltaRound& round = pending.round;
   if (selector_ == nullptr) {
     pending.frame = RawFrame(round.bytes);
@@ -901,14 +883,7 @@ void MigrationJob::BeginHandover() {
 void MigrationJob::OnSourceDrained() {
   if (finished_) return;
   backup::DeltaRound final_round;
-  if (shipper_ != nullptr) {
-    Result<backup::DeltaRound> round = shipper_->ReadRound();
-    if (!round.ok()) {
-      Finish(round.status());
-      return;
-    }
-    final_round = std::move(*round);
-  }
+  if (shipper_ != nullptr) final_round = shipper_->ReadRound();
   source_digest_ = source_db_->StateDigest(options_.range.lo,
                                            options_.range.hi);
   report_.delta_bytes += final_round.bytes;
@@ -993,10 +968,6 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
 void MigrationJob::Finish(Status status) {
   if (finished_) return;
   finished_ = true;
-  if (binlog_pin_ != 0 && source_db_ != nullptr) {
-    source_db_->UnpinBinlog(binlog_pin_);
-    binlog_pin_ = 0;
-  }
   EnterPhase(status.ok() ? MigrationPhase::kDone : MigrationPhase::kFailed);
   if (auditor_ != nullptr) {
     // The snapshot ack orders after every chunk on the FIFO channel, so
@@ -1201,15 +1172,14 @@ void TargetSession::SendSnapshotAck() {
 }
 
 void TargetSession::ArmIdleTimer() {
-  if (options_.session_idle_timeout <= 0.0) return;
   const uint64_t generation = ++idle_generation_;
   ctx_->simulator()->After(
-      options_.session_idle_timeout,
+      kSessionIdleTimeout,
       lifetime_.Guard([this, generation] {
         if (finished_ || awaiting_decision_) return;
         if (generation != idle_generation_) return;  // Re-armed since.
         SLACKER_LOG_WARN << "migration session for tenant " << tenant_id_
-                         << " idle for " << options_.session_idle_timeout
+                         << " idle for " << kSessionIdleTimeout
                          << "s; discarding staging instance";
         // Staged chunks stay in the durable store: a retried migration
         // resumes from them.

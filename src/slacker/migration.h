@@ -230,7 +230,7 @@ class MigrationJob {
     double cpu_seconds = 0.0;
   };
   /// Reads, encodes, accounts and traces the next round; empty when the
-  /// job finished on a read error or began the handover instead.
+  /// target is caught up and the job began the handover instead.
   std::optional<PendingRound> ReadDeltaRound();
   /// Disk read, encode CPU, then kDeltaBatch to the target.
   void SendDeltaRound(PendingRound pending);
@@ -296,7 +296,6 @@ class MigrationJob {
   int inflight_chunks_ = 0;
   bool acquiring_ = false;
   bool snapshot_sent_end_ = false;
-  int binlog_pin_ = 0;
   int handover_grace_checks_ = 0;
   uint64_t source_digest_ = 0;
   bool finished_ = false;

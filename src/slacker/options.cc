@@ -23,12 +23,6 @@ Status MigrationOptions::Validate() const {
   if (max_delta_rounds <= 0) {
     return Status::InvalidArgument("max_delta_rounds must be positive");
   }
-  if (max_chunk_retransmits < 0) {
-    return Status::InvalidArgument("max_chunk_retransmits must be >= 0");
-  }
-  if (session_idle_timeout < 0.0) {
-    return Status::InvalidArgument("session_idle_timeout must be >= 0");
-  }
   if (!range.IsFull()) {
     if (mode != MigrationMode::kLive) {
       return Status::InvalidArgument(

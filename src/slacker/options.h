@@ -38,6 +38,15 @@ enum class MigrationMode {
 /// false), seconds per MiB reimported at the target.
 inline constexpr SimTime kImportSecondsPerMib = 0.08;
 
+/// Source-side cap on NACK-triggered chunk retransmissions before the
+/// job gives up (a persistently corrupting path never converges).
+inline constexpr int kMaxChunkRetransmits = 64;
+
+/// Target side: a staging session that hears nothing from the source
+/// for this long self-destructs (the source crashed mid-stream and its
+/// job died with it). Staged chunks stay on disk for resume.
+inline constexpr SimTime kSessionIdleTimeout = 45.0;
+
 /// Everything that parameterizes one migration. Defaults reproduce the
 /// paper's evaluation settings.
 struct MigrationOptions {
@@ -91,16 +100,6 @@ struct MigrationOptions {
   /// re-streaming the whole tenant. The target resumes whenever the
   /// request asks and it holds staged chunks.
   bool allow_resume = true;
-  /// Source-side cap on NACK-triggered chunk retransmissions before the
-  /// job gives up (a persistently corrupting path never converges).
-  int max_chunk_retransmits = 64;
-
-  /// Target side: a staging session that hears nothing from the source
-  /// for this long self-destructs (the source crashed mid-stream and
-  /// its job died with it). Staged chunks stay on disk for resume.
-  /// 0 disables. The target reads it from
-  /// ClusterOptions::incoming_migration; a job's own copy is ignored.
-  SimTime session_idle_timeout = 45.0;
 
   /// What the job moves (DESIGN.md §16). The full range, the default,
   /// is the whole tenant. A partial range must be one directory unit:

@@ -11,6 +11,19 @@
 namespace slacker {
 namespace {
 
+/// Settle delay before the re-plan that follows a completed handover —
+/// long enough for the post-migration landscape to register some
+/// utilization, short enough to keep converging well inside one period.
+constexpr SimTime kReplanDelay = 1.0;
+
+/// Defer a plan while an involved server's sliding-window latency is
+/// within this fraction of the PID setpoint (see
+/// control::LatencyMonitor::WithinGuardBand). Relief plans guard the
+/// *target* only — the source is overloaded by definition, and the
+/// per-migration PID throttle already protects it; consolidation and
+/// drain-evacuation plans are non-urgent work and guard both ends.
+constexpr double kGuardBandFraction = 0.2;
+
 /// Data volume a plan would copy, looked up from the tick's stats (the
 /// trough scheduler prices candidate start times with it).
 uint64_t PlanDataBytes(const std::vector<ServerLoadStat>& fleet,
@@ -30,15 +43,9 @@ Status RebalancerOptions::Validate() const {
   if (period <= 0.0) {
     return Status::InvalidArgument("period must be positive");
   }
-  if (replan_delay < 0.0) {
-    return Status::InvalidArgument("replan_delay must be >= 0");
-  }
   if (max_concurrent_per_source < 1 || max_concurrent_per_target < 1 ||
       max_concurrent_total < 1) {
     return Status::InvalidArgument("concurrency budgets must be >= 1");
-  }
-  if (guard_band_fraction < 0.0 || guard_band_fraction >= 1.0) {
-    return Status::InvalidArgument("guard_band_fraction must be in [0, 1)");
   }
   SLACKER_RETURN_IF_ERROR(placement.Validate());
   SLACKER_RETURN_IF_ERROR(migration.Validate());
@@ -135,8 +142,7 @@ bool Rebalancer::Admit(const MigrationPlan& plan, bool non_urgent,
   const double setpoint = options_.migration.pid.setpoint;
   control::LatencyMonitor* target_monitor =
       cluster_->server(plan.target_server)->monitor();
-  if (target_monitor->WithinGuardBand(now, setpoint,
-                                      options_.guard_band_fraction)) {
+  if (target_monitor->WithinGuardBand(now, setpoint, kGuardBandFraction)) {
     ++stats_.deferred_guard_band;
     *reason = "guard-band";
     return false;
@@ -146,8 +152,7 @@ bool Rebalancer::Admit(const MigrationPlan& plan, bool non_urgent,
     // while *both* ends have latency slack to spare.
     control::LatencyMonitor* source_monitor =
         cluster_->server(plan.source_server)->monitor();
-    if (source_monitor->WithinGuardBand(now, setpoint,
-                                        options_.guard_band_fraction)) {
+    if (source_monitor->WithinGuardBand(now, setpoint, kGuardBandFraction)) {
       ++stats_.deferred_guard_band;
       *reason = "guard-band";
       return false;
@@ -220,7 +225,7 @@ void Rebalancer::OnMigrationDone(uint64_t tenant_id,
   // promptly rather than waiting out the period, after a short settle
   // delay so the new placement registers some utilization.
   if (!running_) return;
-  sim_->After(options_.replan_delay, lifetime_.Guard([this] {
+  sim_->After(kReplanDelay, lifetime_.Guard([this] {
                 if (running_) Tick(sim_->Now());
               }));
 }

@@ -25,11 +25,6 @@ struct RebalancerOptions {
   /// samples per-server utilization accumulated since the previous
   /// tick, so the period is also the observation window.
   SimTime period = 10.0;
-  /// Settle delay before the re-plan that follows a completed
-  /// handover — long enough for the post-migration landscape to
-  /// register some utilization, short enough to keep converging well
-  /// inside one period.
-  SimTime replan_delay = 1.0;
 
   /// When/which/where policy (thresholds, headroom).
   PlacementOptions placement;
@@ -47,14 +42,6 @@ struct RebalancerOptions {
   int max_concurrent_per_target = 1;
   /// Fleet-wide cap across all concurrent supervised migrations.
   int max_concurrent_total = 4;
-
-  /// Defer a plan while a involved server's sliding-window latency is
-  /// within this fraction of the PID setpoint (see
-  /// control::LatencyMonitor::WithinGuardBand). Relief plans guard the
-  /// *target* only — the source is overloaded by definition, and the
-  /// per-migration PID throttle already protects it; consolidation and
-  /// drain-evacuation plans are non-urgent work and guard both ends.
-  double guard_band_fraction = 0.2;
 
   /// Also plan consolidation (emptying near-idle servers) when the
   /// fleet is calm: no hotspots and no migrations in flight.

@@ -38,6 +38,7 @@ double PidThrottlePolicy::OnTick(SimTime now, SimTime dt) {
 ThrottlePolicy::PidTerms PidThrottlePolicy::last_terms() const {
   PidTerms terms;
   terms.valid = true;
+  terms.latency_ms = last_latency_ms_;
   terms.setpoint_ms = pid_.config().setpoint;
   terms.error_ms = pid_.last_error();
   terms.p = pid_.last_p();
@@ -75,6 +76,7 @@ ThrottlePolicy::PidTerms AdaptivePidThrottlePolicy::last_terms() const {
   const control::PidController& inner = pid_.inner();
   PidTerms terms;
   terms.valid = true;
+  terms.latency_ms = last_latency_ms_;
   terms.setpoint_ms = inner.config().setpoint;
   terms.error_ms = inner.last_error();
   terms.p = inner.last_p();

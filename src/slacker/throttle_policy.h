@@ -29,6 +29,9 @@ class ThrottlePolicy {
   /// `valid` is false for policies without a PID core (fixed throttle).
   struct PidTerms {
     bool valid = false;
+    /// The process variable fed to the controller: the sliding-window
+    /// latency (ms).
+    double latency_ms = 0.0;
     double setpoint_ms = 0.0;
     double error_ms = 0.0;
     double p = 0.0;
@@ -68,8 +71,6 @@ class PidThrottlePolicy : public ThrottlePolicy {
   std::string name() const override { return "slacker-pid"; }
 
   const control::PidController& controller() const { return pid_; }
-  /// Latest process-variable value fed to the controller (ms).
-  double last_latency_ms() const { return last_latency_ms_; }
   PidTerms last_terms() const override;
 
  private:
@@ -94,7 +95,6 @@ class AdaptivePidThrottlePolicy : public ThrottlePolicy {
   std::string name() const override { return "slacker-adaptive-pid"; }
 
   const control::AdaptivePidController& controller() const { return pid_; }
-  double last_latency_ms() const { return last_latency_ms_; }
   PidTerms last_terms() const override;
 
  private:

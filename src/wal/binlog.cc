@@ -29,30 +29,23 @@ struct LsnLess {
 
 }  // namespace
 
-Status Binlog::ReadRange(storage::Lsn from, storage::Lsn to,
-                         std::vector<LogRecord>* out) const {
+void Binlog::ReadRange(storage::Lsn from, storage::Lsn to,
+                       std::vector<LogRecord>* out) const {
   out->clear();
-  if (from > to) return Status::Ok();
-  if (from < first_lsn_) {
-    return Status::OutOfRange("binlog range purged");
-  }
+  if (from > to) return;
   auto begin = std::lower_bound(records_.begin(), records_.end(), from,
                                 LsnLess{});
   for (auto it = begin; it != records_.end() && it->lsn <= to; ++it) {
     out->push_back(*it);
   }
-  return Status::Ok();
 }
 
-Status Binlog::ReadRange(storage::Lsn from, storage::Lsn to,
-                         std::vector<LogRecord>* out,
-                         std::vector<uint64_t>* out_bytes) const {
+void Binlog::ReadRange(storage::Lsn from, storage::Lsn to,
+                       std::vector<LogRecord>* out,
+                       std::vector<uint64_t>* out_bytes) const {
   out->clear();
   out_bytes->clear();
-  if (from > to) return Status::Ok();
-  if (from < first_lsn_) {
-    return Status::OutOfRange("binlog range purged");
-  }
+  if (from > to) return;
   auto begin = std::lower_bound(records_.begin(), records_.end(), from,
                                 LsnLess{});
   size_t idx = static_cast<size_t>(begin - records_.begin());
@@ -60,7 +53,6 @@ Status Binlog::ReadRange(storage::Lsn from, storage::Lsn to,
     out->push_back(*it);
     out_bytes->push_back(record_bytes_[idx]);
   }
-  return Status::Ok();
 }
 
 uint64_t Binlog::BytesInRange(storage::Lsn from, storage::Lsn to) const {
@@ -73,15 +65,6 @@ uint64_t Binlog::BytesInRange(storage::Lsn from, storage::Lsn to) const {
     bytes += record_bytes_[idx];
   }
   return bytes;
-}
-
-void Binlog::Truncate(storage::Lsn upto) {
-  while (!records_.empty() && records_.front().lsn < upto) {
-    total_bytes_ -= record_bytes_.front();
-    records_.pop_front();
-    record_bytes_.pop_front();
-  }
-  first_lsn_ = std::max(first_lsn_, upto);
 }
 
 }  // namespace slacker::wal

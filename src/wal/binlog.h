@@ -28,27 +28,21 @@ class Binlog {
   /// LSN the next append is expected to carry (last + 1; 1 if empty).
   storage::Lsn NextLsn() const { return last_lsn_ + 1; }
   storage::Lsn last_lsn() const { return last_lsn_; }
-  /// Smallest LSN still retained (grows when Truncate() discards a
-  /// prefix).
-  storage::Lsn first_lsn() const { return first_lsn_; }
 
-  /// Copies records with lsn in [from, to] into `out`. Requesting a
-  /// range older than first_lsn() fails (the log was purged).
-  Status ReadRange(storage::Lsn from, storage::Lsn to,
-                   std::vector<LogRecord>* out) const;
+  /// Copies records with lsn in [from, to] into `out`. The log is never
+  /// purged, so every range is retained.
+  void ReadRange(storage::Lsn from, storage::Lsn to,
+                 std::vector<LogRecord>* out) const;
 
   /// Same, also emitting each record's accounted size (header + row
   /// image) so a caller that filters the batch can recompute its wire
   /// footprint. `out_bytes` is index-parallel with `out`.
-  Status ReadRange(storage::Lsn from, storage::Lsn to,
-                   std::vector<LogRecord>* out,
-                   std::vector<uint64_t>* out_bytes) const;
+  void ReadRange(storage::Lsn from, storage::Lsn to,
+                 std::vector<LogRecord>* out,
+                 std::vector<uint64_t>* out_bytes) const;
 
   /// Serialized bytes of records with lsn in [from, to].
   uint64_t BytesInRange(storage::Lsn from, storage::Lsn to) const;
-
-  /// Discards records with lsn < `upto` (log purge after checkpoint).
-  void Truncate(storage::Lsn upto);
 
   size_t record_count() const { return records_.size(); }
   uint64_t total_bytes() const { return total_bytes_; }
@@ -56,7 +50,6 @@ class Binlog {
  private:
   std::deque<LogRecord> records_;
   std::deque<uint64_t> record_bytes_;
-  storage::Lsn first_lsn_ = 1;
   storage::Lsn last_lsn_ = 0;
   uint64_t total_bytes_ = 0;
 };

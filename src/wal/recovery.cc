@@ -44,7 +44,7 @@ Status ReplayBinlog(const Binlog& log, storage::Lsn from,
     return Status::Ok();  // Nothing newer than the recovery point.
   }
   std::vector<LogRecord> records;
-  SLACKER_RETURN_IF_ERROR(log.ReadRange(from, log.last_lsn(), &records));
+  log.ReadRange(from, log.last_lsn(), &records);
   return Replay(records, table, stats);
 }
 

@@ -29,8 +29,7 @@ Status Replay(const std::vector<LogRecord>& records, storage::BTree* table,
 
 /// Replays the binlog suffix with lsn >= `from` into `table` — the
 /// restart-after-crash path when no checkpoint image exists (the
-/// initial Load() acts as the implicit LSN-0 checkpoint). Fails if the
-/// log no longer retains `from` (purged).
+/// initial Load() acts as the implicit LSN-0 checkpoint).
 Status ReplayBinlog(const Binlog& log, storage::Lsn from,
                     storage::BTree* table, ReplayStats* stats = nullptr);
 

@@ -66,7 +66,7 @@ void YcsbWorkload::NextTxn(engine::TxnSpec* spec) {
     } else {
       op.key = chooser_->Next(&rng_);
       if (op.type == engine::OpType::kScan) {
-        op.scan_length = 1 + rng_.NextBelow(config_.max_scan_length);
+        op.scan_length = 1 + rng_.NextBelow(kMaxScanLength);
       }
     }
     spec->ops.push_back(op);

@@ -25,14 +25,15 @@ struct OperationMix {
   Status Validate() const;
 };
 
+/// A kScan's length is uniform in [1, kMaxScanLength].
+inline constexpr uint64_t kMaxScanLength = 100;
+
 /// Configuration of the transactional-YCSB benchmark from §5.1.2.
 struct YcsbConfig {
   OperationMix mix;
   KeyDistribution distribution = KeyDistribution::kUniform;
   /// Basic operations per transaction ("10-operation transactions").
   int ops_per_txn = 10;
-  /// kScan length is uniform in [1, max_scan_length].
-  uint64_t max_scan_length = 100;
   /// Number of rows pre-loaded in the tenant.
   uint64_t record_count = kGiB / kKiB;
 

@@ -105,9 +105,8 @@ TEST(HotBackupTest, FuzzySnapshotPlusDeltaConverges) {
 
   // The copy alone may be inconsistent (fuzzy); the delta fixes it.
   DeltaShipper shipper(source.binlog(), stream.start_lsn());
-  auto round = shipper.ReadRound();
-  ASSERT_TRUE(round.ok());
-  ASSERT_TRUE(wal::Replay(round->records, &copy).ok());
+  const DeltaRound round = shipper.ReadRound();
+  ASSERT_TRUE(wal::Replay(round.records, &copy).ok());
 
   ASSERT_EQ(copy.size(), source.table().size());
   for (auto it = source.table().Begin(); it.Valid(); it.Next()) {
@@ -115,14 +114,6 @@ TEST(HotBackupTest, FuzzySnapshotPlusDeltaConverges) {
     ASSERT_NE(got, nullptr);
     EXPECT_EQ(*got, it.record());
   }
-}
-
-TEST(HotBackupTest, PrepareCostScalesWithRedo) {
-  PrepareOptions options;
-  options.base_seconds = 2.0;
-  options.apply_bytes_per_sec = 50.0 * kMiB;
-  EXPECT_DOUBLE_EQ(PrepareCost(0, options), 2.0);
-  EXPECT_DOUBLE_EQ(PrepareCost(100 * kMiB, options), 4.0);
 }
 
 TEST(DeltaShipperTest, RoundsShrinkAsWritesStop) {
@@ -138,16 +129,14 @@ TEST(DeltaShipperTest, RoundsShrinkAsWritesStop) {
 
   DeltaShipper shipper(db.binlog(), 0);
   EXPECT_GT(shipper.PendingBytes(), 0u);
-  auto round1 = shipper.ReadRound();
-  ASSERT_TRUE(round1.ok());
-  EXPECT_EQ(round1->records.size(), 50u);
-  shipper.MarkApplied(round1->to);
+  const DeltaRound round1 = shipper.ReadRound();
+  EXPECT_EQ(round1.records.size(), 50u);
+  shipper.MarkApplied(round1.to);
 
   // No further writes: the next round is empty.
   EXPECT_EQ(shipper.PendingBytes(), 0u);
-  auto round2 = shipper.ReadRound();
-  ASSERT_TRUE(round2.ok());
-  EXPECT_TRUE(round2->empty());
+  const DeltaRound round2 = shipper.ReadRound();
+  EXPECT_TRUE(round2.empty());
 }
 
 TEST(DeltaShipperTest, SuccessiveRoundsCoverDisjointRanges) {
@@ -164,16 +153,14 @@ TEST(DeltaShipperTest, SuccessiveRoundsCoverDisjointRanges) {
   };
   write_n(10);
   DeltaShipper shipper(db.binlog(), 0);
-  auto r1 = shipper.ReadRound();
-  ASSERT_TRUE(r1.ok());
-  shipper.MarkApplied(r1->to);
+  const DeltaRound r1 = shipper.ReadRound();
+  shipper.MarkApplied(r1.to);
   write_n(7);
-  auto r2 = shipper.ReadRound();
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->from, r1->to + 1);
-  EXPECT_EQ(r2->records.size(), 7u);
+  const DeltaRound r2 = shipper.ReadRound();
+  EXPECT_EQ(r2.from, r1.to + 1);
+  EXPECT_EQ(r2.records.size(), 7u);
   EXPECT_EQ(shipper.rounds_shipped(), 2);
-  EXPECT_EQ(shipper.bytes_shipped(), r1->bytes + r2->bytes);
+  EXPECT_EQ(shipper.bytes_shipped(), r1.bytes + r2.bytes);
 }
 
 TEST(DeltaShipperTest, MarkAppliedNeverRegresses) {

@@ -6,7 +6,6 @@
 
 #include "src/common/units.h"
 #include "src/slacker/cluster.h"
-#include "src/slacker/stop_and_copy.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
 
@@ -26,6 +25,14 @@ MigrationOptions SlowFixed() {
   options.throttle = ThrottleKind::kFixed;
   options.fixed_rate_mbps = 4.0;  // 64 MiB -> 16 s: plenty of time.
   options.prepare.base_seconds = 0.5;
+  return options;
+}
+
+MigrationOptions StopAndCopyOptions(double fixed_rate_mbps) {
+  MigrationOptions options;
+  options.mode = MigrationMode::kStopAndCopy;
+  options.throttle = ThrottleKind::kFixed;
+  options.fixed_rate_mbps = fixed_rate_mbps;
   return options;
 }
 

@@ -141,7 +141,6 @@ TEST_P(CrashChaosSweep, SupervisorConvergesAcrossCrashes) {
   sim::Simulator sim;
   ClusterOptions cluster_options;
   cluster_options.num_servers = 2;
-  cluster_options.incoming_migration.session_idle_timeout = 5.0;
   Cluster cluster(&sim, cluster_options);
 
   engine::TenantConfig tenant;
@@ -181,7 +180,6 @@ TEST_P(CrashChaosSweep, SupervisorConvergesAcrossCrashes) {
   options.fixed_rate_mbps = 16.0;
   options.prepare.base_seconds = 0.5;
   options.timeout_seconds = 10.0;
-  options.session_idle_timeout = 5.0;
   SupervisorOptions sup;
   sup.max_attempts = 8;
   sup.initial_backoff = 1.0;

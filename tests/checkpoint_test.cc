@@ -104,38 +104,6 @@ TEST(CheckpointTest, RecoveredInstanceContinuesCursors) {
   EXPECT_GT(w.lsn, image.lsn);
 }
 
-TEST(CheckpointTest, RecoverFailsIfLogPurgedPastCheckpoint) {
-  Rig rig;
-  Rng rng(73);
-  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  db.Load();
-  RunWrites(&rig, &db, &rng, 50);
-  const CheckpointImage image = TakeCheckpoint(db);
-  RunWrites(&rig, &db, &rng, 50);
-  // Purge beyond the checkpoint LSN: the suffix is gone.
-  db.PurgeBinlog(image.lsn + 20);
-
-  TenantDb recovered(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  const auto lsn = RecoverFromCheckpoint(image, *db.binlog(), &recovered);
-  EXPECT_EQ(lsn.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(CheckpointTest, CheckpointEnablesSafePurge) {
-  // The retention workflow: checkpoint, purge up to it, recover fine.
-  Rig rig;
-  Rng rng(74);
-  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  db.Load();
-  RunWrites(&rig, &db, &rng, 100);
-  const CheckpointImage image = TakeCheckpoint(db);
-  db.PurgeBinlog(image.lsn + 1);  // Keep only the suffix.
-  RunWrites(&rig, &db, &rng, 100);
-
-  TenantDb recovered(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  ASSERT_TRUE(RecoverFromCheckpoint(image, *db.binlog(), &recovered).ok());
-  EXPECT_EQ(recovered.StateDigest(), db.StateDigest());
-}
-
 TEST(CheckpointTest, WrongTenantRejected) {
   Rig rig;
   TenantDb a(&rig.sim, &rig.disk, &rig.cpu, SmallConfig(1));

@@ -1,6 +1,5 @@
-// Tests for the PID controller (both forms), the latency monitor, and
-// Ziegler–Nichols tuning — including closed-loop convergence properties
-// on synthetic plants.
+// Tests for the PID controller (both forms) and the latency monitor —
+// including closed-loop convergence properties on a synthetic plant.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 
 #include "src/control/latency_monitor.h"
 #include "src/control/pid.h"
-#include "src/control/ziegler_nichols.h"
 
 namespace slacker::control {
 namespace {
@@ -148,21 +146,18 @@ TEST(PositionalPidTest, ProportionalOnlyTracksError) {
 
 // Closed-loop convergence on a first-order plant: latency rises with
 // migration speed, pv(t+1) = base + gain * u(t), low-pass filtered.
-class FirstOrderPlant : public Plant {
+class FirstOrderPlant {
  public:
   FirstOrderPlant(double base, double gain, double alpha)
-      : base_(base), gain_(gain), alpha_(alpha) {
-    Reset();
-  }
-  double Step(double input, double /*dt*/) override {
+      : base_(base), gain_(gain), alpha_(alpha), state_(base) {}
+  double Step(double input, double /*dt*/) {
     const double target = base_ + gain_ * input;
     state_ += alpha_ * (target - state_);
     return state_;
   }
-  void Reset() override { state_ = base_; }
 
  private:
-  double base_, gain_, alpha_, state_ = 0;
+  double base_, gain_, alpha_, state_;
 };
 
 struct GainGrid {
@@ -267,63 +262,6 @@ TEST(LatencyMonitorTest, ProbeNeverLowersSignal) {
   monitor.SetOutstandingProbe([](SimTime) { return 10.0; });
   // Last average (5000) dominates a tiny outstanding age.
   EXPECT_DOUBLE_EQ(monitor.WindowAverageMs(100.0), 5000.0);
-}
-
-// ---------------------------------------------------------------- ZN
-
-TEST(ZieglerNicholsTest, RuleArithmetic) {
-  UltimateGain ug{1.0, 8.0};
-  const PidConfig pid = ZieglerNicholsPid(ug, 1000, 0, 50);
-  EXPECT_DOUBLE_EQ(pid.kp, 0.6);
-  EXPECT_DOUBLE_EQ(pid.ki, 2.0 * 0.6 / 8.0);
-  EXPECT_DOUBLE_EQ(pid.kd, 0.6 * 8.0 / 8.0);
-  const PidConfig pi = ZieglerNicholsPi(ug, 1000, 0, 50);
-  EXPECT_DOUBLE_EQ(pi.kp, 0.45);
-  EXPECT_DOUBLE_EQ(pi.kd, 0.0);
-  const PidConfig p = ZieglerNicholsP(ug, 1000, 0, 50);
-  EXPECT_DOUBLE_EQ(p.kp, 0.5);
-  EXPECT_DOUBLE_EQ(p.ki, 0.0);
-}
-
-// A second-order underdamped plant that *can* sustain oscillation under
-// pure P control (first-order plants cannot).
-class SecondOrderPlant : public Plant {
- public:
-  double Step(double input, double dt) override {
-    // x'' = -a x' - b x + c u, integrated with explicit Euler. A delay
-    // element makes it oscillate at finite gain.
-    const double accel = -0.4 * vel_ - 1.0 * pos_ + 1.0 * delayed_;
-    vel_ += accel * dt;
-    pos_ += vel_ * dt;
-    delayed_ = input;  // One-step input delay.
-    return pos_;
-  }
-  void Reset() override { pos_ = vel_ = delayed_ = 0.0; }
-
- private:
-  double pos_ = 0, vel_ = 0, delayed_ = 0;
-};
-
-TEST(ZieglerNicholsTest, FindsUltimateGainOnOscillatablePlant) {
-  SecondOrderPlant plant;
-  TuneOptions options;
-  options.setpoint = 1.0;
-  options.dt = 0.1;
-  options.steps_per_trial = 2000;
-  const auto ug = FindUltimateGain(&plant, options);
-  ASSERT_TRUE(ug.ok()) << ug.status().ToString();
-  EXPECT_GT(ug->ku, 0.0);
-  EXPECT_GT(ug->tu, 0.0);
-}
-
-TEST(ZieglerNicholsTest, OverdampedPlantFailsCleanly) {
-  FirstOrderPlant plant(0.0, 1.0, 0.2);
-  TuneOptions options;
-  options.max_gain_steps = 10;
-  options.steps_per_trial = 100;
-  const auto ug = FindUltimateGain(&plant, options);
-  EXPECT_FALSE(ug.ok());
-  EXPECT_EQ(ug.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -42,8 +42,6 @@ TEST_P(CrashPhaseSweep, ExactlyOneAuthoritativeReplica) {
   sim::Simulator sim;
   ClusterOptions cluster_options;
   cluster_options.num_servers = 2;
-  // Sessions orphaned by a source crash reap quickly.
-  cluster_options.incoming_migration.session_idle_timeout = 5.0;
   Cluster cluster(&sim, cluster_options);
 
   engine::TenantConfig tenant;
@@ -65,7 +63,6 @@ TEST_P(CrashPhaseSweep, ExactlyOneAuthoritativeReplica) {
   options.fixed_rate_mbps = 16.0;
   options.prepare.base_seconds = 0.5;
   options.timeout_seconds = 8.0;
-  options.session_idle_timeout = 5.0;
 
   SupervisorOptions sup;
   sup.max_attempts = 6;

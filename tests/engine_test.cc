@@ -408,48 +408,6 @@ TEST(TenantDbTest, DataBytesTracksTableSize) {
   EXPECT_GE(dir.TotalBytes(), db.DataBytes());
 }
 
-TEST(TenantDbTest, BinlogPinsBlockPurge) {
-  Rig rig;
-  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  db.Load();
-  for (int i = 0; i < 20; ++i) {
-    db.ExecuteOp(Operation{OpType::kUpdate, static_cast<uint64_t>(i)},
-                 nullptr);
-  }
-  rig.sim.RunUntil(5.0);
-  ASSERT_EQ(db.binlog()->record_count(), 20u);
-
-  const int pin = db.PinBinlog(10);
-  // Purge up to 15 is capped by the pin at 10.
-  EXPECT_EQ(db.PurgeBinlog(15), 10u);
-  EXPECT_EQ(db.binlog()->first_lsn(), 10u);
-  // Delta range starting at the pin is still readable.
-  std::vector<wal::LogRecord> out;
-  EXPECT_TRUE(db.binlog()->ReadRange(10, 20, &out).ok());
-
-  db.UnpinBinlog(pin);
-  EXPECT_EQ(db.PurgeBinlog(15), 15u);
-  EXPECT_EQ(db.binlog()->ReadRange(10, 20, &out).code(),
-            StatusCode::kOutOfRange);
-}
-
-TEST(TenantDbTest, LowestPinWinsAcrossSeveral) {
-  Rig rig;
-  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  db.Load();
-  for (int i = 0; i < 10; ++i) {
-    db.ExecuteOp(Operation{OpType::kUpdate, 1}, nullptr);
-  }
-  rig.sim.RunUntil(5.0);
-  const int a = db.PinBinlog(3);
-  const int b = db.PinBinlog(7);
-  EXPECT_EQ(db.PurgeBinlog(9), 3u);
-  db.UnpinBinlog(a);
-  EXPECT_EQ(db.PurgeBinlog(9), 7u);
-  db.UnpinBinlog(b);
-  EXPECT_EQ(db.PurgeBinlog(9), 9u);
-}
-
 // ---------------------------------------------------------------- Txn
 
 TEST(TransactionTest, SerialOpsThenCommit) {

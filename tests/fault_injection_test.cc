@@ -167,7 +167,6 @@ TEST(FaultInjectionTest, RetransmitBudgetExhaustionAbortsCleanly) {
       });
   MigrationOptions options = FastWithWatchdog();
   options.timeout_seconds = 0.0;
-  options.max_chunk_retransmits = 4;
   ASSERT_TRUE(rig.cluster.StartMigration(1, 1, options, rig.Done()).ok());
   rig.sim.RunUntil(240.0);
   ASSERT_TRUE(rig.done);

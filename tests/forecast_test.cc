@@ -68,9 +68,6 @@ TEST(CycleDetectorOptionsTest, Validation) {
   bad.max_period_buckets = 4;
   bad.min_period_buckets = 8;
   EXPECT_FALSE(bad.Validate().ok());
-  bad = CycleDetector::Options();
-  bad.min_confidence = 0.0;
-  EXPECT_FALSE(bad.Validate().ok());
 }
 
 // Fills `ring` with a sinusoid of the given period (buckets) plus
@@ -175,16 +172,6 @@ TEST(CycleDetectorTest, Deterministic) {
 }
 
 // -------------------------------------------------------- holt-winters
-
-TEST(HoltWintersOptionsTest, Validation) {
-  EXPECT_TRUE(HoltWintersForecaster::Options().Validate().ok());
-  HoltWintersForecaster::Options bad;
-  bad.alpha = 0.0;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = HoltWintersForecaster::Options();
-  bad.gamma = 1.0;
-  EXPECT_FALSE(bad.Validate().ok());
-}
 
 TEST(HoltWintersTest, SeedNeedsOneFullSeason) {
   HoltWintersForecaster model;

@@ -6,7 +6,6 @@
 
 #include "src/common/units.h"
 #include "src/slacker/cluster.h"
-#include "src/slacker/stop_and_copy.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
 
@@ -34,6 +33,16 @@ MigrationOptions FixedLive(double mbps) {
   options.throttle = ThrottleKind::kFixed;
   options.fixed_rate_mbps = mbps;
   options.prepare.base_seconds = 0.5;
+  return options;
+}
+
+MigrationOptions StopAndCopyOptions(double fixed_rate_mbps,
+                                    bool file_level_copy = true) {
+  MigrationOptions options;
+  options.mode = MigrationMode::kStopAndCopy;
+  options.throttle = ThrottleKind::kFixed;
+  options.fixed_rate_mbps = fixed_rate_mbps;
+  options.file_level_copy = file_level_copy;
   return options;
 }
 

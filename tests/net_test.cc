@@ -467,7 +467,6 @@ TEST(ChannelTest, ChargesLogicalPayloadToWire) {
   sim::Simulator sim;
   resource::NetworkLinkOptions opts;
   opts.bandwidth_bytes_per_sec = 1.0 * kMiB;
-  opts.latency = 0.0;
   resource::NetworkLink link(&sim, opts);
   Channel channel(&sim, &link);
   double arrival = -1;

@@ -135,27 +135,25 @@ TEST(NetworkLinkTest, TransferTimeMatchesBandwidth) {
   sim::Simulator sim;
   NetworkLinkOptions opts;
   opts.bandwidth_bytes_per_sec = 10.0 * kMiB;
-  opts.latency = 0.001;
   NetworkLink link(&sim, opts);
   double arrival = -1;
   link.Send(10 * kMiB, [&] { arrival = sim.Now(); });
   sim.RunUntil(5.0);
-  EXPECT_NEAR(arrival, 1.0 + 0.001, 1e-9);
+  EXPECT_NEAR(arrival, 1.0 + kLinkLatency, 1e-9);
 }
 
 TEST(NetworkLinkTest, TransmissionsSerialize) {
   sim::Simulator sim;
   NetworkLinkOptions opts;
   opts.bandwidth_bytes_per_sec = 10.0 * kMiB;
-  opts.latency = 0.0;
   NetworkLink link(&sim, opts);
   std::vector<double> arrivals;
   link.Send(10 * kMiB, [&] { arrivals.push_back(sim.Now()); });
   link.Send(10 * kMiB, [&] { arrivals.push_back(sim.Now()); });
   sim.RunUntil(5.0);
   ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_NEAR(arrivals[0], 1.0, 1e-9);
-  EXPECT_NEAR(arrivals[1], 2.0, 1e-9);
+  EXPECT_NEAR(arrivals[0], 1.0 + kLinkLatency, 1e-9);
+  EXPECT_NEAR(arrivals[1], 2.0 + kLinkLatency, 1e-9);
 }
 
 TEST(TokenBucketTest, ImmediateGrantWhenTokensAvailable) {

@@ -138,7 +138,6 @@ TEST(ScanWorkloadTest, MixGeneratesScansWithBoundedLength) {
   workload::YcsbConfig config;
   config.record_count = 1024;
   config.mix = workload::OperationMix{0.5, 0.1, 0.0, 0.0, 0.4};
-  config.max_scan_length = 50;
   ASSERT_TRUE(config.Validate().ok());
   workload::YcsbWorkload workload(config, 1, 9);
   int scans = 0, total = 0;
@@ -150,7 +149,7 @@ TEST(ScanWorkloadTest, MixGeneratesScansWithBoundedLength) {
       if (op.type == OpType::kScan) {
         ++scans;
         EXPECT_GE(op.scan_length, 1u);
-        EXPECT_LE(op.scan_length, 50u);
+        EXPECT_LE(op.scan_length, workload::kMaxScanLength);
       }
     }
   }
@@ -171,7 +170,6 @@ TEST(ScanWorkloadTest, MigrationUnderScanHeavyWorkload) {
   workload::YcsbConfig ycsb;
   ycsb.record_count = tenant.layout.record_count;
   ycsb.mix = workload::OperationMix{0.45, 0.1, 0.0, 0.0, 0.45};
-  ycsb.max_scan_length = 100;
   ycsb.mean_interarrival = 0.5;
   workload::YcsbWorkload workload(ycsb, 1, 41);
   workload::ClientPool pool(&sim, &workload, &cluster,

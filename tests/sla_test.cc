@@ -1,15 +1,14 @@
-// Tests for percentile-SLA evaluation, whole-run and windowed.
+// Tests for whole-run percentile-SLA evaluation.
 
 #include <gtest/gtest.h>
 
-#include "src/common/time_series.h"
 #include "src/sla/sla.h"
 
 namespace slacker::sla {
 namespace {
 
 TEST(SlaSpecTest, ToStringReadable) {
-  SlaSpec spec{99.0, 500.0, 1.0};
+  SlaSpec spec{99.0, 500.0};
   EXPECT_EQ(spec.ToString(), "p99.0 <= 500 ms");
 }
 
@@ -28,45 +27,6 @@ TEST(SatisfiesTest, PassAndFail) {
 TEST(SatisfiesTest, EmptySampleSatisfiesVacuously) {
   PercentileTracker empty;
   EXPECT_TRUE(Satisfies(SlaSpec{99.0, 1.0}, empty));
-}
-
-TEST(EvaluateWindowedTest, CountsViolatingWindows) {
-  common::TimeSeries series;
-  // 10 s of good latency, 10 s of bad, 10 s of good.
-  for (int t = 0; t < 30; ++t) {
-    const double latency = (t >= 10 && t < 20) ? 2000.0 : 100.0;
-    for (int i = 0; i < 10; ++i) series.Add(t + i * 0.1, latency);
-  }
-  const SlaEvaluation eval =
-      EvaluateWindowed(SlaSpec{95.0, 500.0, 2.0}, series, 10.0);
-  EXPECT_EQ(eval.windows, 3);
-  EXPECT_EQ(eval.violations, 1);
-  EXPECT_DOUBLE_EQ(eval.penalty, 2.0);
-  EXPECT_NEAR(eval.ViolationRate(), 1.0 / 3.0, 1e-9);
-  EXPECT_DOUBLE_EQ(eval.worst_window_ms, 2000.0);
-}
-
-TEST(EvaluateWindowedTest, EmptySeries) {
-  common::TimeSeries series;
-  const SlaEvaluation eval = EvaluateWindowed(SlaSpec{}, series, 10.0);
-  EXPECT_EQ(eval.windows, 0);
-  EXPECT_EQ(eval.violations, 0);
-  EXPECT_DOUBLE_EQ(eval.ViolationRate(), 0.0);
-}
-
-TEST(EvaluateWindowedTest, PercentileWithinWindowTolersOutliers) {
-  common::TimeSeries series;
-  // 99 fast + 1 slow per window: p95 stays low, p99.9 would not.
-  for (int w = 0; w < 5; ++w) {
-    for (int i = 0; i < 99; ++i) series.Add(w * 10.0 + i * 0.1, 50.0);
-    series.Add(w * 10.0 + 9.95, 5000.0);
-  }
-  const SlaEvaluation p95 =
-      EvaluateWindowed(SlaSpec{95.0, 500.0}, series, 10.0);
-  EXPECT_EQ(p95.violations, 0);
-  const SlaEvaluation p100 =
-      EvaluateWindowed(SlaSpec{100.0, 500.0}, series, 10.0);
-  EXPECT_GT(p100.violations, 0);
 }
 
 }  // namespace

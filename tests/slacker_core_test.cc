@@ -9,7 +9,6 @@
 #include "src/resource/disk.h"
 #include "src/sim/simulator.h"
 #include "src/slacker/options.h"
-#include "src/slacker/stop_and_copy.h"
 #include "src/slacker/tenant_manager.h"
 #include "src/slacker/throttle_policy.h"
 
@@ -119,7 +118,7 @@ TEST(PidThrottlePolicyTest, RampsUsingSourceMonitor) {
   const double r2 = policy.OnTick(2.0, 1.0);
   EXPECT_GT(r1, 0.0);
   EXPECT_GT(r2, r1);
-  EXPECT_DOUBLE_EQ(policy.last_latency_ms(), 100.0);
+  EXPECT_DOUBLE_EQ(policy.last_terms().latency_ms, 100.0);
 }
 
 TEST(PidThrottlePolicyTest, MaxOfSourceAndTarget) {
@@ -130,7 +129,7 @@ TEST(PidThrottlePolicyTest, MaxOfSourceAndTarget) {
   source.Record(0.5, 100.0);
   target.Record(0.5, 4000.0);  // Target is the bottleneck.
   policy.OnTick(1.0, 1.0);
-  EXPECT_DOUBLE_EQ(policy.last_latency_ms(), 4000.0);
+  EXPECT_DOUBLE_EQ(policy.last_terms().latency_ms, 4000.0);
 }
 
 TEST(MakeThrottlePolicyTest, BuildsRequestedKind) {
@@ -143,26 +142,6 @@ TEST(MakeThrottlePolicyTest, BuildsRequestedKind) {
   options.throttle = ThrottleKind::kPid;
   auto pid = MakeThrottlePolicy(options, &source, &target);
   EXPECT_EQ(pid->name(), "slacker-pid");
-}
-
-// ---------------------------------------------------------------- StopCopy
-
-TEST(StopAndCopyTest, EstimateProportionalToSize) {
-  const MigrationOptions options = StopAndCopyOptions(10.0);
-  const double rate = BytesPerSecFromMBps(10.0);
-  const auto half = EstimateStopAndCopy(512 * kMiB, rate, options);
-  const auto full = EstimateStopAndCopy(kGiB, rate, options);
-  EXPECT_NEAR(full.TotalDowntimeSeconds(), 2 * half.TotalDowntimeSeconds(),
-              1e-9);
-  EXPECT_NEAR(full.copy_seconds, 102.4, 0.1);
-}
-
-TEST(StopAndCopyTest, DumpModeAddsImportCost) {
-  const MigrationOptions dump = StopAndCopyOptions(10.0, false);
-  const auto est =
-      EstimateStopAndCopy(kGiB, BytesPerSecFromMBps(10.0), dump);
-  EXPECT_GT(est.import_seconds, 0.0);
-  EXPECT_GT(est.TotalDowntimeSeconds(), est.copy_seconds);
 }
 
 }  // namespace

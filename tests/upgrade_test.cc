@@ -63,7 +63,6 @@ class FleetFixture {
   static RebalancerOptions FastOptions() {
     RebalancerOptions options;
     options.period = 5.0;
-    options.replan_delay = 0.5;
     options.migration.throttle = ThrottleKind::kFixed;
     options.migration.fixed_rate_mbps = 30.0;
     options.migration.prepare.base_seconds = 0.2;

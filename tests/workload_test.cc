@@ -188,7 +188,6 @@ TEST(TimeSeriesTest, StatsBetweenBounds) {
   const auto stats = series.StatsBetween(10, 19);
   EXPECT_EQ(stats.count(), 10u);
   EXPECT_DOUBLE_EQ(stats.mean(), 14.5);
-  EXPECT_DOUBLE_EQ(series.PercentileBetween(0, 99, 50), 49);
 }
 
 TEST(TimeSeriesTest, CsvFormat) {

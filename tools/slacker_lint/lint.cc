@@ -32,6 +32,16 @@ bool PathContains(const std::string& path, const std::string& needle) {
   return path.find(needle) != std::string::npos;
 }
 
+/// A file under tests/ or named *_test.cc: its assignments exercise a
+/// knob but give it no caller.
+bool IsTestFile(const std::string& path) {
+  const std::string suffix = "_test.cc";
+  return path.rfind("tests/", 0) == 0 || PathContains(path, "/tests/") ||
+         (path.size() >= suffix.size() &&
+          path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
+              0);
+}
+
 const char* const kDeclKeywords[] = {
     "return", "co_return", "else",    "delete", "throw", "new",
     "case",   "goto",      "typedef", "using",  "if",    "while",
@@ -391,6 +401,7 @@ std::vector<Finding> Linter::Run() {
 
   assigned_in_.clear();
   for (const FileEntry& file : files_) {
+    if (IsTestFile(file.path)) continue;
     for (const std::string& name : AssignedMemberNames(file.masked)) {
       assigned_in_[name].insert(file.path);
     }
@@ -570,9 +581,9 @@ void Linter::LintUnsetOptions(const FileEntry& file,
       if (!assigned_elsewhere) {
         Emit(file, static_cast<int>(i), "slacker-unset-option",
              "'" + open.back().name + "::" + name +
-                 "' is assigned by no scanned file but its header, so "
-                 "only its default ever runs; make it a named constant "
-                 "where it is read, or give it a caller",
+                 "' is assigned by no scanned non-test file but its "
+                 "header, so only its default ever runs; make it a named "
+                 "constant where it is read, or give it a caller",
              out);
       }
     }

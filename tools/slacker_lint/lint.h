@@ -61,10 +61,14 @@ struct Finding {
 ///                           nested `struct Options`) under src/ that
 ///                           no scanned file other than its own header
 ///                           assigns (`.x =` or `->x =`, whitespace and
-///                           line breaks allowed around the name). Only
-///                           its default ever runs, so it is a constant
-///                           posing as a knob: make it a named constant
-///                           where it is read, or give it a caller.
+///                           line breaks allowed around the name). A
+///                           test file (under tests/ or named
+///                           *_test.cc) is no caller: its assignments
+///                           do not count. Only the default ever runs
+///                           in shipped code, so the field is a
+///                           constant posing as a knob: make it a named
+///                           constant where it is read, or give it a
+///                           caller.
 ///   slacker-unused-nolint   a NOLINT marker that no longer suppresses
 ///                           any finding — stale markers hide future
 ///                           regressions and must be deleted.
@@ -140,8 +144,8 @@ class Linter {
   std::vector<std::string> other_names_;
   // Named enums declared anywhere in the scanned set ("project enums").
   std::vector<std::string> enum_names_;
-  // Member name -> files that assign it (`.name =` / `->name =`),
-  // built at the start of Run().
+  // Member name -> non-test files that assign it (`.name =` /
+  // `->name =`), built at the start of Run().
   std::map<std::string, std::set<std::string>> assigned_in_;
   // (path, 1-based line) pairs where a NOLINT marker suppressed a
   // finding during this run (or an external pass, via

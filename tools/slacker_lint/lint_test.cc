@@ -130,6 +130,8 @@ TEST(SlackerLintTest, UnsetOptionFieldsAreFlagged) {
                  "  double set_only_here = 2.0;\n"
                  "  bool never_set{false};\n"
                  "  size_t positional = 3;  // NOLINT(slacker-unset-option)\n"
+                 "  int set_by_example = 6;\n"
+                 "  int set_by_bench_test = 7;\n"
                  "  Status Validate() const;\n"
                  "  struct Inner {\n"
                  "    int nested = 4;\n"
@@ -139,24 +141,40 @@ TEST(SlackerLintTest, UnsetOptionFieldsAreFlagged) {
                  "struct Plain {\n"
                  "  int not_an_option = 5;\n"
                  "};\n");
-  // Assignment across a line break still counts; `==` does not.
+  // A test file is no caller, whether it lives under tests/ or is named
+  // *_test.cc elsewhere.
   linter.AddFile("tests/knobs_test.cc",
                  "void F(KnobOptions o) {\n"
+                 "  o.set_by_test = 7;\n"
+                 "}\n");
+  linter.AddFile("bench/knobs_test.cc",
+                 "void G(KnobOptions* o) { o->set_by_bench_test = 8; }\n");
+  // An example is shipped code. Assignment across a line break still
+  // counts; `==` does not.
+  linter.AddFile("examples/knobs.cpp",
+                 "void H(KnobOptions o) {\n"
                  "  o.\n"
-                 "      set_by_test =\n"
+                 "      set_by_example =\n"
                  "      7;\n"
                  "  if (o.never_set == true) return;\n"
                  "}\n");
   // Option structs outside src/ are not knobs of the library.
   linter.AddFile("bench/knobs.h", "struct BenchConfig {\n  int x = 1;\n};\n");
   const auto findings = linter.Run();
-  ASSERT_EQ(findings.size(), 2u) << FindingsToText(findings);
-  EXPECT_EQ(findings[0].rule, "slacker-unset-option");
-  EXPECT_EQ(findings[0].line, 3);
-  EXPECT_NE(findings[0].message.find("KnobOptions::set_only_here"),
+  ASSERT_EQ(findings.size(), 4u) << FindingsToText(findings);
+  for (const auto& finding : findings) {
+    EXPECT_EQ(finding.rule, "slacker-unset-option");
+  }
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_NE(findings[0].message.find("KnobOptions::set_by_test"),
             std::string::npos);
-  EXPECT_EQ(findings[1].rule, "slacker-unset-option");
-  EXPECT_EQ(findings[1].line, 4);
+  EXPECT_EQ(findings[1].line, 3);
+  EXPECT_NE(findings[1].message.find("KnobOptions::set_only_here"),
+            std::string::npos);
+  EXPECT_EQ(findings[2].line, 4);
+  EXPECT_EQ(findings[3].line, 7);
+  EXPECT_NE(findings[3].message.find("KnobOptions::set_by_bench_test"),
+            std::string::npos);
 }
 
 TEST(SlackerLintTest, AmbiguousNamesAreNotFlagged) {
