@@ -103,15 +103,11 @@ BENCHMARK(BM_MessageRoundTrip)->Arg(256);
 
 void BM_BinlogAppendScan(benchmark::State& state) {
   for (auto _ : state) {
-    wal::Binlog log;
+    wal::Binlog log(1024);
     for (storage::Lsn lsn = 1; lsn <= 10000; ++lsn) {
-      wal::LogRecord r;
-      r.lsn = lsn;
-      r.type = wal::LogType::kUpdate;
-      r.key = lsn % 97;
-      r.digest = lsn;
-      benchmark::DoNotOptimize(log.Append(r, 1024));
+      log.AppendRow(lsn, wal::LogType::kUpdate, lsn % 97);
     }
+    benchmark::DoNotOptimize(log.total_bytes());
     std::vector<wal::LogRecord> out;
     log.ReadRange(5000, 10000, &out);
     benchmark::DoNotOptimize(out.data());

@@ -28,9 +28,6 @@ struct TenantConfig {
   /// does not queue behind data-page I/O.
   SimTime commit_latency = 0.0005;
 
-  /// Seed for deterministic row contents.
-  uint64_t value_seed = 1;
-
   /// Port is a fixed function of the tenant id (§2.2).
   int Port() const { return 34000 + static_cast<int>(tenant_id % 1000); }
 

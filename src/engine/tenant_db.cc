@@ -18,6 +18,7 @@ TenantDb::TenantDb(sim::Simulator* sim, resource::DiskModel* disk,
       config_(config),
       own_pool_(storage::BufferPoolOptions{config.BufferPoolPages()}),
       pool_(&own_pool_),
+      binlog_(config.layout.record_bytes),
       next_insert_key_(config.layout.record_count) {}
 
 TenantDb::TenantDb(sim::Simulator* sim, resource::DiskModel* disk,
@@ -29,6 +30,7 @@ TenantDb::TenantDb(sim::Simulator* sim, resource::DiskModel* disk,
       config_(config),
       own_pool_(storage::BufferPoolOptions{0}),
       pool_(shared_pool),
+      binlog_(config.layout.record_bytes),
       next_insert_key_(config.layout.record_count) {}
 
 uint64_t TenantDb::PoolPageId(uint64_t page) const {
@@ -41,7 +43,7 @@ void TenantDb::Load() {
   if (!uses_shared_pool()) pool_->Clear();
   for (uint64_t key = 0; key < config_.layout.record_count; ++key) {
     table_.Put(storage::Record{
-        key, 0, storage::RowDigest(key, 0, config_.value_seed)});
+        key, 0, storage::RowDigest(key, 0, storage::kValueSeed)});
   }
 }
 
@@ -208,61 +210,43 @@ WrittenRow TenantDb::ApplyWrite(const Operation& op) {
   WrittenRow written;
   const storage::Lsn lsn = next_lsn_++;
   written.lsn = lsn;
-  wal::LogRecord log;
-  log.lsn = lsn;
-  log.txn_id = 0;  // Filled per-op; commit records carry the txn id.
+  wal::LogType type = wal::LogType::kUpdate;
   switch (op.type) {
     case OpType::kUpdate: {
       written.key = op.key;
-      written.digest = storage::RowDigest(op.key, lsn, config_.value_seed);
+      written.digest = storage::RowDigest(op.key, lsn, storage::kValueSeed);
       table_.Put(storage::Record{op.key, lsn, written.digest});
-      log.type = wal::LogType::kUpdate;
-      log.key = op.key;
-      log.digest = written.digest;
       break;
     }
     case OpType::kInsert: {
       const uint64_t key = next_insert_key_++;
       written.key = key;
-      written.digest = storage::RowDigest(key, lsn, config_.value_seed);
+      written.digest = storage::RowDigest(key, lsn, storage::kValueSeed);
       table_.Put(storage::Record{key, lsn, written.digest});
-      log.type = wal::LogType::kInsert;
-      log.key = key;
-      log.digest = written.digest;
+      type = wal::LogType::kInsert;
       break;
     }
     case OpType::kDelete: {
       written.key = op.key;
       written.deleted = true;
       table_.Erase(op.key);
-      log.type = wal::LogType::kDelete;
-      log.key = op.key;
+      type = wal::LogType::kDelete;
       break;
     }
     case OpType::kRead:
-    case OpType::kScan:  // Scans never reach ApplyWrite.
-      break;
+    case OpType::kScan:  // Reads and scans never reach ApplyWrite.
+      return written;
   }
   // Binlog append is functional bookkeeping here; durability cost is
-  // charged once per transaction in Commit(). Row-changing entries are
-  // accounted at full row-image size (row-based replication).
-  const bool carries_image =
-      log.type == wal::LogType::kInsert || log.type == wal::LogType::kUpdate;
-  const Status appended =
-      binlog_.Append(log, carries_image ? config_.layout.record_bytes : 0);
-  // The engine assigns LSNs from its own monotone counter; an
-  // out-of-order append is engine-state corruption, not a runtime error.
-  SLACKER_CHECK(appended.ok(), appended.ToString());
+  // charged once per transaction in Commit(). The binlog re-derives the
+  // row image's digest and accounts it at full row size (row-based
+  // replication).
+  binlog_.AppendRow(lsn, type, written.key);
   return written;
 }
 
 void TenantDb::Commit(uint64_t txn_id, sim::Callback<void()> done) {
-  wal::LogRecord commit;
-  commit.lsn = next_lsn_++;
-  commit.type = wal::LogType::kCommit;
-  commit.txn_id = txn_id;
-  const Status committed = binlog_.Append(commit);
-  SLACKER_CHECK(committed.ok(), committed.ToString());
+  binlog_.AppendCommit(next_lsn_++, txn_id);
   sim_->After(config_.commit_latency, std::move(done));
 }
 

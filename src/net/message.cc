@@ -3,10 +3,19 @@
 #include "src/common/bytes.h"
 #include "src/common/invariant.h"
 #include "src/net/wire.h"
+#include "src/storage/record.h"
 
 namespace slacker::net {
 
 namespace {
+
+/// The value-seed slot of the wire config. Only a migration request
+/// carries a tenant config, and every tenant's rows use
+/// storage::kValueSeed; other messages leave the slot 0 like the rest
+/// of their empty config.
+uint64_t WireValueSeed(MessageType type) {
+  return type == MessageType::kMigrateRequest ? storage::kValueSeed : 0;
+}
 
 /// Bytes of EncodeMessage's payload, counted without encoding, so the
 /// frame is reserved once.
@@ -22,7 +31,7 @@ size_t EncodedPayloadSize(const Message& message) {
                 VarintLength(config.record_bytes) +
                 VarintLength(config.record_count) +
                 VarintLength(config.buffer_pool_bytes) +
-                VarintLength(config.value_seed) + 8 + 8;
+                VarintLength(WireValueSeed(message.type)) + 8 + 8;
   size += VarintLength(message.rows.size());
   for (const storage::Record& r : message.rows) {
     size += VarintLength(r.key) + VarintLength(r.lsn) + 8;
@@ -71,7 +80,7 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
   writer.PutVarint64(message.config.record_bytes);
   writer.PutVarint64(message.config.record_count);
   writer.PutVarint64(message.config.buffer_pool_bytes);
-  writer.PutVarint64(message.config.value_seed);
+  writer.PutVarint64(WireValueSeed(message.type));
   writer.PutDouble(message.config.cpu_per_op);
   writer.PutDouble(message.config.commit_latency);
   writer.PutVarint64(message.rows.size());
@@ -134,7 +143,11 @@ Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
   SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&out->config.record_bytes));
   SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&out->config.record_count));
   SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&out->config.buffer_pool_bytes));
-  SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&out->config.value_seed));
+  uint64_t value_seed;
+  SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&value_seed));
+  if (value_seed != WireValueSeed(out->type)) {
+    return Status::Corruption("bad value seed");
+  }
   SLACKER_RETURN_IF_ERROR(reader.GetDouble(&out->config.cpu_per_op));
   SLACKER_RETURN_IF_ERROR(reader.GetDouble(&out->config.commit_latency));
   uint64_t row_count;

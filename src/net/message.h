@@ -44,7 +44,6 @@ struct TenantWireConfig {
   uint64_t record_bytes = 0;
   uint64_t record_count = 0;
   uint64_t buffer_pool_bytes = 0;
-  uint64_t value_seed = 0;
   double cpu_per_op = 0.0;
   double commit_latency = 0.0;
 

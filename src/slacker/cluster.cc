@@ -411,7 +411,7 @@ void Cluster::RecoverServer(uint64_t server_id) {
       // Implicit LSN-0 checkpoint: the initial Load() image plus a full
       // log replay.
       db->Load();
-      (void)wal::ReplayBinlog(state->log, 1, db->mutable_table());
+      wal::ReplayBinlog(state->log, 1, db->mutable_table());
       // The implicit checkpoint is the initial load image: recovery
       // re-reads the whole base table plus the full log.
       recovery_bytes =

@@ -27,6 +27,10 @@ struct Record {
   bool operator==(const Record& other) const = default;
 };
 
+/// Seed for deterministic row contents, the same in every tenant. The
+/// binlog re-derives each row image's digest from it.
+inline constexpr uint64_t kValueSeed = 1;
+
 /// Digest for a freshly written row version: a pure function of the
 /// key, the writing LSN, and a value seed, so that source and target
 /// can independently verify convergence after migration.

@@ -2,8 +2,8 @@
 
 namespace slacker::wal {
 
-Status Replay(const std::vector<LogRecord>& records, storage::BTree* table,
-              ReplayStats* stats) {
+void Replay(const std::vector<LogRecord>& records, storage::BTree* table,
+            ReplayStats* stats) {
   ReplayStats local;
   for (const LogRecord& record : records) {
     switch (record.type) {
@@ -34,18 +34,13 @@ Status Replay(const std::vector<LogRecord>& records, storage::BTree* table,
     }
   }
   if (stats != nullptr) *stats = local;
-  return Status::Ok();
 }
 
-Status ReplayBinlog(const Binlog& log, storage::Lsn from,
-                    storage::BTree* table, ReplayStats* stats) {
-  if (log.last_lsn() < from) {
-    if (stats != nullptr) *stats = ReplayStats{};
-    return Status::Ok();  // Nothing newer than the recovery point.
-  }
+void ReplayBinlog(const Binlog& log, storage::Lsn from, storage::BTree* table,
+                  ReplayStats* stats) {
   std::vector<LogRecord> records;
   log.ReadRange(from, log.last_lsn(), &records);
-  return Replay(records, table, stats);
+  Replay(records, table, stats);
 }
 
 }  // namespace slacker::wal

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/storage/btree.h"
 #include "src/wal/binlog.h"
 #include "src/wal/log_record.h"
@@ -24,14 +23,14 @@ struct ReplayStats {
 /// is newer than the stored version, so replaying an overlapping or
 /// repeated range converges to the same state (the property the hot
 /// backup's prepare step and the delta rounds rely on).
-Status Replay(const std::vector<LogRecord>& records, storage::BTree* table,
-              ReplayStats* stats = nullptr);
+void Replay(const std::vector<LogRecord>& records, storage::BTree* table,
+            ReplayStats* stats = nullptr);
 
 /// Replays the binlog suffix with lsn >= `from` into `table` — the
 /// restart-after-crash path when no checkpoint image exists (the
 /// initial Load() acts as the implicit LSN-0 checkpoint).
-Status ReplayBinlog(const Binlog& log, storage::Lsn from,
-                    storage::BTree* table, ReplayStats* stats = nullptr);
+void ReplayBinlog(const Binlog& log, storage::Lsn from, storage::BTree* table,
+                  ReplayStats* stats = nullptr);
 
 }  // namespace slacker::wal
 

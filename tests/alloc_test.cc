@@ -2,10 +2,11 @@
 // event pool, the resource queues and the engine's in-flight window are
 // warm, a cached point read and a CPU charge must not touch the heap.
 // Nor may a warm transaction, alone or fed by a client pool, beyond the
-// binlog's amortized deque blocks. Nor may the target's payload-CRC
-// check of an LZ frame, once its shape's CRC tables are built; and a
-// migration message encodes into its one frame buffer. A counting
-// global operator new (this binary only) measures it.
+// binlog's amortized storage chunks, which hold 9 bytes per record. Nor
+// may the target's payload-CRC check of an LZ frame, once its shape's
+// CRC tables are built; and a migration message encodes into its one
+// frame buffer. A counting global operator new (this binary only)
+// counts calls and bytes.
 
 #include <gtest/gtest.h>
 
@@ -29,11 +30,13 @@
 namespace {
 
 uint64_t g_allocations = 0;
+uint64_t g_allocated_bytes = 0;
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++g_allocations;
+  g_allocated_bytes += size;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -79,14 +82,27 @@ struct CachedTenant {
   }
 };
 
-// Allocations per call of `op` (which must run to completion), after
-// kWarmup unmeasured calls.
+struct HeapUse {
+  double allocations = 0.0;
+  double bytes = 0.0;
+};
+
+// Allocations and bytes allocated per call of `op` (which must run to
+// completion), after kWarmup unmeasured calls.
+template <typename Op>
+HeapUse HeapPerCall(Op op) {
+  for (int i = 0; i < kWarmup; ++i) op(i);
+  const uint64_t allocations = g_allocations;
+  const uint64_t bytes = g_allocated_bytes;
+  for (int i = 0; i < kMeasured; ++i) op(i);
+  return HeapUse{
+      static_cast<double>(g_allocations - allocations) / kMeasured,
+      static_cast<double>(g_allocated_bytes - bytes) / kMeasured};
+}
+
 template <typename Op>
 double AllocationsPerCall(Op op) {
-  for (int i = 0; i < kWarmup; ++i) op(i);
-  const uint64_t before = g_allocations;
-  for (int i = 0; i < kMeasured; ++i) op(i);
-  return static_cast<double>(g_allocations - before) / kMeasured;
+  return HeapPerCall(op).allocations;
 }
 
 TEST(AllocTest, CachedPointReadAllocatesNothing) {
@@ -117,22 +133,16 @@ TEST(AllocTest, ChargeCpuAllocatesNothing) {
   EXPECT_EQ(per_call, 0.0);
 }
 
-// A warm transaction allocates nothing of its own: its frame and the
-// writes vector are recycled, the spec comes back for reuse, and the
-// binlog record is sized without encoding. What remains is the
-// binlog's std::deque, which allocates a block per 12 records (about
-// 0.2 per transaction here, two records each). Each removed site cost
-// exactly one allocation per transaction, so the 0.5 bound catches any
-// one of them coming back.
-TEST(AllocTest, WarmSingleUpdateTransactionAllocatesUnderHalf) {
-  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+// Heap use per warm single-update transaction (an update record and a
+// commit record each) through ExecuteTransaction.
+HeapUse WarmSingleUpdates() {
   CachedTenant t;
   TxnFrames frames;
   TxnSpec spec;
   spec.tenant_id = 1;
   spec.ops.push_back(Operation{OpType::kUpdate, 0});
   uint64_t committed = 0;
-  const double per_txn = AllocationsPerCall([&](int i) {
+  const HeapUse per_txn = HeapPerCall([&](int i) {
     spec.txn_id = static_cast<uint64_t>(i) + 1;
     spec.ops[0].key = static_cast<uint64_t>(i) % 1024;
     ExecuteTransaction(&t.sim, &t.db, std::move(spec), t.sim.Now(), &frames,
@@ -145,7 +155,26 @@ TEST(AllocTest, WarmSingleUpdateTransactionAllocatesUnderHalf) {
     t.sim.RunAll();
   });
   EXPECT_EQ(committed, static_cast<uint64_t>(kWarmup + kMeasured));
-  EXPECT_LT(per_txn, 0.5);
+  return per_txn;
+}
+
+// A warm transaction allocates nothing of its own: its frame and the
+// writes vector are recycled, the spec comes back for reuse, and the
+// binlog record is sized without encoding. What remains is the
+// binlog's storage chunks, one per 512 records (about 0.004 per
+// transaction here). Each removed site cost exactly one allocation per
+// transaction, so the 0.5 bound catches any one of them coming back.
+TEST(AllocTest, WarmSingleUpdateTransactionAllocatesUnderHalf) {
+  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+  EXPECT_LT(WarmSingleUpdates().allocations, 0.5);
+}
+
+// The binlog keeps one 8-byte word and one type byte per record, so a
+// transaction's two records cost 18 bytes of chunk storage; the bound
+// leaves room for the chunk pointers and nothing else.
+TEST(AllocTest, WarmSingleUpdateTransactionAllocatesAtMost24Bytes) {
+  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+  EXPECT_LE(WarmSingleUpdates().bytes, 24.0);
 }
 
 struct CachedResolver : workload::TenantResolver {
@@ -157,8 +186,7 @@ struct CachedResolver : workload::TenantResolver {
 // The paper's 10-op 85/15 transaction through the whole client path:
 // arrival, spec refill, queueing, execution, acknowledgement. Keys are
 // drawn from the first 64 rows so the acked-write ledger is warm too;
-// the binlog's deque blocks (about 0.25 per transaction at 1.5 updates
-// plus a commit each) are what is left.
+// the binlog's storage chunks (one per 512 records) are what is left.
 TEST(AllocTest, WarmYcsbTransactionThroughClientPoolAllocatesUnderHalf) {
   if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
   CachedTenant t;

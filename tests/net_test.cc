@@ -72,7 +72,6 @@ Message FullMessage() {
   m.config.record_bytes = 1024;
   m.config.record_count = 1u << 20;
   m.config.buffer_pool_bytes = 128u << 20;
-  m.config.value_seed = 7;
   m.config.cpu_per_op = 0.0003;
   m.config.commit_latency = 0.0005;
   for (uint64_t i = 0; i < 50; ++i) {
@@ -110,6 +109,27 @@ TEST(MessageTest, CorruptionDetected) {
   frame[frame.size() / 2] ^= 0x10;
   Message out;
   EXPECT_FALSE(DecodeMessage(frame, &out).ok());
+}
+
+// Every tenant's rows use storage::kValueSeed, so the config's seed
+// slot is fixed: the constant in a migration request, 0 elsewhere. A
+// frame whose slot disagrees with its type is corrupt.
+TEST(MessageTest, ValueSeedSlotChecked) {
+  Message request;
+  request.type = MessageType::kMigrateRequest;
+  request.tenant_id = 4;
+  for (const Message& m : {FullMessage(), request}) {
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(DecodeFrame(EncodeMessage(m), &payload).ok());
+    // Swap the type byte between a request and a snapshot chunk,
+    // leaving the seed slot as the original type wrote it.
+    payload[0] = static_cast<uint8_t>(
+        m.type == MessageType::kMigrateRequest ? MessageType::kSnapshotChunk
+                                               : MessageType::kMigrateRequest);
+    Message out;
+    EXPECT_EQ(DecodeMessage(EncodeFrame(payload), &out).code(),
+              StatusCode::kCorruption);
+  }
 }
 
 TEST(MessageTest, FuzzDecodeNeverCrashes) {
