@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot components under the
-// experiments: B+-tree ops, buffer pool touches, PID updates, wire
-// codec, binlog append/scan, event queue churn, token bucket grants,
-// and the bulk stream's three codec kernels. These bound the simulator's own overhead and document the
+// experiments: B+-tree ops, row digests and tenant loads, buffer pool
+// touches, PID updates, wire codec, binlog append/scan, event queue
+// churn, token bucket grants, and the bulk stream's three codec
+// kernels. These bound the simulator's own overhead and document the
 // costs of the core data structures.
 
 #include <benchmark/benchmark.h>
@@ -13,8 +14,11 @@
 #include "src/codec/payload.h"
 #include "src/common/random.h"
 #include "src/control/pid.h"
+#include "src/engine/tenant_db.h"
 #include "src/net/message.h"
 #include "src/obs/trace.h"
+#include "src/resource/cpu.h"
+#include "src/resource/disk.h"
 #include "src/resource/token_bucket.h"
 #include "src/sim/simulator.h"
 #include "src/storage/btree.h"
@@ -60,6 +64,34 @@ void BM_BTreeScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_BTreeScan);
+
+// A tenant load's two layers: the row digest (common's HashCombine,
+// three per row) and the whole load, which digests rows in stack
+// batches and bulk-appends them at the tree's right edge.
+void BM_RowDigest(benchmark::State& state) {
+  uint64_t key = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::RowDigest(key++, 0, storage::kValueSeed));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RowDigest);
+
+void BM_TenantLoad(benchmark::State& state) {
+  sim::Simulator sim;
+  resource::DiskModel disk(&sim, resource::DiskOptions{});
+  resource::CpuModel cpu(&sim, resource::CpuOptions{});
+  engine::TenantConfig config;
+  config.tenant_id = 1;
+  config.layout.record_count = static_cast<uint64_t>(state.range(0));
+  engine::TenantDb db(&sim, &disk, &cpu, config);
+  for (auto _ : state) {
+    db.Load();
+    benchmark::DoNotOptimize(db.table().size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TenantLoad)->Arg(8 << 10)->Arg(16 << 10);
 
 void BM_BufferPoolTouch(benchmark::State& state) {
   storage::BufferPool pool(storage::BufferPoolOptions{8192});

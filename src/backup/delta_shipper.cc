@@ -13,26 +13,13 @@ void DeltaShipper::RestrictToKeys(uint64_t lo, uint64_t hi) {
 }
 
 uint64_t DeltaShipper::PendingBytes() const {
-  if (!key_filtered_) {
-    return source_log_->BytesInRange(applied_lsn_ + 1,
-                                     source_log_->last_lsn());
-  }
+  const storage::Lsn from = applied_lsn_ + 1;
+  const storage::Lsn to = source_log_->last_lsn();
+  if (!key_filtered_) return source_log_->BytesInRange(from, to);
   // Filtered: the handover trigger compares this against its byte
   // budget, and a hot neighbour range's writes must not keep THIS
   // range's migration from converging.
-  std::vector<wal::LogRecord> records;
-  std::vector<uint64_t> record_bytes;
-  source_log_->ReadRange(applied_lsn_ + 1, source_log_->last_lsn(), &records,
-                         &record_bytes);
-  uint64_t pending = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    const wal::LogRecord& r = records[i];
-    if (r.type == wal::LogType::kCommit ||
-        (r.key >= key_lo_ && r.key < key_hi_)) {
-      pending += record_bytes[i];
-    }
-  }
-  return pending;
+  return source_log_->BytesInRange(from, to, key_lo_, key_hi_);
 }
 
 DeltaRound DeltaShipper::ReadRound() {

@@ -62,15 +62,9 @@ uint64_t Fnv1a64(const uint8_t* data, size_t len, uint64_t seed) {
   uint64_t hash = seed;
   for (size_t i = 0; i < len; ++i) {
     hash ^= data[i];
-    hash *= 0x100000001b3ULL;
+    hash *= checksum_internal::kFnvPrime;
   }
   return hash;
-}
-
-uint64_t HashCombine(uint64_t digest, uint64_t value) {
-  uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = (value >> (i * 8)) & 0xff;
-  return Fnv1a64(bytes, sizeof(bytes), digest);
 }
 
 }  // namespace slacker

@@ -1,6 +1,8 @@
 #ifndef SLACKER_COMMON_CHECKSUM_H_
 #define SLACKER_COMMON_CHECKSUM_H_
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -18,8 +20,35 @@ uint32_t Crc32c(const std::vector<uint8_t>& data, uint32_t seed = 0);
 uint64_t Fnv1a64(const uint8_t* data, size_t len,
                  uint64_t seed = 0xcbf29ce484222325ULL);
 
-/// Mixes a 64-bit value into a running digest (order-sensitive).
-uint64_t HashCombine(uint64_t digest, uint64_t value);
+namespace checksum_internal {
+
+inline constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// kFnvPrimePowers[k] is kFnvPrime^k mod 2^64.
+inline constexpr std::array<uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
+  }
+  return powers;
+}();
+
+}  // namespace checksum_internal
+
+/// Mixes a 64-bit value into a running digest (order-sensitive): FNV-1a
+/// over the value's 8 little-endian bytes, the same as Fnv1a64 over
+/// them. An FNV-1a step over a zero byte is a bare multiply by the
+/// prime, so the high zero bytes fold into one multiply by a power of
+/// it and only the significant bytes take a step each.
+inline uint64_t HashCombine(uint64_t digest, uint64_t value) {
+  using checksum_internal::kFnvPrime;
+  const int significant = (64 - std::countl_zero(value) + 7) / 8;
+  for (int i = 0; i < significant; ++i, value >>= 8) {
+    digest = (digest ^ (value & 0xff)) * kFnvPrime;
+  }
+  return digest * checksum_internal::kFnvPrimePowers[8 - significant];
+}
 
 }  // namespace slacker
 

@@ -20,6 +20,7 @@ struct CheckpointImage {
   uint64_t tenant_id = 0;
   /// All committed row changes with lsn <= this are reflected.
   storage::Lsn lsn = 0;
+  /// In strictly ascending key order.
   std::vector<storage::Record> rows;
   /// Digest of the rows (order-sensitive), for integrity checking.
   uint64_t digest = 0;

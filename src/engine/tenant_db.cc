@@ -41,9 +41,19 @@ uint64_t TenantDb::PoolPageId(uint64_t page) const {
 void TenantDb::Load() {
   table_.Clear();
   if (!uses_shared_pool()) pool_->Clear();
-  for (uint64_t key = 0; key < config_.layout.record_count; ++key) {
-    table_.Put(storage::Record{
-        key, 0, storage::RowDigest(key, 0, storage::kValueSeed)});
+  // Keys 0..N-1 arrive in order, so they go in through the tree's bulk
+  // append, one stack batch at a time.
+  constexpr uint64_t kBatch = 64;
+  storage::Record batch[kBatch];
+  const uint64_t count = config_.layout.record_count;
+  for (uint64_t first = 0; first < count; first += kBatch) {
+    const uint64_t len = std::min(kBatch, count - first);
+    for (uint64_t i = 0; i < len; ++i) {
+      const uint64_t key = first + i;
+      batch[i] = storage::Record{
+          key, 0, storage::RowDigest(key, 0, storage::kValueSeed)};
+    }
+    table_.AppendSorted(batch, len);
   }
 }
 

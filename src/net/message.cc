@@ -120,9 +120,11 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
 }
 
 Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
-  std::vector<uint8_t> payload;
-  SLACKER_RETURN_IF_ERROR(DecodeFrame(frame, &payload));
-  ByteReader reader(payload);
+  // Parsed where it lies in the frame: no payload copy.
+  const uint8_t* payload = nullptr;
+  size_t length = 0;
+  SLACKER_RETURN_IF_ERROR(CheckFrame(frame, &payload, &length));
+  ByteReader reader(payload, length);
   uint8_t type;
   SLACKER_RETURN_IF_ERROR(reader.GetU8(&type));
   if (type < 1 || type > 14) return Status::Corruption("bad message type");

@@ -29,20 +29,32 @@ void SealFrame(std::vector<uint8_t>* frame) {
   }
 }
 
-Status DecodeFrame(const std::vector<uint8_t>& data,
-                   std::vector<uint8_t>* out) {
+Status CheckFrame(const std::vector<uint8_t>& data, const uint8_t** payload,
+                  size_t* length) {
   ByteReader reader(data);
-  uint32_t magic, length, crc;
+  uint32_t magic, payload_length, crc;
   SLACKER_RETURN_IF_ERROR(reader.GetFixed32(&magic));
   if (magic != kFrameMagic) return Status::Corruption("bad frame magic");
-  SLACKER_RETURN_IF_ERROR(reader.GetFixed32(&length));
+  SLACKER_RETURN_IF_ERROR(reader.GetFixed32(&payload_length));
   SLACKER_RETURN_IF_ERROR(reader.GetFixed32(&crc));
-  if (reader.remaining() != length) {
+  if (reader.remaining() != payload_length) {
     return Status::Corruption("frame length mismatch");
   }
-  out->resize(length);
-  SLACKER_RETURN_IF_ERROR(reader.GetBytes(out->data(), length));
-  if (Crc32c(*out) != crc) return Status::Corruption("frame checksum");
+  const uint8_t* start = data.data() + reader.position();
+  if (Crc32c(start, payload_length) != crc) {
+    return Status::Corruption("frame checksum");
+  }
+  *payload = start;
+  *length = payload_length;
+  return Status::Ok();
+}
+
+Status DecodeFrame(const std::vector<uint8_t>& data,
+                   std::vector<uint8_t>* out) {
+  const uint8_t* payload = nullptr;
+  size_t length = 0;
+  SLACKER_RETURN_IF_ERROR(CheckFrame(data, &payload, &length));
+  out->assign(payload, payload + length);
   return Status::Ok();
 }
 

@@ -22,6 +22,13 @@ std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload);
 /// and CRC. Lets an encoder write a payload straight into its frame.
 void SealFrame(std::vector<uint8_t>* frame);
 
+/// Checks one frame in `data` (which must contain exactly one frame)
+/// where it lies: magic, length and payload CRC. On success points
+/// `payload` at the frame's own `length` payload bytes, so a decoder
+/// parses them without a copy.
+Status CheckFrame(const std::vector<uint8_t>& data, const uint8_t** payload,
+                  size_t* length);
+
 /// Unwraps one frame from `data` (which must contain exactly one
 /// frame); on success stores the payload in `out`.
 Status DecodeFrame(const std::vector<uint8_t>& data,

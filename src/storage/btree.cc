@@ -183,9 +183,36 @@ bool BTree::Put(const Record& record) {
   ++leaf->count;
   ++size_;
 
-  if (leaf->count <= kFanout) return true;
+  if (leaf->count > kFanout) SplitLeaf(leaf, &path);
+  return true;
+}
 
-  // Split: the upper half moves into a new right sibling.
+void BTree::AppendSorted(const Record* records, size_t count) {
+  for (size_t i = 1; i < count; ++i) {
+    SLACKER_CHECK(records[i - 1].key < records[i].key,
+                  "AppendSorted keys not strictly ascending");
+  }
+  while (count > 0) {
+    Path path;
+    LeafNode* leaf = Descend(records[0].key, &path);
+    // Only the rightmost leaf, whose last key is the tree's maximum,
+    // may take the run.
+    SLACKER_CHECK(leaf->next == nullptr &&
+                      (leaf->count == 0 ||
+                       leaf->records[leaf->count - 1].key < records[0].key),
+                  "AppendSorted key not above the tree's maximum");
+    // Fill up to the overfull count at which Put splits.
+    const size_t take = std::min(count, kFanout + 1 - leaf->count);
+    std::copy(records, records + take, leaf->records + leaf->count);
+    leaf->count += take;
+    size_ += take;
+    records += take;
+    count -= take;
+    if (leaf->count > kFanout) SplitLeaf(leaf, &path);
+  }
+}
+
+void BTree::SplitLeaf(LeafNode* leaf, Path* path) {
   auto* right = new LeafNode();
   const size_t mid = leaf->count / 2;
   std::copy(leaf->records + mid, leaf->records + leaf->count, right->records);
@@ -193,8 +220,7 @@ bool BTree::Put(const Record& record) {
   leaf->count = mid;
   right->next = leaf->next;
   leaf->next = right;
-  InsertIntoParent(&path, leaf, right->records[0].key, right);
-  return true;
+  InsertIntoParent(path, leaf, right->records[0].key, right);
 }
 
 void BTree::InsertIntoParent(Path* path, Node* left, uint64_t sep,

@@ -36,6 +36,13 @@ class BTree {
   /// newly inserted (false for overwrite).
   bool Put(const Record& record);
 
+  /// Appends `count` records whose keys ascend strictly and all exceed
+  /// the current maximum; anything else aborts. Builds the same tree as
+  /// calling Put on each in order (same leaves, separators and split
+  /// keys), but fills the rightmost leaf a run at a time and descends
+  /// the right edge once per leaf split rather than once per record.
+  void AppendSorted(const Record* records, size_t count);
+
   /// Returns the record for `key`, or nullptr. The pointer is
   /// invalidated by any mutation.
   const Record* Get(uint64_t key) const;
@@ -99,6 +106,9 @@ class BTree {
   struct Path;
 
   LeafNode* Descend(uint64_t key, Path* path) const;
+  /// Splits an overfull `leaf` (the end of `path`'s descent): the upper
+  /// half moves into a new right sibling.
+  void SplitLeaf(LeafNode* leaf, Path* path);
   void InsertIntoParent(Path* path, Node* left, uint64_t sep, Node* right);
   void RebalanceAfterErase(Path* path, Node* node);
   Status ValidateNode(const Node* node, uint64_t lo, uint64_t hi,

@@ -1,16 +1,6 @@
 #include "src/storage/record.h"
 
-#include "src/common/checksum.h"
-
 namespace slacker::storage {
-
-uint64_t RowDigest(uint64_t key, Lsn lsn, uint64_t value_seed) {
-  uint64_t digest = 0xcbf29ce484222325ULL;
-  digest = HashCombine(digest, key);
-  digest = HashCombine(digest, lsn);
-  digest = HashCombine(digest, value_seed);
-  return digest;
-}
 
 std::vector<uint8_t> MaterializePayload(const Record& record,
                                         size_t logical_size) {

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/checksum.h"
+
 namespace slacker::storage {
 
 /// Log sequence number; strictly increasing per tenant. LSN 0 means
@@ -16,7 +18,7 @@ using Lsn = uint64_t;
 /// full byte payload; the *logical* size (what migration must copy and
 /// what the SLA-relevant I/O costs are charged for) lives in the table
 /// schema. MaterializePayload() expands the digest into deterministic
-/// bytes when real bytes are needed (wire tests, checksум verification).
+/// bytes when real bytes are needed (wire tests, checksum verification).
 struct Record {
   uint64_t key = 0;
   /// LSN of the write that produced this version (0 for initial load).
@@ -33,8 +35,15 @@ inline constexpr uint64_t kValueSeed = 1;
 
 /// Digest for a freshly written row version: a pure function of the
 /// key, the writing LSN, and a value seed, so that source and target
-/// can independently verify convergence after migration.
-uint64_t RowDigest(uint64_t key, Lsn lsn, uint64_t value_seed);
+/// can independently verify convergence after migration. Inline: a
+/// tenant load digests every row it creates.
+inline uint64_t RowDigest(uint64_t key, Lsn lsn, uint64_t value_seed) {
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  digest = HashCombine(digest, key);
+  digest = HashCombine(digest, lsn);
+  digest = HashCombine(digest, value_seed);
+  return digest;
+}
 
 /// Expands a record into `logical_size` deterministic bytes.
 std::vector<uint8_t> MaterializePayload(const Record& record,

@@ -170,4 +170,21 @@ uint64_t Binlog::BytesInRange(storage::Lsn from, storage::Lsn to) const {
   return bytes;
 }
 
+uint64_t Binlog::BytesInRange(storage::Lsn from, storage::Lsn to,
+                              uint64_t key_lo, uint64_t key_hi) const {
+  size_t begin = 0;
+  size_t end = 0;
+  IndexRange(from, to, &begin, &end);
+  uint64_t bytes = 0;
+  ForEach(begin, end, /*with_digest=*/false,
+          [&bytes, key_lo, key_hi](const LogRecord& record,
+                                   uint64_t record_bytes) {
+            if (record.type == LogType::kCommit ||
+                (record.key >= key_lo && record.key < key_hi)) {
+              bytes += record_bytes;
+            }
+          });
+  return bytes;
+}
+
 }  // namespace slacker::wal

@@ -64,6 +64,10 @@ class Binlog {
 
   /// Serialized bytes of records with lsn in [from, to].
   uint64_t BytesInRange(storage::Lsn from, storage::Lsn to) const;
+  /// Same, counting only commits and row changes of keys in
+  /// [key_lo, key_hi): what a range-scoped delta round would ship.
+  uint64_t BytesInRange(storage::Lsn from, storage::Lsn to, uint64_t key_lo,
+                        uint64_t key_hi) const;
 
   size_t record_count() const { return count_; }
   uint64_t total_bytes() const { return total_bytes_; }

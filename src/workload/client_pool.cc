@@ -166,7 +166,6 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
   if (result.status.ok()) {
     ++stats_.completed;
     const double latency_ms = result.LatencyMs();
-    latencies_.Add(latency_ms);
     latency_series_.Add(result.end, latency_ms);
     for (const engine::WrittenRow& w : result.writes) {
       acked_writes_.Record(w.key, AckedWrite{w.lsn, w.digest, w.deleted});
@@ -189,6 +188,14 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
     queue_.pop_front();
     Dispatch(std::move(next));
   }
+}
+
+PercentileTracker ClientPool::latencies() const {
+  PercentileTracker tracker;
+  for (const TracePoint& point : latency_series_.points()) {
+    tracker.Add(point.value);
+  }
+  return tracker;
 }
 
 double ClientPool::OldestOutstandingAgeMs(SimTime now) const {

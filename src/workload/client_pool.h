@@ -150,8 +150,9 @@ class ClientPool {
   /// Age (ms) of the oldest transaction not yet completed, or 0.
   double OldestOutstandingAgeMs(SimTime now) const;
 
-  /// Per-transaction latency samples (ms) across the whole run.
-  const PercentileTracker& latencies() const { return latencies_; }
+  /// Per-transaction latency samples (ms) across the whole run, read
+  /// off latency_series() so each sample is stored once.
+  PercentileTracker latencies() const;
   /// (completion time, latency ms) series for figure plotting.
   const TimeSeries& latency_series() const { return latency_series_; }
   const ClientPoolStats& stats() const { return stats_; }
@@ -211,7 +212,6 @@ class ClientPool {
   /// overshoot the MPL).
   engine::TxnFrames frames_;
 
-  PercentileTracker latencies_;
   TimeSeries latency_series_;
   ClientPoolStats stats_;
   AckedWriteLedger acked_writes_;

@@ -5,8 +5,9 @@
 // binlog's amortized storage chunks, which hold 9 bytes per record. Nor
 // may the target's payload-CRC check of an LZ frame, once its shape's
 // CRC tables are built; and a migration message encodes into its one
-// frame buffer. A counting global operator new (this binary only)
-// counts calls and bytes.
+// frame buffer and decodes into a reused message without a copy. A
+// counting global operator new (this binary only) counts calls and
+// bytes.
 
 #include <gtest/gtest.h>
 
@@ -258,6 +259,35 @@ TEST(MessageAllocTest, EncodeMessageAllocatesOnlyItsFrame) {
       [&](int) { bytes += net::EncodeMessage(m).size(); });
   EXPECT_GT(bytes, 0u);
   EXPECT_EQ(per_call, 1.0);
+}
+
+// A 256-row raw snapshot chunk of a range job decoded into one reused
+// Message: the payload is parsed where it lies in the frame, and the
+// rows fill the vector the previous decode left, so a warm decode
+// touches no heap (a payload copy made one allocation per decode).
+TEST(MessageAllocTest, DecodeIntoReusedMessageAllocatesNothing) {
+  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+  Rng rng(0xa110e);
+  net::Message m;
+  m.type = net::MessageType::kSnapshotChunk;
+  m.tenant_id = 3;
+  m.chunk_seq = 41;
+  m.payload_bytes = 256 * kKiB;
+  for (uint64_t i = 0; i < 256; ++i) {
+    m.rows.push_back(storage::Record{rng.Next(), i + 1, rng.Next()});
+  }
+  m.range_lo = 1000;
+  m.range_hi = 2000;
+  const std::vector<uint8_t> frame = net::EncodeMessage(m);
+  net::Message out;
+  uint64_t decoded = 0;
+  const double per_call = AllocationsPerCall([&](int) {
+    if (net::DecodeMessage(frame, &out).ok()) ++decoded;
+  });
+  EXPECT_EQ(decoded, static_cast<uint64_t>(kWarmup + kMeasured));
+  EXPECT_EQ(out.rows, m.rows);
+  EXPECT_EQ(out.range_lo, 1000u);
+  EXPECT_EQ(per_call, 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/common/random.h"
@@ -280,6 +281,102 @@ TEST(BTreeShapeTest, DifferentialScriptKeepsPinnedShape) {
                                  32, 42, 32, 33, 45, 32, 34, 33, 35, 35, 34,
                                  56, 32, 38, 33, 39, 34, 33, 35, 38, 47, 34,
                                  36, 41, 34, 57, 33, 38, 55, 35, 44}));
+}
+
+// ---- Bulk append at the right edge ----------------------------------
+
+/// Fingerprint of a tree's shape plus its records, for comparing two
+/// trees built differently.
+void ExpectSameTree(const BTree& got, const BTree& want) {
+  ASSERT_TRUE(got.Validate().ok()) << got.Validate().ToString();
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.Height(), want.Height());
+  EXPECT_EQ(got.LeafSizes(), want.LeafSizes());
+  for (size_t splits : {size_t{1}, size_t{8}, size_t{64}}) {
+    EXPECT_EQ(got.SubtreeSplitKeys(splits), want.SubtreeSplitKeys(splits))
+        << splits << " splits";
+  }
+  auto a = got.Begin();
+  auto b = want.Begin();
+  for (; a.Valid() && b.Valid(); a.Next(), b.Next()) {
+    ASSERT_EQ(a.record(), b.record());
+  }
+  EXPECT_FALSE(a.Valid());
+  EXPECT_FALSE(b.Valid());
+}
+
+/// Appends `n` sparse ascending rows above `preload` Put-loaded ones,
+/// in one call, one row per call and seeded batches, and compares each
+/// tree with the Put loop over all rows.
+void ExpectAppendMatchesPutLoop(Rng* rng, size_t n, size_t preload) {
+  SCOPED_TRACE("n = " + std::to_string(n) + ", preload " +
+               std::to_string(preload));
+  std::vector<Record> rows;
+  uint64_t key = rng->NextBelow(10);
+  for (size_t i = 0; i < preload + n; ++i) {
+    rows.push_back(R(key, i + 1, rng->Next()));
+    key += 1 + rng->NextBelow(3);
+  }
+  BTree by_put;
+  for (const Record& r : rows) by_put.Put(r);
+  for (int mode = 0; mode < 3; ++mode) {
+    SCOPED_TRACE("mode " + std::to_string(mode));
+    BTree appended;
+    for (size_t i = 0; i < preload; ++i) appended.Put(rows[i]);
+    for (size_t at = preload; at < rows.size();) {
+      size_t len = rows.size() - at;
+      if (mode == 1) len = 1;
+      if (mode == 2) len = std::min(len, 1 + rng->NextBelow(200));
+      appended.AppendSorted(rows.data() + at, len);
+      at += len;
+    }
+    ExpectSameTree(appended, by_put);
+  }
+}
+
+TEST(BTreeShapeTest, AppendSortedMatchesPutLoop) {
+  Rng rng(4096);
+  std::vector<size_t> sizes = {0, 1, 64, 65, 66, 4095, 4096, 8192, 16384};
+  for (int i = 0; i < 6; ++i) sizes.push_back(rng.NextBelow(20000));
+  for (size_t n : sizes) {
+    // On an empty tree, and on a partly filled right leaf.
+    ExpectAppendMatchesPutLoop(&rng, n, 0);
+    ExpectAppendMatchesPutLoop(&rng, n, 1 + rng.NextBelow(300));
+  }
+}
+
+TEST(BTreeShapeTest, AppendSortedThenMutateStaysValid) {
+  // A bulk-loaded tree is an ordinary tree: point writes and erases
+  // keep it equal to the Put-built one.
+  std::vector<Record> rows;
+  for (uint64_t k = 0; k < 5000; ++k) rows.push_back(R(k));
+  BTree appended;
+  appended.AppendSorted(rows.data(), rows.size());
+  BTree by_put;
+  for (const Record& r : rows) by_put.Put(r);
+  Rng rng(9);
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t key = rng.NextBelow(6000);
+    if (rng.Bernoulli(0.5)) {
+      ASSERT_EQ(appended.Put(R(key, 2)), by_put.Put(R(key, 2)));
+    } else {
+      ASSERT_EQ(appended.Erase(key), by_put.Erase(key));
+    }
+  }
+  ExpectSameTree(appended, by_put);
+}
+
+TEST(BTreeShapeDeathTest, AppendSortedRejectsKeysNotAboveMax) {
+  BTree tree;
+  for (uint64_t k = 0; k < 200; k += 2) tree.Put(R(k));
+  const Record equal[] = {R(198)};
+  const Record below[] = {R(51)};
+  const Record unsorted[] = {R(300), R(299)};
+  const Record duplicate[] = {R(300), R(300)};
+  EXPECT_DEATH(tree.AppendSorted(equal, 1), "not above the tree's maximum");
+  EXPECT_DEATH(tree.AppendSorted(below, 1), "not above the tree's maximum");
+  EXPECT_DEATH(tree.AppendSorted(unsorted, 2), "not strictly ascending");
+  EXPECT_DEATH(tree.AppendSorted(duplicate, 2), "not strictly ascending");
 }
 
 }  // namespace

@@ -467,6 +467,48 @@ TEST(ChecksumTest, HashCombineOrderSensitive) {
   EXPECT_NE(d1, d2);
 }
 
+TEST(ChecksumTest, HashCombineMatchesBytewiseFnv) {
+  // The reference: FNV-1a over the value's 8 little-endian bytes, the
+  // definition the significant-bytes shortcut must reproduce.
+  const auto reference = [](uint64_t digest, uint64_t value) {
+    uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+    return Fnv1a64(bytes, sizeof(bytes), digest);
+  };
+  Rng rng(27);
+  std::vector<uint64_t> values = {0, 1, 0xff, 0x100, UINT64_MAX,
+                                  0x8000000000000000ULL,
+                                  0x0100000000000001ULL,  // Zeros inside.
+                                  0x00ff0000ff000000ULL};
+  for (int width = 0; width <= 8; ++width) {
+    for (int trial = 0; trial < 200; ++trial) {
+      // Exactly `width` significant bytes: top byte nonzero, the rest
+      // random, with about half of the lower bytes forced to zero.
+      uint64_t value = 0;
+      for (int b = 0; b < width; ++b) {
+        uint64_t byte = rng.NextBelow(256);
+        if (b == width - 1) {
+          byte = 1 + rng.NextBelow(255);
+        } else if (rng.Bernoulli(0.5)) {
+          byte = 0;
+        }
+        value |= byte << (8 * b);
+      }
+      values.push_back(value);
+    }
+  }
+  for (uint64_t value : values) {
+    for (uint64_t digest :
+         {uint64_t{0}, uint64_t{0xcbf29ce484222325ULL}, UINT64_MAX,
+          rng.Next()}) {
+      ASSERT_EQ(HashCombine(digest, value), reference(digest, value))
+          << "digest " << digest << " value " << value;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- Units
 
 TEST(UnitsTest, Conversions) {

@@ -338,7 +338,9 @@ bool ParseLayerManifest(const std::string& json, LayerManifest* manifest,
   }
 
   // Validation: every module in exactly one layer; allow edges name
-  // declared modules, are not self-edges, and are not already legal.
+  // declared modules, are not self-edges, and are lateral: a downward
+  // edge is already legal, and an upward one would turn the allow-list
+  // into an escape hatch from the layering.
   if (manifest->layers.empty()) {
     *error = "manifest declares no layers";
     return false;
@@ -371,6 +373,11 @@ bool ParseLayerManifest(const std::string& json, LayerManifest* manifest,
     if (to < from) {
       *error = "allow edge '" + edge.from + "' -> '" + edge.to +
                "' is already legal (strictly downward); remove it";
+      return false;
+    }
+    if (to > from) {
+      *error = "allow edge '" + edge.from + "' -> '" + edge.to +
+               "' points upward; only lateral edges may be allowed";
       return false;
     }
     if (edge.why.empty()) {

@@ -64,14 +64,31 @@ TEST(LayerManifestTest, RejectsMalformedManifests) {
       R"({"layers": [["a"], ["b"]],
           "allow": [{"from": "b", "to": "a", "why": "w"}]})",
       &m, &error));
-  // Missing rationale.
+  // Missing rationale (on an otherwise legal lateral edge).
   EXPECT_FALSE(ParseLayerManifest(
-      R"({"layers": [["a"], ["b"]],
+      R"({"layers": [["a", "b"]],
           "allow": [{"from": "a", "to": "b"}]})",
       &m, &error));
   // Not JSON at all.
   EXPECT_FALSE(ParseLayerManifest("layers: nope", &m, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(LayerManifestTest, RejectsUpwardAllowEdge) {
+  LayerManifest m;
+  std::string error;
+  EXPECT_FALSE(ParseLayerManifest(
+      R"({"layers": [["a"], ["b"]],
+          "allow": [{"from": "a", "to": "b", "why": "w"}]})",
+      &m, &error));
+  EXPECT_NE(error.find("points upward"), std::string::npos) << error;
+  // The same edge between same-layer modules is a legal exception.
+  error.clear();
+  EXPECT_TRUE(ParseLayerManifest(
+      R"({"layers": [["a", "b"]],
+          "allow": [{"from": "a", "to": "b", "why": "w"}]})",
+      &m, &error))
+      << error;
 }
 
 TEST(LayeringTest, PathNormalizationAndModuleOwnership) {
