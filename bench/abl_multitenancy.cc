@@ -8,10 +8,8 @@
 // private pools isolate it.
 
 #include <cstdio>
-#include <memory>
 
-#include "bench/harness.h"
-#include "src/workload/client_pool.h"
+#include "bench/fleet.h"
 
 namespace slacker::bench {
 namespace {
@@ -20,67 +18,61 @@ struct IsolationResult {
   double victim_mean = 0.0;
   double victim_p95 = 0.0;
   double victim_hit_rate = 0.0;
+  bool audited = false;
 };
 
 IsolationResult Run(MultitenancyModel model) {
-  sim::Simulator sim;
   ClusterOptions cluster_options = PaperClusterOptions();
   cluster_options.multitenancy = model;
   // Same total memory either way: 2 x 64 MiB private, or 128 MiB shared.
   cluster_options.shared_buffer_bytes = 128 * kMiB;
-  Cluster cluster(&sim, cluster_options);
+  // The scenario pins its own seeds: each pool's salt is its seed.
+  ExperimentOptions pinned;
+  pinned.seed = 0;
+  Fleet fleet(pinned, cluster_options, /*metrics=*/false);
 
   // Victim: 64 MiB of hot data — fits its share of memory entirely.
   engine::TenantConfig victim_cfg;
   victim_cfg.tenant_id = 1;
   victim_cfg.layout.record_count = 64 * 1024;
   victim_cfg.buffer_pool_bytes = 64 * kMiB;
-  auto victim_db = cluster.AddTenant(0, victim_cfg);
-  (*victim_db)->WarmBufferPool();
+  fleet.AddTenant(0, victim_cfg);
 
   // Neighbour: 512 MiB, uniformly scanned — far bigger than any cache.
   engine::TenantConfig neighbor_cfg;
   neighbor_cfg.tenant_id = 2;
   neighbor_cfg.layout.record_count = 512 * 1024;
   neighbor_cfg.buffer_pool_bytes = 64 * kMiB;
-  auto neighbor_db = cluster.AddTenant(0, neighbor_cfg);
-  (*neighbor_db)->WarmBufferPool();
+  fleet.AddTenant(0, neighbor_cfg);
 
   workload::YcsbConfig victim_ycsb;
   victim_ycsb.record_count = victim_cfg.layout.record_count;
   victim_ycsb.mean_interarrival = 0.25;
-  workload::YcsbWorkload victim_workload(victim_ycsb, 1, 11);
-  workload::ClientPool victim_pool(&sim, &victim_workload, &cluster,
-                                   cluster.MakeLatencyObserver());
-  cluster.AttachClientPool(1, &victim_pool);
-  victim_pool.Start();
+  fleet.AddPool(1, victim_ycsb, /*seed_salt=*/11);
 
   workload::YcsbConfig neighbor_ycsb;
   neighbor_ycsb.record_count = neighbor_cfg.layout.record_count;
   neighbor_ycsb.mean_interarrival = 0.5;
-  workload::YcsbWorkload neighbor_workload(neighbor_ycsb, 2, 22);
-  workload::ClientPool neighbor_pool(&sim, &neighbor_workload, &cluster,
-                                     cluster.MakeLatencyObserver());
-  cluster.AttachClientPool(2, &neighbor_pool);
-  neighbor_pool.Start();
+  fleet.AddPool(2, neighbor_ycsb, /*seed_salt=*/22);
 
-  sim.RunUntil(60.0);  // Let the neighbour pollute (or not).
-  (*victim_db)->buffer_pool()->ResetStats();
-  const SimTime measure_start = sim.Now();
-  sim.RunUntil(measure_start + 180.0);
-  victim_pool.Stop();
-  neighbor_pool.Stop();
+  storage::BufferPool* victim_pages =
+      fleet.cluster()->TenantOn(0, 1)->buffer_pool();
+  fleet.sim()->RunUntil(60.0);  // Let the neighbour pollute (or not).
+  victim_pages->ResetStats();
+  const SimTime measure_start = fleet.sim()->Now();
+  fleet.sim()->RunUntil(measure_start + 180.0);
 
   IsolationResult result;
   PercentileTracker victim_lat;
-  for (const auto& p : victim_pool.latency_series().points()) {
+  for (const auto& p : fleet.pools()[0]->latency_series().points()) {
     if (p.t >= measure_start) victim_lat.Add(p.value);
   }
   result.victim_mean = victim_lat.Mean();
   result.victim_p95 = victim_lat.Percentile(95);
-  result.victim_hit_rate = (*victim_db)->buffer_pool()->HitRate();
+  result.victim_hit_rate = victim_pages->HitRate();
   // Note: under the shared model this is the shared pool's overall hit
   // rate; the victim-only signal is its latency.
+  result.audited = fleet.Finish();
   return result;
 }
 
@@ -113,5 +105,5 @@ int main(int argc, char** argv) {
                std::to_string(shared.victim_hit_rate).substr(0, 4));
   PrintRow("paper's design choice validated", "process-level isolates",
            shared.victim_mean > isolated.victim_mean * 1.3 ? "yes" : "NO");
-  return 0;
+  return isolated.audited && shared.audited ? 0 : 1;
 }

@@ -9,9 +9,8 @@
 #include <cstdio>
 #include <string>
 
-#include "bench/harness.h"
+#include "bench/fleet.h"
 #include "src/common/invariant.h"
-#include "src/workload/client_pool.h"
 
 namespace slacker::bench {
 namespace {
@@ -20,35 +19,36 @@ struct DistResult {
   double baseline_util = 0.0;
   double hit_rate = 0.0;
   double migration_latency = 0.0;
+  bool audited = false;
 };
 
 DistResult Run(workload::KeyDistribution dist) {
-  sim::Simulator sim;
-  Cluster cluster(&sim, PaperClusterOptions());
+  // The scenario pins its own seed: the pool's salt is its seed.
+  ExperimentOptions pinned;
+  pinned.seed = 0;
+  Fleet fleet(pinned, PaperClusterOptions(), /*metrics=*/false);
+  sim::Simulator* sim = fleet.sim();
+  Cluster* cluster = fleet.cluster();
   engine::TenantConfig tenant =
       PaperTenantConfig(PaperConfig::kEvaluation, 1, 1.0);
-  auto db = cluster.AddTenant(0, tenant);
-  (*db)->WarmBufferPool();
+  fleet.AddTenant(0, tenant);
 
   workload::YcsbConfig ycsb;
   ycsb.record_count = tenant.layout.record_count;
   ycsb.distribution = dist;
   ycsb.mean_interarrival = PaperInterarrival(PaperConfig::kEvaluation);
-  workload::YcsbWorkload workload(ycsb, 1, 17);
-  workload::ClientPool pool(&sim, &workload, &cluster,
-                            cluster.MakeLatencyObserver());
-  cluster.AttachClientPool(1, &pool);
-  pool.Start();
+  fleet.AddPool(1, ycsb, /*seed_salt=*/17);
 
   // Warm-up includes cache adaptation for the skewed distributions.
-  sim.RunUntil(60.0);
-  cluster.server(0)->disk()->ResetStats();
-  (*db)->buffer_pool()->ResetStats();
-  sim.RunUntil(120.0);
+  storage::BufferPool* pages = cluster->TenantOn(0, 1)->buffer_pool();
+  sim->RunUntil(60.0);
+  cluster->server(0)->disk()->ResetStats();
+  pages->ResetStats();
+  sim->RunUntil(120.0);
 
   DistResult result;
-  result.baseline_util = cluster.server(0)->disk()->Utilization();
-  result.hit_rate = (*db)->buffer_pool()->HitRate();
+  result.baseline_util = cluster->server(0)->disk()->Utilization();
+  result.hit_rate = pages->HitRate();
 
   MigrationOptions migration;
   migration.throttle = ThrottleKind::kFixed;
@@ -56,22 +56,14 @@ DistResult Run(workload::KeyDistribution dist) {
   migration.backup.chunk_bytes = 256 * kKiB;
   migration.prepare.base_seconds = 2.0;
   MigrationReport report;
-  bool done = false;
-  const Status started =
-      cluster.StartMigration(1, 1, migration, [&](const MigrationReport& r) {
-        report = r;
-        done = true;
-      });
-  // A failed start invalidates the whole experiment; fail loudly.
-  SLACKER_CHECK(started.ok(), started.ToString());
-  const SimTime start = sim.Now();
-  while (!done && sim.Now() < start + 1000.0) sim.RunUntil(sim.Now() + 5.0);
-  PercentileTracker lat;
-  for (const auto& p : pool.latency_series().points()) {
-    if (p.t >= start) lat.Add(p.value);
-  }
-  result.migration_latency = lat.Mean();
-  pool.Stop();
+  const SimTime start = sim->Now();
+  // A migration that fails to start or finish invalidates the whole
+  // experiment; fail loudly.
+  SLACKER_CHECK(fleet.RunMigration(migration, &report, 1000.0),
+                "migration did not finish");
+  result.migration_latency =
+      fleet.LatenciesBetween(start, sim->Now()).Mean();
+  result.audited = fleet.Finish();
   return result;
 }
 
@@ -90,6 +82,7 @@ int main(int argc, char** argv) {
   std::printf("  %-12s %14s %12s %20s\n", "distribution", "baseline util",
               "hit rate", "latency w/ migration");
   DistResult uniform, zipf;
+  bool audited = true;
   struct Named {
     const char* name;
     workload::KeyDistribution dist;
@@ -103,11 +96,12 @@ int main(int argc, char** argv) {
                 r.hit_rate, r.migration_latency);
     if (d.dist == workload::KeyDistribution::kUniform) uniform = r;
     if (d.dist == workload::KeyDistribution::kZipfian) zipf = r;
+    audited = r.audited && audited;
   }
   PrintRow("skew raises hit rate", "hot rows stay cached",
            zipf.hit_rate > uniform.hit_rate + 0.1 ? "yes" : "NO");
   PrintRow("skew frees migration slack",
            "lower tenant disk demand -> cheaper migration",
            zipf.migration_latency < uniform.migration_latency ? "yes" : "NO");
-  return 0;
+  return audited ? 0 : 1;
 }

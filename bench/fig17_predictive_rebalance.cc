@@ -27,8 +27,8 @@
 
 #include "bench/fleet.h"
 #include "src/forecast/cost_model.h"
-#include "src/forecast/sampler.h"
 #include "src/forecast/trough_scheduler.h"
+#include "src/slacker/fleet_load_sampler.h"
 #include "src/slacker/upgrade.h"
 
 namespace slacker::bench {
@@ -90,11 +90,11 @@ RunResult Drive(Fleet* fleet, const Fig17Params& params, bool predictive) {
   // consolidation would churn placements through every trough.
   rebalance.consolidate = false;
 
-  std::unique_ptr<forecast::FleetLoadSampler> sampler;
+  std::unique_ptr<FleetLoadSampler> sampler;
   std::unique_ptr<forecast::MigrationCostModel> cost_model;
   std::unique_ptr<forecast::TroughScheduler> scheduler;
   if (predictive) {
-    forecast::ForecastOptions fopts;
+    ForecastOptions fopts;
     // 10 s buckets: wide enough that Poisson arrival noise per bucket
     // stays well under the diurnal swing, narrow enough to place the
     // trough within a fraction of its width.
@@ -107,8 +107,7 @@ RunResult Drive(Fleet* fleet, const Fig17Params& params, bool predictive) {
     fopts.history_buckets =
         static_cast<size_t>(2 * fopts.cycle.max_period_buckets);
     fopts.redetect_buckets = 8;
-    sampler =
-        std::make_unique<forecast::FleetLoadSampler>(cluster, fopts);
+    sampler = std::make_unique<FleetLoadSampler>(cluster, fopts);
     if (!sampler->Start().ok()) {
       std::fprintf(stderr, "sampler failed to start\n");
       return RunResult{};

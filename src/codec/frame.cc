@@ -8,22 +8,18 @@ namespace {
 constexpr uint8_t kFrameMagic = kCodecFrameMagic;
 constexpr uint8_t kFrameVersion = 1;
 
-void EncodeBody(const FrameHeader& frame, ByteWriter* writer) {
-  writer->PutU8(kFrameMagic);
-  writer->PutU8(kFrameVersion);
-  writer->PutU8(static_cast<uint8_t>(frame.codec));
-  writer->PutVarint64(frame.logical_bytes);
-  writer->PutVarint64(frame.encoded_bytes);
-  writer->PutFixed32(frame.payload_crc);
-  writer->PutFixed32(frame.base_crc);
-  writer->PutDouble(frame.payload_redundancy);
-}
-
 }  // namespace
 
 void FrameHeader::EncodeTo(ByteWriter* writer) const {
   const size_t start = writer->size();
-  EncodeBody(*this, writer);
+  writer->PutU8(kFrameMagic);
+  writer->PutU8(kFrameVersion);
+  writer->PutU8(static_cast<uint8_t>(codec));
+  writer->PutVarint64(logical_bytes);
+  writer->PutVarint64(encoded_bytes);
+  writer->PutFixed32(payload_crc);
+  writer->PutFixed32(base_crc);
+  writer->PutDouble(payload_redundancy);
   writer->PutFixed32(
       Crc32c(writer->data().data() + start, writer->size() - start));
 }
@@ -40,6 +36,7 @@ Status FrameHeader::DecodeFrom(ByteReader* reader) {
   uint8_t version = 0;
   uint8_t codec_byte = 0;
   FrameHeader decoded;
+  const size_t start = reader->position();
   SLACKER_RETURN_IF_ERROR(reader->GetU8(&magic));
   if (magic != kFrameMagic) {
     return Status::Corruption("codec frame: bad magic");
@@ -58,13 +55,15 @@ Status FrameHeader::DecodeFrom(ByteReader* reader) {
   SLACKER_RETURN_IF_ERROR(reader->GetFixed32(&decoded.payload_crc));
   SLACKER_RETURN_IF_ERROR(reader->GetFixed32(&decoded.base_crc));
   SLACKER_RETURN_IF_ERROR(reader->GetDouble(&decoded.payload_redundancy));
+  // The CRC covers exactly the bytes just consumed. EncodeTo writes
+  // canonical varints, so a header of any other length (an overlong
+  // varint) did not come from it.
+  const uint32_t body_crc = Crc32c(reader->data() + start,
+                                   reader->position() - start);
   uint32_t header_crc = 0;
   SLACKER_RETURN_IF_ERROR(reader->GetFixed32(&header_crc));
-  // The encoding is canonical (LEB128 varints, fixed-width ints), so
-  // re-encoding the decoded fields reproduces the checksummed bytes.
-  ByteWriter body;
-  EncodeBody(decoded, &body);
-  if (Crc32c(body.data()) != header_crc) {
+  if (body_crc != header_crc ||
+      reader->position() - start != decoded.EncodedSize()) {
     return Status::Corruption("codec frame: header crc mismatch");
   }
   *this = decoded;

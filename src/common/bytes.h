@@ -64,6 +64,9 @@ class ByteReader {
 
   size_t remaining() const { return len_ - pos_; }
   size_t position() const { return pos_; }
+  /// The buffer being read, read-only: a decoder checksums the bytes it
+  /// consumed as data() + start .. data() + position().
+  const uint8_t* data() const { return data_; }
   bool exhausted() const { return pos_ == len_; }
 
  private:

@@ -11,8 +11,9 @@ namespace slacker::forecast {
 /// normalized load prediction per server over future sim time. Load is
 /// utilization-like — the fraction of the server's disk the workload is
 /// expected to consume (0 idle, ~1 saturated; may exceed 1 under
-/// overload). The production implementation is FleetLoadSampler; tests
-/// substitute synthetic predictors.
+/// overload). The production implementation is slacker::FleetLoadSampler
+/// (src/slacker/fleet_load_sampler.h); tests substitute synthetic
+/// predictors.
 class LoadPredictor {
  public:
   virtual ~LoadPredictor() = default;

@@ -49,6 +49,7 @@ size_t NegotiationInfo::EncodedSize() const {
 }
 
 Status NegotiationInfo::DecodeFrom(ByteReader* reader) {
+  const size_t start = reader->position();
   uint8_t magic;
   SLACKER_RETURN_IF_ERROR(reader->GetU8(&magic));
   if (magic != kNegotiationMagic) {
@@ -59,21 +60,20 @@ Status NegotiationInfo::DecodeFrom(ByteReader* reader) {
   if (version64 > UINT32_MAX) {
     return Status::Corruption("negotiation version out of range");
   }
-  uint64_t mask;
-  SLACKER_RETURN_IF_ERROR(reader->GetVarint64(&mask));
+  NegotiationInfo decoded;
+  decoded.software_version = static_cast<uint32_t>(version64);
+  SLACKER_RETURN_IF_ERROR(reader->GetVarint64(&decoded.feature_mask));
+  // The checksum covers exactly the bytes just parsed, which must be
+  // EncodeTo's canonical encoding (as in codec::FrameHeader::DecodeFrom).
+  const uint32_t body_crc =
+      Crc32c(reader->data() + start, reader->position() - start);
   uint32_t crc;
   SLACKER_RETURN_IF_ERROR(reader->GetFixed32(&crc));
-  // Re-encode the body to verify the checksum covers exactly what we
-  // parsed (same technique as codec::FrameHeader::DecodeFrom).
-  ByteWriter body;
-  body.PutU8(kNegotiationMagic);
-  body.PutVarint64(version64);
-  body.PutVarint64(mask);
-  if (Crc32c(body.data()) != crc) {
+  if (body_crc != crc ||
+      reader->position() - start != decoded.EncodedSize()) {
     return Status::Corruption("negotiation extension checksum mismatch");
   }
-  software_version = static_cast<uint32_t>(version64);
-  feature_mask = mask;
+  *this = decoded;
   return Status::Ok();
 }
 

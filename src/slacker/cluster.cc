@@ -19,7 +19,7 @@ constexpr uint64_t kRecoveryStreamId = UINT64_MAX - 3;
 }  // namespace
 
 Server::Server(sim::Simulator* sim, uint64_t id, const ClusterOptions& options,
-               MigrationContext* ctx)
+               Cluster* cluster)
     : id_(id),
       disk_(sim, options.disk, "disk-" + std::to_string(id)),
       cpu_(sim, options.cpu),
@@ -29,7 +29,7 @@ Server::Server(sim::Simulator* sim, uint64_t id, const ClusterOptions& options,
                                  options.shared_buffer_bytes / (16 * kKiB)})
                        : nullptr),
       tenants_(sim, &disk_, &cpu_, shared_pool_.get()),
-      controller_(std::make_unique<MigrationController>(ctx, id)),
+      controller_(std::make_unique<MigrationController>(cluster, id)),
       software_version_(options.software_version) {
   controller_->set_incoming_options(options.incoming_migration);
 }
@@ -39,8 +39,8 @@ void Server::Shutdown() {
   controller_.reset();
 }
 
-void Server::Reboot(MigrationContext* ctx, const MigrationOptions& incoming) {
-  controller_ = std::make_unique<MigrationController>(ctx, id_);
+void Server::Reboot(Cluster* cluster, const MigrationOptions& incoming) {
+  controller_ = std::make_unique<MigrationController>(cluster, id_);
   controller_->set_incoming_options(incoming);
   up_ = true;
 }
@@ -274,18 +274,6 @@ void Cluster::AttachClientPool(uint64_t tenant_id,
 engine::TenantDb* Cluster::TenantOn(uint64_t server_id, uint64_t tenant_id) {
   Server* host = server(server_id);
   return host == nullptr ? nullptr : host->tenants()->Get(tenant_id);
-}
-
-std::vector<uint64_t> Cluster::SampledTenantsOn(uint64_t server_id) {
-  return ranges_.TenantsOn(server_id);
-}
-
-bool Cluster::TenantOpsExecuted(uint64_t server_id, uint64_t tenant_id,
-                                uint64_t* ops) {
-  const engine::TenantDb* db = TenantOn(server_id, tenant_id);
-  if (db == nullptr) return false;
-  *ops = db->ops_executed();
-  return true;
 }
 
 Result<engine::TenantDb*> Cluster::CreateTenantOn(
@@ -585,25 +573,6 @@ void Cluster::SendMessage(uint64_t from_server, uint64_t to_server,
     return;
   }
   ChannelBetween(from_server, to_server)->Send(message);
-}
-
-control::LatencyMonitor* Cluster::MonitorOn(uint64_t server_id) {
-  Server* host = server(server_id);
-  return host == nullptr ? nullptr : host->monitor();
-}
-
-DurableStore* Cluster::DurableStoreOn(uint64_t server_id) {
-  Server* host = server(server_id);
-  return host == nullptr ? nullptr : host->durable();
-}
-
-resource::CpuModel* Cluster::CpuOn(uint64_t server_id) {
-  Server* host = server(server_id);
-  return host == nullptr ? nullptr : host->cpu();
-}
-
-uint32_t Cluster::SoftwareVersionOn(uint64_t server_id) {
-  return ServerVersion(server_id);
 }
 
 }  // namespace slacker

@@ -10,7 +10,6 @@
 
 #include "src/common/status.h"
 #include "src/control/latency_monitor.h"
-#include "src/forecast/fleet_source.h"
 #include "src/net/channel.h"
 #include "src/range/key_range.h"
 #include "src/range/range_directory.h"
@@ -61,7 +60,7 @@ struct ClusterOptions {
 class Server {
  public:
   Server(sim::Simulator* sim, uint64_t id, const ClusterOptions& options,
-         MigrationContext* ctx);
+         Cluster* cluster);
 
   uint64_t id() const { return id_; }
   resource::DiskModel* disk() { return &disk_; }
@@ -94,7 +93,7 @@ class Server {
   /// Brings the server back with a fresh controller. Disk/CPU queues
   /// survive as objects; in-flight completions for dead tenants are
   /// no-ops via their expiry guards.
-  void Reboot(MigrationContext* ctx, const MigrationOptions& incoming);
+  void Reboot(Cluster* cluster, const MigrationOptions& incoming);
 
  private:
   uint64_t id_;
@@ -112,25 +111,27 @@ class Server {
 /// The whole testbed in one object (the Figure 4 / Figure 10 setup):
 /// N servers, a full mesh of gigabit links with a message channel per
 /// ordered pair, the frontend routing table, and the plumbing that
-/// routes client latencies to the hosting server's monitor. Implements
-/// MigrationContext for the jobs, TenantResolver for the benchmark
-/// clients, and FleetOpsSource for the forecast sampler.
-class Cluster : public MigrationContext,
-                public workload::TenantResolver,
-                public forecast::FleetOpsSource {
+/// routes client latencies to the hosting server's monitor. It is the
+/// one fleet the migration jobs, the controllers and the forecast
+/// sampler (FleetLoadSampler) talk to, and the TenantResolver of the
+/// benchmark clients.
+class Cluster : public workload::TenantResolver {
  public:
   Cluster(sim::Simulator* sim, const ClusterOptions& options);
   ~Cluster() override;
 
+  sim::Simulator* simulator() { return sim_; }
+
   // --- Topology ---------------------------------------------------
+  /// nullptr for an unknown id.
   Server* server(uint64_t id);
-  size_t num_servers() const override { return servers_.size(); }
+  size_t num_servers() const { return servers_.size(); }
   /// Ids of the servers currently up — the fleet the rebalancer plans
   /// over (a crashed server is neither a migration source nor target).
   std::vector<uint64_t> UpServerIds() const;
   /// The routing table (DESIGN.md §16): every tenant is registered
   /// with a single full-keyspace range at AddTenant time.
-  range::RangeDirectory* directory() override { return &ranges_; }
+  range::RangeDirectory* directory() { return &ranges_; }
   /// Alias of directory(); the benchmark scenario still calls it.
   range::RangeDirectory* range_directory() { return &ranges_; }
   /// The directional channel carrying from→to traffic (created on first
@@ -145,8 +146,24 @@ class Cluster : public MigrationContext,
   /// Removes a tenant everywhere (directory + every owning server).
   /// FailedPrecondition while any of its migrations is in flight.
   Status RemoveTenant(uint64_t tenant_id);
+  /// The tenant's instance on `server_id`, or nullptr (none there, or
+  /// no such server).
+  engine::TenantDb* TenantOn(uint64_t server_id, uint64_t tenant_id);
+  /// Creates an instance on one server without touching the directory
+  /// (migration staging). NotFound for an unknown server,
+  /// FailedPrecondition on a draining one, AlreadyExists when the
+  /// tenant is already there.
+  Result<engine::TenantDb*> CreateTenantOn(uint64_t server_id,
+                                           const engine::TenantConfig& config,
+                                           bool load, bool frozen);
+  /// Deletes the instance on one server (directory untouched).
+  Status DeleteTenantOn(uint64_t server_id, uint64_t tenant_id);
 
   // --- Migration --------------------------------------------------
+  /// Transmits over the simulated network; the receiving controller's
+  /// HandleMessage fires on delivery. A down sender drops the message.
+  void SendMessage(uint64_t from_server, uint64_t to_server,
+                   const net::Message& message);
   /// Migrates `options.range` of `tenant_id` to `target_server` on the
   /// range's owner (DESIGN.md §16). The full range, the default, is the
   /// whole tenant and needs it unsharded (else FailedPrecondition); a
@@ -235,28 +252,11 @@ class Cluster : public MigrationContext,
     sla_threshold_ms_ = threshold_ms;
   }
 
-  // --- MigrationContext -------------------------------------------
-  sim::Simulator* simulator() override { return sim_; }
-  engine::TenantDb* TenantOn(uint64_t server_id, uint64_t tenant_id) override;
-  Result<engine::TenantDb*> CreateTenantOn(uint64_t server_id,
-                                           const engine::TenantConfig& config,
-                                           bool load, bool frozen) override;
-  Status DeleteTenantOn(uint64_t server_id, uint64_t tenant_id) override;
-  void SendMessage(uint64_t from_server, uint64_t to_server,
-                   const net::Message& message) override;
-  control::LatencyMonitor* MonitorOn(uint64_t server_id) override;
-  DurableStore* DurableStoreOn(uint64_t server_id) override;
-  resource::CpuModel* CpuOn(uint64_t server_id) override;
-  uint32_t SoftwareVersionOn(uint64_t server_id) override;
-  obs::Tracer* tracer() override { return tracer_; }
+  /// The installed tracer, or nullptr (instrumented code treats null
+  /// as a no-op).
+  obs::Tracer* tracer() { return tracer_; }
   /// Always on: every Cluster audits its migrations (DESIGN.md §9).
-  InvariantAuditor* auditor() override { return &auditor_; }
-
-  // --- FleetOpsSource ---------------------------------------------
-  // (simulator(), tracer() and num_servers() above also satisfy it.)
-  std::vector<uint64_t> SampledTenantsOn(uint64_t server_id) override;
-  bool TenantOpsExecuted(uint64_t server_id, uint64_t tenant_id,
-                         uint64_t* ops) override;
+  InvariantAuditor* auditor() { return &auditor_; }
 
  private:
   void RecoverServer(uint64_t server_id);

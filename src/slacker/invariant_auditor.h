@@ -15,7 +15,7 @@ namespace slacker {
 /// leans on (DESIGN.md §9): the MigrationPhase transition table,
 /// sim-clock monotonicity, snapshot chunk/byte conservation, and
 /// throttle-rate bounds. Owned by Cluster (one per testbed) and reached
-/// through MigrationContext::auditor(); every hook is cheap (O(1) or a
+/// through Cluster::auditor(), never null; every hook is cheap (O(1) or a
 /// small map lookup) and every violation is fatal via SLACKER_CHECK —
 /// a corrupted migration state machine must stop the run at the point
 /// of corruption, not ten minutes later in a divergent golden trace.

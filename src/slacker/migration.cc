@@ -9,6 +9,7 @@
 #include "src/common/logging.h"
 #include "src/engine/checkpoint.h"
 #include "src/obs/events.h"
+#include "src/slacker/cluster.h"
 #include "src/slacker/invariant_auditor.h"
 #include "src/wal/recovery.h"
 
@@ -95,18 +96,17 @@ double MigrationReport::CompressionRatio() const {
          static_cast<double>(wire);
 }
 
-MigrationJob::MigrationJob(MigrationContext* ctx, uint64_t tenant_id,
+MigrationJob::MigrationJob(Cluster* cluster, uint64_t tenant_id,
                            uint64_t source_server, uint64_t target_server,
                            const MigrationOptions& options, DoneCallback done)
-    : ctx_(ctx),
-      sim_(ctx->simulator()),
+    : cluster_(cluster),
+      sim_(cluster->simulator()),
       tenant_id_(tenant_id),
       source_server_(source_server),
       target_server_(target_server),
       options_(options),
       done_(std::move(done)),
-      auditor_(ctx->auditor()),
-      tracer_(ctx->tracer()) {
+      tracer_(cluster->tracer()) {
   if (tracer_ != nullptr && tracer_->enabled()) {
     track_ = obs::MigrationTrack(tenant_id);
   } else {
@@ -129,7 +129,7 @@ Status MigrationJob::Start() {
   if (source_server_ == target_server_) {
     return Status::InvalidArgument("source and target are the same server");
   }
-  source_db_ = ctx_->TenantOn(source_server_, tenant_id_);
+  source_db_ = cluster_->TenantOn(source_server_, tenant_id_);
   if (source_db_ == nullptr) {
     return Status::NotFound("tenant " + std::to_string(tenant_id_) +
                             " not on source server");
@@ -141,8 +141,9 @@ Status MigrationJob::Start() {
         "source already has a freeze in progress");
   }
 
-  policy_ = MakeThrottlePolicy(options_, ctx_->MonitorOn(source_server_),
-                               ctx_->MonitorOn(target_server_));
+  policy_ = MakeThrottlePolicy(options_,
+                               cluster_->server(source_server_)->monitor(),
+                               cluster_->server(target_server_)->monitor());
   report_.throttle_name = policy_->name();
   resource::TokenBucketOptions bucket_options;
   bucket_options.rate_bytes_per_sec =
@@ -202,14 +203,14 @@ Status MigrationJob::Start() {
   // its own in the accept and the pair downgrades to the common
   // feature set (OnAccepted). Version-0 sources skip the extension so
   // the legacy wire stays byte-identical.
-  const uint32_t source_version = ctx_->SoftwareVersionOn(source_server_);
+  const uint32_t source_version = cluster_->ServerVersion(source_server_);
   if (source_version != 0) {
     request.negotiation.software_version = source_version;
     request.negotiation.feature_mask =
         net::FeatureMaskForVersion(source_version);
   }
-  ctx_->SendMessage(source_server_, target_server_, request);
-  if (auditor_ != nullptr) auditor_->BeginMigration(tenant_id_);
+  cluster_->SendMessage(source_server_, target_server_, request);
+  cluster_->auditor()->BeginMigration(tenant_id_);
   if (options_.timeout_seconds > 0.0) {
     ArmWatchdog(options_.timeout_seconds);
   }
@@ -249,7 +250,7 @@ void MigrationJob::Abort(const std::string& error, Status status) {
   abort.type = net::MessageType::kMigrateAbort;
   abort.tenant_id = tenant_id_;
   abort.error = error;
-  ctx_->SendMessage(source_server_, target_server_, abort);
+  cluster_->SendMessage(source_server_, target_server_, abort);
   // Stop-and-copy froze the tenant up front, a handover its range.
   if (source_db_ != nullptr && source_db_->frozen()) {
     source_db_->Unfreeze();
@@ -277,10 +278,8 @@ Status MigrationJob::Cancel(const std::string& reason) {
 
 void MigrationJob::EnterPhase(MigrationPhase phase) {
   const SimTime now = sim_->Now();
-  if (auditor_ != nullptr) {
-    auditor_->OnClockSample(now);
-    auditor_->OnPhaseTransition(tenant_id_, phase_, phase);
-  }
+  cluster_->auditor()->OnClockSample(now);
+  cluster_->auditor()->OnPhaseTransition(tenant_id_, phase_, phase);
   const SimTime elapsed = now - phase_start_;
   switch (phase_) {
     case MigrationPhase::kNegotiate:
@@ -331,13 +330,12 @@ void MigrationJob::StartController() {
 void MigrationJob::OnTick(SimTime now) {
   if (finished_) return;
   const double rate_mbps = policy_->OnTick(now, options_.controller_tick);
-  if (auditor_ != nullptr) {
-    auditor_->OnClockSample(now);
-    double min_mbps = 0.0;
-    double max_mbps = 0.0;
-    ThrottleBounds(&min_mbps, &max_mbps);
-    auditor_->OnThrottleRate(tenant_id_, rate_mbps, min_mbps, max_mbps);
-  }
+  cluster_->auditor()->OnClockSample(now);
+  double min_mbps = 0.0;
+  double max_mbps = 0.0;
+  ThrottleBounds(&min_mbps, &max_mbps);
+  cluster_->auditor()->OnThrottleRate(tenant_id_, rate_mbps, min_mbps,
+                                      max_mbps);
   throttle_->SetRate(BytesPerSecFromMBps(rate_mbps));
   report_.throttle_series.Add(now, rate_mbps);
   const ThrottlePolicy::PidTerms terms = policy_->last_terms();
@@ -345,7 +343,7 @@ void MigrationJob::OnTick(SimTime now) {
     report_.controller_latency_series.Add(now, terms.latency_ms);
   }
   if (tracer_ != nullptr) {
-    if (rate_gauge_ != nullptr) rate_gauge_->Set(rate_mbps);
+    rate_gauge_->Set(rate_mbps);
     obs::ThrottleUpdate update;
     update.tenant_id = tenant_id_;
     update.policy = policy_->name();
@@ -389,7 +387,7 @@ void MigrationJob::HandleMessage(const net::Message& message) {
               kImportSecondsPerMib *
               (static_cast<double>(report_.snapshot_bytes) / kMiB);
           engine::TenantDb* staging =
-              ctx_->TenantOn(target_server_, tenant_id_);
+              cluster_->TenantOn(target_server_, tenant_id_);
           if (staging != nullptr) staging->ChargeCpu(import, nullptr);
           EnterPhase(MigrationPhase::kPrepare);
           sim_->After(import, lifetime_.Guard([this] { BeginHandover(); }));
@@ -458,7 +456,7 @@ void MigrationJob::OnAccepted(bool resume_offer, const net::Message& message) {
 }
 
 void MigrationJob::NegotiateCapabilities(const net::Message& message) {
-  const uint32_t source_version = ctx_->SoftwareVersionOn(source_server_);
+  const uint32_t source_version = cluster_->ServerVersion(source_server_);
   const uint32_t target_version = message.negotiation.software_version;
   // Legacy on either side (version 0): no handshake, requested mode
   // stands — exactly the pre-versioning behavior.
@@ -523,7 +521,7 @@ void MigrationJob::BeginSnapshot() {
   begin.lsn = snap_lsn;
   begin.resume = resuming_;
   begin.resume_key = resume_key_;
-  ctx_->SendMessage(source_server_, target_server_, begin);
+  cluster_->SendMessage(source_server_, target_server_, begin);
 
   PumpSnapshot();
 }
@@ -578,16 +576,12 @@ void MigrationJob::PumpSnapshot() {
             msg.frame = pending.enc.frame;
             msg.rows = std::move(pending.enc.rows);
             msg.removed_keys = std::move(pending.enc.removed_keys);
-            ctx_->SendMessage(source_server_, target_server_, msg);
-            if (auditor_ != nullptr) {
-              auditor_->OnChunkSent(tenant_id_, msg.payload_bytes,
-                                    msg.wire_payload_bytes());
-            }
+            cluster_->SendMessage(source_server_, target_server_, msg);
+            cluster_->auditor()->OnChunkSent(tenant_id_, msg.payload_bytes,
+                                             msg.wire_payload_bytes());
             if (tracer_ != nullptr) {
-              if (snapshot_bytes_counter_ != nullptr) {
-                snapshot_bytes_counter_->Add(msg.payload_bytes);
-              }
-              if (chunks_sent_counter_ != nullptr) chunks_sent_counter_->Add();
+              snapshot_bytes_counter_->Add(msg.payload_bytes);
+              chunks_sent_counter_->Add();
               obs::SnapshotChunkSent sent;
               sent.tenant_id = tenant_id_;
               sent.seq = msg.chunk_seq;
@@ -611,10 +605,9 @@ codec::SelectorInputs MigrationJob::SelectorInputsFor(
     uint64_t logical_bytes) const {
   codec::SelectorInputs inputs;
   inputs.throttle_bytes_per_sec = throttle_->rate();
-  if (resource::CpuModel* cpu = ctx_->CpuOn(source_server_)) {
-    inputs.total_cores = cpu->cores();
-    inputs.busy_cores = cpu->busy_cores();
-  }
+  const resource::CpuModel* cpu = cluster_->server(source_server_)->cpu();
+  inputs.total_cores = cpu->cores();
+  inputs.busy_cores = cpu->busy_cores();
   inputs.logical_bytes = logical_bytes;
   return inputs;
 }
@@ -685,20 +678,12 @@ void MigrationJob::EmitCodecChunk(uint64_t seq,
   encoded.wire_bytes = frame.encoded_bytes;
   encoded.cpu_ms = cpu_seconds * 1e3;
   obs::EmitCodecChunkEncoded(tracer_, encoded);
-  if (codec_logical_bytes_counter_ != nullptr) {
-    codec_logical_bytes_counter_->Add(frame.logical_bytes);
-  }
-  if (codec_wire_bytes_counter_ != nullptr) {
-    codec_wire_bytes_counter_->Add(frame.encoded_bytes);
-  }
-  if (codec_cpu_us_counter_ != nullptr) {
-    // Whole microseconds: a chunk's encode CPU is often under 2 ms.
-    codec_cpu_us_counter_->Add(
-        static_cast<uint64_t>(std::llround(cpu_seconds * 1e6)));
-  }
-  if (codec_ratio_gauge_ != nullptr) {
-    codec_ratio_gauge_->Set(report_.CompressionRatio());
-  }
+  codec_logical_bytes_counter_->Add(frame.logical_bytes);
+  codec_wire_bytes_counter_->Add(frame.encoded_bytes);
+  // Whole microseconds: a chunk's encode CPU is often under 2 ms.
+  codec_cpu_us_counter_->Add(
+      static_cast<uint64_t>(std::llround(cpu_seconds * 1e6)));
+  codec_ratio_gauge_->Set(report_.CompressionRatio());
 }
 
 void MigrationJob::OnSnapshotDrained() {
@@ -710,7 +695,7 @@ void MigrationJob::OnSnapshotDrained() {
   end.lsn = source_db_->last_lsn();
   // How many in-order chunks the target must hold before acking.
   end.chunk_seq = snapshot_->next_seq();
-  ctx_->SendMessage(source_server_, target_server_, end);
+  cluster_->SendMessage(source_server_, target_server_, end);
 }
 
 void MigrationJob::OnSnapshotNack(const net::Message& message) {
@@ -760,7 +745,7 @@ void MigrationJob::BeginPrepare() {
   // on the target. The log window itself converges through delta
   // rounds; prepare contributes its fixed readiness cost, busying a
   // target core meanwhile.
-  engine::TenantDb* staging = ctx_->TenantOn(target_server_, tenant_id_);
+  engine::TenantDb* staging = cluster_->TenantOn(target_server_, tenant_id_);
   if (staging != nullptr) {
     staging->ChargeCpu(options_.prepare.base_seconds, nullptr);
   }
@@ -822,9 +807,7 @@ std::optional<MigrationJob::PendingRound> MigrationJob::ReadDeltaRound() {
   CountChunk(pending.frame, pending.cpu_seconds);
   ++report_.delta_rounds;
   if (tracer_ != nullptr) {
-    if (delta_bytes_counter_ != nullptr) {
-      delta_bytes_counter_->Add(round.bytes);
-    }
+    delta_bytes_counter_->Add(round.bytes);
     obs::DeltaRoundShipped shipped;
     shipped.tenant_id = tenant_id_;
     shipped.round = report_.delta_rounds;
@@ -857,7 +840,7 @@ void MigrationJob::SendDeltaRound(PendingRound pending) {
           msg.payload_bytes = pending.round.bytes;
           msg.frame = pending.frame;
           msg.log_records = std::move(pending.round.records);
-          ctx_->SendMessage(source_server_, target_server_, msg);
+          cluster_->SendMessage(source_server_, target_server_, msg);
         };
         AfterEncodeCpu(source_db_, lifetime_, cpu_seconds, std::move(send));
       }));
@@ -902,7 +885,7 @@ void MigrationJob::OnSourceDrained() {
         msg.digest = source_digest_;
         msg.payload_bytes = final_round.bytes;
         msg.log_records = std::move(final_round.records);
-        ctx_->SendMessage(source_server_, target_server_, msg);
+        cluster_->SendMessage(source_server_, target_server_, msg);
       }));
 }
 
@@ -922,7 +905,7 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
   // the commit message. The full range moves the whole tenant (a split
   // but unsharded tenant moves every range); a partial range moves its
   // unit.
-  range::RangeDirectory* ranges = ctx_->directory();
+  range::RangeDirectory* ranges = cluster_->directory();
   const Status moved =
       options_.range.IsFull()
           ? ranges->MoveTenant(tenant_id_, target_server_)
@@ -935,7 +918,7 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
   net::Message commit;
   commit.type = net::MessageType::kHandoverCommit;
   commit.tenant_id = tenant_id_;
-  ctx_->SendMessage(source_server_, target_server_, commit);
+  cluster_->SendMessage(source_server_, target_server_, commit);
   report_.downtime_ms = MsFromSeconds(sim_->Now() - freeze_time_);
   freeze_span_.AddArg("downtime_ms", report_.downtime_ms);
   freeze_span_.End();
@@ -951,7 +934,7 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     source_db_->EraseRangeRows(options_.range.lo, options_.range.hi);
   } else {
     // Nothing of the tenant is left here: retire the instance.
-    const Status deleted = ctx_->DeleteTenantOn(source_server_, tenant_id_);
+    const Status deleted = cluster_->DeleteTenantOn(source_server_, tenant_id_);
     if (!deleted.ok()) {
       // Authority already moved to the target; a stale source copy is
       // garbage, not a correctness problem, but worth surfacing.
@@ -967,14 +950,12 @@ void MigrationJob::Finish(Status status) {
   if (finished_) return;
   finished_ = true;
   EnterPhase(status.ok() ? MigrationPhase::kDone : MigrationPhase::kFailed);
-  if (auditor_ != nullptr) {
-    // The snapshot ack orders after every chunk on the FIFO channel, so
-    // at a successful finish the pipe is drained and the conservation
-    // equation must balance exactly. Failed attempts may die with
-    // chunks still in flight; their ledger closes unchecked.
-    if (status.ok()) auditor_->CheckChunkConservation(tenant_id_);
-    auditor_->EndMigration(tenant_id_);
-  }
+  // The snapshot ack orders after every chunk on the FIFO channel, so
+  // at a successful finish the pipe is drained and the conservation
+  // equation must balance exactly. Failed attempts may die with chunks
+  // still in flight; their ledger closes unchecked.
+  if (status.ok()) cluster_->auditor()->CheckChunkConservation(tenant_id_);
+  cluster_->auditor()->EndMigration(tenant_id_);
   // Safety-close any spans still open on an abort path.
   if (!status.ok()) freeze_span_.AddNote("status", status.ToString());
   freeze_span_.End();
@@ -1015,18 +996,17 @@ void MigrationJob::ThrottleBounds(double* min_mbps, double* max_mbps) const {
   *max_mbps = options_.pid.output_max;
 }
 
-TargetSession::TargetSession(MigrationContext* ctx, uint64_t self_server,
+TargetSession::TargetSession(Cluster* cluster, uint64_t self_server,
                              uint64_t source_server,
                              const net::Message& request,
                              const MigrationOptions& options)
-    : ctx_(ctx),
-      auditor_(ctx->auditor()),
+    : cluster_(cluster),
       self_server_(self_server),
       source_server_(source_server),
       tenant_id_(request.tenant_id),
       options_(options),
       wire_config_(request.config),
-      store_(ctx->DurableStoreOn(self_server)),
+      store_(cluster->server(self_server)->durable()),
       range_lo_(request.range_lo),
       range_hi_(request.range_hi) {
   if (request.partial_range()) {
@@ -1036,7 +1016,7 @@ TargetSession::TargetSession(MigrationContext* ctx, uint64_t self_server,
     // A tenant already serving other ranges here absorbs this one into
     // its live instance; only a first-range arrival stages fresh (and
     // frozen, like a whole-tenant migration).
-    engine::TenantDb* existing = ctx_->TenantOn(self_server_, tenant_id_);
+    engine::TenantDb* existing = cluster_->TenantOn(self_server_, tenant_id_);
     if (existing != nullptr) {
       staging_ = existing;
       created_staging_ = false;
@@ -1047,8 +1027,8 @@ TargetSession::TargetSession(MigrationContext* ctx, uint64_t self_server,
   const engine::TenantConfig config =
       ConfigFromWire(request.tenant_id, request.config);
   Result<engine::TenantDb*> staging =
-      ctx_->CreateTenantOn(self_server_, config, /*load=*/false,
-                           /*frozen=*/true);
+      cluster_->CreateTenantOn(self_server_, config, /*load=*/false,
+                               /*frozen=*/true);
   if (!staging.ok()) {
     status_ = staging.status();
     return;
@@ -1097,13 +1077,13 @@ void TargetSession::ReplyToRequest() {
   }
   // Echo our capabilities so the source can downgrade to the common
   // feature set; legacy (v0) targets skip the extension.
-  const uint32_t self_version = ctx_->SoftwareVersionOn(self_server_);
+  const uint32_t self_version = cluster_->ServerVersion(self_server_);
   if (self_version != 0) {
     accept.negotiation.software_version = self_version;
     accept.negotiation.feature_mask =
         net::FeatureMaskForVersion(self_version);
   }
-  ctx_->SendMessage(self_server_, source_server_, accept);
+  cluster_->SendMessage(self_server_, source_server_, accept);
 }
 
 void TargetSession::Discard(Status status) {
@@ -1114,7 +1094,7 @@ void TargetSession::Discard(Status status) {
   } else if (staging_ != nullptr) {
     // Best-effort cleanup of a never-authoritative staging instance;
     // it may already be gone after a crash-restart, so NotFound is fine.
-    (void)ctx_->DeleteTenantOn(self_server_, tenant_id_);
+    (void)cluster_->DeleteTenantOn(self_server_, tenant_id_);
   }
   staging_ = nullptr;
   Finish(std::move(status));
@@ -1125,7 +1105,7 @@ void TargetSession::Abort(const Status& status) {
   abort.type = net::MessageType::kMigrateAbort;
   abort.tenant_id = tenant_id_;
   abort.error = status.ToString();
-  ctx_->SendMessage(self_server_, source_server_, abort);
+  cluster_->SendMessage(self_server_, source_server_, abort);
   Discard(status);
 }
 
@@ -1155,7 +1135,7 @@ void TargetSession::MaybeNack() {
   nack.type = net::MessageType::kSnapshotNack;
   nack.tenant_id = tenant_id_;
   nack.chunk_seq = expected_seq_;
-  ctx_->SendMessage(self_server_, source_server_, nack);
+  cluster_->SendMessage(self_server_, source_server_, nack);
   ++chunks_nacked_;
   last_nacked_seq_ = expected_seq_;
   chunks_since_nack_ = 0;
@@ -1166,12 +1146,12 @@ void TargetSession::SendSnapshotAck() {
   ack.type = net::MessageType::kSnapshotAck;
   ack.tenant_id = tenant_id_;
   ack.lsn = final_lsn_;
-  ctx_->SendMessage(self_server_, source_server_, ack);
+  cluster_->SendMessage(self_server_, source_server_, ack);
 }
 
 void TargetSession::ArmIdleTimer() {
   const uint64_t generation = ++idle_generation_;
-  ctx_->simulator()->After(
+  cluster_->simulator()->After(
       kSessionIdleTimeout,
       lifetime_.Guard([this, generation] {
         if (finished_ || awaiting_decision_) return;
@@ -1186,12 +1166,12 @@ void TargetSession::ArmIdleTimer() {
 }
 
 void TargetSession::ArmDecisionProbe() {
-  ctx_->simulator()->After(1.0, lifetime_.Guard([this] {
+  cluster_->simulator()->After(1.0, lifetime_.Guard([this] {
     if (finished_ || !awaiting_decision_) return;
     // The decision record is the entry of the session's range (0 for
     // a whole job) — the source flips it before commit.
     const Result<uint64_t> authority =
-        ctx_->directory()->OwnerOf(tenant_id_, range_lo_);
+        cluster_->directory()->OwnerOf(tenant_id_, range_lo_);
     if (authority.ok() && *authority == self_server_) {
       // The source committed (directory switches strictly before the
       // commit message is sent); the message was merely lost.
@@ -1216,10 +1196,9 @@ void TargetSession::HandleMessage(const net::Message& message) {
   if (finished_) {
     // Finished but not yet reaped: the stream is dead; account chunks
     // that still trickle in so the source-side ledger stays balanced.
-    if (message.type == net::MessageType::kSnapshotChunk &&
-        auditor_ != nullptr) {
-      auditor_->OnChunkDropped(tenant_id_, message.payload_bytes,
-                               message.wire_payload_bytes());
+    if (message.type == net::MessageType::kSnapshotChunk) {
+      cluster_->auditor()->OnChunkDropped(tenant_id_, message.payload_bytes,
+                                          message.wire_payload_bytes());
     }
     return;
   }
@@ -1274,10 +1253,8 @@ void TargetSession::HandleMessage(const net::Message& message) {
                                   wire_config_.record_bytes);
       if (message.chunk_seq < expected_seq_) {
         // Duplicate (go-back-N overlap): already applied once.
-        if (auditor_ != nullptr) {
-          auditor_->OnChunkDiscarded(tenant_id_, message.payload_bytes,
-                                     wire_payload);
-        }
+        cluster_->auditor()->OnChunkDiscarded(
+            tenant_id_, message.payload_bytes, wire_payload);
         return;
       }
       if (message.chunk_seq > expected_seq_ || !crc_ok) {
@@ -1291,10 +1268,8 @@ void TargetSession::HandleMessage(const net::Message& message) {
         }
         // Gap or corruption: ask the source to go back to the first
         // chunk we cannot accept.
-        if (auditor_ != nullptr) {
-          auditor_->OnChunkDiscarded(tenant_id_, message.payload_bytes,
-                                     wire_payload);
-        }
+        cluster_->auditor()->OnChunkDiscarded(
+            tenant_id_, message.payload_bytes, wire_payload);
         MaybeNack();
         return;
       }
@@ -1302,10 +1277,8 @@ void TargetSession::HandleMessage(const net::Message& message) {
       chunks_since_nack_ = 0;
       expected_seq_ = message.chunk_seq + 1;
       if (store_ != nullptr) store_->EraseChunkBase(tenant_id_, message.chunk_seq);
-      if (auditor_ != nullptr) {
-        auditor_->OnChunkApplied(tenant_id_, message.payload_bytes,
-                                 wire_payload);
-      }
+      cluster_->auditor()->OnChunkApplied(tenant_id_, message.payload_bytes,
+                                          wire_payload);
       // Decompression / delta reconstruction busies a target core.
       const double decode_cost = codec::DecodeCpuSeconds(message.frame);
       if (decode_cost > 0.0) staging_->ChargeCpu(decode_cost, nullptr);
@@ -1375,7 +1348,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
             ack.type = net::MessageType::kDeltaAck;
             ack.tenant_id = tenant_id_;
             ack.lsn = to;
-            ctx_->SendMessage(self_server_, source_server_, ack);
+            cluster_->SendMessage(self_server_, source_server_, ack);
           }));
       return;
     }
@@ -1403,7 +1376,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
       ack.type = net::MessageType::kHandoverAck;
       ack.tenant_id = tenant_id_;
       ack.digest = staging_->StateDigest(range_lo_, range_hi_);
-      ctx_->SendMessage(self_server_, source_server_, ack);
+      cluster_->SendMessage(self_server_, source_server_, ack);
       awaiting_decision_ = true;
       ArmDecisionProbe();
       return;

@@ -15,12 +15,10 @@
 #include "src/codec/selector.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/control/latency_monitor.h"
 #include "src/engine/tenant_db.h"
 #include "src/net/message.h"
 #include "src/obs/trace.h"
-#include "src/range/range_directory.h"
-#include "src/resource/cpu.h"
+#include "src/range/key_range.h"
 #include "src/resource/token_bucket.h"
 #include "src/sim/callback.h"
 #include "src/sim/lifetime.h"
@@ -32,54 +30,7 @@
 
 namespace slacker {
 
-class InvariantAuditor;
-
-/// The slice of the cluster a migration needs: tenant placement/
-/// lifecycle, peer messaging, latency monitors, and the frontend
-/// directory. Implemented by Cluster.
-class MigrationContext {
- public:
-  virtual ~MigrationContext() = default;
-
-  virtual sim::Simulator* simulator() = 0;
-  virtual engine::TenantDb* TenantOn(uint64_t server_id,
-                                     uint64_t tenant_id) = 0;
-  virtual Result<engine::TenantDb*> CreateTenantOn(
-      uint64_t server_id, const engine::TenantConfig& config, bool load,
-      bool frozen) = 0;
-  virtual Status DeleteTenantOn(uint64_t server_id, uint64_t tenant_id) = 0;
-  /// Transmits over the simulated network; the receiving controller's
-  /// HandleMessage fires on delivery.
-  virtual void SendMessage(uint64_t from_server, uint64_t to_server,
-                           const net::Message& message) = 0;
-  virtual control::LatencyMonitor* MonitorOn(uint64_t server_id) = 0;
-  /// The frontend routing table (DESIGN.md §16): every handover flips
-  /// its decision record here strictly before the commit is sent — a
-  /// whole job moves the tenant, a range job moves one range.
-  virtual range::RangeDirectory* directory() = 0;
-  /// The crash-surviving store of `server_id`, or nullptr when the
-  /// context has no durability model (snapshot staging then can't
-  /// resume across restarts, only within one incarnation).
-  virtual DurableStore* DurableStoreOn(uint64_t /*server_id*/) {
-    return nullptr;
-  }
-  /// Shared trace sink, or nullptr when observability is off (the
-  /// default — instrumented code must treat null as a no-op).
-  virtual obs::Tracer* tracer() { return nullptr; }
-  /// Runtime invariant auditor (DESIGN.md §9), or nullptr when the
-  /// context does not audit (mock contexts) — hooks must treat null as
-  /// a no-op, mirroring tracer().
-  virtual InvariantAuditor* auditor() { return nullptr; }
-  /// CPU model of `server_id`, or nullptr when the context has none —
-  /// the adaptive codec selector then assumes one free core.
-  virtual resource::CpuModel* CpuOn(uint64_t /*server_id*/) {
-    return nullptr;
-  }
-  /// Software version of `server_id`; 0 means "legacy, capability
-  /// negotiation disabled" (net/negotiation.h) — the default so mock
-  /// contexts and pre-versioning setups keep the legacy wire format.
-  virtual uint32_t SoftwareVersionOn(uint64_t /*server_id*/) { return 0; }
-};
+class Cluster;
 
 /// One try of a supervised migration (MigrationSupervisor fills these).
 /// [[nodiscard]]: an attempt record carries the attempt's Status.
@@ -171,7 +122,7 @@ class MigrationJob {
  public:
   using DoneCallback = sim::Callback<void(const MigrationReport&)>;
 
-  MigrationJob(MigrationContext* ctx, uint64_t tenant_id,
+  MigrationJob(Cluster* cluster, uint64_t tenant_id,
                uint64_t source_server, uint64_t target_server,
                const MigrationOptions& options, DoneCallback done);
 
@@ -255,14 +206,13 @@ class MigrationJob {
   /// to the invariant auditor each tick.
   void ThrottleBounds(double* min_mbps, double* max_mbps) const;
 
-  MigrationContext* ctx_;
+  Cluster* cluster_;
   sim::Simulator* sim_;
   uint64_t tenant_id_;
   uint64_t source_server_;
   uint64_t target_server_;
   MigrationOptions options_;
   DoneCallback done_;
-  InvariantAuditor* auditor_ = nullptr;
 
   // Observability (all inert when tracer_ is null). One span per phase,
   // one per freeze window, one per delta round in flight; gauges and
@@ -342,7 +292,7 @@ class MigrationJob {
 /// controller on kMigrateRequest; destroyed after handover or abort.
 class TargetSession {
  public:
-  TargetSession(MigrationContext* ctx, uint64_t self_server,
+  TargetSession(Cluster* cluster, uint64_t self_server,
                 uint64_t source_server, const net::Message& request,
                 const MigrationOptions& options);
 
@@ -392,8 +342,7 @@ class TargetSession {
   /// means the migration died and the staging copy self-destructs.
   void ArmDecisionProbe();
 
-  MigrationContext* ctx_;
-  InvariantAuditor* auditor_ = nullptr;
+  Cluster* cluster_;
   uint64_t self_server_;
   uint64_t source_server_;
   uint64_t tenant_id_;

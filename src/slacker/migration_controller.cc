@@ -3,20 +3,20 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/slacker/invariant_auditor.h"
+#include "src/slacker/cluster.h"
 
 namespace slacker {
 
-MigrationController::MigrationController(MigrationContext* ctx,
+MigrationController::MigrationController(Cluster* cluster,
                                          uint64_t server_id)
-    : ctx_(ctx), server_id_(server_id) {}
+    : cluster_(cluster), server_id_(server_id) {}
 
 Status MigrationController::StartMigration(uint64_t tenant_id,
                                            uint64_t target_server,
                                            const MigrationOptions& options,
                                            MigrationJob::DoneCallback done) {
   auto job = std::make_unique<MigrationJob>(
-      ctx_, tenant_id, server_id_, target_server, options,
+      cluster_, tenant_id, server_id_, target_server, options,
       [this, tenant_id, done = std::move(done)](const MigrationReport& report) {
         // The job has fully finished; drop it, then notify.
         jobs_.erase(tenant_id);
@@ -46,7 +46,7 @@ void MigrationController::HandleMessage(uint64_t from_server,
       return;
     }
     auto session = std::make_unique<TargetSession>(
-        ctx_, server_id_, from_server, message, incoming_options_);
+        cluster_, server_id_, from_server, message, incoming_options_);
     TargetSession* raw = session.get();
     const uint64_t tenant_id = message.tenant_id;
     // Sessions can finish outside HandleMessage (idle timeout, decision
@@ -70,13 +70,12 @@ void MigrationController::HandleMessage(uint64_t from_server,
       auto it = sessions_.find(message.tenant_id);
       if (it == sessions_.end()) {
         SLACKER_LOG_WARN << "no session for tenant " << message.tenant_id;
-        if (message.type == net::MessageType::kSnapshotChunk &&
-            ctx_->auditor() != nullptr) {
+        if (message.type == net::MessageType::kSnapshotChunk) {
           // Sessionless chunks (stale stream after an abort) vanish
           // here; the conservation ledger counts them as dropped.
-          ctx_->auditor()->OnChunkDropped(message.tenant_id,
-                                          message.payload_bytes,
-                                          message.wire_payload_bytes());
+          cluster_->auditor()->OnChunkDropped(message.tenant_id,
+                                              message.payload_bytes,
+                                              message.wire_payload_bytes());
         }
         return;
       }
@@ -131,7 +130,7 @@ MigrationJob* MigrationController::ActiveJob(uint64_t tenant_id) {
 
 void MigrationController::ReapSession(uint64_t tenant_id) {
   // Defer destruction: we may be inside the session's own call stack.
-  ctx_->simulator()->After(0.0, [this, tenant_id] {
+  cluster_->simulator()->After(0.0, [this, tenant_id] {
     sessions_.erase(tenant_id);
   });
 }

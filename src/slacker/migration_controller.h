@@ -16,7 +16,7 @@ namespace slacker {
 /// Controllers are peers — all coordination flows through messages.
 class MigrationController {
  public:
-  MigrationController(MigrationContext* ctx, uint64_t server_id);
+  MigrationController(Cluster* cluster, uint64_t server_id);
 
   MigrationController(const MigrationController&) = delete;
   MigrationController& operator=(const MigrationController&) = delete;
@@ -49,7 +49,7 @@ class MigrationController {
  private:
   void ReapSession(uint64_t tenant_id);
 
-  MigrationContext* ctx_;
+  Cluster* cluster_;
   uint64_t server_id_;
   MigrationOptions incoming_options_;
   std::unordered_map<uint64_t, std::unique_ptr<MigrationJob>> jobs_;

@@ -261,10 +261,13 @@ TEST(MessageAllocTest, EncodeMessageAllocatesOnlyItsFrame) {
   EXPECT_EQ(per_call, 1.0);
 }
 
-// A 256-row raw snapshot chunk of a range job decoded into one reused
-// Message: the payload is parsed where it lies in the frame, and the
-// rows fill the vector the previous decode left, so a warm decode
-// touches no heap (a payload copy made one allocation per decode).
+// A 256-row LZ snapshot chunk of a range job, with the codec and
+// negotiation extensions, decoded into one reused Message: the payload
+// is parsed where it lies in the frame, the rows fill the vector the
+// previous decode left, and each extension's CRC is taken over the
+// bytes it consumed, so a warm decode touches no heap (a payload copy
+// made one allocation per decode, re-encoding the extensions to check
+// their CRCs nine).
 TEST(MessageAllocTest, DecodeIntoReusedMessageAllocatesNothing) {
   if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
   Rng rng(0xa110e);
@@ -276,6 +279,11 @@ TEST(MessageAllocTest, DecodeIntoReusedMessageAllocatesNothing) {
   for (uint64_t i = 0; i < 256; ++i) {
     m.rows.push_back(storage::Record{rng.Next(), i + 1, rng.Next()});
   }
+  m.frame.codec = codec::Codec::kLz;
+  m.frame.logical_bytes = 256 * kKiB;
+  m.frame.encoded_bytes = 131000;
+  m.negotiation.software_version = 3;
+  m.negotiation.feature_mask = 3;
   m.range_lo = 1000;
   m.range_hi = 2000;
   const std::vector<uint8_t> frame = net::EncodeMessage(m);
@@ -286,6 +294,8 @@ TEST(MessageAllocTest, DecodeIntoReusedMessageAllocatesNothing) {
   });
   EXPECT_EQ(decoded, static_cast<uint64_t>(kWarmup + kMeasured));
   EXPECT_EQ(out.rows, m.rows);
+  EXPECT_EQ(out.frame, m.frame);
+  EXPECT_EQ(out.negotiation, m.negotiation);
   EXPECT_EQ(out.range_lo, 1000u);
   EXPECT_EQ(per_call, 0.0);
 }

@@ -497,6 +497,25 @@ TEST(FrameTest, EveryHeaderByteIsCrcProtected) {
   }
 }
 
+TEST(FrameTest, OverlongVarintIsRejectedDespiteItsCrc) {
+  // logical_bytes = 5 as the overlong varint 0x85 0x00, with a header
+  // CRC over exactly these bytes: not what EncodeTo writes.
+  ByteWriter writer;
+  writer.PutU8(kCodecFrameMagic);
+  writer.PutU8(1);  // Version.
+  writer.PutU8(static_cast<uint8_t>(Codec::kLz));
+  writer.PutU8(0x85);
+  writer.PutU8(0x00);
+  writer.PutVarint64(3);
+  writer.PutFixed32(0);
+  writer.PutFixed32(0);
+  writer.PutDouble(0.0);
+  writer.PutFixed32(Crc32c(writer.data()));
+  ByteReader reader(writer.data());
+  FrameHeader out;
+  EXPECT_EQ(out.DecodeFrom(&reader).code(), StatusCode::kCorruption);
+}
+
 TEST(FrameTest, ChunkCrcIsOrderAndContentSensitive) {
   std::vector<storage::Record> rows = {{1, 2, 3}, {4, 5, 6}};
   const uint32_t crc = ChunkCrc(rows);

@@ -1,7 +1,8 @@
 // Tests for the forecast subsystem (DESIGN.md §13): the sample ring,
 // the autocorrelation cycle detector, the Holt-Winters seasonal
 // forecaster (including golden bit-determinism), the migration cost
-// model, and the trough scheduler's deadline/urgency properties.
+// model, the trough scheduler's deadline/urgency properties, and the
+// FleetLoadSampler that feeds them from a Cluster.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,9 @@
 #include "src/forecast/load_predictor.h"
 #include "src/forecast/ring_buffer.h"
 #include "src/forecast/trough_scheduler.h"
+#include "src/obs/trace.h"
+#include "src/slacker/cluster.h"
+#include "src/slacker/fleet_load_sampler.h"
 
 namespace slacker::forecast {
 namespace {
@@ -493,3 +497,111 @@ TEST(TroughSchedulerTest, PruneDropsStaleEntries) {
 
 }  // namespace
 }  // namespace slacker::forecast
+
+namespace slacker {
+namespace {
+
+// ------------------------------------------------------------- sampler
+
+/// Two servers, tenant 9 homed on server 0 and tenant 4 on server 1,
+/// so neither server nor tenant order follows insertion order.
+struct SamplerRig {
+  sim::Simulator sim;
+  obs::Tracer tracer;  // Outlives the cluster it is installed in.
+  Cluster cluster;
+
+  SamplerRig()
+      : tracer([this] { return sim.Now(); }), cluster(&sim, Options()) {
+    cluster.InstallTracer(&tracer);
+    for (const auto& [server, tenant] : {std::pair<uint64_t, uint64_t>{0, 9},
+                                         std::pair<uint64_t, uint64_t>{1, 4}}) {
+      const auto added = cluster.AddTenant(server, Config(tenant));
+      EXPECT_TRUE(added.ok()) << added.status().ToString();
+    }
+  }
+
+  static ClusterOptions Options() {
+    ClusterOptions options;
+    options.num_servers = 2;
+    return options;
+  }
+
+  static engine::TenantConfig Config(uint64_t tenant_id) {
+    engine::TenantConfig config;
+    config.tenant_id = tenant_id;
+    config.layout.record_count = 1024;
+    config.buffer_pool_bytes = 1 * kMiB;
+    return config;
+  }
+
+  /// Executes `n` reads on the tenant's instance on `server` and runs
+  /// the simulator until they complete.
+  void Execute(uint64_t server, uint64_t tenant_id, int n) {
+    engine::TenantDb* db = cluster.TenantOn(server, tenant_id);
+    ASSERT_NE(db, nullptr);
+    for (int i = 0; i < n; ++i) {
+      db->ExecuteOp(
+          engine::Operation{engine::OpType::kRead, static_cast<uint64_t>(i)},
+          nullptr);
+    }
+    sim.RunUntil(sim.Now() + 10.0);
+  }
+};
+
+TEST(FleetLoadSamplerTest, RingsHoldOpsDeltaPerBucket) {
+  SamplerRig rig;
+  rig.Execute(0, 9, 10);
+  rig.Execute(1, 4, 20);
+  // Buckets far longer than the test, so only SampleNow closes them.
+  ForecastOptions options;
+  options.bucket_seconds = 1000.0;
+  options.seconds_per_op = 0.01;
+  options.redetect_buckets = 1;
+  FleetLoadSampler sampler(&rig.cluster, options);
+  ASSERT_TRUE(sampler.Start().ok());  // Baselines: 10 and 20 ops.
+
+  rig.Execute(0, 9, 30);
+  rig.Execute(1, 4, 50);
+  sampler.SampleNow();
+  ASSERT_NE(sampler.tenant_ring(9), nullptr);
+  ASSERT_NE(sampler.tenant_ring(4), nullptr);
+  EXPECT_DOUBLE_EQ(sampler.tenant_ring(9)->back(), 30.0 / 1000.0);
+  EXPECT_DOUBLE_EQ(sampler.tenant_ring(4)->back(), 50.0 / 1000.0);
+  EXPECT_DOUBLE_EQ(sampler.server_ring(0).back(), 30.0 / 1000.0 * 0.01);
+  EXPECT_DOUBLE_EQ(sampler.server_ring(1).back(), 50.0 / 1000.0 * 0.01);
+
+  // Tenant 4 loses its instance on server 1 (the directory still homes
+  // it there): it records zero and keeps its 70-op baseline.
+  ASSERT_TRUE(rig.cluster.DeleteTenantOn(1, 4).ok());
+  rig.Execute(0, 9, 5);
+  sampler.SampleNow();
+  EXPECT_DOUBLE_EQ(sampler.tenant_ring(9)->back(), 5.0 / 1000.0);
+  EXPECT_DOUBLE_EQ(sampler.tenant_ring(4)->back(), 0.0);
+  EXPECT_DOUBLE_EQ(sampler.server_ring(1).back(), 0.0);
+
+  // A fresh instance counts from 0; 100 ops past the kept baseline of
+  // 70 read as 30 (a dropped baseline would read 100).
+  const auto recreated = rig.cluster.CreateTenantOn(
+      1, SamplerRig::Config(4), /*load=*/true, /*frozen=*/false);
+  ASSERT_TRUE(recreated.ok()) << recreated.status().ToString();
+  rig.Execute(1, 4, 100);
+  sampler.SampleNow();
+  EXPECT_DOUBLE_EQ(sampler.tenant_ring(4)->back(), 30.0 / 1000.0);
+  EXPECT_DOUBLE_EQ(sampler.tenant_ring(9)->back(), 0.0);
+  EXPECT_EQ(sampler.tenant_ring(4)->size(), 3u);
+  EXPECT_EQ(sampler.buckets_sampled(), 3u);
+  sampler.Stop();
+
+  // Each bucket walks the servers in id order.
+  std::vector<double> servers;
+  for (const obs::Event& event : rig.tracer.events()) {
+    if (event.name != "forecast_update") continue;
+    for (const auto& [key, value] : event.args) {
+      if (key == "server") servers.push_back(value);
+    }
+  }
+  EXPECT_EQ(servers, (std::vector<double>{0, 1, 0, 1, 0, 1}));
+}
+
+}  // namespace
+}  // namespace slacker

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/net/channel.h"
 #include "src/net/message.h"
@@ -422,6 +423,20 @@ TEST(NegotiationTest, CorruptExtensionRejected) {
           << "byte " << i << " bit " << bit;
     }
   }
+}
+
+TEST(NegotiationTest, OverlongVarintRejectedDespiteItsCrc) {
+  // software_version = 7 as the overlong varint 0x87 0x00, with a CRC
+  // over exactly these bytes: not what EncodeTo writes.
+  ByteWriter writer;
+  writer.PutU8(kNegotiationMagic);
+  writer.PutU8(0x87);
+  writer.PutU8(0x00);
+  writer.PutVarint64(kFeatureLz);
+  writer.PutFixed32(Crc32c(writer.data()));
+  ByteReader reader(writer.data());
+  NegotiationInfo out;
+  EXPECT_EQ(out.DecodeFrom(&reader).code(), StatusCode::kCorruption);
 }
 
 TEST(NegotiationTest, MixedVersionPairsAlwaysAgreeOnASupportedCodec) {

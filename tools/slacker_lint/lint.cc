@@ -173,6 +173,70 @@ const std::regex& ScalarMemberRe() {
   return re;
 }
 
+/// A class/struct header line that opens a definition (no `;` after
+/// the name, so not a forward declaration); `enum class` is captured in
+/// group 1 so callers can skip it.
+const std::regex& ClassHeadRe() {
+  static const std::regex re(
+      R"((\benum\s+)?\b(?:class|struct)\s+(?:\[\[[^\]]*\]\]\s*)?(\w+)\b[^;]*$)");
+  return re;
+}
+
+/// A pure-specifier after a member function's parameter list.
+const std::regex& PureVirtualRe() {
+  static const std::regex re(
+      R"(\)\s*(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?=\s*0\s*;)");
+  return re;
+}
+
+/// A class definition with a base list, over a whole (joined) file:
+/// group 1 `enum ` (skipped), group 2 the class, group 3 its bases.
+const std::regex& DerivedClassRe() {
+  static const std::regex re(
+      R"((\benum\s+)?\b(?:class|struct)\s+(?:\[\[[^\]]*\]\]\s*)?(\w+)\s*(?:final\s*)?:(?!:)([^{;]*)\{)");
+  return re;
+}
+
+/// The unqualified class names in a base list such as
+/// `public workload::TenantResolver, private Foo<int>`.
+std::vector<std::string> BaseNames(const std::string& bases) {
+  std::vector<std::string> names;
+  std::string part;
+  int angle = 0;
+  const auto flush = [&] {
+    std::string name;
+    for (size_t i = 0; i < part.size();) {
+      if (!IsWordChar(part[i])) {
+        ++i;
+        continue;
+      }
+      size_t end = i;
+      while (end < part.size() && IsWordChar(part[end])) ++end;
+      const std::string word = part.substr(i, end - i);
+      if (word != "public" && word != "protected" && word != "private" &&
+          word != "virtual") {
+        name = word;  // The last identifier wins: `ns::X` -> `X`.
+      }
+      i = end;
+    }
+    if (!name.empty()) names.push_back(name);
+    part.clear();
+  };
+  for (const char c : bases) {
+    if (c == '<') {
+      ++angle;
+    } else if (c == '>') {
+      --angle;
+    } else if (angle == 0 && c == ',') {
+      flush();
+    } else if (angle == 0) {
+      part += c;
+    }
+  }
+  flush();
+  return names;
+}
+
 /// Member names that `masked` assigns: `.name =` or `->name =` (not
 /// `==`), with whitespace and line breaks allowed around the name.
 std::vector<std::string> AssignedMemberNames(
@@ -407,11 +471,29 @@ std::vector<Finding> Linter::Run() {
     }
   }
 
+  implementations_.clear();
+  for (const FileEntry& file : files_) {
+    std::string text;
+    for (const std::string& line : file.masked) {
+      text += line;
+      text += '\n';
+    }
+    for (std::sregex_iterator it(text.begin(), text.end(), DerivedClassRe()),
+         end;
+         it != end; ++it) {
+      if ((*it)[1].matched) continue;  // enum class E : uint8_t {
+      for (const std::string& base : BaseNames((*it)[3].str())) {
+        implementations_[base].insert(file.path + ":" + (*it)[2].str());
+      }
+    }
+  }
+
   std::vector<Finding> findings;
   for (const FileEntry& file : files_) {
     LintFile(file, &findings);
     LintFlow(file, &findings);
     LintUnsetOptions(file, &findings);
+    LintSingleImpl(file, &findings);
   }
   // After every suppression has been exercised (or not): stale-marker
   // detection.
@@ -594,6 +676,61 @@ void Linter::LintUnsetOptions(const FileEntry& file,
         if (!pending.empty()) {
           open.push_back({pending, depth});
           pending.clear();
+        }
+      } else if (c == '}') {
+        if (!open.empty() && open.back().depth == depth) open.pop_back();
+        --depth;
+      }
+    }
+  }
+}
+
+void Linter::LintSingleImpl(const FileEntry& file,
+                            std::vector<Finding>* out) {
+  const bool in_src =
+      file.path.rfind("src/", 0) == 0 || PathContains(file.path, "/src/");
+  if (!in_src) return;
+
+  struct OpenClass {
+    std::string name;
+    int line = 0;   // 0-based header line.
+    int depth = 0;  // Brace depth of the class's members.
+    bool reported = false;
+  };
+  std::vector<OpenClass> open;
+  OpenClass pending;
+  int depth = 0;
+  std::smatch m;
+  for (size_t i = 0; i < file.masked.size(); ++i) {
+    const std::string& line = file.masked[i];
+    if (!open.empty() && !open.back().reported &&
+        depth == open.back().depth &&
+        std::regex_search(line, PureVirtualRe())) {
+      OpenClass& abstract = open.back();
+      abstract.reported = true;
+      const auto it = implementations_.find(abstract.name);
+      const size_t count =
+          it == implementations_.end() ? 0 : it->second.size();
+      if (count < 2) {
+        Emit(file, abstract.line, "slacker-single-impl",
+             "abstract class '" + abstract.name + "' has " +
+                 std::to_string(count) +
+                 " implementation(s) in the scanned tree, fewer than two; "
+                 "an interface with one implementation is a stand-in for "
+                 "that class: call it directly",
+             out);
+      }
+    }
+    if (std::regex_search(line, m, ClassHeadRe()) && !m[1].matched) {
+      pending = {m[2].str(), static_cast<int>(i), 0, false};
+    }
+    for (const char c : line) {
+      if (c == '{') {
+        ++depth;
+        if (!pending.name.empty()) {
+          pending.depth = depth;
+          open.push_back(pending);
+          pending = OpenClass{};
         }
       } else if (c == '}') {
         if (!open.empty() && open.back().depth == depth) open.pop_back();

@@ -69,6 +69,15 @@ struct Finding {
 ///                           constant posing as a knob: make it a named
 ///                           constant where it is read, or give it a
 ///                           caller.
+///   slacker-single-impl     an abstract class (one with a pure virtual)
+///                           declared under src/ that fewer than two
+///                           classes in the scanned tree derive from
+///                           (`: public X`, `, public ns::X`,
+///                           `struct Y : ns::X`; tests count). An
+///                           interface with one implementation is a
+///                           stand-in for that class: its defaults and
+///                           null branches serve fakes that do not
+///                           exist. Call the class directly.
 ///   slacker-unused-nolint   a NOLINT marker that no longer suppresses
 ///                           any finding — stale markers hide future
 ///                           regressions and must be deleted.
@@ -123,6 +132,9 @@ class Linter {
   /// slacker-unset-option over one src/ header, against
   /// `assigned_in_`.
   void LintUnsetOptions(const FileEntry& file, std::vector<Finding>* out);
+  /// slacker-single-impl over one src/ file, against
+  /// `implementations_`.
+  void LintSingleImpl(const FileEntry& file, std::vector<Finding>* out);
   /// Intra-function passes: dropped Status/Result locals and
   /// default-swallowed enum switches (scope-tracking scan).
   void LintFlow(const FileEntry& file, std::vector<Finding>* out);
@@ -147,6 +159,9 @@ class Linter {
   // Member name -> non-test files that assign it (`.name =` /
   // `->name =`), built at the start of Run().
   std::map<std::string, std::set<std::string>> assigned_in_;
+  // Base class name (unqualified) -> "path:derived" for every class
+  // that derives from it, built at the start of Run().
+  std::map<std::string, std::set<std::string>> implementations_;
   // (path, 1-based line) pairs where a NOLINT marker suppressed a
   // finding during this run (or an external pass, via
   // NoteSuppressionUsed).

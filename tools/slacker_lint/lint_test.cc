@@ -177,6 +177,49 @@ TEST(SlackerLintTest, UnsetOptionFieldsAreFlagged) {
             std::string::npos);
 }
 
+TEST(SlackerLintTest, SingleImplementationInterfacesAreFlagged) {
+  const std::vector<Finding> findings =
+      LintSnippet("single_impl.snippet", "src/demo/single_impl.h");
+  ASSERT_EQ(findings.size(), 2u) << FindingsToText(findings);
+  EXPECT_EQ(findings[0].rule, "slacker-single-impl");
+  EXPECT_EQ(findings[0].line, 6);
+  EXPECT_NE(findings[0].message.find("'Context' has 1 implementation"),
+            std::string::npos);
+  EXPECT_EQ(findings[1].rule, "slacker-single-impl");
+  EXPECT_EQ(findings[1].line, 13);
+  EXPECT_NE(findings[1].message.find("'Probe' has 0 implementation"),
+            std::string::npos);
+
+  // Outside src/ an interface is not the library's: no finding.
+  EXPECT_TRUE(LintSnippet("single_impl.snippet", "tests/single_impl.h")
+                  .empty());
+}
+
+TEST(SlackerLintTest, InterfacesWithTwoImplementationsAreQuiet) {
+  Linter linter;
+  linter.AddFile("src/demo/clean.h", ReadFixture("single_impl_clean.snippet"));
+  // A test fake counts as an implementation, qualified or not, with or
+  // without an access specifier, its base list across lines.
+  linter.AddFile("tests/demo_test.cc",
+                 "struct FakeClock : demo::Clock {\n"
+                 "  double Now() const override { return 1.0; }\n"
+                 "};\n"
+                 "class FakePlan\n"
+                 "    : public Plan {\n"
+                 "  int Next() override { return 2; }\n"
+                 "};\n");
+  const std::vector<Finding> findings = linter.Run();
+  EXPECT_TRUE(findings.empty()) << FindingsToText(findings);
+
+  // Without the test file each interface has one implementation.
+  Linter alone;
+  alone.AddFile("src/demo/clean.h", ReadFixture("single_impl_clean.snippet"));
+  const std::vector<Finding> flagged = alone.Run();
+  ASSERT_EQ(flagged.size(), 2u) << FindingsToText(flagged);
+  EXPECT_EQ(flagged[0].line, 6);
+  EXPECT_EQ(flagged[1].line, 12);
+}
+
 TEST(SlackerLintTest, AmbiguousNamesAreNotFlagged) {
   // `Start` returns Status in one class and void in another: the
   // statement-position rule must stay quiet about it.
