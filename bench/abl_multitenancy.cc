@@ -82,8 +82,10 @@ IsolationResult Run(MultitenancyModel model) {
 int main(int argc, char** argv) {
   using namespace slacker::bench;
   using namespace slacker;
-  // Flags are checked but unused: the scenario pins its own seeds.
+  // Flags are checked but unused: the scenario pins its own seeds and
+  // options, so it has no trace or metrics to write.
   FleetFlags flags;
+  flags.takes_trace = false;
   ParseFleetFlags(argc, argv, &flags);
 
   const IsolationResult isolated = Run(MultitenancyModel::kProcessLevel);

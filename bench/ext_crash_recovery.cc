@@ -29,9 +29,26 @@ struct CrashRunResult {
   bool audited = false;
 };
 
+/// `path` with `-run` inserted before its extension ("cr.json" becomes
+/// "cr-run.json"); empty stays empty, so an untraced run stays untraced.
+std::string WithRunSuffix(const std::string& path, const std::string& run) {
+  if (path.empty()) return path;
+  const size_t dot = path.rfind('.');
+  const size_t slash = path.rfind('/');
+  if (dot == std::string::npos || (slash != std::string::npos && dot < slash)) {
+    return path + "-" + run;
+  }
+  return path.substr(0, dot) + "-" + run + path.substr(dot);
+}
+
+/// One supervised migration; `run` names it in the --trace and --csv
+/// paths, so each of the three runs keeps its own files.
 CrashRunResult RunSupervised(const ExperimentOptions& flags,
-                             bool inject_crash, bool allow_resume) {
+                             const std::string& run, bool inject_crash,
+                             bool allow_resume) {
   ExperimentOptions options = flags;
+  options.trace_path = WithRunSuffix(flags.trace_path, run);
+  options.csv_path = WithRunSuffix(flags.csv_path, run);
   options.config = PaperConfig::kEvaluation;
   options.size_scale = 0.25;  // 256 MB tenant: minutes, not hours.
   options.warmup_seconds = 10.0;
@@ -174,11 +191,12 @@ int main(int argc, char** argv) {
               "supervised migration vs a target crash mid-snapshot "
               "(256 MB tenant, 16 MB/s throttle, restart after 5 s)");
   bool audited = true;
-  for (const auto& [name, crash, resume] :
-       {std::tuple{"no fault", false, true},
-        std::tuple{"crash, resume on", true, true},
-        std::tuple{"crash, resume off", true, false}}) {
-    const CrashRunResult result = RunSupervised(flags.options, crash, resume);
+  for (const auto& [name, run, crash, resume] :
+       {std::tuple{"no fault", "no-fault", false, true},
+        std::tuple{"crash, resume on", "resume-on", true, true},
+        std::tuple{"crash, resume off", "resume-off", true, false}}) {
+    const CrashRunResult result =
+        RunSupervised(flags.options, run, crash, resume);
     PrintCrashRow(name, result);
     audited = result.audited && audited;
   }

@@ -14,6 +14,7 @@ void ParseFleetFlags(
   const bool takes_fleet_size = flags->servers > 0;
   const bool takes_ranges = flags->ranges > 0;
   const bool takes_json = !flags->json_path.empty();
+  const bool takes_trace = flags->takes_trace;
   ExperimentOptions* options = &flags->options;
   auto usage = [&](const std::string& problem) {
     std::string own;
@@ -24,11 +25,13 @@ void ParseFleetFlags(
     if (takes_fleet_size) own += " [--servers N] [--fleet-tenants T]";
     if (takes_ranges) own += " [--ranges R]";
     std::fprintf(stderr,
-                 "%s: %s\nusage: %s [--smoke] [--trace PATH] [--csv PATH] "
+                 "%s: %s\nusage: %s [--smoke]%s "
                  "[--seed N] [--tenants N] [--size-scale X] "
                  "[--arrival-scale X] [--warmup S] [--sla-ms MS] "
                  "[--codec raw|lz|delta|adaptive]%s\n",
-                 argv[0], problem.c_str(), argv[0], own.c_str());
+                 argv[0], problem.c_str(), argv[0],
+                 takes_trace ? " [--trace PATH] [--csv PATH]" : "",
+                 own.c_str());
     std::exit(2);
   };
   auto value = [&](int* i) {
@@ -67,9 +70,9 @@ void ParseFleetFlags(
       flags->tenants = number(&i, 1);
     } else if (takes_ranges && std::strcmp(arg, "--ranges") == 0) {
       flags->ranges = static_cast<size_t>(number(&i, 1));
-    } else if (std::strcmp(arg, "--trace") == 0) {
+    } else if (takes_trace && std::strcmp(arg, "--trace") == 0) {
       options->trace_path = value(&i);
-    } else if (std::strcmp(arg, "--csv") == 0) {
+    } else if (takes_trace && std::strcmp(arg, "--csv") == 0) {
       options->csv_path = value(&i);
     } else if (std::strcmp(arg, "--seed") == 0) {
       options->seed = number(&i, uint64_t{0});

@@ -70,6 +70,9 @@ struct FleetFlags {
         ranges(ranges_default) {}
 
   bool smoke = false;
+  /// False for a bench whose scenarios pin their own options: --trace
+  /// and --csv would write nothing, so they are rejected as unknown.
+  bool takes_trace = true;
   std::string json_path;
   int servers;
   int tenants;

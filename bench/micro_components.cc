@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot components under the
-// experiments: B+-tree ops, row digests and tenant loads, buffer pool
+// experiments: B+-tree ops (cold lookups and snapshot-chunk apply
+// among them), row digests and tenant loads, buffer pool
 // touches, PID updates, wire codec, binlog append/scan, event queue
 // churn, token bucket grants, and the bulk stream's three codec
 // kernels. These bound the simulator's own overhead and document the
@@ -52,6 +53,26 @@ void BM_BTreeLookupUniform(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BTreeLookupUniform)->Arg(100000)->Arg(1000000);
+
+// Point lookups on a bulk-loaded tree far larger than L2, as a tenant's
+// table is after TenantDb::Load: AppendSorted leaves every leaf half
+// full, so 1 Mi rows take about 50 MiB and a random lookup's leaf is
+// cold. Its internal nodes (about 1 MiB) stay in L2, unlike those of a
+// fleet's hundreds of trees.
+void BM_BTreeGetCold(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  std::vector<storage::Record> rows;
+  rows.reserve(n);
+  for (uint64_t k = 0; k < n; ++k) rows.push_back(storage::Record{k, 0, k});
+  storage::BTree tree;
+  tree.AppendSorted(rows.data(), rows.size());
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.Get(rng.NextBelow(n)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BTreeGetCold)->Arg(1 << 20);
 
 void BM_BTreeScan(benchmark::State& state) {
   storage::BTree tree;
@@ -248,6 +269,20 @@ std::vector<storage::Record> ChunkRows() {
   }
   return rows;
 }
+
+// A migration target applying one key-ordered snapshot chunk (256 KiB
+// of 1 KiB rows) into a fresh staging table, newest LSN wins.
+void BM_ApplySnapshotChunk(benchmark::State& state) {
+  const std::vector<storage::Record> rows = ChunkRows();
+  for (auto _ : state) {
+    storage::BTree table;
+    table.PutNewest(rows.data(), rows.size());
+    benchmark::DoNotOptimize(table.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kChunkRows));
+}
+BENCHMARK(BM_ApplySnapshotChunk);
 
 void LzCompressedSizeAt(benchmark::State& state, double redundancy) {
   const std::vector<uint8_t> payload =

@@ -43,10 +43,13 @@ struct WrittenRow {
 
 /// One tenant's database instance: the mysqld-per-tenant analog from
 /// §2.2. Owns the clustered table (B+-tree), an LRU buffer pool, and
-/// the binlog. Operations execute *functionally* inline (real reads and
-/// writes against the tree) while their *time* is charged to the
-/// server's shared disk and CPU via the simulator — so both data
-/// correctness and latency behaviour are first-class.
+/// the binlog. Writes execute *functionally* inline (real upserts and
+/// deletes against the tree, logged to the binlog) while every
+/// operation's *time* is charged to the server's shared disk and CPU via
+/// the simulator — so both data correctness and latency behaviour are
+/// first-class. Reads and scans are charged in full (CPU, buffer-pool
+/// touch, disk read on a miss) but return no row, since no caller
+/// receives one, so they never walk the tree.
 class TenantDb {
  public:
   using OpCallback = sim::Callback<void(Status, const WrittenRow&)>;

@@ -69,17 +69,6 @@ engine::TenantConfig ConfigFromWire(uint64_t tenant_id,
   return config;
 }
 
-/// Applies snapshot rows with LSN-newest-wins semantics (fuzzy chunks
-/// may be older than an already-applied version — never regress).
-void ApplyRows(const std::vector<storage::Record>& rows,
-               storage::BTree* table) {
-  for (const storage::Record& row : rows) {
-    const storage::Record* existing = table->Get(row.key);
-    if (existing != nullptr && existing->lsn >= row.lsn) continue;
-    table->Put(row);
-  }
-}
-
 }  // namespace
 
 double MigrationReport::AverageRateMbps() const {
@@ -1041,7 +1030,8 @@ TargetSession::TargetSession(Cluster* cluster, uint64_t self_server,
       // An earlier attempt durably staged part of the snapshot here.
       // Rebuild the staging table from it and offer the source a resume
       // point so it skips the keys below resume_key.
-      ApplyRows(staged->rows, staging_->mutable_table());
+      staging_->mutable_table()->PutNewest(staged->rows.data(),
+                                           staged->rows.size());
       rows_received_ = staged->rows.size();
       snap_start_lsn_ = staged->start_lsn;
       resumed_ = true;
@@ -1282,7 +1272,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
       // Decompression / delta reconstruction busies a target core.
       const double decode_cost = codec::DecodeCpuSeconds(message.frame);
       if (decode_cost > 0.0) staging_->ChargeCpu(decode_cost, nullptr);
-      ApplyRows(rows, staging_->mutable_table());
+      staging_->mutable_table()->PutNewest(rows.data(), rows.size());
       rows_received_ += rows.size();
       const uint64_t payload = std::max<uint64_t>(message.payload_bytes, 1);
       staging_->ChargeSequentialWrite(

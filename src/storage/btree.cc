@@ -65,15 +65,27 @@ constexpr size_t kMinFill = BTree::kFanout / 2;
 
 // Both searches first test for a key past the node's last one: loads
 // and inserts arrive in ascending key order and append at the right
-// edge. Otherwise they halve the candidate window with a conditional
-// move rather than a branch: for a random key the comparisons are coin
-// flips, so a branchy binary search mispredicts about every other step.
+// edge. Otherwise they request every cache line of the node's live keys
+// at once, so a cold node costs one round of misses rather than one per
+// halving step, then halve the candidate window with a conditional move
+// rather than a branch: for a random key the comparisons are coin flips,
+// so a branchy binary search mispredicts about every other step.
+
+/// Prefetches the `bytes` bytes at `first`, one request per cache line.
+void PrefetchLines(const void* first, size_t bytes) {
+  const char* line = static_cast<const char*>(first);
+  for (const char* end = line + bytes; line < end; line += 64) {
+    __builtin_prefetch(line);
+  }
+}
 
 /// Index of the child subtree that may contain `key`: the first
 /// separator strictly greater than key (keys equal to a separator belong
 /// to the right subtree). `num_keys` is at least 1.
 size_t DescendIndex(const uint64_t* keys, size_t num_keys, uint64_t key) {
   if (keys[num_keys - 1] <= key) return num_keys;
+  // Up to 8 lines of separators.
+  PrefetchLines(keys, num_keys * sizeof(uint64_t));
   size_t base = 0;
   for (size_t n = num_keys; n > 1; n -= n / 2) {
     base = keys[base + n / 2] <= key ? base + n / 2 : base;
@@ -84,15 +96,8 @@ size_t DescendIndex(const uint64_t* keys, size_t num_keys, uint64_t key) {
 /// Position of the first record with key >= `key`.
 size_t LowerBound(const Record* records, size_t count, uint64_t key) {
   if (count == 0 || records[count - 1].key < key) return count;
-  // A leaf spans up to 25 cache lines and is often cold. Requesting all
-  // of them at once makes the search wait for one round of misses rather
-  // than one per halving step.
-  const void* first = records;
-  const char* line = static_cast<const char*>(first);
-  for (const char* end = line + count * sizeof(Record); line < end;
-       line += 64) {
-    __builtin_prefetch(line);
-  }
+  // A leaf spans up to 25 cache lines and is often cold.
+  PrefetchLines(records, count * sizeof(Record));
   size_t base = 0;
   for (size_t n = count; n > 1; n -= n / 2) {
     base = records[base + n / 2].key < key ? base + n / 2 : base;
@@ -209,6 +214,32 @@ void BTree::AppendSorted(const Record* records, size_t count) {
     records += take;
     count -= take;
     if (leaf->count > kFanout) SplitLeaf(leaf, &path);
+  }
+}
+
+void BTree::PutNewest(const Record* records, size_t count) {
+  const Result<uint64_t> max_key = MaxKey();
+  // Every key at or below `max` may already be present; a key above it
+  // cannot be, so a strictly ascending run above it is an append.
+  bool has_max = max_key.ok();
+  uint64_t max = has_max ? *max_key : 0;
+  size_t i = 0;
+  while (i < count) {
+    size_t run = i;
+    while (run < count && (!has_max || records[run].key > max)) {
+      max = records[run++].key;
+      has_max = true;
+    }
+    if (run > i) {
+      AppendSorted(records + i, run - i);
+      i = run;
+      continue;
+    }
+    const Record* existing = Get(records[i].key);
+    if (existing == nullptr || existing->lsn < records[i].lsn) {
+      Put(records[i]);
+    }
+    ++i;
   }
 }
 

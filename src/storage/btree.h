@@ -43,6 +43,14 @@ class BTree {
   /// the right edge once per leaf split rather than once per record.
   void AppendSorted(const Record* records, size_t count);
 
+  /// Applies `count` records in order, each only if its key is absent
+  /// or holds an older LSN (newest wins; fuzzy snapshot chunks may carry
+  /// a version older than one already applied). Builds the same tree as
+  /// that Get/Put loop, but a run of records whose keys ascend strictly
+  /// above the tree's maximum, the normal case for a key-ordered
+  /// snapshot chunk, goes in through AppendSorted.
+  void PutNewest(const Record* records, size_t count);
+
   /// Returns the record for `key`, or nullptr. The pointer is
   /// invalidated by any mutation.
   const Record* Get(uint64_t key) const;

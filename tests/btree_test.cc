@@ -366,6 +366,163 @@ TEST(BTreeShapeTest, AppendSortedThenMutateStaysValid) {
   ExpectSameTree(appended, by_put);
 }
 
+// ---- Node search ------------------------------------------------------
+
+/// Checks Get and Seek against `model` at every separator of `tree`,
+/// one below and one above each, below the first and past the last.
+void ExpectSearchMatchesModel(const BTree& tree,
+                              const std::map<uint64_t, Record>& model) {
+  // More splits than the tree has separators: every separator, sorted.
+  const std::vector<uint64_t> seps = tree.SubtreeSplitKeys(1u << 20);
+  std::vector<uint64_t> probes = {0, seps.back() + 1, seps.back() + 1000,
+                                  UINT64_MAX};
+  for (uint64_t sep : seps) {
+    probes.insert(probes.end(), {sep - 1, sep, sep + 1});
+  }
+  for (uint64_t key : probes) {
+    SCOPED_TRACE("key " + std::to_string(key));
+    const auto found = model.find(key);
+    const Record* got = tree.Get(key);
+    ASSERT_EQ(got != nullptr, found != model.end());
+    if (got != nullptr) {
+      EXPECT_EQ(*got, found->second);
+    }
+    const auto it = tree.Seek(key);
+    const auto expect = model.lower_bound(key);
+    ASSERT_EQ(it.Valid(), expect != model.end());
+    if (it.Valid()) {
+      EXPECT_EQ(it.record(), expect->second);
+    }
+  }
+}
+
+TEST(BTreeSearchTest, EverySeparatorCountMatchesModel) {
+  // Ascending Puts of keys 3, 6, 9, ... leave a two-level tree whose
+  // root gains one separator per 32 rows after the first split. A node
+  // at rest holds at most kFanout - 1 separators: the kFanout-th splits
+  // it, so the last count grows a third level.
+  BTree tree;
+  std::map<uint64_t, Record> model;
+  // A root leaf's split keys are its records, not separators.
+  const auto separators = [&tree] {
+    return tree.Height() == 1 ? 0 : tree.SubtreeSplitKeys(1u << 20).size();
+  };
+  uint64_t key = 3;
+  for (size_t seps = 1; seps <= BTree::kFanout; ++seps) {
+    SCOPED_TRACE("separators " + std::to_string(seps));
+    while (separators() < seps) {
+      const Record rec = R(key, key);
+      tree.Put(rec);
+      model[key] = rec;
+      key += 3;
+    }
+    ASSERT_EQ(tree.Height(), seps < BTree::kFanout ? 2 : 3);
+    ASSERT_TRUE(tree.Validate().ok());
+    ExpectSearchMatchesModel(tree, model);
+  }
+}
+
+TEST(BTreeSearchTest, RandomThreeLevelTreeMatchesModel) {
+  // Random inserts and erases leave internal nodes at every fill from
+  // half to full, on two levels.
+  Rng rng(77);
+  BTree tree;
+  std::map<uint64_t, Record> model;
+  for (int i = 0; i < 60000; ++i) {
+    const uint64_t key = 2 * rng.NextBelow(100000);
+    if (rng.Bernoulli(0.8)) {
+      const Record rec = R(key, i + 1);
+      tree.Put(rec);
+      model[key] = rec;
+    } else {
+      tree.Erase(key);
+      model.erase(key);
+    }
+  }
+  ASSERT_EQ(tree.Height(), 3);
+  ASSERT_TRUE(tree.Validate().ok());
+  ExpectSearchMatchesModel(tree, model);
+}
+
+// ---- Newest-wins apply -------------------------------------------------
+
+/// The apply PutNewest replaces: one Get and, unless the tree already
+/// holds a version at least as new, one Put per record.
+void PutNewestByLoop(BTree* tree, const std::vector<Record>& rows) {
+  for (const Record& row : rows) {
+    const Record* existing = tree->Get(row.key);
+    if (existing != nullptr && existing->lsn >= row.lsn) continue;
+    tree->Put(row);
+  }
+}
+
+/// `n` rows with keys ascending from `from` in steps of 1 to 3, LSNs
+/// `lsn` and digests drawn from `rng`.
+std::vector<Record> AscendingRows(Rng* rng, uint64_t from, size_t n,
+                                  Lsn lsn) {
+  std::vector<Record> rows;
+  for (uint64_t key = from; rows.size() < n; key += 1 + rng->NextBelow(3)) {
+    rows.push_back(R(key, lsn, rng->Next()));
+  }
+  return rows;
+}
+
+TEST(BTreeShapeTest, PutNewestMatchesGetPutLoop) {
+  Rng rng(29);
+  BTree fast;
+  BTree slow;
+  const auto apply = [&](const std::vector<Record>& rows,
+                         const std::string& what) {
+    SCOPED_TRACE(what);
+    fast.PutNewest(rows.data(), rows.size());
+    PutNewestByLoop(&slow, rows);
+    ExpectSameTree(fast, slow);
+  };
+  apply({}, "empty chunk into an empty tree");
+  // The first key above the tree's maximum.
+  const auto above_max = [&fast] {
+    return fast.empty() ? uint64_t{0} : *fast.MaxKey() + 1;
+  };
+  Lsn lsn = 10;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const size_t n = 1 + rng.NextBelow(600);
+    // Above the maximum: the key-ordered snapshot's normal chunk.
+    apply(AscendingRows(&rng, above_max() + rng.NextBelow(5), n, lsn),
+          "above the maximum");
+    // Straddling it: the chunk starts inside the table.
+    const uint64_t max = above_max() - 1;
+    const uint64_t back = std::min<uint64_t>(max, rng.NextBelow(300));
+    apply(AscendingRows(&rng, max - back, n, lsn + 1),
+          "straddling the maximum");
+    // From below it, once older and once newer than what is stored.
+    const uint64_t low = rng.NextBelow(above_max());
+    apply(AscendingRows(&rng, low, n, 1), "below, older LSNs");
+    apply(AscendingRows(&rng, low, n, lsn + 2), "below, newer LSNs");
+    // Duplicate keys above the maximum, the newer version second and
+    // then first, and a descending pair in an otherwise ascending run.
+    uint64_t next = above_max();
+    apply({R(next, lsn + 3), R(next, lsn + 4), R(next + 1, lsn + 4),
+           R(next + 1, lsn + 3)},
+          "duplicate keys");
+    next = above_max();
+    apply({R(next + 5, lsn + 3), R(next + 9, lsn + 3), R(next + 8, lsn + 3),
+           R(next + 12, lsn + 3)},
+          "descending pair");
+    lsn += 5;
+  }
+  // The staged rows of a resumed snapshot go into a fresh table.
+  std::vector<Record> all;
+  for (auto it = slow.Begin(); it.Valid(); it.Next()) {
+    all.push_back(it.record());
+  }
+  BTree fresh_fast;
+  BTree fresh_slow;
+  fresh_fast.PutNewest(all.data(), all.size());
+  PutNewestByLoop(&fresh_slow, all);
+  ExpectSameTree(fresh_fast, fresh_slow);
+}
+
 TEST(BTreeShapeDeathTest, AppendSortedRejectsKeysNotAboveMax) {
   BTree tree;
   for (uint64_t k = 0; k < 200; k += 2) tree.Put(R(k));

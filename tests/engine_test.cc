@@ -71,6 +71,44 @@ TEST(TenantDbTest, ReadOpCompletesAndCharges) {
   EXPECT_EQ(rig.disk.total_requests(), 1u);
 }
 
+// Reads and scans return no row, yet keep their whole simulated cost:
+// the CPU charge, the buffer-pool touch, the disk read on a miss and the
+// op count. The end times were recorded from the engine that still
+// looked each read's row up in the tree.
+TEST(TenantDbTest, ReadsAndScansKeepTheirSimulatedCost) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  db.ExecuteOp(Operation{OpType::kDelete, 9}, nullptr);
+  rig.sim.RunUntil(1.0);
+  const uint64_t requests_before = rig.disk.total_requests();
+  // A cold present key, the same key again (its page is resident once
+  // the first read touched it), the deleted key on a warm page, a key
+  // past the table on a cold page, and a 100-row scan over seven cold
+  // pages, all admitted at once.
+  const Operation ops[] = {{OpType::kRead, 500},
+                           {OpType::kRead, 500},
+                           {OpType::kRead, 9},
+                           {OpType::kRead, 5000},
+                           {OpType::kScan, 100, 100}};
+  std::vector<SimTime> ends(std::size(ops), -1.0);
+  for (size_t i = 0; i < std::size(ops); ++i) {
+    db.ExecuteOp(ops[i], [&, i](Status s, const WrittenRow& w) {
+      EXPECT_TRUE(s.ok());
+      EXPECT_EQ(w.key, 0u);
+      EXPECT_EQ(w.lsn, 0u);
+      ends[i] = rig.sim.Now();
+    });
+  }
+  rig.sim.RunUntil(2.0);
+  EXPECT_EQ(ends, (std::vector<SimTime>{1.0079736111111111, 1.0003, 1.0003,
+                                        1.0156472222222221,
+                                        1.0243624999999994}));
+  EXPECT_EQ(db.ops_executed(), 6u);
+  EXPECT_EQ(rig.disk.total_requests() - requests_before, 9u);
+  EXPECT_EQ(db.table().size(), 1023u);
+}
+
 TEST(TenantDbTest, BufferHitAvoidsDisk) {
   Rig rig;
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
