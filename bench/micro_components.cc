@@ -56,9 +56,9 @@ BENCHMARK(BM_BTreeLookupUniform)->Arg(100000)->Arg(1000000);
 
 // Point lookups on a bulk-loaded tree far larger than L2, as a tenant's
 // table is after TenantDb::Load: AppendSorted leaves every leaf half
-// full, so 1 Mi rows take about 50 MiB and a random lookup's leaf is
-// cold. Its internal nodes (about 1 MiB) stay in L2, unlike those of a
-// fleet's hundreds of trees.
+// full in a half-size block, so 1 Mi rows take about 27 MiB and a
+// random lookup's leaf is cold. Its internal nodes (about 1 MiB) stay
+// in L2, unlike those of a fleet's hundreds of trees.
 void BM_BTreeGetCold(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   std::vector<storage::Record> rows;
@@ -227,8 +227,9 @@ void BM_MetricCounterIncrement(benchmark::State& state) {
       registry.FindOrCreateCounter("migration_delta_bytes", "tenant=1");
   for (auto _ : state) {
     counter->Add(4096);
+    benchmark::DoNotOptimize(counter);
+    benchmark::ClobberMemory();
   }
-  benchmark::DoNotOptimize(counter->value());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricCounterIncrement);

@@ -31,13 +31,8 @@ LogLevel GetLogLevel() { return g_level.load(); }
 
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
-  const char* base = file;
-  for (const char* p = file; *p; ++p) {
-    if (*p == '/') base = p + 1;
-  }
-  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
+LogMessage::LogMessage(LogLevel level) {
+  stream_ << "[" << LevelName(level) << "] ";
 }
 
 LogMessage::~LogMessage() {

@@ -18,7 +18,7 @@ namespace internal {
 /// Stream-style sink that emits one line to stderr on destruction.
 class LogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
+  explicit LogMessage(LogLevel level);
   ~LogMessage();
 
   LogMessage(const LogMessage&) = delete;
@@ -27,17 +27,14 @@ class LogMessage {
   std::ostringstream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
 }  // namespace internal
 
-#define SLACKER_LOG(level)                                              \
-  if (::slacker::GetLogLevel() <= ::slacker::LogLevel::level)           \
-  ::slacker::internal::LogMessage(::slacker::LogLevel::level, __FILE__, \
-                                  __LINE__)                             \
-      .stream()
+#define SLACKER_LOG(level)                                    \
+  if (::slacker::GetLogLevel() <= ::slacker::LogLevel::level) \
+  ::slacker::internal::LogMessage(::slacker::LogLevel::level).stream()
 
 #define SLACKER_LOG_DEBUG SLACKER_LOG(kDebug)
 #define SLACKER_LOG_INFO SLACKER_LOG(kInfo)

@@ -1,6 +1,7 @@
 #include "src/storage/btree.h"
 
 #include <algorithm>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -14,16 +15,26 @@ struct BTree::Node {
 };
 
 // Both node kinds hold one slot more than kFanout: an insert lands
-// first and the overfull node splits right after.
+// first and the overfull node splits right after. A leaf's records
+// follow its header in the same block, which is allocated at one of two
+// capacities (kSmallLeaf or kFullLeaf, below); the capacity never
+// changes the tree's shape, only the bytes a leaf takes.
 struct BTree::LeafNode : BTree::Node {
-  LeafNode() : Node(true) {}
+  explicit LeafNode(uint32_t block_capacity)
+      : Node(true), capacity(block_capacity) {}
+  uint32_t capacity;
   size_t count = 0;
   LeafNode* next = nullptr;
-  // In a union so a new leaf skips zeroing all kFanout + 1 records; only
-  // records[0, count) are ever read. Sorted by key.
-  union {
-    Record records[kFanout + 1];
-  };
+  LeafNode* prev = nullptr;
+
+  // records()[0, capacity) is the block's tail, left uninitialized; only
+  // records()[0, count) are ever read. Sorted by key.
+  Record* records() {
+    return static_cast<Record*>(static_cast<void*>(this + 1));
+  }
+  const Record* records() const {
+    return static_cast<const Record*>(static_cast<const void*>(this + 1));
+  }
 };
 
 struct BTree::InternalNode : BTree::Node {
@@ -62,6 +73,15 @@ struct BTree::Path {
 namespace {
 
 constexpr size_t kMinFill = BTree::kFanout / 2;
+
+// A split keeps the upper half of an overfull leaf in the leaf's block
+// and copies the lower half, kMinFill records, into a small one: an
+// ascending load never writes into a leaf again once it is split, so
+// every leaf behind the right edge stays in a half-size block. A leaf
+// that needs more room than its small block holds moves into a full one
+// (BTree::Grow).
+constexpr uint32_t kSmallLeaf = kMinFill + 1;
+constexpr uint32_t kFullLeaf = BTree::kFanout + 1;
 
 // Both searches first test for a key past the node's last one: loads
 // and inserts arrive in ascending key order and append at the right
@@ -120,13 +140,22 @@ void EraseAt(T* array, size_t count, size_t pos) {
 
 }  // namespace
 
-BTree::BTree() : root_(new LeafNode()), size_(0) {}
+BTree::LeafNode* BTree::NewLeaf(uint32_t capacity) {
+  static_assert(sizeof(LeafNode) % alignof(Record) == 0,
+                "leaf records must start aligned after the header");
+  void* block = ::operator new(sizeof(LeafNode) + capacity * sizeof(Record));
+  return new (block) LeafNode(capacity);
+}
+
+void BTree::FreeLeaf(LeafNode* leaf) { ::operator delete(leaf); }
+
+BTree::BTree() : root_(NewLeaf(kSmallLeaf)), size_(0) {}
 
 BTree::~BTree() { FreeTree(root_); }
 
 BTree::BTree(BTree&& other) noexcept
     : root_(other.root_), size_(other.size_) {
-  other.root_ = new LeafNode();
+  other.root_ = NewLeaf(kSmallLeaf);
   other.size_ = 0;
 }
 
@@ -135,14 +164,14 @@ BTree& BTree::operator=(BTree&& other) noexcept {
   FreeTree(root_);
   root_ = other.root_;
   size_ = other.size_;
-  other.root_ = new LeafNode();
+  other.root_ = NewLeaf(kSmallLeaf);
   other.size_ = 0;
   return *this;
 }
 
 void BTree::FreeTree(Node* node) {
   if (node->is_leaf) {
-    delete static_cast<LeafNode*>(node);
+    FreeLeaf(static_cast<LeafNode*>(node));
     return;
   }
   auto* internal = static_cast<InternalNode*>(node);
@@ -154,7 +183,7 @@ void BTree::FreeTree(Node* node) {
 
 void BTree::Clear() {
   FreeTree(root_);
-  root_ = new LeafNode();
+  root_ = NewLeaf(kSmallLeaf);
   size_ = 0;
 }
 
@@ -169,22 +198,42 @@ BTree::LeafNode* BTree::Descend(uint64_t key, Path* path) const {
   return static_cast<LeafNode*>(node);
 }
 
+BTree::Node** BTree::Slot(const Path& path) {
+  if (path.empty()) return &root_;
+  const Path::Frame& parent = path.frames[path.depth - 1];
+  return &parent.node->children[parent.child];
+}
+
+BTree::LeafNode* BTree::Grow(LeafNode* leaf, Node** slot) {
+  LeafNode* full = NewLeaf(kFullLeaf);
+  std::copy(leaf->records(), leaf->records() + leaf->count, full->records());
+  full->count = leaf->count;
+  full->next = leaf->next;
+  full->prev = leaf->prev;
+  if (full->next != nullptr) full->next->prev = full;
+  if (full->prev != nullptr) full->prev->next = full;
+  *slot = full;
+  FreeLeaf(leaf);
+  return full;
+}
+
 const Record* BTree::Get(uint64_t key) const {
   const LeafNode* leaf = Descend(key, nullptr);
-  const size_t pos = LowerBound(leaf->records, leaf->count, key);
-  if (pos == leaf->count || leaf->records[pos].key != key) return nullptr;
-  return &leaf->records[pos];
+  const size_t pos = LowerBound(leaf->records(), leaf->count, key);
+  if (pos == leaf->count || leaf->records()[pos].key != key) return nullptr;
+  return &leaf->records()[pos];
 }
 
 bool BTree::Put(const Record& record) {
   Path path;
   LeafNode* leaf = Descend(record.key, &path);
-  const size_t pos = LowerBound(leaf->records, leaf->count, record.key);
-  if (pos < leaf->count && leaf->records[pos].key == record.key) {
-    leaf->records[pos] = record;
+  const size_t pos = LowerBound(leaf->records(), leaf->count, record.key);
+  if (pos < leaf->count && leaf->records()[pos].key == record.key) {
+    leaf->records()[pos] = record;
     return false;
   }
-  InsertAt(leaf->records, leaf->count, pos, record);
+  if (leaf->count == leaf->capacity) leaf = Grow(leaf, Slot(path));
+  InsertAt(leaf->records(), leaf->count, pos, record);
   ++leaf->count;
   ++size_;
 
@@ -204,11 +253,12 @@ void BTree::AppendSorted(const Record* records, size_t count) {
     // may take the run.
     SLACKER_CHECK(leaf->next == nullptr &&
                       (leaf->count == 0 ||
-                       leaf->records[leaf->count - 1].key < records[0].key),
+                       leaf->records()[leaf->count - 1].key < records[0].key),
                   "AppendSorted key not above the tree's maximum");
     // Fill up to the overfull count at which Put splits.
     const size_t take = std::min(count, kFanout + 1 - leaf->count);
-    std::copy(records, records + take, leaf->records + leaf->count);
+    if (leaf->count + take > leaf->capacity) leaf = Grow(leaf, Slot(path));
+    std::copy(records, records + take, leaf->records() + leaf->count);
     leaf->count += take;
     size_ += take;
     records += take;
@@ -244,14 +294,21 @@ void BTree::PutNewest(const Record* records, size_t count) {
 }
 
 void BTree::SplitLeaf(LeafNode* leaf, Path* path) {
-  auto* right = new LeafNode();
+  LeafNode* left = NewLeaf(kSmallLeaf);
   const size_t mid = leaf->count / 2;
-  std::copy(leaf->records + mid, leaf->records + leaf->count, right->records);
-  right->count = leaf->count - mid;
-  leaf->count = mid;
-  right->next = leaf->next;
-  leaf->next = right;
-  InsertIntoParent(path, leaf, right->records[0].key, right);
+  Record* records = leaf->records();
+  std::copy(records, records + mid, left->records());
+  left->count = mid;
+  std::copy(records + mid, records + leaf->count, records);
+  leaf->count -= mid;
+  left->prev = leaf->prev;
+  left->next = leaf;
+  if (left->prev != nullptr) left->prev->next = left;
+  leaf->prev = left;
+  // The lower half takes the split leaf's slot; the upper half goes in
+  // right of it.
+  *Slot(*path) = left;
+  InsertIntoParent(path, left, records[0].key, leaf);
 }
 
 void BTree::InsertIntoParent(Path* path, Node* left, uint64_t sep,
@@ -291,9 +348,9 @@ void BTree::InsertIntoParent(Path* path, Node* left, uint64_t sep,
 bool BTree::Erase(uint64_t key) {
   Path path;
   LeafNode* leaf = Descend(key, &path);
-  const size_t pos = LowerBound(leaf->records, leaf->count, key);
-  if (pos == leaf->count || leaf->records[pos].key != key) return false;
-  EraseAt(leaf->records, leaf->count, pos);
+  const size_t pos = LowerBound(leaf->records(), leaf->count, key);
+  if (pos == leaf->count || leaf->records()[pos].key != key) return false;
+  EraseAt(leaf->records(), leaf->count, pos);
   --leaf->count;
   --size_;
   RebalanceAfterErase(&path, leaf);
@@ -319,28 +376,34 @@ void BTree::RebalanceAfterErase(Path* path, Node* node) {
       auto* left = static_cast<LeafNode*>(left_sib);
       auto* right = static_cast<LeafNode*>(right_sib);
       if (left != nullptr && left->count > kMinFill) {
-        // Borrow the largest record from the left sibling.
-        InsertAt(leaf->records, leaf->count, 0,
-                 left->records[left->count - 1]);
+        // Borrow the largest record from the left sibling. An underfull
+        // leaf holds fewer than kMinFill records, so even a small block
+        // has room for one more.
+        InsertAt(leaf->records(), leaf->count, 0,
+                 left->records()[left->count - 1]);
         ++leaf->count;
         --left->count;
-        parent->keys[idx - 1] = leaf->records[0].key;
+        parent->keys[idx - 1] = leaf->records()[0].key;
         return;
       }
       if (right != nullptr && right->count > kMinFill) {
-        leaf->records[leaf->count++] = right->records[0];
-        EraseAt(right->records, right->count, 0);
+        leaf->records()[leaf->count++] = right->records()[0];
+        EraseAt(right->records(), right->count, 0);
         --right->count;
-        parent->keys[idx] = right->records[0].key;
+        parent->keys[idx] = right->records()[0].key;
         return;
       }
       LeafNode* into = left != nullptr ? left : leaf;
       LeafNode* from = left != nullptr ? leaf : right;
-      std::copy(from->records, from->records + from->count,
-                into->records + into->count);
+      if (into->count + from->count > into->capacity) {
+        into = Grow(into, &parent->children[sep_idx]);
+      }
+      std::copy(from->records(), from->records() + from->count,
+                into->records() + into->count);
       into->count += from->count;
       into->next = from->next;
-      delete from;
+      if (into->next != nullptr) into->next->prev = into;
+      FreeLeaf(from);
     } else {
       auto* internal = static_cast<InternalNode*>(node);
       auto* left = static_cast<InternalNode*>(left_sib);
@@ -394,7 +457,7 @@ void BTree::RebalanceAfterErase(Path* path, Node* node) {
 
 const Record& BTree::Iterator::record() const {
   const auto* leaf = static_cast<const LeafNode*>(leaf_);
-  return leaf->records[index_];
+  return leaf->records()[index_];
 }
 
 void BTree::Iterator::Next() {
@@ -411,7 +474,7 @@ BTree::Iterator BTree::Seek(uint64_t key) const {
   const LeafNode* leaf = Descend(key, nullptr);
   Iterator iter;
   iter.leaf_ = leaf;
-  iter.index_ = LowerBound(leaf->records, leaf->count, key);
+  iter.index_ = LowerBound(leaf->records(), leaf->count, key);
   if (iter.index_ >= leaf->count) {
     // Either an empty root leaf or key beyond this leaf; walk forward.
     const LeafNode* next = leaf->next;
@@ -432,7 +495,7 @@ Result<uint64_t> BTree::MaxKey() const {
   }
   const auto* leaf = static_cast<const LeafNode*>(node);
   if (leaf->count == 0) return Status::NotFound("tree is empty");
-  return leaf->records[leaf->count - 1].key;
+  return leaf->records()[leaf->count - 1].key;
 }
 
 std::vector<uint64_t> BTree::SubtreeSplitKeys(size_t max_splits) const {
@@ -443,7 +506,7 @@ std::vector<uint64_t> BTree::SubtreeSplitKeys(size_t max_splits) const {
     // subtree-aligned (a record is a one-row subtree).
     const auto* leaf = static_cast<const LeafNode*>(root_);
     for (size_t i = 1; i < leaf->count; ++i) {
-      candidates.push_back(leaf->records[i].key);
+      candidates.push_back(leaf->records()[i].key);
     }
   } else {
     // Collect separators level by level: every key of an internal node
@@ -484,13 +547,17 @@ std::vector<uint64_t> BTree::SubtreeSplitKeys(size_t max_splits) const {
   return picked;
 }
 
-std::vector<size_t> BTree::LeafSizes() const {
+const BTree::LeafNode* BTree::LeftmostLeaf() const {
   const Node* node = root_;
   while (!node->is_leaf) {
     node = static_cast<const InternalNode*>(node)->children[0];
   }
+  return static_cast<const LeafNode*>(node);
+}
+
+std::vector<size_t> BTree::LeafSizes() const {
   std::vector<size_t> sizes;
-  for (const auto* leaf = static_cast<const LeafNode*>(node); leaf != nullptr;
+  for (const LeafNode* leaf = LeftmostLeaf(); leaf != nullptr;
        leaf = leaf->next) {
     sizes.push_back(leaf->count);
   }
@@ -524,9 +591,12 @@ Status BTree::ValidateNode(const Node* node, uint64_t lo, uint64_t hi,
     if (leaf->count > kFanout) {
       return Status::Corruption("leaf overfull");
     }
+    if (leaf->count > leaf->capacity) {
+      return Status::Corruption("leaf past its block's capacity");
+    }
     for (size_t i = 0; i < leaf->count; ++i) {
-      const uint64_t key = leaf->records[i].key;
-      if (i > 0 && key <= leaf->records[i - 1].key) {
+      const uint64_t key = leaf->records()[i].key;
+      if (i > 0 && key <= leaf->records()[i - 1].key) {
         return Status::Corruption("leaf unsorted");
       }
       if (has_lo && key < lo) return Status::Corruption("key below bound");
@@ -565,6 +635,16 @@ Status BTree::ValidateNode(const Node* node, uint64_t lo, uint64_t hi,
 Status BTree::Validate() const {
   SLACKER_RETURN_IF_ERROR(
       ValidateNode(root_, 0, 0, false, false, 0, LeafDepth()));
+  // Every leaf's neighbours must point back at it.
+  if (LeftmostLeaf()->prev != nullptr) {
+    return Status::Corruption("first leaf has a prev link");
+  }
+  for (const LeafNode* leaf = LeftmostLeaf(); leaf->next != nullptr;
+       leaf = leaf->next) {
+    if (leaf->next->prev != leaf) {
+      return Status::Corruption("leaf chain prev link broken");
+    }
+  }
   // The leaf chain must enumerate exactly size() records in order.
   size_t seen = 0;
   uint64_t prev = 0;

@@ -16,9 +16,13 @@ namespace slacker::storage {
 /// scans via leaf chaining — the scan is what the hot-backup streamer
 /// uses to produce a page-ordered snapshot.
 ///
-/// Nodes are fixed-capacity inline arrays with no parent pointers:
-/// mutations record their root-to-leaf descent path and walk it back up
-/// to split or rebalance (DESIGN.md §15.5).
+/// Internal nodes are fixed-capacity inline arrays. A leaf's records
+/// trail its header in one block of one of two capacities: a split
+/// leaves the lower half in a half-size block, and a leaf moves into a
+/// full-size one only when it needs the room, so the half-full leaves
+/// of an ascending load take about half the bytes. No node has a parent
+/// pointer: mutations record their root-to-leaf descent path and walk
+/// it back up to split or rebalance (DESIGN.md §15.5).
 class BTree {
  public:
   /// Maximum records per leaf / children per internal node.
@@ -100,8 +104,9 @@ class BTree {
   /// used by tests.
   std::vector<size_t> LeafSizes() const;
 
-  /// Checks structural invariants (key ordering, fill factors, leaf
-  /// chain consistency, separator correctness). Used by tests.
+  /// Checks structural invariants (key ordering, fill factors, block
+  /// capacities, leaf chain consistency in both directions, separator
+  /// correctness). Used by tests.
   Status Validate() const;
 
   /// Height of the tree (1 = just a root leaf).
@@ -113,9 +118,19 @@ class BTree {
   struct InternalNode;
   struct Path;
 
+  static LeafNode* NewLeaf(uint32_t capacity);
+  static void FreeLeaf(LeafNode* leaf);
+
   LeafNode* Descend(uint64_t key, Path* path) const;
-  /// Splits an overfull `leaf` (the end of `path`'s descent): the upper
-  /// half moves into a new right sibling.
+  /// The pointer to the node at the end of `path`'s descent: its
+  /// parent's child slot, or root_.
+  Node** Slot(const Path& path);
+  /// Moves `leaf` into a full-size block, re-pointing `slot` (which
+  /// holds `leaf`) and both chain neighbours; returns the new block.
+  LeafNode* Grow(LeafNode* leaf, Node** slot);
+  /// Splits an overfull `leaf` (the end of `path`'s descent): the lower
+  /// half moves into a new small left sibling, which takes the leaf's
+  /// slot, and the upper half moves to the front of `leaf`'s block.
   void SplitLeaf(LeafNode* leaf, Path* path);
   void InsertIntoParent(Path* path, Node* left, uint64_t sep, Node* right);
   void RebalanceAfterErase(Path* path, Node* node);
@@ -123,6 +138,7 @@ class BTree {
                       bool has_lo, bool has_hi, int depth,
                       int expected_leaf_depth) const;
   int LeafDepth() const;
+  const LeafNode* LeftmostLeaf() const;
   void FreeTree(Node* node);
 
   Node* root_;

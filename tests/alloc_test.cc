@@ -6,8 +6,9 @@
 // may the target's payload-CRC check of an LZ frame, once its shape's
 // CRC tables are built; and a migration message encodes into its one
 // frame buffer and decodes into a reused message without a copy. A
-// counting global operator new (this binary only) counts calls and
-// bytes.
+// tenant's ascending load keeps its B+-tree leaves in blocks sized to
+// their rows. A counting global operator new (this binary only) counts
+// calls and bytes.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "src/resource/cpu.h"
 #include "src/resource/disk.h"
 #include "src/sim/simulator.h"
+#include "src/storage/btree.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
 
@@ -176,6 +178,26 @@ TEST(AllocTest, WarmSingleUpdateTransactionAllocatesUnderHalf) {
 TEST(AllocTest, WarmSingleUpdateTransactionAllocatesAtMost24Bytes) {
   if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
   EXPECT_LE(WarmSingleUpdates().bytes, 24.0);
+}
+
+// An ascending load splits each leaf at 65 rows and never writes into
+// the lower 32 again; they sit in a 33-slot block of 824 bytes, about
+// 26 bytes a row with the internal nodes. In a full 65-slot block they
+// cost 1,584 bytes, about 49.5 a row.
+TEST(AllocTest, AscendingLoadAllocatesUnder28BytesPerRow) {
+  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+  constexpr uint64_t kRows = 16 * 1024;
+  std::vector<storage::Record> rows;
+  for (uint64_t key = 0; key < kRows; ++key) {
+    rows.push_back(storage::Record{key, 0, key * 31});
+  }
+  const uint64_t bytes = g_allocated_bytes;
+  storage::BTree tree;
+  tree.AppendSorted(rows.data(), rows.size());
+  const double per_row =
+      static_cast<double>(g_allocated_bytes - bytes) / kRows;
+  EXPECT_EQ(tree.size(), kRows);
+  EXPECT_LE(per_row, 28.0);
 }
 
 struct CachedResolver : workload::TenantResolver {

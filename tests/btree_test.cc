@@ -523,6 +523,132 @@ TEST(BTreeShapeTest, PutNewestMatchesGetPutLoop) {
   ExpectSameTree(fresh_fast, fresh_slow);
 }
 
+// ---- Leaf blocks --------------------------------------------------------
+
+/// One mutation of a scripted run.
+struct Step {
+  enum Kind { kPut, kErase, kAppend, kClear };
+  Kind kind;
+  uint64_t key = 0;
+  /// kAppend: AppendSorted of `rows` rows at keys key, key + 10, ...
+  size_t rows = 1;
+};
+
+/// Key `j` of an ascending load in steps of 10, leaving gaps to insert
+/// into.
+uint64_t LoadKey(size_t j) { return 10 * (j + 1); }
+
+/// Runs `script`, checking the tree against a std::map and Validate()
+/// after every step.
+void RunAgainstModel(const std::vector<Step>& script) {
+  BTree tree;
+  std::map<uint64_t, Record> model;
+  Lsn lsn = 0;
+  for (size_t s = 0; s < script.size(); ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    const Step& step = script[s];
+    if (step.kind == Step::kPut) {
+      const Record rec = R(step.key, ++lsn);
+      ASSERT_EQ(tree.Put(rec), model.count(step.key) == 0);
+      model[step.key] = rec;
+    } else if (step.kind == Step::kErase) {
+      ASSERT_EQ(tree.Erase(step.key), model.erase(step.key) > 0);
+    } else if (step.kind == Step::kAppend) {
+      std::vector<Record> rows;
+      for (size_t r = 0; r < step.rows; ++r) {
+        rows.push_back(R(step.key + 10 * r, ++lsn));
+        model[rows.back().key] = rows.back();
+      }
+      tree.AppendSorted(rows.data(), rows.size());
+    } else {
+      tree.Clear();
+      model.clear();
+    }
+    ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
+    ASSERT_EQ(tree.size(), model.size());
+    auto it = tree.Begin();
+    for (const auto& [key, rec] : model) {
+      ASSERT_TRUE(it.Valid());
+      ASSERT_EQ(it.record(), rec);
+      const Record* got = tree.Get(key);
+      ASSERT_NE(got, nullptr) << "key " << key;
+      ASSERT_EQ(*got, rec);
+      it.Next();
+    }
+    ASSERT_FALSE(it.Valid());
+  }
+}
+
+// A split leaves the lower half of a leaf in a small block of 33 slots
+// that takes the leaf's parent slot, and a leaf that needs more room
+// moves into a full block (BTree::Grow), re-pointing its parent slot or
+// the root and both chain neighbours. The script drives every such
+// move: the root leaf growing, a Put at the front, middle and end of a
+// full small leaf, a grown leaf splitting below the root, borrows from
+// both sides, and merges whose survivor grows, with and without a left
+// sibling; then a seeded churn.
+TEST(BTreeLeafBlockTest, RelocationScriptMatchesModel) {
+  // An ascending load of kLoadRows leaves leaves 0..9 at 32 rows each in
+  // small blocks (leaf i holds LoadKey(32i) .. LoadKey(32i + 31)) and
+  // the rightmost at 33 in a full block, all under one root.
+  constexpr size_t kLoadRows = 65 + 32 * 9;
+  const auto first = [](size_t leaf) { return LoadKey(32 * leaf); };
+  Rng rng(30);
+  std::vector<Step> script;
+  const auto put = [&script](uint64_t key) {
+    script.push_back({Step::kPut, key});
+  };
+  const auto erase = [&script](uint64_t key) {
+    script.push_back({Step::kErase, key});
+  };
+
+  // The root leaf grows on its 34th Put, and on an append past 33 rows.
+  for (size_t j = 0; j < 34; ++j) put(LoadKey(j));
+  script.push_back({Step::kClear});
+  script.push_back({Step::kAppend, LoadKey(0), 40});
+  for (size_t j = 40; j < kLoadRows;) {
+    const size_t rows = std::min(kLoadRows - j, 1 + rng.NextBelow(50));
+    script.push_back({Step::kAppend, LoadKey(j), rows});
+    j += rows;
+  }
+  // Each small leaf fills its 33rd slot, then grows on the next Put: at
+  // its front (leaf 0), in its middle (leaf 1) and at its end (leaf 2).
+  put(5);
+  put(1);
+  put(LoadKey(32 + 15) + 5);
+  put(LoadKey(32 + 16) + 5);
+  put(LoadKey(2 * 32 + 31) + 5);
+  put(LoadKey(2 * 32 + 31) + 6);
+  // Leaf 1, grown to 34 rows, fills to 65 and splits.
+  for (size_t j = 0; j < 31; ++j) put(LoadKey(32 + j) + 3);
+  // Leaf 3 takes a 33rd row, so underfull leaf 4 borrows from its left;
+  // leaf 6 takes one, so underfull leaf 5 (its left sibling back at 32)
+  // borrows from its right.
+  put(first(3) + 5);
+  erase(first(4));
+  put(first(6) + 5);
+  erase(first(5));
+  // Leaf 8 underflows between two 32-row leaves and merges into leaf 7,
+  // which grows.
+  erase(first(8));
+  // On a fresh load the leftmost leaf has no left sibling: leaf 1 merges
+  // into leaf 0, which grows.
+  script.push_back({Step::kClear});
+  for (size_t j = 0; j < kLoadRows; ++j) put(LoadKey(j));
+  erase(first(0));
+  // Churn that grows the tree, then drains most of it.
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t key = LoadKey(rng.NextBelow(2 * kLoadRows)) +
+                         rng.NextBelow(3);
+    if (rng.Bernoulli(i < 2000 ? 0.7 : 0.2)) {
+      put(key);
+    } else {
+      erase(key);
+    }
+  }
+  RunAgainstModel(script);
+}
+
 TEST(BTreeShapeDeathTest, AppendSortedRejectsKeysNotAboveMax) {
   BTree tree;
   for (uint64_t k = 0; k < 200; k += 2) tree.Put(R(k));
