@@ -298,17 +298,17 @@ PercentileTracker Fleet::LatenciesBetween(SimTime t0, SimTime t1) const {
   return out;
 }
 
-workload::TimeSeries Fleet::MergedLatencySeries() const {
-  std::vector<workload::TracePoint> all;
+common::TimeSeries Fleet::MergedLatencySeries() const {
+  std::vector<common::TracePoint> all;
   for (const auto& pool : pools_) {
     const auto& points = pool->latency_series().points();
     all.insert(all.end(), points.begin(), points.end());
   }
   std::sort(all.begin(), all.end(),
-            [](const workload::TracePoint& a, const workload::TracePoint& b) {
+            [](const common::TracePoint& a, const common::TracePoint& b) {
               return a.t < b.t;
             });
-  workload::TimeSeries merged;
+  common::TimeSeries merged;
   for (const auto& p : all) merged.Add(p.t, p.value);
   return merged;
 }

@@ -10,6 +10,7 @@
 
 #include "bench/harness.h"
 #include "src/common/stats.h"
+#include "src/common/time_series.h"
 #include "src/obs/trace.h"
 #include "src/slacker/rebalancer.h"
 #include "src/workload/client_pool.h"
@@ -153,7 +154,7 @@ class Fleet {
   /// Latency samples completed in [t0, t1] across all pools (ms).
   PercentileTracker LatenciesBetween(SimTime t0, SimTime t1) const;
   /// Every pool's (completion time, latency) samples, by time.
-  workload::TimeSeries MergedLatencySeries() const;
+  common::TimeSeries MergedLatencySeries() const;
 
   /// Ends the run: stops drivers, pools and sampler, writes the
   /// trace and CSV, detaches the tracer, then audits (below) and

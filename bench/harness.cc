@@ -153,7 +153,7 @@ void PrintRow(const std::string& name, const std::string& paper,
 }
 
 void PrintSeries(const std::string& name,
-                 const std::vector<workload::TracePoint>& points,
+                 const std::vector<common::TracePoint>& points,
                  double col_seconds, double value_scale) {
   if (points.empty()) {
     std::printf("  %s: (no data)\n", name.c_str());
@@ -193,7 +193,7 @@ bool Gate(const std::string& name, bool pass) {
 }
 
 void MaybeWriteCsv(const std::string& name,
-                   const workload::TimeSeries& series,
+                   const common::TimeSeries& series,
                    const std::string& value_name) {
   const char* dir = std::getenv("SLACKER_BENCH_CSV_DIR");
   if (dir == nullptr || *dir == '\0') return;

@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "src/codec/codec.h"
+#include "src/common/time_series.h"
 #include "src/common/units.h"
 #include "src/slacker/cluster.h"
-#include "src/workload/trace.h"
 
 namespace slacker::bench {
 
@@ -110,7 +110,7 @@ void PrintRow(const std::string& name, const std::string& paper,
               const std::string& measured);
 /// Renders a time series as a fixed-width sparkline table (t, value).
 void PrintSeries(const std::string& name,
-                 const std::vector<workload::TracePoint>& points,
+                 const std::vector<common::TracePoint>& points,
                  double col_seconds, double value_scale = 1.0);
 std::string FormatMs(double ms);
 std::string FormatMbps(double mbps);
@@ -124,7 +124,7 @@ bool Gate(const std::string& name, bool pass);
 /// raw series to <dir>/<name>.csv (for external plotting) and prints
 /// the path; otherwise a no-op.
 void MaybeWriteCsv(const std::string& name,
-                   const workload::TimeSeries& series,
+                   const common::TimeSeries& series,
                    const std::string& value_name);
 
 }  // namespace slacker::bench

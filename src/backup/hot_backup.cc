@@ -13,18 +13,11 @@ HotBackupStream::HotBackupStream(engine::TenantDb* source,
       options_(options),
       start_lsn_(source->last_lsn()),
       end_key_(end_key),
-      next_key_(start_key),
-      estimated_rows_(end_key == UINT64_MAX
-                          ? source->table().size()
-                          : source->RowsInRange(start_key, end_key)) {
+      next_key_(start_key) {
   const uint64_t record_bytes = source->config().layout.record_bytes;
   rows_per_chunk_ = std::max<uint64_t>(1, options_.chunk_bytes / record_bytes);
   auto it = source_->table().Seek(start_key);
   done_ = !it.Valid() || it.record().key >= end_key_;
-}
-
-uint64_t HotBackupStream::EstimatedTotalChunks() const {
-  return (estimated_rows_ + rows_per_chunk_ - 1) / rows_per_chunk_;
 }
 
 void HotBackupStream::RewindTo(uint64_t seq) {

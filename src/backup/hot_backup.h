@@ -52,12 +52,8 @@ class HotBackupStream {
   /// Copies the next chunk (in key order). Requires !Done().
   Chunk NextChunk();
 
-  uint64_t chunks_produced() const { return next_seq_; }
   uint64_t next_seq() const { return next_seq_; }
   uint64_t bytes_produced() const { return bytes_produced_; }
-  /// Total chunks this stream will produce, estimated from the table
-  /// size at start (concurrent inserts/deletes may shift it slightly).
-  uint64_t EstimatedTotalChunks() const;
 
   /// Rewinds the cursor so the next NextChunk() re-produces chunk `seq`
   /// (go-back-N retransmission after a target NACK). Requires
@@ -74,7 +70,6 @@ class HotBackupStream {
   uint64_t next_key_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t bytes_produced_ = 0;
-  uint64_t estimated_rows_;
   bool done_ = false;
   /// chunk_start_keys_[seq] = cursor position when chunk seq was cut,
   /// so a NACKed chunk can be re-read from the same key.

@@ -23,7 +23,7 @@ namespace slacker::codec {
 /// The compressor never expands pathologically: worst case is
 /// ceil(n / 128) op bytes of overhead. Callers compare the result size
 /// against the input and ship raw when compression does not pay.
-std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& input);
+std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& input);  // NOLINT(slacker-test-only): reference — LzCompressedSize
 
 /// LzCompress(input).size() for the n bytes at `input`, computed by
 /// the same matcher without writing the token stream. The migration
@@ -33,7 +33,7 @@ size_t LzCompressedSize(const uint8_t* input, size_t n);
 /// Decompresses `compressed` into `out` (cleared first). Fails with
 /// Corruption if the token stream is malformed or does not decode to
 /// exactly `expected_size` bytes.
-Status LzDecompress(const std::vector<uint8_t>& compressed,
+Status LzDecompress(const std::vector<uint8_t>& compressed,  // NOLINT(slacker-test-only): reference — LzCompressedSize's stream
                     size_t expected_size, std::vector<uint8_t>* out);
 
 }  // namespace slacker::codec

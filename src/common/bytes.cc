@@ -94,14 +94,4 @@ Status ByteReader::PeekU8(uint8_t* out) const {
   return Status::Ok();
 }
 
-Status ByteReader::GetBytes(uint8_t* out, size_t len) {
-  if (remaining() < len) return Status::Corruption("truncated bytes");
-  // `out` may legitimately be null for a zero-length read (e.g. an
-  // empty payload read into an empty vector's data()); memcpy's nonnull
-  // contract forbids that even when len == 0.
-  if (len != 0) std::memcpy(out, data_ + pos_, len);
-  pos_ += len;
-  return Status::Ok();
-}
-
 }  // namespace slacker

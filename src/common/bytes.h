@@ -55,7 +55,6 @@ class ByteReader {
   Status GetVarint64(uint64_t* out);
   Status GetDouble(double* out);
   Status GetString(std::string* out);
-  Status GetBytes(uint8_t* out, size_t len);
 
   /// Reads the next byte without consuming it. Lets a decoder dispatch
   /// on an extension magic byte before handing the reader to the

@@ -17,7 +17,7 @@ uint32_t Crc32c(const std::vector<uint8_t>& data, uint32_t seed = 0);
 
 /// 64-bit FNV-1a, handy for combining per-record digests into one
 /// order-sensitive tenant digest.
-uint64_t Fnv1a64(const uint8_t* data, size_t len,
+uint64_t Fnv1a64(const uint8_t* data, size_t len,  // NOLINT(slacker-test-only): reference — HashCombine
                  uint64_t seed = 0xcbf29ce484222325ULL);
 
 namespace checksum_internal {

@@ -1,38 +1,11 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
-namespace slacker {
-namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
-
-namespace internal {
+namespace slacker::internal {
 
 LogMessage::LogMessage(LogLevel level) {
-  stream_ << "[" << LevelName(level) << "] ";
+  stream_ << (level == LogLevel::kWarn ? "[WARN] " : "[ERROR] ");
 }
 
 LogMessage::~LogMessage() {
@@ -40,5 +13,4 @@ LogMessage::~LogMessage() {
   std::fputs(stream_.str().c_str(), stderr);
 }
 
-}  // namespace internal
-}  // namespace slacker
+}  // namespace slacker::internal

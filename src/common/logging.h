@@ -6,12 +6,8 @@
 
 namespace slacker {
 
-enum class LogLevel { kDebug = 0, kInfo, kWarn, kError, kOff };
-
-/// Process-wide minimum level; messages below it are discarded.
-/// Defaults to kWarn so tests and benches stay quiet.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// Only warnings and errors are logged; both always print.
+enum class LogLevel { kWarn, kError };
 
 namespace internal {
 
@@ -32,14 +28,10 @@ class LogMessage {
 
 }  // namespace internal
 
-#define SLACKER_LOG(level)                                    \
-  if (::slacker::GetLogLevel() <= ::slacker::LogLevel::level) \
-  ::slacker::internal::LogMessage(::slacker::LogLevel::level).stream()
-
-#define SLACKER_LOG_DEBUG SLACKER_LOG(kDebug)
-#define SLACKER_LOG_INFO SLACKER_LOG(kInfo)
-#define SLACKER_LOG_WARN SLACKER_LOG(kWarn)
-#define SLACKER_LOG_ERROR SLACKER_LOG(kError)
+#define SLACKER_LOG_WARN \
+  ::slacker::internal::LogMessage(::slacker::LogLevel::kWarn).stream()
+#define SLACKER_LOG_ERROR \
+  ::slacker::internal::LogMessage(::slacker::LogLevel::kError).stream()
 
 }  // namespace slacker
 

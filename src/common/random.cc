@@ -54,34 +54,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::Gaussian() {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-}
-
-bool Rng::Bernoulli(double p) { return NextDouble() < p; }
-
-uint64_t Rng::Poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean > 64.0) {
-    double draw = mean + std::sqrt(mean) * Gaussian();
-    if (draw < 0.0) draw = 0.0;
-    return static_cast<uint64_t>(std::llround(draw));
-  }
-  const double limit = std::exp(-mean);
-  double product = NextDouble();
-  uint64_t count = 0;
-  while (product > limit) {
-    ++count;
-    product *= NextDouble();
-  }
-  return count;
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
-
 ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)
     : n_(n), theta_(theta) {
   zetan_ = Zeta(n, theta);

@@ -30,20 +30,6 @@ class Rng {
   /// process). Requires mean > 0.
   double Exponential(double mean);
 
-  /// Standard normal via Box-Muller.
-  double Gaussian();
-
-  /// Bernoulli trial with probability p of true.
-  bool Bernoulli(double p);
-
-  /// Poisson-distributed count with the given mean (Knuth for small
-  /// means, normal approximation above 64).
-  uint64_t Poisson(double mean);
-
-  /// Forks an independent generator; deterministic given this Rng's
-  /// state. Use to give each simulated component its own stream.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };
@@ -56,9 +42,6 @@ class ZipfianGenerator {
 
   /// Draws a rank in [0, n); rank 0 is the most popular item.
   uint64_t Next(Rng* rng);
-
-  uint64_t n() const { return n_; }
-  double theta() const { return theta_; }
 
  private:
   double Zeta(uint64_t n, double theta) const;

@@ -15,8 +15,6 @@ class RunningStats {
  public:
   void Add(double x);
   void Reset();
-  /// Merges another accumulator into this one (parallel Welford).
-  void Merge(const RunningStats& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
@@ -54,8 +52,6 @@ class SlidingWindowMean {
 
   /// Number of observations currently inside the window at time `now`.
   size_t CountAt(double now);
-
-  double window() const { return window_; }
 
  private:
   void Evict(double now);

@@ -14,8 +14,6 @@ const char* StatusCodeName(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kAborted:
       return "Aborted";
     case StatusCode::kUnavailable:

@@ -16,7 +16,6 @@ enum class StatusCode {
   kNotFound,
   kAlreadyExists,
   kFailedPrecondition,
-  kOutOfRange,
   kAborted,
   kUnavailable,
   kCorruption,
@@ -54,9 +53,6 @@ class [[nodiscard]] Status {
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));

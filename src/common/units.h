@@ -15,7 +15,6 @@ constexpr double kMillisPerSecond = 1000.0;
 constexpr double MsFromSeconds(SimTime seconds) {
   return seconds * kMillisPerSecond;
 }
-constexpr SimTime SecondsFromMs(double ms) { return ms / kMillisPerSecond; }
 
 constexpr uint64_t kKiB = 1024;
 constexpr uint64_t kMiB = 1024 * kKiB;

@@ -47,8 +47,6 @@ class AdaptivePidController {
   /// Current gain rescale factor applied to the base PID gains
   /// (identifier rescale x oscillation damping).
   double gain_scale() const { return scale_; }
-  /// Oscillation-guard damping factor (1 = calm).
-  double damping() const { return damping_; }
   const PidController& inner() const { return pid_; }
   void set_setpoint(double setpoint);
 

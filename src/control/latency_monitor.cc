@@ -37,10 +37,6 @@ double LatencyMonitor::WindowAverageMs(SimTime now) {
   return last_average_;
 }
 
-size_t LatencyMonitor::WindowCount(SimTime now) {
-  return window_.CountAt(now);
-}
-
 bool LatencyMonitor::WithinGuardBand(SimTime now, double setpoint_ms,
                                      double band_fraction) {
   if (setpoint_ms <= 0.0) return false;

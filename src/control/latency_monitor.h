@@ -29,9 +29,6 @@ class LatencyMonitor {
   /// Smoothed latency signal at time `now` (ms).
   double WindowAverageMs(SimTime now);
 
-  /// Completions currently inside the window.
-  size_t WindowCount(SimTime now);
-
   /// True when the smoothed latency signal at `now` has climbed to
   /// within `band_fraction` of `setpoint_ms` (or past it):
   ///   WindowAverageMs(now) >= setpoint_ms * (1 - band_fraction).
@@ -41,7 +38,6 @@ class LatencyMonitor {
   bool WithinGuardBand(SimTime now, double setpoint_ms, double band_fraction);
 
   uint64_t total_recorded() const { return total_recorded_; }
-  SimTime window() const { return window_.window(); }
 
  private:
   SlidingWindowMean window_;

@@ -53,7 +53,6 @@ class PidController {
 
   double output() const { return output_; }
   const PidConfig& config() const { return config_; }
-  PidForm form() const { return form_; }
   /// Last error observed (setpoint - pv).
   double last_error() const { return prev_error_; }
   /// Integral accumulator (positional form only).

@@ -356,15 +356,6 @@ uint64_t TenantDb::DataBytes() const {
   return config_.layout.PagesFor(table_.size()) * config_.layout.page_bytes;
 }
 
-uint64_t TenantDb::RowsInRange(uint64_t lo, uint64_t hi) const {
-  uint64_t rows = 0;
-  for (auto it = table_.Seek(lo); it.Valid() && it.record().key < hi;
-       it.Next()) {
-    ++rows;
-  }
-  return rows;
-}
-
 uint64_t TenantDb::EraseRangeRows(uint64_t lo, uint64_t hi) {
   std::vector<uint64_t> keys;
   for (auto it = table_.Seek(lo); it.Valid() && it.record().key < hi;

@@ -169,8 +169,6 @@ class TenantDb {
   /// Current data-directory inventory (table data + binlog).
   storage::DataDirectory Directory() const;
 
-  /// Rows currently stored with key in [lo, hi).
-  uint64_t RowsInRange(uint64_t lo, uint64_t hi) const;
   /// Drops every row with key in [lo, hi) without logging (the range
   /// handed over; those rows now live on the new owner). Returns the
   /// number of rows dropped.

@@ -29,12 +29,6 @@ CycleDetector::CycleDetector() : CycleDetector(Options()) {}
 
 CycleDetector::CycleDetector(Options options) : options_(options) {}
 
-int PhaseDistance(int a, int b, int period) {
-  int d = (a - b) % period;
-  if (d < 0) d += period;
-  return d <= period - d ? d : period - d;
-}
-
 CycleEstimate CycleDetector::Detect(const SampleRing& ring) const {
   CycleEstimate estimate;
   const size_t n = ring.size();

@@ -52,9 +52,6 @@ class CycleDetector {
   Options options_;
 };
 
-/// Circular distance between two phase bins under `period`.
-int PhaseDistance(int a, int b, int period);
-
 }  // namespace slacker::forecast
 
 #endif  // SLACKER_FORECAST_CYCLE_DETECTOR_H_

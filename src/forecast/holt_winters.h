@@ -52,8 +52,6 @@ class HoltWintersForecaster {
   /// EWMA of |one-step-ahead error| — the forecast-error signal
   /// exported as a metric.
   double mean_abs_error() const { return mae_; }
-  double level() const { return level_; }
-  double trend() const { return trend_; }
 
  private:
   int season_len_ = 0;

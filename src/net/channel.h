@@ -32,12 +32,12 @@ class Channel {
   /// false to drop it (a lost datagram / dead peer). It may also mutate
   /// the message (a buggy peer).
   using DeliveryFilter = std::function<bool(Message*)>;
-  void SetDeliveryFilter(DeliveryFilter filter);
+  void SetDeliveryFilter(DeliveryFilter filter);  // NOLINT(slacker-test-only): seam — drops and mutates delivered messages
   /// `FrameCorrupter` runs on the raw frame bytes before decoding
   /// (simulated bit rot); corrupted frames fail the CRC and surface
   /// through OnError.
   using FrameCorrupter = std::function<void(std::vector<uint8_t>*)>;
-  void SetFrameCorrupter(FrameCorrupter corrupter);
+  void SetFrameCorrupter(FrameCorrupter corrupter);  // NOLINT(slacker-test-only): seam — bit rot on the wire
 
   /// Identity of a message the channel ate (undecodable frame or
   /// delivery-filter drop), captured at Send time so even a frame that

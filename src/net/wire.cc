@@ -49,13 +49,4 @@ Status CheckFrame(const std::vector<uint8_t>& data, const uint8_t** payload,
   return Status::Ok();
 }
 
-Status DecodeFrame(const std::vector<uint8_t>& data,
-                   std::vector<uint8_t>* out) {
-  const uint8_t* payload = nullptr;
-  size_t length = 0;
-  SLACKER_RETURN_IF_ERROR(CheckFrame(data, &payload, &length));
-  out->assign(payload, payload + length);
-  return Status::Ok();
-}
-
 }  // namespace slacker::net

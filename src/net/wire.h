@@ -9,13 +9,13 @@
 namespace slacker::net {
 
 /// Frame layout: [magic u32][payload length u32][crc32c u32][payload].
-/// The CRC covers the payload; DecodeFrame rejects bad magic, short
+/// The CRC covers the payload; CheckFrame rejects bad magic, short
 /// input, and checksum mismatches.
 constexpr uint32_t kFrameMagic = 0x534c4b52;  // "SLKR"
 constexpr size_t kFrameHeaderBytes = 12;
 
 /// Wraps a payload in a checksummed frame.
-std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload);
+std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload);  // NOLINT(slacker-test-only): reference — EncodeMessage/SealFrame
 
 /// Turns `frame`, kFrameHeaderBytes of room followed by the payload,
 /// into a frame in place: fills the header from the payload's length
@@ -28,11 +28,6 @@ void SealFrame(std::vector<uint8_t>* frame);
 /// parses them without a copy.
 Status CheckFrame(const std::vector<uint8_t>& data, const uint8_t** payload,
                   size_t* length);
-
-/// Unwraps one frame from `data` (which must contain exactly one
-/// frame); on success stores the payload in `out`.
-Status DecodeFrame(const std::vector<uint8_t>& data,
-                   std::vector<uint8_t>* out);
 
 }  // namespace slacker::net
 

@@ -5,10 +5,6 @@
 namespace slacker::obs {
 namespace {
 
-bool Off(const Tracer* tracer) {
-  return tracer == nullptr || !tracer->enabled();
-}
-
 Event MakeInstant(const Tracer* tracer, std::string track, std::string name,
                   std::string category) {
   Event event;
@@ -31,7 +27,7 @@ std::string SupervisorTrack(uint64_t tenant_id) {
 }
 
 void EmitPhaseTransition(Tracer* tracer, const PhaseTransition& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, MigrationTrack(e.tenant_id),
                             "phase:" + e.to, "migration");
   event.args.emplace_back("tenant", static_cast<double>(e.tenant_id));
@@ -43,7 +39,7 @@ void EmitPhaseTransition(Tracer* tracer, const PhaseTransition& e) {
 }
 
 void EmitThrottleUpdate(Tracer* tracer, const ThrottleUpdate& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, MigrationTrack(e.tenant_id), "throttle",
                             "control");
   event.args.emplace_back("rate_mbps", e.rate_mbps);
@@ -67,7 +63,7 @@ void EmitThrottleUpdate(Tracer* tracer, const ThrottleUpdate& e) {
 }
 
 void EmitDeltaRoundShipped(Tracer* tracer, const DeltaRoundShipped& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, MigrationTrack(e.tenant_id), "delta_round",
                             "migration");
   event.args.emplace_back("round", static_cast<double>(e.round));
@@ -78,7 +74,7 @@ void EmitDeltaRoundShipped(Tracer* tracer, const DeltaRoundShipped& e) {
 }
 
 void EmitSnapshotChunkSent(Tracer* tracer, const SnapshotChunkSent& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, MigrationTrack(e.tenant_id),
                             "snapshot_chunk", "migration");
   event.args.emplace_back("seq", static_cast<double>(e.seq));
@@ -87,7 +83,7 @@ void EmitSnapshotChunkSent(Tracer* tracer, const SnapshotChunkSent& e) {
 }
 
 void EmitCodecChunkEncoded(Tracer* tracer, const CodecChunkEncoded& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, MigrationTrack(e.tenant_id),
                             "codec_chunk", "codec");
   event.args.emplace_back("seq", static_cast<double>(e.seq));
@@ -100,7 +96,7 @@ void EmitCodecChunkEncoded(Tracer* tracer, const CodecChunkEncoded& e) {
 }
 
 void EmitSnapshotNack(Tracer* tracer, const SnapshotNack& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, MigrationTrack(e.tenant_id),
                             "snapshot_nack", "migration");
   event.args.emplace_back("rewind_to_seq",
@@ -111,7 +107,7 @@ void EmitSnapshotNack(Tracer* tracer, const SnapshotNack& e) {
 }
 
 void EmitSupervisorRetry(Tracer* tracer, const SupervisorRetry& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, SupervisorTrack(e.tenant_id), "retry",
                             "supervisor");
   event.args.emplace_back("attempt", static_cast<double>(e.attempt));
@@ -121,7 +117,7 @@ void EmitSupervisorRetry(Tracer* tracer, const SupervisorRetry& e) {
 }
 
 void EmitFaultFired(Tracer* tracer, const FaultFired& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, FaultTrack(), "fault:" + e.kind, "fault");
   event.args.emplace_back("server", static_cast<double>(e.server_id));
   if (e.has_peer) {
@@ -132,7 +128,7 @@ void EmitFaultFired(Tracer* tracer, const FaultFired& e) {
 }
 
 void EmitSlaViolation(Tracer* tracer, const SlaViolation& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, SlaTrack(), "sla_violation", "sla");
   event.args.emplace_back("tenant", static_cast<double>(e.tenant_id));
   event.args.emplace_back("latency_ms", e.latency_ms);
@@ -141,7 +137,7 @@ void EmitSlaViolation(Tracer* tracer, const SlaViolation& e) {
 }
 
 void EmitRebalanceDecision(Tracer* tracer, const RebalanceDecision& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, RebalancerTrack(),
                             e.admitted ? "plan_admitted" : "plan_deferred",
                             "rebalance");
@@ -154,7 +150,7 @@ void EmitRebalanceDecision(Tracer* tracer, const RebalanceDecision& e) {
 }
 
 void EmitServerDrain(Tracer* tracer, const ServerDrain& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, UpgradeTrack(),
                             e.draining ? "drain_start" : "drain_end",
                             "upgrade");
@@ -165,7 +161,7 @@ void EmitServerDrain(Tracer* tracer, const ServerDrain& e) {
 }
 
 void EmitServerVersionChange(Tracer* tracer, const ServerVersionChange& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event =
       MakeInstant(tracer, UpgradeTrack(), "version_change", "upgrade");
   event.args.emplace_back("server", static_cast<double>(e.server_id));
@@ -175,7 +171,7 @@ void EmitServerVersionChange(Tracer* tracer, const ServerVersionChange& e) {
 }
 
 void EmitCodecNegotiated(Tracer* tracer, const CodecNegotiated& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event = MakeInstant(tracer, MigrationTrack(e.tenant_id),
                             "codec_negotiated", "upgrade");
   event.args.emplace_back("source_version",
@@ -188,7 +184,7 @@ void EmitCodecNegotiated(Tracer* tracer, const CodecNegotiated& e) {
 }
 
 void EmitUpgradeWaveEvent(Tracer* tracer, const UpgradeWaveEvent& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event =
       MakeInstant(tracer, UpgradeTrack(), "upgrade:" + e.action, "upgrade");
   event.args.emplace_back("wave", static_cast<double>(e.wave));
@@ -202,7 +198,7 @@ void EmitUpgradeWaveEvent(Tracer* tracer, const UpgradeWaveEvent& e) {
 }
 
 void EmitForecastUpdated(Tracer* tracer, const ForecastUpdated& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event =
       MakeInstant(tracer, ForecastTrack(), "forecast_update", "forecast");
   event.args.emplace_back("server", static_cast<double>(e.server_id));
@@ -218,7 +214,7 @@ void EmitForecastUpdated(Tracer* tracer, const ForecastUpdated& e) {
 }
 
 void EmitTroughScheduled(Tracer* tracer, const TroughScheduled& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event =
       MakeInstant(tracer, ForecastTrack(), "trough_scheduled", "forecast");
   event.args.emplace_back("tenant", static_cast<double>(e.tenant_id));
@@ -233,7 +229,7 @@ void EmitTroughScheduled(Tracer* tracer, const TroughScheduled& e) {
 }
 
 void EmitRebalanceTick(Tracer* tracer, const RebalanceTick& e) {
-  if (Off(tracer)) return;
+  if (tracer == nullptr) return;
   Event event =
       MakeInstant(tracer, RebalancerTrack(), "rebalance_tick", "rebalance");
   event.args.emplace_back("overloaded",

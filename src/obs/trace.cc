@@ -4,7 +4,7 @@ namespace slacker::obs {
 
 TraceSpan::TraceSpan(Tracer* tracer, std::string_view track,
                      std::string_view name, std::string_view category) {
-  if (tracer == nullptr || !tracer->enabled()) return;
+  if (tracer == nullptr) return;
   tracer_ = tracer;
   record_.track = track;
   record_.name = name;

@@ -91,19 +91,10 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Pausing drops new spans/events (in-flight TraceSpans built while
-  /// enabled still record on close).
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
   SimTime NowSim() const { return clock_(); }
 
-  void RecordSpan(SpanRecord record) {
-    if (enabled_) spans_.push_back(std::move(record));
-  }
-  void RecordEvent(Event event) {
-    if (enabled_) events_.push_back(std::move(event));
-  }
+  void RecordSpan(SpanRecord record) { spans_.push_back(std::move(record)); }
+  void RecordEvent(Event event) { events_.push_back(std::move(event)); }
 
   const std::vector<SpanRecord>& spans() const { return spans_; }
   const std::vector<Event>& events() const { return events_; }
@@ -120,7 +111,6 @@ class Tracer {
 
  private:
   Clock clock_;
-  bool enabled_ = true;
   std::vector<SpanRecord> spans_;
   std::vector<Event> events_;
   MetricRegistry registry_;

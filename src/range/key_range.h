@@ -25,8 +25,6 @@ struct KeyRange {
   bool IsFull() const { return lo == 0 && hi == kNoUpperBound; }
   bool operator==(const KeyRange& other) const = default;
 
-  static KeyRange Full() { return KeyRange{0, kNoUpperBound}; }
-
   std::string ToString() const {
     return "[" + std::to_string(lo) + ", " +
            (hi == kNoUpperBound ? std::string("inf") : std::to_string(hi)) +

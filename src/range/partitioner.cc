@@ -16,19 +16,4 @@ std::vector<uint64_t> PartitionSplitKeys(const storage::BTree& table,
   return splits;
 }
 
-std::vector<KeyRange> PartitionKeySpace(const storage::BTree& table,
-                                        size_t target_ranges) {
-  const std::vector<uint64_t> splits =
-      PartitionSplitKeys(table, target_ranges);
-  std::vector<KeyRange> ranges;
-  ranges.reserve(splits.size() + 1);
-  uint64_t lo = 0;
-  for (const uint64_t split : splits) {
-    ranges.push_back(KeyRange{lo, split});
-    lo = split;
-  }
-  ranges.push_back(KeyRange{lo, kNoUpperBound});
-  return ranges;
-}
-
 }  // namespace slacker::range

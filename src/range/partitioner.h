@@ -10,19 +10,15 @@
 
 namespace slacker::range {
 
-/// Cuts `table`'s key space into up to `target_ranges` contiguous
-/// migration units aligned to B+-tree subtree boundaries (DESIGN.md
-/// §16): the split keys come from the tree's own internal separators,
-/// so each unit maps to whole subtrees and the hot-backup cursor scans
-/// it without straddling reads. Always returns at least one range; the
-/// last range is unbounded (new inserts land at the top of the key
-/// space and must stay routable). Fewer ranges come back when the tree
-/// is too small to cut `target_ranges` ways.
-std::vector<KeyRange> PartitionKeySpace(const storage::BTree& table,
-                                        size_t target_ranges);
-
-/// The split keys PartitionKeySpace would cut at (exposed so callers
-/// can feed a RangeDirectory::Split sequence directly).
+/// The ascending split keys that cut `table`'s key space into up to
+/// `target_ranges` contiguous migration units aligned to B+-tree
+/// subtree boundaries (DESIGN.md §16), for a RangeDirectory::Split
+/// sequence: the keys are the tree's own internal separators, so each
+/// unit maps to whole subtrees and the hot-backup cursor scans it
+/// without straddling reads. The last unit stays unbounded (new inserts
+/// land at the top of the key space and must stay routable). Fewer keys
+/// come back when the tree is too small to cut `target_ranges` ways;
+/// none when it cannot be cut at all.
 std::vector<uint64_t> PartitionSplitKeys(const storage::BTree& table,
                                          size_t target_ranges);
 

@@ -30,7 +30,6 @@ void TokenBucket::Refill() {
 
 void TokenBucket::Acquire(uint64_t bytes, sim::Callback<void()> granted) {
   waiters_.push_back(Waiter{static_cast<double>(bytes), std::move(granted)});
-  bytes_granted_ += bytes;
   PumpWaiters();
 }
 

@@ -47,9 +47,6 @@ class TokenBucket {
   void SetRate(double bytes_per_sec);
   double rate() const { return rate_; }
 
-  size_t waiters() const { return waiters_.size(); }
-  uint64_t bytes_granted() const { return bytes_granted_; }
-
  private:
   void Refill();
   void PumpWaiters();
@@ -68,7 +65,6 @@ class TokenBucket {
   };
   RingDeque<Waiter> waiters_;
   sim::EventId wakeup_ = 0;
-  uint64_t bytes_granted_ = 0;
 };
 
 }  // namespace slacker::resource

@@ -60,9 +60,6 @@ class Simulator {
   /// quiesce). Returns the number of events executed.
   size_t RunAll(size_t max_events = std::numeric_limits<size_t>::max());
 
-  /// Pending event count (excluding cancelled).
-  size_t PendingEvents() const { return queue_.size(); }
-
  private:
   EventQueue queue_;
   SimTime now_ = 0.0;

@@ -328,7 +328,7 @@ void Cluster::CrashServer(uint64_t server_id) {
       // and survives. The in-memory table does not.
       DurableTenantState state;
       state.config = db->config();
-      state.log = *db->binlog();
+      state.log = std::move(*db->binlog());
       durable->SaveCrashState(tenant_id, std::move(state));
     } else {
       // Staging instance (or stale residue): its half-built table dies
@@ -349,7 +349,6 @@ void Cluster::RecoverServer(uint64_t server_id) {
   Server* host = server(server_id);
   if (host == nullptr || host->up()) return;
   host->Reboot(this, options_.incoming_migration);
-  SLACKER_LOG_INFO << "server " << server_id << " restarted";
   if (tracer_ != nullptr) {
     obs::FaultFired fault;
     fault.kind = "restart";
@@ -358,7 +357,7 @@ void Cluster::RecoverServer(uint64_t server_id) {
   }
   DurableStore* durable = host->durable();
   for (uint64_t tenant_id : durable->CrashedTenants()) {
-    const DurableTenantState* state = durable->CrashState(tenant_id);
+    DurableTenantState* state = durable->CrashState(tenant_id);
     const Result<uint64_t> authority = ranges_.Lookup(tenant_id);
     if (!authority.ok() || *authority != server_id) {
       // Ownership moved while this server was down.
@@ -405,7 +404,7 @@ void Cluster::RecoverServer(uint64_t server_id) {
       recovery_bytes =
           state->config.layout.DataBytes() + state->log.total_bytes();
     }
-    db->RestoreBinlog(state->log);
+    db->RestoreBinlog(std::move(state->log));
     durable->EraseCrashState(tenant_id);
     // Recovery reads the checkpoint + log suffix off disk; the tenant
     // stays frozen (queueing queries) until the scan completes.
@@ -432,8 +431,6 @@ Status Cluster::SetDraining(uint64_t server_id, bool draining) {
   if (host == nullptr) return Status::NotFound("no such server");
   if (host->draining() == draining) return Status::Ok();
   host->set_draining(draining);
-  SLACKER_LOG_INFO << "server " << server_id
-                   << (draining ? " draining" : " undrained");
   if (tracer_ != nullptr) {
     obs::ServerDrain drain;
     drain.server_id = server_id;
@@ -442,18 +439,6 @@ Status Cluster::SetDraining(uint64_t server_id, bool draining) {
     obs::EmitServerDrain(tracer_, drain);
   }
   return Status::Ok();
-}
-
-bool Cluster::ServerDraining(uint64_t server_id) const {
-  return server_id < servers_.size() && servers_[server_id]->draining();
-}
-
-std::vector<uint64_t> Cluster::DrainingServerIds() const {
-  std::vector<uint64_t> ids;
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    if (servers_[i]->up() && servers_[i]->draining()) ids.push_back(i);
-  }
-  return ids;
 }
 
 uint32_t Cluster::ServerVersion(uint64_t server_id) const {
@@ -469,8 +454,6 @@ Status Cluster::SetServerVersion(uint64_t server_id, uint32_t version) {
   if (from == version) return Status::Ok();
   auditor_.OnServerVersionChange(server_id, from, version);
   host->set_software_version(version);
-  SLACKER_LOG_INFO << "server " << server_id << " patched: version " << from
-                   << " -> " << version;
   if (tracer_ != nullptr) {
     obs::ServerVersionChange change;
     change.server_id = server_id;

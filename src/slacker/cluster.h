@@ -69,8 +69,6 @@ class Server {
   control::LatencyMonitor* monitor() { return &monitor_; }
   /// nullptr while the server is down.
   MigrationController* controller() { return controller_.get(); }
-  /// Non-null only under MultitenancyModel::kSharedProcess.
-  storage::BufferPool* shared_pool() { return shared_pool_.get(); }
 
   /// State that survives a crash: checkpoints, salvaged binlogs, and
   /// durably staged migration chunks (the simulated disk contents).
@@ -208,9 +206,6 @@ class Cluster : public workload::TenantResolver {
   /// migration staging — and the rebalancer evacuates it inside the
   /// latency guard band. Emits a drain obs event.
   Status SetDraining(uint64_t server_id, bool draining);
-  bool ServerDraining(uint64_t server_id) const;
-  /// Up servers currently in drain mode.
-  std::vector<uint64_t> DrainingServerIds() const;
   /// The server's software version (0 for unknown servers).
   uint32_t ServerVersion(uint64_t server_id) const;
   /// Models patching the server binary (allowed while the server is

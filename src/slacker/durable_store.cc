@@ -24,7 +24,7 @@ void DurableStore::SaveCrashState(uint64_t tenant_id,
   crash_states_[tenant_id] = std::move(state);
 }
 
-const DurableTenantState* DurableStore::CrashState(uint64_t tenant_id) const {
+DurableTenantState* DurableStore::CrashState(uint64_t tenant_id) {
   auto it = crash_states_.find(tenant_id);
   return it == crash_states_.end() ? nullptr : &it->second;
 }

@@ -62,7 +62,7 @@ class DurableStore {
 
   // --- Crash state ------------------------------------------------
   void SaveCrashState(uint64_t tenant_id, DurableTenantState state);
-  const DurableTenantState* CrashState(uint64_t tenant_id) const;
+  DurableTenantState* CrashState(uint64_t tenant_id);
   std::vector<uint64_t> CrashedTenants() const;
   void EraseCrashState(uint64_t tenant_id);
 
@@ -79,7 +79,6 @@ class DurableStore {
                         const std::vector<storage::Record>& rows,
                         uint64_t next_resume_key, uint64_t bytes);
   void EraseStaged(uint64_t tenant_id);
-  size_t staged_count() const { return staged_.size(); }
 
   /// Durably stages the full rows of chunk `seq` as a future delta
   /// base. No-op without a staged record (the stream has not begun or

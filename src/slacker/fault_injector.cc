@@ -43,14 +43,6 @@ FaultPlan& FaultPlan::CrashAtPhase(uint64_t server_id, uint64_t watch_tenant,
   return Add(spec);
 }
 
-FaultPlan& FaultPlan::RestartAt(uint64_t server_id, SimTime at_time) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kRestart;
-  spec.server_id = server_id;
-  spec.at_time = at_time;
-  return Add(spec);
-}
-
 FaultPlan& FaultPlan::PartitionAt(uint64_t a, uint64_t b, SimTime at_time,
                                   SimTime heal_after) {
   FaultSpec cut;

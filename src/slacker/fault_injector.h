@@ -74,30 +74,29 @@ class FaultPlan {
   FaultPlan& CrashAtPhase(uint64_t server_id, uint64_t watch_tenant,
                           MigrationPhase phase, SimTime restart_after = 0.0,
                           SimTime phase_delay = 0.0);
-  FaultPlan& RestartAt(uint64_t server_id, SimTime at_time);
-  FaultPlan& PartitionAt(uint64_t a, uint64_t b, SimTime at_time,
+  FaultPlan& PartitionAt(uint64_t a, uint64_t b, SimTime at_time,  // NOLINT(slacker-test-only): seam — a partition no shipped run schedules
                          SimTime heal_after);
   /// Periodic partition: cut a<->b at `first_at`, heal `hold` seconds
   /// later, and repeat the pair every `every` seconds for `count`
   /// cycles ("partition for N ms every M ms").
-  FaultPlan& PartitionEvery(uint64_t a, uint64_t b, SimTime first_at,
+  FaultPlan& PartitionEvery(uint64_t a, uint64_t b, SimTime first_at,  // NOLINT(slacker-test-only): seam — periodic partitions for the soak
                             SimTime every, SimTime hold, int count);
   /// Periodic crash/recover cycle on one server: first crash at
   /// `first_at`, back up `down_for` later, repeated every `every`
   /// seconds for `count` cycles.
-  FaultPlan& CrashEvery(uint64_t server_id, SimTime first_at, SimTime every,
+  FaultPlan& CrashEvery(uint64_t server_id, SimTime first_at, SimTime every,  // NOLINT(slacker-test-only): seam — periodic crashes for the soak
                         SimTime down_for, int count);
   /// Crash `server_id` once it is draining and actively evacuating
   /// (plus `delay`), restarting after `restart_after` — the canary-
   /// crash chaos scenario for rolling upgrades.
-  FaultPlan& CrashOnDrainEvacuation(uint64_t server_id,
+  FaultPlan& CrashOnDrainEvacuation(uint64_t server_id,  // NOLINT(slacker-test-only): seam — a canary crash mid-upgrade
                                     SimTime restart_after = 0.0,
                                     SimTime delay = 0.0);
 
   /// `count` crash/restart pairs at Uniform times in [0, horizon), each
   /// down for Uniform [min_down, max_down) seconds, on servers drawn
   /// from [0, num_servers). Deterministic in `seed`.
-  static FaultPlan RandomCrashes(int count, int num_servers, SimTime horizon,
+  static FaultPlan RandomCrashes(int count, int num_servers, SimTime horizon,  // NOLINT(slacker-test-only): seam — seeded crash storms for the soak
                                  SimTime min_down, SimTime max_down,
                                  uint64_t seed);
 

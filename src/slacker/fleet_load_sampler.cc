@@ -76,8 +76,6 @@ void FleetLoadSampler::Stop() {
   if (timer_ != nullptr) timer_->Stop();
 }
 
-void FleetLoadSampler::SampleNow() { OnBucket(sim_->Now()); }
-
 int64_t FleetLoadSampler::BucketIndexAt(SimTime t) const {
   const double rel = (t - epoch_) / options_.bucket_seconds;
   if (rel <= 0.0) return 0;
@@ -197,12 +195,6 @@ const forecast::SampleRing* FleetLoadSampler::tenant_ring(
     uint64_t tenant_id) const {
   const auto it = tenants_.find(tenant_id);
   return it == tenants_.end() ? nullptr : it->second.get();
-}
-
-const forecast::HoltWintersForecaster& FleetLoadSampler::forecaster(
-    uint64_t server_id) const {
-  SLACKER_CHECK(server_id < servers_.size(), "bad server id");
-  return servers_[server_id]->model;
 }
 
 SimTime FleetLoadSampler::NextTroughStart(uint64_t server_id,

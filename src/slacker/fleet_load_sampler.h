@@ -67,9 +67,6 @@ class FleetLoadSampler : public forecast::LoadPredictor {
   void Stop();
   bool running() const { return running_; }
 
-  /// Runs one bucket boundary immediately (tests/benches).
-  void SampleNow();
-
   // --- LoadPredictor ----------------------------------------------
   bool Ready(uint64_t server_id) const override;
   double PredictLoad(uint64_t server_id, SimTime t) const override;
@@ -81,8 +78,6 @@ class FleetLoadSampler : public forecast::LoadPredictor {
   const forecast::SampleRing& server_ring(uint64_t server_id) const;
   /// nullptr until the tenant has been sampled at least once.
   const forecast::SampleRing* tenant_ring(uint64_t tenant_id) const;
-  const forecast::HoltWintersForecaster& forecaster(
-      uint64_t server_id) const;
   /// Start of the next predicted trough bucket at or after `now`
   /// (server's detected cycle); returns `now` when no cycle is known.
   SimTime NextTroughStart(uint64_t server_id, SimTime now) const;

@@ -96,11 +96,7 @@ MigrationJob::MigrationJob(Cluster* cluster, uint64_t tenant_id,
       options_(options),
       done_(std::move(done)),
       tracer_(cluster->tracer()) {
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    track_ = obs::MigrationTrack(tenant_id);
-  } else {
-    tracer_ = nullptr;
-  }
+  if (tracer_ != nullptr) track_ = obs::MigrationTrack(tenant_id);
   // Partial-range jobs never resume: staged-chunk bookkeeping is
   // per-tenant and a resumed range could interleave with another
   // range's staging.
@@ -203,9 +199,6 @@ Status MigrationJob::Start() {
   if (options_.timeout_seconds > 0.0) {
     ArmWatchdog(options_.timeout_seconds);
   }
-  SLACKER_LOG_INFO << "migration of tenant " << tenant_id_ << " to server "
-                   << target_server_ << " requested (" << policy_->name()
-                   << ")";
   return Status::Ok();
 }
 
@@ -430,9 +423,6 @@ void MigrationJob::OnAccepted(bool resume_offer, const net::Message& message) {
     resume_lsn_ = message.lsn;
     resume_key_ = message.resume_key;
     report_.resumed_bytes = message.payload_bytes;
-    SLACKER_LOG_INFO << "migration of tenant " << tenant_id_ << " resuming: "
-                     << message.payload_bytes
-                     << " bytes already staged at target";
   }
   if (options_.mode == MigrationMode::kStopAndCopy) {
     // Stop-and-copy freezes the tenant for the entire copy (§2.3.1).
@@ -464,11 +454,6 @@ void MigrationJob::NegotiateCapabilities(const net::Message& message) {
     obs::EmitCodecNegotiated(tracer_, event);
   }
   if (negotiated == requested) return;
-  SLACKER_LOG_INFO << "migration of tenant " << tenant_id_
-                   << " downgraded codec " << codec::CodecModeName(requested)
-                   << " -> " << codec::CodecModeName(negotiated)
-                   << " (source v" << source_version << ", target v"
-                   << target_version << ")";
   options_.codec.mode = negotiated;
   // The selector was built for the requested mode in Start(); rebuild
   // it for the common feature set, or drop it on a raw fallback, which
@@ -955,9 +940,6 @@ void MigrationJob::Finish(Status status) {
   if (throttle_ != nullptr) throttle_->SetRate(0.0);
   report_.status = status;
   report_.end_time = sim_->Now();
-  SLACKER_LOG_INFO << "migration of tenant " << tenant_id_ << " finished: "
-                   << status.ToString() << " in "
-                   << report_.DurationSeconds() << "s";
   // Deferred, so the owning controller can erase this job from inside
   // the callback.
   sim_->Post(std::move(done_), report_);
@@ -1041,8 +1023,6 @@ TargetSession::TargetSession(Cluster* cluster, uint64_t self_server,
         staging_->ChargeSequentialRead(staged->bytes_staged,
                                        kStagingStreamId, nullptr);
       }
-      SLACKER_LOG_INFO << "tenant " << tenant_id_ << " staging rebuilt from "
-                       << staged->bytes_staged << " durably staged bytes";
     }
   }
   ArmIdleTimer();
@@ -1126,7 +1106,6 @@ void TargetSession::MaybeNack() {
   nack.tenant_id = tenant_id_;
   nack.chunk_seq = expected_seq_;
   cluster_->SendMessage(self_server_, source_server_, nack);
-  ++chunks_nacked_;
   last_nacked_seq_ = expected_seq_;
   chunks_since_nack_ = 0;
 }

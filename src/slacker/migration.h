@@ -14,6 +14,7 @@
 #include "src/codec/chunk_codec.h"
 #include "src/codec/selector.h"
 #include "src/common/status.h"
+#include "src/common/time_series.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
 #include "src/net/message.h"
@@ -26,7 +27,6 @@
 #include "src/slacker/durable_store.h"
 #include "src/slacker/options.h"
 #include "src/slacker/throttle_policy.h"
-#include "src/workload/trace.h"
 
 namespace slacker {
 
@@ -100,9 +100,9 @@ struct [[nodiscard]] MigrationReport {
   std::vector<MigrationAttempt> attempts;
 
   /// (time, MB/s) per controller tick.
-  workload::TimeSeries throttle_series;
+  common::TimeSeries throttle_series;
   /// (time, ms) process variable per tick (PID throttle only).
-  workload::TimeSeries controller_latency_series;
+  common::TimeSeries controller_latency_series;
 
   SimTime DurationSeconds() const { return end_time - start_time; }
   /// Payload moved divided by wall time — the paper's "average throttle
@@ -307,8 +307,6 @@ class TargetSession {
   bool finished() const { return finished_; }
   uint64_t tenant_id() const { return tenant_id_; }
   Status status() const { return status_; }
-  bool resumed() const { return resumed_; }
-  uint64_t chunks_nacked() const { return chunks_nacked_; }
 
   /// Fires whenever the session finishes outside a HandleMessage call
   /// (idle timeout, decision probe) so the owning controller can reap
@@ -373,7 +371,6 @@ class TargetSession {
   storage::Lsn final_lsn_ = 0;
   uint64_t last_nacked_seq_ = UINT64_MAX;
   int chunks_since_nack_ = 0;
-  uint64_t chunks_nacked_ = 0;
   uint64_t idle_generation_ = 0;
   /// See MigrationJob::lifetime_.
   sim::Lifetime lifetime_;

@@ -47,11 +47,7 @@ MigrationSupervisor::MigrationSupervisor(Cluster* cluster, uint64_t tenant_id,
       done_(std::move(done)),
       rng_(options.seed ^ tenant_id) {
   tracer_ = cluster->tracer();
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    track_ = obs::SupervisorTrack(tenant_id);
-  } else {
-    tracer_ = nullptr;
-  }
+  if (tracer_ != nullptr) track_ = obs::SupervisorTrack(tenant_id);
   report_.tenant_id = tenant_id;
   report_.target_server = target_server;
   report_.mode = migration_.mode;
@@ -77,7 +73,6 @@ bool MigrationSupervisor::IsTransient(const Status& status) {
     case StatusCode::kInvalidArgument:
     case StatusCode::kNotFound:
     case StatusCode::kAlreadyExists:
-    case StatusCode::kOutOfRange:
     case StatusCode::kInternal:
     case StatusCode::kTooLateToCancel:
       // Permanent: retrying cannot change the outcome. Spelled out (no
@@ -110,8 +105,6 @@ void MigrationSupervisor::LaunchAttempt() {
   // "same server" and wrongly mark the whole operation failed.
   const Result<uint64_t> authority = cluster_->directory()->Lookup(tenant_id_);
   if (authority.ok() && *authority == target_server_) {
-    SLACKER_LOG_INFO << "tenant " << tenant_id_
-                     << " already on target; supervisor converged";
     FinishWith(Status::Ok());
     return;
   }
@@ -128,8 +121,6 @@ void MigrationSupervisor::LaunchAttempt() {
   MigrationOptions attempt_options = migration_;
   if (disable_resume_) attempt_options.allow_resume = false;
 
-  SLACKER_LOG_INFO << "supervisor attempt " << attempts_made_ << "/"
-                   << options_.max_attempts << " for tenant " << tenant_id_;
   const Status started = cluster_->StartMigration(
       tenant_id_, target_server_, attempt_options,
       lifetime_.Guard([this, generation](const MigrationReport& job_report) {
@@ -250,9 +241,6 @@ void MigrationSupervisor::ScheduleRetry(const Status& status) {
   }
   backoff = std::min(backoff, kMaxBackoff);
   backoff *= rng_.Uniform(1.0 - kJitter, 1.0 + kJitter);
-  SLACKER_LOG_INFO << "tenant " << tenant_id_ << " attempt " << attempts_made_
-                   << " failed (" << status.ToString() << "); retrying in "
-                   << backoff << "s";
   if (tracer_ != nullptr) {
     obs::SupervisorRetry retry;
     retry.tenant_id = tenant_id_;

@@ -63,7 +63,6 @@ class MigrationSupervisor {
   void Quench(const std::string& reason);
 
   bool finished() const { return finished_; }
-  int attempts_made() const { return attempts_made_; }
   const MigrationReport& report() const { return report_; }
 
   /// True for failures worth retrying: the cluster may heal (crashed

@@ -162,14 +162,10 @@ bool Rebalancer::Admit(const MigrationPlan& plan, bool non_urgent,
   return true;
 }
 
-int Rebalancer::QuenchDrainEvacuations(const std::string& reason) {
-  int quenched = 0;
+void Rebalancer::QuenchDrainEvacuations(const std::string& reason) {
   for (auto& m : inflight_) {
-    if (!m.drain) continue;
-    m.supervisor->Quench(reason);
-    ++quenched;
+    if (m.drain) m.supervisor->Quench(reason);
   }
-  return quenched;
 }
 
 void Rebalancer::Launch(const MigrationPlan& plan, const char* kind,
@@ -193,7 +189,6 @@ void Rebalancer::Launch(const MigrationPlan& plan, const char* kind,
     ++stats_.migrations_failed;
     return;
   }
-  SLACKER_LOG_INFO << "rebalancer " << kind << ": " << plan.rationale;
   ++stats_.plans_admitted;
   if (std::strcmp(kind, "relief") == 0) ++stats_.relief_admitted;
   // The work launched: drop any pinned trough schedule so a future

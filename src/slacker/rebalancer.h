@@ -125,8 +125,8 @@ class Rebalancer {
   /// Cancels every in-flight *drain* evacuation and stops its
   /// supervisor from retrying (relief/consolidation migrations are left
   /// alone). The upgrade orchestrator's abort path calls this before
-  /// rolling back. Returns the number of evacuations quenched.
-  int QuenchDrainEvacuations(const std::string& reason);
+  /// rolling back.
+  void QuenchDrainEvacuations(const std::string& reason);
 
  private:
   struct InflightMigration {

@@ -108,8 +108,6 @@ Status RollingUpgradeOrchestrator::Start(DoneCallback done) {
   timer_ = std::make_unique<sim::PeriodicTimer>(
       sim_, options_.poll_period, [this](SimTime now) { Poll(now); });
   timer_->Start();
-  SLACKER_LOG_INFO << "rolling upgrade to version " << options_.target_version
-                   << " in " << waves_.size() << " waves";
   BeginWave(0, sim_->Now());
   return Status::Ok();
 }
@@ -306,8 +304,7 @@ void RollingUpgradeOrchestrator::TripGate(const std::string& reason,
 
   // Stop the evacuation machinery: quench in-flight drain migrations
   // (one already in handover is allowed to land) and undrain the fleet.
-  const int quenched = rebalancer_->QuenchDrainEvacuations(reason);
-  SLACKER_LOG_INFO << "quenched " << quenched << " drain evacuations";
+  rebalancer_->QuenchDrainEvacuations(reason);
   for (uint64_t id = 0; id < cluster_->num_servers(); ++id) {
     (void)cluster_->SetDraining(id, false);
   }
@@ -366,10 +363,6 @@ void RollingUpgradeOrchestrator::Finish(Status status, SimTime now) {
   }
   EmitWave(report_.status.ok() ? "upgrade_done" : "upgrade_aborted",
            report_.status.ToString(), now);
-  SLACKER_LOG_INFO << "rolling upgrade finished: "
-                   << report_.status.ToString() << " ("
-                   << report_.DurationSeconds() << "s, "
-                   << report_.total_violation_seconds << " violation-s)";
   // The report travels by copy: it arrives even if the orchestrator
   // was destroyed meanwhile.
   sim_->Post(std::move(done_), report_);

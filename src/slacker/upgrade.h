@@ -124,7 +124,6 @@ class RollingUpgradeOrchestrator {
   void Abort(const std::string& reason);
 
   bool running() const { return running_; }
-  bool rolling_back() const { return rolling_back_; }
   const UpgradeReport& report() const { return report_; }
 
  private:

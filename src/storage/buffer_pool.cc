@@ -141,18 +141,6 @@ bool BufferPool::IsDirty(uint64_t page_id) const {
   return frame != kNil && frames_[frame].dirty;
 }
 
-size_t BufferPool::FlushAll() {
-  size_t flushed = 0;
-  for (Frame& frame : frames_) {
-    if (frame.dirty) {
-      frame.dirty = false;
-      ++flushed;
-    }
-  }
-  dirty_count_ = 0;
-  return flushed;
-}
-
 void BufferPool::Clear() {
   frames_.clear();
   slots_.clear();

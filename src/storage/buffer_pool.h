@@ -47,10 +47,6 @@ class BufferPool {
   bool Contains(uint64_t page_id) const;
   bool IsDirty(uint64_t page_id) const;
 
-  /// Writes back all dirty pages (checkpoint); returns how many were
-  /// dirty. The engine charges the corresponding sequential write I/O.
-  size_t FlushAll();
-
   /// Drops everything (tenant deletion / post-migration teardown).
   void Clear();
 

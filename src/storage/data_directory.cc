@@ -15,16 +15,6 @@ void DataDirectory::AddFile(const std::string& name, uint64_t bytes) {
   files_.push_back(DataFile{name, bytes});
 }
 
-void DataDirectory::SetFileSize(const std::string& name, uint64_t bytes) {
-  for (DataFile& f : files_) {
-    if (f.name == name) {
-      f.bytes = bytes;
-      return;
-    }
-  }
-  AddFile(name, bytes);
-}
-
 uint64_t DataDirectory::TotalBytes() const {
   uint64_t total = 0;
   for (const DataFile& f : files_) total += f.bytes;

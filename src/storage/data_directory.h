@@ -25,8 +25,6 @@ class DataDirectory {
                                  uint64_t log_bytes);
 
   void AddFile(const std::string& name, uint64_t bytes);
-  /// Updates the size of an existing file; adds it if missing.
-  void SetFileSize(const std::string& name, uint64_t bytes);
 
   const std::vector<DataFile>& files() const { return files_; }
   uint64_t TotalBytes() const;

@@ -46,7 +46,7 @@ inline uint64_t RowDigest(uint64_t key, Lsn lsn, uint64_t value_seed) {
 }
 
 /// Expands a record into `logical_size` deterministic bytes.
-std::vector<uint8_t> MaterializePayload(const Record& record,
+std::vector<uint8_t> MaterializePayload(const Record& record,  // NOLINT(slacker-test-only): reference — the codec's row payload
                                         size_t logical_size);
 
 }  // namespace slacker::storage

@@ -29,23 +29,6 @@ LogRecord Undigested(storage::Lsn lsn, LogType type, uint64_t word) {
 
 }  // namespace
 
-Binlog::Binlog(const Binlog& other)
-    : row_image_bytes_(other.row_image_bytes_),
-      runs_(other.runs_),
-      count_(other.count_),
-      last_lsn_(other.last_lsn_),
-      total_bytes_(other.total_bytes_) {
-  chunks_.reserve(other.chunks_.size());
-  for (const std::unique_ptr<Chunk>& chunk : other.chunks_) {
-    chunks_.push_back(std::make_unique<Chunk>(*chunk));
-  }
-}
-
-Binlog& Binlog::operator=(const Binlog& other) {
-  if (this != &other) *this = Binlog(other);
-  return *this;
-}
-
 void Binlog::AppendRow(storage::Lsn lsn, LogType type, uint64_t key) {
   SLACKER_CHECK(type != LogType::kCommit, "a commit is not a row change");
   Push(lsn, type, key);

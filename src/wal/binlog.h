@@ -33,8 +33,10 @@ class Binlog {
   explicit Binlog(uint64_t row_image_bytes = 0)
       : row_image_bytes_(row_image_bytes) {}
 
-  Binlog(const Binlog& other);
-  Binlog& operator=(const Binlog& other);
+  /// A log moves (into a crashed server's durable state and back); it
+  /// is never copied.
+  Binlog(const Binlog&) = delete;
+  Binlog& operator=(const Binlog&) = delete;
   Binlog(Binlog&&) noexcept = default;
   Binlog& operator=(Binlog&&) noexcept = default;
   ~Binlog() = default;
@@ -46,8 +48,6 @@ class Binlog {
   /// Appends the commit record of transaction `txn_id`; same LSN rule.
   void AppendCommit(storage::Lsn lsn, uint64_t txn_id);
 
-  /// LSN the next append is expected to carry (last + 1; 1 if empty).
-  storage::Lsn NextLsn() const { return last_lsn_ + 1; }
   storage::Lsn last_lsn() const { return last_lsn_; }
 
   /// Copies records with lsn in [from, to] into `out`. The log is never

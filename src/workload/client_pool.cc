@@ -192,7 +192,7 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
 
 PercentileTracker ClientPool::latencies() const {
   PercentileTracker tracker;
-  for (const TracePoint& point : latency_series_.points()) {
+  for (const common::TracePoint& point : latency_series_.points()) {
     tracker.Add(point.value);
   }
   return tracker;

@@ -8,10 +8,10 @@
 
 #include "src/common/ring_deque.h"
 #include "src/common/stats.h"
+#include "src/common/time_series.h"
 #include "src/common/units.h"
 #include "src/engine/transaction.h"
 #include "src/sim/simulator.h"
-#include "src/workload/trace.h"
 #include "src/workload/ycsb.h"
 
 namespace slacker::workload {
@@ -154,7 +154,7 @@ class ClientPool {
   /// off latency_series() so each sample is stored once.
   PercentileTracker latencies() const;
   /// (completion time, latency ms) series for figure plotting.
-  const TimeSeries& latency_series() const { return latency_series_; }
+  const common::TimeSeries& latency_series() const { return latency_series_; }
   const ClientPoolStats& stats() const { return stats_; }
   int busy_clients() const { return busy_clients_; }
   size_t queue_depth() const { return queue_.size(); }
@@ -212,7 +212,7 @@ class ClientPool {
   /// overshoot the MPL).
   engine::TxnFrames frames_;
 
-  TimeSeries latency_series_;
+  common::TimeSeries latency_series_;
   ClientPoolStats stats_;
   AckedWriteLedger acked_writes_;
 };

@@ -55,20 +55,6 @@ double FlashCrowdPattern::Rate(SimTime t) const {
   return 1.0;
 }
 
-StepPattern::StepPattern(std::vector<std::pair<SimTime, double>> steps)
-    : steps_(std::move(steps)) {
-  std::sort(steps_.begin(), steps_.end());
-}
-
-double StepPattern::Rate(SimTime t) const {
-  double factor = 1.0;
-  for (const auto& [when, value] : steps_) {
-    if (t < when) break;
-    factor = value;
-  }
-  return factor;
-}
-
 PatternDriver::PatternDriver(sim::Simulator* sim, YcsbWorkload* workload,
                              const ArrivalPattern* pattern,
                              SimTime update_period)

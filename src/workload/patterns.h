@@ -24,16 +24,6 @@ class ArrivalPattern {
   virtual double Rate(SimTime t) const = 0;
 };
 
-/// Constant multiplier (the degenerate pattern).
-class ConstantPattern : public ArrivalPattern {
- public:
-  explicit ConstantPattern(double factor = 1.0) : factor_(factor) {}
-  double Rate(SimTime) const override { return factor_; }
-
- private:
-  double factor_;
-};
-
 /// Per-tenant deviation from a fleet-wide diurnal base. Each fraction
 /// bounds a symmetric uniform draw: a tenant's period lands in
 /// base * [1 - period_fraction, 1 + period_fraction], its phase shifts
@@ -80,17 +70,6 @@ class FlashCrowdPattern : public ArrivalPattern {
  private:
   SimTime start_, ramp_, hold_;
   double peak_;
-};
-
-/// Piecewise-constant steps: (time, factor) pairs; factor applies from
-/// its time until the next step (1x before the first).
-class StepPattern : public ArrivalPattern {
- public:
-  explicit StepPattern(std::vector<std::pair<SimTime, double>> steps);
-  double Rate(SimTime t) const override;
-
- private:
-  std::vector<std::pair<SimTime, double>> steps_;
 };
 
 /// Applies a pattern to a live workload: every `update_period` seconds

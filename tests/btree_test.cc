@@ -357,7 +357,7 @@ TEST(BTreeShapeTest, AppendSortedThenMutateStaysValid) {
   Rng rng(9);
   for (int i = 0; i < 3000; ++i) {
     const uint64_t key = rng.NextBelow(6000);
-    if (rng.Bernoulli(0.5)) {
+    if (rng.NextDouble() < 0.5) {
       ASSERT_EQ(appended.Put(R(key, 2)), by_put.Put(R(key, 2)));
     } else {
       ASSERT_EQ(appended.Erase(key), by_put.Erase(key));
@@ -430,7 +430,7 @@ TEST(BTreeSearchTest, RandomThreeLevelTreeMatchesModel) {
   std::map<uint64_t, Record> model;
   for (int i = 0; i < 60000; ++i) {
     const uint64_t key = 2 * rng.NextBelow(100000);
-    if (rng.Bernoulli(0.8)) {
+    if (rng.NextDouble() < 0.8) {
       const Record rec = R(key, i + 1);
       tree.Put(rec);
       model[key] = rec;
@@ -640,7 +640,7 @@ TEST(BTreeLeafBlockTest, RelocationScriptMatchesModel) {
   for (int i = 0; i < 5000; ++i) {
     const uint64_t key = LoadKey(rng.NextBelow(2 * kLoadRows)) +
                          rng.NextBelow(3);
-    if (rng.Bernoulli(i < 2000 ? 0.7 : 0.2)) {
+    if (rng.NextDouble() < (i < 2000 ? 0.7 : 0.2)) {
       put(key);
     } else {
       erase(key);

@@ -46,7 +46,7 @@ TEST_P(ChaosSweep, NeverADivergentAuthority) {
   auto drop_rng = std::make_shared<Rng>(params.seed * 31 + 7);
   const double p = params.drop_probability;
   auto filter = [drop_rng, p](net::Message*) {
-    return !drop_rng->Bernoulli(p);
+    return drop_rng->NextDouble() >= p;
   };
   cluster.ChannelBetween(0, 1)->SetDeliveryFilter(filter);
   cluster.ChannelBetween(1, 0)->SetDeliveryFilter(filter);
@@ -152,7 +152,7 @@ TEST_P(CrashChaosSweep, SupervisorConvergesAcrossCrashes) {
   // Light message loss on top of the crashes.
   auto drop_rng = std::make_shared<Rng>(seed * 131 + 17);
   auto filter = [drop_rng](net::Message*) {
-    return !drop_rng->Bernoulli(0.01);
+    return drop_rng->NextDouble() >= 0.01;
   };
   cluster.ChannelBetween(0, 1)->SetDeliveryFilter(filter);
   cluster.ChannelBetween(1, 0)->SetDeliveryFilter(filter);

@@ -72,9 +72,9 @@ TEST(ResultTest, HoldsValue) {
 #pragma GCC diagnostic pop
 
 TEST(ResultTest, HoldsError) {
-  Result<int> r = Status::OutOfRange("nope");
+  Result<int> r = Status::NotFound("nope");
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ResultTest, MoveOutValue) {
@@ -206,38 +206,12 @@ TEST(RngTest, ExponentialMeanMatches) {
   EXPECT_NEAR(stats.stddev() / stats.mean(), 1.0, 0.02);
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(13);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.Add(rng.Gaussian());
-  EXPECT_NEAR(stats.mean(), 0.0, 0.02);
-  EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
-}
-
+// A Bernoulli(p) trial is spelled `NextDouble() < p`.
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(15);
   int hits = 0;
-  for (int i = 0; i < 100000; ++i) hits += rng.Bernoulli(0.15);
+  for (int i = 0; i < 100000; ++i) hits += rng.NextDouble() < 0.15;
   EXPECT_NEAR(hits / 100000.0, 0.15, 0.01);
-}
-
-TEST(RngTest, PoissonMeanSmallAndLarge) {
-  Rng rng(17);
-  RunningStats small, large;
-  for (int i = 0; i < 50000; ++i) {
-    small.Add(static_cast<double>(rng.Poisson(3.0)));
-    large.Add(static_cast<double>(rng.Poisson(200.0)));
-  }
-  EXPECT_NEAR(small.mean(), 3.0, 0.1);
-  EXPECT_NEAR(large.mean(), 200.0, 1.0);
-}
-
-TEST(RngTest, ForkIsIndependent) {
-  Rng a(21);
-  Rng b = a.Fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) equal += a.Next() == b.Next();
-  EXPECT_LT(equal, 3);
 }
 
 TEST(ZipfianTest, RankZeroIsMostPopular) {
@@ -283,20 +257,6 @@ TEST(RunningStatsTest, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  Rng rng(31);
-  RunningStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.NextDouble() * 100;
-    all.Add(v);
-    (i % 2 == 0 ? a : b).Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-7);
 }
 
 TEST(RingDequeTest, FifoAcrossWrapAround) {
@@ -491,7 +451,7 @@ TEST(ChecksumTest, HashCombineMatchesBytewiseFnv) {
         uint64_t byte = rng.NextBelow(256);
         if (b == width - 1) {
           byte = 1 + rng.NextBelow(255);
-        } else if (rng.Bernoulli(0.5)) {
+        } else if (rng.NextDouble() < 0.5) {
           byte = 0;
         }
         value |= byte << (8 * b);
@@ -513,7 +473,6 @@ TEST(ChecksumTest, HashCombineMatchesBytewiseFnv) {
 
 TEST(UnitsTest, Conversions) {
   EXPECT_DOUBLE_EQ(MsFromSeconds(1.5), 1500.0);
-  EXPECT_DOUBLE_EQ(SecondsFromMs(250.0), 0.25);
   EXPECT_DOUBLE_EQ(BytesPerSecFromMBps(1.0), 1048576.0);
   EXPECT_DOUBLE_EQ(MBpsFromBytesPerSec(BytesPerSecFromMBps(12.5)), 12.5);
 }

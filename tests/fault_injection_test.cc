@@ -100,7 +100,7 @@ TEST(FaultInjectionTest, CorruptedFramesSurfaceAsChannelErrors) {
   net::Channel* data_path = rig.cluster.ChannelBetween(0, 1);
   data_path->SetFrameCorrupter([&](std::vector<uint8_t>* frame) {
     // Flip a byte in ~20% of frames.
-    if (!frame->empty() && rng.Bernoulli(0.2)) {
+    if (!frame->empty() && rng.NextDouble() < 0.2) {
       (*frame)[rng.NextBelow(frame->size())] ^= 0x20;
       ++corrupted;
     }

@@ -55,14 +55,6 @@ TEST(SampleRingTest, MeanEmptyIsZero) {
 
 // ------------------------------------------------------ cycle detector
 
-TEST(PhaseDistanceTest, Circular) {
-  EXPECT_EQ(PhaseDistance(0, 0, 24), 0);
-  EXPECT_EQ(PhaseDistance(1, 23, 24), 2);
-  EXPECT_EQ(PhaseDistance(23, 1, 24), 2);
-  EXPECT_EQ(PhaseDistance(0, 12, 24), 12);
-  EXPECT_EQ(PhaseDistance(3, 7, 24), 4);
-}
-
 TEST(CycleDetectorOptionsTest, Validation) {
   EXPECT_TRUE(CycleDetector::Options().Validate().ok());
   CycleDetector::Options bad;
@@ -72,6 +64,14 @@ TEST(CycleDetectorOptionsTest, Validation) {
   bad.max_period_buckets = 4;
   bad.min_period_buckets = 8;
   EXPECT_FALSE(bad.Validate().ok());
+}
+
+// A standard normal draw (Box-Muller) from `rng`.
+double Gaussian(Rng* rng) {
+  double u1 = rng->NextDouble();
+  const double u2 = rng->NextDouble();
+  if (u1 <= 0.0) u1 = 0x1.0p-53;
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
 // Fills `ring` with a sinusoid of the given period (buckets) plus
@@ -86,7 +86,7 @@ void FillDiurnal(SampleRing* ring, int samples, int period_buckets,
         2.0 * M_PI * static_cast<double>(i % period_buckets) /
         static_cast<double>(period_buckets);
     const double value =
-        mean + amplitude * std::sin(phase) + noise_sigma * rng.Gaussian();
+        mean + amplitude * std::sin(phase) + noise_sigma * Gaussian(&rng);
     ring->Push(value);
   }
 }
@@ -108,8 +108,7 @@ TEST(CycleDetectorTest, RecoversKnownPeriodAndPhase) {
   EXPECT_GT(estimate.confidence, 0.8);
   // sin's minimum is at 3/4 of the period; allow one bucket of slop for
   // the noise.
-  EXPECT_LE(PhaseDistance(estimate.trough_phase, 3 * kPeriod / 4, kPeriod),
-            1);
+  EXPECT_NEAR(estimate.trough_phase, 3 * kPeriod / 4, 1);
 }
 
 TEST(CycleDetectorTest, RejectsHarmonics) {
@@ -144,7 +143,7 @@ TEST(CycleDetectorTest, NoiseIsNotPeriodic) {
   CycleDetector detector(options);
   SampleRing ring(256);
   Rng rng(99);
-  for (int i = 0; i < 256; ++i) ring.Push(0.5 + 0.1 * rng.Gaussian());
+  for (int i = 0; i < 256; ++i) ring.Push(0.5 + 0.1 * Gaussian(&rng));
   EXPECT_FALSE(detector.Detect(ring).periodic);
 }
 
@@ -552,17 +551,23 @@ TEST(FleetLoadSamplerTest, RingsHoldOpsDeltaPerBucket) {
   SamplerRig rig;
   rig.Execute(0, 9, 10);
   rig.Execute(1, 4, 20);
-  // Buckets far longer than the test, so only SampleNow closes them.
+  // Buckets far longer than each burst of ops: running the simulator to
+  // the next bucket boundary closes the bucket that holds the burst.
   ForecastOptions options;
   options.bucket_seconds = 1000.0;
   options.seconds_per_op = 0.01;
   options.redetect_buckets = 1;
   FleetLoadSampler sampler(&rig.cluster, options);
   ASSERT_TRUE(sampler.Start().ok());  // Baselines: 10 and 20 ops.
+  const SimTime epoch = rig.sim.Now();
+  int buckets = 0;
+  const auto close_bucket = [&] {
+    rig.sim.RunUntil(epoch + options.bucket_seconds * ++buckets + 1.0);
+  };
 
   rig.Execute(0, 9, 30);
   rig.Execute(1, 4, 50);
-  sampler.SampleNow();
+  close_bucket();
   ASSERT_NE(sampler.tenant_ring(9), nullptr);
   ASSERT_NE(sampler.tenant_ring(4), nullptr);
   EXPECT_DOUBLE_EQ(sampler.tenant_ring(9)->back(), 30.0 / 1000.0);
@@ -574,7 +579,7 @@ TEST(FleetLoadSamplerTest, RingsHoldOpsDeltaPerBucket) {
   // it there): it records zero and keeps its 70-op baseline.
   ASSERT_TRUE(rig.cluster.DeleteTenantOn(1, 4).ok());
   rig.Execute(0, 9, 5);
-  sampler.SampleNow();
+  close_bucket();
   EXPECT_DOUBLE_EQ(sampler.tenant_ring(9)->back(), 5.0 / 1000.0);
   EXPECT_DOUBLE_EQ(sampler.tenant_ring(4)->back(), 0.0);
   EXPECT_DOUBLE_EQ(sampler.server_ring(1).back(), 0.0);
@@ -585,7 +590,7 @@ TEST(FleetLoadSamplerTest, RingsHoldOpsDeltaPerBucket) {
       1, SamplerRig::Config(4), /*load=*/true, /*frozen=*/false);
   ASSERT_TRUE(recreated.ok()) << recreated.status().ToString();
   rig.Execute(1, 4, 100);
-  sampler.SampleNow();
+  close_bucket();
   EXPECT_DOUBLE_EQ(sampler.tenant_ring(4)->back(), 30.0 / 1000.0);
   EXPECT_DOUBLE_EQ(sampler.tenant_ring(9)->back(), 0.0);
   EXPECT_EQ(sampler.tenant_ring(4)->size(), 3u);

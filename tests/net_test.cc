@@ -25,36 +25,41 @@ TEST(WireTest, FrameRoundTrip) {
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   const auto frame = EncodeFrame(payload);
   EXPECT_EQ(frame.size(), payload.size() + kFrameHeaderBytes);
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(DecodeFrame(frame, &out).ok());
-  EXPECT_EQ(out, payload);
+  const uint8_t* out = nullptr;
+  size_t length = 0;
+  ASSERT_TRUE(CheckFrame(frame, &out, &length).ok());
+  EXPECT_EQ(std::vector<uint8_t>(out, out + length), payload);
 }
 
 TEST(WireTest, EmptyPayload) {
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(DecodeFrame(EncodeFrame({}), &out).ok());
-  EXPECT_TRUE(out.empty());
+  const uint8_t* out = nullptr;
+  size_t length = 1;
+  ASSERT_TRUE(CheckFrame(EncodeFrame({}), &out, &length).ok());
+  EXPECT_EQ(length, 0u);
 }
 
 TEST(WireTest, CorruptedPayloadDetected) {
   auto frame = EncodeFrame({1, 2, 3, 4});
   frame[kFrameHeaderBytes + 1] ^= 0x40;
-  std::vector<uint8_t> out;
-  EXPECT_EQ(DecodeFrame(frame, &out).code(), StatusCode::kCorruption);
+  const uint8_t* out = nullptr;
+  size_t length = 0;
+  EXPECT_EQ(CheckFrame(frame, &out, &length).code(), StatusCode::kCorruption);
 }
 
 TEST(WireTest, BadMagicDetected) {
   auto frame = EncodeFrame({1});
   frame[0] ^= 0xff;
-  std::vector<uint8_t> out;
-  EXPECT_EQ(DecodeFrame(frame, &out).code(), StatusCode::kCorruption);
+  const uint8_t* out = nullptr;
+  size_t length = 0;
+  EXPECT_EQ(CheckFrame(frame, &out, &length).code(), StatusCode::kCorruption);
 }
 
 TEST(WireTest, LengthMismatchDetected) {
   auto frame = EncodeFrame({1, 2, 3});
   frame.pop_back();
-  std::vector<uint8_t> out;
-  EXPECT_EQ(DecodeFrame(frame, &out).code(), StatusCode::kCorruption);
+  const uint8_t* out = nullptr;
+  size_t length = 0;
+  EXPECT_EQ(CheckFrame(frame, &out, &length).code(), StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------- Message
@@ -120,8 +125,11 @@ TEST(MessageTest, ValueSeedSlotChecked) {
   request.type = MessageType::kMigrateRequest;
   request.tenant_id = 4;
   for (const Message& m : {FullMessage(), request}) {
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(DecodeFrame(EncodeMessage(m), &payload).ok());
+    const std::vector<uint8_t> frame = EncodeMessage(m);
+    const uint8_t* start = nullptr;
+    size_t length = 0;
+    ASSERT_TRUE(CheckFrame(frame, &start, &length).ok());
+    std::vector<uint8_t> payload(start, start + length);
     // Swap the type byte between a request and a snapshot chunk,
     // leaving the seed slot as the original type wrote it.
     payload[0] = static_cast<uint8_t>(
@@ -256,8 +264,11 @@ Message RangeRequest(uint64_t lo, uint64_t hi) {
 // extension, reframed so the CRC still holds.
 std::vector<uint8_t> WithRangeExtension(const Message& m, uint64_t range_lo,
                                         uint64_t range_hi) {
-  std::vector<uint8_t> payload;
-  EXPECT_TRUE(DecodeFrame(EncodeMessage(m), &payload).ok());
+  const std::vector<uint8_t> frame = EncodeMessage(m);
+  const uint8_t* start = nullptr;
+  size_t length = 0;
+  EXPECT_TRUE(CheckFrame(frame, &start, &length).ok());
+  std::vector<uint8_t> payload(start, start + length);
   ByteWriter writer;
   writer.PutU8(kRangeScopeMagic);
   writer.PutVarint64(range_lo);
@@ -349,9 +360,11 @@ TEST(MessageTest, EncodeMessageEqualsTwoStepFraming) {
   messages.push_back(wide);
   for (size_t c = 0; c < messages.size(); ++c) {
     const std::vector<uint8_t> frame = EncodeMessage(messages[c]);
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(DecodeFrame(frame, &payload).ok()) << c;
-    EXPECT_EQ(frame, EncodeFrame(payload)) << c;
+    const uint8_t* start = nullptr;
+    size_t length = 0;
+    ASSERT_TRUE(CheckFrame(frame, &start, &length).ok()) << c;
+    EXPECT_EQ(frame, EncodeFrame(std::vector<uint8_t>(start, start + length)))
+        << c;
     Message out;
     ASSERT_TRUE(DecodeMessage(frame, &out).ok()) << c;
     EXPECT_EQ(out, messages[c]) << c;

@@ -16,12 +16,6 @@ YcsbConfig BaseConfig() {
   return config;
 }
 
-TEST(ConstantPatternTest, AlwaysFactor) {
-  ConstantPattern p(2.5);
-  EXPECT_DOUBLE_EQ(p.Rate(0), 2.5);
-  EXPECT_DOUBLE_EQ(p.Rate(12345), 2.5);
-}
-
 TEST(DiurnalPatternTest, OscillatesAroundOne) {
   DiurnalPattern p(/*period=*/100.0, /*amplitude=*/0.5);
   EXPECT_NEAR(p.Rate(0), 1.0, 1e-9);
@@ -99,23 +93,12 @@ TEST(FlashCrowdPatternTest, RampHoldDecay) {
   EXPECT_DOUBLE_EQ(p.Rate(151), 1.0);    // Over.
 }
 
-TEST(StepPatternTest, PiecewiseConstant) {
-  StepPattern p({{60.0, 1.4}, {120.0, 0.7}});
-  EXPECT_DOUBLE_EQ(p.Rate(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.Rate(60), 1.4);
-  EXPECT_DOUBLE_EQ(p.Rate(119), 1.4);
-  EXPECT_DOUBLE_EQ(p.Rate(500), 0.7);
-}
-
-TEST(StepPatternTest, UnsortedInputHandled) {
-  StepPattern p({{120.0, 0.7}, {60.0, 1.4}});
-  EXPECT_DOUBLE_EQ(p.Rate(90), 1.4);
-}
-
 TEST(PatternDriverTest, AppliesFactorToWorkload) {
   sim::Simulator sim;
   YcsbWorkload workload(BaseConfig(), 1, 42);
-  StepPattern pattern({{30.0, 2.0}});
+  // 1x until t=25, 2x from t=30 on.
+  FlashCrowdPattern pattern(/*start=*/25.0, /*ramp=*/5.0, /*hold=*/1000.0,
+                            /*peak=*/2.0);
   PatternDriver driver(&sim, &workload, &pattern, /*update_period=*/5.0);
   driver.Start();
   sim.RunUntil(20.0);
@@ -142,7 +125,8 @@ TEST(PatternDriverTest, ComposesRelativeChangesWithoutDrift) {
 TEST(PatternDriverTest, StopFreezesRate) {
   sim::Simulator sim;
   YcsbWorkload workload(BaseConfig(), 1, 42);
-  StepPattern pattern({{10.0, 3.0}});
+  FlashCrowdPattern pattern(/*start=*/10.0, /*ramp=*/1.0, /*hold=*/1000.0,
+                            /*peak=*/3.0);
   PatternDriver driver(&sim, &workload, &pattern, 1.0);
   driver.Start();
   sim.RunUntil(15.0);

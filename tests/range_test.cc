@@ -147,22 +147,21 @@ TEST(PartitionerTest, RangesCoverKeySpaceAlongSubtreeBoundaries) {
     r.key = k;
     table.Put(r);
   }
-  const std::vector<KeyRange> ranges = range::PartitionKeySpace(table, 8);
-  ASSERT_GE(ranges.size(), 2u);
-  ASSERT_LE(ranges.size(), 8u);
-  // Contiguous cover of [0, kNoUpperBound), last range unbounded.
-  EXPECT_EQ(ranges.front().lo, 0u);
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_EQ(ranges[i].lo, ranges[i - 1].hi);
+  const std::vector<uint64_t> splits = range::PartitionSplitKeys(table, 8);
+  ASSERT_GE(splits.size(), 1u);
+  ASSERT_LE(splits.size(), 7u);
+  // Ascending cuts above 0: every range they bound is non-empty, and
+  // the last one stays unbounded.
+  EXPECT_GT(splits.front(), 0u);
+  for (size_t i = 1; i < splits.size(); ++i) {
+    EXPECT_GT(splits[i], splits[i - 1]);
   }
-  EXPECT_EQ(ranges.back().hi, kNoUpperBound);
   // Every cut is one of the tree's own subtree separators.
   const std::vector<uint64_t> seps =
       table.SubtreeSplitKeys(std::numeric_limits<size_t>::max());
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_TRUE(std::find(seps.begin(), seps.end(), ranges[i].lo) !=
-                seps.end())
-        << "cut " << ranges[i].lo << " is not a subtree boundary";
+  for (const uint64_t split : splits) {
+    EXPECT_TRUE(std::find(seps.begin(), seps.end(), split) != seps.end())
+        << "cut " << split << " is not a subtree boundary";
   }
 }
 
@@ -171,9 +170,8 @@ TEST(PartitionerTest, TinyTableYieldsSingleRange) {
   storage::Record r;
   r.key = 42;
   table.Put(r);
-  const std::vector<KeyRange> ranges = range::PartitionKeySpace(table, 8);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_TRUE(ranges[0].IsFull());
+  // No cut: the whole key space stays one range.
+  EXPECT_TRUE(range::PartitionSplitKeys(table, 8).empty());
 }
 
 // --- Range-scoped migration ----------------------------------------

@@ -120,12 +120,12 @@ TEST(SharedProcessClusterTest, MigrationWorksUnderSharedPools) {
   options.multitenancy = MultitenancyModel::kSharedProcess;
   options.shared_buffer_bytes = 16 * kMiB;
   Cluster cluster(&sim, options);
-  ASSERT_NE(cluster.server(0)->shared_pool(), nullptr);
 
   engine::TenantConfig tenant = SmallTenant(1);
   tenant.layout.record_count = 32 * 1024;  // 32 MiB.
   ASSERT_TRUE(cluster.AddTenant(0, tenant).ok());
   ASSERT_TRUE(cluster.AddTenant(0, SmallTenant(2)).ok());
+  EXPECT_TRUE(cluster.TenantOn(0, 1)->uses_shared_pool());
 
   workload::YcsbConfig ycsb;
   ycsb.record_count = tenant.layout.record_count;
@@ -161,7 +161,9 @@ TEST(SharedProcessClusterTest, MigrationWorksUnderSharedPools) {
   engine::TenantDb* moved = cluster.TenantOn(1, 1);
   ASSERT_NE(moved, nullptr);
   EXPECT_TRUE(moved->uses_shared_pool());
-  EXPECT_EQ(moved->buffer_pool(), cluster.server(1)->shared_pool());
+  // Of the two servers' shared pools, it is not the one tenant 2 still
+  // pages through on the source.
+  EXPECT_NE(moved->buffer_pool(), cluster.TenantOn(0, 2)->buffer_pool());
 }
 
 TEST(SharedPoolTest, WarmRespectsSharedCapacity) {

@@ -147,8 +147,9 @@ TEST(DrainTest, DrainingServerRejectsPlacements) {
   ASSERT_TRUE(cluster.AddTenant(0, tenant).ok());
 
   ASSERT_TRUE(cluster.SetDraining(2, true).ok());
-  EXPECT_TRUE(cluster.ServerDraining(2));
-  EXPECT_EQ(cluster.DrainingServerIds(), std::vector<uint64_t>{2});
+  EXPECT_FALSE(cluster.server(0)->draining());
+  EXPECT_FALSE(cluster.server(1)->draining());
+  EXPECT_TRUE(cluster.server(2)->draining());
 
   // Direct placement refused.
   engine::TenantConfig second = tenant;
@@ -223,7 +224,7 @@ TEST(UpgradeTest, RollingUpgradeCompletes) {
   EXPECT_EQ(report.waves_completed, 3);
   for (uint64_t id = 0; id < 4; ++id) {
     EXPECT_EQ(fleet.cluster()->ServerVersion(id), 2u) << "server " << id;
-    EXPECT_FALSE(fleet.cluster()->ServerDraining(id));
+    EXPECT_FALSE(fleet.cluster()->server(id)->draining());
   }
   EXPECT_TRUE(fleet.AllTenantsReachable());
   EXPECT_EQ(rebalancer.inflight(), 0u);
@@ -262,7 +263,7 @@ TEST(UpgradeTest, HealthGateTripsOnViolationBudget) {
   // Nothing was patched before the trip, so versions are untouched.
   for (uint64_t id = 0; id < 3; ++id) {
     EXPECT_EQ(fleet.cluster()->ServerVersion(id), 1u);
-    EXPECT_FALSE(fleet.cluster()->ServerDraining(id));
+    EXPECT_FALSE(fleet.cluster()->server(id)->draining());
   }
   EXPECT_TRUE(fleet.AllTenantsReachable());
   rebalancer.Stop();
@@ -304,7 +305,7 @@ TEST(UpgradeTest, AbortAfterCanaryRollsBackVersions) {
   for (uint64_t id = 0; id < 4; ++id) {
     EXPECT_EQ(fleet.cluster()->ServerVersion(id), 1u)
         << "server " << id << " not rolled back";
-    EXPECT_FALSE(fleet.cluster()->ServerDraining(id));
+    EXPECT_FALSE(fleet.cluster()->server(id)->draining());
   }
   EXPECT_EQ(rebalancer.inflight(), 0u);
   EXPECT_TRUE(fleet.AllTenantsReachable());

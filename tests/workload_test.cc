@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/common/time_series.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
 #include "src/resource/cpu.h"
@@ -17,7 +18,6 @@
 #include "src/sim/simulator.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/key_chooser.h"
-#include "src/workload/trace.h"
 #include "src/workload/ycsb.h"
 
 namespace slacker::workload {
@@ -164,7 +164,7 @@ TEST(YcsbWorkloadTest, ScaleArrivalRateShortensInterarrivals) {
 // ---------------------------------------------------------------- TimeSeries
 
 TEST(TimeSeriesTest, SmoothedWindowAverages) {
-  TimeSeries series;
+  common::TimeSeries series;
   for (int t = 0; t < 10; ++t) series.Add(t, t * 10.0);
   const auto smoothed = series.Smoothed(1.0, 3.0);
   ASSERT_FALSE(smoothed.empty());
@@ -173,7 +173,7 @@ TEST(TimeSeriesTest, SmoothedWindowAverages) {
 }
 
 TEST(TimeSeriesTest, SmoothedRepeatsOnEmptyWindows) {
-  TimeSeries series;
+  common::TimeSeries series;
   series.Add(0.0, 100.0);
   series.Add(10.0, 200.0);
   const auto smoothed = series.Smoothed(1.0, 1.0, 0.0, 10.0);
@@ -183,7 +183,7 @@ TEST(TimeSeriesTest, SmoothedRepeatsOnEmptyWindows) {
 }
 
 TEST(TimeSeriesTest, StatsBetweenBounds) {
-  TimeSeries series;
+  common::TimeSeries series;
   for (int t = 0; t < 100; ++t) series.Add(t, t);
   const auto stats = series.StatsBetween(10, 19);
   EXPECT_EQ(stats.count(), 10u);
@@ -191,7 +191,7 @@ TEST(TimeSeriesTest, StatsBetweenBounds) {
 }
 
 TEST(TimeSeriesTest, CsvFormat) {
-  TimeSeries series;
+  common::TimeSeries series;
   series.Add(1.5, 2.5);
   const std::string csv = series.ToCsv("latency_ms");
   EXPECT_EQ(csv, "t,latency_ms\n1.5,2.5\n");
@@ -518,10 +518,10 @@ TEST(AckedWriteLedgerTest, KeepsNewestWritePerKeyThroughGrowth) {
   for (int i = 0; i < 20000; ++i) {
     // Sparse keys with a dense hot prefix: repeated keys take the
     // overwrite path, new ones force the table to grow.
-    const uint64_t key = rng.Bernoulli(0.5) ? rng.NextBelow(64)
-                                            : rng.Next() >> 20;
+    const uint64_t key =
+        rng.NextDouble() < 0.5 ? rng.NextBelow(64) : rng.Next() >> 20;
     const AckedWrite write{1 + rng.NextBelow(1000), rng.Next(),
-                           rng.Bernoulli(0.2)};
+                           rng.NextDouble() < 0.2};
     ledger.Record(key, write);
     AckedWrite& expect = model[key];
     if (write.lsn > expect.lsn) expect = write;

@@ -322,6 +322,115 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+bool StartsWithWord(const std::string& text, size_t pos,
+                    const std::string& word) {
+  return text.compare(pos, word.size(), word) == 0 &&
+         (pos + word.size() >= text.size() ||
+          !IsWordChar(text[pos + word.size()]));
+}
+
+/// `s` without leading and trailing whitespace, newlines included.
+std::string TrimSpace(const std::string& s) {
+  const auto first = s.find_first_not_of(" \t\n");
+  if (first == std::string::npos) return "";
+  return s.substr(first, s.find_last_not_of(" \t\n") - first + 1);
+}
+
+/// Index where the declaration in `stmt` begins, past whitespace,
+/// `template <...>` heads and `[[...]]` attributes.
+size_t DeclStart(const std::string& stmt) {
+  size_t pos = 0;
+  for (;;) {
+    pos = stmt.find_first_not_of(" \t\n", pos);
+    if (pos == std::string::npos) return stmt.size();
+    if (StartsWithWord(stmt, pos, "template")) {
+      int angle = 0;
+      size_t i = stmt.find('<', pos);
+      for (; i != std::string::npos && i < stmt.size(); ++i) {
+        if (stmt[i] == '<') ++angle;
+        if (stmt[i] == '>' && --angle == 0) break;
+      }
+      if (i == std::string::npos || i >= stmt.size()) return pos;
+      pos = i + 1;
+    } else if (stmt.compare(pos, 2, "[[") == 0) {
+      const auto close = stmt.find("]]", pos);
+      if (close == std::string::npos) return pos;
+      pos = close + 2;
+    } else {
+      return pos;
+    }
+  }
+}
+
+/// Index of the `)` matching the `(` at `open`, or npos.
+size_t MatchingParen(const std::string& text, size_t open) {
+  int depth = 0;
+  for (size_t i = open; i < text.size(); ++i) {
+    if (text[i] == '(') ++depth;
+    if (text[i] == ')' && --depth == 0) return i;
+  }
+  return std::string::npos;
+}
+
+/// The first `(` outside template brackets, or npos when an `=` comes
+/// first (a variable's initializer, not a parameter list).
+size_t ParamListOpen(const std::string& text) {
+  int angle = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '<') {
+      ++angle;
+    } else if (c == '>' && angle > 0 && (i == 0 || text[i - 1] != '-')) {
+      --angle;
+    } else if (angle == 0 && c == '=') {
+      return std::string::npos;
+    } else if (angle == 0 && c == '(') {
+      return i;
+    }
+  }
+  return std::string::npos;
+}
+
+/// True for a statement that opens or declares a class: `class X`,
+/// `struct [[nodiscard]] Y : Z`, `union U` (not `struct S* F()`).
+bool IsClassHead(const std::string& text, std::string* name) {
+  static const std::regex re(
+      R"(^(?:class|struct|union)\s+(?:\[\[[^\]]*\]\]\s*)?(\w*))");
+  std::smatch m;
+  if (!std::regex_search(text, m, re) ||
+      ParamListOpen(text) != std::string::npos) {
+    return false;
+  }
+  *name = m[1].str();
+  return true;
+}
+
+/// A constructor's member-initializer list has begun: the parameter
+/// list is closed and followed by a single `:`.
+bool InInitializerList(const std::string& text) {
+  const size_t open = ParamListOpen(text);
+  if (open == std::string::npos) return false;
+  const size_t close = MatchingParen(text, open);
+  if (close == std::string::npos) return false;
+  const size_t colon = text.find_first_not_of(" \t\n", close + 1);
+  return colon != std::string::npos && text[colon] == ':' &&
+         (colon + 1 >= text.size() || text[colon + 1] != ':');
+}
+
+bool IsStatusType(const std::string& type) {
+  static const std::regex re(R"(^(?:slacker::)?(?:Status|Result\s*<.*>)$)");
+  return std::regex_match(type, re);
+}
+
+/// True if the `'` at `quote` is a digit separator (`1'000'000`): the
+/// token before it starts with a digit. `u8'a'` starts with a letter.
+bool InNumber(const std::string& text, size_t quote) {
+  size_t begin = quote;
+  while (begin > 0 && IsWordChar(text[begin - 1])) --begin;
+  return begin < quote &&
+         std::isdigit(static_cast<unsigned char>(text[begin])) != 0;
+}
+
 }  // namespace
 
 std::string MaskCommentsAndStrings(const std::string& in) {
@@ -344,7 +453,7 @@ std::string MaskCommentsAndStrings(const std::string& in) {
           state = State::kRaw;
         } else if (c == '"') {
           state = State::kString;
-        } else if (c == '\'') {
+        } else if (c == '\'' && !InNumber(in, i)) {
           state = State::kChar;
         }
         break;
@@ -418,13 +527,216 @@ bool IsSuppressed(const std::string& raw_line, const std::string& rule) {
   return list.find(rule) != std::string::npos;
 }
 
-void Linter::AddFile(const std::string& path, const std::string& content) {
+void Linter::AddFile(const std::string& path, const std::string& content,
+                     bool callers_only) {
   FileEntry entry;
   entry.path = path;
+  entry.callers_only = callers_only;
   entry.raw = SplitLines(content);
   entry.masked = SplitLines(MaskCommentsAndStrings(content));
   CollectDeclarations(entry);
+  ScanFunctions(&entry);
   files_.push_back(std::move(entry));
+}
+
+void Linter::ScanFunctions(FileEntry* file) {
+  // 'n' namespace, 't' class body, 'c' code (function bodies,
+  // initializers, enum bodies), 'm' a member's brace initializer inside
+  // a constructor's initializer list.
+  struct Scope {
+    char kind = 'n';
+    std::string class_name;
+  };
+  std::vector<Scope> stack;
+  std::string stmt;
+  std::vector<int> stmt_lines;  // Line of each character of `stmt`.
+  int paren = 0;
+  int body_owner = -1;          // Index into functions while in a body.
+  size_t body_depth = 0;        // Stack size just inside that body.
+
+  const auto clear = [&] {
+    stmt.clear();
+    stmt_lines.clear();
+    paren = 0;
+  };
+  const auto class_name = [&]() -> std::string {
+    return stack.empty() ? "" : stack.back().class_name;
+  };
+  // Parses `stmt` as a function declaration or definition header.
+  const auto parse = [&]() -> bool {
+    const size_t offset = DeclStart(stmt);
+    const std::string text = stmt.substr(offset);
+    const size_t open = ParamListOpen(text);
+    if (open == std::string::npos) return false;
+    size_t name_end = open;
+    while (name_end > 0 && std::isspace(static_cast<unsigned char>(
+                               text[name_end - 1])) != 0) {
+      --name_end;
+    }
+    size_t name_begin = name_end;
+    while (name_begin > 0 && IsWordChar(text[name_begin - 1])) --name_begin;
+    if (name_begin == name_end) return false;
+    Function fn;
+    fn.name = text.substr(name_begin, name_end - name_begin);
+    if (std::isdigit(static_cast<unsigned char>(fn.name[0])) != 0 ||
+        IsDeclKeyword(fn.name) || fn.name == "operator" ||
+        fn.name == "alignas" || fn.name == "decltype" ||
+        fn.name == "static_assert" || fn.name == "noexcept") {
+      return false;
+    }
+    std::string pre = TrimSpace(text.substr(0, name_begin));
+    if (!pre.empty() && pre.back() == '~') return false;
+    std::string qualifier;
+    while (pre.size() >= 2 && pre.compare(pre.size() - 2, 2, "::") == 0) {
+      fn.qualified = true;
+      pre = TrimSpace(pre.substr(0, pre.size() - 2));
+      if (!pre.empty() && pre.back() == '>') {
+        int angle = 0;
+        size_t i = pre.size();
+        while (i-- > 0) {
+          if (pre[i] == '>') ++angle;
+          if (pre[i] == '<' && --angle == 0) break;
+        }
+        pre = TrimSpace(pre.substr(0, i == std::string::npos ? 0 : i));
+      }
+      size_t q = pre.size();
+      while (q > 0 && IsWordChar(pre[q - 1])) --q;
+      if (qualifier.empty()) qualifier = pre.substr(q);
+      pre = TrimSpace(pre.substr(0, q));
+    }
+    std::string type;
+    for (size_t i = 0; i < pre.size();) {
+      const char c = pre[i];
+      if (!IsWordChar(c)) {
+        if (std::string(" \t\n:<>*&,").find(c) == std::string::npos) {
+          return false;
+        }
+        type += c;
+        ++i;
+        continue;
+      }
+      size_t end = i;
+      while (end < pre.size() && IsWordChar(pre[end])) ++end;
+      const std::string word = pre.substr(i, end - i);
+      i = end;
+      if (word == "friend" || word == "operator" || IsDeclKeyword(word)) {
+        return false;
+      }
+      if (word == "static" || word == "virtual" || word == "inline" ||
+          word == "constexpr" || word == "consteval" || word == "explicit" ||
+          word == "extern") {
+        continue;
+      }
+      type += word;
+    }
+    fn.return_type = TrimSpace(type);
+    if (fn.return_type.empty()) {
+      fn.constructor = fn.qualified ? qualifier == fn.name
+                                    : fn.name == class_name();
+      if (!fn.constructor) return false;
+    }
+    const size_t close = MatchingParen(text, open);
+    const std::string after =
+        close == std::string::npos ? "" : TrimSpace(text.substr(close + 1));
+    fn.const_member = StartsWithWord(after, 0, "const");
+    static const std::regex defaulted_re(R"(=\s*(default|delete)\b)");
+    fn.defaulted = std::regex_search(after, defaulted_re);
+    fn.line = stmt_lines[offset + name_begin];
+    file->functions.push_back(std::move(fn));
+    return true;
+  };
+
+  bool in_preprocessor = false;
+  for (size_t i = 0; i < file->masked.size(); ++i) {
+    const std::string& line = file->masked[i];
+    const std::string trimmed = Trim(line);
+    const bool continues = !trimmed.empty() && trimmed.back() == '\\';
+    if (in_preprocessor || (!trimmed.empty() && trimmed[0] == '#')) {
+      in_preprocessor = continues;
+      continue;
+    }
+    for (size_t j = 0; j < line.size(); ++j) {
+      const char c = line[j];
+      const char kind = stack.empty() ? 'n' : stack.back().kind;
+      if (kind == 'c' || kind == 'm') {
+        if (c == '{') {
+          stack.push_back({'c', ""});
+        } else if (c == '}') {
+          stack.pop_back();
+          if (kind == 'm') {
+            stmt += "{}";
+            stmt_lines.insert(stmt_lines.end(), 2, static_cast<int>(i));
+          }
+          if (body_owner >= 0 && stack.size() < body_depth) {
+            body_owner = -1;
+            continue;
+          }
+        }
+        if (body_owner >= 0) file->functions[body_owner].body += c;
+        continue;
+      }
+      if (paren > 0 || (c != '{' && c != '}' && c != ';')) {
+        if (c == '(') ++paren;
+        if (c == ')' && paren > 0) --paren;
+        if (c == ':' && paren == 0 && (j + 1 >= line.size() ||
+                                       line[j + 1] != ':')) {
+          const std::string label = TrimSpace(stmt);
+          if (label == "public" || label == "private" ||
+              label == "protected") {
+            clear();
+            continue;
+          }
+        }
+        stmt += c;
+        stmt_lines.push_back(static_cast<int>(i));
+        continue;
+      }
+      if (c == '}') {
+        clear();
+        if (!stack.empty()) stack.pop_back();
+        continue;
+      }
+      const std::string text = stmt.substr(DeclStart(stmt));
+      const std::string tail = TrimSpace(text);
+      std::string name;
+      if (IsClassHead(text, &name)) {
+        const auto at = stmt.find(name, DeclStart(stmt));
+        if (!name.empty()) {
+          file->classes.emplace_back(
+              name, stmt_lines[at == std::string::npos ? 0 : at]);
+        }
+        clear();
+        if (c == '{') stack.push_back({'t', name});
+        continue;
+      }
+      if (c == ';') {
+        parse();
+        clear();
+        continue;
+      }
+      // An opening brace at namespace or class scope.
+      if (StartsWithWord(text, 0, "namespace")) {
+        stack.push_back({'n', ""});
+        clear();
+      } else if (InInitializerList(text) && !tail.empty() &&
+                 (IsWordChar(tail.back()) || tail.back() == '>')) {
+        stack.push_back({'m', ""});
+      } else if (parse()) {
+        clear();
+        body_owner = static_cast<int>(file->functions.size()) - 1;
+        stack.push_back({'c', ""});
+        body_depth = stack.size();
+      } else {
+        clear();
+        stack.push_back({'c', ""});
+      }
+    }
+    if (!stmt.empty()) {
+      stmt += '\n';
+      stmt_lines.push_back(static_cast<int>(i));
+    }
+    if (body_owner >= 0) file->functions[body_owner].body += '\n';
+  }
 }
 
 void Linter::NoteSuppressionUsed(const std::string& path, int line) {
@@ -490,15 +802,21 @@ std::vector<Finding> Linter::Run() {
 
   std::vector<Finding> findings;
   for (const FileEntry& file : files_) {
+    if (file.callers_only) continue;
     LintFile(file, &findings);
     LintFlow(file, &findings);
     LintUnsetOptions(file, &findings);
     LintSingleImpl(file, &findings);
+    // Status's own factories return the Ok they define.
+    if (!PathContains(file.path, "src/common/status")) {
+      LintAlwaysOk(file, &findings);
+    }
   }
+  LintTestOnly(&findings);
   // After every suppression has been exercised (or not): stale-marker
   // detection.
   for (const FileEntry& file : files_) {
-    LintUnusedNolint(file, &findings);
+    if (!file.callers_only) LintUnusedNolint(file, &findings);
   }
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -740,6 +1058,183 @@ void Linter::LintSingleImpl(const FileEntry& file,
   }
 }
 
+void Linter::LintTestOnly(std::vector<Finding>* out) {
+  const auto in_src_header = [](const FileEntry& file) {
+    const std::string& path = file.path;
+    return !file.callers_only &&
+           (path.rfind("src/", 0) == 0 || PathContains(path, "/src/")) &&
+           path.size() > 2 && path.compare(path.size() - 2, 2, ".h") == 0;
+  };
+  const auto is_target = [](const Function& fn) {
+    return !fn.qualified && !fn.defaulted;
+  };
+  std::set<std::string> names;
+  std::set<std::string> classes;
+  for (const FileEntry& file : files_) {
+    if (!in_src_header(file)) continue;
+    for (const Function& fn : file.functions) {
+      if (is_target(fn)) (fn.constructor ? classes : names).insert(fn.name);
+    }
+  }
+
+  struct Refs {
+    bool shipped = false;
+    bool test = false;
+  };
+  std::map<std::string, Refs> calls;     // `name(`, `.name`, `::name`...
+  std::map<std::string, Refs> mentions;  // A class name not before `::`.
+  for (const FileEntry& file : files_) {
+    const bool test = IsTestFile(file.path);
+    std::map<int, std::set<std::string>> own;
+    for (const Function& fn : file.functions) own[fn.line].insert(fn.name);
+    for (const auto& [name, line] : file.classes) own[line].insert(name);
+    for (size_t i = 0; i < file.masked.size(); ++i) {
+      const std::string& line = file.masked[i];
+      const auto own_line = own.find(static_cast<int>(i));
+      for (size_t b = 0; b < line.size();) {
+        if (!IsWordChar(line[b]) || (b > 0 && IsWordChar(line[b - 1]))) {
+          ++b;
+          continue;
+        }
+        size_t e = b;
+        while (e < line.size() && IsWordChar(line[e])) ++e;
+        const std::string word = line.substr(b, e - b);
+        const bool name = names.count(word) != 0;
+        const bool cls = classes.count(word) != 0;
+        if ((name || cls) &&
+            (own_line == own.end() || own_line->second.count(word) == 0)) {
+          const char next = e < line.size() ? line[e] : '\0';
+          const bool call =
+              next == '(' || next == '<' || next == '{' ||
+              (b >= 1 && (line[b - 1] == '.' || line[b - 1] == '&')) ||
+              (b >= 2 && (line.compare(b - 2, 2, "->") == 0 ||
+                          line.compare(b - 2, 2, "::") == 0));
+          if (name && call) {
+            (test ? calls[word].test : calls[word].shipped) = true;
+          }
+          if (cls && line.compare(e, 2, "::") != 0) {
+            (test ? mentions[word].test : mentions[word].shipped) = true;
+          }
+        }
+        b = e;
+      }
+    }
+  }
+
+  static const std::regex classed_re(
+      R"(NOLINT\([^)]*slacker-test-only[^)]*\)\s*:\s*(seam|reference)\b)");
+  for (const FileEntry& file : files_) {
+    if (!in_src_header(file)) continue;
+    for (const Function& fn : file.functions) {
+      if (!is_target(fn)) continue;
+      const Refs refs = (fn.constructor ? mentions : calls)[fn.name];
+      if (refs.shipped || (refs.test && fn.const_member)) continue;
+      const std::string what =
+          fn.constructor ? "constructor of '" + fn.name + "'"
+                         : "'" + fn.name + "'";
+      const std::string& raw = file.raw[fn.line];
+      if (IsSuppressed(raw, "slacker-test-only") &&
+          !std::regex_search(raw, classed_re)) {
+        suppressions_used_.insert({file.path, fn.line + 1});
+        Finding f;
+        f.path = file.path;
+        f.line = fn.line + 1;
+        f.rule = "slacker-test-only";
+        f.message = "a NOLINT(slacker-test-only) marker must name its "
+                    "class: `: seam` (a fault-injection hook) or "
+                    "`: reference` (a reference implementation)";
+        out->push_back(std::move(f));
+        continue;
+      }
+      Emit(file, fn.line, "slacker-test-only",
+           refs.test ? what + " is reached only from tests; delete it and "
+                              "test the shipped path, or give it a "
+                              "shipped caller"
+                     : what + " has no caller in the scanned tree; "
+                              "delete it",
+           out);
+    }
+  }
+}
+
+void Linter::LintAlwaysOk(const FileEntry& file, std::vector<Finding>* out) {
+  static const std::regex ok_re(
+      R"(^(?:(?:slacker::)?Status(?:::Ok\(\)|\(\)|\{\})|\{\})$)");
+  static const std::regex move_re(R"(^std::move\((\w+)\)$)");
+  for (const Function& fn : file.functions) {
+    if (!IsStatusType(fn.return_type)) continue;
+    const std::string& body = fn.body;
+    if (body.find("SLACKER_RETURN_IF_ERROR") != std::string::npos ||
+        body.find("SLACKER_ASSIGN_OR_RETURN") != std::string::npos) {
+      continue;
+    }
+    const bool result = fn.return_type.find("Result") != std::string::npos;
+    // A Result's return is Ok unless it names a Status, calls a
+    // Status/Result function, or returns a local that may hold one.
+    const auto ok = [&](std::string expr) {
+      expr.erase(std::remove_if(expr.begin(), expr.end(),
+                                [](char c) {
+                                  return std::isspace(
+                                             static_cast<unsigned char>(c)) !=
+                                         0;
+                                }),
+                 expr.end());
+      if (std::regex_match(expr, ok_re)) return true;
+      if (!result || expr.find("Status") != std::string::npos ||
+          expr.find("status") != std::string::npos) {
+        return false;
+      }
+      for (size_t b = 0; b < expr.size();) {
+        size_t e = b;
+        while (e < expr.size() && IsWordChar(expr[e])) ++e;
+        if (e > b && e < expr.size() && expr[e] == '(' &&
+            std::binary_search(status_names_.begin(), status_names_.end(),
+                               expr.substr(b, e - b))) {
+          return false;
+        }
+        b = e + 1;
+      }
+      std::smatch m;
+      std::string local = expr;
+      if (std::regex_match(expr, m, move_re)) local = m[1].str();
+      if (std::all_of(local.begin(), local.end(), IsWordChar)) {
+        const std::regex holds_status(
+            R"(\b(?:Status|Result\s*<[^;]*>|auto)\s*[&]?\s+)" + local +
+            R"(\b)");
+        if (std::regex_search(body, holds_status)) return false;
+      }
+      return true;
+    };
+    bool any = false;
+    bool all_ok = true;
+    for (size_t pos = 0;
+         all_ok && (pos = body.find("return", pos)) != std::string::npos;
+         pos += 6) {
+      if ((pos > 0 && IsWordChar(body[pos - 1])) ||
+          (pos + 6 < body.size() && IsWordChar(body[pos + 6]))) {
+        continue;
+      }
+      int depth = 0;
+      size_t end = pos + 6;
+      for (; end < body.size(); ++end) {
+        const char c = body[end];
+        if (c == '(' || c == '{' || c == '[') ++depth;
+        if (c == ')' || c == '}' || c == ']') --depth;
+        if (c == ';' && depth <= 0) break;
+      }
+      any = true;
+      all_ok = ok(body.substr(pos + 6, end - pos - 6));
+    }
+    if (any && all_ok) {
+      Emit(file, fn.line, "slacker-always-ok",
+           "'" + fn.name +
+               "' returns a Status/Result but every return is Ok and "
+               "nothing in it can fail; return the value (or void)",
+           out);
+    }
+  }
+}
+
 void Linter::LintFlow(const FileEntry& file, std::vector<Finding>* out) {
   struct Local {
     std::string name;
@@ -963,7 +1458,8 @@ void Linter::LintUnusedNolint(const FileEntry& file,
   }
 }
 
-int AddPath(Linter* linter, const std::string& path, LayerAnalyzer* also) {
+int AddPath(Linter* linter, const std::string& path, LayerAnalyzer* also,
+            bool callers_only) {
   namespace fs = std::filesystem;
   std::error_code ec;
   const fs::file_status st = fs::status(path, ec);
@@ -976,7 +1472,7 @@ int AddPath(Linter* linter, const std::string& path, LayerAnalyzer* also) {
     if (!in) return 0;
     std::ostringstream buf;
     buf << in.rdbuf();
-    linter->AddFile(p.generic_string(), buf.str());
+    linter->AddFile(p.generic_string(), buf.str(), callers_only);
     if (also != nullptr) also->AddFile(p.generic_string(), buf.str());
     return 1;
   };

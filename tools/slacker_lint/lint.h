@@ -78,6 +78,43 @@ struct Finding {
 ///                           stand-in for that class: its defaults and
 ///                           null branches serve fakes that do not
 ///                           exist. Call the class directly.
+///   slacker-test-only       a function declared in a src/ header (free,
+///                           static or member; a constructor goes by
+///                           its class name) that no scanned file
+///                           references ("no caller"), or that only
+///                           test files reference and that is not a
+///                           `const` member ("test-only"; a const
+///                           member only tests reach is an observer
+///                           and is not flagged). A name counts as
+///                           referenced on a line that contains
+///                           `name(`, `.name`, `->name`, `::name`,
+///                           `&name`, `name<` or `name{`, other than
+///                           the lines that declare or define a
+///                           function of that name. A constructor
+///                           counts as referenced wherever its class
+///                           name appears other than as a `Name::`
+///                           qualifier or on its class's own
+///                           declaration lines, since
+///                           `Foo x(...)` and `make_unique<Foo>(...)`
+///                           name no `Foo(`. Matching is by name only,
+///                           so the rule errs towards keeping code: a
+///                           name that any shipped file uses counts as
+///                           called. Delete the function, or mark a
+///                           fault-injection hook or a reference
+///                           implementation a test holds the shipped
+///                           path against with
+///                           `// NOLINT(slacker-test-only): seam — why`
+///                           or `...: reference — why`; a marker that
+///                           names neither class is itself a finding.
+///   slacker-always-ok       a function returning Status or Result<T>
+///                           whose every return is Ok (`Status::Ok()`,
+///                           `Status()`, `{}`, or for a Result a value
+///                           that is neither a Status nor a call that
+///                           returns one) and whose body holds no
+///                           SLACKER_RETURN_IF_ERROR or
+///                           SLACKER_ASSIGN_OR_RETURN: it cannot fail,
+///                           so its callers carry dead error handling.
+///                           Return the value (or void) instead.
 ///   slacker-unused-nolint   a NOLINT marker that no longer suppresses
 ///                           any finding — stale markers hide future
 ///                           regressions and must be deleted.
@@ -88,6 +125,10 @@ struct Finding {
 ///
 /// Suppression: a line containing `// NOLINT` suppresses every rule on
 /// that line; `// NOLINT(rule-a, rule-b)` suppresses only those rules.
+///
+/// Callers-only files (AddFile's `callers_only`, the CLI's
+/// `--callers <dir>`) are read for references, assignments and
+/// implementations like any shipped file, but no rule reports on them.
 
 /// Replaces the bodies of string literals, char literals and comments
 /// with spaces (newlines preserved) so rule regexes never match inside
@@ -108,8 +149,9 @@ class Linter {
  public:
   /// Registers a file's content for linting. `path` is used verbatim in
   /// findings and for path-scoped rules (src/common/random exemption,
-  /// src/obs/ scoping).
-  void AddFile(const std::string& path, const std::string& content);
+  /// src/obs/ scoping). A `callers_only` file is never reported on.
+  void AddFile(const std::string& path, const std::string& content,
+               bool callers_only = false);
 
   /// Records a suppression exercised by another pass at (path, line)
   /// — the layering analyzer shares the NOLINT escape hatch — so
@@ -121,11 +163,31 @@ class Linter {
   std::vector<Finding> Run();
 
  private:
+  /// A function declared or defined at namespace or class scope.
+  struct Function {
+    std::string name;
+    int line = 0;               // 0-based line of the name.
+    bool qualified = false;     // `X::name(`: an out-of-class definition.
+    bool constructor = false;
+    bool const_member = false;
+    bool defaulted = false;     // `= default` or `= delete`.
+    std::string return_type;    // Specifiers and qualifiers stripped.
+    std::string body;           // Masked body text; empty without one.
+  };
+
   struct FileEntry {
     std::string path;
+    bool callers_only = false;
     std::vector<std::string> raw;     // Original lines (NOLINT detection).
     std::vector<std::string> masked;  // Comments/strings blanked out.
+    std::vector<Function> functions;
+    // (class name, 0-based line) for every class head and forward
+    // declaration: a constructor's own declaration lines.
+    std::vector<std::pair<std::string, int>> classes;
   };
+
+  /// Fills `functions` and `classes` from the masked lines.
+  static void ScanFunctions(FileEntry* file);
 
   void CollectDeclarations(const FileEntry& file);
   void LintFile(const FileEntry& file, std::vector<Finding>* out);
@@ -135,6 +197,11 @@ class Linter {
   /// slacker-single-impl over one src/ file, against
   /// `implementations_`.
   void LintSingleImpl(const FileEntry& file, std::vector<Finding>* out);
+  /// slacker-test-only over every added file's src/ header functions,
+  /// against the references of every added file.
+  void LintTestOnly(std::vector<Finding>* out);
+  /// slacker-always-ok over one file's Status/Result function bodies.
+  void LintAlwaysOk(const FileEntry& file, std::vector<Finding>* out);
   /// Intra-function passes: dropped Status/Result locals and
   /// default-swallowed enum switches (scope-tracking scan).
   void LintFlow(const FileEntry& file, std::vector<Finding>* out);
@@ -169,12 +236,13 @@ class Linter {
 };
 
 /// Reads `path` (recursively, for directories) and adds every *.h,
-/// *.cc, *.cpp file to `linter` and, when non-null, to `also` (the
-/// layering analyzer — any type with a compatible AddFile). Returns
-/// the number of files added; -1 if `path` does not exist.
+/// *.cc, *.cpp file to `linter` (as callers only when `callers_only`)
+/// and, when non-null, to `also` (the layering analyzer — any type with
+/// a compatible AddFile). Returns the number of files added; -1 if
+/// `path` does not exist.
 class LayerAnalyzer;
 int AddPath(Linter* linter, const std::string& path,
-            LayerAnalyzer* also = nullptr);
+            LayerAnalyzer* also = nullptr, bool callers_only = false);
 
 /// Findings as a deterministic machine-readable JSON array.
 std::string FindingsToJson(const std::vector<Finding>& findings);

@@ -26,6 +26,20 @@ std::vector<Finding> LintSnippet(const std::string& fixture,
   return linter.Run();
 }
 
+/// A shipped caller of every function the interface fixtures declare,
+/// so slacker-test-only has nothing to say about them.
+void AddInterfaceCaller(Linter* linter) {
+  linter->AddFile("src/demo/use.cc",
+                  "void Use(Thing* t) {\n"
+                  "  t->Step(0);\n"
+                  "  t->Reset();\n"
+                  "  t->Read(0);\n"
+                  "  t->Now();\n"
+                  "  t->Next();\n"
+                  "  t->Value();\n"
+                  "}\n");
+}
+
 TEST(SlackerLintTest, ViolationsFixtureProducesExactFindings) {
   const std::vector<Finding> findings =
       LintSnippet("violations.snippet", "src/obs/violations.cc");
@@ -157,6 +171,8 @@ TEST(SlackerLintTest, UnsetOptionFieldsAreFlagged) {
                  "      set_by_example =\n"
                  "      7;\n"
                  "  if (o.never_set == true) return;\n"
+                 "  Reset(&o);\n"
+                 "  (void)o.Validate();\n"
                  "}\n");
   // Option structs outside src/ are not knobs of the library.
   linter.AddFile("bench/knobs.h", "struct BenchConfig {\n  int x = 1;\n};\n");
@@ -178,8 +194,10 @@ TEST(SlackerLintTest, UnsetOptionFieldsAreFlagged) {
 }
 
 TEST(SlackerLintTest, SingleImplementationInterfacesAreFlagged) {
-  const std::vector<Finding> findings =
-      LintSnippet("single_impl.snippet", "src/demo/single_impl.h");
+  Linter linter;
+  linter.AddFile("src/demo/single_impl.h", ReadFixture("single_impl.snippet"));
+  AddInterfaceCaller(&linter);
+  const std::vector<Finding> findings = linter.Run();
   ASSERT_EQ(findings.size(), 2u) << FindingsToText(findings);
   EXPECT_EQ(findings[0].rule, "slacker-single-impl");
   EXPECT_EQ(findings[0].line, 6);
@@ -198,6 +216,7 @@ TEST(SlackerLintTest, SingleImplementationInterfacesAreFlagged) {
 TEST(SlackerLintTest, InterfacesWithTwoImplementationsAreQuiet) {
   Linter linter;
   linter.AddFile("src/demo/clean.h", ReadFixture("single_impl_clean.snippet"));
+  AddInterfaceCaller(&linter);
   // A test fake counts as an implementation, qualified or not, with or
   // without an access specifier, its base list across lines.
   linter.AddFile("tests/demo_test.cc",
@@ -214,10 +233,93 @@ TEST(SlackerLintTest, InterfacesWithTwoImplementationsAreQuiet) {
   // Without the test file each interface has one implementation.
   Linter alone;
   alone.AddFile("src/demo/clean.h", ReadFixture("single_impl_clean.snippet"));
+  AddInterfaceCaller(&alone);
   const std::vector<Finding> flagged = alone.Run();
   ASSERT_EQ(flagged.size(), 2u) << FindingsToText(flagged);
   EXPECT_EQ(flagged[0].line, 6);
   EXPECT_EQ(flagged[1].line, 12);
+}
+
+/// The test_only.snippet header plus its definitions, a shipped
+/// example, a test and, when `with_benchmark`, a callers-only file.
+Linter TestOnlyLinter(bool with_benchmark) {
+  Linter linter;
+  linter.AddFile("src/demo/api.h", ReadFixture("test_only.snippet"));
+  // Definition lines are no references.
+  linter.AddFile("src/demo/api.cc",
+                 "Api::Api(int seed) {}\n"
+                 "int Api::Shipped() const { return 1; }\n"
+                 "void Api::Unused() {}\n"
+                 "void Api::TestOnly() {}\n"
+                 "int FreeTestOnly(int x) { return x; }\n");
+  // Shipped code constructs an Api without writing `Api(`.
+  linter.AddFile("examples/demo.cpp",
+                 "int Main() {\n"
+                 "  demo::Api api(7);\n"
+                 "  using demo::FreeHook;\n"
+                 "  Register(&FreeHook);\n"
+                 "  return api.Shipped();\n"
+                 "}\n");
+  linter.AddFile("tests/api_test.cc",
+                 "void F(demo::Api* api) {\n"
+                 "  api->TestOnly();\n"
+                 "  (void)api->Observed();\n"
+                 "  api->Hook();\n"
+                 "  api->Reference();\n"
+                 "  api->Unclassed();\n"
+                 "  (void)demo::FreeTestOnly(1);\n"
+                 "  demo::OnlyTests only;\n"
+                 "}\n");
+  if (with_benchmark) {
+    // Read for its calls, never reported: not even its wall-clock read.
+    linter.AddFile("perfbench/run.cc",
+                   "double T() {\n"
+                   "  (void)demo::FreeCalledByBenchmark(2);\n"
+                   "  return std::chrono::steady_clock::now().count();\n"
+                   "}\n",
+                   /*callers_only=*/true);
+  }
+  return linter;
+}
+
+TEST(SlackerLintTest, TestOnlyFunctionsAreFlagged) {
+  Linter linter = TestOnlyLinter(/*with_benchmark=*/true);
+  const std::vector<Finding> findings = linter.Run();
+  const std::vector<std::pair<int, std::string>> expected = {
+      {10, "'Unused' has no caller"},
+      {11, "'TestOnly' is reached only from tests"},
+      {17, "must name its class"},
+      {21, "'FreeTestOnly' is reached only from tests"},
+      {26, "constructor of 'OnlyTests' is reached only from tests"},
+  };
+  ASSERT_EQ(findings.size(), expected.size()) << FindingsToText(findings);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(findings[i].path, "src/demo/api.h") << i;
+    EXPECT_EQ(findings[i].line, expected[i].first) << i;
+    EXPECT_EQ(findings[i].rule, "slacker-test-only") << i;
+    EXPECT_NE(findings[i].message.find(expected[i].second), std::string::npos)
+        << findings[i].message;
+  }
+
+  // Without the callers-only root, the benchmark's function has none.
+  Linter alone = TestOnlyLinter(/*with_benchmark=*/false);
+  const std::vector<Finding> more = alone.Run();
+  ASSERT_EQ(more.size(), expected.size() + 1) << FindingsToText(more);
+  EXPECT_EQ(more[4].line, 22);
+  EXPECT_NE(more[4].message.find("'FreeCalledByBenchmark' has no caller"),
+            std::string::npos);
+}
+
+TEST(SlackerLintTest, AlwaysOkStatusFunctionsAreFlagged) {
+  const std::vector<Finding> findings =
+      LintSnippet("always_ok.snippet", "src/wal/recovery.cc");
+  ASSERT_EQ(findings.size(), 2u) << FindingsToText(findings);
+  EXPECT_EQ(findings[0].rule, "slacker-always-ok");
+  EXPECT_EQ(findings[0].line, 6);
+  EXPECT_NE(findings[0].message.find("'Replay'"), std::string::npos);
+  EXPECT_EQ(findings[1].rule, "slacker-always-ok");
+  EXPECT_EQ(findings[1].line, 28);
+  EXPECT_NE(findings[1].message.find("'CountRows'"), std::string::npos);
 }
 
 TEST(SlackerLintTest, AmbiguousNamesAreNotFlagged) {

@@ -2,10 +2,12 @@
 //
 // Usage:
 //   slacker_lint [--layers layers.json] [--report findings.json]
-//                [--dot modules.dot] <file-or-dir>...
+//                [--dot modules.dot] [--callers dir]... <file-or-dir>...
 //
 // Scans *.h / *.cc / *.cpp under the given paths for the determinism
-// rules documented in lint.h. With --layers, additionally checks every
+// rules documented in lint.h. Files under a --callers root are read for
+// references (a shipped caller outside the scanned tree) but never
+// reported on, nor checked for layering. With --layers, additionally checks every
 // `#include "..."` edge against the module-layering contract (rules in
 // layering.h) and, with --dot, writes the observed module graph as
 // Graphviz. Exits 0 when the tree is clean, 1 when any finding
@@ -27,7 +29,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: slacker_lint [--layers layers.json] "
                "[--report findings.json] [--dot modules.dot] "
-               "<file-or-dir>...\n");
+               "[--callers dir]... <file-or-dir>...\n");
   return 2;
 }
 
@@ -38,12 +40,18 @@ int main(int argc, char** argv) {
   std::string layers_path;
   std::string dot_path;
   std::vector<std::string> paths;
+  std::vector<std::string> callers;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--report" || arg == "--layers" || arg == "--dot") {
+    if (arg == "--report" || arg == "--layers" || arg == "--dot" ||
+        arg == "--callers") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "slacker_lint: %s needs a path\n", arg.c_str());
         return 2;
+      }
+      if (arg == "--callers") {
+        callers.push_back(argv[++i]);
+        continue;
       }
       (arg == "--report" ? report_path
                          : arg == "--layers" ? layers_path : dot_path) =
@@ -90,6 +98,13 @@ int main(int argc, char** argv) {
       return 2;
     }
     scanned += added;
+  }
+  for (const std::string& path : callers) {
+    if (slacker::lint::AddPath(&linter, path, nullptr,
+                               /*callers_only=*/true) < 0) {
+      std::fprintf(stderr, "slacker_lint: no such path: %s\n", path.c_str());
+      return 2;
+    }
   }
 
   std::vector<slacker::lint::Finding> findings;
