@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot components under the
 // experiments: B+-tree ops (cold lookups and snapshot-chunk apply
 // among them), row digests and tenant loads, buffer pool
-// touches, PID updates, wire codec, binlog append/scan, event queue
-// churn, token bucket grants, and the bulk stream's three codec
-// kernels. These bound the simulator's own overhead and document the
+// touches, PID updates, wire codec and its CRCs, binlog append/scan,
+// event queue churn, token bucket grants, and the bulk stream's three
+// codec kernels. These bound the simulator's own overhead and document the
 // costs of the core data structures.
 
 #include <benchmark/benchmark.h>
@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/codec/frame.h"
 #include "src/codec/lz.h"
 #include "src/codec/payload.h"
+#include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/control/pid.h"
 #include "src/engine/tenant_db.h"
@@ -153,6 +155,33 @@ void BM_MessageRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MessageRoundTrip)->Arg(256);
+
+// CRC-32C over a 64 B message-sized buffer and a 6 KiB one, a 256-row
+// chunk's packed rows (Crc32c's own dispatch: the crc32 instruction
+// where the CPU has it).
+void BM_Crc32c(benchmark::State& state) {
+  Rng rng(3);
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
+  for (uint8_t& byte : data) byte = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(6144);
+
+// The snapshot stream's per-chunk integrity CRC over 256 rows.
+void BM_ChunkCrc(benchmark::State& state) {
+  std::vector<storage::Record> rows;
+  for (uint64_t i = 0; i < 256; ++i) {
+    rows.push_back(storage::Record{i, i, i * 31});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec::ChunkCrc(rows));
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_ChunkCrc);
 
 void BM_BinlogAppendScan(benchmark::State& state) {
   for (auto _ : state) {

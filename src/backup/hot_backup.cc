@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/codec/frame.h"
-
 namespace slacker::backup {
 
 HotBackupStream::HotBackupStream(engine::TenantDb* source,
@@ -52,22 +50,6 @@ HotBackupStream::Chunk HotBackupStream::NextChunk() {
       source_->config().layout.record_bytes;
   bytes_produced_ += chunk.logical_bytes;
   return chunk;
-}
-
-uint32_t ChunkCrc(const std::vector<storage::Record>& rows) {
-  // The canonical packing lives with the rest of the wire-byte logic
-  // in src/codec (explicit little-endian, byte-identical to the struct
-  // copy that used to live here).
-  return codec::ChunkCrc(rows);
-}
-
-codec::EncodedChunk EncodeChunk(const HotBackupStream::Chunk& chunk,
-                                codec::Codec requested,
-                                const codec::CodecConfig& config,
-                                uint64_t record_bytes,
-                                const std::vector<storage::Record>* base_rows) {
-  return codec::EncodeSnapshotChunk(chunk.rows, chunk.logical_bytes, requested,
-                                    config, record_bytes, base_rows);
 }
 
 }  // namespace slacker::backup

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/codec/chunk_codec.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
 #include "src/storage/record.h"
@@ -75,21 +74,6 @@ class HotBackupStream {
   /// so a NACKed chunk can be re-read from the same key.
   std::vector<uint64_t> chunk_start_keys_;
 };
-
-/// CRC-32C over a chunk's packed (key, lsn, digest) triples — the
-/// end-to-end integrity check the target uses to NACK corrupt chunks.
-/// Forwards to codec::ChunkCrc (byte-level packing lives in src/codec).
-uint32_t ChunkCrc(const std::vector<storage::Record>& rows);
-
-/// Encodes a snapshot chunk into a codec frame: the backup stream is
-/// the frame *producer*; byte-level policy (LZ, delta, fallbacks)
-/// stays in src/codec. `base_rows` is the previously transmitted
-/// version of this chunk when a delta retransmission is wanted.
-codec::EncodedChunk EncodeChunk(const HotBackupStream::Chunk& chunk,
-                                codec::Codec requested,
-                                const codec::CodecConfig& config,
-                                uint64_t record_bytes,
-                                const std::vector<storage::Record>* base_rows);
 
 struct PrepareOptions {
   /// Fixed cost of readying the copied tablespace (file fixups, buffer

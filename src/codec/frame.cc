@@ -1,5 +1,9 @@
 #include "src/codec/frame.h"
 
+#include <bit>
+#include <cstddef>
+#include <type_traits>
+
 #include "src/common/checksum.h"
 
 namespace slacker::codec {
@@ -70,12 +74,22 @@ Status FrameHeader::DecodeFrom(ByteReader* reader) {
   return Status::Ok();
 }
 
+// A row's three fields are its only bytes, in packing order, so on a
+// little-endian host the rows' memory is exactly their packed bytes.
+static_assert(sizeof(storage::Record) == 24 &&
+              offsetof(storage::Record, key) == 0 &&
+              offsetof(storage::Record, lsn) == 8 &&
+              offsetof(storage::Record, digest) == 16 &&
+              std::has_unique_object_representations_v<storage::Record>);
+
 uint32_t ChunkCrc(const std::vector<storage::Record>& rows) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return Crc32c(reinterpret_cast<const uint8_t*>(rows.data()),
+                  rows.size() * sizeof(storage::Record));
+  }
   uint32_t crc = 0;
   uint8_t buf[24];
   for (const storage::Record& row : rows) {
-    // Explicit little-endian packing: byte-identical to the x86 struct
-    // copy this replaced, and stable on any host.
     for (int i = 0; i < 8; ++i) {
       buf[i] = static_cast<uint8_t>(row.key >> (8 * i));
       buf[8 + i] = static_cast<uint8_t>(row.lsn >> (8 * i));

@@ -61,7 +61,9 @@ struct FrameHeader {
 
 /// CRC-32C over a chunk's packed (key, lsn, digest) triples — the
 /// end-to-end integrity check the target uses to NACK corrupt chunks.
-/// Packing is explicit little-endian so the digest is platform-stable.
+/// Packing is little-endian so the CRC is platform-stable: one Crc32c
+/// call over the rows' memory on a little-endian host, an explicit
+/// packing loop on a big-endian one.
 uint32_t ChunkCrc(const std::vector<storage::Record>& rows);
 
 }  // namespace slacker::codec

@@ -8,16 +8,10 @@ void ByteWriter::PutFixed32(uint32_t v) {
   for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
 }
 
-void ByteWriter::PutFixed64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
+void ByteWriter::PutFixed64(uint64_t v) { EncodeFixed64(Extend(8), v); }
 
 void ByteWriter::PutVarint64(uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<uint8_t>(v));
+  EncodeVarint64(Extend(VarintLength(v)), v);
 }
 
 void ByteWriter::PutDouble(double v) {
@@ -50,25 +44,19 @@ Status ByteReader::GetFixed32(uint32_t* out) {
 }
 
 Status ByteReader::GetFixed64(uint64_t* out) {
-  if (remaining() < 8) return Status::Corruption("truncated fixed64");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-  *out = v;
+  if (DecodeFixed64(data_ + pos_, data_ + len_, out) == nullptr) {
+    return Status::Corruption("truncated fixed64");
+  }
+  pos_ += 8;
   return Status::Ok();
 }
 
 Status ByteReader::GetVarint64(uint64_t* out) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (remaining() < 1) return Status::Corruption("truncated varint");
-    if (shift >= 64) return Status::Corruption("varint too long");
-    const uint8_t byte = data_[pos_++];
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
+  const uint8_t* next = DecodeVarint64(data_ + pos_, data_ + len_, out);
+  if (next == nullptr) {
+    return Status::Corruption("truncated or overlong varint");
   }
-  *out = v;
+  pos_ = static_cast<size_t>(next - data_);
   return Status::Ok();
 }
 

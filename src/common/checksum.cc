@@ -1,6 +1,7 @@
 #include "src/common/checksum.h"
 
 #include <array>
+#include <cstring>
 
 namespace slacker {
 namespace {
@@ -36,9 +37,44 @@ uint32_t LoadLe32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
+#if defined(__x86_64__)
+/// Whether the CPU has the crc32 instruction. A Crc32c call from
+/// another file's static initializer may run before this is set; it
+/// sees false and takes the portable path, which returns the same CRC.
+const bool kHardwareCrc = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2") != 0;
+}();
+#endif
+
 }  // namespace
 
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) uint32_t Crc32cHardware(const uint8_t* data,
+                                                          size_t len,
+                                                          uint32_t seed) {
+  uint64_t crc = ~seed;
+  for (; len >= 8; data += 8, len -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    crc = __builtin_ia32_crc32di(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; len > 0; ++data, --len) {
+    crc32 = __builtin_ia32_crc32qi(crc32, *data);
+  }
+  return ~crc32;
+}
+#endif
+
 uint32_t Crc32c(const uint8_t* data, size_t len, uint32_t seed) {
+#if defined(__x86_64__)
+  if (kHardwareCrc) return Crc32cHardware(data, len, seed);
+#endif
+  return Crc32cPortable(data, len, seed);
+}
+
+uint32_t Crc32cPortable(const uint8_t* data, size_t len, uint32_t seed) {
   const Crc32cTables& t = kCrc32cTables;
   uint32_t crc = ~seed;
   for (; len >= 8; data += 8, len -= 8) {

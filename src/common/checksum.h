@@ -9,11 +9,23 @@
 
 namespace slacker {
 
-/// CRC-32C (Castagnoli), software slice-by-8 implementation. Used to verify
-/// that migration produces byte-identical tenant replicas and that wire
-/// messages survive framing.
+/// CRC-32C (Castagnoli). Used to verify that migration produces
+/// byte-identical tenant replicas and that wire messages survive
+/// framing. Runs Crc32cHardware when the CPU reports SSE4.2 (checked
+/// once, at startup) and Crc32cPortable otherwise; both return the
+/// same value for every input.
 uint32_t Crc32c(const uint8_t* data, size_t len, uint32_t seed = 0);
 uint32_t Crc32c(const std::vector<uint8_t>& data, uint32_t seed = 0);
+
+/// Software slice-by-8 CRC-32C: the path of hosts without the crc32
+/// instruction, and the reference the hardware path is tested against.
+uint32_t Crc32cPortable(const uint8_t* data, size_t len, uint32_t seed = 0);
+
+#if defined(__x86_64__)
+/// CRC-32C through the SSE4.2 crc32 instruction, eight bytes at a
+/// time. Only callable on a CPU with SSE4.2 (Crc32c checks).
+uint32_t Crc32cHardware(const uint8_t* data, size_t len, uint32_t seed = 0);
+#endif
 
 /// 64-bit FNV-1a, handy for combining per-record digests into one
 /// order-sensitive tenant digest.

@@ -9,9 +9,10 @@
 
 namespace slacker {
 
-/// A FIFO deque over one contiguous power-of-two array. Drop-in for the
+/// A deque over one contiguous power-of-two array. Drop-in for the
 /// std::deque push_back/pop_front pattern the sliding-window monitors
-/// use, but with flat storage: std::deque allocates and frees a block
+/// use (push_front puts an element back at the head), but with flat
+/// storage: std::deque allocates and frees a block
 /// roughly every 512 bytes of churn, which on the controller hot path
 /// (one eviction scan per completion per server) dominates the actual
 /// arithmetic. Here steady-state churn touches one array with head/tail
@@ -66,6 +67,13 @@ class RingDeque {
   void push_back(T value) {
     if (size_ == buf_.size()) Grow();
     buf_[(head_ + size_) & mask_] = std::move(value);
+    ++size_;
+  }
+
+  void push_front(T value) {
+    if (size_ == buf_.size()) Grow();
+    head_ = (head_ + mask_) & mask_;
+    buf_[head_] = std::move(value);
     ++size_;
   }
 

@@ -56,7 +56,7 @@ void Channel::Send(const Message& message, uint64_t* sent_bytes) {
       if (drop_handler_) drop_handler_(info);
       return;
     }
-    if (handler_) handler_(received);
+    if (handler_) handler_(std::move(received));
   });
 }
 

@@ -17,7 +17,8 @@ namespace slacker::net {
 /// bug, surfaced through the error handler.
 class Channel {
  public:
-  using Handler = std::function<void(const Message&)>;
+  /// Receives each decoded message; the handler may move out of it.
+  using Handler = std::function<void(Message&&)>;
   using ErrorHandler = std::function<void(const Status&)>;
 
   /// `link` carries this direction of the channel and must outlive it.

@@ -17,9 +17,26 @@ uint64_t WireValueSeed(MessageType type) {
   return type == MessageType::kMigrateRequest ? storage::kValueSeed : 0;
 }
 
+/// Bytes of the rows' encoding: per row a varint key, a varint LSN and
+/// a fixed64 digest.
+size_t EncodedRowsSize(const std::vector<storage::Record>& rows) {
+  size_t size = 0;
+  for (const storage::Record& r : rows) {
+    size += VarintLength(r.key) + VarintLength(r.lsn) + 8;
+  }
+  return size;
+}
+
+// The fewest bytes each repeated entry encodes to, so that a count
+// the bytes left cannot hold is Corruption before anything is sized
+// by it. A row: two one-byte varints and the digest. A log record: its
+// type byte and three one-byte varints. A removed key: one varint.
+constexpr size_t kMinRowBytes = 10;
+constexpr size_t kMinLogRecordBytes = 4;
+
 /// Bytes of EncodeMessage's payload, counted without encoding, so the
-/// frame is reserved once.
-size_t EncodedPayloadSize(const Message& message) {
+/// frame is reserved once. `rows_bytes` is EncodedRowsSize(rows).
+size_t EncodedPayloadSize(const Message& message, size_t rows_bytes) {
   const TenantWireConfig& config = message.config;
   size_t size = 1 + VarintLength(message.tenant_id) +
                 VarintLength(message.target_server) +
@@ -32,10 +49,7 @@ size_t EncodedPayloadSize(const Message& message) {
                 VarintLength(config.record_count) +
                 VarintLength(config.buffer_pool_bytes) +
                 VarintLength(WireValueSeed(message.type)) + 8 + 8;
-  size += VarintLength(message.rows.size());
-  for (const storage::Record& r : message.rows) {
-    size += VarintLength(r.key) + VarintLength(r.lsn) + 8;
-  }
+  size += VarintLength(message.rows.size()) + rows_bytes;
   size += VarintLength(message.log_records.size());
   for (const wal::LogRecord& r : message.log_records) {
     size += r.EncodedSize();
@@ -55,12 +69,36 @@ size_t EncodedPayloadSize(const Message& message) {
   return size;
 }
 
+/// Reads a row count and the rows after it. Its own function so that
+/// the inline decoders stay inlined in the loop.
+Status DecodeRows(ByteReader* reader, std::vector<storage::Record>* rows) {
+  uint64_t row_count;
+  SLACKER_RETURN_IF_ERROR(reader->GetVarint64(&row_count));
+  if (row_count > reader->remaining() / kMinRowBytes) {
+    return Status::Corruption("truncated rows");
+  }
+  rows->resize(row_count);
+  const uint8_t* start = reader->data() + reader->position();
+  const uint8_t* limit = start + reader->remaining();
+  const uint8_t* p = start;
+  for (storage::Record& r : *rows) {
+    p = DecodeVarint64(p, limit, &r.key);
+    if (p != nullptr) p = DecodeVarint64(p, limit, &r.lsn);
+    if (p != nullptr) p = DecodeFixed64(p, limit, &r.digest);
+    if (p == nullptr) return Status::Corruption("truncated row");
+  }
+  reader->Skip(static_cast<size_t>(p - start));
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeMessage(const Message& message) {
   // One buffer: the payload is written after room for the frame
   // header, which SealFrame fills in place.
-  const size_t frame_bytes = kFrameHeaderBytes + EncodedPayloadSize(message);
+  const size_t rows_bytes = EncodedRowsSize(message.rows);
+  const size_t frame_bytes =
+      kFrameHeaderBytes + EncodedPayloadSize(message, rows_bytes);
   ByteWriter writer;
   writer.Reserve(frame_bytes);
   const uint8_t header_room[kFrameHeaderBytes] = {};
@@ -84,10 +122,11 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
   writer.PutDouble(message.config.cpu_per_op);
   writer.PutDouble(message.config.commit_latency);
   writer.PutVarint64(message.rows.size());
+  uint8_t* row_bytes = writer.Extend(rows_bytes);
   for (const storage::Record& r : message.rows) {
-    writer.PutVarint64(r.key);
-    writer.PutVarint64(r.lsn);
-    writer.PutFixed64(r.digest);
+    row_bytes = EncodeVarint64(row_bytes, r.key);
+    row_bytes = EncodeVarint64(row_bytes, r.lsn);
+    row_bytes = EncodeFixed64(row_bytes, r.digest);
   }
   writer.PutVarint64(message.log_records.size());
   for (const wal::LogRecord& r : message.log_records) {
@@ -152,19 +191,12 @@ Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
   }
   SLACKER_RETURN_IF_ERROR(reader.GetDouble(&out->config.cpu_per_op));
   SLACKER_RETURN_IF_ERROR(reader.GetDouble(&out->config.commit_latency));
-  uint64_t row_count;
-  SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&row_count));
-  out->rows.clear();
-  out->rows.reserve(row_count);
-  for (uint64_t i = 0; i < row_count; ++i) {
-    storage::Record r;
-    SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&r.key));
-    SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&r.lsn));
-    SLACKER_RETURN_IF_ERROR(reader.GetFixed64(&r.digest));
-    out->rows.push_back(r);
-  }
+  SLACKER_RETURN_IF_ERROR(DecodeRows(&reader, &out->rows));
   uint64_t log_count;
   SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&log_count));
+  if (log_count > reader.remaining() / kMinLogRecordBytes) {
+    return Status::Corruption("truncated log records");
+  }
   out->log_records.clear();
   out->log_records.reserve(log_count);
   for (uint64_t i = 0; i < log_count; ++i) {
@@ -195,6 +227,9 @@ Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
       }
       uint64_t removed_count;
       SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&removed_count));
+      if (removed_count > reader.remaining()) {
+        return Status::Corruption("truncated removed keys");
+      }
       out->removed_keys.reserve(removed_count);
       for (uint64_t i = 0; i < removed_count; ++i) {
         uint64_t key;

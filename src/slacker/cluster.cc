@@ -513,7 +513,7 @@ net::Channel* Cluster::ChannelBetween(uint64_t from, uint64_t to) {
 
   auto link = std::make_unique<resource::NetworkLink>(sim_, options_.link);
   auto channel = std::make_unique<net::Channel>(sim_, link.get());
-  channel->OnMessage([this, from, to](const net::Message& message) {
+  channel->OnMessage([this, from, to](net::Message&& message) {
     Server* receiver = server(to);
     // A crashed receiver or a cut link silently eats the message, just
     // like a real network.
@@ -525,7 +525,7 @@ net::Channel* Cluster::ChannelBetween(uint64_t from, uint64_t to) {
       }
       return;
     }
-    receiver->controller()->HandleMessage(from, message);
+    receiver->controller()->HandleMessage(from, std::move(message));
   });
   channel->OnError([](const Status& status) {
     SLACKER_LOG_ERROR << "channel error: " << status.ToString();

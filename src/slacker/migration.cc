@@ -590,7 +590,7 @@ void MigrationJob::ProducePendingChunk() {
   backup::HotBackupStream::Chunk chunk = snapshot_->NextChunk();
   PendingChunk pending;
   pending.seq = chunk.seq;
-  pending.chunk_crc = backup::ChunkCrc(chunk.rows);
+  pending.chunk_crc = codec::ChunkCrc(chunk.rows);
   if (selector_ == nullptr) {
     pending.enc.frame = RawFrame(chunk.logical_bytes);
     pending.enc.rows = std::move(chunk.rows);
@@ -602,9 +602,9 @@ void MigrationJob::ProducePendingChunk() {
     const codec::Codec choice = selector_->Choose(inputs);
     const std::vector<storage::Record>* base_rows =
         inputs.has_delta_base ? &base_it->second.rows : nullptr;
-    pending.enc = backup::EncodeChunk(chunk, choice, options_.codec,
-                                      source_db_->config().layout.record_bytes,
-                                      base_rows);
+    pending.enc = codec::EncodeSnapshotChunk(
+        chunk.rows, chunk.logical_bytes, choice, options_.codec,
+        source_db_->config().layout.record_bytes, base_rows);
     // Remember this transmission as the delta base for a go-back-N
     // resend: the target stages the same rows when the chunk arrives
     // intact but out of order.
@@ -1161,7 +1161,7 @@ void TargetSession::ArmDecisionProbe() {
   }));
 }
 
-void TargetSession::HandleMessage(const net::Message& message) {
+void TargetSession::HandleMessage(net::Message&& message) {
   if (finished_) {
     // Finished but not yet reaped: the stream is dead; account chunks
     // that still trickle in so the source-side ledger stays balanced.
@@ -1202,7 +1202,7 @@ void TargetSession::HandleMessage(const net::Message& message) {
       // Decode before the seq-order logic: a delta frame reconstructs
       // against its durably staged base; a base miss is handled exactly
       // like corruption (discard + NACK → raw resend converges).
-      std::vector<storage::Record> rows = message.rows;
+      std::vector<storage::Record> rows;
       bool decodable = true;
       if (message.frame.codec == codec::Codec::kDelta) {
         const StagedChunkBase* base =
@@ -1215,6 +1215,8 @@ void TargetSession::HandleMessage(const net::Message& message) {
           rows = codec::ApplyRowDelta(base->rows, message.rows,
                                       message.removed_keys);
         }
+      } else {
+        rows = std::move(message.rows);
       }
       const bool crc_ok =
           decodable && codec::ChunkCrc(rows) == message.chunk_crc &&
@@ -1331,20 +1333,29 @@ void TargetSession::HandleMessage(const net::Message& message) {
     case net::MessageType::kHandoverRequest: {
       wal::Replay(message.log_records, staging_->mutable_table());
       staging_->SyncCursorsAfterIngest(message.lsn);
-      if (store_ != nullptr) {
-        // The staging data directory is complete on disk at this point;
-        // record it as this tenant's recovery image so a crash in the
-        // commit window restores the migrated state, not the stale
-        // pre-load baseline.
-        store_->SaveCheckpoint(engine::TakeCheckpoint(*staging_));
-      }
       // Stay frozen: authority only transfers once the source confirms
       // the digests agree (kHandoverCommit). A range session digests
       // just its unit — the instance may hold other live ranges.
       net::Message ack;
       ack.type = net::MessageType::kHandoverAck;
       ack.tenant_id = tenant_id_;
-      ack.digest = staging_->StateDigest(range_lo_, range_hi_);
+      if (store_ != nullptr) {
+        // The staging data directory is complete on disk at this point;
+        // record it as this tenant's recovery image so a crash in the
+        // commit window restores the migrated state, not the stale
+        // pre-load baseline. Its digest is the ack's when every row is
+        // in range (StateDigest hashes the same triples), so the table
+        // is walked once.
+        engine::CheckpointImage image = engine::TakeCheckpoint(*staging_);
+        const bool all_in_range =
+            image.rows.empty() || (image.rows.front().key >= range_lo_ &&
+                                   image.rows.back().key < range_hi_);
+        ack.digest = all_in_range ? image.digest
+                                  : staging_->StateDigest(range_lo_, range_hi_);
+        store_->SaveCheckpoint(std::move(image));
+      } else {
+        ack.digest = staging_->StateDigest(range_lo_, range_hi_);
+      }
       cluster_->SendMessage(self_server_, source_server_, ack);
       awaiting_decision_ = true;
       ArmDecisionProbe();

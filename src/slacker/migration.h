@@ -302,7 +302,9 @@ class TargetSession {
   /// after construction.
   void ReplyToRequest();
 
-  void HandleMessage(const net::Message& message);
+  /// Takes a snapshot chunk's rows out of `message` instead of copying
+  /// them.
+  void HandleMessage(net::Message&& message);
 
   bool finished() const { return finished_; }
   uint64_t tenant_id() const { return tenant_id_; }

@@ -38,7 +38,7 @@ Status MigrationController::CancelMigration(uint64_t tenant_id,
 }
 
 void MigrationController::HandleMessage(uint64_t from_server,
-                                        const net::Message& message) {
+                                        net::Message&& message) {
   if (message.type == net::MessageType::kMigrateRequest) {
     if (sessions_.count(message.tenant_id) > 0) {
       SLACKER_LOG_WARN << "duplicate migrate request for tenant "
@@ -79,8 +79,9 @@ void MigrationController::HandleMessage(uint64_t from_server,
         }
         return;
       }
-      it->second->HandleMessage(message);
-      if (it->second->finished()) ReapSession(message.tenant_id);
+      const uint64_t tenant_id = message.tenant_id;
+      it->second->HandleMessage(std::move(message));
+      if (it->second->finished()) ReapSession(tenant_id);
       return;
     }
     case net::MessageType::kMigrateAbort: {
@@ -88,8 +89,9 @@ void MigrationController::HandleMessage(uint64_t from_server,
       // session; target→source fails the outgoing job.
       auto session_it = sessions_.find(message.tenant_id);
       if (session_it != sessions_.end()) {
-        session_it->second->HandleMessage(message);
-        if (session_it->second->finished()) ReapSession(message.tenant_id);
+        const uint64_t tenant_id = message.tenant_id;
+        session_it->second->HandleMessage(std::move(message));
+        if (session_it->second->finished()) ReapSession(tenant_id);
         return;
       }
       auto job_it = jobs_.find(message.tenant_id);

@@ -32,8 +32,9 @@ class MigrationController {
   /// for semantics). NotFound if no migration of this tenant is active.
   Status CancelMigration(uint64_t tenant_id, const std::string& reason);
 
-  /// Entry point for every message addressed to this server.
-  void HandleMessage(uint64_t from_server, const net::Message& message);
+  /// Entry point for every message addressed to this server. A target
+  /// session may move a snapshot chunk's rows out of `message`.
+  void HandleMessage(uint64_t from_server, net::Message&& message);
 
   /// The in-progress outgoing job for `tenant_id`, or nullptr.
   MigrationJob* ActiveJob(uint64_t tenant_id);

@@ -119,6 +119,15 @@ void ClientPool::Dispatch(PendingTxn txn) {
                  1.0);
     --busy_clients_;
     sim_->After(backoff, [this, txn = std::move(txn)]() mutable {
+      if (busy_clients_ >= kMpl && txn.attempts < kMaxAttempts) {
+        // Every client is busy: the retry waits at the head of the
+        // queue for the next one to free up.
+        ++stats_.retries;
+        queue_.push_front(std::move(txn));
+        stats_.max_queue_depth =
+            std::max<uint64_t>(stats_.max_queue_depth, queue_.size());
+        return;
+      }
       ++busy_clients_;
       engine::TxnResult result;
       result.status = Status::Unavailable("no tenant mapping");

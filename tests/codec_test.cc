@@ -526,6 +526,29 @@ TEST(FrameTest, ChunkCrcIsOrderAndContentSensitive) {
   EXPECT_NE(crc, ChunkCrc(rows));
 }
 
+// ChunkCrc takes one CRC over the rows' memory on a little-endian host;
+// it must equal the CRC of the rows packed one by one, explicitly
+// little-endian, for any rows and any count.
+TEST(FrameTest, ChunkCrcEqualsExplicitLittleEndianPacking) {
+  Rng rng(2024);
+  for (size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{256},
+                       size_t{1000}}) {
+    std::vector<storage::Record> rows(count);
+    for (storage::Record& r : rows) {
+      r = {rng.Next(), rng.Next() >> rng.NextBelow(64), rng.Next()};
+    }
+    std::vector<uint8_t> packed;
+    for (const storage::Record& r : rows) {
+      for (const uint64_t field : {r.key, r.lsn, r.digest}) {
+        for (int i = 0; i < 8; ++i) {
+          packed.push_back(static_cast<uint8_t>(field >> (8 * i)));
+        }
+      }
+    }
+    EXPECT_EQ(ChunkCrc(rows), Crc32c(packed)) << count << " rows";
+  }
+}
+
 // --------------------------------------------------------------- Delta
 
 std::vector<storage::Record> RandomSortedRows(Rng* rng, uint64_t max_rows) {
@@ -723,12 +746,12 @@ TEST(DeltaRetransmissionTest, RewindedChunkReconcilesAsDeltaOrRaw) {
   stream.RewindTo(0);
   const auto second = stream.NextChunk();
   ASSERT_EQ(second.seq, 0u);
-  EXPECT_NE(backup::ChunkCrc(second.rows), backup::ChunkCrc(base_rows));
+  EXPECT_NE(ChunkCrc(second.rows), ChunkCrc(base_rows));
 
   CodecConfig config;
   config.mode = CodecMode::kAdaptive;
-  const EncodedChunk enc = backup::EncodeChunk(
-      second, Codec::kDelta, config,
+  const EncodedChunk enc = EncodeSnapshotChunk(
+      second.rows, second.logical_bytes, Codec::kDelta, config,
       db.config().layout.record_bytes, &base_rows);
   ASSERT_EQ(enc.frame.codec, Codec::kDelta);
   EXPECT_EQ(enc.frame.base_crc, ChunkCrc(base_rows));

@@ -287,6 +287,22 @@ TEST(RingDequeTest, GrowthPreservesOrderWithOffsetHead) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(d[static_cast<size_t>(i)], i);
 }
 
+TEST(RingDequeTest, PushFrontPrecedesTheHeadAcrossWrapAndGrowth) {
+  RingDeque<int> d;
+  // From an empty deque head_ wraps to the last slot at once; the
+  // sixteenth element fills the buffer and the seventeenth grows it.
+  for (int i = 0; i < 20; ++i) d.push_front(i);
+  d.push_back(-1);
+  ASSERT_EQ(d.size(), 21u);
+  for (size_t i = 0; i < 20; ++i) EXPECT_EQ(d[i], 19 - static_cast<int>(i));
+  EXPECT_EQ(d.back(), -1);
+  for (int i = 19; i >= 0; --i) {
+    EXPECT_EQ(d.front(), i);
+    d.pop_front();
+  }
+  EXPECT_EQ(d.front(), -1);
+}
+
 TEST(RingDequeTest, CapacityIsSticky) {
   RingDeque<int> d;
   for (int i = 0; i < 100; ++i) d.push_back(i);
@@ -406,6 +422,46 @@ TEST(ChecksumTest, Crc32cMatchesBytewiseReference) {
               BytewiseCrc32c(buffer.data() + offset, len, seed))
         << "offset " << offset << " len " << len << " seed " << seed;
   }
+}
+
+// Both Crc32c paths against the bytewise reference: every length from
+// 0 to 64 and 4 KiB, at each offset within a word, each call seeded
+// with the previous one's CRC (a chunk checksummed in pieces).
+TEST(ChecksumTest, HardwareAndPortableCrc32cMatchBytewiseReference) {
+  Rng rng(7);
+  std::vector<uint8_t> buffer(4096 + 8);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.Next());
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  lengths.push_back(4096);
+  using CrcFn = uint32_t (*)(const uint8_t*, size_t, uint32_t);
+  std::vector<std::pair<const char*, CrcFn>> paths = {
+      {"portable", &Crc32cPortable}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    paths.emplace_back("hardware", &Crc32cHardware);
+  }
+#endif
+  for (const auto& [name, crc_fn] : paths) {
+    uint32_t chained = 0;
+    uint32_t expected_chained = 0;
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (const size_t len : lengths) {
+        const uint8_t* data = buffer.data() + offset;
+        ASSERT_EQ(crc_fn(data, len, 0), BytewiseCrc32c(data, len, 0))
+            << name << " offset " << offset << " len " << len;
+        chained = crc_fn(data, len, chained);
+        expected_chained = BytewiseCrc32c(data, len, expected_chained);
+        ASSERT_EQ(chained, expected_chained)
+            << name << " chained, offset " << offset << " len " << len;
+      }
+    }
+  }
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("sse4.2")) {
+    GTEST_SKIP() << "no SSE4.2: only the portable path ran";
+  }
+#endif
 }
 
 TEST(ChecksumTest, Crc32cDetectsBitFlip) {

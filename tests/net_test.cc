@@ -161,6 +161,40 @@ TEST(MessageTest, TruncatedFramesRejected) {
   }
 }
 
+// A snapshot chunk whose rows' keys and LSNs take every varint width
+// from one byte to ten, cut at every byte of its payload and framed
+// again with a valid CRC: the row decoder must see each cut. Cuts of
+// the frame itself fail the frame check.
+TEST(MessageTest, SnapshotChunkTruncatedAtEveryByteIsCorruption) {
+  Message m;
+  m.type = MessageType::kSnapshotChunk;
+  m.tenant_id = 3;
+  m.chunk_seq = 4;
+  m.payload_bytes = 24 * 1024;
+  m.chunk_crc = 0x5eed;
+  for (uint64_t i = 0; i < 24; ++i) {
+    const uint64_t key = i < 10 ? (uint64_t{1} << (7 * i)) + i : UINT64_MAX - i;
+    m.rows.push_back(storage::Record{key, (key >> 3) ^ i, key * 31});
+  }
+  const std::vector<uint8_t> frame = EncodeMessage(m);
+  Message out;
+  ASSERT_TRUE(DecodeMessage(frame, &out).ok());
+  ASSERT_EQ(out, m);
+  const std::vector<uint8_t> payload(frame.begin() + kFrameHeaderBytes,
+                                     frame.end());
+  for (size_t len = 0; len < payload.size(); ++len) {
+    const std::vector<uint8_t> cut(payload.begin(), payload.begin() + len);
+    EXPECT_EQ(DecodeMessage(EncodeFrame(cut), &out).code(),
+              StatusCode::kCorruption)
+        << "payload cut at " << len;
+  }
+  for (size_t len = 0; len < frame.size(); ++len) {
+    const std::vector<uint8_t> cut(frame.begin(), frame.begin() + len);
+    EXPECT_EQ(DecodeMessage(cut, &out).code(), StatusCode::kCorruption)
+        << "frame cut at " << len;
+  }
+}
+
 // ------------------------------------------------------ Codec extension
 
 Message CodecMessage(codec::Codec codec) {
@@ -175,6 +209,29 @@ Message CodecMessage(codec::Codec codec) {
     m.removed_keys = {7, 9, 11};
   }
   return m;
+}
+
+// A frame whose CRC holds but whose last count (log records, or a
+// delta's removed keys) claims 2^62 entries: the decoder must report
+// Corruption before it sizes anything by that count.
+TEST(MessageTest, CountsBeyondThePayloadAreCorruption) {
+  Message plain;
+  plain.type = MessageType::kDeltaBatch;
+  Message delta = CodecMessage(codec::Codec::kDelta);
+  delta.removed_keys.clear();
+  for (const Message& m : {plain, delta}) {
+    const std::vector<uint8_t> frame = EncodeMessage(m);
+    std::vector<uint8_t> payload(frame.begin() + kFrameHeaderBytes,
+                                 frame.end());
+    ASSERT_EQ(payload.back(), 0u);  // The count, last in the payload.
+    payload.pop_back();
+    ByteWriter count;
+    count.PutVarint64(uint64_t{1} << 62);
+    payload.insert(payload.end(), count.data().begin(), count.data().end());
+    Message out;
+    EXPECT_EQ(DecodeMessage(EncodeFrame(payload), &out).code(),
+              StatusCode::kCorruption);
+  }
 }
 
 TEST(MessageTest, CodecFrameRoundTrip) {

@@ -294,6 +294,49 @@ TEST(RangeMigrationTest, MovingAllRangesConvergesAndRetiresSource) {
   EXPECT_TRUE(rig.cluster.directory()->ValidateCoverage(1).ok());
 }
 
+// The second range to arrive on server 1 merges into the instance the
+// first one created. Its handover ack must carry the digest of its own
+// range: the whole table's would not match the source's.
+TEST(RangeMigrationTest, SharedInstanceAcksTheDigestOfItsOwnRange) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  const uint64_t lo = 16 * 1024;
+  const uint64_t hi = 48 * 1024;
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, lo).ok());
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, hi).ok());
+  ASSERT_TRUE(rig.cluster
+                  .StartMigration(1, 1, InRange(KeyRange{hi, kNoUpperBound}),
+                                  rig.Done())
+                  .ok());
+  rig.sim.RunUntil(rig.sim.Now() + 120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+
+  std::vector<uint64_t> ack_digests;
+  rig.cluster.ChannelBetween(1, 0)->SetDeliveryFilter(
+      [&](net::Message* m) {
+        if (m->type == net::MessageType::kHandoverAck) {
+          ack_digests.push_back(m->digest);
+        }
+        return true;
+      });
+  rig.done = false;
+  ASSERT_TRUE(rig.cluster
+                  .StartMigration(1, 1, InRange(KeyRange{lo, hi}), rig.Done())
+                  .ok());
+  rig.sim.RunUntil(rig.sim.Now() + 120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  EXPECT_TRUE(rig.report.digest_match);
+
+  const engine::TenantDb* target = rig.cluster.TenantOn(1, 1);
+  ASSERT_NE(target, nullptr);
+  EXPECT_EQ(target->table().size(), 64u * 1024 - lo);
+  ASSERT_EQ(ack_digests.size(), 1u);
+  EXPECT_EQ(ack_digests[0], target->StateDigest(lo, hi));
+  EXPECT_NE(ack_digests[0], target->StateDigest());
+}
+
 TEST(RangeMigrationTest, GranularityOneFullRangeJobMatchesWholeTenant) {
   // Compatibility mode: a single range job over [0, kNoUpperBound)
   // lands exactly where a whole-tenant migration would.

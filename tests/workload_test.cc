@@ -447,6 +447,37 @@ TEST(ClientPoolTest, RetriesOnUnavailableAndSucceeds) {
   EXPECT_EQ(pool.stats().failed, 0u);
 }
 
+// A resolver outage backs transactions off with their clients freed.
+// When a backoff ends with every client busy, the transaction waits at
+// the head of the queue instead of taking an eleventh client.
+TEST(ClientPoolTest, ResolverOutageKeepsMplBound) {
+  struct OutageRig : PoolRig {
+    engine::TenantDb* Resolve(uint64_t id) override {
+      const bool outage = sim.Now() >= 2.0 && sim.Now() < 2.5;
+      return outage ? nullptr : PoolRig::Resolve(id);
+    }
+  } rig;
+  YcsbConfig config = SmallYcsb();
+  config.mean_interarrival = 0.002;  // 500 arrivals/s.
+  YcsbWorkload workload(config, 1, 5);
+  ClientPool pool(&rig.sim, &workload, &rig);
+  pool.Start();
+  int max_busy = 0;
+  while (rig.sim.Now() < 10.0) {
+    rig.sim.RunUntil(rig.sim.Now() + 0.001);
+    max_busy = std::max(max_busy, pool.busy_clients());
+  }
+  pool.Stop();
+  rig.sim.RunUntil(60.0);
+  EXPECT_LE(max_busy, ClientPool::kMpl);
+  EXPECT_EQ(max_busy, ClientPool::kMpl);
+  EXPECT_GT(pool.stats().retries, 0u);
+  EXPECT_EQ(pool.stats().failed, 0u);
+  EXPECT_EQ(pool.stats().completed, pool.stats().arrivals);
+  EXPECT_EQ(pool.busy_clients(), 0);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+}
+
 TEST(ClientPoolTest, AckedWritesTrackNewestLsn) {
   PoolRig rig;
   YcsbConfig config = SmallYcsb();
