@@ -32,7 +32,6 @@ struct SweepResult {
   double p95_ms = 0.0;
   double ratio = 1.0;
   uint64_t chunks_lz = 0;
-  uint64_t chunks_delta = 0;
   bool audited = false;
 };
 
@@ -65,7 +64,6 @@ SweepResult RunOne(const ExperimentOptions& base, double output_max,
   result.p95_ms = bed.LatenciesBetween(start, end).Percentile(95.0);
   result.ratio = report.CompressionRatio();
   result.chunks_lz = report.chunks_lz;
-  result.chunks_delta = report.chunks_delta;
   result.audited = bed.Finish();
   return result;
 }

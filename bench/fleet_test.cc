@@ -246,8 +246,10 @@ TEST(ParseFleetFlagsDeathTest, RejectsMalformedNumbers) {
 }
 
 TEST(ParseFleetFlagsDeathTest, RejectsUnknownCodec) {
-  EXPECT_EXIT(Parse({"--codec", "zstd"}), ::testing::ExitedWithCode(2),
-              "bad --codec");
+  for (const char* codec : {"zstd", "delta"}) {
+    EXPECT_EXIT(Parse({"--codec", codec}), ::testing::ExitedWithCode(2),
+                "bad --codec");
+  }
 }
 
 TEST(ParseFleetFlagsDeathTest, RejectsBadFleetShapes) {

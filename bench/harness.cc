@@ -28,7 +28,7 @@ void ParseFleetFlags(
                  "%s: %s\nusage: %s [--smoke]%s "
                  "[--seed N] [--tenants N] [--size-scale X] "
                  "[--arrival-scale X] [--warmup S] [--sla-ms MS] "
-                 "[--codec raw|lz|delta|adaptive]%s\n",
+                 "[--codec raw|lz|adaptive]%s\n",
                  argv[0], problem.c_str(), argv[0],
                  takes_trace ? " [--trace PATH] [--csv PATH]" : "",
                  own.c_str());

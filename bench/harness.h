@@ -52,7 +52,7 @@ struct ExperimentOptions {
   /// Latency above which completed transactions emit SlaViolation
   /// events (0 disables; only meaningful with a tracer installed).
   double sla_threshold_ms = 0.0;
-  /// Migration-stream codec (--codec=raw|lz|delta|adaptive). Defaults
+  /// Migration-stream codec (--codec=raw|lz|adaptive). Defaults
   /// to raw so the golden fig12 traces stay byte-identical.
   codec::CodecMode codec_mode = codec::CodecMode::kRaw;
 };
@@ -79,7 +79,7 @@ struct FleetFlags {
   size_t ranges;
   /// --trace <path>  --csv <path>  --seed <n>  --tenants <n>
   /// --size-scale <x>  --arrival-scale <x>  --warmup <s>  --sla-ms <ms>
-  /// --codec <raw|lz|delta|adaptive>
+  /// --codec <raw|lz|adaptive>
   ExperimentOptions options;
 };
 

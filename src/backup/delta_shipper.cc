@@ -1,5 +1,7 @@
 #include "src/backup/delta_shipper.h"
 
+#include <utility>
+
 namespace slacker::backup {
 
 DeltaShipper::DeltaShipper(const wal::Binlog* source_log,
@@ -74,14 +76,11 @@ std::vector<storage::Record> RowImagesFromLog(
 codec::EncodedChunk EncodeRound(const DeltaRound& round,
                                 codec::Codec requested,
                                 const codec::CodecConfig& config) {
-  const std::vector<storage::Record> rows = RowImagesFromLog(round.records);
+  std::vector<storage::Record> rows = RowImagesFromLog(round.records);
   const uint64_t per_image =
       rows.empty() ? 0 : round.bytes / static_cast<uint64_t>(rows.size());
-  // Delta rounds have no retransmission base; anything but LZ ships raw.
-  const codec::Codec effective =
-      requested == codec::Codec::kLz ? codec::Codec::kLz : codec::Codec::kRaw;
-  return codec::EncodeSnapshotChunk(rows, round.bytes, effective, config,
-                                    per_image, nullptr);
+  return codec::EncodeSnapshotChunk(std::move(rows), round.bytes, requested,
+                                    config, per_image);
 }
 
 }  // namespace slacker::backup

@@ -81,10 +81,9 @@ class DeltaShipper {
 std::vector<storage::Record> RowImagesFromLog(
     const std::vector<wal::LogRecord>& records);
 
-/// Encodes one delta round as a codec frame (kLz or kRaw; log rounds
-/// never delta-encode — there is no base). Per-image payload size is
-/// the round's average record footprint, so the materialized payload
-/// tracks round.bytes.
+/// Encodes one delta round as a codec frame (kLz or kRaw). Per-image
+/// payload size is the round's average record footprint, so the
+/// materialized payload tracks round.bytes.
 codec::EncodedChunk EncodeRound(const DeltaRound& round,
                                 codec::Codec requested,
                                 const codec::CodecConfig& config);

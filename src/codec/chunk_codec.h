@@ -11,28 +11,23 @@
 namespace slacker::codec {
 
 /// One snapshot/delta chunk after encoding: the frame header that ships
-/// with it, the rows to put on the wire (for kDelta, only the changed
-/// rows), the removed keys (kDelta only), and the modeled source-side
+/// with it, the rows to put on the wire, and the modeled source-side
 /// CPU cost of producing it.
 struct EncodedChunk {
   FrameHeader frame;
   std::vector<storage::Record> rows;
-  std::vector<uint64_t> removed_keys;
   double cpu_seconds = 0.0;
 };
 
-/// Encodes one chunk with `requested` codec. Falls back to kRaw when
-/// the encoding does not pay (LZ output >= input; delta >= full chunk)
-/// or when kDelta was requested without a base. For kLz the real block
-/// compressor's matcher runs over the materialized payload to measure
-/// encoded_bytes, and payload_crc is ChunkPayloadCrc of the rows; for
-/// kDelta the wire size is modeled as changed rows plus 8 bytes per
-/// removed key.
-EncodedChunk EncodeSnapshotChunk(const std::vector<storage::Record>& rows,
+/// Encodes one chunk with `requested` codec, moving `rows` into the
+/// result. Falls back to kRaw when LZ output would not be smaller than
+/// its input. For kLz the real block compressor's matcher runs over the
+/// materialized payload to measure encoded_bytes, and payload_crc is
+/// ChunkPayloadCrc of the rows.
+EncodedChunk EncodeSnapshotChunk(std::vector<storage::Record> rows,
                                  uint64_t logical_bytes, Codec requested,
                                  const CodecConfig& config,
-                                 uint64_t record_bytes,
-                                 const std::vector<storage::Record>* base_rows);
+                                 uint64_t record_bytes);
 
 /// Target-side check that an LZ frame's payload CRC matches the payload
 /// of the received rows, through ChunkPayloadCrc: the same value as

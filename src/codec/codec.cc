@@ -8,8 +8,6 @@ const char* CodecName(Codec codec) {
       return "raw";
     case Codec::kLz:
       return "lz";
-    case Codec::kDelta:
-      return "delta";
   }
   return "unknown";
 }
@@ -20,8 +18,6 @@ const char* CodecModeName(CodecMode mode) {
       return "raw";
     case CodecMode::kLz:
       return "lz";
-    case CodecMode::kDelta:
-      return "delta";
     case CodecMode::kAdaptive:
       return "adaptive";
   }
@@ -33,13 +29,11 @@ Status ParseCodecMode(const std::string& text, CodecMode* out) {
     *out = CodecMode::kRaw;
   } else if (text == "lz") {
     *out = CodecMode::kLz;
-  } else if (text == "delta") {
-    *out = CodecMode::kDelta;
   } else if (text == "adaptive") {
     *out = CodecMode::kAdaptive;
   } else {
     return Status::InvalidArgument("unknown codec mode: " + text +
-                                   " (expected raw|lz|delta|adaptive)");
+                                   " (expected raw|lz|adaptive)");
   }
   return Status::Ok();
 }

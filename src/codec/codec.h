@@ -11,27 +11,25 @@ namespace slacker::codec {
 
 /// Per-chunk encoding actually applied on the wire. The value is the
 /// byte stored in the frame header, so the order is ABI: append only.
+/// Any other byte is corruption.
 enum class Codec : uint8_t {
-  kRaw = 0,    // Rows ship verbatim.
-  kLz = 1,     // Deterministic LZ block compression of the payload.
-  kDelta = 2,  // XOR/delta against a base the target already staged.
+  kRaw = 0,  // Rows ship verbatim.
+  kLz = 1,   // Deterministic LZ block compression of the payload.
 };
 
 /// Operator-facing codec policy for a migration (--codec=...). kRaw /
-/// kLz / kDelta force that encoding (kDelta still needs a base and
-/// falls back to raw); kAdaptive lets the selector pick per chunk from
-/// modeled CPU cost versus the current throttle rate.
+/// kLz force that encoding; kAdaptive lets the selector pick per chunk
+/// from modeled CPU cost versus the current throttle rate.
 enum class CodecMode {
   kRaw = 0,
   kLz,
-  kDelta,
   kAdaptive,
 };
 
 const char* CodecName(Codec codec);
 const char* CodecModeName(CodecMode mode);
 
-/// Parses "raw" | "lz" | "delta" | "adaptive" (the --codec flag values).
+/// Parses "raw" | "lz" | "adaptive" (the --codec flag values).
 Status ParseCodecMode(const std::string& text, CodecMode* out);
 
 // Modeled codec costs: bytes of input one core processes per second
@@ -44,8 +42,6 @@ inline constexpr double kCompressBytesPerSec =
 /// Decompression/verify (target side).
 inline constexpr double kDecompressBytesPerSec =
     600.0 * static_cast<double>(kMiB);
-/// Delta encode/apply (both sides).
-inline constexpr double kDeltaBytesPerSec = 400.0 * static_cast<double>(kMiB);
 
 /// The adaptive selector engages LZ only when spare CPU can compress
 /// at least this many times faster than the throttle drains wire bytes
@@ -55,11 +51,6 @@ inline constexpr double kEngageHeadroom = 1.25;
 /// EWMA smoothing for the observed compression ratio fed back into the
 /// selector.
 inline constexpr double kRatioEwmaAlpha = 0.2;
-
-/// Source-side cache of transmitted chunks (delta bases); bounded so a
-/// huge snapshot cannot hold every chunk in memory. The target bounds
-/// its staged delta bases the same way.
-inline constexpr int kMaxCachedChunks = 256;
 
 /// Codec policy for one migration.
 struct CodecConfig {

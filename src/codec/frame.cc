@@ -22,15 +22,15 @@ void FrameHeader::EncodeTo(ByteWriter* writer) const {
   writer->PutVarint64(logical_bytes);
   writer->PutVarint64(encoded_bytes);
   writer->PutFixed32(payload_crc);
-  writer->PutFixed32(base_crc);
+  writer->PutFixed32(0);  // Reserved.
   writer->PutDouble(payload_redundancy);
   writer->PutFixed32(
       Crc32c(writer->data().data() + start, writer->size() - start));
 }
 
 size_t FrameHeader::EncodedSize() const {
-  // magic, version, codec; two varints; two CRCs, the redundancy and
-  // the header CRC.
+  // magic, version, codec; two varints; the payload CRC, the reserved
+  // word, the redundancy and the header CRC.
   return 3 + VarintLength(logical_bytes) + VarintLength(encoded_bytes) + 4 +
          4 + 8 + 4;
 }
@@ -50,14 +50,18 @@ Status FrameHeader::DecodeFrom(ByteReader* reader) {
     return Status::Corruption("codec frame: unsupported version");
   }
   SLACKER_RETURN_IF_ERROR(reader->GetU8(&codec_byte));
-  if (codec_byte > static_cast<uint8_t>(Codec::kDelta)) {
+  if (codec_byte > static_cast<uint8_t>(Codec::kLz)) {
     return Status::Corruption("codec frame: unknown codec id");
   }
   decoded.codec = static_cast<Codec>(codec_byte);
   SLACKER_RETURN_IF_ERROR(reader->GetVarint64(&decoded.logical_bytes));
   SLACKER_RETURN_IF_ERROR(reader->GetVarint64(&decoded.encoded_bytes));
   SLACKER_RETURN_IF_ERROR(reader->GetFixed32(&decoded.payload_crc));
-  SLACKER_RETURN_IF_ERROR(reader->GetFixed32(&decoded.base_crc));
+  uint32_t reserved = 0;
+  SLACKER_RETURN_IF_ERROR(reader->GetFixed32(&reserved));
+  if (reserved != 0) {
+    return Status::Corruption("codec frame: nonzero reserved word");
+  }
   SLACKER_RETURN_IF_ERROR(reader->GetDouble(&decoded.payload_redundancy));
   // The CRC covers exactly the bytes just consumed. EncodeTo writes
   // canonical varints, so a header of any other length (an overlong

@@ -19,20 +19,18 @@ inline constexpr uint8_t kCodecFrameMagic = 0xC5;
 /// Self-describing, checksummed header for one encoded snapshot/delta
 /// chunk. Wraps the chunk-level metadata the target needs to decode,
 /// verify, and account the chunk: which codec produced it, its logical
-/// and wire sizes, a CRC over the (materialized) payload bytes, and —
-/// for delta frames — a CRC identifying the base chunk the delta was
-/// computed against.
+/// and wire sizes, and a CRC over the (materialized) payload bytes.
 ///
 /// Wire layout (appended to a net::Message only when codec != kRaw, so
 /// the default raw path stays byte-identical to the pre-codec wire):
 ///
 ///   magic       u8      0xC5
 ///   version     u8      1
-///   codec       u8      Codec enum value
+///   codec       u8      Codec enum value; above kLz is corruption
 ///   logical     varint  bytes of decoded payload (progress accounting)
 ///   encoded     varint  bytes actually metered through the throttle
 ///   payload_crc fixed32 CRC-32C of the full materialized payload
-///   base_crc    fixed32 kDelta: ChunkCrc of the base rows; else 0
+///   reserved    fixed32 always 0; any other value is corruption
 ///   redundancy  double  payload_redundancy the source materialized with
 ///   header_crc  fixed32 CRC-32C over all preceding header bytes
 ///
@@ -46,9 +44,6 @@ struct FrameHeader {
   uint64_t logical_bytes = 0;
   uint64_t encoded_bytes = 0;
   uint32_t payload_crc = 0;
-  /// kDelta only: ChunkCrc of the base rows the delta applies to. The
-  /// target refuses to apply a delta whose base it does not hold.
-  uint32_t base_crc = 0;
   double payload_redundancy = 0.0;
 
   bool operator==(const FrameHeader& other) const = default;

@@ -10,18 +10,11 @@ CodecSelector::CodecSelector(const CodecConfig& config) : config_(config) {
 }
 
 Codec CodecSelector::Choose(const SelectorInputs& inputs) const {
-  const bool delta_allowed = config_.mode == CodecMode::kDelta ||
-                             config_.mode == CodecMode::kAdaptive;
-  if (delta_allowed && inputs.has_delta_base) return Codec::kDelta;
   switch (config_.mode) {
     case CodecMode::kRaw:
       return Codec::kRaw;
     case CodecMode::kLz:
       return Codec::kLz;
-    case CodecMode::kDelta:
-      // No base to delta against: ship raw rather than burn CPU on a
-      // compression mode the operator did not ask for.
-      return Codec::kRaw;
     case CodecMode::kAdaptive:
       break;
   }

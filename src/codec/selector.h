@@ -18,14 +18,9 @@ struct SelectorInputs {
   /// means "no CPU model attached" and is treated as one free core.
   int total_cores = 0;
   double busy_cores = 0.0;
-  /// Whether the source still holds the previously transmitted version
-  /// of this chunk (a delta base the target also staged).
-  bool has_delta_base = false;
-  uint64_t logical_bytes = 0;
 };
 
-/// Adaptive per-chunk codec choice: delta beats everything when a base
-/// exists (retransmissions), LZ engages only when spare CPU can
+/// Adaptive per-chunk codec choice: LZ engages only when spare CPU can
 /// compress faster than the throttle drains wire bytes (with headroom),
 /// and raw is the safe default. Feedback: ObserveRatio() folds achieved
 /// compression ratios into an EWMA so the engage decision tracks the

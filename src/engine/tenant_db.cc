@@ -366,9 +366,4 @@ uint64_t TenantDb::EraseRangeRows(uint64_t lo, uint64_t hi) {
   return keys.size();
 }
 
-storage::DataDirectory TenantDb::Directory() const {
-  return storage::DataDirectory::ForTenant(config_.tenant_id, DataBytes(),
-                                           binlog_.total_bytes());
-}
-
 }  // namespace slacker::engine

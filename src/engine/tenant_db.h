@@ -16,7 +16,6 @@
 #include "src/sim/simulator.h"
 #include "src/storage/btree.h"
 #include "src/storage/buffer_pool.h"
-#include "src/storage/data_directory.h"
 #include "src/wal/binlog.h"
 
 namespace slacker::engine {
@@ -166,8 +165,6 @@ class TenantDb {
 
   /// Logical bytes of table data (what a migration must copy).
   uint64_t DataBytes() const;
-  /// Current data-directory inventory (table data + binlog).
-  storage::DataDirectory Directory() const;
 
   /// Drops every row with key in [lo, hi) without logging (the range
   /// handed over; those rows now live on the new owner). Returns the

@@ -30,7 +30,7 @@ size_t EncodedRowsSize(const std::vector<storage::Record>& rows) {
 // The fewest bytes each repeated entry encodes to, so that a count
 // the bytes left cannot hold is Corruption before anything is sized
 // by it. A row: two one-byte varints and the digest. A log record: its
-// type byte and three one-byte varints. A removed key: one varint.
+// type byte and three one-byte varints.
 constexpr size_t kMinRowBytes = 10;
 constexpr size_t kMinLogRecordBytes = 4;
 
@@ -55,9 +55,7 @@ size_t EncodedPayloadSize(const Message& message, size_t rows_bytes) {
     size += r.EncodedSize();
   }
   if (message.frame.codec != codec::Codec::kRaw) {
-    size += message.frame.EncodedSize() +
-            VarintLength(message.removed_keys.size());
-    for (uint64_t key : message.removed_keys) size += VarintLength(key);
+    size += message.frame.EncodedSize() + 1;  // The reserved count.
   }
   if (message.negotiation.software_version != 0) {
     size += message.negotiation.EncodedSize();
@@ -138,10 +136,7 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
   // Decoders dispatch on the leading magic byte of each extension.
   if (message.frame.codec != codec::Codec::kRaw) {
     message.frame.EncodeTo(&writer);
-    writer.PutVarint64(message.removed_keys.size());
-    for (uint64_t key : message.removed_keys) {
-      writer.PutVarint64(key);
-    }
+    writer.PutVarint64(0);  // Reserved count; always 0.
   }
   if (message.negotiation.software_version != 0) {
     message.negotiation.EncodeTo(&writer);
@@ -205,7 +200,6 @@ Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
     out->log_records.push_back(r);
   }
   out->frame = codec::FrameHeader();
-  out->removed_keys.clear();
   out->negotiation = NegotiationInfo();
   out->range_lo = 0;
   out->range_hi = UINT64_MAX;
@@ -225,16 +219,10 @@ Status DecodeMessage(const std::vector<uint8_t>& frame, Message* out) {
         // A raw frame is never encoded; its presence means corruption.
         return Status::Corruption("unexpected raw codec extension");
       }
-      uint64_t removed_count;
-      SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&removed_count));
-      if (removed_count > reader.remaining()) {
-        return Status::Corruption("truncated removed keys");
-      }
-      out->removed_keys.reserve(removed_count);
-      for (uint64_t i = 0; i < removed_count; ++i) {
-        uint64_t key;
-        SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&key));
-        out->removed_keys.push_back(key);
+      uint64_t reserved_count;
+      SLACKER_RETURN_IF_ERROR(reader.GetVarint64(&reserved_count));
+      if (reserved_count != 0) {
+        return Status::Corruption("nonzero reserved count in codec extension");
       }
     } else if (magic == kNegotiationMagic) {
       if (saw_negotiation_ext) {

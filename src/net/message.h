@@ -88,9 +88,6 @@ struct Message {
   /// (kRaw) frame encodes to nothing, keeping the raw-path wire bytes
   /// identical to the pre-codec format.
   codec::FrameHeader frame;
-  /// kSnapshotChunk with frame.codec == kDelta only: keys present in
-  /// the delta base but absent from the re-read chunk.
-  std::vector<uint64_t> removed_keys;
   /// Control handshake (kMigrateRequest, kMigrateAccept,
   /// kSnapshotResume): the sender's software version and feature mask.
   /// A default (version 0) negotiation encodes to nothing, keeping the
@@ -111,9 +108,9 @@ struct Message {
   }
 
   /// Bytes this message occupies on the wire at the payload level: the
-  /// encoded size for compressed/delta frames, the logical size
-  /// otherwise. Throttles and drop ledgers meter this; progress
-  /// tracking stays on payload_bytes (logical).
+  /// encoded size for compressed frames, the logical size otherwise.
+  /// Throttles and drop ledgers meter this; progress tracking stays on
+  /// payload_bytes (logical).
   uint64_t wire_payload_bytes() const {
     return frame.codec == codec::Codec::kRaw ? payload_bytes
                                              : frame.encoded_bytes;

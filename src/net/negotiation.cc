@@ -7,7 +7,7 @@ namespace slacker::net {
 uint64_t FeatureMaskForVersion(uint32_t version) {
   if (version <= 1) return 0;
   if (version == 2) return kFeatureLz;
-  return kFeatureLz | kFeatureDelta;
+  return kFeatureLz | kFeatureAdaptive;
 }
 
 codec::CodecMode NegotiatedCodecMode(codec::CodecMode requested,
@@ -18,18 +18,15 @@ codec::CodecMode NegotiatedCodecMode(codec::CodecMode requested,
   if (source_version == 0 || target_version == 0) return requested;
   const uint64_t common = source_mask & target_mask;
   const bool lz = (common & kFeatureLz) != 0;
-  const bool delta = (common & kFeatureDelta) != 0;
+  const bool adaptive = (common & kFeatureAdaptive) != 0;
   switch (requested) {
     case codec::CodecMode::kRaw:
       return codec::CodecMode::kRaw;
     case codec::CodecMode::kLz:
       return lz ? codec::CodecMode::kLz : codec::CodecMode::kRaw;
-    case codec::CodecMode::kDelta:
-      return delta ? codec::CodecMode::kDelta : codec::CodecMode::kRaw;
     case codec::CodecMode::kAdaptive:
-      if (lz && delta) return codec::CodecMode::kAdaptive;
+      if (lz && adaptive) return codec::CodecMode::kAdaptive;
       if (lz) return codec::CodecMode::kLz;
-      if (delta) return codec::CodecMode::kDelta;
       return codec::CodecMode::kRaw;
   }
   return codec::CodecMode::kRaw;

@@ -20,7 +20,8 @@ namespace slacker::net {
 
 /// Feature bits advertised in the negotiation mask.
 inline constexpr uint64_t kFeatureLz = 1ull << 0;
-inline constexpr uint64_t kFeatureDelta = 1ull << 1;
+/// Per-chunk adaptive codec selection (v3 and later).
+inline constexpr uint64_t kFeatureAdaptive = 1ull << 1;
 
 /// Extension magic; the codec frame extension uses 0xC5.
 inline constexpr uint8_t kNegotiationMagic = 0xC6;
@@ -31,7 +32,7 @@ inline constexpr uint8_t kNegotiationMagic = 0xC6;
 ///   v0    — legacy, no negotiation (mask unused)
 ///   v1    — raw streaming only
 ///   v2    — + LZ compression
-///   v3+   — + delta encoding
+///   v3+   — + adaptive per-chunk selection
 uint64_t FeatureMaskForVersion(uint32_t version);
 
 /// Resolves the codec mode a (source, target) pair actually runs.
@@ -39,9 +40,8 @@ uint64_t FeatureMaskForVersion(uint32_t version);
 /// requested mode stands unchanged. Otherwise the pair downgrades to
 /// the intersection of the advertised masks — never fails:
 ///   kLz       -> kLz if both sides speak LZ, else kRaw
-///   kDelta    -> kDelta if both sides speak delta, else kRaw
-///   kAdaptive -> kAdaptive (both), kLz (LZ only), kDelta (delta
-///                only), else kRaw
+///   kAdaptive -> kAdaptive if both sides speak LZ and adaptive,
+///                kLz if both speak LZ only, else kRaw
 codec::CodecMode NegotiatedCodecMode(codec::CodecMode requested,
                                      uint32_t source_version,
                                      uint64_t source_mask,

@@ -76,32 +76,4 @@ void DurableStore::EraseStaged(uint64_t tenant_id) {
   staged_.erase(tenant_id);
 }
 
-void DurableStore::StageChunkBase(uint64_t tenant_id, uint64_t seq,
-                                  uint32_t crc,
-                                  const std::vector<storage::Record>& rows,
-                                  size_t max_bases) {
-  auto it = staged_.find(tenant_id);
-  if (it == staged_.end()) return;
-  StagedChunkBase& base = it->second.chunk_bases[seq];
-  base.crc = crc;
-  base.rows = rows;
-  while (it->second.chunk_bases.size() > max_bases) {
-    it->second.chunk_bases.erase(it->second.chunk_bases.begin());
-  }
-}
-
-const StagedChunkBase* DurableStore::ChunkBase(uint64_t tenant_id,
-                                               uint64_t seq) {
-  auto it = staged_.find(tenant_id);
-  if (it == staged_.end()) return nullptr;
-  auto base = it->second.chunk_bases.find(seq);
-  return base == it->second.chunk_bases.end() ? nullptr : &base->second;
-}
-
-void DurableStore::EraseChunkBase(uint64_t tenant_id, uint64_t seq) {
-  auto it = staged_.find(tenant_id);
-  if (it == staged_.end()) return;
-  it->second.chunk_bases.erase(seq);
-}
-
 }  // namespace slacker

@@ -21,16 +21,6 @@ struct DurableTenantState {
   wal::Binlog log;
 };
 
-/// One durably staged chunk kept as a delta-retransmission base: the
-/// full row images of an out-of-order chunk the target could verify
-/// but not yet apply. A re-sent chunk may arrive as a delta against
-/// this base; the CRC names the exact base version the source must
-/// delta against.
-struct StagedChunkBase {
-  uint32_t crc = 0;
-  std::vector<storage::Record> rows;
-};
-
 /// Snapshot chunks an incoming migration has written durably, so a
 /// retried migration to this server resumes instead of re-streaming.
 /// Rows below `resume_key` are staged as of `start_lsn`; the resumed
@@ -43,8 +33,6 @@ struct StagedSnapshot {
   uint64_t resume_key = 0;
   uint64_t bytes_staged = 0;
   std::vector<storage::Record> rows;
-  /// seq -> durably staged base for delta-encoded retransmission.
-  std::map<uint64_t, StagedChunkBase> chunk_bases;
 };
 
 /// The crash-surviving slice of one server's disk: checkpoint images,
@@ -79,18 +67,6 @@ class DurableStore {
                         const std::vector<storage::Record>& rows,
                         uint64_t next_resume_key, uint64_t bytes);
   void EraseStaged(uint64_t tenant_id);
-
-  /// Durably stages the full rows of chunk `seq` as a future delta
-  /// base. No-op without a staged record (the stream has not begun or
-  /// was reset). Bounded: beyond `max_bases`, the lowest-seq base is
-  /// evicted — the farther behind the cursor, the less likely a
-  /// retransmission still wants it.
-  void StageChunkBase(uint64_t tenant_id, uint64_t seq, uint32_t crc,
-                      const std::vector<storage::Record>& rows,
-                      size_t max_bases = 256);
-  /// The staged base for chunk `seq`, or nullptr.
-  const StagedChunkBase* ChunkBase(uint64_t tenant_id, uint64_t seq);
-  void EraseChunkBase(uint64_t tenant_id, uint64_t seq);
 
  private:
   std::map<uint64_t, engine::CheckpointImage> checkpoints_;

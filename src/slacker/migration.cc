@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/codec/delta.h"
 #include "src/common/invariant.h"
 #include "src/common/logging.h"
 #include "src/engine/checkpoint.h"
@@ -549,7 +548,6 @@ void MigrationJob::PumpSnapshot() {
             msg.chunk_crc = pending.chunk_crc;
             msg.frame = pending.enc.frame;
             msg.rows = std::move(pending.enc.rows);
-            msg.removed_keys = std::move(pending.enc.removed_keys);
             cluster_->SendMessage(source_server_, target_server_, msg);
             cluster_->auditor()->OnChunkSent(tenant_id_, msg.payload_bytes,
                                              msg.wire_payload_bytes());
@@ -575,14 +573,12 @@ void MigrationJob::PumpSnapshot() {
   }));
 }
 
-codec::SelectorInputs MigrationJob::SelectorInputsFor(
-    uint64_t logical_bytes) const {
+codec::SelectorInputs MigrationJob::CurrentSelectorInputs() const {
   codec::SelectorInputs inputs;
   inputs.throttle_bytes_per_sec = throttle_->rate();
   const resource::CpuModel* cpu = cluster_->server(source_server_)->cpu();
   inputs.total_cores = cpu->cores();
   inputs.busy_cores = cpu->busy_cores();
-  inputs.logical_bytes = logical_bytes;
   return inputs;
 }
 
@@ -595,27 +591,10 @@ void MigrationJob::ProducePendingChunk() {
     pending.enc.frame = RawFrame(chunk.logical_bytes);
     pending.enc.rows = std::move(chunk.rows);
   } else {
-    codec::SelectorInputs inputs = SelectorInputsFor(chunk.logical_bytes);
-    const auto base_it = chunk_cache_.find(chunk.seq);
-    inputs.has_delta_base = base_it != chunk_cache_.end() &&
-                            delta_blocked_.count(chunk.seq) == 0;
-    const codec::Codec choice = selector_->Choose(inputs);
-    const std::vector<storage::Record>* base_rows =
-        inputs.has_delta_base ? &base_it->second.rows : nullptr;
     pending.enc = codec::EncodeSnapshotChunk(
-        chunk.rows, chunk.logical_bytes, choice, options_.codec,
-        source_db_->config().layout.record_bytes, base_rows);
-    // Remember this transmission as the delta base for a go-back-N
-    // resend: the target stages the same rows when the chunk arrives
-    // intact but out of order.
-    CachedChunk cached;
-    cached.crc = pending.chunk_crc;
-    cached.rows = std::move(chunk.rows);
-    chunk_cache_[chunk.seq] = std::move(cached);
-    while (chunk_cache_.size() >
-           static_cast<size_t>(codec::kMaxCachedChunks)) {
-      chunk_cache_.erase(chunk_cache_.begin());
-    }
+        std::move(chunk.rows), chunk.logical_bytes,
+        selector_->Choose(CurrentSelectorInputs()),
+        options_.codec, source_db_->config().layout.record_bytes);
   }
   pending_chunk_ = std::move(pending);
 }
@@ -632,9 +611,6 @@ void MigrationJob::CountChunk(const codec::FrameHeader& frame,
       selector_->ObserveRatio(
           static_cast<double>(frame.logical_bytes) /
           static_cast<double>(std::max<uint64_t>(frame.encoded_bytes, 1)));
-      break;
-    case codec::Codec::kDelta:
-      ++report_.chunks_delta;
       break;
   }
 }
@@ -689,25 +665,21 @@ void MigrationJob::OnSnapshotNack(const net::Message& message) {
   SLACKER_LOG_WARN << "tenant " << tenant_id_ << " snapshot NACK at chunk "
                    << message.chunk_seq << "; rewinding from "
                    << snapshot_->next_seq();
-  report_.chunks_retransmitted += snapshot_->next_seq() - message.chunk_seq;
+  // Chunks from the gap up to the read cursor go out again, except one
+  // read ahead of its tokens (codec streams only): it was never sent.
+  const uint64_t sent_end = pending_chunk_.has_value()
+                                ? pending_chunk_->seq
+                                : snapshot_->next_seq();
+  report_.chunks_retransmitted += sent_end - message.chunk_seq;
   if (tracer_ != nullptr) {
     obs::SnapshotNack nack;
     nack.tenant_id = tenant_id_;
     nack.rewind_to_seq = message.chunk_seq;
-    nack.chunks_resent = snapshot_->next_seq() - message.chunk_seq;
+    nack.chunks_resent = sent_end - message.chunk_seq;
     obs::EmitSnapshotNack(tracer_, nack);
   }
   // Go-back-N: rewind the cursor to the gap and restream from there.
-  // The NACKed seq is exactly the chunk the target holds no staged base
-  // for (later chunks were staged when they arrived intact), so only
-  // this seq must resend raw; the rest may ship as deltas.
-  delta_blocked_.insert(message.chunk_seq);
-  // A chunk read ahead of its tokens was never sent: its rows must not
-  // stay cached as a delta base the target never staged.
-  if (pending_chunk_.has_value()) {
-    chunk_cache_.erase(pending_chunk_->seq);
-    pending_chunk_.reset();
-  }
+  pending_chunk_.reset();
   snapshot_->RewindTo(message.chunk_seq);
   snapshot_sent_end_ = false;
   PumpSnapshot();
@@ -771,7 +743,7 @@ std::optional<MigrationJob::PendingRound> MigrationJob::ReadDeltaRound() {
     pending.frame = RawFrame(round.bytes);
   } else {
     const codec::EncodedChunk enc = backup::EncodeRound(
-        round, selector_->Choose(SelectorInputsFor(round.bytes)),
+        round, selector_->Choose(CurrentSelectorInputs()),
         options_.codec);
     pending.frame = enc.frame;
     pending.cpu_seconds = enc.cpu_seconds;
@@ -1199,44 +1171,16 @@ void TargetSession::HandleMessage(net::Message&& message) {
     }
     case net::MessageType::kSnapshotChunk: {
       const uint64_t wire_payload = message.wire_payload_bytes();
-      // Decode before the seq-order logic: a delta frame reconstructs
-      // against its durably staged base; a base miss is handled exactly
-      // like corruption (discard + NACK → raw resend converges).
-      std::vector<storage::Record> rows;
-      bool decodable = true;
-      if (message.frame.codec == codec::Codec::kDelta) {
-        const StagedChunkBase* base =
-            store_ == nullptr
-                ? nullptr
-                : store_->ChunkBase(tenant_id_, message.chunk_seq);
-        if (base == nullptr || base->crc != message.frame.base_crc) {
-          decodable = false;
-        } else {
-          rows = codec::ApplyRowDelta(base->rows, message.rows,
-                                      message.removed_keys);
-        }
-      } else {
-        rows = std::move(message.rows);
-      }
-      const bool crc_ok =
-          decodable && codec::ChunkCrc(rows) == message.chunk_crc &&
-          codec::VerifyPayloadCrc(message.frame, rows,
-                                  wire_config_.record_bytes);
       if (message.chunk_seq < expected_seq_) {
         // Duplicate (go-back-N overlap): already applied once.
         cluster_->auditor()->OnChunkDiscarded(
             tenant_id_, message.payload_bytes, wire_payload);
         return;
       }
-      if (message.chunk_seq > expected_seq_ || !crc_ok) {
-        if (crc_ok && store_ != nullptr) {
-          // Intact but out of order: durably stage the reconstructed
-          // rows as a delta base — the go-back-N retransmission of this
-          // seq may then ship as a delta against them.
-          store_->StageChunkBase(
-              tenant_id_, message.chunk_seq, message.chunk_crc, rows,
-              static_cast<size_t>(codec::kMaxCachedChunks));
-        }
+      if (message.chunk_seq > expected_seq_ ||
+          codec::ChunkCrc(message.rows) != message.chunk_crc ||
+          !codec::VerifyPayloadCrc(message.frame, message.rows,
+                                   wire_config_.record_bytes)) {
         // Gap or corruption: ask the source to go back to the first
         // chunk we cannot accept.
         cluster_->auditor()->OnChunkDiscarded(
@@ -1247,10 +1191,10 @@ void TargetSession::HandleMessage(net::Message&& message) {
       last_nacked_seq_ = UINT64_MAX;
       chunks_since_nack_ = 0;
       expected_seq_ = message.chunk_seq + 1;
-      if (store_ != nullptr) store_->EraseChunkBase(tenant_id_, message.chunk_seq);
+      std::vector<storage::Record> rows = std::move(message.rows);
       cluster_->auditor()->OnChunkApplied(tenant_id_, message.payload_bytes,
                                           wire_payload);
-      // Decompression / delta reconstruction busies a target core.
+      // Decompression busies a target core.
       const double decode_cost = codec::DecodeCpuSeconds(message.frame);
       if (decode_cost > 0.0) staging_->ChargeCpu(decode_cost, nullptr);
       staging_->mutable_table()->PutNewest(rows.data(), rows.size());

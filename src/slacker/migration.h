@@ -2,10 +2,8 @@
 #define SLACKER_SLACKER_MIGRATION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,8 +79,7 @@ struct [[nodiscard]] MigrationReport {
   /// Per-chunk codec decisions (snapshot chunks + delta rounds).
   uint64_t chunks_raw = 0;
   uint64_t chunks_lz = 0;
-  uint64_t chunks_delta = 0;
-  /// Modeled source-side CPU spent encoding (compress + delta).
+  /// Modeled source-side CPU spent compressing.
   double codec_cpu_seconds = 0.0;
   int delta_rounds = 0;
   /// Source and target state digests agreed at handover.
@@ -185,7 +182,8 @@ class MigrationJob {
   std::optional<PendingRound> ReadDeltaRound();
   /// Disk read, encode CPU, then kDeltaBatch to the target.
   void SendDeltaRound(PendingRound pending);
-  codec::SelectorInputs SelectorInputsFor(uint64_t logical_bytes) const;
+  /// The throttle rate and source CPU load the selector decides from.
+  codec::SelectorInputs CurrentSelectorInputs() const;
   /// Counts one chunk or round's codec and encode CPU in the report;
   /// LZ ratios feed the selector.
   void CountChunk(const codec::FrameHeader& frame, double cpu_seconds);
@@ -258,18 +256,6 @@ class MigrationJob {
   // --- Codec pipeline state (inert when selector_ is null).
   /// Per-chunk adaptive codec choice; null when the stream is raw.
   std::unique_ptr<codec::CodecSelector> selector_;
-  /// A transmitted chunk kept as a future delta-retransmission base,
-  /// keyed by seq; mirrors what the target durably stages. Bounded by
-  /// codec::kMaxCachedChunks (lowest seq evicted first).
-  struct CachedChunk {
-    uint32_t crc = 0;
-    std::vector<storage::Record> rows;
-  };
-  std::map<uint64_t, CachedChunk> chunk_cache_;
-  /// Seqs that must NOT delta-encode on retransmit: a NACKed seq is
-  /// precisely the chunk the target failed to stage, so no base exists
-  /// there. Cleared per migration.
-  std::set<uint64_t> delta_blocked_;
   /// The chunk read ahead of its throttle tokens (codec streams only).
   struct PendingChunk {
     uint64_t seq = 0;

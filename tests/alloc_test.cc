@@ -246,7 +246,7 @@ TEST(CodecAllocTest, VerifyPayloadCrcAllocatesNothing) {
   config.payload_redundancy = 0.5;
   const codec::EncodedChunk enc =
       codec::EncodeSnapshotChunk(rows, rows.size() * kKiB, codec::Codec::kLz,
-                                 config, kKiB, nullptr);
+                                 config, kKiB);
   ASSERT_EQ(enc.frame.codec, codec::Codec::kLz);
   uint64_t verified = 0;
   const double per_call = AllocationsPerCall([&](int) {

@@ -442,8 +442,6 @@ TEST(TenantDbTest, DataBytesTracksTableSize) {
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
   db.Load();
   EXPECT_EQ(db.DataBytes(), 64u * 16 * kKiB);  // 1024 rows / 16 per page.
-  const storage::DataDirectory dir = db.Directory();
-  EXPECT_GE(dir.TotalBytes(), db.DataBytes());
 }
 
 // ---------------------------------------------------------------- Txn

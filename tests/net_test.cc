@@ -197,29 +197,23 @@ TEST(MessageTest, SnapshotChunkTruncatedAtEveryByteIsCorruption) {
 
 // ------------------------------------------------------ Codec extension
 
-Message CodecMessage(codec::Codec codec) {
+Message LzMessage() {
   Message m = FullMessage();
-  m.frame.codec = codec;
+  m.frame.codec = codec::Codec::kLz;
   m.frame.logical_bytes = 4096;
   m.frame.encoded_bytes = 1024;
   m.frame.payload_crc = 0xabad1dea;
   m.frame.payload_redundancy = 0.5;
-  if (codec == codec::Codec::kDelta) {
-    m.frame.base_crc = 0x1234abcd;
-    m.removed_keys = {7, 9, 11};
-  }
   return m;
 }
 
-// A frame whose CRC holds but whose last count (log records, or a
-// delta's removed keys) claims 2^62 entries: the decoder must report
-// Corruption before it sizes anything by that count.
+// A frame whose CRC holds but whose last count (log records, or the
+// codec extension's reserved count) claims 2^62 entries: the decoder
+// must report Corruption before it sizes anything by that count.
 TEST(MessageTest, CountsBeyondThePayloadAreCorruption) {
   Message plain;
   plain.type = MessageType::kDeltaBatch;
-  Message delta = CodecMessage(codec::Codec::kDelta);
-  delta.removed_keys.clear();
-  for (const Message& m : {plain, delta}) {
+  for (const Message& m : {plain, LzMessage()}) {
     const std::vector<uint8_t> frame = EncodeMessage(m);
     std::vector<uint8_t> payload(frame.begin() + kFrameHeaderBytes,
                                  frame.end());
@@ -235,12 +229,64 @@ TEST(MessageTest, CountsBeyondThePayloadAreCorruption) {
 }
 
 TEST(MessageTest, CodecFrameRoundTrip) {
-  for (const codec::Codec codec : {codec::Codec::kLz, codec::Codec::kDelta}) {
-    const Message m = CodecMessage(codec);
+  const Message m = LzMessage();
+  Message out;
+  ASSERT_TRUE(DecodeMessage(EncodeMessage(m), &out).ok());
+  EXPECT_EQ(out, m);
+  EXPECT_EQ(out.wire_payload_bytes(), m.frame.encoded_bytes);
+}
+
+// LzMessage()'s frame with its codec extension written by hand, with a
+// valid header CRC: `codec_byte`, the reserved word after payload_crc,
+// and the reserved count after the header followed by that many keys.
+std::vector<uint8_t> HandWrittenLzFrame(uint8_t codec_byte,
+                                        uint32_t reserved_word,
+                                        uint64_t reserved_count) {
+  const Message m = LzMessage();
+  const std::vector<uint8_t> raw_frame = EncodeMessage(FullMessage());
+  const uint8_t* start = nullptr;
+  size_t length = 0;
+  EXPECT_TRUE(CheckFrame(raw_frame, &start, &length).ok());
+  ByteWriter writer;
+  writer.PutBytes(start, length);
+  const size_t header_start = writer.size();
+  writer.PutU8(codec::kCodecFrameMagic);
+  writer.PutU8(1);  // Version.
+  writer.PutU8(codec_byte);
+  writer.PutVarint64(m.frame.logical_bytes);
+  writer.PutVarint64(m.frame.encoded_bytes);
+  writer.PutFixed32(m.frame.payload_crc);
+  writer.PutFixed32(reserved_word);
+  writer.PutDouble(m.frame.payload_redundancy);
+  writer.PutFixed32(Crc32c(writer.data().data() + header_start,
+                           writer.size() - header_start));
+  writer.PutVarint64(reserved_count);
+  for (uint64_t i = 0; i < reserved_count; ++i) writer.PutVarint64(i + 7);
+  return EncodeFrame(writer.data());
+}
+
+// Only kLz frames exist, and both reserved fields are written as 0:
+// codec byte 2 and a nonzero reserved word or count are corruption,
+// even under a valid header CRC.
+TEST(MessageTest, UnknownCodecOrNonzeroReservedFieldIsCorruption) {
+  ASSERT_EQ(HandWrittenLzFrame(1, 0, 0), EncodeMessage(LzMessage()));
+  struct Case {
+    const char* what;
+    uint8_t codec_byte;
+    uint32_t reserved_word;
+    uint64_t reserved_count;
+  } kCases[] = {{"codec byte 2", 2, 0, 0},
+                {"reserved word", 1, 0x1234abcd, 0},
+                {"reserved count 1", 1, 0, 1},
+                {"reserved count 3", 1, 0, 3}};
+  for (const Case& c : kCases) {
     Message out;
-    ASSERT_TRUE(DecodeMessage(EncodeMessage(m), &out).ok());
-    EXPECT_EQ(out, m);
-    EXPECT_EQ(out.wire_payload_bytes(), m.frame.encoded_bytes);
+    EXPECT_EQ(DecodeMessage(HandWrittenLzFrame(c.codec_byte, c.reserved_word,
+                                               c.reserved_count),
+                            &out)
+                  .code(),
+              StatusCode::kCorruption)
+        << c.what;
   }
 }
 
@@ -248,7 +294,7 @@ TEST(MessageTest, RawFramesCarryNoCodecExtension) {
   // A default (raw) message must encode byte-identically to the
   // pre-codec format; the golden traces depend on it.
   const Message raw = FullMessage();
-  const Message lz = CodecMessage(codec::Codec::kLz);
+  const Message lz = LzMessage();
   EXPECT_LT(EncodeMessage(raw).size(), EncodeMessage(lz).size());
   Message out;
   ASSERT_TRUE(DecodeMessage(EncodeMessage(raw), &out).ok());
@@ -272,21 +318,12 @@ TEST(MessageTest, RandomizedCodecRoundTripProperty) {
     for (uint64_t i = 0; i < row_count; ++i) {
       m.rows.push_back(storage::Record{rng.Next(), rng.Next(), rng.Next()});
     }
-    const uint64_t pick = rng.NextBelow(3);
-    if (pick != 0) {
-      m.frame.codec =
-          pick == 1 ? codec::Codec::kLz : codec::Codec::kDelta;
+    if (rng.NextBelow(2) != 0) {
+      m.frame.codec = codec::Codec::kLz;
       m.frame.logical_bytes = m.payload_bytes;
       m.frame.encoded_bytes = rng.NextBelow(m.payload_bytes + 1);
       m.frame.payload_crc = static_cast<uint32_t>(rng.Next());
       m.frame.payload_redundancy = rng.NextDouble();
-      if (m.frame.codec == codec::Codec::kDelta) {
-        m.frame.base_crc = static_cast<uint32_t>(rng.Next());
-        const uint64_t removed = rng.NextBelow(8);
-        for (uint64_t i = 0; i < removed; ++i) {
-          m.removed_keys.push_back(rng.Next());
-        }
-      }
     }
     const std::vector<uint8_t> frame = EncodeMessage(m);
     Message out;
@@ -387,13 +424,11 @@ TEST(RangeExtensionTest, FullOrEmptyRangeExtensionRejected) {
 // once from a closed-form size; the bytes must be those of framing the
 // payload in a second step.
 TEST(MessageTest, EncodeMessageEqualsTwoStepFraming) {
-  std::vector<Message> messages = {Message(), FullMessage(),
-                                   CodecMessage(codec::Codec::kLz),
-                                   CodecMessage(codec::Codec::kDelta),
+  std::vector<Message> messages = {Message(), FullMessage(), LzMessage(),
                                    RangeRequest(7, 8)};
   // Every extension at once, with fields at multi-byte varint widths
   // and an error string whose length takes two varint bytes.
-  Message wide = CodecMessage(codec::Codec::kDelta);
+  Message wide = LzMessage();
   wide.type = MessageType::kMigrateAbort;
   wide.tenant_id = UINT64_MAX;
   wide.target_server = 128;
@@ -403,7 +438,6 @@ TEST(MessageTest, EncodeMessageEqualsTwoStepFraming) {
   wide.error = std::string(300, 'e');
   wide.frame.logical_bytes = UINT64_MAX;
   wide.frame.encoded_bytes = 16384;
-  wide.removed_keys.push_back(UINT64_MAX);
   wide.negotiation.software_version = UINT32_MAX;
   wide.negotiation.feature_mask = FeatureMaskForVersion(3);
   wide.range_lo = 1;
@@ -462,7 +496,7 @@ TEST(NegotiationTest, TruncatedExtensionRejected) {
   ByteWriter writer;
   NegotiationInfo info;
   info.software_version = 7;
-  info.feature_mask = kFeatureLz | kFeatureDelta;
+  info.feature_mask = kFeatureLz | kFeatureAdaptive;
   info.EncodeTo(&writer);
   const std::vector<uint8_t>& bytes = writer.data();
   for (size_t len = 0; len < bytes.size(); ++len) {
@@ -512,7 +546,7 @@ TEST(NegotiationTest, OverlongVarintRejectedDespiteItsCrc) {
 TEST(NegotiationTest, MixedVersionPairsAlwaysAgreeOnASupportedCodec) {
   const codec::CodecMode kModes[] = {
       codec::CodecMode::kRaw, codec::CodecMode::kLz,
-      codec::CodecMode::kDelta, codec::CodecMode::kAdaptive};
+      codec::CodecMode::kAdaptive};
   for (uint32_t sv = 0; sv <= 5; ++sv) {
     for (uint32_t tv = 0; tv <= 5; ++tv) {
       const uint64_t smask = FeatureMaskForVersion(sv);
@@ -531,9 +565,8 @@ TEST(NegotiationTest, MixedVersionPairsAlwaysAgreeOnASupportedCodec) {
             mode == codec::CodecMode::kAdaptive) {
           EXPECT_TRUE(common & kFeatureLz) << sv << "/" << tv;
         }
-        if (mode == codec::CodecMode::kDelta ||
-            mode == codec::CodecMode::kAdaptive) {
-          EXPECT_TRUE(common & kFeatureDelta) << sv << "/" << tv;
+        if (mode == codec::CodecMode::kAdaptive) {
+          EXPECT_TRUE(common & kFeatureAdaptive) << sv << "/" << tv;
         }
         // Deterministic: same inputs, same answer.
         EXPECT_EQ(mode, NegotiatedCodecMode(requested, sv, smask, tv, tmask));

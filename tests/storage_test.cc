@@ -12,7 +12,6 @@
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/storage/buffer_pool.h"
-#include "src/storage/data_directory.h"
 #include "src/storage/record.h"
 #include "src/storage/tablespace.h"
 
@@ -235,15 +234,6 @@ TEST(RecordTest, MaterializePayloadDeterministic) {
   EXPECT_EQ(a.size(), kKiB);
   Record other{42, 8, RowDigest(42, 8, 1)};
   EXPECT_NE(MaterializePayload(other, kKiB), a);
-}
-
-// ---------------------------------------------------------------- DataDirectory
-
-TEST(DataDirectoryTest, TenantInventory) {
-  DataDirectory dir = DataDirectory::ForTenant(5, kGiB, 12345);
-  EXPECT_EQ(dir.files().size(), 3u);
-  EXPECT_EQ(dir.TotalBytes(), kGiB + 12345 + 4096);
-  EXPECT_NE(dir.path().find("tenant_5"), std::string::npos);
 }
 
 }  // namespace
