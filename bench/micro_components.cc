@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot components under the
 // experiments: B+-tree ops (cold lookups and snapshot-chunk apply
-// among them), row digests and tenant loads, buffer pool
+// among them), row digests, tenant loads and checkpoints, buffer pool
 // touches, PID updates, wire codec and its CRCs, binlog append/scan,
 // event queue churn, token bucket grants, and the bulk stream's three
 // codec kernels. These bound the simulator's own overhead and document the
@@ -17,6 +17,7 @@
 #include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/control/pid.h"
+#include "src/engine/checkpoint.h"
 #include "src/engine/tenant_db.h"
 #include "src/net/message.h"
 #include "src/obs/trace.h"
@@ -115,6 +116,60 @@ void BM_TenantLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TenantLoad)->Arg(8 << 10)->Arg(16 << 10);
+
+// A checkpoint's two sides on a 16 Ki-row tenant, fleet_reads' size:
+// TakeCheckpoint packs and digests every row in one table walk, and
+// RecoverFromCheckpoint validates the packed image and appends it back
+// a block at a time. One row in eight carries a later LSN, as after
+// updates, so not every row packs into two bytes.
+struct CheckpointRig {
+  sim::Simulator sim;
+  resource::DiskModel disk{&sim, resource::DiskOptions{}};
+  resource::CpuModel cpu{&sim, resource::CpuOptions{}};
+  engine::TenantDb db{&sim, &disk, &cpu, Config()};
+
+  CheckpointRig() {
+    db.Load();
+    for (uint64_t key = 0; key < kRows; key += 8) {
+      const storage::Lsn lsn = 1000 + key;
+      db.mutable_table()->Put(storage::Record{
+          key, lsn, storage::RowDigest(key, lsn, storage::kValueSeed)});
+    }
+  }
+
+  static constexpr uint64_t kRows = 16 << 10;
+
+  static engine::TenantConfig Config() {
+    engine::TenantConfig config;
+    config.tenant_id = 1;
+    config.layout.record_count = kRows;
+    return config;
+  }
+};
+
+void BM_TakeCheckpoint(benchmark::State& state) {
+  CheckpointRig rig;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine::TakeCheckpoint(rig.db).digest);
+  }
+  state.SetItemsProcessed(state.iterations() * CheckpointRig::kRows);
+}
+BENCHMARK(BM_TakeCheckpoint);
+
+void BM_RecoverFromCheckpoint(benchmark::State& state) {
+  CheckpointRig rig;
+  const engine::CheckpointImage image = engine::TakeCheckpoint(rig.db);
+  engine::TenantDb recovered(&rig.sim, &rig.disk, &rig.cpu,
+                             CheckpointRig::Config());
+  for (auto _ : state) {
+    const Result<storage::Lsn> lsn =
+        engine::RecoverFromCheckpoint(image, *rig.db.binlog(), &recovered);
+    if (!lsn.ok()) state.SkipWithError("recovery failed");
+    benchmark::DoNotOptimize(recovered.table().size());
+  }
+  state.SetItemsProcessed(state.iterations() * CheckpointRig::kRows);
+}
+BENCHMARK(BM_RecoverFromCheckpoint);
 
 void BM_BufferPoolTouch(benchmark::State& state) {
   storage::BufferPool pool(storage::BufferPoolOptions{8192});

@@ -1,34 +1,54 @@
 #include "src/engine/checkpoint.h"
 
+#include <string>
+#include <vector>
+
 #include "src/common/checksum.h"
 #include "src/wal/recovery.h"
 
 namespace slacker::engine {
 
-uint64_t CheckpointDigest(const std::vector<storage::Record>& rows) {
-  uint64_t digest = 0xcbf29ce484222325ULL;
-  for (const storage::Record& r : rows) {
-    digest = HashCombine(digest, r.key);
-    digest = HashCombine(digest, r.lsn);
-    digest = HashCombine(digest, r.digest);
-  }
-  return digest;
+namespace {
+
+constexpr uint64_t kDigestSeed = 0xcbf29ce484222325ULL;
+
+uint64_t FoldRow(uint64_t digest, const storage::Record& r) {
+  digest = HashCombine(digest, r.key);
+  digest = HashCombine(digest, r.lsn);
+  return HashCombine(digest, r.digest);
 }
+
+}  // namespace
 
 CheckpointImage TakeCheckpoint(const TenantDb& db) {
   CheckpointImage image;
   image.tenant_id = db.config().tenant_id;
   image.lsn = db.last_lsn();
-  image.rows.reserve(db.table().size());
+  image.rows.Reserve(db.table().size());
+  // One walk: each stack block of rows is digested, then packed.
+  storage::Record block[storage::PackedRows::kBlockRows];
+  size_t n = 0;
+  uint64_t digest = kDigestSeed;
   for (auto it = db.table().Begin(); it.Valid(); it.Next()) {
-    image.rows.push_back(it.record());
+    block[n] = it.record();
+    digest = FoldRow(digest, block[n]);
+    if (++n == storage::PackedRows::kBlockRows) {
+      image.rows.Append(block, n);
+      n = 0;
+    }
   }
-  image.digest = CheckpointDigest(image.rows);
+  image.rows.Append(block, n);
+  image.rows.ShrinkToFit();
+  image.digest = digest;
   return image;
 }
 
 Status ValidateCheckpoint(const CheckpointImage& image) {
-  if (CheckpointDigest(image.rows) != image.digest) {
+  uint64_t digest = kDigestSeed;
+  image.rows.ForEachBlock([&](const storage::Record* rows, size_t n) {
+    for (size_t i = 0; i < n; ++i) digest = FoldRow(digest, rows[i]);
+  });
+  if (digest != image.digest) {
     return Status::Corruption("checkpoint digest mismatch for tenant " +
                               std::to_string(image.tenant_id));
   }
@@ -44,8 +64,11 @@ Result<storage::Lsn> RecoverFromCheckpoint(const CheckpointImage& image,
   }
   storage::BTree* table = db->mutable_table();
   table->Clear();
-  // TakeCheckpoint wrote the rows in key order.
-  table->AppendSorted(image.rows.data(), image.rows.size());
+  // TakeCheckpoint packed the rows in key order; appending them a block
+  // at a time builds the same tree as one append of them all.
+  image.rows.ForEachBlock([table](const storage::Record* rows, size_t n) {
+    table->AppendSorted(rows, n);
+  });
 
   std::vector<wal::LogRecord> suffix;
   log.ReadRange(image.lsn + 1, log.last_lsn(), &suffix);

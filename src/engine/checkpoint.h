@@ -2,10 +2,10 @@
 #define SLACKER_ENGINE_CHECKPOINT_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/engine/tenant_db.h"
+#include "src/storage/packed_rows.h"
 #include "src/storage/record.h"
 #include "src/wal/binlog.h"
 
@@ -16,13 +16,19 @@ namespace slacker::engine {
 /// in the binlog, and recovery = load image + replay binlog suffix.
 /// (Live migration uses the streaming HotBackup instead; checkpoints
 /// serve restart-after-crash and binlog retention.)
+///
+/// The rows are packed (storage::PackedRows): a key gap and an LSN per
+/// row, and a digest only where it is not the derived one, so a loaded
+/// tenant's image holds about 2 bytes per row. The image keeps no
+/// decoded copy; validation and recovery decode it a block at a time.
 struct CheckpointImage {
   uint64_t tenant_id = 0;
   /// All committed row changes with lsn <= this are reflected.
   storage::Lsn lsn = 0;
   /// In strictly ascending key order.
-  std::vector<storage::Record> rows;
-  /// Digest of the rows (order-sensitive), for integrity checking.
+  storage::PackedRows rows;
+  /// Digest of the (key, lsn, digest) triples in key order, the same
+  /// fold as TenantDb::StateDigest, for integrity checking.
   uint64_t digest = 0;
 
   /// Logical size (what writing this checkpoint to disk costs).
@@ -31,7 +37,8 @@ struct CheckpointImage {
   }
 };
 
-/// Captures a checkpoint of `db` at its current LSN. The tenant must be
+/// Captures a checkpoint of `db` at its current LSN, packing and
+/// digesting each row in one walk of the table. The tenant must be
 /// quiesced by the caller (frozen, or known-idle) — a fuzzy checkpoint
 /// is exactly what HotBackupStream provides instead.
 CheckpointImage TakeCheckpoint(const TenantDb& db);
@@ -45,9 +52,6 @@ Status ValidateCheckpoint(const CheckpointImage& image);
 Result<storage::Lsn> RecoverFromCheckpoint(const CheckpointImage& image,
                                            const wal::Binlog& log,
                                            TenantDb* db);
-
-/// Digest helper shared by Take/Validate.
-uint64_t CheckpointDigest(const std::vector<storage::Record>& rows);
 
 }  // namespace slacker::engine
 

@@ -70,7 +70,8 @@ struct Message {
   /// NACK it for retransmission.
   uint32_t chunk_crc = 0;
   /// kMigrateRequest: the source is willing to resume from durably
-  /// staged chunks of an earlier, interrupted attempt.
+  /// staged chunks of an earlier, interrupted attempt. kSnapshotBegin:
+  /// the source accepted the resume; false means a fresh stream.
   bool resume = false;
   /// kSnapshotResume: first key the source still needs to stream
   /// (everything below it is staged at the target). kSnapshotBegin

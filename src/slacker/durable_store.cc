@@ -67,7 +67,7 @@ void DurableStore::AppendStagedRows(uint64_t tenant_id,
   auto it = staged_.find(tenant_id);
   if (it == staged_.end()) return;
   StagedSnapshot& staged = it->second;
-  staged.rows.insert(staged.rows.end(), rows.begin(), rows.end());
+  staged.rows.Append(rows.data(), rows.size());
   staged.resume_key = std::max(staged.resume_key, next_resume_key);
   staged.bytes_staged += bytes;
 }

@@ -7,6 +7,7 @@
 
 #include "src/engine/checkpoint.h"
 #include "src/net/message.h"
+#include "src/storage/packed_rows.h"
 #include "src/storage/record.h"
 #include "src/wal/binlog.h"
 
@@ -25,6 +26,9 @@ struct DurableTenantState {
 /// retried migration to this server resumes instead of re-streaming.
 /// Rows below `resume_key` are staged as of `start_lsn`; the resumed
 /// source streams [resume_key, ...] and ships deltas from `start_lsn`.
+/// The rows arrive chunk by chunk in ascending key order and are kept
+/// packed, as a checkpoint image keeps its rows; a stream that does not
+/// resume starts a new record.
 struct StagedSnapshot {
   uint64_t tenant_id = 0;
   uint64_t source_server = 0;
@@ -32,12 +36,14 @@ struct StagedSnapshot {
   storage::Lsn start_lsn = 0;
   uint64_t resume_key = 0;
   uint64_t bytes_staged = 0;
-  std::vector<storage::Record> rows;
+  storage::PackedRows rows;
 };
 
 /// The crash-surviving slice of one server's disk: checkpoint images,
 /// per-tenant crash state captured at CrashServer time, and staged
-/// snapshot chunks of interrupted incoming migrations. Volatile state
+/// snapshot chunks of interrupted incoming migrations. Images and
+/// staged chunks hold their rows packed (storage::PackedRows), a few
+/// bytes per row rather than a 24-byte Record. Volatile state
 /// (buffer pools, sessions, jobs, in-flight I/O) dies with the server;
 /// everything here comes back on restart.
 class DurableStore {
@@ -62,7 +68,8 @@ class DurableStore {
   StagedSnapshot* EnsureStaged(uint64_t tenant_id, uint64_t source_server,
                                const net::TenantWireConfig& config,
                                storage::Lsn start_lsn);
-  /// Appends durably-written chunk rows and advances the resume key.
+  /// Appends durably-written chunk rows, which must ascend above every
+  /// staged key, and advances the resume key.
   void AppendStagedRows(uint64_t tenant_id,
                         const std::vector<storage::Record>& rows,
                         uint64_t next_resume_key, uint64_t bytes);

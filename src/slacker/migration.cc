@@ -984,8 +984,11 @@ TargetSession::TargetSession(Cluster* cluster, uint64_t self_server,
       // An earlier attempt durably staged part of the snapshot here.
       // Rebuild the staging table from it and offer the source a resume
       // point so it skips the keys below resume_key.
-      staging_->mutable_table()->PutNewest(staged->rows.data(),
-                                           staged->rows.size());
+      storage::BTree* table = staging_->mutable_table();
+      staged->rows.ForEachBlock(
+          [table](const storage::Record* rows, size_t n) {
+            table->PutNewest(rows, n);
+          });
       rows_received_ = staged->rows.size();
       snap_start_lsn_ = staged->start_lsn;
       resumed_ = true;
@@ -1146,15 +1149,21 @@ void TargetSession::HandleMessage(net::Message&& message) {
   ArmIdleTimer();
   switch (message.type) {
     case net::MessageType::kSnapshotBegin: {
-      if (resumed_ && message.lsn != snap_start_lsn_) {
-        // The source could not honour our resume offer (its binlog no
-        // longer reaches back to the staged LSN) and is streaming a
-        // fresh snapshot: drop the rebuilt rows.
-        SLACKER_LOG_WARN << "tenant " << tenant_id_
-                         << " resume declined by source; restaging";
-        staging_->mutable_table()->Clear();
-        rows_received_ = 0;
-        resumed_ = false;
+      if (!message.resume) {
+        // A fresh snapshot streams the range from its first key, so it
+        // supersedes whatever an earlier attempt staged here, even at
+        // the same LSN (an idle tenant): the staged rows must ascend
+        // from the new stream's first chunk.
+        if (resumed_) {
+          // The source declined our resume offer (stop-and-copy, resume
+          // disabled, or a binlog that no longer reaches back to the
+          // staged LSN): drop the rebuilt rows.
+          SLACKER_LOG_WARN << "tenant " << tenant_id_
+                           << " resume declined by source; restaging";
+          staging_->mutable_table()->Clear();
+          rows_received_ = 0;
+          resumed_ = false;
+        }
         if (store_ != nullptr) store_->EraseStaged(tenant_id_);
       }
       snap_start_lsn_ = message.lsn;
@@ -1292,8 +1301,8 @@ void TargetSession::HandleMessage(net::Message&& message) {
         // is walked once.
         engine::CheckpointImage image = engine::TakeCheckpoint(*staging_);
         const bool all_in_range =
-            image.rows.empty() || (image.rows.front().key >= range_lo_ &&
-                                   image.rows.back().key < range_hi_);
+            image.rows.empty() || (image.rows.front_key() >= range_lo_ &&
+                                   image.rows.back_key() < range_hi_);
         ack.digest = all_in_range ? image.digest
                                   : staging_->StateDigest(range_lo_, range_hi_);
         store_->SaveCheckpoint(std::move(image));

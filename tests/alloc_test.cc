@@ -7,8 +7,9 @@
 // CRC tables are built; and a migration message encodes into its one
 // frame buffer and decodes into a reused message without a copy. A
 // tenant's ascending load keeps its B+-tree leaves in blocks sized to
-// their rows. A counting global operator new (this binary only) counts
-// calls and bytes.
+// their rows, and its checkpoint packs each row into about 2 bytes. A
+// counting global operator new (this binary only) counts calls and
+// bytes.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "src/codec/chunk_codec.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
+#include "src/engine/checkpoint.h"
 #include "src/engine/tenant_db.h"
 #include "src/engine/transaction.h"
 #include "src/net/message.h"
@@ -198,6 +200,29 @@ TEST(AllocTest, AscendingLoadAllocatesUnder28BytesPerRow) {
       static_cast<double>(g_allocated_bytes - bytes) / kRows;
   EXPECT_EQ(tree.size(), kRows);
   EXPECT_LE(per_row, 28.0);
+}
+
+// A checkpoint packs a loaded row into a byte of key gap and a byte of
+// LSN, and reserves exactly that up front; the image of 24-byte
+// Records it replaced took 24 bytes a row. Bytes allocated bound the
+// bytes the image holds.
+TEST(AllocTest, CheckpointOfLoadedTenantHoldsUnder3BytesPerRow) {
+  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+  constexpr uint64_t kRows = 16 * 1024;
+  sim::Simulator sim;
+  resource::DiskModel disk{&sim, resource::DiskOptions{}};
+  resource::CpuModel cpu{&sim, resource::CpuOptions{}};
+  TenantConfig config;
+  config.tenant_id = 1;
+  config.layout.record_count = kRows;
+  TenantDb db{&sim, &disk, &cpu, config};
+  db.Load();
+  const uint64_t bytes = g_allocated_bytes;
+  const CheckpointImage image = TakeCheckpoint(db);
+  const double per_row =
+      static_cast<double>(g_allocated_bytes - bytes) / kRows;
+  EXPECT_EQ(image.rows.size(), kRows);
+  EXPECT_LT(per_row, 3.0);
 }
 
 struct CachedResolver : workload::TenantResolver {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/engine/checkpoint.h"
@@ -11,6 +13,7 @@
 #include "src/resource/cpu.h"
 #include "src/resource/disk.h"
 #include "src/sim/simulator.h"
+#include "src/storage/packed_rows.h"
 
 namespace slacker::engine {
 namespace {
@@ -63,8 +66,41 @@ TEST(CheckpointTest, CorruptionDetected) {
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
   db.Load();
   CheckpointImage image = TakeCheckpoint(db);
-  image.rows[10].digest ^= 1;
+  // The same rows with row 10's digest flipped: packed, it becomes an
+  // explicit digest that no longer matches the image's.
+  storage::PackedRows corrupt;
+  size_t index = 0;
+  for (auto it = db.table().Begin(); it.Valid(); it.Next(), ++index) {
+    storage::Record row = it.record();
+    if (index == 10) row.digest ^= 1;
+    corrupt.Append(&row, 1);
+  }
+  ASSERT_EQ(corrupt.size(), image.rows.size());
+  image.rows = std::move(corrupt);
   EXPECT_EQ(ValidateCheckpoint(image).code(), StatusCode::kCorruption);
+}
+
+TEST(CheckpointTest, EditedRowWithUnderivedDigestRecoversExactly) {
+  Rig rig;
+  Rng rng(73);
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  RunWrites(&rig, &db, &rng, 50);
+  // A row whose digest is not RowDigest(key, lsn, kValueSeed): the image
+  // must store it explicitly to round-trip it.
+  const storage::Record* row = db.table().Get(10);
+  ASSERT_NE(row, nullptr);
+  const storage::Record edited{row->key, row->lsn, row->digest ^ 0xabcdef};
+  db.mutable_table()->Put(edited);
+  const uint64_t expected_digest = db.StateDigest();
+
+  const CheckpointImage image = TakeCheckpoint(db);
+  EXPECT_TRUE(ValidateCheckpoint(image).ok());
+  TenantDb recovered(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  ASSERT_TRUE(RecoverFromCheckpoint(image, *db.binlog(), &recovered).ok());
+  EXPECT_EQ(recovered.StateDigest(), expected_digest);
+  ASSERT_NE(recovered.table().Get(10), nullptr);
+  EXPECT_EQ(*recovered.table().Get(10), edited);
 }
 
 TEST(CheckpointTest, RecoverEqualsPreCrashState) {

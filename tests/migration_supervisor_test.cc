@@ -1,7 +1,8 @@
 // MigrationSupervisor: retries across crashes with exponential backoff,
 // resumes snapshot transfer from durably staged chunks, classifies
 // failures transient vs permanent, and folds every attempt into one
-// enriched report.
+// enriched report. Also: a retry that streams afresh replaces the rows
+// an earlier attempt staged.
 
 #include <gtest/gtest.h>
 
@@ -205,6 +206,94 @@ TEST(MigrationSupervisorTest, TransientClassification) {
   EXPECT_FALSE(
       MigrationSupervisor::IsTransient(Status::InvalidArgument("options")));
   EXPECT_FALSE(MigrationSupervisor::IsTransient(Status::Internal("bug")));
+}
+
+// Runs the job for tenant 1 to server 1 until it has sent at least
+// `snapshot_bytes` of snapshot, then crashes server 1 and brings it
+// back 2 s later; returns once the job has failed.
+void CrashTargetAfterSnapshotBytes(sim::Simulator* sim, Cluster* cluster,
+                                   const MigrationOptions& options,
+                                   uint64_t snapshot_bytes) {
+  bool done = false;
+  MigrationReport report;
+  ASSERT_TRUE(cluster
+                  ->StartMigration(1, 1, options,
+                                   [&](const MigrationReport& r) {
+                                     report = r;
+                                     done = true;
+                                   })
+                  .ok());
+  const SimTime deadline = sim->Now() + 60.0;
+  while (!done && sim->Now() < deadline) {
+    const MigrationJob* job = cluster->ActiveJob(1);
+    if (job != nullptr && job->report().snapshot_bytes >= snapshot_bytes) {
+      break;
+    }
+    sim->RunUntil(sim->Now() + 0.005);
+  }
+  ASSERT_FALSE(done) << "the snapshot ended before the crash";
+  cluster->CrashServer(1);
+  cluster->RestartServer(1, 2.0);
+  while (!done && sim->Now() < deadline) sim->RunUntil(sim->Now() + 0.5);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(report.status.ok());
+  sim->RunUntil(sim->Now() + 5.0);  // The restart completes.
+}
+
+// A fresh stream (the source does not resume) on an idle tenant starts
+// at the same LSN as the rows an earlier attempt staged. It must replace
+// that staged record, not append below its last key: first after a
+// stop-and-copy retry, whose source declines the target's resume offer,
+// then after a retry with resume disabled.
+TEST(StagedSnapshotTest, FreshStreamOnIdleTenantSupersedesStagedRows) {
+  sim::Simulator sim;
+  ClusterOptions cluster_options;
+  cluster_options.num_servers = 2;
+  Cluster cluster(&sim, cluster_options);
+  const engine::TenantConfig tenant = Tenant64MiB();
+  ASSERT_TRUE(cluster.AddTenant(0, tenant).ok());
+  DurableStore* store = cluster.server(1)->durable();
+  const uint64_t record_bytes = tenant.layout.record_bytes;
+
+  CrashTargetAfterSnapshotBytes(&sim, &cluster, SlowSnapshot(), 32 * kMiB);
+  const StagedSnapshot* first = store->Staged(1);
+  ASSERT_NE(first, nullptr);
+  const size_t first_rows = first->rows.size();
+  const storage::Lsn staged_lsn = first->start_lsn;
+  ASSERT_GT(first_rows, 0u);
+
+  MigrationOptions stop_and_copy = SlowSnapshot();
+  stop_and_copy.mode = MigrationMode::kStopAndCopy;
+  CrashTargetAfterSnapshotBytes(&sim, &cluster, stop_and_copy, 8 * kMiB);
+  const StagedSnapshot* second = store->Staged(1);
+  ASSERT_NE(second, nullptr);
+  // Same LSN, but only the second stream's rows: fewer than the first
+  // attempt staged, from the range's first key, one chunk payload each.
+  EXPECT_EQ(second->start_lsn, staged_lsn);
+  ASSERT_GT(second->rows.size(), 0u);
+  EXPECT_LT(second->rows.size(), first_rows);
+  EXPECT_EQ(second->rows.front_key(), 0u);
+  EXPECT_EQ(second->resume_key, second->rows.back_key() + 1);
+  EXPECT_EQ(second->bytes_staged, second->rows.size() * record_bytes);
+
+  MigrationOptions no_resume = SlowSnapshot();
+  no_resume.allow_resume = false;
+  bool done = false;
+  MigrationReport report;
+  ASSERT_TRUE(cluster
+                  .StartMigration(1, 1, no_resume,
+                                  [&](const MigrationReport& r) {
+                                    report = r;
+                                    done = true;
+                                  })
+                  .ok());
+  sim.RunUntil(sim.Now() + 60.0);
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_TRUE(report.digest_match);
+  EXPECT_EQ(report.resumed_bytes, 0u);
+  EXPECT_EQ(*cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(store->Staged(1), nullptr);
 }
 
 TEST(MigrationSupervisorTest, SupervisorOptionsValidate) {

@@ -1,5 +1,6 @@
 // Tests for buffer pool LRU behaviour, tablespace geometry, record
-// digests, and the data-directory inventory.
+// digests, and the packed row codec of checkpoint images and staged
+// snapshots.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +9,12 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/storage/buffer_pool.h"
+#include "src/storage/packed_rows.h"
 #include "src/storage/record.h"
 #include "src/storage/tablespace.h"
 
@@ -234,6 +237,108 @@ TEST(RecordTest, MaterializePayloadDeterministic) {
   EXPECT_EQ(a.size(), kKiB);
   Record other{42, 8, RowDigest(42, 8, 1)};
   EXPECT_NE(MaterializePayload(other, kKiB), a);
+}
+
+// --- PackedRows -------------------------------------------------------
+
+std::vector<Record> Decode(const PackedRows& packed) {
+  std::vector<Record> rows;
+  packed.ForEachBlock([&](const Record* block, size_t n) {
+    EXPECT_GE(n, 1u);
+    EXPECT_LE(n, PackedRows::kBlockRows);
+    // Every block but the last is full.
+    EXPECT_EQ(rows.size() % PackedRows::kBlockRows, 0u);
+    rows.insert(rows.end(), block, block + n);
+  });
+  return rows;
+}
+
+// `count` rows ascending from `first_key`. Gaps take a random bit width
+// up to 55 bits, so 257 rows stay below 2^64; LSNs a random width up to
+// 62 bits; about one row in ten has a digest that is not the derived
+// one.
+std::vector<Record> SeededRows(uint64_t seed, size_t count,
+                               uint64_t first_key) {
+  Rng rng(seed);
+  std::vector<Record> rows;
+  uint64_t key = first_key;
+  for (size_t i = 0; i < count; ++i) {
+    if (i > 0) key += 1 + (rng.Next() >> (9 + rng.NextBelow(55)));
+    const Lsn lsn = (rng.Next() >> 2) >> rng.NextBelow(63);
+    const uint64_t digest = rng.NextBelow(10) == 0
+                                ? rng.Next()
+                                : RowDigest(key, lsn, kValueSeed);
+    rows.push_back(Record{key, lsn, digest});
+  }
+  return rows;
+}
+
+void ExpectRoundTrip(const std::vector<Record>& rows) {
+  PackedRows packed;
+  packed.Append(rows.data(), rows.size());
+  EXPECT_EQ(packed.size(), rows.size());
+  EXPECT_EQ(packed.empty(), rows.empty());
+  EXPECT_EQ(Decode(packed), rows);
+  EXPECT_EQ(packed.front_key(), rows.empty() ? 0 : rows.front().key);
+  EXPECT_EQ(packed.back_key(), rows.empty() ? 0 : rows.back().key);
+}
+
+class PackedRowsCountTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PackedRowsCountTest, SeededRowsRoundTrip) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    ExpectRoundTrip(SeededRows(seed, GetParam(), 0));
+    ExpectRoundTrip(SeededRows(seed, GetParam(), 1 + seed * 997));
+  }
+}
+
+TEST_P(PackedRowsCountTest, SplitAppendsEqualOneAppend) {
+  const std::vector<Record> rows = SeededRows(42, GetParam(), 3);
+  PackedRows whole;
+  whole.Append(rows.data(), rows.size());
+  Rng rng(43);
+  PackedRows split;
+  size_t at = 0;
+  while (at < rows.size()) {
+    // Pieces of 0 to 299 rows, some of them across a block boundary.
+    const size_t n = std::min<size_t>(rows.size() - at, rng.NextBelow(300));
+    split.Append(rows.data() + at, n);
+    at += n;
+  }
+  EXPECT_EQ(split.size(), whole.size());
+  EXPECT_EQ(Decode(split), Decode(whole));
+}
+
+INSTANTIATE_TEST_SUITE_P(Counts, PackedRowsCountTest,
+                         ::testing::Values(0, 1, 255, 256, 257));
+
+TEST(PackedRowsTest, ExtremeKeysGapsAndLsnsRoundTrip) {
+  constexpr uint64_t kMax = UINT64_MAX;
+  constexpr Lsn kLsn62 = Lsn{1} << 62;
+  // A first key of 0 and a gap of 2^64 - 2.
+  ExpectRoundTrip({Record{0, 0, RowDigest(0, 0, kValueSeed)},
+                   Record{kMax - 1, kLsn62, 7}});
+  // First keys near the top of the key space, gaps of 1.
+  ExpectRoundTrip({Record{kMax - 2, kLsn62, RowDigest(kMax - 2, kLsn62,
+                                                      kValueSeed)},
+                   Record{kMax - 1, 1, 0},
+                   Record{kMax, (Lsn{1} << 63) - 1, kMax}});
+  ExpectRoundTrip({Record{kMax, 0, RowDigest(kMax, 0, kValueSeed)}});
+}
+
+TEST(PackedRowsDeathTest, RejectsKeysNotAscendingAndHugeLsns) {
+  PackedRows packed;
+  const Record first{5, 0, 0};
+  packed.Append(&first, 1);
+  const Record equal{5, 1, 0};
+  const Record below{4, 1, 0};
+  const Record huge_lsn{6, Lsn{1} << 63, 0};
+  const Record unsorted[] = {{7, 1, 0}, {9, 1, 0}, {8, 1, 0}};
+  EXPECT_DEATH(packed.Append(&equal, 1), "packed rows must ascend");
+  EXPECT_DEATH(packed.Append(&below, 1), "packed rows must ascend");
+  EXPECT_DEATH(packed.Append(unsorted, 3), "packed rows must ascend");
+  EXPECT_DEATH(packed.Append(&huge_lsn, 1), "packed row LSN too large");
 }
 
 }  // namespace
