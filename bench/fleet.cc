@@ -386,10 +386,7 @@ FleetAudit Fleet::Audit() {
       engine::TenantDb* owner = cluster_->ResolveForKey(tenant_id, key);
       const storage::Record* row =
           owner == nullptr ? nullptr : owner->table().Get(key);
-      const bool ok = acked.deleted
-                          ? row == nullptr
-                          : row != nullptr && row->digest == acked.digest;
-      if (!ok) ++audit.mismatches;
+      if (row == nullptr || row->digest != acked.digest) ++audit.mismatches;
     }
     if (!cluster_->directory()->ValidateCoverage(tenant_id).ok()) {
       ++audit.coverage_errors;

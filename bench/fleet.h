@@ -164,10 +164,10 @@ class Fleet {
   /// Runs the stopped fleet in 1 s steps (at most 600 s) until every
   /// pool is idle and no migration job is in flight, then checks every
   /// tenant: each acked write of its pools (merged by LSN, newest wins)
-  /// is present with its digest at the ResolveForKey owner, or absent
-  /// if deleted, its range table passes ValidateCoverage, and every
-  /// range's owner is up and holds an instance of the tenant. Finish()
-  /// calls it; calling it again re-checks without re-draining.
+  /// is present with its digest at the ResolveForKey owner, its range
+  /// table passes ValidateCoverage, and every range's owner is up and
+  /// holds an instance of the tenant. Finish() calls it; calling it
+  /// again re-checks without re-draining.
   FleetAudit Audit();
 
   sim::Simulator* sim() { return &sim_; }

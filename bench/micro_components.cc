@@ -119,9 +119,9 @@ BENCHMARK(BM_TenantLoad)->Arg(8 << 10)->Arg(16 << 10);
 
 // A checkpoint's two sides on a 16 Ki-row tenant, fleet_reads' size:
 // TakeCheckpoint packs and digests every row in one table walk, and
-// RecoverFromCheckpoint validates the packed image and appends it back
-// a block at a time. One row in eight carries a later LSN, as after
-// updates, so not every row packs into two bytes.
+// RecoverFromCheckpoint appends the packed image back a block at a
+// time, checking its digest in the same pass. One row in eight carries
+// a later LSN, as after updates, so not every row packs into two bytes.
 struct CheckpointRig {
   sim::Simulator sim;
   resource::DiskModel disk{&sim, resource::DiskOptions{}};
@@ -242,7 +242,7 @@ void BM_BinlogAppendScan(benchmark::State& state) {
   for (auto _ : state) {
     wal::Binlog log(1024);
     for (storage::Lsn lsn = 1; lsn <= 10000; ++lsn) {
-      log.AppendRow(lsn, wal::LogType::kUpdate, lsn % 97);
+      log.AppendUpdate(lsn, lsn % 97);
     }
     benchmark::DoNotOptimize(log.total_bytes());
     std::vector<wal::LogRecord> out;

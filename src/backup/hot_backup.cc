@@ -32,8 +32,8 @@ HotBackupStream::Chunk HotBackupStream::NextChunk() {
   chunk.seq = next_seq_++;
   chunk_start_keys_.push_back(next_key_);
   chunk.rows.reserve(rows_per_chunk_);
-  // Resume the scan at the cursor key: robust against rows inserted or
-  // deleted behind the cursor while the backup runs.
+  // Resume the scan at the cursor key rather than keep an iterator:
+  // the tree may change between chunks while the backup runs.
   auto it = source_->table().Seek(next_key_);
   uint64_t copied = 0;
   while (it.Valid() && it.record().key < end_key_ && copied < rows_per_chunk_) {

@@ -43,32 +43,28 @@ CheckpointImage TakeCheckpoint(const TenantDb& db) {
   return image;
 }
 
-Status ValidateCheckpoint(const CheckpointImage& image) {
-  uint64_t digest = kDigestSeed;
-  image.rows.ForEachBlock([&](const storage::Record* rows, size_t n) {
-    for (size_t i = 0; i < n; ++i) digest = FoldRow(digest, rows[i]);
-  });
-  if (digest != image.digest) {
-    return Status::Corruption("checkpoint digest mismatch for tenant " +
-                              std::to_string(image.tenant_id));
-  }
-  return Status::Ok();
-}
-
 Result<storage::Lsn> RecoverFromCheckpoint(const CheckpointImage& image,
                                            const wal::Binlog& log,
                                            TenantDb* db) {
-  SLACKER_RETURN_IF_ERROR(ValidateCheckpoint(image));
   if (image.tenant_id != db->config().tenant_id) {
     return Status::InvalidArgument("checkpoint belongs to another tenant");
   }
   storage::BTree* table = db->mutable_table();
   table->Clear();
   // TakeCheckpoint packed the rows in key order; appending them a block
-  // at a time builds the same tree as one append of them all.
-  image.rows.ForEachBlock([table](const storage::Record* rows, size_t n) {
+  // at a time builds the same tree as one append of them all. Each
+  // block is folded into the digest as it goes in.
+  uint64_t digest = kDigestSeed;
+  image.rows.ForEachBlock([&](const storage::Record* rows, size_t n) {
+    for (size_t i = 0; i < n; ++i) digest = FoldRow(digest, rows[i]);
     table->AppendSorted(rows, n);
   });
+  if (digest != image.digest) {
+    // No caller may see a partly built table.
+    table->Clear();
+    return Status::Corruption("checkpoint digest mismatch for tenant " +
+                              std::to_string(image.tenant_id));
+  }
 
   std::vector<wal::LogRecord> suffix;
   log.ReadRange(image.lsn + 1, log.last_lsn(), &suffix);

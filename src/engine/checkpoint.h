@@ -20,7 +20,7 @@ namespace slacker::engine {
 /// The rows are packed (storage::PackedRows): a key gap and an LSN per
 /// row, and a digest only where it is not the derived one, so a loaded
 /// tenant's image holds about 2 bytes per row. The image keeps no
-/// decoded copy; validation and recovery decode it a block at a time.
+/// decoded copy; recovery decodes it once, a block at a time.
 struct CheckpointImage {
   uint64_t tenant_id = 0;
   /// All committed row changes with lsn <= this are reflected.
@@ -43,12 +43,12 @@ struct CheckpointImage {
 /// is exactly what HotBackupStream provides instead.
 CheckpointImage TakeCheckpoint(const TenantDb& db);
 
-/// Verifies the image's digest. kCorruption on mismatch.
-Status ValidateCheckpoint(const CheckpointImage& image);
-
 /// Rebuilds `db`'s table from `image` plus the binlog suffix
 /// (lsn > image.lsn) read from `log`. Returns the LSN recovered up to.
-/// Fails if the image is corrupt or belongs to another tenant.
+/// The image's digest is checked while its rows are appended, in the
+/// one decode of the image. Fails with kInvalidArgument, before
+/// touching the table, if the image belongs to another tenant, and with
+/// kCorruption, leaving the table empty, if its digest does not match.
 Result<storage::Lsn> RecoverFromCheckpoint(const CheckpointImage& image,
                                            const wal::Binlog& log,
                                            TenantDb* db);

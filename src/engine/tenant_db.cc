@@ -18,8 +18,7 @@ TenantDb::TenantDb(sim::Simulator* sim, resource::DiskModel* disk,
       config_(config),
       own_pool_(storage::BufferPoolOptions{config.BufferPoolPages()}),
       pool_(&own_pool_),
-      binlog_(config.layout.record_bytes),
-      next_insert_key_(config.layout.record_count) {}
+      binlog_(config.layout.record_bytes) {}
 
 TenantDb::TenantDb(sim::Simulator* sim, resource::DiskModel* disk,
                    resource::CpuModel* cpu, TenantConfig config,
@@ -30,8 +29,7 @@ TenantDb::TenantDb(sim::Simulator* sim, resource::DiskModel* disk,
       config_(config),
       own_pool_(storage::BufferPoolOptions{0}),
       pool_(shared_pool),
-      binlog_(config.layout.record_bytes),
-      next_insert_key_(config.layout.record_count) {}
+      binlog_(config.layout.record_bytes) {}
 
 uint64_t TenantDb::PoolPageId(uint64_t page) const {
   // Namespacing only matters when the pool is shared; harmless always.
@@ -66,10 +64,6 @@ void TenantDb::ExecuteOp(const Operation& op, OpCallback done) {
 }
 
 bool TenantDb::TouchesFrozenKeys(const Operation& op) const {
-  if (op.type == OpType::kInsert) {
-    // Inserts land at the next insert cursor, not op.key.
-    return next_insert_key_ >= frozen_lo_ && next_insert_key_ < frozen_hi_;
-  }
   if (op.type == OpType::kScan) {
     const uint64_t len = std::max<uint64_t>(op.scan_length, 1);
     const uint64_t end =
@@ -111,7 +105,7 @@ void TenantDb::StartOp(const Operation& op, OpCallback done) {
     const Operation* op = InFlight(token);
     if (op == nullptr) return;
     // Stage 2: page access through the buffer pool.
-    const bool is_write = op->type != OpType::kRead;
+    const bool is_write = op->type == OpType::kUpdate;
     const uint64_t page = PoolPageId(config_.layout.PageOf(op->key));
     const storage::PageAccess access = pool_->Touch(page, is_write);
     if (access.evicted_dirty) {
@@ -192,54 +186,26 @@ void TenantDb::FinishOp(uint64_t token) {
     ++window_base_;
   }
   if (ops_counter_ != nullptr) ops_counter_->Add();
-  // Reads and scans return no row, so only writes touch the tree; an
+  // Reads and scans return no row, so only updates touch the tree; an
   // absent key is a successful empty read either way.
   WrittenRow written;
-  if (op.type != OpType::kRead && op.type != OpType::kScan) {
-    written = ApplyWrite(op);
-  }
+  if (op.type == OpType::kUpdate) written = ApplyUpdate(op.key);
   ++ops_executed_;
   --in_flight_;
   MaybeNotifyDrained();
   if (done) done(Status::Ok(), written);
 }
 
-WrittenRow TenantDb::ApplyWrite(const Operation& op) {
-  WrittenRow written;
+WrittenRow TenantDb::ApplyUpdate(uint64_t key) {
   const storage::Lsn lsn = next_lsn_++;
-  written.lsn = lsn;
-  wal::LogType type = wal::LogType::kUpdate;
-  switch (op.type) {
-    case OpType::kUpdate: {
-      written.key = op.key;
-      written.digest = storage::RowDigest(op.key, lsn, storage::kValueSeed);
-      table_.Put(storage::Record{op.key, lsn, written.digest});
-      break;
-    }
-    case OpType::kInsert: {
-      const uint64_t key = next_insert_key_++;
-      written.key = key;
-      written.digest = storage::RowDigest(key, lsn, storage::kValueSeed);
-      table_.Put(storage::Record{key, lsn, written.digest});
-      type = wal::LogType::kInsert;
-      break;
-    }
-    case OpType::kDelete: {
-      written.key = op.key;
-      written.deleted = true;
-      table_.Erase(op.key);
-      type = wal::LogType::kDelete;
-      break;
-    }
-    case OpType::kRead:
-    case OpType::kScan:  // Reads and scans never reach ApplyWrite.
-      return written;
-  }
+  const WrittenRow written{key, lsn,
+                           storage::RowDigest(key, lsn, storage::kValueSeed)};
+  table_.Put(storage::Record{key, lsn, written.digest});
   // Binlog append is functional bookkeeping here; durability cost is
   // charged once per transaction in Commit(). The binlog re-derives the
   // row image's digest and accounts it at full row size (row-based
   // replication).
-  binlog_.AppendRow(lsn, type, written.key);
+  binlog_.AppendUpdate(lsn, key);
   return written;
 }
 
@@ -254,8 +220,7 @@ void TenantDb::Freeze(sim::Callback<void()> drained, uint64_t lo,
   frozen_ = true;
   frozen_lo_ = lo;
   frozen_hi_ = hi;
-  // Decide once, here, which in-flight ops the drain waits for: the set
-  // cannot drift as the insert cursor advances.
+  // Decide once, here, which in-flight ops the drain waits for.
   draining_ = 0;
   for (size_t i = 0; i < window_.size(); ++i) {
     InFlightOp& slot = window_[i];
@@ -334,10 +299,6 @@ void TenantDb::WarmBufferPool() {
 
 void TenantDb::SyncCursorsAfterIngest(storage::Lsn source_last_lsn) {
   if (source_last_lsn + 1 > next_lsn_) next_lsn_ = source_last_lsn + 1;
-  const Result<uint64_t> max_key = table_.MaxKey();
-  if (max_key.ok() && *max_key + 1 > next_insert_key_) {
-    next_insert_key_ = *max_key + 1;
-  }
 }
 
 uint64_t TenantDb::StateDigest(uint64_t lo, uint64_t hi) const {

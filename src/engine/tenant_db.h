@@ -21,7 +21,7 @@
 namespace slacker::engine {
 
 /// A single query operation (one step of a YCSB transaction).
-enum class OpType { kRead, kUpdate, kInsert, kDelete, kScan };
+enum class OpType { kRead, kUpdate, kScan };
 
 struct Operation {
   OpType type = OpType::kRead;
@@ -31,19 +31,20 @@ struct Operation {
   uint64_t scan_length = 0;
 };
 
-/// Row image returned for write operations so clients can verify
-/// end-to-end durability across a migration.
+/// Row image returned for an update so clients can verify end-to-end
+/// durability across a migration.
 struct WrittenRow {
   uint64_t key = 0;
   storage::Lsn lsn = 0;
-  uint64_t digest = 0;  // 0 for deletes.
-  bool deleted = false;
+  uint64_t digest = 0;
 };
 
 /// One tenant's database instance: the mysqld-per-tenant analog from
 /// §2.2. Owns the clustered table (B+-tree), an LRU buffer pool, and
-/// the binlog. Writes execute *functionally* inline (real upserts and
-/// deletes against the tree, logged to the binlog) while every
+/// the binlog. Its keys are [0, record_count), fixed at load: the
+/// workload reads, updates and scans them but never adds or removes
+/// one. Updates execute *functionally* inline (real row writes into the
+/// tree, logged to the binlog) while every
 /// operation's *time* is charged to the server's shared disk and CPU via
 /// the simulator — so both data correctness and latency behaviour are
 /// first-class. Reads and scans are charged in full (CPU, buffer-pool
@@ -149,13 +150,13 @@ class TenantDb {
   storage::Lsn last_lsn() const { return binlog_.last_lsn(); }
 
   /// Installs the durable binlog a restarted server salvaged from disk,
-  /// and fast-forwards the LSN/insert cursors past it. The table must
-  /// already reflect the recovered state (checkpoint load + replay).
+  /// and fast-forwards the LSN cursor past it. The table must already
+  /// reflect the recovered state (checkpoint load + replay).
   void RestoreBinlog(wal::Binlog log);
 
-  /// Fast-forwards the LSN and insert-key cursors after this instance
-  /// ingests migrated state, so post-handover writes continue the
-  /// source's sequences instead of colliding with them.
+  /// Fast-forwards the LSN cursor after this instance ingests migrated
+  /// state, so post-handover writes continue the source's LSN sequence
+  /// instead of colliding with it.
   void SyncCursorsAfterIngest(storage::Lsn source_last_lsn);
 
   /// Order-sensitive digest over (key, lsn, digest) of every row with
@@ -205,14 +206,13 @@ class TenantDb {
   /// Opens an in-flight window slot for `op`; FinishOp/FailInFlight
   /// claim it exactly once by the returned token.
   uint64_t RegisterOp(const Operation& op, OpCallback done);
-  WrittenRow ApplyWrite(const Operation& op);
+  WrittenRow ApplyUpdate(uint64_t key);
   void MaybeNotifyDrained();
   /// Fails every queued op with `status`, in order.
   void FailQueue(const Status& status);
   /// Schedules `done(status)` on the event loop (no-op for null).
   void FailLater(OpCallback done, const Status& status);
-  /// Whether `op` reads or writes a key inside the frozen interval (an
-  /// insert touches it iff the next insert key would land there).
+  /// Whether `op` reads or writes a key inside the frozen interval.
   bool TouchesFrozenKeys(const Operation& op) const;
   /// Pool-namespace id for this tenant's `page` (distinct across
   /// tenants sharing one pool).
@@ -228,7 +228,6 @@ class TenantDb {
   storage::BufferPool* pool_;  // == &own_pool_ unless shared.
   wal::Binlog binlog_;
   storage::Lsn next_lsn_ = 1;
-  uint64_t next_insert_key_;
 
   bool frozen_ = false;
   uint64_t frozen_lo_ = 0;

@@ -81,7 +81,6 @@ ScheduleDecision TroughScheduler::Decide(const WorkRequest& work,
   if (work.target_server != work.source_server) {
     ends.push_back(work.target_server);
   }
-  for (uint64_t id : work.extra_servers) ends.push_back(id);
   const LoadPredictor* predictor = model_->predictor();
   for (uint64_t id : ends) {
     if (!predictor->Ready(id)) {

@@ -26,19 +26,16 @@ struct TroughSchedulerOptions {
   Status Validate() const;
 };
 
-/// A unit of deferrable work (one planned migration, or one upgrade
-/// wave's drain). `key` identifies the work across repeated Decide
-/// calls — the first call pins the schedule (start + deadline), later
-/// calls report it.
+/// A unit of deferrable work (one planned migration). `key` identifies
+/// the work across repeated Decide calls — the first call pins the
+/// schedule (start + deadline), later calls report it.
 struct WorkRequest {
   uint64_t key = 0;
   uint64_t tenant_id = 0;
   uint64_t source_server = 0;
   uint64_t target_server = 0;
-  /// Extra servers priced into every candidate (upgrade waves).
-  std::vector<uint64_t> extra_servers;
   uint64_t data_bytes = 0;
-  /// "consolidation", "drain", "upgrade-wave", ... (trace vocabulary).
+  /// "consolidation", "drain", ... (trace vocabulary).
   std::string kind;
   /// Urgent work is never deferred: Decide returns run-now
   /// unconditionally (relief migrations).

@@ -158,9 +158,9 @@ struct CodecNegotiated {
 void EmitCodecNegotiated(Tracer* tracer, const CodecNegotiated& e);
 
 /// A rolling-upgrade wave changed state (drain/patch/observe/...), or
-/// the whole run finished. `action` is one of "wave_wait_trough",
-/// "wave_drain", "wave_patch", "wave_observe", "wave_done", "gate_trip",
-/// "rollback", "upgrade_done", "upgrade_aborted".
+/// the whole run finished. `action` is one of "wave_drain",
+/// "wave_patch", "wave_observe", "wave_done", "gate_trip", "rollback",
+/// "upgrade_done", "upgrade_aborted".
 struct UpgradeWaveEvent {
   int wave = 0;
   std::string action;

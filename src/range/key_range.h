@@ -7,9 +7,8 @@
 namespace slacker::range {
 
 /// Upper bound meaning "no bound": the range extends to the top of the
-/// key space. Insert keys grow upward from the loaded record count, so
-/// the topmost range of every tenant must stay unbounded or freshly
-/// inserted rows would fall outside every range.
+/// key space. The topmost range of every tenant is unbounded, so a
+/// lookup of any key, even one past the loaded rows, finds an owner.
 inline constexpr uint64_t kNoUpperBound = UINT64_MAX;
 
 /// One migration unit: a contiguous, half-open slice [lo, hi) of a

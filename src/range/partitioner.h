@@ -15,10 +15,10 @@ namespace slacker::range {
 /// subtree boundaries (DESIGN.md §16), for a RangeDirectory::Split
 /// sequence: the keys are the tree's own internal separators, so each
 /// unit maps to whole subtrees and the hot-backup cursor scans it
-/// without straddling reads. The last unit stays unbounded (new inserts
-/// land at the top of the key space and must stay routable). Fewer keys
-/// come back when the tree is too small to cut `target_ranges` ways;
-/// none when it cannot be cut at all.
+/// without straddling reads. The last unit stays unbounded, so the
+/// units still cover the whole key space. Fewer keys come back when the
+/// tree is too small to cut `target_ranges` ways; none when it cannot
+/// be cut at all.
 std::vector<uint64_t> PartitionSplitKeys(const storage::BTree& table,
                                          size_t target_ranges);
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/forecast/trough_scheduler.h"
 #include "src/obs/events.h"
 
 namespace slacker {
@@ -126,45 +125,7 @@ void RollingUpgradeOrchestrator::BeginWave(size_t index, SimTime now) {
   wr.wave = static_cast<int>(report_.waves.size());
   wr.servers = waves_[index];
   report_.waves.push_back(std::move(wr));
-
-  if (WaveMayDrain(now)) {
-    BeginDrain(now);
-  } else {
-    phase_ = Phase::kWaitingTrough;
-    EmitWave("wave_wait_trough", "", now);
-  }
-}
-
-bool RollingUpgradeOrchestrator::WaveMayDrain(SimTime now) {
-  forecast::TroughScheduler* scheduler = options_.trough_scheduler;
-  // Rollback waves never wait: restoring the fleet is urgent.
-  if (scheduler == nullptr || rolling_back_) return true;
-
-  // Key the wave's drain off its report index, well clear of tenant-id
-  // keys the rebalancer uses for migration plans.
-  forecast::WorkRequest work;
-  work.key = 1'000'000'000ULL + static_cast<uint64_t>(wave_report().wave);
-  const std::vector<uint64_t>& servers = waves_[wave_index_];
-  work.source_server = servers[0];
-  work.target_server = servers[0];
-  for (size_t i = 1; i < servers.size(); ++i) {
-    work.extra_servers.push_back(servers[i]);
-  }
-  uint64_t bytes = 0;
-  for (uint64_t id : servers) {
-    for (uint64_t tenant_id : cluster_->directory()->TenantsOn(id)) {
-      engine::TenantDb* db = cluster_->server(id)->tenants()->Get(tenant_id);
-      if (db != nullptr) bytes += db->DataBytes();
-    }
-  }
-  work.data_bytes = bytes;
-  work.kind = "upgrade-wave";
-  const forecast::ScheduleDecision verdict = scheduler->Decide(work, now);
-  if (verdict.run_now) {
-    scheduler->Complete(work.key);
-    return true;
-  }
-  return false;
+  BeginDrain(now);
 }
 
 void RollingUpgradeOrchestrator::BeginDrain(SimTime now) {
@@ -236,12 +197,6 @@ void RollingUpgradeOrchestrator::Poll(SimTime now) {
   switch (phase_) {
     case Phase::kIdle:
       return;
-    case Phase::kWaitingTrough: {
-      // Re-offer the wave each poll: the pinned schedule releases it at
-      // its trough start or fallback deadline.
-      if (WaveMayDrain(now)) BeginDrain(now);
-      return;
-    }
     case Phase::kDraining: {
       if (!WaveDrained()) {
         // Keep evacuations flowing: the admission budget throttles the

@@ -49,13 +49,6 @@ struct UpgradeOptions {
   /// rebalancer's counters).
   uint64_t max_failed_migrations = 3;
 
-  /// Optional trough scheduler (DESIGN.md §13). When set, each forward
-  /// wave's drain is offered to the scheduler before any server is
-  /// marked draining: the wave waits (kWaitingTrough) until its
-  /// predicted trough or its fallback deadline. Rollback waves never
-  /// wait — restoring the fleet is urgent.
-  forecast::TroughScheduler* trough_scheduler = nullptr;
-
   Status Validate() const;
 };
 
@@ -127,13 +120,10 @@ class RollingUpgradeOrchestrator {
   const UpgradeReport& report() const { return report_; }
 
  private:
-  enum class Phase { kIdle, kWaitingTrough, kDraining, kPatching, kObserving };
+  enum class Phase { kIdle, kDraining, kPatching, kObserving };
 
   void Poll(SimTime now);
   void BeginWave(size_t index, SimTime now);
-  /// Offers the wave's drain to the trough scheduler; true to drain
-  /// now, false to hold (phase becomes kWaitingTrough).
-  bool WaveMayDrain(SimTime now);
   /// Marks the wave draining and kicks evacuation planning.
   void BeginDrain(SimTime now);
   void BeginRollback(SimTime now);

@@ -21,8 +21,8 @@ struct TablespaceLayout {
 
   uint64_t RecordsPerPage() const { return page_bytes / record_bytes; }
 
-  /// Page holding `key` (keys are dense [0, record_count) at load time;
-  /// later inserts extend the tail pages).
+  /// Page holding `key` (a tenant's keys are dense [0, record_count),
+  /// fixed at load).
   uint64_t PageOf(uint64_t key) const { return key / RecordsPerPage(); }
 
   /// Pages needed for `records` rows.

@@ -9,12 +9,8 @@ namespace slacker::wal {
 
 namespace {
 
-bool CarriesImage(LogType type) {
-  return type == LogType::kInsert || type == LogType::kUpdate;
-}
-
 /// The stored record without its digest: the word is a commit's txn id
-/// or a row change's key.
+/// or an update's key.
 LogRecord Undigested(storage::Lsn lsn, LogType type, uint64_t word) {
   LogRecord record;
   record.lsn = lsn;
@@ -29,9 +25,8 @@ LogRecord Undigested(storage::Lsn lsn, LogType type, uint64_t word) {
 
 }  // namespace
 
-void Binlog::AppendRow(storage::Lsn lsn, LogType type, uint64_t key) {
-  SLACKER_CHECK(type != LogType::kCommit, "a commit is not a row change");
-  Push(lsn, type, key);
+void Binlog::AppendUpdate(storage::Lsn lsn, uint64_t key) {
+  Push(lsn, LogType::kUpdate, key);
 }
 
 void Binlog::AppendCommit(storage::Lsn lsn, uint64_t txn_id) {
@@ -55,7 +50,7 @@ void Binlog::Push(storage::Lsn lsn, LogType type, uint64_t word) {
 uint64_t Binlog::RecordBytes(const LogRecord& record) const {
   // The digest always encodes as 8 bytes, so the size never needs it.
   return record.EncodedSize() +
-         (CarriesImage(record.type) ? row_image_bytes_ : 0);
+         (record.type == LogType::kUpdate ? row_image_bytes_ : 0);
 }
 
 size_t Binlog::LowerIndex(storage::Lsn lsn) const {
@@ -102,7 +97,7 @@ void Binlog::ForEach(size_t begin, size_t end, bool with_digest,
       LogRecord record =
           Undigested(lsn, chunk.types[slot], chunk.words[slot]);
       const uint64_t bytes = RecordBytes(record);
-      if (with_digest && CarriesImage(record.type)) {
+      if (with_digest && record.type == LogType::kUpdate) {
         record.digest =
             storage::RowDigest(record.key, lsn, storage::kValueSeed);
       }

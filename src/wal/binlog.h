@@ -18,18 +18,18 @@ namespace slacker::wal {
 ///
 /// A row is a digest, so most of a record is a function of its LSN and
 /// key. The log stores only what it cannot derive: one 8-byte word (the
-/// key of a row change, the txn id of a commit) and one type byte per
+/// key of an update, the txn id of a commit) and one type byte per
 /// record. LSNs come from a table of contiguous runs, row digests are
 /// RowDigest(key, lsn, storage::kValueSeed), and sizes are recounted in
 /// closed form. The typed appends admit only records the log can
-/// reproduce exactly: row changes carry txn id 0 and commits key 0 and
+/// reproduce exactly: updates carry txn id 0 and commits key 0 and
 /// digest 0, as the engine writes them.
 class Binlog {
  public:
-  /// `row_image_bytes` is the logical size of the row image an insert
-  /// or update carries (MySQL row-based replication ships full
-  /// post-images, so a 1 KiB row costs ~1 KiB of binlog); it is added
-  /// to those entries' accounted size on top of the header.
+  /// `row_image_bytes` is the logical size of the row image an update
+  /// carries (MySQL row-based replication ships full post-images, so a
+  /// 1 KiB row costs ~1 KiB of binlog); it is added to those entries'
+  /// accounted size on top of the header.
   explicit Binlog(uint64_t row_image_bytes = 0)
       : row_image_bytes_(row_image_bytes) {}
 
@@ -41,10 +41,10 @@ class Binlog {
   Binlog& operator=(Binlog&&) noexcept = default;
   ~Binlog() = default;
 
-  /// Appends a row change (kInsert, kUpdate or kDelete) of `key`. The
-  /// caller (the engine) assigns `lsn`, which must be strictly
-  /// increasing; anything else is engine-state corruption and aborts.
-  void AppendRow(storage::Lsn lsn, LogType type, uint64_t key);
+  /// Appends an update of `key`'s row. The caller (the engine) assigns
+  /// `lsn`, which must be strictly increasing; anything else is
+  /// engine-state corruption and aborts.
+  void AppendUpdate(storage::Lsn lsn, uint64_t key);
   /// Appends the commit record of transaction `txn_id`; same LSN rule.
   void AppendCommit(storage::Lsn lsn, uint64_t txn_id);
 
@@ -64,7 +64,7 @@ class Binlog {
 
   /// Serialized bytes of records with lsn in [from, to].
   uint64_t BytesInRange(storage::Lsn from, storage::Lsn to) const;
-  /// Same, counting only commits and row changes of keys in
+  /// Same, counting only commits and updates of keys in
   /// [key_lo, key_hi): what a range-scoped delta round would ship.
   uint64_t BytesInRange(storage::Lsn from, storage::Lsn to, uint64_t key_lo,
                         uint64_t key_hi) const;

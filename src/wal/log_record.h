@@ -9,22 +9,23 @@
 
 namespace slacker::wal {
 
+/// A tenant's keys are fixed at load, so the only row change is an
+/// update. Type bytes 1 and 3 are unassigned: a record carrying either
+/// decodes as corruption.
 enum class LogType : uint8_t {
-  kInsert = 1,
   kUpdate = 2,
-  kDelete = 3,
   kCommit = 4,
 };
 
-/// One binlog entry. Row-changing entries carry the *full row image*
-/// (key + post-image digest), which is what makes delta replay
-/// idempotent: re-applying an Update sets the same final state.
+/// One binlog entry. An update carries the *full row image* (key +
+/// post-image digest), which is what makes delta replay idempotent:
+/// re-applying an update sets the same final state.
 struct LogRecord {
   storage::Lsn lsn = 0;
   LogType type = LogType::kCommit;
   uint64_t txn_id = 0;
   uint64_t key = 0;
-  /// Post-image digest (unused for kDelete / kCommit).
+  /// Post-image digest (unused for kCommit).
   uint64_t digest = 0;
 
   bool operator==(const LogRecord& other) const = default;

@@ -10,7 +10,6 @@ void Replay(const std::vector<LogRecord>& records, storage::BTree* table,
       case LogType::kCommit:
         ++local.commits;
         break;
-      case LogType::kInsert:
       case LogType::kUpdate: {
         const storage::Record* existing = table->Get(record.key);
         if (existing != nullptr && existing->lsn >= record.lsn) {
@@ -18,16 +17,6 @@ void Replay(const std::vector<LogRecord>& records, storage::BTree* table,
           break;
         }
         table->Put(storage::Record{record.key, record.lsn, record.digest});
-        ++local.applied;
-        break;
-      }
-      case LogType::kDelete: {
-        const storage::Record* existing = table->Get(record.key);
-        if (existing != nullptr && existing->lsn >= record.lsn) {
-          ++local.skipped_stale;
-          break;
-        }
-        table->Erase(record.key);
         ++local.applied;
         break;
       }

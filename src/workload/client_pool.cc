@@ -99,13 +99,8 @@ void ClientPool::Dispatch(PendingTxn txn) {
   ++txn.attempts;
   engine::TenantDb* db;
   if (route_by_key_ && !txn.spec.ops.empty()) {
-    const engine::Operation& first = txn.spec.ops.front();
-    // Inserts land at the engine's next insert key — the top of the
-    // key space — so they belong to whoever owns the unbounded tail.
-    const uint64_t route_key = first.type == engine::OpType::kInsert
-                                   ? UINT64_MAX - 1
-                                   : first.key;
-    db = resolver_->ResolveForKey(txn.spec.tenant_id, route_key);
+    db = resolver_->ResolveForKey(txn.spec.tenant_id,
+                                  txn.spec.ops.front().key);
   } else {
     db = resolver_->Resolve(txn.spec.tenant_id);
   }
@@ -177,7 +172,7 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
     const double latency_ms = result.LatencyMs();
     latency_series_.Add(result.end, latency_ms);
     for (const engine::WrittenRow& w : result.writes) {
-      acked_writes_.Record(w.key, AckedWrite{w.lsn, w.digest, w.deleted});
+      acked_writes_.Record(w.key, AckedWrite{w.lsn, w.digest});
     }
     if (observer_) observer_(txn.spec.tenant_id, result.end, latency_ms);
   } else {

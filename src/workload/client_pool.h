@@ -36,14 +36,16 @@ class TenantResolver {
 struct AckedWrite {
   storage::Lsn lsn = 0;
   uint64_t digest = 0;
+  /// Always false: no write removes a row (a tenant's keys are fixed at
+  /// load). Kept only because the benchmark's audit still reads it.
   bool deleted = false;
 };
 
-/// Most recent acknowledged write per key — key -> (lsn, digest,
-/// deleted) — for durability checks after migration. An open-addressing
-/// table (linear probing, power-of-two size, at most half full) rather
-/// than a vector indexed by key: a tenant writes only a fraction of its
-/// key space, and inserts extend it past record_count (DESIGN.md §15.5).
+/// Most recent acknowledged write per key — key -> (lsn, digest) — for
+/// durability checks after migration. An open-addressing table (linear
+/// probing, power-of-two size, at most half full) rather than a vector
+/// indexed by key: a tenant writes only a fraction of its key space
+/// (DESIGN.md §15.5).
 /// Iterates as (key, AckedWrite) pairs in table order.
 class AckedWriteLedger {
  public:
@@ -142,9 +144,8 @@ class ClientPool {
   /// Route each transaction by its first operation's key through
   /// TenantResolver::ResolveForKey instead of the whole-tenant lookup
   /// (DESIGN.md §16). Requires single-op transactions (checked in
-  /// Start), which route exactly; inserts route to the owner of the
-  /// key-space tail, where new keys land. Off by default — identical to
-  /// Resolve for unsharded tenants.
+  /// Start), which route exactly. Off by default — identical to Resolve
+  /// for unsharded tenants.
   void set_route_by_key(bool route) { route_by_key_ = route; }
 
   /// Age (ms) of the oldest transaction not yet completed, or 0.

@@ -8,7 +8,6 @@ class UniformChooser : public KeyChooser {
   explicit UniformChooser(uint64_t key_count) : key_count_(key_count) {}
 
   uint64_t Next(Rng* rng) override { return rng->NextBelow(key_count_); }
-  void SetKeyCount(uint64_t key_count) override { key_count_ = key_count; }
   KeyDistribution distribution() const override {
     return KeyDistribution::kUniform;
   }
@@ -20,19 +19,13 @@ class UniformChooser : public KeyChooser {
 class ZipfianChooser : public KeyChooser {
  public:
   ZipfianChooser(uint64_t key_count, double theta)
-      : key_count_(key_count), theta_(theta), zipf_(key_count, theta) {}
+      : key_count_(key_count), zipf_(key_count, theta) {}
 
   uint64_t Next(Rng* rng) override {
     // Scramble so hot keys are spread over pages (YCSB scrambled
-    // zipfian), then fold into the live key range.
+    // zipfian), then fold into the key range.
     const uint64_t rank = zipf_.Next(rng);
     return FnvScramble(rank) % key_count_;
-  }
-
-  void SetKeyCount(uint64_t key_count) override {
-    if (key_count == key_count_) return;
-    key_count_ = key_count;
-    zipf_ = ZipfianGenerator(key_count, theta_);
   }
 
   KeyDistribution distribution() const override {
@@ -41,25 +34,18 @@ class ZipfianChooser : public KeyChooser {
 
  private:
   uint64_t key_count_;
-  double theta_;
   ZipfianGenerator zipf_;
 };
 
 class LatestChooser : public KeyChooser {
  public:
   LatestChooser(uint64_t key_count, double theta)
-      : key_count_(key_count), theta_(theta), zipf_(key_count, theta) {}
+      : key_count_(key_count), zipf_(key_count, theta) {}
 
   uint64_t Next(Rng* rng) override {
     // Rank 0 = newest key.
     const uint64_t rank = zipf_.Next(rng);
     return key_count_ - 1 - rank;
-  }
-
-  void SetKeyCount(uint64_t key_count) override {
-    if (key_count == key_count_) return;
-    key_count_ = key_count;
-    zipf_ = ZipfianGenerator(key_count, theta_);
   }
 
   KeyDistribution distribution() const override {
@@ -68,7 +54,6 @@ class LatestChooser : public KeyChooser {
 
  private:
   uint64_t key_count_;
-  double theta_;
   ZipfianGenerator zipf_;
 };
 

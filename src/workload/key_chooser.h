@@ -16,12 +16,12 @@ enum class KeyDistribution {
   kUniform,
   /// Scrambled Zipfian: a few hot rows, scattered across pages.
   kZipfian,
-  /// Latest: skewed toward recently inserted rows.
+  /// Latest: skewed toward the newest rows. A tenant's keys are fixed at
+  /// load, so the newest are the highest keys, the last loaded.
   kLatest,
 };
 
-/// Draws keys from [0, key_count). The key space may grow as the
-/// workload inserts rows (SetKeyCount).
+/// Draws keys from [0, key_count), a tenant's fixed key space.
 class KeyChooser {
  public:
   static std::unique_ptr<KeyChooser> Create(KeyDistribution dist,
@@ -30,7 +30,6 @@ class KeyChooser {
   virtual ~KeyChooser() = default;
 
   virtual uint64_t Next(Rng* rng) = 0;
-  virtual void SetKeyCount(uint64_t key_count) = 0;
   virtual KeyDistribution distribution() const = 0;
 };
 

@@ -5,10 +5,10 @@
 namespace slacker::workload {
 
 Status OperationMix::Validate() const {
-  if (read < 0 || update < 0 || insert < 0 || del < 0 || scan < 0) {
+  if (read < 0 || update < 0 || scan < 0) {
     return Status::InvalidArgument("negative operation fraction");
   }
-  const double sum = read + update + insert + del + scan;
+  const double sum = read + update + scan;
   if (std::abs(sum - 1.0) > 1e-9) {
     return Status::InvalidArgument("operation mix must sum to 1");
   }
@@ -35,18 +35,13 @@ YcsbWorkload::YcsbWorkload(const YcsbConfig& config, uint64_t tenant_id,
       tenant_id_(tenant_id),
       rng_(seed),
       chooser_(KeyChooser::Create(config.distribution, config.record_count)),
-      mean_interarrival_(config.mean_interarrival),
-      live_keys_(config.record_count) {}
+      mean_interarrival_(config.mean_interarrival) {}
 
 engine::OpType YcsbWorkload::DrawOpType() {
   double draw = rng_.NextDouble();
   if (draw < config_.mix.read) return engine::OpType::kRead;
   draw -= config_.mix.read;
   if (draw < config_.mix.update) return engine::OpType::kUpdate;
-  draw -= config_.mix.update;
-  if (draw < config_.mix.insert) return engine::OpType::kInsert;
-  draw -= config_.mix.insert;
-  if (draw < config_.mix.del) return engine::OpType::kDelete;
   return engine::OpType::kScan;
 }
 
@@ -58,16 +53,9 @@ void YcsbWorkload::NextTxn(engine::TxnSpec* spec) {
   for (int i = 0; i < config_.ops_per_txn; ++i) {
     engine::Operation op;
     op.type = DrawOpType();
-    if (op.type == engine::OpType::kInsert) {
-      // The engine assigns tail keys to inserts; grow the choosable
-      // range so later reads can find the new rows.
-      ++live_keys_;
-      chooser_->SetKeyCount(live_keys_);
-    } else {
-      op.key = chooser_->Next(&rng_);
-      if (op.type == engine::OpType::kScan) {
-        op.scan_length = 1 + rng_.NextBelow(kMaxScanLength);
-      }
+    op.key = chooser_->Next(&rng_);
+    if (op.type == engine::OpType::kScan) {
+      op.scan_length = 1 + rng_.NextBelow(kMaxScanLength);
     }
     spec->ops.push_back(op);
   }

@@ -13,12 +13,11 @@
 namespace slacker::workload {
 
 /// Fractions of each basic operation within a transaction. Must sum to
-/// 1. The paper's primary benchmark is 85% reads / 15% updates.
+/// 1. The paper's primary benchmark is 85% reads / 15% updates over a
+/// fixed set of rows: no operation adds or removes a key.
 struct OperationMix {
   double read = 0.85;
   double update = 0.15;
-  double insert = 0.0;
-  double del = 0.0;
   /// Range scans (YCSB workload E).
   double scan = 0.0;
 
@@ -75,7 +74,6 @@ class YcsbWorkload {
   std::unique_ptr<KeyChooser> chooser_;
   double mean_interarrival_;
   uint64_t next_txn_id_ = 1;
-  uint64_t live_keys_;
 };
 
 }  // namespace slacker::workload

@@ -99,7 +99,6 @@ TEST_P(ChaosSweep, NeverADivergentAuthority) {
 
   // Acked durability at whichever replica is authoritative.
   for (const auto& [key, acked] : pool.acked_writes()) {
-    if (acked.deleted) continue;
     const storage::Record* row = serving->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked key " << key;
     EXPECT_GE(row->lsn, acked.lsn);
@@ -216,7 +215,6 @@ TEST_P(CrashChaosSweep, SupervisorConvergesAcrossCrashes) {
 
   // Acked durability survives every crash/restart/migration interleave.
   for (const auto& [key, acked] : pool.acked_writes()) {
-    if (acked.deleted) continue;
     const storage::Record* row = serving->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked key " << key;
     EXPECT_GE(row->lsn, acked.lsn);

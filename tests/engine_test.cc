@@ -79,11 +79,11 @@ TEST(TenantDbTest, ReadsAndScansKeepTheirSimulatedCost) {
   Rig rig;
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
   db.Load();
-  db.ExecuteOp(Operation{OpType::kDelete, 9}, nullptr);
+  db.ExecuteOp(Operation{OpType::kUpdate, 9}, nullptr);
   rig.sim.RunUntil(1.0);
   const uint64_t requests_before = rig.disk.total_requests();
   // A cold present key, the same key again (its page is resident once
-  // the first read touched it), the deleted key on a warm page, a key
+  // the first read touched it), the updated key on a warm page, a key
   // past the table on a cold page, and a 100-row scan over seven cold
   // pages, all admitted at once.
   const Operation ops[] = {{OpType::kRead, 500},
@@ -106,7 +106,7 @@ TEST(TenantDbTest, ReadsAndScansKeepTheirSimulatedCost) {
                                         1.0243624999999994}));
   EXPECT_EQ(db.ops_executed(), 6u);
   EXPECT_EQ(rig.disk.total_requests() - requests_before, 9u);
-  EXPECT_EQ(db.table().size(), 1023u);
+  EXPECT_EQ(db.table().size(), 1024u);
 }
 
 TEST(TenantDbTest, BufferHitAvoidsDisk) {
@@ -137,30 +137,6 @@ TEST(TenantDbTest, UpdateWritesRowAndBinlog) {
   EXPECT_EQ(db.table().Get(7)->digest, written.digest);
   EXPECT_EQ(db.binlog()->record_count(), 1u);
   EXPECT_EQ(db.last_lsn(), 1u);
-}
-
-TEST(TenantDbTest, InsertAppendsTailKeys) {
-  Rig rig;
-  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  db.Load();
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < 3; ++i) {
-    db.ExecuteOp(Operation{OpType::kInsert, 0},
-                 [&](Status, const WrittenRow& w) { keys.push_back(w.key); });
-  }
-  rig.sim.RunUntil(1.0);
-  EXPECT_EQ(keys, (std::vector<uint64_t>{1024, 1025, 1026}));
-  EXPECT_EQ(db.table().size(), 1027u);
-}
-
-TEST(TenantDbTest, DeleteRemovesRow) {
-  Rig rig;
-  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  db.Load();
-  db.ExecuteOp(Operation{OpType::kDelete, 3}, nullptr);
-  rig.sim.RunUntil(1.0);
-  EXPECT_EQ(db.table().Get(3), nullptr);
-  EXPECT_EQ(db.table().size(), 1023u);
 }
 
 TEST(TenantDbTest, FreezeQueuesOpsUnfreezeDrains) {
@@ -260,31 +236,6 @@ TEST(TenantDbTest, RangeDrainWaitsOnlyForOverlappingOps) {
   rig.sim.RunUntil(2.0);
   EXPECT_TRUE(drained);
   EXPECT_TRUE(outside_done);
-}
-
-TEST(TenantDbTest, InsertTouchesFrozenRangeIffCursorLandsInIt) {
-  Rig rig;
-  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  db.Load();
-  // The insert cursor sits at 1024, just above every loaded key: an
-  // insert ignores op.key and is judged by where it will land.
-  db.Freeze(nullptr, 0, 1024);
-  uint64_t inserted = 0;
-  db.ExecuteOp(Operation{OpType::kInsert, 5},
-               [&](Status, const WrittenRow& w) { inserted = w.key; });
-  rig.sim.RunUntil(1.0);
-  EXPECT_EQ(inserted, 1024u);
-  db.Unfreeze();
-  db.Freeze(nullptr, 1025, 1026);
-  inserted = 0;
-  db.ExecuteOp(Operation{OpType::kInsert, 5},
-               [&](Status, const WrittenRow& w) { inserted = w.key; });
-  rig.sim.RunUntil(2.0);
-  EXPECT_EQ(inserted, 0u);
-  EXPECT_EQ(db.queued_ops(), 1u);
-  db.Unfreeze();
-  rig.sim.RunUntil(3.0);
-  EXPECT_EQ(inserted, 1025u);
 }
 
 TEST(TenantDbTest, FailQueuedKeepsFreezeUntilUnfreeze) {
@@ -424,17 +375,14 @@ TEST(TenantDbTest, WarmBufferPoolSmallTableFullyResident) {
 TEST(TenantDbTest, SyncCursorsAfterIngest) {
   Rig rig;
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
-  // Simulate ingest: rows with high LSNs and keys beyond record_count.
-  db.mutable_table()->Put(storage::Record{5000, 400, 1});
+  // Simulate ingest: a row with a high LSN.
+  db.mutable_table()->Put(storage::Record{500, 400, 1});
   db.SyncCursorsAfterIngest(400);
-  WrittenRow w1, w2;
-  db.ExecuteOp(Operation{OpType::kUpdate, 5000},
+  WrittenRow w1;
+  db.ExecuteOp(Operation{OpType::kUpdate, 500},
                [&](Status, const WrittenRow& w) { w1 = w; });
-  db.ExecuteOp(Operation{OpType::kInsert, 0},
-               [&](Status, const WrittenRow& w) { w2 = w; });
   rig.sim.RunUntil(1.0);
-  EXPECT_EQ(w1.lsn, 401u);         // Continues the LSN sequence.
-  EXPECT_EQ(w2.key, 5001u);        // Does not collide with ingested keys.
+  EXPECT_EQ(w1.lsn, 401u);  // Continues the LSN sequence.
 }
 
 TEST(TenantDbTest, DataBytesTracksTableSize) {

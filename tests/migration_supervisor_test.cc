@@ -101,7 +101,6 @@ TEST(MigrationSupervisorTest, TargetCrashMidSnapshotResumesAndCompletes) {
   ASSERT_NE(serving, nullptr);
   EXPECT_FALSE(serving->frozen());
   for (const auto& [key, acked] : pool.acked_writes()) {
-    if (acked.deleted) continue;
     const storage::Record* row = serving->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked key " << key;
     EXPECT_GE(row->lsn, acked.lsn);

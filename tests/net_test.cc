@@ -228,6 +228,30 @@ TEST(MessageTest, CountsBeyondThePayloadAreCorruption) {
   }
 }
 
+// A tenant's keys are fixed at load, so a log record is an update or a
+// commit. A delta batch carrying a record of type 1 or 3 (no longer
+// assigned) is corrupt, however well framed.
+TEST(MessageTest, DeltaBatchWithUnassignedLogTypeIsCorruption) {
+  Message batch;
+  batch.type = MessageType::kDeltaBatch;
+  batch.tenant_id = 5;
+  wal::LogRecord record;
+  record.type = wal::LogType::kUpdate;
+  record.lsn = 9;
+  record.key = 42;
+  record.digest = 0xfeedface;
+  batch.log_records = {record};
+  Message out;
+  ASSERT_TRUE(DecodeMessage(EncodeMessage(batch), &out).ok());
+  EXPECT_EQ(out, batch);
+  for (const uint8_t type_byte : {1, 3}) {
+    batch.log_records.front().type = static_cast<wal::LogType>(type_byte);
+    EXPECT_EQ(DecodeMessage(EncodeMessage(batch), &out).code(),
+              StatusCode::kCorruption)
+        << "type " << int{type_byte};
+  }
+}
+
 TEST(MessageTest, CodecFrameRoundTrip) {
   const Message m = LzMessage();
   Message out;
@@ -442,12 +466,12 @@ TEST(MessageTest, EncodeMessageEqualsTwoStepFraming) {
   wide.negotiation.feature_mask = FeatureMaskForVersion(3);
   wide.range_lo = 1;
   wide.range_hi = UINT64_MAX - 1;
-  wal::LogRecord erase;
-  erase.type = wal::LogType::kDelete;
-  erase.lsn = UINT64_MAX;
-  erase.txn_id = 200;
-  erase.key = 1u << 21;
-  wide.log_records.push_back(erase);
+  wal::LogRecord commit;
+  commit.type = wal::LogType::kCommit;
+  commit.lsn = UINT64_MAX;
+  commit.txn_id = 200;
+  commit.key = 1u << 21;
+  wide.log_records.push_back(commit);
   messages.push_back(wide);
   for (size_t c = 0; c < messages.size(); ++c) {
     const std::vector<uint8_t> frame = EncodeMessage(messages[c]);

@@ -509,7 +509,6 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
   ASSERT_FALSE(pool.acked_writes().empty());
   RangeDirectory* dir = rig.cluster.directory();
   for (const auto& [key, acked] : pool.acked_writes()) {
-    if (acked.deleted) continue;
     engine::TenantDb* owner_db =
         rig.cluster.TenantOn(*dir->OwnerOf(1, key), 1);
     ASSERT_NE(owner_db, nullptr);
@@ -828,7 +827,6 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
   // stream updates and reads; deletes are checked via acks below).
   // Every acknowledged write survives on the range's current owner.
   for (const auto& [key, acked] : pool.acked_writes()) {
-    if (acked.deleted) continue;
     const Result<uint64_t> owner = dir->OwnerOf(1, key);
     ASSERT_TRUE(owner.ok());
     engine::TenantDb* db = rig.cluster.TenantOn(*owner, 1);

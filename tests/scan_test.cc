@@ -137,7 +137,7 @@ TEST(ScanTest, TransactionMixesScansAndPointOps) {
 TEST(ScanWorkloadTest, MixGeneratesScansWithBoundedLength) {
   workload::YcsbConfig config;
   config.record_count = 1024;
-  config.mix = workload::OperationMix{0.5, 0.1, 0.0, 0.0, 0.4};
+  config.mix = workload::OperationMix{0.5, 0.1, 0.4};
   ASSERT_TRUE(config.Validate().ok());
   workload::YcsbWorkload workload(config, 1, 9);
   int scans = 0, total = 0;
@@ -169,7 +169,7 @@ TEST(ScanWorkloadTest, MigrationUnderScanHeavyWorkload) {
 
   workload::YcsbConfig ycsb;
   ycsb.record_count = tenant.layout.record_count;
-  ycsb.mix = workload::OperationMix{0.45, 0.1, 0.0, 0.0, 0.45};
+  ycsb.mix = workload::OperationMix{0.45, 0.1, 0.45};
   ycsb.mean_interarrival = 0.5;
   workload::YcsbWorkload workload(ycsb, 1, 41);
   workload::ClientPool pool(&sim, &workload, &cluster,

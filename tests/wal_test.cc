@@ -27,14 +27,6 @@ LogRecord Update(storage::Lsn lsn, uint64_t key, uint64_t digest) {
   return r;
 }
 
-LogRecord Delete(storage::Lsn lsn, uint64_t key) {
-  LogRecord r;
-  r.lsn = lsn;
-  r.type = LogType::kDelete;
-  r.key = key;
-  return r;
-}
-
 LogRecord Commit(storage::Lsn lsn, uint64_t txn) {
   LogRecord r;
   r.lsn = lsn;
@@ -46,16 +38,8 @@ LogRecord Commit(storage::Lsn lsn, uint64_t txn) {
 // ---------------------------------------------------------------- Codec
 
 TEST(LogRecordTest, RoundTripAllTypes) {
-  const std::vector<LogRecord> records = {
-      Update(1, 42, 0xdeadbeef),
-      Delete(2, 43),
-      Commit(3, 99),
-      [&] {
-        LogRecord r = Update(4, 1, 2);
-        r.type = LogType::kInsert;
-        return r;
-      }(),
-  };
+  const std::vector<LogRecord> records = {Update(1, 42, 0xdeadbeef),
+                                          Commit(3, 99)};
   for (const LogRecord& r : records) {
     ByteWriter w;
     r.EncodeTo(&w);
@@ -84,8 +68,7 @@ TEST(LogRecordTest, EncodedSizeMatchesEncodingAtVarintBoundaries) {
     values.push_back(uint64_t{1} << bits);
   }
   values.push_back(UINT64_MAX);
-  for (LogType type : {LogType::kInsert, LogType::kUpdate, LogType::kDelete,
-                       LogType::kCommit}) {
+  for (LogType type : {LogType::kUpdate, LogType::kCommit}) {
     for (uint64_t lsn : values) {
       for (uint64_t txn_id : values) {
         for (uint64_t key : values) {
@@ -106,40 +89,54 @@ TEST(LogRecordTest, EncodedSizeMatchesEncodingAtVarintBoundaries) {
   }
 }
 
-TEST(LogRecordTest, DeleteOmitsDigest) {
-  // A delete should encode smaller than an update (no 8-byte image).
-  EXPECT_LT(Delete(1, 42).EncodedSize(), Update(1, 42, 7).EncodedSize());
+// An update and a commit keep the bytes they have always encoded to:
+// every binlog and delta frame depends on them.
+TEST(LogRecordTest, UpdateAndCommitKeepTheirBytes) {
+  ByteWriter update;
+  Update(300, 42, 0x0102030405060708).EncodeTo(&update);
+  EXPECT_EQ(update.data(),
+            (std::vector<uint8_t>{0x02, 0xac, 0x02, 0x00, 0x2a, 0x08, 0x07,
+                                  0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  ByteWriter commit;
+  Commit(3, 99).EncodeTo(&commit);
+  EXPECT_EQ(commit.data(), (std::vector<uint8_t>{0x04, 0x03, 0x63, 0x00}));
 }
 
+// Type bytes 1 and 3 are unassigned (a tenant's keys are fixed at
+// load, so no record inserts or deletes a row), and 99 was never one: a
+// record carrying any of them is corrupt, with or without the digest
+// bytes that follow an update.
 TEST(LogRecordTest, BadTypeRejected) {
-  ByteWriter w;
-  w.PutU8(99);
-  ByteReader reader(w.data());
-  LogRecord r;
-  EXPECT_EQ(LogRecord::DecodeFrom(&reader, &r).code(),
-            StatusCode::kCorruption);
+  for (const uint8_t type_byte : {1, 3, 99}) {
+    for (const bool with_digest : {false, true}) {
+      ByteWriter w;
+      w.PutU8(type_byte);
+      w.PutVarint64(7);
+      w.PutVarint64(0);
+      w.PutVarint64(42);
+      if (with_digest) w.PutFixed64(0xdeadbeef);
+      ByteReader reader(w.data());
+      LogRecord r;
+      EXPECT_EQ(LogRecord::DecodeFrom(&reader, &r).code(),
+                StatusCode::kCorruption)
+          << "type " << int{type_byte} << " digest " << with_digest;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Binlog
 
-// What the binlog returns for a row change: txn id 0 and, for an
-// insert or update, the digest the engine wrote.
-LogRecord Row(storage::Lsn lsn, LogType type, uint64_t key) {
-  LogRecord r;
-  r.lsn = lsn;
-  r.type = type;
-  r.key = key;
-  if (type != LogType::kDelete) {
-    r.digest = storage::RowDigest(key, lsn, storage::kValueSeed);
-  }
-  return r;
+// What the binlog returns for an update: txn id 0 and the digest the
+// engine wrote.
+LogRecord Row(storage::Lsn lsn, uint64_t key) {
+  return Update(lsn, key, storage::RowDigest(key, lsn, storage::kValueSeed));
 }
 
 TEST(BinlogTest, AppendAssignsRangeBookkeeping) {
   Binlog log;
   EXPECT_EQ(log.last_lsn(), 0u);
-  log.AppendRow(1, LogType::kUpdate, 10);
-  log.AppendRow(2, LogType::kUpdate, 11);
+  log.AppendUpdate(1, 10);
+  log.AppendUpdate(2, 11);
   EXPECT_EQ(log.last_lsn(), 2u);
   EXPECT_EQ(log.record_count(), 2u);
   EXPECT_GT(log.total_bytes(), 0u);
@@ -147,28 +144,27 @@ TEST(BinlogTest, AppendAssignsRangeBookkeeping) {
 
 TEST(BinlogTest, NonIncreasingLsnRejected) {
   Binlog log;
-  log.AppendRow(5, LogType::kUpdate, 1);
-  EXPECT_DEATH(log.AppendRow(5, LogType::kUpdate, 2),
+  log.AppendUpdate(5, 1);
+  EXPECT_DEATH(log.AppendUpdate(5, 2),
                "binlog LSN not increasing");
   EXPECT_DEATH(log.AppendCommit(4, 2), "binlog LSN not increasing");
-  EXPECT_DEATH(log.AppendRow(6, LogType::kCommit, 2), "not a row change");
 }
 
 TEST(BinlogTest, ReadRangeInclusive) {
   Binlog log;
   for (storage::Lsn lsn = 1; lsn <= 10; ++lsn) {
-    log.AppendRow(lsn, LogType::kUpdate, lsn);
+    log.AppendUpdate(lsn, lsn);
   }
   std::vector<LogRecord> out;
   log.ReadRange(3, 7, &out);
   ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out.front(), Row(3, LogType::kUpdate, 3));
-  EXPECT_EQ(out.back(), Row(7, LogType::kUpdate, 7));
+  EXPECT_EQ(out.front(), Row(3, 3));
+  EXPECT_EQ(out.back(), Row(7, 7));
 }
 
 TEST(BinlogTest, ReadRangeEmptyAndInverted) {
   Binlog log;
-  log.AppendRow(1, LogType::kUpdate, 1);
+  log.AppendUpdate(1, 1);
   std::vector<LogRecord> out;
   log.ReadRange(5, 4, &out);
   EXPECT_TRUE(out.empty());
@@ -180,8 +176,8 @@ TEST(BinlogTest, BytesInRangeSumsEncodedSizes) {
   Binlog log;
   uint64_t expect = 0;
   for (storage::Lsn lsn = 1; lsn <= 5; ++lsn) {
-    expect += Row(lsn, LogType::kUpdate, lsn * 1000).EncodedSize();
-    log.AppendRow(lsn, LogType::kUpdate, lsn * 1000);
+    expect += Row(lsn, lsn * 1000).EncodedSize();
+    log.AppendUpdate(lsn, lsn * 1000);
   }
   EXPECT_EQ(log.BytesInRange(1, 5), expect);
   EXPECT_EQ(log.BytesInRange(1, 5), log.total_bytes());
@@ -209,19 +205,18 @@ TEST_P(BinlogDifferentialTest, ReadsMatchFullRecords) {
     if (i == 0 && rng.NextDouble() < 0.5) lsn += 1000;
     const uint64_t word =
         rng.NextDouble() < 0.1 ? rng.Next() : rng.NextBelow(300);
-    const auto type = static_cast<LogType>(1 + rng.NextBelow(4));
+    const bool commit = rng.NextBelow(4) == 0;
     LogRecord record;
-    if (type == LogType::kCommit) {
+    if (commit) {
       record = Commit(lsn, word);
       log.AppendCommit(lsn, word);
     } else {
-      record = Row(lsn, type, word);
-      log.AppendRow(lsn, type, word);
+      record = Row(lsn, word);
+      log.AppendUpdate(lsn, word);
     }
     reference.push_back(record);
-    const bool image = type == LogType::kInsert || type == LogType::kUpdate;
     reference_bytes.push_back(record.EncodedSize() +
-                              (image ? kImageBytes : 0));
+                              (commit ? 0 : kImageBytes));
   }
 
   // A crash moves the log into durable state, and recovery moves it
@@ -291,30 +286,39 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BinlogDifferentialTest,
 // ---------------------------------------------------------------- Replay
 
 TEST(ReplayTest, AppliesInsertsUpdatesDeletes) {
+  // An update of an absent key inserts the row; a newer one overwrites
+  // it. The log carries no delete record (a tenant's keys are fixed at
+  // load), so replay never shrinks the table.
   storage::BTree table;
+  table.Put(storage::Record{9, 1, 900});
   ReplayStats stats;
-  Replay({Update(1, 5, 100), Update(2, 6, 200), Delete(3, 5), Commit(4, 1)},
+  Replay({Update(2, 5, 100), Update(3, 6, 200), Update(4, 5, 300),
+          Update(5, 9, 901), Commit(6, 1)},
          &table, &stats);
-  EXPECT_EQ(stats.applied, 3u);
+  EXPECT_EQ(stats.applied, 4u);
+  EXPECT_EQ(stats.skipped_stale, 0u);
   EXPECT_EQ(stats.commits, 1u);
-  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.Get(5)->digest, 300u);
   EXPECT_EQ(table.Get(6)->digest, 200u);
-  EXPECT_EQ(table.Get(5), nullptr);
+  EXPECT_EQ(table.Get(9)->digest, 901u);
 }
 
 TEST(ReplayTest, IdempotentOnRepeat) {
   storage::BTree table;
   const std::vector<LogRecord> batch = {Update(1, 5, 100), Update(2, 5, 200),
-                                        Delete(3, 7)};
-  Replay(batch, &table);
+                                        Update(3, 7, 300), Commit(4, 1)};
+  ReplayStats first;
+  Replay(batch, &table, &first);
+  EXPECT_EQ(first.applied, 3u);
+  EXPECT_EQ(first.commits, 1u);
   const size_t size_after_first = table.size();
   const uint64_t digest_after_first = table.Get(5)->digest;
   ReplayStats stats;
   Replay(batch, &table, &stats);
-  // The two updates are stale on the second pass; the delete of an
-  // absent key re-applies as a no-op (no tombstone to compare against).
-  EXPECT_EQ(stats.applied, 1u);
-  EXPECT_EQ(stats.skipped_stale, 2u);
+  // Every update is stale on the second pass.
+  EXPECT_EQ(stats.applied, 0u);
+  EXPECT_EQ(stats.skipped_stale, 3u);
   EXPECT_EQ(table.size(), size_after_first);
   EXPECT_EQ(table.Get(5)->digest, digest_after_first);
 }
@@ -334,12 +338,7 @@ TEST(ReplayTest, OverlappingRangesConverge) {
   std::vector<LogRecord> all;
   Rng rng(77);
   for (storage::Lsn lsn = 1; lsn <= 9; ++lsn) {
-    const uint64_t key = rng.NextBelow(4);
-    if (rng.NextDouble() < 0.25) {
-      all.push_back(Delete(lsn, key));
-    } else {
-      all.push_back(Update(lsn, key, lsn * 7));
-    }
+    all.push_back(Update(lsn, rng.NextBelow(4), lsn * 7));
   }
   storage::BTree once, twice;
   Replay(all, &once);
@@ -363,11 +362,7 @@ TEST_P(ReplayPermutationTest, SplitPointsAllConverge) {
   std::vector<LogRecord> all;
   for (storage::Lsn lsn = 1; lsn <= 60; ++lsn) {
     const uint64_t key = rng.NextBelow(10);
-    if (rng.NextDouble() < 0.2) {
-      all.push_back(Delete(lsn, key));
-    } else {
-      all.push_back(Update(lsn, key, rng.Next()));
-    }
+    all.push_back(Update(lsn, key, rng.Next()));
   }
   storage::BTree reference;
   Replay(all, &reference);

@@ -158,11 +158,16 @@ const std::regex& ReassignRe() {
   return re;
 }
 
-/// A `struct *Options` / `struct *Config` header line (not a forward
-/// declaration); nested `struct Options` included.
-const std::regex& OptionStructRe() {
+/// A struct header line (not a forward declaration): group 1 its name.
+const std::regex& StructHeadRe() {
+  static const std::regex re(R"(^\s*struct\s+(\w+)\b[^;]*$)");
+  return re;
+}
+
+/// A data member held by value: group 1 its type, possibly qualified.
+const std::regex& ValueMemberRe() {
   static const std::regex re(
-      R"(^\s*struct\s+(\w*(?:Options|Config))\b[^;]*$)");
+      R"(^\s*(?:const\s+)?((?:\w+::)*\w+)\s+\w+\s*(?:=(?!=)|\{|;))");
   return re;
 }
 
@@ -429,6 +434,53 @@ bool InNumber(const std::string& text, size_t quote) {
   while (begin > 0 && IsWordChar(text[begin - 1])) --begin;
   return begin < quote &&
          std::isdigit(static_cast<unsigned char>(text[begin])) != 0;
+}
+
+/// Calls `member(struct_name, i)` for every line i at the member depth
+/// of an option struct in the src/ header `path`: a `struct *Options` /
+/// `*Config` (nested `struct Options` included) or a struct named in
+/// `held`.
+template <typename Member>
+void ForEachOptionMember(const std::string& path,
+                         const std::vector<std::string>& masked,
+                         const std::set<std::string>& held, Member member) {
+  const bool in_src = path.rfind("src/", 0) == 0 || PathContains(path, "/src/");
+  const bool header =
+      path.size() > 2 && path.compare(path.size() - 2, 2, ".h") == 0;
+  if (!in_src || !header) return;
+
+  struct OpenStruct {
+    std::string name;
+    int depth = 0;  // Brace depth of the struct's members.
+  };
+  std::vector<OpenStruct> open;
+  std::string pending;  // An option struct whose `{` is still to come.
+  int depth = 0;
+  std::smatch m;
+  for (size_t i = 0; i < masked.size(); ++i) {
+    const std::string& line = masked[i];
+    if (!open.empty() && depth == open.back().depth) {
+      member(open.back().name, i);
+    }
+    if (std::regex_search(line, m, StructHeadRe())) {
+      const std::string name = m[1].str();
+      const bool option = name.ends_with("Options") ||
+                          name.ends_with("Config") || held.count(name) > 0;
+      if (option) pending = name;
+    }
+    for (const char c : line) {
+      if (c == '{') {
+        ++depth;
+        if (!pending.empty()) {
+          open.push_back({pending, depth});
+          pending.clear();
+        }
+      } else if (c == '}') {
+        if (!open.empty() && open.back().depth == depth) open.pop_back();
+        --depth;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -783,6 +835,19 @@ std::vector<Finding> Linter::Run() {
     }
   }
 
+  // The structs an option struct holds by value (YcsbConfig's
+  // OperationMix): their fields are knobs too.
+  held_by_options_.clear();
+  for (const FileEntry& file : files_) {
+    ForEachOptionMember(
+        file.path, file.masked, {}, [&](const std::string&, size_t i) {
+          std::smatch m;
+          if (!std::regex_search(file.masked[i], m, ValueMemberRe())) return;
+          const std::string type = m[1].str();
+          held_by_options_.insert(type.substr(type.rfind(':') + 1));
+        });
+  }
+
   implementations_.clear();
   for (const FileEntry& file : files_) {
     std::string text;
@@ -955,52 +1020,25 @@ void Linter::LintFile(const FileEntry& file, std::vector<Finding>* out) {
 
 void Linter::LintUnsetOptions(const FileEntry& file,
                               std::vector<Finding>* out) {
-  const bool in_src =
-      file.path.rfind("src/", 0) == 0 || PathContains(file.path, "/src/");
-  const bool header = file.path.size() > 2 &&
-                      file.path.compare(file.path.size() - 2, 2, ".h") == 0;
-  if (!in_src || !header) return;
-
-  struct OpenStruct {
-    std::string name;
-    int depth = 0;  // Brace depth of the struct's members.
-  };
-  std::vector<OpenStruct> open;
-  std::string pending;  // An option struct whose `{` is still to come.
-  int depth = 0;
-  std::smatch m;
-  for (size_t i = 0; i < file.masked.size(); ++i) {
-    const std::string& line = file.masked[i];
-    if (!open.empty() && depth == open.back().depth &&
-        std::regex_search(line, m, ScalarMemberRe())) {
-      const std::string name = m[1].str();
-      const auto it = assigned_in_.find(name);
-      const bool assigned_elsewhere =
-          it != assigned_in_.end() &&
-          (it->second.size() > 1 || it->second.count(file.path) == 0);
-      if (!assigned_elsewhere) {
-        Emit(file, static_cast<int>(i), "slacker-unset-option",
-             "'" + open.back().name + "::" + name +
-                 "' is assigned by no scanned non-test file but its "
-                 "header, so only its default ever runs; make it a named "
-                 "constant where it is read, or give it a caller",
-             out);
-      }
-    }
-    if (std::regex_search(line, m, OptionStructRe())) pending = m[1].str();
-    for (const char c : line) {
-      if (c == '{') {
-        ++depth;
-        if (!pending.empty()) {
-          open.push_back({pending, depth});
-          pending.clear();
+  ForEachOptionMember(
+      file.path, file.masked, held_by_options_,
+      [&](const std::string& struct_name, size_t i) {
+        std::smatch m;
+        if (!std::regex_search(file.masked[i], m, ScalarMemberRe())) return;
+        const std::string name = m[1].str();
+        const auto it = assigned_in_.find(name);
+        const bool assigned_elsewhere =
+            it != assigned_in_.end() &&
+            (it->second.size() > 1 || it->second.count(file.path) == 0);
+        if (!assigned_elsewhere) {
+          Emit(file, static_cast<int>(i), "slacker-unset-option",
+               "'" + struct_name + "::" + name +
+                   "' is assigned by no scanned non-test file but its "
+                   "header, so only its default ever runs; make it a "
+                   "named constant where it is read, or give it a caller",
+               out);
         }
-      } else if (c == '}') {
-        if (!open.empty() && open.back().depth == depth) open.pop_back();
-        --depth;
-      }
-    }
-  }
+      });
 }
 
 void Linter::LintSingleImpl(const FileEntry& file,

@@ -58,7 +58,9 @@ struct Finding {
 ///                           a sim::Lifetime member instead.
 ///   slacker-unset-option    a scalar member with a default initializer
 ///                           in a `struct *Options` / `*Config` (or a
-///                           nested `struct Options`) under src/ that
+///                           nested `struct Options`), or in a struct
+///                           that one of those holds by value (such as
+///                           YcsbConfig's OperationMix), under src/ that
 ///                           no scanned file other than its own header
 ///                           assigns (`.x =` or `->x =`, whitespace and
 ///                           line breaks allowed around the name). A
@@ -226,6 +228,9 @@ class Linter {
   // Member name -> non-test files that assign it (`.name =` /
   // `->name =`), built at the start of Run().
   std::map<std::string, std::set<std::string>> assigned_in_;
+  // Unqualified type names of the members that a src/ option struct
+  // holds by value, built at the start of Run().
+  std::set<std::string> held_by_options_;
   // Base class name (unqualified) -> "path:derived" for every class
   // that derives from it, built at the start of Run().
   std::map<std::string, std::set<std::string>> implementations_;

@@ -193,6 +193,27 @@ TEST(SlackerLintTest, UnsetOptionFieldsAreFlagged) {
             std::string::npos);
 }
 
+TEST(SlackerLintTest, FieldsOfStructsHeldByOptionsAreFlagged) {
+  Linter linter;
+  linter.AddFile("src/demo/load.h", ReadFixture("held_option.snippet"));
+  linter.AddFile("bench/load.cc",
+                 "void F(demo::LoadConfig* c) {\n"
+                 "  c->records = 5;\n"
+                 "  c->mix.read = 0.9;\n"
+                 "}\n");
+  linter.AddFile("tests/load_test.cc",
+                 "void G(demo::LoadConfig c) { c.mix.insert = 0.1; }\n");
+  // A struct held only through a pointer is not a knob.
+  const auto findings = linter.Run();
+  ASSERT_EQ(findings.size(), 2u) << FindingsToText(findings);
+  EXPECT_EQ(findings[0].rule, "slacker-unset-option");
+  EXPECT_EQ(findings[0].line, 8);
+  EXPECT_NE(findings[0].message.find("'Mix::insert'"), std::string::npos);
+  EXPECT_EQ(findings[1].rule, "slacker-unset-option");
+  EXPECT_EQ(findings[1].line, 9);
+  EXPECT_NE(findings[1].message.find("'Mix::weight'"), std::string::npos);
+}
+
 TEST(SlackerLintTest, SingleImplementationInterfacesAreFlagged) {
   Linter linter;
   linter.AddFile("src/demo/single_impl.h", ReadFixture("single_impl.snippet"));
