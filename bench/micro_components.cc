@@ -357,15 +357,25 @@ std::vector<storage::Record> ChunkRows() {
 
 // A migration target applying a run of consecutive key-ordered
 // snapshot chunks (256 KiB of 1 KiB rows each) into one staging table,
-// newest LSN wins, in rows per second. Each chunk lands at the right
-// edge of the last, as in a migration, so the root leaf's one-time move
-// into a full block is paid once per run rather than once per chunk.
-constexpr uint64_t kChunksPerRun = 64;
-
+// newest LSN wins, in rows per second, for runs of 16, 64 and 256
+// chunks. Each chunk lands at the right edge of the last, as in a
+// migration, so the root leaf's one-time move into a full block is
+// paid once per run rather than once per chunk.
+//
+// Each run builds a fresh table, and it charges the first-touch page
+// faults of the table's memory, as a fresh migration target pays them:
+// glibc hands the last run's freed table back to the kernel between
+// iterations (its trim threshold), so the next run touches new pages.
+// That, not the append, is why the per-row cost grows with the run
+// length: with the trim threshold raised
+// (MALLOC_TRIM_THRESHOLD_=4000000000) it stays flat from 16 to 64
+// chunks, and only a smaller rise at 256 chunks, where the table
+// outgrows the cache, remains.
 void BM_ApplySnapshotChunk(benchmark::State& state) {
+  const auto chunks_per_run = static_cast<uint64_t>(state.range(0));
   Rng rng(0xb1c);
-  std::vector<std::vector<storage::Record>> chunks(kChunksPerRun);
-  for (uint64_t c = 0; c < kChunksPerRun; ++c) {
+  std::vector<std::vector<storage::Record>> chunks(chunks_per_run);
+  for (uint64_t c = 0; c < chunks_per_run; ++c) {
     for (uint64_t i = 0; i < kChunkRows; ++i) {
       chunks[c].push_back(storage::Record{c * kChunkRows + i, 1, rng.Next()});
     }
@@ -378,13 +388,13 @@ void BM_ApplySnapshotChunk(benchmark::State& state) {
     benchmark::DoNotOptimize(table.size());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kChunksPerRun * kChunkRows));
+                          static_cast<int64_t>(chunks_per_run * kChunkRows));
 }
-BENCHMARK(BM_ApplySnapshotChunk);
+BENCHMARK(BM_ApplySnapshotChunk)->Arg(16)->Arg(64)->Arg(256);
 
 void LzCompressedSizeAt(benchmark::State& state, double redundancy) {
-  const std::vector<uint8_t> payload =
-      codec::MaterializeChunkPayload(ChunkRows(), kRowBytes, redundancy);
+  std::vector<uint8_t> payload;
+  codec::MaterializeChunkPayload(ChunkRows(), kRowBytes, redundancy, &payload);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         codec::LzCompressedSize(payload.data(), payload.size()));
@@ -403,16 +413,31 @@ void BM_LzCompressedSizeNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_LzCompressedSizeNoise);
 
-void BM_MaterializeChunkPayload(benchmark::State& state) {
+// Both builds of the payload writer, each into one reused buffer as
+// EncodeSnapshotChunk writes: the dispatched one (AVX-512 where the CPU
+// has it) and the baseline build that CPUs without it run.
+template <typename Writer>
+void MaterializeChunkPayloadWith(benchmark::State& state, Writer write) {
   const std::vector<storage::Record> rows = ChunkRows();
+  std::vector<uint8_t> payload;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        codec::MaterializeChunkPayload(rows, kRowBytes, kRedundancy));
+    write(rows, kRowBytes, kRedundancy, &payload);
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(kChunkRows * kRowBytes));
 }
+
+void BM_MaterializeChunkPayload(benchmark::State& state) {
+  MaterializeChunkPayloadWith(state, codec::MaterializeChunkPayload);
+}
 BENCHMARK(BM_MaterializeChunkPayload);
+
+void BM_MaterializeChunkPayloadPortable(benchmark::State& state) {
+  MaterializeChunkPayloadWith(state, codec::MaterializeChunkPayloadPortable);
+}
+BENCHMARK(BM_MaterializeChunkPayloadPortable);
 
 void BM_ChunkPayloadCrc(benchmark::State& state) {
   const std::vector<storage::Record> rows = ChunkRows();

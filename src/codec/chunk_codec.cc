@@ -25,8 +25,11 @@ EncodedChunk EncodeSnapshotChunk(std::vector<storage::Record> rows,
                                  const CodecConfig& config,
                                  uint64_t record_bytes) {
   if (requested != Codec::kLz) return RawChunk(std::move(rows), logical_bytes);
-  const std::vector<uint8_t> payload =
-      MaterializeChunkPayload(rows, record_bytes, config.payload_redundancy);
+  // Reused across chunks, as the LZ match table is: a chunk overwrites
+  // every byte, so it need not allocate or zero-fill a fresh buffer.
+  thread_local std::vector<uint8_t> payload;
+  MaterializeChunkPayload(rows, record_bytes, config.payload_redundancy,
+                          &payload);
   const size_t compressed = LzCompressedSize(payload.data(), payload.size());
   if (compressed >= payload.size() || compressed >= logical_bytes) {
     return RawChunk(std::move(rows), logical_bytes);

@@ -25,14 +25,6 @@ uint8_t FillerByte(uint64_t key) {
   return static_cast<uint8_t>(key * 0x9E3779B9u >> 24);
 }
 
-/// One step of storage::MaterializePayload's xorshift64 stream.
-uint64_t Xorshift(uint64_t state) {
-  state ^= state << 13;
-  state ^= state >> 7;
-  state ^= state << 17;
-  return state;
-}
-
 void StoreLe64(uint8_t* p, uint64_t word) {
   if constexpr (std::endian::native == std::endian::big) {
     word = __builtin_bswap64(word);
@@ -40,41 +32,128 @@ void StoreLe64(uint8_t* p, uint64_t word) {
   std::memcpy(p, &word, sizeof(word));
 }
 
-/// Writes K consecutive payload rows of `logical_size` bytes each at
-/// `out`. The rows' xorshift64 chains are independent, so stepping them
-/// in lockstep gives the core K chains to overlap instead of one serial
-/// chain; each chain still yields 8 bytes per 64-bit store.
-template <size_t K>
-void WriteRows(const storage::Record* rows, size_t logical_size,
-               size_t filler_bytes, uint8_t* out) {
-  uint64_t state[K];
-  for (size_t k = 0; k < K; ++k) {
-    std::memset(out + k * logical_size, FillerByte(rows[k].key),
-                filler_bytes);
-    state[k] = rows[k].digest ^ rows[k].key;
+/// The xorshift64 states of 8 (or 4) rows, one per 64-bit lane. A
+/// value of these types never crosses a function boundary: a vector
+/// argument of 32 or 64 bytes is passed differently with and without
+/// AVX, so the writer keeps them in always-inlined code.
+using U64x8 = uint64_t __attribute__((vector_size(64)));
+using U64x4 = uint64_t __attribute__((vector_size(32)));
+
+/// One step of storage::MaterializePayload's xorshift64 stream, in
+/// every lane of kVecs vectors.
+template <typename Vec, size_t kVecs>
+[[gnu::always_inline]] inline void Step(Vec (&state)[kVecs]) {
+#pragma GCC unroll 2
+  for (size_t v = 0; v < kVecs; ++v) {
+    state[v] ^= state[v] << 13;
+    state[v] ^= state[v] >> 7;
+    state[v] ^= state[v] << 17;
+  }
+}
+
+/// Writes kVecs * (lanes of Vec) consecutive payload rows of
+/// `logical_size` bytes each at `out`; Vec is uint64_t (one lane),
+/// U64x4 or U64x8. The rows' xorshift64 chains are independent, so
+/// each takes a lane and all are stepped in lockstep, kVecs vectors in
+/// flight; each chain still yields 8 bytes per 64-bit store.
+template <typename Vec, size_t kVecs>
+[[gnu::always_inline]] inline void WriteRows(const storage::Record* rows,
+                                             size_t logical_size,
+                                             size_t filler_bytes,
+                                             uint8_t* out) {
+  constexpr size_t kLanes = sizeof(Vec) / sizeof(uint64_t);
+  Vec state[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) {
+    uint64_t seed[kLanes];
+    for (size_t k = 0; k < kLanes; ++k) {
+      const storage::Record& row = rows[v * kLanes + k];
+      std::memset(out + (v * kLanes + k) * logical_size, FillerByte(row.key),
+                  filler_bytes);
+      seed[k] = row.digest ^ row.key;
+    }
+    std::memcpy(&state[v], seed, sizeof(Vec));
   }
   const size_t noise_bytes = logical_size - filler_bytes;
   uint8_t* noise = out + filler_bytes;
   size_t i = 0;
   for (; i + 8 <= noise_bytes; i += 8) {
-    uint64_t word[K] = {};
+    // Each step shifts the word down a byte and puts its low byte on
+    // top, so after eight steps byte b holds step b's low byte.
+    Vec word[kVecs] = {};
+#pragma GCC unroll 8
     for (size_t b = 0; b < 8; ++b) {
-      for (size_t k = 0; k < K; ++k) {
-        state[k] = Xorshift(state[k]);
-        word[k] |= (state[k] & 0xff) << (8 * b);
+      Step(state);
+#pragma GCC unroll 2
+      for (size_t v = 0; v < kVecs; ++v) {
+        word[v] = (word[v] >> 8) | (state[v] << 56);
       }
     }
-    for (size_t k = 0; k < K; ++k) {
-      StoreLe64(noise + k * logical_size + i, word[k]);
+    for (size_t v = 0; v < kVecs; ++v) {
+      uint64_t lane[kLanes];
+      std::memcpy(lane, &word[v], sizeof(Vec));
+      for (size_t k = 0; k < kLanes; ++k) {
+        StoreLe64(noise + (v * kLanes + k) * logical_size + i, lane[k]);
+      }
     }
   }
   for (; i < noise_bytes; ++i) {
-    for (size_t k = 0; k < K; ++k) {
-      state[k] = Xorshift(state[k]);
-      noise[k * logical_size + i] = static_cast<uint8_t>(state[k]);
+    Step(state);
+    for (size_t v = 0; v < kVecs; ++v) {
+      uint64_t lane[kLanes];
+      std::memcpy(lane, &state[v], sizeof(Vec));
+      for (size_t k = 0; k < kLanes; ++k) {
+        noise[(v * kLanes + k) * logical_size + i] =
+            static_cast<uint8_t>(lane[k]);
+      }
     }
   }
 }
+
+/// The payload writer, inlined into both builds below: 16 rows at a
+/// time in two 8-lane vectors, then tails of 8, 4 and 1 rows. Two
+/// vectors in flight hide the latency of each xorshift step; the
+/// baseline build, with 16-byte registers, runs no faster with one.
+[[gnu::always_inline]] inline void WritePayload(
+    const std::vector<storage::Record>& rows, uint64_t record_bytes,
+    double redundancy, std::vector<uint8_t>* payload) {
+  payload->resize(rows.size() * record_bytes);
+  if (payload->empty()) return;
+  const size_t filler_bytes = FillerLength(record_bytes, redundancy);
+  const size_t n = rows.size();
+  uint8_t* out = payload->data();
+  size_t r = 0;
+  for (; r + 16 <= n; r += 16) {
+    WriteRows<U64x8, 2>(&rows[r], record_bytes, filler_bytes,
+                        out + r * record_bytes);
+  }
+  if (r + 8 <= n) {
+    WriteRows<U64x8, 1>(&rows[r], record_bytes, filler_bytes,
+                        out + r * record_bytes);
+    r += 8;
+  }
+  if (r + 4 <= n) {
+    WriteRows<U64x4, 1>(&rows[r], record_bytes, filler_bytes,
+                        out + r * record_bytes);
+    r += 4;
+  }
+  for (; r < n; ++r) {
+    WriteRows<uint64_t, 1>(&rows[r], record_bytes, filler_bytes,
+                           out + r * record_bytes);
+  }
+}
+
+#if defined(__x86_64__)
+/// Whether the CPU runs MaterializeChunkPayloadAvx512. A call from
+/// another file's static initializer may run before this is set; it
+/// sees false and takes the portable build, which writes the same
+/// bytes.
+const bool kWideWriter = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512bw") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
+}();
+#endif
 
 /// The raw CRC-32C register after `len` bytes from register `reg`:
 /// Crc32c without its pre- and post-inversion.
@@ -118,7 +197,7 @@ struct RowCrcTables {
     // Key 0 has filler byte 0, so this row is the noise alone.
     for (size_t j = 0; j < 64; ++j) {
       const storage::Record unit{0, 0, uint64_t{1} << j};
-      WriteRows<1>(&unit, logical_size, filler_bytes, row.data());
+      WriteRows<uint64_t, 1>(&unit, logical_size, filler_bytes, row.data());
       basis[j] = RawCrc(0, row.data(), row.size());
     }
     for (size_t k = 0; k < 8; ++k) ExpandByteTable(basis + 8 * k, noise[k]);
@@ -143,27 +222,32 @@ const RowCrcTables& TablesFor(size_t logical_size, size_t filler_bytes) {
 
 }  // namespace
 
-std::vector<uint8_t> MaterializeChunkPayload(
-    const std::vector<storage::Record>& rows, uint64_t record_bytes,
-    double redundancy) {
-  std::vector<uint8_t> payload(rows.size() * record_bytes);
-  if (payload.empty()) return payload;
-  const size_t filler_bytes = FillerLength(record_bytes, redundancy);
-  size_t r = 0;
-  for (; r + 8 <= rows.size(); r += 8) {
-    WriteRows<8>(&rows[r], record_bytes, filler_bytes,
-                 &payload[r * record_bytes]);
+void MaterializeChunkPayload(const std::vector<storage::Record>& rows,
+                             uint64_t record_bytes, double redundancy,
+                             std::vector<uint8_t>* payload) {
+#if defined(__x86_64__)
+  if (kWideWriter) {
+    MaterializeChunkPayloadAvx512(rows, record_bytes, redundancy, payload);
+    return;
   }
-  for (; r + 4 <= rows.size(); r += 4) {
-    WriteRows<4>(&rows[r], record_bytes, filler_bytes,
-                 &payload[r * record_bytes]);
-  }
-  for (; r < rows.size(); ++r) {
-    WriteRows<1>(&rows[r], record_bytes, filler_bytes,
-                 &payload[r * record_bytes]);
-  }
-  return payload;
+#endif
+  MaterializeChunkPayloadPortable(rows, record_bytes, redundancy, payload);
 }
+
+void MaterializeChunkPayloadPortable(const std::vector<storage::Record>& rows,
+                                     uint64_t record_bytes, double redundancy,
+                                     std::vector<uint8_t>* payload) {
+  WritePayload(rows, record_bytes, redundancy, payload);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+MaterializeChunkPayloadAvx512(const std::vector<storage::Record>& rows,
+                              uint64_t record_bytes, double redundancy,
+                              std::vector<uint8_t>* payload) {
+  WritePayload(rows, record_bytes, redundancy, payload);
+}
+#endif
 
 uint32_t ChunkPayloadCrc(const std::vector<storage::Record>& rows,
                          uint64_t record_bytes, double redundancy) {

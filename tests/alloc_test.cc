@@ -281,6 +281,29 @@ TEST(CodecAllocTest, VerifyPayloadCrcAllocatesNothing) {
   EXPECT_EQ(per_call, 0.0);
 }
 
+// A fig15-shaped LZ encode: the payload goes to this thread's reused
+// buffer, so the caller's copy of the rows, moved into the result, is
+// the only allocation.
+TEST(CodecAllocTest, LzEncodeAllocatesOnlyItsRowCopy) {
+  if (!kCountsAllocations) GTEST_SKIP() << "ASan replaces operator new";
+  Rng rng(0xa110e);
+  std::vector<storage::Record> rows;
+  for (uint64_t i = 0; i < 256; ++i) {
+    rows.push_back(storage::Record{i, 1, rng.Next()});
+  }
+  codec::CodecConfig config;
+  config.mode = codec::CodecMode::kLz;
+  config.payload_redundancy = 0.5;
+  uint64_t lz_frames = 0;
+  const double per_call = AllocationsPerCall([&](int) {
+    const codec::EncodedChunk enc = codec::EncodeSnapshotChunk(
+        rows, rows.size() * kKiB, codec::Codec::kLz, config, kKiB);
+    if (enc.frame.codec == codec::Codec::kLz) ++lz_frames;
+  });
+  EXPECT_EQ(lz_frames, static_cast<uint64_t>(kWarmup + kMeasured));
+  EXPECT_EQ(per_call, 1.0);
+}
+
 // A fig15-shaped LZ snapshot chunk with every extension: the frame is
 // the only allocation, sized once from the message's closed-form size.
 TEST(MessageAllocTest, EncodeMessageAllocatesOnlyItsFrame) {

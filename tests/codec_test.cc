@@ -151,9 +151,16 @@ std::vector<storage::Record> UnsortedRows(Rng* rng, size_t n) {
   return rows;
 }
 
+std::vector<uint8_t> ChunkPayload(const std::vector<storage::Record>& rows,
+                                  uint64_t record_bytes, double redundancy) {
+  std::vector<uint8_t> payload;
+  MaterializeChunkPayload(rows, record_bytes, redundancy, &payload);
+  return payload;
+}
+
 std::vector<uint8_t> RowPayload(const storage::Record& record,
                                 size_t logical_size, double redundancy) {
-  return MaterializeChunkPayload({record}, logical_size, redundancy);
+  return ChunkPayload({record}, logical_size, redundancy);
 }
 
 // The fig15 chunk shape: 256 rows of 1 KiB at redundancy 0.5.
@@ -257,7 +264,7 @@ TEST(LzTest, SizeOnlyMatchesCompress) {
   }
   const auto rows = UnsortedRows(&rng, 37);
   for (const double r : {0.0, 0.5, 0.75, 1.0}) {
-    inputs.push_back(MaterializeChunkPayload(rows, kKiB, r));
+    inputs.push_back(ChunkPayload(rows, kKiB, r));
   }
   for (size_t c = 0; c < inputs.size(); ++c) {
     const std::vector<uint8_t>& input = inputs[c];
@@ -328,7 +335,7 @@ TEST(LzTest, HashCollidingPrefixesNeverMatch) {
 TEST(LzTest, FullChunksMatchReference) {
   const auto rows = Fig15ShapeRows();
   for (const double r : {0.0, 0.5}) {
-    const auto chunk = MaterializeChunkPayload(rows, kKiB, r);
+    const auto chunk = ChunkPayload(rows, kKiB, r);
     ASSERT_EQ(chunk.size(), 256 * kKiB);
     ExpectMatchesReference(chunk, "r = " + std::to_string(r));
   }
@@ -398,27 +405,71 @@ TEST(PayloadTest, NoiseTailIsStoragePayloadPrefix) {
   }
 }
 
-TEST(PayloadTest, InterleavedWriterMatchesPerRowWriter) {
+// Row counts 0-40 and 255-257: every mix of 16-row pairs with the
+// 8-, 4- and 1-row tails.
+std::vector<size_t> WriterRowCounts() {
+  std::vector<size_t> counts;
+  for (size_t n = 0; n <= 40; ++n) counts.push_back(n);
+  for (const size_t n : {255, 256, 257}) counts.push_back(n);
+  return counts;
+}
+
+// Holds one build of the writer to the reference, byte for byte, on
+// every row count and on rows of 1 to 1031 bytes. The output vector is
+// reused across calls, as EncodeSnapshotChunk reuses its buffer, so
+// each call overwrites the bytes of the last.
+template <typename Writer>
+void ExpectWriterMatchesReference(Writer write) {
   Rng rng(0x9a1);
-  // Up to 17 rows: two 8-row lanes, an 8-row lane with a 4-row and a
-  // 1-row tail, and everything below.
-  for (size_t n = 0; n <= 17; ++n) {
+  std::vector<uint8_t> chunk;
+  for (const size_t n : WriterRowCounts()) {
     const auto rows = UnsortedRows(&rng, n);
     for (const uint64_t size : {1, 5, 8, 9, 1024, 1031}) {
       for (const double r : {0.0, 0.3, 0.5, 1.0}) {
-        const auto chunk = MaterializeChunkPayload(rows, size, r);
-        EXPECT_EQ(chunk, ReferenceChunkPayload(rows, size, r))
+        write(rows, size, r, &chunk);
+        ASSERT_EQ(chunk, ReferenceChunkPayload(rows, size, r))
             << n << " rows of " << size << " bytes at r = " << r;
-        // Row by row, every row takes the one-lane path.
+      }
+    }
+  }
+}
+
+TEST(PayloadTest, InterleavedWriterMatchesPerRowWriter) {
+  ExpectWriterMatchesReference(MaterializeChunkPayload);
+  // Row by row, every row takes the one-lane path.
+  Rng rng(0x9a1);
+  for (const size_t n : WriterRowCounts()) {
+    const auto rows = UnsortedRows(&rng, n);
+    for (const uint64_t size : {1, 5, 8, 9, 1024, 1031}) {
+      for (const double r : {0.0, 0.3, 0.5, 1.0}) {
         std::vector<uint8_t> per_row;
         for (const storage::Record& row : rows) {
           const auto bytes = RowPayload(row, size, r);
           per_row.insert(per_row.end(), bytes.begin(), bytes.end());
         }
-        EXPECT_EQ(chunk, per_row);
+        EXPECT_EQ(ChunkPayload(rows, size, r), per_row)
+            << n << " rows of " << size << " bytes at r = " << r;
       }
     }
   }
+}
+
+TEST(PayloadTest, PortableWriterMatchesReference) {
+  ExpectWriterMatchesReference(MaterializeChunkPayloadPortable);
+}
+
+TEST(PayloadTest, Avx512WriterMatchesReference) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("avx512f") || !__builtin_cpu_supports("avx512bw") ||
+      !__builtin_cpu_supports("avx512vl")) {
+    GTEST_SKIP() << "this CPU lacks AVX-512 F/BW/VL, so it cannot run the "
+                    "wide build; the portable build serves it";
+  }
+  ExpectWriterMatchesReference(MaterializeChunkPayloadAvx512);
+#else
+  GTEST_SKIP() << "the wide build exists only on x86-64";
+#endif
 }
 
 TEST(PayloadTest, ChunkPayloadCrcMatchesMaterializedBytes) {
